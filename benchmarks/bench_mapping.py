@@ -5,10 +5,11 @@ Two claims of the vectorised endpoint-conditioned sampler
 (25 taxa, 67 codons) with a marked internal branch:
 
 * **Bit-identity**: the batched sampler is a reordering of the serial
-  reference — both consume the canonical uniform stream in the same
-  order, so their expected syn/nonsyn counts (and sample variances)
-  must be *exactly* equal, not merely close.  The bench aborts on any
-  bit difference; there is no tolerance knob.
+  reference kept as the test oracle (``tests/oracles.py``) — both
+  consume the canonical uniform stream in the same order, so their
+  expected syn/nonsyn counts (and sample variances) must be *exactly*
+  equal, not merely close.  The bench aborts on any bit difference;
+  there is no tolerance knob.
 * **Speedup**: array-wide categorical draws, shared ``R``-power stacks
   and the ω-merged jump/intermediate stages put the 16-draw mapping at
   BLAS speed.  ``--assert-speedup`` gates CI on the floor (3× quick;
@@ -32,6 +33,7 @@ from harness import format_table, get_dataset, write_result
 from repro.core.engine import make_engine
 from repro.likelihood.mapping import sample_substitution_mapping
 from repro.models.branch_site import BranchSiteModelA
+from tests.oracles import sample_mapping_serial
 
 BSA_VALUES = {"kappa": 2.2, "omega0": 0.2, "omega2": 4.0, "p0": 0.5, "p1": 0.3}
 
@@ -58,12 +60,8 @@ def _best_of(fn, repeats: int) -> float:
 
 def compare_methods(bound, n_samples: int, repeats: int):
     """Time both samplers and verify exact equality of their outputs."""
-    serial = sample_substitution_mapping(
-        bound, BSA_VALUES, n_samples=n_samples, seed=1, method="serial"
-    )
-    batched = sample_substitution_mapping(
-        bound, BSA_VALUES, n_samples=n_samples, seed=1, method="batched"
-    )
+    serial = sample_mapping_serial(bound, BSA_VALUES, n_samples=n_samples, seed=1)
+    batched = sample_substitution_mapping(bound, BSA_VALUES, n_samples=n_samples, seed=1)
     identical = (
         np.array_equal(serial.syn, batched.syn)
         and np.array_equal(serial.nonsyn, batched.nonsyn)
@@ -71,14 +69,12 @@ def compare_methods(bound, n_samples: int, repeats: int):
         and np.array_equal(serial.nonsyn_var, batched.nonsyn_var)
     )
     serial_s = _best_of(
-        lambda: sample_substitution_mapping(
-            bound, BSA_VALUES, n_samples=n_samples, seed=1, method="serial"
-        ),
+        lambda: sample_mapping_serial(bound, BSA_VALUES, n_samples=n_samples, seed=1),
         repeats,
     )
     batched_s = _best_of(
         lambda: sample_substitution_mapping(
-            bound, BSA_VALUES, n_samples=n_samples, seed=1, method="batched"
+            bound, BSA_VALUES, n_samples=n_samples, seed=1
         ),
         repeats,
     )

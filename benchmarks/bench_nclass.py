@@ -30,25 +30,30 @@ from repro.core.engine import make_engine
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.bsrel import BSRELModel
 from repro.optimize.ml import fit_model
+from tests.oracles import reference_log_likelihood
 
 
 def check_model_a_identity(dataset, engine_name: str, budget: int) -> None:
     """Abort unless bsrel:2 ≡ model A, at fixed values and after a fit."""
     values_a = {"kappa": 2.2, "omega0": 0.25, "omega2": 3.0, "p0": 0.5, "p1": 0.3}
     values_b = {"kappa": 2.2, "omega1": 0.25, "omega_fg": 3.0, "p1": 0.5, "p2": 0.3}
-    for batched in (False, True):
+    evaluators = {
+        "per-branch oracle": reference_log_likelihood,
+        "level-order": lambda bound, values: bound.log_likelihood(values),
+    }
+    for path, evaluate in evaluators.items():
         bound_a = make_engine(engine_name).bind(
-            dataset.tree, dataset.alignment, BranchSiteModelA(), batched=batched
+            dataset.tree, dataset.alignment, BranchSiteModelA()
         )
         bound_b = make_engine(engine_name).bind(
-            dataset.tree, dataset.alignment, BSRELModel(2), batched=batched
+            dataset.tree, dataset.alignment, BSRELModel(2)
         )
-        lnl_a = bound_a.log_likelihood(values_a)
-        lnl_b = bound_b.log_likelihood(values_b)
+        lnl_a = evaluate(bound_a, values_a)
+        lnl_b = evaluate(bound_b, values_b)
         if lnl_a != lnl_b:
             raise SystemExit(
                 f"FATAL: bsrel:2 is not bit-identical to model A "
-                f"(batched={batched}): {lnl_a!r} vs {lnl_b!r}"
+                f"({path}): {lnl_a!r} vs {lnl_b!r}"
             )
     fit_a = fit_model(
         make_engine(engine_name).bind(dataset.tree, dataset.alignment, BranchSiteModelA()),
@@ -66,7 +71,7 @@ def check_model_a_identity(dataset, engine_name: str, budget: int) -> None:
 
 
 def run_nclass(dataset, engine_name: str, k: int, budget: int):
-    """Budgeted H1 fit of the 2K-class BS-REL model, batched path.
+    """Budgeted H1 fit of the 2K-class BS-REL model.
 
     Returns ``(n_classes, builds, naive, dedupe_fraction, lnl, wall)``
     with the dedupe fraction measured against the per-class-independent
@@ -76,7 +81,7 @@ def run_nclass(dataset, engine_name: str, k: int, budget: int):
     model = BSRELModel(k)
     wall = time.perf_counter()
     fit = fit_model(
-        engine.bind(dataset.tree, dataset.alignment, model, batched=True),
+        engine.bind(dataset.tree, dataset.alignment, model),
         seed=SEED,
         max_iterations=budget,
     )

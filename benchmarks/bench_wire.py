@@ -42,7 +42,6 @@ from repro.parallel.batch import (
     GeneJob,
     _build_shared_context,
     _materialize_patterns,
-    _run_gene,
     _run_gene_shared,
     branch_label,
     scan_branches,
@@ -51,6 +50,14 @@ from repro.parallel.executors import ProcessPoolBackend, SocketExecutor, wire
 from repro.trees.newick import parse_newick
 
 GENE_ID = "wirebench"
+
+#: The pickled callable the retired plane shipped with every task: a
+#: by-reference pickle (protocol 5) of its self-contained tuple-payload
+#: worker, ``repro.parallel.batch._run_gene``, since deleted.
+RETIRED_FN_BLOB = (
+    b"\x80\x05\x95&\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.parallel.batch"
+    b"\x94\x8c\t_run_gene\x94\x93\x94."
+)
 
 # Spawned, not forked: the bench process runs pool executors too, and
 # forking a threaded parent can wedge the child (same rationale as the
@@ -107,7 +114,7 @@ def _legacy_task_bytes(dataset, candidates, budget: int, seed: int):
     embeds a pre-marked Newick and the full codon sequences — the fn
     blob rode along on *every* dispatch.
     """
-    fn_blob = pickle.dumps(_run_gene, protocol=pickle.HIGHEST_PROTOCOL)
+    fn_blob = RETIRED_FN_BLOB
     sizes = []
     for k, node in enumerate(candidates):
         marked = dataset.tree.copy()
@@ -182,7 +189,7 @@ def _cold_start_bench(dataset, candidates, budget, seed, reps=5):
     marked = dataset.tree.copy()
     marked.mark_foreground(marked.nodes[node.index])
     job = GeneJob.from_objects(f"{GENE_ID}:cold", marked, dataset.alignment)
-    fn_blob = pickle.dumps(_run_gene, protocol=pickle.HIGHEST_PROTOCOL)
+    fn_blob = RETIRED_FN_BLOB
     legacy_blob = pickle.dumps(
         {"type": "task", "tag": 0, "fn": fn_blob,
          "payload": (job, "slim", seed, budget)},

@@ -17,6 +17,7 @@ artifact.  This module centralises:
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,12 @@ from repro.optimize.lrt import likelihood_ratio_test  # noqa: E402
 from repro.optimize.ml import BranchSiteTest, fit_model  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The reference implementations the bit-identity gates compare against
+# live in the test suite (``tests/oracles.py``).
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 #: Optimizer iteration budgets per hypothesis for the Table III runs.
 #: Fixed budgets make per-iteration comparisons exact; dataset i is

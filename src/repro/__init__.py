@@ -18,7 +18,7 @@ Quick start::
     tree.mark_foreground(tree.leaves[0])
     truth = {"kappa": 2.0, "omega0": 0.2, "omega2": 4.0, "p0": 0.5, "p1": 0.3}
     sim = simulate_alignment(tree, BranchSiteModelA(), truth, n_codons=300, seed=2)
-    engine = make_engine("slim")
+    engine = make_engine("slim-v2")
     test = fit_branch_site_test(lambda m: engine.bind(tree, sim.alignment, m), seed=1)
     print(test.summary())
 

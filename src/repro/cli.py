@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         choices=["codeml", "slim", "slim-v2"],
-        help="likelihood engine (default from ctl, else slim)",
+        help="likelihood engine (default from ctl, else slim-v2)",
     )
     run.add_argument("--seed", type=int, default=None, help="start-value seed")
     run.add_argument("--max-iterations", type=int, default=None)
@@ -64,29 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--map-samples", type=int, default=16,
                      help="posterior histories per site for --map")
-    run.add_argument(
-        "--map-serial", action="store_true",
-        help="draw --map histories with the reference serial sampler "
-             "instead of the batched one (bit-identical results; the "
-             "equivalence gate)",
-    )
     run.add_argument("--cleandata", action="store_true", help="drop columns with gaps")
-    run.add_argument(
-        "--incremental", action="store_true",
-        help="enable incremental likelihood evaluation (dirty-path CLV "
-             "caching + cross-class subtree sharing); bit-identical to "
-             "full re-pruning",
-    )
-    run.add_argument(
-        "--batched", dest="batched", action="store_true", default=None,
-        help="force the stacked-operator / level-order evaluation path "
-             "(default: engine choice — on for slim-v2, off elsewhere); "
-             "bit-identical to the per-branch path",
-    )
-    run.add_argument(
-        "--no-batched", dest="batched", action="store_false",
-        help="force the per-branch evaluation path",
-    )
 
     scan = sub.add_parser(
         "scan",
@@ -96,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--treefile", required=True, help="Newick tree (marks are ignored)")
     scan.add_argument("--gene-id", default=None, help="task-id prefix (default: seqfile stem)")
     scan.add_argument(
-        "--engine", default="slim", choices=["codeml", "slim", "slim-v2"],
+        "--engine", default="slim-v2", choices=["codeml", "slim", "slim-v2"],
         help="likelihood engine",
     )
     scan.add_argument("--internal-only", action="store_true",
@@ -122,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument("--map-samples", type=int, default=16,
                       help="posterior histories per site for --map")
-    scan.add_argument(
-        "--map-serial", action="store_true",
-        help="draw --map histories with the reference serial sampler "
-             "instead of the batched one (bit-identical results; the "
-             "equivalence gate)",
-    )
     scan.add_argument("--processes", type=int, default=1,
                       help="worker processes (1 = in-process)")
     scan.add_argument("--seed", type=int, default=1, help="start-value seed")
@@ -149,22 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the numerical self-healing layer (eigensolver fallback "
              "ladder, P(t) guards, optimizer restarts); disabled runs are "
              "bit-identical to the historical unguarded code",
-    )
-    scan.add_argument(
-        "--no-incremental", dest="incremental", action="store_false", default=True,
-        help="disable incremental likelihood evaluation (dirty-path CLV "
-             "caching + cross-class subtree sharing); incremental runs "
-             "are bit-identical to full re-pruning",
-    )
-    scan.add_argument(
-        "--batched", dest="batched", action="store_true", default=None,
-        help="force the stacked-operator / level-order evaluation path "
-             "(default: engine choice — on for slim-v2, off elsewhere); "
-             "bit-identical to the per-branch path",
-    )
-    scan.add_argument(
-        "--no-batched", dest="batched", action="store_false",
-        help="force the per-branch evaluation path",
     )
     scan.add_argument(
         "--executor", default=None, choices=["inline", "pool", "socket"],
@@ -248,10 +204,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     engine = make_engine(engine_name)
     test = fit_branch_site_test(
         lambda model: engine.bind(
-            tree, alignment, model,
-            freq_method=ctl.freq_method,
-            incremental=args.incremental,
-            batched=args.batched,
+            tree, alignment, model, freq_method=ctl.freq_method, incremental=True
         ),
         seed=seed,
         max_iterations=max_iterations,
@@ -260,23 +213,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     sites = None
     if args.beb:
-        bound = engine.bind(
-            tree, alignment, _h1_model(), freq_method=ctl.freq_method,
-            batched=args.batched,
-        )
+        bound = engine.bind(tree, alignment, _h1_model(), freq_method=ctl.freq_method)
         sites = beb_site_probabilities(bound, test.h1.values, test.h1.branch_lengths)
     mapping = None
     if args.map:
         from repro.likelihood.mapping import sample_substitution_mapping
 
-        bound = engine.bind(
-            tree, alignment, _h1_model(), freq_method=ctl.freq_method,
-            batched=args.batched,
-        )
+        bound = engine.bind(tree, alignment, _h1_model(), freq_method=ctl.freq_method)
         mapping = sample_substitution_mapping(
             bound, test.h1.values, branch_lengths=test.h1.branch_lengths,
             n_samples=args.map_samples, seed=seed,
-            method="serial" if args.map_serial else "batched",
         ).to_payload()
 
     report = format_report(test, tree=tree, sites=sites, dataset_name=seqfile,
@@ -395,11 +341,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             on_result=progress,
             executor=executor,
             recover=args.recover,
-            incremental=args.incremental,
-            batched=args.batched,
             model=model_spec,
             map_samples=None if survey_map else (args.map_samples if args.map else None),
-            map_serial=args.map_serial,
             keep_mles=survey_map,
         )
     except RuntimeError as exc:
@@ -433,8 +376,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 map_samples=args.map_samples,
                 seed=args.seed,
                 model=model_spec,
-                batched=args.batched,
-                method="serial" if args.map_serial else "batched",
                 internal_only=args.internal_only,
             )
             by_id = {f"{gene_id}:{label}": p for label, p in payloads.items()}

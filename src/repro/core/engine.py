@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dgemv, dsymm, dsymv
@@ -76,13 +77,11 @@ from repro.likelihood.mixture import (
     site_class_log_likelihoods,
 )
 from repro.likelihood.pruning import (
-    LevelSchedule,
     PruningResult,
     PruningState,
     build_leaf_clvs,
     build_level_schedule,
     compute_recompute_rows,
-    prune_site_class,
     prune_site_class_batched,
 )
 from repro.models.base import CodonSiteModel, SiteClass
@@ -102,13 +101,20 @@ __all__ = [
 ]
 
 
+def _decompose_guarded(matrix, counter, driver, config, recorder):
+    """The recovery ladder's decomposer, looked up at call time."""
+    return decompose_guarded(
+        matrix, driver=driver, counter=counter, config=config, recorder=recorder
+    )
+
+
 class BatchedOperatorSet:
     """All branch operators of one ω class, possibly backed by one stack.
 
     ``stack`` is the frozen F-ordered ``(n, n·B)`` buffer from a stacked
     build (``None`` when the operators were built per branch — Padé
     fallback decompositions, engines without a stacked kernel, or
-    transition-cache hits).  Each entry of ``operators`` (keyed by
+    hits in the Padé operator LRU).  Each entry of ``operators`` (keyed by
     branch length) is then a zero-copy, read-only, F-contiguous
     column-block view of the stack, packaged in the engine's operator
     form.  Because the views only *reference* the stack, replacing one
@@ -149,18 +155,13 @@ class LikelihoodEngine:
         Reuse spectral decompositions across evaluations with unchanged
         (κ, ω, scale) — both comparison sides get this (it models the
         per-ω reuse CodeML itself performs), default on.
-    cache_transition_matrices:
-        Additionally reuse ``P(t)`` across evaluations keyed by
-        (decomposition, t).  ``None`` (default) resolves to the
-        engine's :attr:`default_cache_transitions` class attribute:
-        off for ``codeml``/``slim`` (CodeML v4.4c recomputes P per
-        evaluation and the paper's cost model assumes one expm per
-        branch per iteration; turning it on is the ablation measured
-        by ``benchmarks/bench_caching_ablation.py``), on for
-        ``slim-v2`` where the batched evaluation path keeps
-        decomposition tokens stable across the optimizer's
-        single-coordinate gradient probes, so a probe of one branch
-        length reuses every other branch's operator (DESIGN.md §10).
+    transition_cache_size:
+        Capacity of the LRU that holds operators built off a Padé
+        fallback (and the uniformized operators that replace a failed
+        Padé build).  Spectral operators never ride it: CodeML v4.4c
+        recomputes P per evaluation, the paper's cost model assumes one
+        expm per branch per iteration, and the incremental binding's
+        dirty-path state already skips every clean branch (DESIGN.md §9).
     recovery:
         A :class:`~repro.core.recovery.RecoveryConfig` enables the
         numerical self-healing layer: the eigensolver fallback ladder
@@ -175,12 +176,6 @@ class LikelihoodEngine:
     eigh_driver = "evr"
     #: Whether CLVs are propagated with one BLAS-3 call over all patterns.
     bundled = False
-    #: Whether bindings default to the batched (stacked operators +
-    #: level-order propagation) evaluation path (DESIGN.md §10).
-    default_batched = False
-    #: Default for ``cache_transition_matrices`` when the constructor
-    #: argument is left at ``None``.
-    default_cache_transitions = False
 
     def __init__(
         self,
@@ -188,13 +183,10 @@ class LikelihoodEngine:
         counter: Optional[FlopCounter] = None,
         stopwatch: Optional[Stopwatch] = None,
         cache_decompositions: bool = True,
-        cache_transition_matrices: Optional[bool] = None,
         transition_cache_size: int = 4096,
         recovery: Optional[RecoveryConfig] = None,
-        batched: Optional[bool] = None,
     ) -> None:
         self.code = code
-        self.batched = self.default_batched if batched is None else bool(batched)
         self.counter = counter
         self.stopwatch = stopwatch if stopwatch is not None else Stopwatch()
         self.recovery = recovery
@@ -202,11 +194,15 @@ class LikelihoodEngine:
         self.events: Optional[NumericalEventRecorder] = (
             NumericalEventRecorder() if recovery is not None else None
         )
+        # A partial over plain values, not a closure over ``self``: the
+        # decomposition cache holds the decomposer, so closing over the
+        # engine would make a reference cycle that keeps every finished
+        # task's engine (and its caches) alive until a gen-2 collection.
         decomposer = (
-            (lambda matrix, counter: decompose_guarded(
-                matrix, driver=self.eigh_driver, counter=counter,
-                config=self.recovery, recorder=self.events,
-            ))
+            partial(
+                _decompose_guarded, driver=self.eigh_driver,
+                config=recovery, recorder=self.events,
+            )
             if recovery is not None
             else None
         )
@@ -216,13 +212,8 @@ class LikelihoodEngine:
             else None
         )
         self._guarded_decomposer = decomposer
-        self.cache_transition_matrices = (
-            self.default_cache_transitions
-            if cache_transition_matrices is None
-            else bool(cache_transition_matrices)
-        )
         # Keyed by (decomposition token, t).  The token is the
-        # process-unique sequence number on SpectralDecomposition — NOT
+        # process-unique sequence number on the decomposition — NOT
         # id(): after the decomposition cache evicts and the object is
         # collected, a recycled id would silently alias a fresh
         # decomposition onto a stale P(t).
@@ -238,12 +229,12 @@ class LikelihoodEngine:
         #: Rung 4 state: one reusable uniformized kernel per
         #: decomposition token (powers of R shared across branch lengths).
         self._uniformized: Dict[int, UniformizedOperator] = {}
-        #: CLV propagations actually executed (all modes) and branch
-        #: applications served from incremental-state buffers instead.
+        #: CLV propagations actually executed and branch applications
+        #: served from incremental-state buffers instead.
         self.clv_propagations = 0
         self.clv_reuses = 0
-        #: Batched-mode operator ledger: distinct (ω, t) stacked builds
-        #: requested, duplicate requests deduped across classes, and the
+        #: Operator ledger: distinct (ω, t) stacked builds requested,
+        #: duplicate requests deduped across classes, and the
         #: per-class-independent baseline (what each class would build
         #: with only its own operator memo, no graph edges).  The
         #: N-class acceptance metric is ``1 − builds/naive``.
@@ -310,10 +301,10 @@ class LikelihoodEngine:
     def _operator_probability_matrix(self, operator: object) -> np.ndarray:
         """Dense ``P(t)`` from this engine's operator representation.
 
-        Post-fit analyses (ancestral reconstruction) need plain
-        transition probabilities; routing them through
-        :meth:`_operator_for` keeps them on the LRU operator cache the
-        fit already warmed.  P-propagating engines hold ``P`` directly.
+        Post-fit analyses (ancestral reconstruction, stochastic mapping)
+        need plain transition probabilities, built through
+        :meth:`_operator_for`.  P-propagating engines hold ``P``
+        directly.
         """
         return operator
 
@@ -378,37 +369,16 @@ class LikelihoodEngine:
         return BatchedOperatorSet(operators, stack)
 
     def operator_set_for(self, decomp, ts: Sequence[float]) -> BatchedOperatorSet:
-        """Operators for every distinct ``t``, via the transition cache.
+        """Operators of one decomposition for every distinct ``t``.
 
-        The batched analogue of :meth:`_operator_for`: with the LRU
-        transition cache enabled, cached lengths are served as hits and
-        only the misses are built (stacked); fresh views are inserted
-        back into the cache.
+        Spectral decompositions get one (stacked) build per call.  A
+        Padé fallback has no stacked kernel, so its operators go one by
+        one through :meth:`_operator_for` and its LRU.
         """
+        if isinstance(decomp, PadeFallback):
+            return BatchedOperatorSet({float(t): self._operator_for(decomp, t) for t in ts})
         with self.stopwatch.measure("expm"):
-            if not self._use_transition_cache(decomp):
-                return self.build_operator_set(decomp, ts)
-            cached: Dict[float, object] = {}
-            missing: List[float] = []
-            for t in ts:
-                key = (decomp.token, float(t))
-                op = self._transition_cache.get(key)
-                if op is not None:
-                    self.transition_hits += 1
-                    self._transition_cache.move_to_end(key)
-                    cached[float(t)] = op
-                else:
-                    self.transition_misses += 1
-                    missing.append(float(t))
-            if not missing:
-                return BatchedOperatorSet(cached)
-            built = self.build_operator_set(decomp, missing)
-            for t, op in built.operators.items():
-                self._transition_cache[(decomp.token, t)] = op
-            while len(self._transition_cache) > self._transition_cache_size:
-                self._transition_cache.popitem(last=False)
-            cached.update(built.operators)
-            return BatchedOperatorSet(cached, built.stack)
+            return self.build_operator_set(decomp, ts)
 
     # ------------------------------------------------------------------
     def _decompose(self, matrix: CodonRateMatrix):
@@ -559,38 +529,33 @@ class LikelihoodEngine:
             t=float(t), diverged=",".join(diverged) or "none", **ctx,
         )
 
-    def _use_transition_cache(self, decomp) -> bool:
-        """Whether ``decomp``'s operators should ride the LRU cache.
+    def _operator_for(self, decomp, t: float) -> object:
+        """One branch operator, through the LRU when ``decomp`` is Padé.
 
-        Padé-built operators always do, even when the engine's default
-        is off: each build is a full scipy ``expm`` (orders costlier
-        than a spectral rescale) and :class:`DecompositionCache` hands
-        back the *same* ``PadeFallback`` per (κ, ω) so its token is
-        exactly as probe-stable as a spectral one.  The same holds for
-        rung-4 results, which are keyed by the decomposition that
-        failed.
+        Each Padé build is a full scipy ``expm`` (orders costlier than a
+        spectral rescale), and :class:`DecompositionCache` hands back the
+        *same* ``PadeFallback`` per (κ, ω), so its token is stable across
+        gradient probes.  Rung-4 results built for a failed Padé step are
+        cached under the same key.  Spectral operators are rebuilt.
         """
-        return self.cache_transition_matrices or isinstance(decomp, PadeFallback)
-
-    def _operator_for(self, decomp: SpectralDecomposition, t: float) -> object:
-        if self._use_transition_cache(decomp):
-            key = (decomp.token, float(t))
-            op = self._transition_cache.get(key)
-            if op is not None:
-                self.transition_hits += 1
-                self._transition_cache.move_to_end(key)
-                return op
-            self.transition_misses += 1
+        if not isinstance(decomp, PadeFallback):
             with self.stopwatch.measure("expm"):
-                op = self._make_operator(decomp, t)
-            self._transition_cache[key] = op
-            # LRU eviction: drop the coldest entry, never the whole
-            # working set (a full clear() thrashes the hot branches).
-            while len(self._transition_cache) > self._transition_cache_size:
-                self._transition_cache.popitem(last=False)
+                return self._make_operator(decomp, t)
+        key = (decomp.token, float(t))
+        op = self._transition_cache.get(key)
+        if op is not None:
+            self.transition_hits += 1
+            self._transition_cache.move_to_end(key)
             return op
+        self.transition_misses += 1
         with self.stopwatch.measure("expm"):
-            return self._make_operator(decomp, t)
+            op = self._make_operator(decomp, t)
+        self._transition_cache[key] = op
+        # LRU eviction: drop the coldest entry, never the whole
+        # working set (a full clear() thrashes the hot branches).
+        while len(self._transition_cache) > self._transition_cache_size:
+            self._transition_cache.popitem(last=False)
+        return op
 
     def cache_stats(self) -> Dict[str, int]:
         """Hit/miss/size counters for the caches (batch-scan metrics).
@@ -636,7 +601,6 @@ class LikelihoodEngine:
         pi: Optional[np.ndarray] = None,
         freq_method: str = "f3x4",
         incremental: bool = False,
-        batched: Optional[bool] = None,
         leaf_clvs: Optional[Sequence[np.ndarray]] = None,
     ) -> "BoundLikelihood":
         """Bind this engine to a (tree, alignment, model) problem.
@@ -645,15 +609,13 @@ class LikelihoodEngine:
         (``freq_method``, default F3x4) computed from the *uncompressed*
         alignment.  ``incremental=True`` enables dirty-path CLV caching
         and cross-class subtree sharing on the binding (bit-identical to
-        full re-pruning; see :class:`BoundLikelihood`).  ``batched``
-        selects the stacked-operator / level-order evaluation path
-        (``None`` → this engine's default: on for ``slim-v2``, off
-        elsewhere); also bit-identical.  ``leaf_clvs`` (indexed by leaf
-        node index, as :func:`build_leaf_clvs` returns) lets several
-        bindings over the *same* (topology, pattern alignment) — e.g.
-        the survey mapper's per-candidate foreground marks — share one
-        leaf-CLV build instead of redoing it per binding; the caller
-        guarantees the leaf order matches ``tree.leaf_names()``.
+        full re-pruning; see :class:`BoundLikelihood`).  ``leaf_clvs``
+        (indexed by leaf node index, as :func:`build_leaf_clvs` returns)
+        lets several bindings over the *same* (topology, pattern
+        alignment) — e.g. the survey mapper's per-candidate foreground
+        marks — share one leaf-CLV build instead of redoing it per
+        binding; the caller guarantees the leaf order matches
+        ``tree.leaf_names()``.
         """
         if isinstance(data, PatternAlignment):
             patterns = data
@@ -672,7 +634,6 @@ class LikelihoodEngine:
         return BoundLikelihood(
             self, tree, patterns, model, np.asarray(pi, dtype=float),
             incremental=incremental,
-            batched=self.batched if batched is None else bool(batched),
             leaf_clvs=leaf_clvs,
         )
 
@@ -785,12 +746,6 @@ class SlimV2Engine(LikelihoodEngine):
     name = "slim-v2"
     eigh_driver = "evr"
     bundled = True
-    default_batched = True
-    # The batched path memoizes class decompositions across evaluations,
-    # so during a fit's finite-difference gradient the decomposition
-    # tokens stay stable and a single-branch probe hits the transition
-    # cache on every *other* branch — the dominant win of DESIGN.md §10.
-    default_cache_transitions = True
 
     def __init__(self, *args, bundled: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -932,10 +887,14 @@ class BoundLikelihood:
     * Site classes sharing their background ω (model A pairs 0↔2a and
       1↔2b) alias each other's buffers and re-prune only the
       foreground-to-root path — or nothing when the foreground ω is
-      also equal (e.g. H0's 1↔2b).
+      also equal (e.g. H0's 1↔2b).  Non-incremental bindings get this
+      aliasing too, over per-evaluation states.
 
-    All reuse is bit-identical to full re-pruning (exact float
-    equality), enforced by ``tests/test_incremental.py``.
+    Every evaluation runs the level-order driver (stacked operators,
+    one fused propagation call per tree level, DESIGN.md §10).  All
+    reuse is bit-identical to full re-pruning (exact float equality),
+    enforced against the per-branch reference recursion in
+    ``tests/oracles.py``.
     """
 
     def __init__(
@@ -946,7 +905,6 @@ class BoundLikelihood:
         model: CodonSiteModel,
         pi: np.ndarray,
         incremental: bool = False,
-        batched: bool = False,
         leaf_clvs: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
         tree.validate_branch_lengths()
@@ -982,6 +940,8 @@ class BoundLikelihood:
         ]
         self._n_nodes = len(tree.nodes)
         self.branch_lengths = np.array(tree.branch_lengths(), dtype=float)
+        # The level schedule is static per binding.
+        self._schedule = build_level_schedule(self._rows, self._n_nodes)
 
         # Incremental-evaluation state (see class docstring / DESIGN.md §9).
         self.incremental = bool(incremental)
@@ -992,20 +952,6 @@ class BoundLikelihood:
         self._inc_lengths: Optional[np.ndarray] = None
         self._class_memo: Optional[Tuple[Dict[str, float], SiteClassGraph, Dict]] = None
         self._class_states_memo: Optional[Tuple[tuple, tuple]] = None
-
-        # Batched evaluation (stacked operators + level-order pruning,
-        # DESIGN.md §10); the level schedule is static per binding.
-        self.batched = bool(batched)
-        self._schedule: Optional[LevelSchedule] = None
-        # Leaf-branch contributions are pure functions of
-        # (decomposition token, t, leaf): the leaf CLV never changes and
-        # tokens are process-unique, so a hit is bit-identical to
-        # recomputation.  LRU-bounded; ~n_patterns·n_states·8 bytes per
-        # entry.
-        self._leaf_contrib_memo: "OrderedDict[Tuple[int, float, int], np.ndarray]" = (
-            OrderedDict()
-        )
-        self._leaf_contrib_cap = max(256, 16 * len(self._leaf_clvs))
 
     def set_incremental(self, enabled: bool) -> None:
         """Toggle incremental evaluation, dropping any cached state."""
@@ -1040,17 +986,16 @@ class BoundLikelihood:
 
     # ------------------------------------------------------------------
     def _graph_and_decomps(self, values: Dict[str, float]):
-        """Site-class graph + per-ω decompositions, memoised when stateful.
+        """Site-class graph + per-ω decompositions, memoised on ``values``.
 
         The graph carries the class nodes plus their derived sharing
-        edges (:mod:`repro.models.class_graph`); every evaluation mode
-        below consumes it instead of hard-coding the model-A class
-        shape.  Gradient probes of branch-length coordinates leave the
-        model values untouched, so rebuilding the rate matrices per
-        probe would dominate a dirty-path evaluation; one exact-value
-        memo entry (last values seen) removes that cost.
-        Non-incremental bindings keep the historical per-evaluation
-        rebuild bit-for-bit.
+        edges (:mod:`repro.models.class_graph`); the evaluator consumes
+        it instead of hard-coding the model-A class shape.  Gradient
+        probes of branch-length coordinates leave the model values
+        untouched, so rebuilding the rate matrices per probe would
+        dominate a dirty-path evaluation; one exact-value memo entry
+        (last values seen) removes that cost and keeps decomposition
+        tokens stable across the probes.
         """
         memo = self._class_memo
         if memo is not None and memo[0] == values:
@@ -1058,8 +1003,7 @@ class BoundLikelihood:
         graph = self.model.site_class_graph(values)
         matrices = build_class_matrices(values["kappa"], graph.nodes, self.pi, self.engine.code)
         decomps = {omega: self.engine._decompose(m) for omega, m in matrices.items()}
-        if self.incremental or self.batched:
-            self._class_memo = (dict(values), graph, decomps)
+        self._class_memo = (dict(values), graph, decomps)
         return graph, decomps
 
     def _note_reuse(self, contribution: np.ndarray) -> None:
@@ -1068,140 +1012,10 @@ class BoundLikelihood:
         if engine.counter is not None:
             engine._count_saved_propagation(contribution.shape)
 
-    def _evaluate_classes(
-        self,
-        values: Dict[str, float],
-        lengths: np.ndarray,
-        touched: "Optional[object]" = None,
-        skip_zero: bool = False,
-    ) -> Tuple[List, SiteClassGraph]:
-        if self.batched:
-            results, graph, _ = self._evaluate_batched(
-                values, lengths, touched, skip_zero
-            )
-            return results, graph
-        graph, decomps = self._graph_and_decomps(values)
-        operator_memo: Dict[Tuple[float, float], object] = {}
-
-        def factory_for(cls: SiteClass):
-            def transition(t: float, foreground: bool) -> object:
-                omega = cls.omega_foreground if foreground else cls.omega_background
-                key = (omega, t)
-                op = operator_memo.get(key)
-                if op is None:
-                    op = self.engine._operator_for(decomps[omega], t)
-                    operator_memo[key] = op
-                return op
-
-            return transition
-
-        def propagate(op: object, clv: np.ndarray) -> np.ndarray:
-            self.engine.clv_propagations += 1
-            with self.engine.stopwatch.measure("clv"):
-                return self.engine._propagate(op, clv)
-
-        rows = [
-            (child, parent, float(lengths[pos]), fg)
-            for child, parent, pos, fg in self._rows
-        ]
-        guarded = self.engine.recovery is not None
-
-        def guard_for(cls: SiteClass):
-            if not guarded:
-                return None
-            return PruningGuard(
-                recorder=self.engine.events,
-                context={"site_class": cls.label, "engine": self.engine.name},
-            )
-
-        if not self.incremental:
-            results = [
-                prune_site_class(
-                    rows, self._n_nodes, self._leaf_clvs, factory_for(cls), propagate,
-                    guard=guard_for(cls),
-                )
-                for cls in graph.nodes
-            ]
-            return results, graph
-        return self._evaluate_incremental(
-            values, lengths, graph, rows, factory_for, propagate, guard_for, touched
-        )
-
     def _has_ready_state(self, idx: int) -> bool:
         """Planner predicate: class ``idx`` has a committed pruning state."""
         state = self._inc_states.get(idx)
         return state is not None and state.ready
-
-    def _evaluate_incremental(
-        self, values, lengths, graph, rows, factory_for, propagate, guard_for, touched
-    ) -> Tuple[List[PruningResult], SiteClassGraph]:
-        commit = touched is None
-        full = True
-        dirty_children: set = set()
-        if self._inc_values is not None and values == self._inc_values:
-            diff = np.flatnonzero(np.asarray(lengths, dtype=float) != self._inc_lengths)
-            dirty_children = {self._child_of_pos[int(p)] for p in diff}
-            full = False
-
-        plans = graph.plan(full=full, has_state=self._has_ready_state)
-        try:
-            results: List[PruningResult] = []
-            new_states: Dict[int, PruningState] = {}
-            for plan in plans:
-                idx, cls = plan.index, graph.nodes[plan.index]
-                if plan.mode == "derive":
-                    # Cross-class subtree sharing along a graph edge:
-                    # every background operator matches the base class,
-                    # so subtrees not containing the foreground branch
-                    # have bit-identical CLVs — alias them and re-prune
-                    # only the foreground-to-root path (nothing at all
-                    # on a full-share edge, e.g. H0's 1↔2b).
-                    state = new_states[plan.base].derive()
-                    cls_dirty = set() if plan.full_share else set(self._fg_children)
-                    res = prune_site_class(
-                        rows, self._n_nodes, self._leaf_clvs, factory_for(cls),
-                        propagate, guard=guard_for(cls), state=state,
-                        dirty=cls_dirty, on_reuse=self._note_reuse,
-                    )
-                elif plan.mode == "populate":
-                    state = PruningState.empty(self._n_nodes)
-                    res = prune_site_class(
-                        rows, self._n_nodes, self._leaf_clvs, factory_for(cls),
-                        propagate, guard=guard_for(cls), state=state,
-                    )
-                else:
-                    state = self._inc_states[idx]
-                    if not commit:
-                        # Probe: evaluate against the base state via a
-                        # copy-on-write derivation, leave it untouched.
-                        state = state.derive()
-                    res = prune_site_class(
-                        rows, self._n_nodes, self._leaf_clvs, factory_for(cls),
-                        propagate, guard=guard_for(cls), state=state,
-                        dirty=dirty_children, on_reuse=self._note_reuse,
-                    )
-                new_states[idx] = state
-                results.append(res)
-        except Exception:
-            # A committing evaluation may have advanced some class states
-            # in place before failing; the cached base values would then
-            # misdescribe them, so drop everything rather than risk a
-            # stale-reuse miscomputation on the next call.
-            self._invalidate_incremental()
-            raise
-        if commit:
-            self._inc_states = new_states
-            self._inc_values = dict(values)
-            self._inc_lengths = np.asarray(lengths, dtype=float).copy()
-        return results, graph
-
-    # ------------------------------------------------------------------
-    # Batched evaluation (DESIGN.md §10)
-    # ------------------------------------------------------------------
-    def _level_schedule(self) -> LevelSchedule:
-        if self._schedule is None:
-            self._schedule = build_level_schedule(self._rows, self._n_nodes)
-        return self._schedule
 
     def _skipped_class_result(self) -> PruningResult:
         """Placeholder for a zero-weight class skipped without operators.
@@ -1217,12 +1031,12 @@ class BoundLikelihood:
             log_scalers=np.zeros(self.n_patterns),
         )
 
-    def _evaluate_batched(
+    def _evaluate_classes(
         self,
         values: Dict[str, float],
         lengths: np.ndarray,
-        touched: "Optional[object]",
-        skip_zero: bool,
+        touched: "Optional[object]" = None,
+        skip_zero: bool = False,
     ) -> Tuple[List[PruningResult], SiteClassGraph, Dict[int, PruningState]]:
         """Stacked-operator, level-order evaluation of every site class.
 
@@ -1234,22 +1048,21 @@ class BoundLikelihood:
         states, which is what lets full evaluations alias
         background-tied subtrees along the graph's sharing edges (for
         model A: 0↔2a, 1↔2b) exactly like incremental ones — every
-        reused CLV is bit-identical to what recomputation would produce,
-        so results match the unbatched path bit for bit.
+        reused CLV is bit-identical to what recomputation would produce.
 
         Returns the per-class results, the class graph, and the
         per-class :class:`PruningState` dict (keyed by class index;
         absent for ``skip``-planned classes) — the states carry the
         per-node inside CLVs the stochastic-mapping sampler conditions
-        on, so mapping rides the same batched pass instead of
-        re-pruning privately.
+        on, so mapping rides the same pass instead of re-pruning
+        privately.
         """
         graph, decomps = self._graph_and_decomps(values)
         rows = [
             (child, parent, float(lengths[pos]), fg)
             for child, parent, pos, fg in self._rows
         ]
-        schedule = self._level_schedule()
+        schedule = self._schedule
         engine = self.engine
         guarded = engine.recovery is not None
 
@@ -1271,8 +1084,7 @@ class BoundLikelihood:
             full = False
 
         # Plan: per-class evaluation mode plus the dirty set its pass
-        # will use — the graph planner mirrors _evaluate_incremental's
-        # choices exactly (skipped classes cannot anchor a sharing edge).
+        # will use (skipped classes cannot anchor a sharing edge).
         plans = graph.plan(
             full=full,
             has_state=self._has_ready_state if persist else None,
@@ -1332,53 +1144,14 @@ class BoundLikelihood:
 
             return transition
 
-        n_leaves = len(self._leaf_clvs)
-        memo = self._leaf_contrib_memo
-        memo_cap = self._leaf_contrib_cap
         stopwatch = engine.stopwatch
 
-        def propagate_for(cls: SiteClass):
-            # A leaf branch's contribution M(ω, t) · (Π · leaf_clv) is a
-            # pure function of (decomposition token, t, leaf): leaf CLVs
-            # are constant and tokens process-unique, so a memo hit is
-            # bit-identical to recomputation (and during a gradient's
-            # single-coordinate probes nearly every leaf branch hits).
-            fg_tok = getattr(decomps[cls.omega_foreground], "token", None)
-            bg_tok = getattr(decomps[cls.omega_background], "token", None)
-
-            def propagate_level(items):
-                contributions: List[Optional[np.ndarray]] = [None] * len(items)
-                misses: List[Tuple[int, Optional[tuple], object, np.ndarray]] = []
-                for j, (ri, op, clv) in enumerate(items):
-                    child, _, t, fg = rows[ri]
-                    key = None
-                    if child < n_leaves:
-                        tok = fg_tok if fg else bg_tok
-                        if tok is not None:
-                            key = (tok, t, child)
-                            hit = memo.get(key)
-                            if hit is not None:
-                                memo.move_to_end(key)
-                                contributions[j] = hit
-                                self._note_reuse(hit)
-                                continue
-                    misses.append((j, key, op, clv))
-                if misses:
-                    engine.clv_propagations += len(misses)
-                    start = time.perf_counter()
-                    outs = engine._propagate_level(
-                        [(op, clv) for _, _, op, clv in misses]
-                    )
-                    stopwatch.add("clv", time.perf_counter() - start)
-                    for (j, key, _, _), out in zip(misses, outs):
-                        contributions[j] = out
-                        if key is not None:
-                            memo[key] = out
-                    while len(memo) > memo_cap:
-                        memo.popitem(last=False)
-                return contributions
-
-            return propagate_level
+        def propagate_level(items):
+            engine.clv_propagations += len(items)
+            start = time.perf_counter()
+            out = engine._propagate_level(items)
+            stopwatch.add("clv", time.perf_counter() - start)
+            return out
 
         try:
             results: List[PruningResult] = []
@@ -1388,32 +1161,28 @@ class BoundLikelihood:
                     results.append(self._skipped_class_result())
                     continue
                 idx, cls = plan.index, graph.nodes[plan.index]
-                cls_dirty = dirty_for(plan)
                 if plan.mode == "derive":
                     state = new_states[plan.base].derive()
-                    res = prune_site_class_batched(
-                        rows, schedule, self._leaf_clvs, factory_for(cls),
-                        propagate_for(cls), state, guard=guard_for(cls),
-                        dirty=cls_dirty, on_reuse=self._note_reuse,
-                    )
                 elif plan.mode == "populate":
                     state = PruningState.empty(self._n_nodes)
-                    res = prune_site_class_batched(
-                        rows, schedule, self._leaf_clvs, factory_for(cls),
-                        propagate_for(cls), state, guard=guard_for(cls),
-                    )
                 else:
                     state = self._inc_states[idx]
                     if not commit:
+                        # Probe: evaluate against the base state via a
+                        # copy-on-write derivation, leave it untouched.
                         state = state.derive()
-                    res = prune_site_class_batched(
-                        rows, schedule, self._leaf_clvs, factory_for(cls),
-                        propagate_for(cls), state, guard=guard_for(cls),
-                        dirty=cls_dirty, on_reuse=self._note_reuse,
-                    )
+                res = prune_site_class_batched(
+                    rows, schedule, self._leaf_clvs, factory_for(cls),
+                    propagate_level, state, guard=guard_for(cls),
+                    dirty=dirty_for(plan), on_reuse=self._note_reuse,
+                )
                 new_states[idx] = state
                 results.append(res)
         except Exception:
+            # A committing evaluation may have advanced some class states
+            # in place before failing; the cached base values would then
+            # misdescribe them, so drop everything rather than risk a
+            # stale-reuse miscomputation on the next call.
             self._invalidate_incremental()
             raise
         if persist and commit:
@@ -1427,20 +1196,17 @@ class BoundLikelihood:
         values: Dict[str, float],
         branch_lengths: Optional[Sequence[float]] = None,
     ) -> Tuple[np.ndarray, SiteClassGraph, Dict, Dict[int, PruningState]]:
-        """Per-class inside CLVs via one batched level-order pass.
+        """Per-class inside CLVs via one level-order pass.
 
         The stochastic-mapping sampler's data plane: one evaluation
         fills every internal node's CLV for every site class (sharing
         plan included — background-tied classes alias subtrees), so the
-        sampler never re-prunes privately.  Runs the batched driver
-        regardless of this binding's ``batched`` flag — the driver only
-        needs the engine hooks, and engines without a stacked kernel
-        fall back to per-branch builds inside it.
+        sampler never re-prunes privately.
 
         The decompositions handed back are the exact objects the pass
-        evaluated with: the memo is pinned for the duration of the
-        inner call so their tokens stay aligned with the transition
-        cache and the uniformized kernels the sampler will key on.
+        evaluated with (the values memo serves both lookups), so their
+        tokens stay aligned with the Padé operator LRU and the
+        uniformized kernels the sampler will key on.
 
         Returns ``(class_lnl, graph, decomps, states)`` where
         ``class_lnl`` is the ``(n_classes, n_patterns)``
@@ -1457,22 +1223,14 @@ class BoundLikelihood:
         if self._class_states_memo is not None and self._class_states_memo[0] == key:
             return self._class_states_memo[1]
         graph, decomps = self._graph_and_decomps(values)
-        saved_memo = self._class_memo
-        self._class_memo = (dict(values), graph, decomps)
-        try:
-            results, _, states = self._evaluate_batched(
-                values, lengths, None, False
-            )
-        finally:
-            if not (self.incremental or self.batched):
-                self._class_memo = saved_memo
+        results, _, states = self._evaluate_classes(values, lengths)
         class_lnl = site_class_log_likelihoods(results, self.pi)
         self.n_evaluations += 1
         out = (class_lnl, graph, decomps, states)
         # PruningState CLVs are immutable-once-written and the sampler
         # only reads them, so caching the last point is safe; mapping
-        # is typically re-drawn at one MLE (more draws, serial gate,
-        # several seeds), which makes the repeat hit the common case.
+        # is typically re-drawn at one MLE (more draws, several seeds),
+        # which makes the repeat hit the common case.
         self._class_states_memo = (key, out)
         return out
 
@@ -1499,7 +1257,7 @@ class BoundLikelihood:
             if branch_lengths is not None
             else self.branch_lengths
         )
-        results, graph = self._evaluate_classes(
+        results, graph, _ = self._evaluate_classes(
             values, lengths, touched=touched, skip_zero=True
         )
         class_lnl = site_class_log_likelihoods(results, self.pi)
@@ -1531,7 +1289,7 @@ class BoundLikelihood:
             if branch_lengths is not None
             else self.branch_lengths
         )
-        results, graph = self._evaluate_classes(values, lengths)
+        results, graph, _ = self._evaluate_classes(values, lengths)
         class_lnl = site_class_log_likelihoods(results, self.pi)
         if self.engine.recovery is not None:
             check_finite_site_log_likelihoods(

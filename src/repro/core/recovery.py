@@ -350,7 +350,7 @@ class FitDiagnostics:
 
 @dataclass
 class PruningGuard:
-    """CLV sanity checks threaded into :func:`repro.likelihood.pruning.prune_site_class`.
+    """CLV sanity checks threaded into the level-order pruning pass.
 
     Carries the recorder plus whatever identifying context the engine
     knows (site-class label, ω), so a diagnosed fault names the exact

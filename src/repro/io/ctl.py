@@ -48,7 +48,7 @@ class ControlFile:
     cleandata: int = 0
     icode: int = 0
     #: Extension: likelihood engine ("codeml", "slim", "slim-v2").
-    engine: str = "slim"
+    engine: str = "slim-v2"
     #: Extension: optimizer iteration budget.
     max_iterations: int = 200
     #: Extension: RNG seed for start values (paper fixes this, §IV).

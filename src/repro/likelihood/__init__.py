@@ -13,7 +13,7 @@ from repro.likelihood.pruning import (
     PruningResult,
     PruningState,
     build_leaf_clvs,
-    prune_site_class,
+    prune_site_class_batched,
 )
 
 __all__ = [
@@ -23,6 +23,6 @@ __all__ = [
     "build_leaf_clvs",
     "marginal_reconstruction",
     "mixture_log_likelihood",
-    "prune_site_class",
+    "prune_site_class_batched",
     "site_class_log_likelihoods",
 ]

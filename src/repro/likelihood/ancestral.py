@@ -19,10 +19,8 @@ their exact *posterior* weights ``P(class | data)`` (from
 cross-class magnitudes correct without tracking scale factors.
 
 Transition matrices come from the bound engine's operator layer
-(:meth:`LikelihoodEngine._operator_for`), so a reconstruction run right
-after a fit is served from the LRU operator cache the fit already warmed
-— and its hits/misses show up in ``cache_stats()`` like any other
-evaluation's.
+(:meth:`LikelihoodEngine._operator_for`), so they are built with the
+same kernels (and recovery guards) as the fit's.
 """
 
 from __future__ import annotations
@@ -129,9 +127,8 @@ def marginal_reconstruction(
 
     class_post = class_posteriors(class_lnl, proportions)
 
-    # Dense P(t) per (ω, t), served through the engine's LRU operator
-    # cache (a fit immediately before this call leaves it warm).  The
-    # local memo only avoids re-densifying the same operator per column.
+    # Dense P(t) per (ω, t) from the engine's operator layer, built once
+    # per distinct pair.
     p_memo: Dict[tuple, np.ndarray] = {}
 
     def p_matrix(omega: float, t: float) -> np.ndarray:

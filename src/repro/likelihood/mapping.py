@@ -43,13 +43,13 @@ in a **canonical order**, then resolves them with vectorised
 categorical picks (columns are ``sample × pattern`` pairs), batched
 ``R^k`` gathers from the shared power stacks, and an intermediate-state
 sampler that processes all columns of a branch with the same jump
-count in one gather.  The serial reference (``method="serial"``,
-``--map-serial``) consumes the *same* pre-drawn variates with the PR-9
-loop structure — per-sample, per-node, per-column — so the two paths
-are bit-identical by construction: every per-column float operation is
-the same regardless of how columns are grouped.
+count in one gather.  The serial reference sampler kept as the test
+oracle (``tests/oracles.py``) consumes the *same* pre-drawn variates
+with per-sample, per-node, per-column loops, so the two are
+bit-identical by construction: every per-column float operation is the
+same regardless of how columns are grouped.
 
-Canonical uniform-variate order for seed ``s`` (both methods):
+Canonical uniform-variate order for seed ``s``:
 
 1. ``u_class``  — ``(n_samples, n_patterns)``
 2. ``u_node``   — ``(1 + n_branches, n_samples·n_patterns)``; row 0 is
@@ -114,8 +114,6 @@ class SubstitutionMapping:
         summed over the foreground branch(es).
     seconds:
         Sampler wall-clock (setup + draws), for the batch metrics.
-    method:
-        ``"batched"`` or ``"serial"`` — which draw path produced this.
     """
 
     branch_labels: List[str]
@@ -131,7 +129,6 @@ class SubstitutionMapping:
     fg_syn_site_var: Optional[np.ndarray] = None
     fg_nonsyn_site_var: Optional[np.ndarray] = None
     seconds: float = 0.0
-    method: str = "batched"
 
     @property
     def n_branches(self) -> int:
@@ -174,8 +171,9 @@ class SubstitutionMapping:
         the journal quadratically.  Since v8 the payload additionally
         carries ``mapping_ci`` (normal-approximation 95% CI half-widths
         for the branch totals and the foreground site table),
-        ``seconds`` and ``method`` — all additive, so v7 readers (and
-        the pinned branch-row shape) are untouched.
+        ``seconds`` and ``method`` (always ``"batched"``; older journals
+        may say ``"serial"``) — all additive, so v7 readers (and the
+        pinned branch-row shape) are untouched.
         """
         fg = np.asarray(self.foreground, dtype=bool)
         fg_syn = self.syn[fg].sum(axis=0) if fg.any() else np.zeros(self.n_sites)
@@ -188,7 +186,7 @@ class SubstitutionMapping:
                 "nonsyn": [round(float(x), 6) for x in fg_nonsyn],
             },
             "seconds": round(float(self.seconds), 6),
-            "method": self.method,
+            "method": "batched",
         }
         if self.syn_total_var is not None and self.nonsyn_total_var is not None:
             hw_syn = self._ci_halfwidth(self.syn_total_var)
@@ -222,7 +220,7 @@ class SubstitutionMapping:
 # ----------------------------------------------------------------------
 # Shared categorical primitive
 # ----------------------------------------------------------------------
-# Both draw paths resolve every categorical with the same arithmetic:
+# Every categorical (here and in the serial oracle) uses the same arithmetic:
 # cumulative sum along the category axis, scale the pre-drawn uniform by
 # the total (1.0 fallback for all-zero columns), count how many partial
 # sums it exceeds, clamp.  Per-column float operations are identical
@@ -281,7 +279,7 @@ def _pick_jumps(contrib: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Plan:
-    """Everything both draw paths share for one sampling problem."""
+    """Everything the sampler needs for one sampling problem."""
 
     classes: List
     class_post: np.ndarray
@@ -317,7 +315,7 @@ def _draw_uniforms(plan: _Plan, rng: np.random.Generator):
 
     ``u_jump`` rows are pre-drawn for *every* branch — zero-length
     branches simply ignore theirs — so consumption never diverges
-    between methods or across branch-length vectors of equal shape.
+    across column groupings or branch-length vectors of equal shape.
     """
     n_branches = len(plan.visits)
     u_class = rng.random((plan.n_samples, plan.n_patterns))
@@ -332,7 +330,7 @@ def _inter_offsets(jumps_all: np.ndarray) -> Tuple[np.ndarray, int]:
     The walk of column ``(k, j)`` consumes ``max(N_kj − 1, 0)``
     consecutive variates starting at ``offsets[k, j]`` — C-order over
     the ``(n_branches, m_total)`` count array, the canonical layout
-    both methods index identically.
+    every column grouping indexes identically.
     """
     inter_counts = np.maximum(jumps_all - 1, 0).astype(np.int64)
     flat = inter_counts.ravel()
@@ -341,119 +339,18 @@ def _inter_offsets(jumps_all: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 # ----------------------------------------------------------------------
-# Serial reference (PR-9 loop structure over the canonical variates)
-# ----------------------------------------------------------------------
-def _sample_histories_serial(
-    plan: _Plan, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample / per-node / per-column loops; the ``--map-serial`` gate.
-
-    Returns per-history count tensors ``(n_branches, m_total)`` whose
-    flat column ``j = sample · n_patterns + pattern``.
-    """
-    n_branches = len(plan.visits)
-    n_patterns = plan.n_patterns
-    m_total = plan.m_total
-    u_class, u_node, u_jump = _draw_uniforms(plan, rng)
-
-    cls_idx = np.empty((plan.n_samples, n_patterns), dtype=np.intp)
-    for s in range(plan.n_samples):
-        # _pick_cols consumes its weights; keep the plan's posterior intact.
-        cls_idx[s] = _pick_cols(plan.class_post.copy(), u_class[s])
-
-    node_states: Dict[int, np.ndarray] = {}
-    jumps_all = np.zeros((n_branches, m_total), dtype=np.intp)
-    a_all = np.empty((n_branches, m_total), dtype=np.intp)
-    b_all = np.empty((n_branches, m_total), dtype=np.intp)
-    cls_of_col = np.empty(m_total, dtype=np.intp)
-
-    # Stages 2–3, per sample then per class (the PR-9 grouping).
-    for s in range(plan.n_samples):
-        base = s * n_patterns
-        for ci, cls in enumerate(plan.classes):
-            cols = np.flatnonzero(cls_idx[s] == ci)
-            if cols.size == 0:
-                continue
-            j = base + cols
-            cls_of_col[j] = ci
-            inside = plan.inside[ci]
-            root_w = plan.pi[:, None] * inside[plan.root_index][:, cols]
-            node_states[plan.root_index] = _pick_cols(root_w, u_node[0, j])
-            for k, child, parent, t, fg in plan.visits:
-                parent_states = node_states[parent]
-                omega = plan.omega_of(cls, fg)
-                p = plan.p_matrix(omega, t)
-                # Exact joint conditional: rows of P at the sampled
-                # parent state, shaped (S, m), times L_child.
-                w = p[parent_states, :].T * inside[child][:, cols]
-                child_states = _pick_cols(w, u_node[1 + k, j])
-                node_states[child] = child_states
-                a_all[k, j] = parent_states
-                b_all[k, j] = child_states
-                uni = plan.unis[omega]
-                if uni.mu * t == 0.0:
-                    continue
-                weights = plan.weights_for(omega, t)
-                k_max = weights.shape[0] - 1
-                uni.power(k_max)  # extend the shared power cache once
-                contrib = np.empty((k_max + 1, cols.size))
-                for n in range(k_max + 1):
-                    contrib[n] = weights[n] * uni.power(n)[parent_states, child_states]
-                jumps_all[k, j] = _pick_jumps(contrib, u_jump[k, j])
-                uni.note_draws(cols.size)
-
-    offsets, total_inter = _inter_offsets(jumps_all)
-    u_inter = rng.random(total_inter)
-
-    syn_c = np.zeros((n_branches, m_total))
-    nonsyn_c = np.zeros((n_branches, m_total))
-    syn_mask = plan.syn_mask
-    # Stage 4, per column: the scalar jump-chain walk of PR 9.
-    for k, child, parent, t, fg in plan.visits:
-        jumps_k = jumps_all[k]
-        for j in np.nonzero(jumps_k > 0)[0]:
-            n_j = int(jumps_k[j])
-            omega = plan.omega_of(plan.classes[cls_of_col[j]], fg)
-            uni = plan.unis[omega]
-            r = uni.r
-            state = int(a_all[k, j])
-            target = int(b_all[k, j])
-            off = int(offsets[k, j])
-            for step in range(1, n_j):
-                w = r[state, :] * uni.power(n_j - step)[:, target]
-                cw = np.cumsum(w)
-                tot = cw[-1]
-                safe = tot if tot > 0.0 else 1.0
-                nxt = int((cw < u_inter[off + step - 1] * safe).sum())
-                nxt = min(nxt, w.shape[0] - 1)
-                if nxt != state:
-                    if syn_mask[state, nxt]:
-                        syn_c[k, j] += 1.0
-                    else:
-                        nonsyn_c[k, j] += 1.0
-                state = nxt
-            # The final jump lands on the conditioned endpoint by
-            # construction; only a real change counts.
-            if state != target:
-                if syn_mask[state, target]:
-                    syn_c[k, j] += 1.0
-                else:
-                    nonsyn_c[k, j] += 1.0
-    return syn_c, nonsyn_c
-
-
-# ----------------------------------------------------------------------
 # Batched path (array-wide draws over all samples × patterns at once)
 # ----------------------------------------------------------------------
-def _sample_histories_batched(
+def _sample_histories(
     plan: _Plan, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised stages 1–4 over the same canonical variates.
+    """Vectorised stages 1–4 over the canonical variates.
 
-    Same return contract as :func:`_sample_histories_serial`, bit for
-    bit: the grouping differs (all samples at once; stage 4 grouped by
-    jump count) but every column resolves the same uniforms with the
-    same per-column arithmetic.
+    Returns per-history count tensors ``(n_branches, m_total)`` whose
+    flat column ``j = sample · n_patterns + pattern``.  All samples are
+    drawn at once and stage 4 is grouped by jump count, but every column
+    resolves its own uniforms with the per-column arithmetic of the
+    serial oracle, bit for bit.
     """
     n_branches = len(plan.visits)
     n_patterns = plan.n_patterns
@@ -622,7 +519,6 @@ def sample_substitution_mapping(
     branch_lengths: Optional[Sequence[float]] = None,
     n_samples: int = 16,
     seed: int = 0,
-    method: str = "batched",
 ) -> SubstitutionMapping:
     """Sample substitution histories for a bound problem at ``values``.
 
@@ -638,25 +534,19 @@ def sample_substitution_mapping(
         Histories per site; the returned counts are means over them.
     seed:
         Seed for the sampler's private generator (reproducible runs).
-    method:
-        ``"batched"`` (default) or ``"serial"``; bit-identical outputs
-        for the same seed (see module docstring), the serial path being
-        the PR-9-shaped reference the benchmark gate compares against.
 
     Notes
     -----
     Uniformized kernels are obtained through the engine's
     ``_uniformized_for`` memo, so a recovery rung 4 that already fired
     during the fit shares its cached powers of ``R`` with the sampler
-    (and vice versa); the per-class inside CLVs come from one batched
+    (and vice versa); the per-class inside CLVs come from one
     level-order pass (``BoundLikelihood.class_states``), sharing the
-    transition cache and the class graph's subtree aliasing with the
-    fit that produced ``values``.
+    class graph's subtree aliasing with the fit that produced
+    ``values``.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    if method not in ("batched", "serial"):
-        raise ValueError(f"method must be 'batched' or 'serial', got {method!r}")
     start = time.perf_counter()
     tree = bound.tree
     patterns = bound.patterns
@@ -668,7 +558,7 @@ def sample_substitution_mapping(
     )
     engine = bound.engine
 
-    # Batched conditionals: one level-order pass fills every node's
+    # Conditionals: one level-order pass fills every node's
     # inside CLV for every class (sharing plan included), plus the exact
     # class log-likelihood matrix the NEB posteriors need.
     class_lnl, graph, decomps, states = bound.class_states(values, lengths)
@@ -690,8 +580,8 @@ def sample_substitution_mapping(
             )
         inside.append(list(state.clvs))
 
-    # Dense P(t) per (ω, t) via the LRU operator cache — fixed across
-    # samples, computed once, token-aligned with the evaluation above.
+    # Dense P(t) per (ω, t) from the engine's operator layer — fixed
+    # across samples, computed once, off the decompositions above.
     p_memo: Dict[tuple, np.ndarray] = {}
 
     def p_matrix(omega: float, t: float) -> np.ndarray:
@@ -730,11 +620,7 @@ def sample_substitution_mapping(
         n_samples=n_samples,
     )
 
-    rng = np.random.default_rng(seed)
-    sampler = (
-        _sample_histories_batched if method == "batched" else _sample_histories_serial
-    )
-    syn_c, nonsyn_c = sampler(plan, rng)
+    syn_c, nonsyn_c = _sample_histories(plan, np.random.default_rng(seed))
 
     # Reorder visit rows into the engine's branch-vector order before
     # summarising (counts were accumulated per visit).
@@ -787,5 +673,4 @@ def sample_substitution_mapping(
         fg_syn_site_var=patterns.expand(fg_syn_var, axis=0),
         fg_nonsyn_site_var=patterns.expand(fg_nonsyn_var, axis=0),
         seconds=time.perf_counter() - start,
-        method=method,
     )

@@ -13,12 +13,16 @@ factor accumulated per pattern; the root likelihood re-applies the
 accumulated logs.  This is the standard CodeML/RAxML technique and is
 exercised directly by the 95-species dataset iv.
 
-Incremental (dirty-path) mode: a :class:`PruningState` keeps every
-node's CLV, every branch's propagated contribution, and every node's
-per-pattern rescale vector between evaluations.  Given the set of
-branches whose operator changed, only CLVs on the paths from those
-branches to the root are recomputed; everything else is served from the
-state buffers.  The recomputation replays the *same* arithmetic in the
+Branches are grouped by the height of their child node, so one fused
+propagation call serves every branch of a tree level (DESIGN.md §10).
+A :class:`PruningState` keeps every node's CLV, every branch's
+propagated contribution, and every node's per-pattern rescale vector;
+non-incremental callers use a fresh state per evaluation.
+
+Incremental (dirty-path) mode reuses a filled state between
+evaluations.  Given the set of branches whose operator changed, only
+CLVs on the paths from those branches to the root are recomputed;
+everything else is served from the state buffers.  The recomputation replays the *same* arithmetic in the
 *same* order as a full pass (child contributions multiplied in
 branch-table row order, rescale vectors summed in node completion
 order), so incremental results are bit-identical to full re-pruning —
@@ -50,7 +54,6 @@ __all__ = [
     "build_leaf_clvs",
     "build_level_schedule",
     "compute_recompute_rows",
-    "prune_site_class",
     "prune_site_class_batched",
 ]
 
@@ -61,17 +64,10 @@ SCALE_THRESHOLD = 1e-70
 Operator = object
 #: Engine hook: (branch_length, is_foreground) → operator.
 TransitionFactory = Callable[[float, bool], Operator]
-#: Engine hook: (operator, child_clv) → propagated contribution.
-Propagator = Callable[[Operator, np.ndarray], np.ndarray]
-#: Engine hook: list of (row_index, operator, child_clv) for one tree
-#: level → list of contributions, bit-identical to per-item
-#: :data:`Propagator` calls.  The row index lets the caller recognise a
-#: contribution it has already computed (e.g. the leaf-contribution
-#: memo in ``BoundLikelihood._evaluate_batched``) and serve it without
-#: re-running the kernel.
-LevelPropagator = Callable[
-    [List[Tuple[int, Operator, np.ndarray]]], List[np.ndarray]
-]
+#: Engine hook: list of (operator, child_clv) for one tree level → list
+#: of fresh contribution arrays, bit-identical to applying each operator
+#: on its own.
+LevelPropagator = Callable[[List[Tuple[Operator, np.ndarray]]], List[np.ndarray]]
 
 
 @dataclass
@@ -212,8 +208,16 @@ def _complete_node(
     """Guard-check and rescale a completed node's CLV in place.
 
     Returns the per-pattern log rescale vector when rescaling fired,
-    else ``None``.  Shared by the full, populating and incremental
-    passes so the arithmetic (and the guard semantics) cannot diverge.
+    else ``None``.  The per-branch reference recursion in the test suite
+    calls it too, so the arithmetic (and the guard semantics) of the two
+    cannot diverge.
+
+    With a :class:`~repro.core.recovery.PruningGuard`, NaN/Inf columns
+    and pattern columns that went *entirely* zero (which would otherwise
+    surface much later as an uninformative ``-inf`` log-likelihood)
+    raise a typed :class:`~repro.core.recovery.NumericalError` naming
+    the node and the offending pattern indices.  Without one the
+    historical unguarded arithmetic runs bit for bit.
     """
     col_max = node_clv.max(axis=0)
     if guard is not None:
@@ -251,239 +255,15 @@ def _complete_node(
         return np.where(safe != 1.0, np.log(safe), 0.0)
 
 
-def prune_site_class(
-    branch_table: Sequence[Tuple[int, int, float, bool]],
-    n_nodes: int,
-    leaf_clvs: Sequence[np.ndarray],
-    transition_factory: TransitionFactory,
-    propagate: Propagator,
-    scale_threshold: float = SCALE_THRESHOLD,
-    guard: Optional[PruningGuard] = None,
-    state: Optional[PruningState] = None,
-    dirty: Optional[Set[int]] = None,
-    on_reuse: Optional[Callable[[np.ndarray], None]] = None,
-) -> PruningResult:
-    """One post-order pruning pass for a single site class.
-
-    Parameters
-    ----------
-    branch_table:
-        Post-ordered ``(child_index, parent_index, length, foreground)``
-        rows from :meth:`repro.trees.tree.Tree.branch_table`.
-    n_nodes:
-        Total node count; the root is the node that appears only as a
-        parent.
-    leaf_clvs:
-        Leaf CLVs indexed by leaf node index (prefix of the node range).
-    transition_factory, propagate:
-        Engine kernels (see module type aliases).  ``propagate`` must
-        return a fresh array (it becomes, or is multiplied into, the
-        parent CLV).
-    guard:
-        Optional :class:`~repro.core.recovery.PruningGuard`.  When set,
-        each completed node's CLV is checked at rescale time: NaN/Inf
-        columns, and pattern columns that went *entirely* zero (which
-        would otherwise surface much later as an uninformative ``-inf``
-        log-likelihood), raise a typed
-        :class:`~repro.core.recovery.NumericalError` naming the node and
-        the offending pattern indices.  ``None`` (default) preserves the
-        historical unguarded behaviour bit-for-bit.
-    state:
-        Optional :class:`PruningState` enabling persistent-buffer mode.
-        An unready state is populated by a full pass; a ready state is
-        updated incrementally.  ``None`` (default) is the historical
-        stateless pass, bit-for-bit.
-    dirty:
-        With a ready ``state``: the child-node indices of branches whose
-        operator (length or rate parameters) changed since the state was
-        filled.  Only CLVs on the paths from these branches to the root
-        are recomputed.  ``None`` means every branch is dirty.
-    on_reuse:
-        With a ready ``state``: called once per branch application served
-        from the buffers instead of recomputed (receives the cached
-        contribution, for saved-work accounting).
-
-    Returns
-    -------
-    PruningResult
-    """
-    if not branch_table:
-        raise ValueError("cannot prune an empty branch table")
-    n_patterns = leaf_clvs[0].shape[1]
-
-    if state is not None:
-        if state.ready:
-            return _prune_incremental(
-                branch_table, state, transition_factory, propagate,
-                scale_threshold, guard, dirty, on_reuse, n_patterns,
-            )
-        return _prune_populate(
-            branch_table, n_nodes, leaf_clvs, transition_factory, propagate,
-            scale_threshold, guard, state, n_patterns,
-        )
-
-    clvs: List[np.ndarray | None] = [None] * n_nodes
-    n_leaves = len(leaf_clvs)
-    for i in range(n_leaves):
-        clvs[i] = leaf_clvs[i]
-
-    pending_children = np.zeros(n_nodes, dtype=np.intp)
-    for _, parent, _, _ in branch_table:
-        pending_children[parent] += 1
-
-    log_scalers = np.zeros(n_patterns)
-    root_index = -1
-    for child, parent, t, foreground in branch_table:
-        child_clv = clvs[child]
-        if child_clv is None:
-            raise ValueError(f"branch table is not post-ordered: node {child} unset")
-        operator = transition_factory(t, foreground)
-        contribution = propagate(operator, child_clv)
-        if clvs[parent] is None:
-            clvs[parent] = contribution
-        else:
-            clvs[parent] *= contribution
-        pending_children[parent] -= 1
-        if pending_children[parent] == 0:
-            # Node complete: rescale underflowing pattern columns.
-            vec = _complete_node(clvs[parent], parent, scale_threshold, guard)
-            if vec is not None:
-                log_scalers += vec
-        root_index = parent
-
-    # The final completed parent of a post-ordered table is the root.
-    if pending_children.max() != 0:
-        raise ValueError("branch table did not complete every internal node")
-    root_clv = clvs[root_index]
-    assert root_clv is not None
-    return PruningResult(root_clv=root_clv, log_scalers=log_scalers)
-
-
-def _prune_populate(
-    branch_table: Sequence[Tuple[int, int, float, bool]],
-    n_nodes: int,
-    leaf_clvs: Sequence[np.ndarray],
-    transition_factory: TransitionFactory,
-    propagate: Propagator,
-    scale_threshold: float,
-    guard: Optional[PruningGuard],
-    state: PruningState,
-    n_patterns: int,
-) -> PruningResult:
-    """Full pass that also fills a :class:`PruningState`.
-
-    Identical arithmetic to the stateless pass with one value-preserving
-    difference: a parent CLV starts as a *copy* of its first child's
-    contribution (the stateless pass aliases and mutates it), so stored
-    contributions stay immutable for later incremental reuse.
-    """
-    for i in range(len(leaf_clvs)):
-        state.clvs[i] = leaf_clvs[i]
-
-    pending_children = np.zeros(n_nodes, dtype=np.intp)
-    for _, parent, _, _ in branch_table:
-        pending_children[parent] += 1
-
-    root_index = -1
-    for child, parent, t, foreground in branch_table:
-        child_clv = state.clvs[child]
-        if child_clv is None:
-            raise ValueError(f"branch table is not post-ordered: node {child} unset")
-        operator = transition_factory(t, foreground)
-        contribution = propagate(operator, child_clv)
-        state.contributions[child] = contribution
-        state.children[parent].append(child)
-        if state.clvs[parent] is None:
-            # order="K" keeps the contribution's memory layout: the
-            # stateless pass *aliases* this array, and downstream engine
-            # kernels round differently on C- vs F-ordered operands.
-            state.clvs[parent] = contribution.copy(order="K")
-        else:
-            state.clvs[parent] *= contribution
-        pending_children[parent] -= 1
-        if pending_children[parent] == 0:
-            state.scalers[parent] = _complete_node(
-                state.clvs[parent], parent, scale_threshold, guard
-            )
-            state.completion_order.append(parent)
-        root_index = parent
-
-    if pending_children.max() != 0:
-        raise ValueError("branch table did not complete every internal node")
-    state.root_index = root_index
-    state.ready = True
-    root_clv = state.clvs[root_index]
-    assert root_clv is not None
-    return PruningResult(
-        root_clv=root_clv, log_scalers=state.total_log_scalers(n_patterns)
-    )
-
-
-def _prune_incremental(
-    branch_table: Sequence[Tuple[int, int, float, bool]],
-    state: PruningState,
-    transition_factory: TransitionFactory,
-    propagate: Propagator,
-    scale_threshold: float,
-    guard: Optional[PruningGuard],
-    dirty: Optional[Set[int]],
-    on_reuse: Optional[Callable[[np.ndarray], None]],
-    n_patterns: int,
-) -> PruningResult:
-    """Dirty-path pass over a ready :class:`PruningState`.
-
-    A branch's contribution is recomputed iff the branch itself is dirty
-    or its child's CLV changed; a node's CLV is rebuilt iff any incoming
-    contribution changed, multiplying the stored contributions in
-    branch-table row order (fresh arrays — shared buffers are never
-    mutated).  Clean nodes keep their CLVs *and* their per-node rescale
-    vectors, and the result's total scalers are re-summed in completion
-    order, so the output is bit-identical to a full pass.
-    """
-    n_nodes = state.n_nodes
-    dirty_children = dirty if dirty is not None else {c for c, _, _, _ in branch_table}
-    changed = bytearray(n_nodes)
-
-    pending_children = np.zeros(n_nodes, dtype=np.intp)
-    for _, parent, _, _ in branch_table:
-        pending_children[parent] += 1
-
-    for child, parent, t, foreground in branch_table:
-        if child in dirty_children or changed[child]:
-            operator = transition_factory(t, foreground)
-            state.contributions[child] = propagate(operator, state.clvs[child])
-            changed[parent] = 1
-        elif on_reuse is not None:
-            on_reuse(state.contributions[child])
-        pending_children[parent] -= 1
-        if pending_children[parent] == 0 and changed[parent]:
-            kids = state.children[parent]
-            node_clv = state.contributions[kids[0]].copy(order="K")
-            for kid in kids[1:]:
-                node_clv *= state.contributions[kid]
-            state.clvs[parent] = node_clv
-            state.scalers[parent] = _complete_node(
-                node_clv, parent, scale_threshold, guard
-            )
-
-    root_clv = state.clvs[state.root_index]
-    assert root_clv is not None
-    return PruningResult(
-        root_clv=root_clv, log_scalers=state.total_log_scalers(n_patterns)
-    )
-
-
 # ---------------------------------------------------------------------------
-# Level-order (batched) pruning — DESIGN.md §10
+# Level-order pruning — DESIGN.md §10
 #
-# Branches are grouped by the height of their child node so one fused
-# propagation call (engine hook ``LevelPropagator``) serves every branch
-# of a level.  The two orderings that carry float semantics are kept
-# exactly as in the sequential pass: each parent multiplies its
-# children's contributions in branch-table row order, and the total
-# rescale vector is re-summed in the sequential pass's node completion
-# order — so the level-order result is bit-identical to
-# :func:`prune_site_class` with the same state/dirty arguments.
+# The two orderings that carry float semantics are kept exactly as in a
+# sequential post-order pass: each parent multiplies its children's
+# contributions in branch-table row order, and the total rescale vector
+# is re-summed in the sequential pass's node completion order — so the
+# level-order result is bit-identical to the per-branch recursion
+# (kept as the test oracle in ``tests/oracles.py``).
 # ---------------------------------------------------------------------------
 
 
@@ -516,14 +296,25 @@ class LevelSchedule:
 def build_level_schedule(
     branch_table: Sequence[Tuple[int, int, object, object]], n_nodes: int
 ) -> LevelSchedule:
-    """Compute the :class:`LevelSchedule` of a post-ordered branch table."""
+    """Compute the :class:`LevelSchedule` of a post-ordered branch table.
+
+    Raises ``ValueError`` for an empty table, and for a table that is not
+    post-ordered (a node gains a child after its own branch was listed),
+    or that leaves a node with more than one parent branch.
+    """
     if not branch_table:
         raise ValueError("cannot schedule an empty branch table")
     children: List[List[int]] = [[] for _ in range(n_nodes)]
     heights = [0] * n_nodes
     last_row = [-1] * n_nodes
     root_index = -1
+    consumed = bytearray(n_nodes)
     for ri, (child, parent, _, _) in enumerate(branch_table):
+        if consumed[parent] or consumed[child]:
+            raise ValueError(
+                f"branch table is not post-ordered: row {ri} ({child} -> {parent})"
+            )
+        consumed[child] = 1
         children[parent].append(child)
         if heights[child] + 1 > heights[parent]:
             heights[parent] = heights[child] + 1
@@ -557,11 +348,11 @@ def compute_recompute_rows(
 ) -> List[int]:
     """Row indices the incremental recurrence recomputes for ``dirty``.
 
-    Replays exactly the recurrence of :func:`_prune_incremental` (a
-    branch is recomputed iff its child is dirty or its child's CLV
-    changed), so the batched evaluator can plan the operator set an
-    evaluation will need *before* pruning starts.  ``dirty=None`` means
-    every branch.
+    Replays exactly the dirty recurrence of
+    :func:`prune_site_class_batched` (a branch is recomputed iff its
+    child is dirty or its child's CLV changed), so the evaluator can
+    plan the operator set an evaluation will need *before* pruning
+    starts.  ``dirty=None`` means every branch.
     """
     if dirty is None:
         return list(range(len(branch_table)))
@@ -601,86 +392,50 @@ def prune_site_class_batched(
     dirty: Optional[Set[int]] = None,
     on_reuse: Optional[Callable[[np.ndarray], None]] = None,
 ) -> PruningResult:
-    """Level-order pruning pass over a :class:`PruningState`.
+    """Level-order pruning pass for a single site class.
 
-    Bit-identical to :func:`prune_site_class` with the same ``state`` /
-    ``dirty`` / ``on_reuse`` arguments; see the section comment above
-    for the two order invariants that guarantee it.  The ``state`` is
-    required (batched mode is always stateful — non-incremental callers
-    pass an ephemeral state per evaluation): an unready state is
-    populated fully, a ready one updated via the dirty recurrence.
+    Parameters
+    ----------
+    branch_table:
+        Post-ordered ``(child_index, parent_index, length, foreground)``
+        rows from :meth:`repro.trees.tree.Tree.branch_table`.
+    schedule:
+        The table's :func:`build_level_schedule`.
+    leaf_clvs:
+        Leaf CLVs indexed by leaf node index (prefix of the node range).
+    transition_factory, propagate_level:
+        Engine kernels (see module type aliases).
+    state:
+        An unready (:meth:`PruningState.empty`) state is populated by a
+        full pass; a ready one is updated in place along the paths from
+        ``dirty`` to the root.
+    guard:
+        Optional :class:`~repro.core.recovery.PruningGuard` checking each
+        completed node's CLV (see :func:`_complete_node`).
+    dirty:
+        With a ready ``state``: the child-node indices of branches whose
+        operator (length or rate parameters) changed since the state was
+        filled.  ``None`` means every branch is dirty.
+    on_reuse:
+        With a ready ``state``: called once per branch application served
+        from the buffers instead of recomputed (receives the cached
+        contribution, for saved-work accounting).
+
+    A branch's contribution is recomputed iff the branch itself is dirty
+    or its child's CLV changed; a node's CLV is rebuilt iff any incoming
+    contribution changed, from fresh arrays (shared buffers are never
+    mutated).  See the section comment above for the two order
+    invariants that make the result bit-identical to a sequential pass.
     """
     n_patterns = leaf_clvs[0].shape[1]
-    if state.ready:
-        return _prune_level_incremental(
-            branch_table, schedule, state, transition_factory, propagate_level,
-            scale_threshold, guard, dirty, on_reuse, n_patterns,
-        )
-    return _prune_level_populate(
-        branch_table, schedule, leaf_clvs, state, transition_factory,
-        propagate_level, scale_threshold, guard, n_patterns,
-    )
-
-
-def _prune_level_populate(
-    branch_table: Sequence[Tuple[int, int, float, bool]],
-    schedule: LevelSchedule,
-    leaf_clvs: Sequence[np.ndarray],
-    state: PruningState,
-    transition_factory: TransitionFactory,
-    propagate_level: LevelPropagator,
-    scale_threshold: float,
-    guard: Optional[PruningGuard],
-    n_patterns: int,
-) -> PruningResult:
-    """Full level-order pass filling an empty :class:`PruningState`."""
-    for i in range(len(leaf_clvs)):
-        state.clvs[i] = leaf_clvs[i]
-    # The schedule's static lists are shared (never mutated after build).
-    state.children = schedule.children
-    state.completion_order = schedule.completion_order
-    state.root_index = schedule.root_index
-
-    n_phases = max(len(schedule.levels), len(schedule.complete_at))
-    for h in range(n_phases):
-        if h < len(schedule.complete_at):
-            for parent in schedule.complete_at[h]:
-                _complete_from_children(
-                    state, parent, schedule.children[parent], scale_threshold, guard
-                )
-        if h < len(schedule.levels):
-            rows = schedule.levels[h]
-            items = [
-                (ri,
-                 transition_factory(branch_table[ri][2], branch_table[ri][3]),
-                 state.clvs[branch_table[ri][0]])
-                for ri in rows
-            ]
-            contributions = propagate_level(items)
-            for ri, contribution in zip(rows, contributions):
-                state.contributions[branch_table[ri][0]] = contribution
-
-    state.ready = True
-    root_clv = state.clvs[state.root_index]
-    assert root_clv is not None
-    return PruningResult(
-        root_clv=root_clv, log_scalers=state.total_log_scalers(n_patterns)
-    )
-
-
-def _prune_level_incremental(
-    branch_table: Sequence[Tuple[int, int, float, bool]],
-    schedule: LevelSchedule,
-    state: PruningState,
-    transition_factory: TransitionFactory,
-    propagate_level: LevelPropagator,
-    scale_threshold: float,
-    guard: Optional[PruningGuard],
-    dirty: Optional[Set[int]],
-    on_reuse: Optional[Callable[[np.ndarray], None]],
-    n_patterns: int,
-) -> PruningResult:
-    """Dirty-path level-order pass over a ready :class:`PruningState`."""
+    if not state.ready:
+        for i in range(len(leaf_clvs)):
+            state.clvs[i] = leaf_clvs[i]
+        # The schedule's static lists are shared (never mutated after build).
+        state.children = schedule.children
+        state.completion_order = schedule.completion_order
+        state.root_index = schedule.root_index
+        dirty = None
     dirty_children = dirty if dirty is not None else {c for c, _, _, _ in branch_table}
     changed = bytearray(state.n_nodes)
 
@@ -702,8 +457,7 @@ def _prune_level_incremental(
                     on_reuse(state.contributions[child])
             if todo:
                 items = [
-                    (ri,
-                     transition_factory(branch_table[ri][2], branch_table[ri][3]),
+                    (transition_factory(branch_table[ri][2], branch_table[ri][3]),
                      state.clvs[branch_table[ri][0]])
                     for ri in todo
                 ]
@@ -712,6 +466,7 @@ def _prune_level_incremental(
                     state.contributions[branch_table[ri][0]] = contribution
                     changed[branch_table[ri][1]] = 1
 
+    state.ready = True
     root_clv = state.clvs[state.root_index]
     assert root_clv is not None
     return PruningResult(

@@ -76,8 +76,7 @@ class GeneJob:
     ``newick``) whose parent branch the *worker* marks as foreground
     before fitting — the seam that lets a branch scan ship one base
     tree plus a per-task integer instead of one pre-marked Newick per
-    candidate branch.  ``None`` keeps the legacy contract: the Newick
-    already carries its marks.
+    candidate branch.  ``None``: the Newick already carries its marks.
     """
 
     gene_id: str
@@ -140,9 +139,8 @@ class GeneResult:
     clv_stats: Optional[Dict[str, int]] = None
     #: Worker-side one-time setup charged to this task: seconds spent
     #: materialising the broadcast context (alignment patterns, codon
-    #: frequencies) on a cache miss.  ``0.0`` on cache hits and on the
-    #: legacy per-task payload path — the batch summary aggregates this
-    #: as the fleet's cold-start cost.
+    #: frequencies) on a cache miss.  ``0.0`` on cache hits — the batch
+    #: summary aggregates this as the fleet's cold-start cost.
     setup_seconds: float = 0.0
     #: Model-spec string the worker fitted (see
     #: :func:`repro.models.registry.resolve_model_spec`); ``None`` on
@@ -211,49 +209,7 @@ def _combine_diagnostics(h0: FitDiagnostics, h1: FitDiagnostics) -> Optional[Dic
     return merged.to_dict()
 
 
-def _run_gene(args: Tuple) -> GeneResult:
-    """Worker entry point (module-level so it pickles).
-
-    The payload is ``(job, engine_name, seed, max_iterations)`` with an
-    optional fifth ``recover`` flag, an optional sixth ``incremental``
-    flag, an optional seventh ``batched`` override, an optional eighth
-    ``model`` spec string and an optional ninth ``map_samples`` count
-    (older 4-…-8-tuples keep working — the journal-resume and
-    custom-worker seams rely on that).
-
-    Raises on failure: the fault layer (:mod:`repro.parallel.faults`)
-    owns error capture, classification and retries.
-    """
-    job, engine_name, seed, max_iterations = args[:4]
-    recover = bool(args[4]) if len(args) > 4 else False
-    incremental = bool(args[5]) if len(args) > 5 else False
-    batched = args[6] if len(args) > 6 else None
-    model_spec = args[7] if len(args) > 7 else None
-    map_samples = args[8] if len(args) > 8 else None
-    spec = resolve_model_spec(model_spec)
-    tree = parse_newick(job.newick)
-    if getattr(job, "fg_node", None) is not None:
-        tree.mark_foreground(tree.nodes[job.fg_node])
-    alignment = CodonAlignment.from_sequences(list(job.names), list(job.sequences))
-    engine = make_engine(
-        engine_name, recovery=RecoveryConfig() if recover else None
-    )
-    bind = lambda model: engine.bind(tree, alignment, model,
-                                     incremental=incremental, batched=batched)
-    test = fit_branch_site_test(
-        bind,
-        seed=seed,
-        max_iterations=max_iterations,
-        recovery=RecoveryPolicy() if recover else None,
-        models=spec.pair(),
-    )
-    mapping = _run_mapping(bind, spec, test, map_samples, seed)
-    return _assemble_result(job.gene_id, test, engine, incremental,
-                            model=spec.spec, recover=recover, mapping=mapping)
-
-
-def _run_mapping(bind, spec, test, map_samples: Optional[int], seed,
-                 method: str = "batched") -> Optional[Dict]:
+def _run_mapping(bind, spec, test, map_samples: Optional[int], seed) -> Optional[Dict]:
     """Sample substitution histories at the H1 MLEs (``--map``).
 
     A sampling failure must not sink an otherwise finished test (the
@@ -272,7 +228,6 @@ def _run_mapping(bind, spec, test, map_samples: Optional[int], seed,
             branch_lengths=test.h1.branch_lengths,
             n_samples=int(map_samples),
             seed=int(seed) if np.isscalar(seed) else 0,
-            method=method,
         ).to_payload()
     except Exception as exc:  # noqa: BLE001 — mapping is strictly additive
         return {"error": f"{type(exc).__name__}: {exc}"}
@@ -325,10 +280,8 @@ def _build_shared_context(
     recover: bool,
     incremental: bool,
     max_iterations: int,
-    batched: Optional[bool] = None,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
-    map_serial: bool = False,
     keep_mles: bool = False,
 ) -> Tuple[Dict, List[Tuple[int, int]]]:
     """Deduplicate batch state and precompute per-alignment derivations.
@@ -342,7 +295,7 @@ def _build_shared_context(
     ``from_sequences`` encode, same F3x4 estimate from the re-emitted
     sequences, same ``compress_patterns`` — so a worker binding the
     shipped :class:`PatternAlignment` with the shipped ``pi`` is
-    bit-identical to the legacy per-task rebuild.
+    bit-identical to binding the raw alignment.
     """
     newicks: List[str] = []
     newick_at: Dict[str, int] = {}
@@ -379,11 +332,9 @@ def _build_shared_context(
         "engine": engine,
         "recover": recover,
         "incremental": incremental,
-        "batched": batched,
         "max_iterations": max_iterations,
         "model": model,
         "map_samples": map_samples,
-        "map_serial": map_serial,
         "keep_mles": keep_mles,
         "newicks": newicks,
         "alignments": alignments,
@@ -414,7 +365,7 @@ def _materialize_patterns(entry: Dict) -> Tuple[PatternAlignment, np.ndarray]:
 
 
 def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
-    """Worker entry point for index payloads over a broadcast context.
+    """Worker entry point (module-level so it pickles).
 
     ``payload`` is ``(gene_id, newick_idx, fg_node, aln_idx, seed)``;
     everything batch-constant — engine choice, recovery/incremental
@@ -423,6 +374,9 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     patterns are cached in the context per worker process, so only the
     first task touching an alignment pays the (already cheap) rebuild;
     that cost is reported as ``setup_seconds``.
+
+    Raises on failure: the fault layer (:mod:`repro.parallel.faults`)
+    owns error capture, classification and retries.
     """
     gene_id, newick_idx, fg_node, aln_idx, seed = payload
     cache = context.setdefault("_cache", {})
@@ -439,16 +393,14 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
         tree.mark_foreground(tree.nodes[fg_node])
     recover = bool(context["recover"])
     incremental = bool(context["incremental"])
-    batched = context.get("batched")  # absent in pre-batched contexts
     spec = resolve_model_spec(context.get("model"))  # absent in pre-spec contexts
     map_samples = context.get("map_samples")  # absent in pre-mapping contexts
-    map_serial = bool(context.get("map_serial"))  # absent in pre-v8 contexts
     keep_mles = bool(context.get("keep_mles"))  # absent in pre-v8 contexts
     engine = make_engine(
         context["engine"], recovery=RecoveryConfig() if recover else None
     )
     bind = lambda model: engine.bind(tree, patterns, model, pi=pi,
-                                     incremental=incremental, batched=batched)
+                                     incremental=incremental)
     test = fit_branch_site_test(
         bind,
         seed=seed,
@@ -456,8 +408,7 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
         recovery=RecoveryPolicy() if recover else None,
         models=spec.pair(),
     )
-    mapping = _run_mapping(bind, spec, test, map_samples, seed,
-                           method="serial" if map_serial else "batched")
+    mapping = _run_mapping(bind, spec, test, map_samples, seed)
     return _assemble_result(gene_id, test, engine, incremental,
                             setup_seconds=setup, model=spec.spec,
                             recover=recover, mapping=mapping,
@@ -466,22 +417,20 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
 
 def analyze_genes(
     jobs: Sequence[GeneJob],
-    engine: str = "slim",
+    engine: str = "slim-v2",
     processes: Optional[int] = None,
     seed: int = 1,
     max_iterations: int = 50,
     policy: Optional[FaultPolicy] = None,
     journal: Optional[str] = None,
     resume: bool = False,
-    worker: Optional[Callable[[Tuple], GeneResult]] = None,
+    worker: Optional[Callable[[Tuple, Dict], GeneResult]] = None,
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
     recover: bool = False,
-    incremental: bool = False,
-    batched: Optional[bool] = None,
+    incremental: bool = True,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
-    map_serial: bool = False,
     keep_mles: bool = False,
 ) -> List[GeneResult]:
     """Run the branch-site test for every gene over an executor.
@@ -505,9 +454,10 @@ def analyze_genes(
         With ``journal``, load previously *successful* results instead
         of recomputing them; failed or missing genes run again.
     worker:
-        Alternative worker callable (module-level, pickleable) with the
-        same payload signature as the default — the fault-injection
-        seam used by the test suite.
+        Alternative worker callable (module-level, pickleable) called as
+        ``worker(payload, context)`` like the default
+        ``_run_gene_shared`` — the fault-injection seam used by the test
+        suite (wrap the default to inject faults).
     on_result:
         ``(job_index, result)`` hook fired in completion order — drives
         CLI progress reporting.
@@ -525,17 +475,11 @@ def analyze_genes(
         rides back on ``GeneResult.diagnostics``.  Off by default —
         results are then bit-identical to the unguarded code.
     incremental:
-        Enable dirty-path CLV caching in each worker
-        (:meth:`LikelihoodEngine.bind` with ``incremental=True``): BFGS
-        gradient probes re-prune only the probed branch's root path and
-        model-A classes share background subtrees.  Bit-identical to the
-        full re-pruning path; the reuse counters ride back on
-        ``GeneResult.clv_stats``.
-    batched:
-        Override the stacked-operator / level-order evaluation path in
-        each worker (:meth:`LikelihoodEngine.bind` ``batched=``):
-        ``None`` keeps the engine default (on for ``slim-v2``, off
-        elsewhere).  Bit-identical to the per-branch path.
+        Dirty-path CLV caching in each worker (on by default;
+        :meth:`LikelihoodEngine.bind` with ``incremental=True``): BFGS
+        gradient probes re-prune only the probed branch's root path.
+        Bit-identical to full re-pruning; the reuse counters ride back
+        on ``GeneResult.clv_stats``.
     model:
         Model-spec string resolved per worker through
         :func:`repro.models.registry.resolve_model_spec` — e.g.
@@ -548,16 +492,10 @@ def analyze_genes(
         attaches the per-branch event payload to
         ``GeneResult.mapping``.  ``None``/``0`` = off (the default; the
         fit itself is untouched either way).
-    map_serial:
-        Draw mapping histories with the reference serial sampler
-        instead of the batched one (``--map-serial``, the bit-identity
-        gate).  Rides the broadcast context only — custom workers keep
-        their historical tuple shape and always use the default method.
     keep_mles:
         Attach each task's H1 maximum-likelihood point to
         ``GeneResult.h1_mles`` so a coordinator can re-bind candidates
-        after the scan (the survey's one-pass mapper).  Context-only,
-        like ``map_serial``.
+        after the scan (the survey's one-pass mapper).
 
     Returns
     -------
@@ -566,7 +504,6 @@ def analyze_genes(
     rather than raising.
     """
     policy = policy if policy is not None else FaultPolicy()
-    shared = worker is None
     run = worker if worker is not None else _run_gene_shared
 
     results: List[Optional[GeneResult]] = [None] * len(jobs)
@@ -585,42 +522,16 @@ def analyze_genes(
             payload_jobs.append(k)
             payload_seeds.append(seed + k)
 
-    context: Optional[Dict] = None
-    payloads: List[Tuple] = []
-    if shared:
-        # Default data plane: one broadcast context per batch, integer
-        # indices per task (see module docstring).
-        context, keys = _build_shared_context(
-            pending_jobs, engine, recover, incremental, max_iterations,
-            batched=batched, model=model, map_samples=map_samples,
-            map_serial=map_serial, keep_mles=keep_mles,
-        )
-        payloads = [
-            (job.gene_id, ni, job.fg_node, ai, s)
-            for job, (ni, ai), s in zip(pending_jobs, keys, payload_seeds)
-        ]
-    else:
-        # Custom-worker seam: the historical self-contained tuples.
-        for job, s in zip(pending_jobs, payload_seeds):
-            base: Tuple = (job, engine, s, max_iterations)
-            # Keep the historical 4-tuple when no flag is set so custom
-            # workers written against it never see a surprise element;
-            # ``incremental`` rides sixth after ``recover``, the
-            # ``batched`` override seventh, the model spec eighth, the
-            # mapping sample count ninth.
-            mapping_on = map_samples is not None
-            if recover or incremental or batched is not None or model is not None \
-                    or mapping_on:
-                base = base + (recover,)
-            if incremental or batched is not None or model is not None or mapping_on:
-                base = base + (incremental,)
-            if batched is not None or model is not None or mapping_on:
-                base = base + (None if batched is None else bool(batched),)
-            if model is not None or mapping_on:
-                base = base + (model,)
-            if mapping_on:
-                base = base + (int(map_samples),)
-            payloads.append(base)
+    # One broadcast context per batch, integer indices per task (see
+    # module docstring).
+    context, keys = _build_shared_context(
+        pending_jobs, engine, recover, incremental, max_iterations,
+        model=model, map_samples=map_samples, keep_mles=keep_mles,
+    )
+    payloads = [
+        (job.gene_id, ni, job.fg_node, ai, s)
+        for job, (ni, ai), s in zip(pending_jobs, keys, payload_seeds)
+    ]
 
     sink = ResultJournal(journal) if journal is not None else None
     try:
@@ -739,7 +650,7 @@ def scan_branches(
     gene_id: str,
     tree: Tree,
     alignment: CodonAlignment,
-    engine: str = "slim",
+    engine: str = "slim-v2",
     internal_only: bool = False,
     seed: int = 1,
     max_iterations: int = 50,
@@ -751,11 +662,9 @@ def scan_branches(
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
     recover: bool = False,
-    incremental: bool = False,
-    batched: Optional[bool] = None,
+    incremental: bool = True,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
-    map_serial: bool = False,
     keep_mles: bool = False,
 ) -> BranchScanResult:
     """Test every candidate branch of one gene as foreground in turn.
@@ -768,32 +677,19 @@ def scan_branches(
     candidates = [
         n for n in tree.nodes if not n.is_root and (not internal_only or not n.is_leaf)
     ]
-    jobs = []
-    if worker is None:
-        # Default data plane: every candidate shares one base Newick
-        # (deduplicated into the broadcast context) and carries only its
-        # foreground-node index; the worker applies the mark.  Node
-        # indices survive the write→parse round trip because both
-        # traversals visit children in the same order.
-        for node in candidates:
-            jobs.append(
-                GeneJob.from_objects(
-                    f"{gene_id}:{branch_label(tree, node.index)}",
-                    tree,
-                    alignment,
-                    fg_node=node.index,
-                )
-            )
-    else:
-        # Custom-worker seam: pre-marked trees, the historical contract.
-        for node in candidates:
-            marked = tree.copy()
-            marked.mark_foreground(marked.nodes[node.index])
-            jobs.append(
-                GeneJob.from_objects(
-                    f"{gene_id}:{branch_label(tree, node.index)}", marked, alignment
-                )
-            )
+    # Every candidate shares one base Newick (deduplicated into the
+    # broadcast context) and carries only its foreground-node index; the
+    # worker applies the mark.  Node indices survive the write→parse
+    # round trip because both traversals visit children in the same order.
+    jobs = [
+        GeneJob.from_objects(
+            f"{gene_id}:{branch_label(tree, node.index)}",
+            tree,
+            alignment,
+            fg_node=node.index,
+        )
+        for node in candidates
+    ]
     results = analyze_genes(
         jobs,
         engine=engine,
@@ -808,10 +704,8 @@ def scan_branches(
         executor=executor,
         recover=recover,
         incremental=incremental,
-        batched=batched,
         model=model,
         map_samples=map_samples,
-        map_serial=map_serial,
         keep_mles=keep_mles,
     )
     by_branch: Dict[str, LRTResult] = {}
@@ -839,12 +733,10 @@ def map_survey_candidates(
     alignment: CodonAlignment,
     scan: BranchScanResult,
     labels: Sequence[str],
-    engine: str = "slim",
+    engine: str = "slim-v2",
     map_samples: int = 16,
     seed: int = 1,
     model: Optional[str] = None,
-    batched: Optional[bool] = None,
-    method: str = "batched",
     internal_only: bool = False,
 ) -> Dict[str, Dict]:
     """Map every selected survey candidate in one shared-kernel pass.
@@ -908,7 +800,7 @@ def map_survey_candidates(
         try:
             bound = eng.bind(
                 marked, patterns, spec.pair()[1], pi=pi,
-                batched=batched, leaf_clvs=shared_leaf_clvs,
+                leaf_clvs=shared_leaf_clvs,
             )
             if shared_leaf_clvs is None:
                 shared_leaf_clvs = bound._leaf_clvs
@@ -918,7 +810,6 @@ def map_survey_candidates(
                 branch_lengths=point["branch_lengths"],
                 n_samples=int(map_samples),
                 seed=seed_of.get(label, seed),
-                method=method,
             ).to_payload()
         except Exception as exc:  # noqa: BLE001 — mapping is strictly additive
             out[label] = {"error": f"{type(exc).__name__}: {exc}"}

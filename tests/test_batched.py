@@ -1,8 +1,9 @@
 """Batched BLAS-3 evaluation: bit-identity, view semantics, ledgers.
 
 The stacked-operator build and the level-order propagation promise
-*exact* float equality with the per-branch path (DESIGN.md §10) — every
-likelihood comparison here is ``==``; a single ulp of drift fails.
+*exact* float equality with the per-branch reference recursion
+(``tests/oracles.py``, DESIGN.md §10) — every likelihood comparison here
+is ``==``; a single ulp of drift fails.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.likelihood.pruning import (
     compute_recompute_rows,
 )
 from repro.trees.newick import parse_newick
+from tests.oracles import reference_class_matrix, reference_log_likelihood
 
 ENGINE_NAMES = ("codeml", "slim", "slim-v2")
 
@@ -175,7 +177,7 @@ class TestLevelSchedule:
 
 
 # ----------------------------------------------------------------------
-# End-to-end bit-identity: batched == per-branch, all engines × modes
+# End-to-end bit-identity: level-order == per-branch oracle, all engines
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 @pytest.mark.parametrize("incremental", [False, True])
@@ -183,53 +185,71 @@ class TestLevelSchedule:
 def test_batched_bitwise_identical(
     engine_name, incremental, recover, small_tree, small_sim, h1_model, bsm_values
 ):
-    def build(batched):
+    def build():
         engine = make_engine(
             engine_name, recovery=RecoveryConfig() if recover else None
         )
         return engine.bind(
-            small_tree, small_sim.alignment, h1_model,
-            incremental=incremental, batched=batched,
+            small_tree, small_sim.alignment, h1_model, incremental=incremental
         )
 
-    ub, ba = build(False), build(True)
-    assert ub.log_likelihood(bsm_values) == ba.log_likelihood(bsm_values)
+    ref, ba = build(), build()
+    assert reference_log_likelihood(ref, bsm_values) == ba.log_likelihood(bsm_values)
     # Dirty one branch, then return to base (exercises populate →
-    # incremental → reuse transitions on both sides).
-    bumped = ub.branch_lengths.copy()
+    # incremental → reuse transitions).
+    bumped = ba.branch_lengths.copy()
     bumped[2] *= 1.3
-    assert ub.log_likelihood(bsm_values, bumped) == ba.log_likelihood(
+    assert reference_log_likelihood(ref, bsm_values, bumped) == ba.log_likelihood(
         bsm_values, bumped
     )
-    assert ub.log_likelihood(bsm_values) == ba.log_likelihood(bsm_values)
+    assert reference_log_likelihood(ref, bsm_values) == ba.log_likelihood(bsm_values)
     if incremental:
         # Probe evaluations (gradient hints) must agree and must not
         # disturb the committed base state.
-        probe = ub.branch_lengths.copy()
+        probe = ba.branch_lengths.copy()
         probe[1] *= 1.01
-        assert ub.log_likelihood(
+        assert reference_log_likelihood(ref, bsm_values, probe) == ba.log_likelihood(
             bsm_values, probe, touched=(1,)
-        ) == ba.log_likelihood(bsm_values, probe, touched=(1,))
-        assert ub.log_likelihood(bsm_values) == ba.log_likelihood(bsm_values)
+        )
+        assert reference_log_likelihood(ref, bsm_values) == ba.log_likelihood(bsm_values)
 
 
 def test_batched_site_class_matrix_identical(small_tree, small_sim, h1_model, bsm_values):
-    ub = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model, batched=False)
-    ba = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model, batched=True)
-    m1, p1 = ub.site_class_matrix(bsm_values)
+    ref = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
+    ba = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
+    m1, p1 = reference_class_matrix(ref, bsm_values)
     m2, p2 = ba.site_class_matrix(bsm_values)
     np.testing.assert_array_equal(m1, m2)
     np.testing.assert_array_equal(p1, p2)
 
 
-def test_slim_v2_defaults_batched(small_tree, small_sim, h1_model):
-    assert make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model).batched
-    assert not make_engine("slim").bind(small_tree, small_sim.alignment, h1_model).batched
-    assert not make_engine("codeml").bind(small_tree, small_sim.alignment, h1_model).batched
-    # Explicit opt-out wins over the engine default.
-    assert not make_engine("slim-v2").bind(
-        small_tree, small_sim.alignment, h1_model, batched=False
-    ).batched
+def test_slim_v2_defaults_batched(small_tree, small_sim, h1_model, bsm_values, monkeypatch):
+    import inspect
+
+    import repro.core.engine as engine_mod
+    from repro.cli import build_parser
+    from repro.io.ctl import ControlFile
+    from repro.parallel.batch import analyze_genes, map_survey_candidates, scan_branches
+
+    # slim-v2 is the default engine at every entry point ...
+    assert ControlFile().engine == "slim-v2"
+    scan_args = build_parser().parse_args(["scan", "--seqfile", "a", "--treefile", "b"])
+    assert scan_args.engine == "slim-v2"
+    for api in (analyze_genes, scan_branches, map_survey_candidates):
+        assert inspect.signature(api).parameters["engine"].default == "slim-v2"
+    # ... and every engine evaluates through the level-order driver.
+    calls = []
+    driver = engine_mod.prune_site_class_batched
+    monkeypatch.setattr(
+        engine_mod, "prune_site_class_batched",
+        lambda *a, **k: calls.append(1) or driver(*a, **k),
+    )
+    for name in ENGINE_NAMES:
+        calls.clear()
+        make_engine(name).bind(small_tree, small_sim.alignment, h1_model).log_likelihood(
+            bsm_values
+        )
+        assert calls, name
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +259,8 @@ class TestZeroWeightClasses:
     ZERO_P1 = {"kappa": 2.5, "omega0": 0.3, "omega2": 4.0, "p0": 0.9, "p1": 0.0}
 
     def test_skipped_without_building_operators(self, small_tree, small_sim, h1_model):
-        engine = make_engine("slim-v2", cache_transition_matrices=True)
-        bound = engine.bind(small_tree, small_sim.alignment, h1_model, batched=True)
+        engine = make_engine("slim-v2")
+        bound = engine.bind(small_tree, small_sim.alignment, h1_model)
         classes = h1_model.site_classes(self.ZERO_P1)
         zero = [c for c in classes if c.proportion == 0.0]
         assert len(zero) == 2  # classes 1 and 2b when p1 == 0
@@ -258,26 +278,22 @@ class TestZeroWeightClasses:
             for _, _, t, fg in rows
         }
         stats = engine.cache_stats()
-        assert stats["transition_misses"] == len(expected)
+        assert stats["operator_builds"] == stats["rung_evr"] == len(expected)
         # ω = 1 (the skipped classes' background) was never requested.
         live_omegas = {omega for omega, _ in expected}
         assert 1.0 not in live_omegas
 
     def test_zero_weight_lnl_matches_unbatched(self, small_tree, small_sim, h1_model):
-        ub = make_engine("slim-v2").bind(
-            small_tree, small_sim.alignment, h1_model, batched=False
+        ref = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
+        ba = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
+        assert reference_log_likelihood(ref, self.ZERO_P1) == ba.log_likelihood(
+            self.ZERO_P1
         )
-        ba = make_engine("slim-v2").bind(
-            small_tree, small_sim.alignment, h1_model, batched=True
-        )
-        assert ub.log_likelihood(self.ZERO_P1) == ba.log_likelihood(self.ZERO_P1)
 
     def test_class_matrix_keeps_zero_rows(self, small_tree, small_sim, h1_model):
         # site_class_matrix feeds NEB/BEB and must report every class —
         # the skip optimisation only applies to the mixture evaluation.
-        ba = make_engine("slim-v2").bind(
-            small_tree, small_sim.alignment, h1_model, batched=True
-        )
+        ba = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
         m, props = ba.site_class_matrix(self.ZERO_P1)
         assert m.shape[0] == 4
         assert np.all(np.isfinite(m))
@@ -291,7 +307,7 @@ def test_background_tied_builds_ledgered_as_saved(
 ):
     counter = FlopCounter()
     engine = make_engine("slim-v2", counter=counter)
-    bound = engine.bind(small_tree, small_sim.alignment, h1_model, batched=True)
+    bound = engine.bind(small_tree, small_sim.alignment, h1_model)
     bound.log_likelihood(bsm_values)
     # Model A pairs 0↔2a and 1↔2b request identical background
     # operators; the planner builds each distinct (ω, t) once and
@@ -331,18 +347,15 @@ class TestBlasLevelLedger:
     def test_batched_run_raises_blas3_fraction(
         self, small_tree, small_sim, h1_model, bsm_values
     ):
-        def fraction(engine_name, batched):
+        def fraction(engine_name):
             counter = FlopCounter()
             engine = make_engine(engine_name, counter=counter)
-            bound = engine.bind(
-                small_tree, small_sim.alignment, h1_model, batched=batched
-            )
+            bound = engine.bind(small_tree, small_sim.alignment, h1_model)
             bound.log_likelihood(bsm_values)
             return counter.blas3_fraction
 
-        # The paper's per-branch prototype (slim: per-site dgemv) is
-        # BLAS-2-heavy; the batched slim-v2 pipeline pushes the executed
-        # arithmetic into dsyrk/dsymm.  This is the before/after pair
-        # the E-BB benchmark reports.
-        assert fraction("slim-v2", True) > fraction("slim", False)
-        assert fraction("slim-v2", True) > 0.5
+        # The paper's prototype kernel (slim: per-site dgemv) is
+        # BLAS-2-heavy; the slim-v2 pipeline pushes the executed
+        # arithmetic into dsyrk/dsymm.
+        assert fraction("slim-v2") > fraction("slim")
+        assert fraction("slim-v2") > 0.5

@@ -3,8 +3,9 @@
 The acceptance bar for the site-class-graph refactor: the 4-class
 branch-site model A expressed as ``bsrel:2`` must produce *exactly* the
 same log-likelihood (float equality, not tolerance) as the historical
-model-A path, per engine, with and without incremental evaluation,
-batched evaluation and the recovery layer.
+model-A path, per engine, with and without incremental evaluation and
+the recovery layer, through both the level-order driver and the
+per-branch reference recursion (``tests/oracles.py``).
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.models.parameters import (
 from repro.models.registry import resolve_model_spec
 
 from .conftest import ENGINE_NAMES
+from .oracles import reference_log_likelihood
 
 #: Model A values mapped onto the bsrel:2 parameter names.
 def _bsrel2_values(bsm_values):
@@ -174,11 +176,15 @@ class TestModelABitIdentity:
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_batched_modes(self, engine_name, batched, small_tree, small_sim, bsm_values):
-        bound_a, bound_b = self._bind_pair(
-            engine_name, small_tree, small_sim, batched=batched
+        # True: the level-order driver; False: the per-branch oracle.
+        bound_a, bound_b = self._bind_pair(engine_name, small_tree, small_sim)
+        evaluate = (
+            (lambda bound, values: bound.log_likelihood(values))
+            if batched
+            else reference_log_likelihood
         )
-        assert bound_a.log_likelihood(bsm_values) == bound_b.log_likelihood(
-            _bsrel2_values(bsm_values)
+        assert evaluate(bound_a, bsm_values) == evaluate(
+            bound_b, _bsrel2_values(bsm_values)
         )
 
     def test_recovery_layer(self, engine_name, small_tree, small_sim, bsm_values):
@@ -201,18 +207,15 @@ class TestSixClassEvaluation:
     def test_batched_equals_unbatched(self, small_tree, small_sim):
         model = BSRELModel(3)
         values = model.default_start(None)
-        engine = make_engine("slim-v2")
-        plain = engine.bind(small_tree, small_sim.alignment, model, batched=False)
-        batched = make_engine("slim-v2").bind(
-            small_tree, small_sim.alignment, model, batched=True
-        )
-        assert plain.log_likelihood(values) == batched.log_likelihood(values)
+        plain = make_engine("slim-v2").bind(small_tree, small_sim.alignment, model)
+        batched = make_engine("slim-v2").bind(small_tree, small_sim.alignment, model)
+        assert reference_log_likelihood(plain, values) == batched.log_likelihood(values)
 
     def test_operator_dedupe_counters(self, small_tree, small_sim):
         model = BSRELModel(3)
         values = model.default_start(None)
         engine = make_engine("slim-v2")
-        bound = engine.bind(small_tree, small_sim.alignment, model, batched=True)
+        bound = engine.bind(small_tree, small_sim.alignment, model)
         bound.log_likelihood(values)
         stats = engine.cache_stats()
         assert stats["operator_builds_naive"] > stats["operator_builds"] > 0

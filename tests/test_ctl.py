@@ -34,7 +34,7 @@ class TestParse:
     def test_defaults(self):
         ctl = parse_ctl_text("seqfile = a.phy\ntreefile = a.nwk\n")
         assert ctl.model == 2 and ctl.nssites == 2
-        assert ctl.engine == "slim"
+        assert ctl.engine == "slim-v2"
         assert ctl.hypothesis == "H1"
         assert ctl.freq_method == "f3x4"
 

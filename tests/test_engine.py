@@ -1,9 +1,13 @@
 """Likelihood engines: agreement, caching, accounting, binding."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.alignment.patterns import compress_patterns
+from repro.core.eigen import DecompositionCache, PadeFallback
 from repro.core.engine import (
     BaselineEngine,
     SlimEngine,
@@ -11,7 +15,18 @@ from repro.core.engine import (
     make_engine,
 )
 from repro.core.flops import FlopCounter
+from repro.core.recovery import RecoveryConfig
+
 ENGINE_NAMES = ("codeml", "slim", "slim-v2")
+
+
+def _pade_engine(**kwargs):
+    """A slim engine whose every decomposition is a Padé fallback."""
+    engine = SlimEngine(**kwargs)
+    engine._decomp_cache = DecompositionCache(
+        decomposer=lambda matrix, counter: PadeFallback(q=matrix.q, pi=matrix.pi)
+    )
+    return engine
 
 
 class TestFactory:
@@ -113,30 +128,40 @@ class TestCachingAndAccounting:
         engine = make_engine("slim")
         bound = engine.bind(small_tree, small_sim.alignment, h1_model)
         bound.log_likelihood(bsm_values)
-        misses_first = engine._decomp_cache.misses
+        # The binding memoises the last values' decompositions, so move
+        # away and back: the return trip is served by the engine cache.
+        bound.log_likelihood(dict(bsm_values, omega0=0.5))
+        misses = engine._decomp_cache.misses
         bound.log_likelihood(bsm_values)
-        assert engine._decomp_cache.misses == misses_first  # all hits second time
+        assert engine._decomp_cache.misses == misses  # all hits on return
         assert engine._decomp_cache.hits >= 3
 
-    def test_transition_cache_off_by_default(self, small_tree, small_sim, h1_model):
-        engine = make_engine("slim")
-        assert engine.cache_transition_matrices is False
+    def test_transition_cache_off_by_default(self, small_tree, small_sim, h1_model, bsm_values):
+        # Spectral operators never ride the operator LRU, on any engine.
+        for name in ENGINE_NAMES:
+            engine = make_engine(name)
+            bound = engine.bind(small_tree, small_sim.alignment, h1_model)
+            bound.log_likelihood(bsm_values)
+            bound.log_likelihood(bsm_values)
+            stats = engine.cache_stats()
+            assert stats["transition_size"] == 0, name
+            assert stats["transition_hits"] == stats["transition_misses"] == 0, name
 
     def test_transition_cache_reduces_expm_calls(self, small_tree, small_sim, h1_model, bsm_values):
-        counter_off = FlopCounter()
-        engine_off = SlimEngine(counter=counter_off)
-        bound = engine_off.bind(small_tree, small_sim.alignment, h1_model)
+        spectral = SlimEngine()
+        bound = spectral.bind(small_tree, small_sim.alignment, h1_model)
         bound.log_likelihood(bsm_values)
+        builds_one = spectral.rung_usage["evr"]
         bound.log_likelihood(bsm_values)
-        flops_off = counter_off.by_operation["expm:dsyrk"]
+        assert spectral.rung_usage["evr"] == 2 * builds_one  # rebuilt per evaluation
 
-        counter_on = FlopCounter()
-        engine_on = SlimEngine(counter=counter_on, cache_transition_matrices=True)
-        bound = engine_on.bind(small_tree, small_sim.alignment, h1_model)
-        bound.log_likelihood(bsm_values)
-        bound.log_likelihood(bsm_values)
-        flops_on = counter_on.by_operation["expm:dsyrk"]
-        assert flops_on == flops_off / 2  # second eval fully cached
+        pade = _pade_engine()
+        bound = pade.bind(small_tree, small_sim.alignment, h1_model)
+        first = bound.log_likelihood(bsm_values)
+        assert pade.rung_usage["pade"] == builds_one
+        assert bound.log_likelihood(bsm_values) == first
+        assert pade.rung_usage["pade"] == builds_one  # second eval fully cached
+        assert pade.transition_hits == builds_one
 
     def test_flop_split_reported(self, small_tree, small_sim, h1_model, bsm_values):
         counter = FlopCounter()
@@ -162,4 +187,21 @@ class TestCachingAndAccounting:
         bound.log_likelihood(bsm_values)
         n_branches = small_tree.n_branches
         expected = 2 * (n_branches - 1) + 3  # distinct (omega, t) pairs
-        assert engine.stopwatch.count("expm") == expected
+        assert engine.operator_builds == expected
+        assert engine.rung_usage["evr"] == expected
+
+
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_dropped_engine_freed_by_refcount(name):
+    # A scan builds one engine per task with recovery on; nothing may tie
+    # the engine into a reference cycle, or every finished task's engine
+    # (and its caches) would live until a gen-2 collection.
+    gc.collect()
+    gc.disable()
+    try:
+        engine = make_engine(name, recovery=RecoveryConfig())
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()

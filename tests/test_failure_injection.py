@@ -175,7 +175,7 @@ class TestKillAndResume:
             import sys, time
             from repro.alignment.simulate import simulate_alignment
             from repro.models.branch_site import BranchSiteModelA
-            from repro.parallel.batch import GeneJob, _run_gene, analyze_genes
+            from repro.parallel.batch import GeneJob, _run_gene_shared, analyze_genes
             from repro.trees.newick import parse_newick
 
             tree = parse_newick("((A:0.2,B:0.1):0.08 #1,(C:0.15,D:0.12):0.05,E:0.3);")
@@ -186,9 +186,9 @@ class TestKillAndResume:
             )
             jobs = [GeneJob.from_objects(f"g{k}", tree, sim.alignment) for k in range(4)]
 
-            def slow_worker(args):
-                res = _run_gene(args)
-                if args[0].gene_id != "g0":
+            def slow_worker(payload, context):
+                res = _run_gene_shared(payload, context)
+                if payload[0] != "g0":
                     time.sleep(60.0)  # parent kills us long before this returns
                 return res
 

@@ -16,9 +16,10 @@ from repro.core.eigen import decompose
 from repro.core.engine import make_engine
 from repro.core.expm import transition_matrix_syrk
 from repro.core.recovery import RecoveryConfig, RecoveryPolicy
-from repro.likelihood.pruning import PruningState, build_leaf_clvs, prune_site_class
+from repro.likelihood.pruning import PruningState, build_leaf_clvs
 from repro.optimize.ml import fit_model
 from repro.trees.newick import parse_newick
+from tests.oracles import prune_levels, prune_reference
 
 ENGINE_NAMES = ("codeml", "slim", "slim-v2")
 
@@ -49,7 +50,8 @@ class TestBuildLeafClvs:
 
 
 # ----------------------------------------------------------------------
-# Direct pruning-state tests (no engine layer)
+# Direct pruning-state tests (no engine layer): the level-order driver
+# against the per-branch reference recursion
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def prune_setup():
@@ -77,9 +79,9 @@ class TestPruningState:
         pi, decomp, tree, leaf_clvs = prune_setup
         table = tree.branch_table()
         factory = _factory(decomp, None)
-        full = prune_site_class(table, len(tree.nodes), leaf_clvs, factory, np.matmul)
+        full = prune_reference(table, len(tree.nodes), leaf_clvs, factory, np.matmul)
         state = PruningState.empty(len(tree.nodes))
-        pop = prune_site_class(
+        pop = prune_levels(
             table, len(tree.nodes), leaf_clvs, factory, np.matmul, state=state
         )
         np.testing.assert_array_equal(full.root_clv, pop.root_clv)
@@ -99,13 +101,13 @@ class TestPruningState:
 
         factory = _factory(decomp, None)
         state = PruningState.empty(n_nodes)
-        prune_site_class(table, n_nodes, leaf_clvs, factory, propagate, state=state)
+        prune_levels(table, n_nodes, leaf_clvs, factory, propagate, state=state)
         calls.clear()
 
         # Change one leaf branch: only its path to the root re-propagates.
         child, parent, t, fg = table[0]
         table2 = [(c, p, t * 1.1 if c == child else bl, f) for c, p, bl, f in table]
-        inc = prune_site_class(
+        inc = prune_levels(
             table2, n_nodes, leaf_clvs, factory, propagate,
             state=state, dirty={child},
         )
@@ -122,7 +124,7 @@ class TestPruningState:
                         grew = True
         assert len(calls) == len(path)
 
-        fresh = prune_site_class(table2, n_nodes, leaf_clvs, factory, np.matmul)
+        fresh = prune_reference(table2, n_nodes, leaf_clvs, factory, np.matmul)
         np.testing.assert_array_equal(fresh.root_clv, inc.root_clv)
         np.testing.assert_array_equal(fresh.log_scalers, inc.log_scalers)
 
@@ -133,17 +135,17 @@ class TestPruningState:
         factory = _factory(decomp, None)
         # Threshold high enough that every internal node rescales.
         state = PruningState.empty(n_nodes)
-        prune_site_class(
+        prune_levels(
             table, n_nodes, leaf_clvs, factory, np.matmul,
             scale_threshold=1.0, state=state,
         )
         child = table[0][0]
         table2 = [(c, p, bl * (1.2 if c == child else 1.0), f) for c, p, bl, f in table]
-        inc = prune_site_class(
+        inc = prune_levels(
             table2, n_nodes, leaf_clvs, factory, np.matmul,
             scale_threshold=1.0, state=state, dirty={child},
         )
-        fresh = prune_site_class(
+        fresh = prune_reference(
             table2, n_nodes, leaf_clvs, factory, np.matmul, scale_threshold=1.0
         )
         assert np.any(fresh.log_scalers != 0.0)
@@ -156,13 +158,13 @@ class TestPruningState:
         n_nodes = len(tree.nodes)
         factory = _factory(decomp, None)
         state = PruningState.empty(n_nodes)
-        prune_site_class(table, n_nodes, leaf_clvs, factory, np.matmul, state=state)
+        prune_levels(table, n_nodes, leaf_clvs, factory, np.matmul, state=state)
         before = [None if c is None else c.copy() for c in state.clvs]
 
         derived = state.derive()
         child = table[0][0]
         table2 = [(c, p, bl * 1.3 if c == child else bl, f) for c, p, bl, f in table]
-        prune_site_class(
+        prune_levels(
             table2, n_nodes, leaf_clvs, factory, np.matmul,
             state=derived, dirty={child},
         )
@@ -323,22 +325,22 @@ def test_fit_model_incremental_identical_and_cheaper(
 ):
     eng_full = make_engine(engine_name)
     eng_inc = make_engine(engine_name)
-    # batched=False on both sides: batched mode aliases background-tied
-    # subtrees even in full evaluations, which is its own optimisation —
-    # this test isolates what the *incremental* layer saves over a plain
-    # full evaluation.
-    b_full = eng_full.bind(small_tree, small_sim.alignment, h1_model, batched=False)
-    b_inc = eng_inc.bind(
-        small_tree, small_sim.alignment, h1_model, incremental=True, batched=False
-    )
+    b_full = eng_full.bind(small_tree, small_sim.alignment, h1_model)
+    b_inc = eng_inc.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
     fit_full = fit_model(b_full, seed=1, max_iterations=6)
     fit_inc = fit_model(b_inc, seed=1, max_iterations=6)
     assert fit_full.lnl == fit_inc.lnl
     assert fit_full.n_evaluations == fit_inc.n_evaluations
     np.testing.assert_array_equal(fit_full.branch_lengths, fit_inc.branch_lengths)
     assert fit_full.values == fit_inc.values
-    # The point of the exercise: markedly fewer branch propagations.
-    assert eng_inc.clv_propagations * 2 <= eng_full.clv_propagations
+    # The point of the exercise: markedly fewer branch propagations than
+    # full re-pruning (every branch of every class on every evaluation),
+    # and fewer than a full level-order evaluation, which already
+    # aliases background-tied subtrees across classes.
+    n_classes = len(h1_model.site_classes(fit_full.values))
+    full_repruning = b_full.n_evaluations * n_classes * b_full.n_branches
+    assert eng_inc.clv_propagations * 2 <= full_repruning
+    assert eng_inc.clv_propagations < eng_full.clv_propagations
 
 
 def test_fit_model_incremental_override_toggles_binding(
@@ -377,8 +379,8 @@ class TestBatchIntegration:
         from repro.parallel.metrics import summarize_results
 
         job = GeneJob.from_objects("g1", small_tree, small_sim.alignment)
-        [plain] = analyze_genes([job], processes=1, max_iterations=3)
-        [inc] = analyze_genes([job], processes=1, max_iterations=3, incremental=True)
+        [plain] = analyze_genes([job], processes=1, max_iterations=3, incremental=False)
+        [inc] = analyze_genes([job], processes=1, max_iterations=3)
         assert plain.clv_stats is None
         assert inc.clv_stats is not None and inc.clv_stats["reuses"] > 0
         assert inc.lnl0 == plain.lnl0 and inc.lnl1 == plain.lnl1

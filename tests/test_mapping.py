@@ -14,6 +14,7 @@ from repro.likelihood.mapping import (
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.m0 import M0Model
 from repro.trees.newick import parse_newick
+from tests.oracles import sample_mapping_serial
 
 M0_VALUES = {"kappa": 2.0, "omega": 0.5}
 BSA_VALUES = {"kappa": 2.2, "omega0": 0.2, "omega2": 4.0, "p0": 0.5, "p1": 0.3}
@@ -86,9 +87,10 @@ class TestSampler:
 
 
 class TestBatchedSerialEquivalence:
-    """The batched sampler is a reordering of the serial reference, not
-    an approximation: both consume the same canonical uniform stream and
-    must emit bit-identical counts for a fixed seed."""
+    """The batched sampler is a reordering of the serial reference
+    (``tests/oracles.py``), not an approximation: both consume the same
+    canonical uniform stream and must emit bit-identical counts for a
+    fixed seed."""
 
     @pytest.mark.parametrize("engine_name", ("codeml", "slim", "slim-v2"))
     @pytest.mark.parametrize("recover", (False, True), ids=("plain", "recovery"))
@@ -101,21 +103,13 @@ class TestBatchedSerialEquivalence:
             engine_name, recovery=RecoveryConfig() if recover else None
         )
         bound = engine.bind(tree, sim.alignment, BranchSiteModelA())
-        serial = sample_substitution_mapping(
-            bound, BSA_VALUES, n_samples=6, seed=11, method="serial"
-        )
-        batched = sample_substitution_mapping(
-            bound, BSA_VALUES, n_samples=6, seed=11, method="batched"
-        )
+        serial = sample_mapping_serial(bound, BSA_VALUES, n_samples=6, seed=11)
+        batched = sample_substitution_mapping(bound, BSA_VALUES, n_samples=6, seed=11)
         assert np.array_equal(serial.syn, batched.syn)
         assert np.array_equal(serial.nonsyn, batched.nonsyn)
         assert np.array_equal(serial.syn_var, batched.syn_var)
         assert np.array_equal(serial.nonsyn_var, batched.nonsyn_var)
-        assert serial.method == "serial" and batched.method == "batched"
-
-    def test_method_validation(self, m0_bound):
-        with pytest.raises(ValueError, match="method"):
-            sample_substitution_mapping(m0_bound, M0_VALUES, method="turbo")
+        assert batched.to_payload()["method"] == "batched"
 
 
 class TestUncertainty:

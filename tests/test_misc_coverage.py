@@ -78,12 +78,18 @@ class TestEngineInternals:
         assert counter.matrix_reads["clv:dsymv"] < counter.by_operation["clv:dsymv"] / 2
 
     def test_transition_cache_size_bound(self, small_tree, small_sim, h1_model, bsm_values):
+        from repro.core.eigen import DecompositionCache, PadeFallback
         from repro.core.engine import SlimEngine
 
-        engine = SlimEngine(cache_transition_matrices=True, transition_cache_size=4)
+        # Only Padé-built operators ride the LRU.
+        engine = SlimEngine(transition_cache_size=4)
+        engine._decomp_cache = DecompositionCache(
+            decomposer=lambda matrix, counter: PadeFallback(q=matrix.q, pi=matrix.pi)
+        )
         bound = engine.bind(small_tree, small_sim.alignment, h1_model)
         bound.log_likelihood(bsm_values)
-        assert len(engine._transition_cache) <= 5  # cleared-and-refilled bound
+        assert engine.transition_misses > 4
+        assert len(engine._transition_cache) == 4
 
     def test_counter_merge_and_summary(self):
         from repro.core.flops import FlopCounter

@@ -13,7 +13,7 @@ import pytest
 
 from repro.alignment.simulate import simulate_alignment
 from repro.models.branch_site import BranchSiteModelA
-from repro.parallel.batch import GeneJob, _run_gene, analyze_genes, scan_branches
+from repro.parallel.batch import GeneJob, _run_gene_shared, analyze_genes, scan_branches
 from repro.parallel.faults import FaultPolicy, TaskFailure
 from repro.io.results_io import ResultJournal
 from repro.trees.newick import parse_newick
@@ -100,30 +100,29 @@ class TestScanBranches:
 # ----------------------------------------------------------------------
 # Module-level fault-injection workers (pickleable into worker processes)
 # ----------------------------------------------------------------------
-def _worker_poison_suffix(suffix, args):
+def _worker_poison_suffix(suffix, payload, context):
     """Raises for tasks whose id ends with ``suffix``; else runs normally."""
-    job = args[0]
-    if job.gene_id.endswith(suffix):
-        raise RuntimeError(f"poisoned task {job.gene_id}")
-    return _run_gene(args)
+    gene_id = payload[0]
+    if gene_id.endswith(suffix):
+        raise RuntimeError(f"poisoned task {gene_id}")
+    return _run_gene_shared(payload, context)
 
 
-def _scenario_worker(args):
+def _scenario_worker(payload, context):
     """Poisoned ids raise; 'hang' ids sleep far past any test timeout."""
-    job = args[0]
-    if "poison" in job.gene_id:
-        raise RuntimeError(f"poisoned task {job.gene_id}")
-    if "hang" in job.gene_id:
+    gene_id = payload[0]
+    if "poison" in gene_id:
+        raise RuntimeError(f"poisoned task {gene_id}")
+    if "hang" in gene_id:
         time.sleep(45.0)
-    return _run_gene(args)
+    return _run_gene_shared(payload, context)
 
 
-def _recording_worker(log_path, args):
+def _recording_worker(log_path, payload, context):
     """Records which tasks actually ran, then computes normally."""
-    job = args[0]
     with open(log_path, "a", encoding="utf-8") as handle:
-        handle.write(job.gene_id + "\n")
-    return _run_gene(args)
+        handle.write(payload[0] + "\n")
+    return _run_gene_shared(payload, context)
 
 
 class TestScanPartialFailure:

@@ -1,4 +1,8 @@
-"""Felsenstein pruning: correctness against direct enumeration, scaling."""
+"""Felsenstein pruning: correctness against direct enumeration, scaling.
+
+Every case runs the production level-order driver; the scaling cases
+also pin it bit for bit to the per-branch reference recursion.
+"""
 
 import numpy as np
 import pytest
@@ -8,8 +12,9 @@ from repro.alignment.patterns import compress_patterns
 from repro.codon.matrix import build_rate_matrix
 from repro.core.eigen import decompose
 from repro.core.expm import transition_matrix_syrk
-from repro.likelihood.pruning import SCALE_THRESHOLD, build_leaf_clvs, prune_site_class
+from repro.likelihood.pruning import build_leaf_clvs
 from repro.trees.newick import parse_newick
+from tests.oracles import prune_levels, prune_reference
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +44,7 @@ class TestAgainstDirectEnumeration:
         aln = CodonAlignment.from_sequences(["A", "B", "C"], ["ATGTTT", "ATGCCC", "CCCTTT"])
         pat = compress_patterns(aln)
         leaf_clvs = build_leaf_clvs(pat.alignment)
-        result = prune_site_class(
+        result = prune_levels(
             tree.branch_table(), len(tree.nodes), leaf_clvs, _p_factory(decomp), _matmul
         )
         lnl = result.site_log_likelihoods(pi)
@@ -60,7 +65,7 @@ class TestAgainstDirectEnumeration:
         tree = parse_newick("(A:0.1,B:0.25,C:0.07);")
         aln = CodonAlignment.from_sequences(["A", "B", "C"], ["ATG", "CCC", "---"])
         pat = compress_patterns(aln)
-        res = prune_site_class(
+        res = prune_levels(
             tree.branch_table(), len(tree.nodes), build_leaf_clvs(pat.alignment),
             _p_factory(decomp), _matmul,
         )
@@ -69,7 +74,7 @@ class TestAgainstDirectEnumeration:
         tree2 = parse_newick("(A:0.1,B:0.25);")
         aln2 = CodonAlignment.from_sequences(["A", "B"], ["ATG", "CCC"])
         pat2 = compress_patterns(aln2)
-        res2 = prune_site_class(
+        res2 = prune_levels(
             tree2.branch_table(), len(tree2.nodes), build_leaf_clvs(pat2.alignment),
             _p_factory(decomp), _matmul,
         )
@@ -90,7 +95,7 @@ class TestAgainstDirectEnumeration:
             tree = parse_newick(newick)
             order = [aln.row(n) for n in tree.leaf_names()]
             sub = aln.subset_taxa([aln.names[i] for i in order])
-            res = prune_site_class(
+            res = prune_levels(
                 tree.branch_table(), len(tree.nodes), build_leaf_clvs(compress_patterns(sub).alignment),
                 _p_factory(decomp), _matmul,
             )
@@ -109,12 +114,18 @@ class TestScaling:
         seqs = {name: "ATG" for name in tree.leaf_names()}
         aln = CodonAlignment.from_sequences(list(seqs), list(seqs.values()))
         pat = compress_patterns(aln.subset_taxa(tree.leaf_names()))
-        res = prune_site_class(
+        res = prune_levels(
             tree.branch_table(), len(tree.nodes), build_leaf_clvs(pat.alignment),
             _p_factory(decomp), _matmul, scale_threshold=1e-4,
         )
         assert np.any(res.log_scalers < 0)
         assert np.all(np.isfinite(res.site_log_likelihoods(pi)))
+        ref = prune_reference(
+            tree.branch_table(), len(tree.nodes), build_leaf_clvs(pat.alignment),
+            _p_factory(decomp), _matmul, scale_threshold=1e-4,
+        )
+        np.testing.assert_array_equal(res.root_clv, ref.root_clv)
+        np.testing.assert_array_equal(res.log_scalers, ref.log_scalers)
 
     def test_scaling_does_not_change_likelihood(self, setup):
         pi, decomp = setup
@@ -124,11 +135,11 @@ class TestScaling:
         )
         pat = compress_patterns(aln)
         clvs = build_leaf_clvs(pat.alignment)
-        always = prune_site_class(
+        always = prune_levels(
             tree.branch_table(), len(tree.nodes), clvs, _p_factory(decomp), _matmul,
             scale_threshold=1.0,  # rescale at every node
         )
-        never = prune_site_class(
+        never = prune_levels(
             tree.branch_table(), len(tree.nodes), clvs, _p_factory(decomp), _matmul,
             scale_threshold=0.0,  # never rescale
         )
@@ -149,7 +160,7 @@ class TestValidation:
     def test_empty_branch_table(self, setup):
         _, decomp = setup
         with pytest.raises(ValueError, match="empty"):
-            prune_site_class([], 1, [np.ones((61, 1))], _p_factory(decomp), _matmul)
+            prune_levels([], 1, [np.ones((61, 1))], _p_factory(decomp), _matmul)
 
     def test_non_postordered_table_detected(self, setup):
         _, decomp = setup
@@ -157,4 +168,4 @@ class TestValidation:
         rows = [(2, 3, 0.1, False), (0, 2, 0.1, False), (1, 2, 0.1, False), (3, 4, 0.1, False)]
         clvs = [np.ones((61, 1)), np.ones((61, 1))]
         with pytest.raises(ValueError, match="post-ordered"):
-            prune_site_class(rows, 5, clvs, _p_factory(decomp), _matmul)
+            prune_levels(rows, 5, clvs, _p_factory(decomp), _matmul)

@@ -38,11 +38,11 @@ from repro.core.recovery import (
     guard_transition_matrix,
 )
 from repro.io.results_io import ResultJournal
-from repro.likelihood.pruning import prune_site_class
 from repro.optimize.bfgs import BARRIER_SLOPE, minimize_bfgs
 from repro.optimize.ml import fit_model
 from repro.parallel.batch import scan_branches
 from tests.conftest import ENGINE_NAMES
+from tests.oracles import prune_levels
 
 REAL_EIGH = scipy.linalg.eigh
 
@@ -216,7 +216,7 @@ class TestSymmetricGuard:
 # ----------------------------------------------------------------------
 def _toy_pruning(leaf_clvs, guard=None):
     branch_table = [(0, 2, 0.1, False), (1, 2, 0.1, False)]
-    return prune_site_class(
+    return prune_levels(
         branch_table,
         n_nodes=3,
         leaf_clvs=leaf_clvs,

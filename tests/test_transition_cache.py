@@ -1,11 +1,12 @@
 """Engine transition-matrix cache: stable keying, LRU eviction, counters.
 
-The cache used to be keyed by ``id(decomp)``; after the decomposition
-cache evicted an entry and the object was garbage-collected, CPython's
-allocator readily hands the same address to the *next* decomposition,
-silently returning a stale ``P(t)`` for different (κ, ω, scale).  The
-fix keys by ``SpectralDecomposition.token`` — a process-unique monotone
-sequence number that is never recycled.
+Only operators built off a Padé fallback ride the LRU; spectral ones are
+rebuilt.  The cache used to be keyed by ``id(decomp)``; after the
+decomposition cache evicted an entry and the object was
+garbage-collected, CPython's allocator readily hands the same address to
+the *next* decomposition, silently returning a stale ``P(t)`` for
+different (κ, ω, scale).  The fix keys by the decomposition's ``token``
+— a process-unique monotone sequence number that is never recycled.
 """
 
 import gc
@@ -14,15 +15,25 @@ import numpy as np
 import pytest
 
 from repro.codon.matrix import build_rate_matrix
-from repro.core.eigen import DecompositionCache, SpectralDecomposition, decompose
+from repro.core.eigen import (
+    DecompositionCache,
+    PadeFallback,
+    SpectralDecomposition,
+    decompose,
+)
 from repro.core.engine import make_engine
-from repro.core.expm import transition_matrix_syrk
+from repro.core.expm import transition_matrix_scipy
 
 PI = np.full(61, 1 / 61)
 
 
 def _decomp(omega, kappa=2.0):
     return decompose(build_rate_matrix(kappa, omega, PI))
+
+
+def _pade(omega, kappa=2.0):
+    """A Padé-fallback decomposition: its operators ride the LRU."""
+    return PadeFallback(q=build_rate_matrix(kappa, omega, PI).q, pi=PI)
 
 
 def _clone_args(decomp):
@@ -61,20 +72,20 @@ class TestStaleCacheRegression:
         Several rounds are run because the very first allocations in a
         fresh process may not land on the recycled slot.
         """
-        engine = make_engine("slim", cache_transition_matrices=True)
+        engine = make_engine("slim")
         t = 0.1
         gc.collect()
         for round_ in range(6):
-            d1 = _decomp(0.2 + 0.01 * round_)
+            d1 = _pade(0.2 + 0.01 * round_)
             op1 = engine._operator_for(d1, t)
-            assert np.allclose(op1, transition_matrix_syrk(d1, t), atol=1e-12)
+            assert np.allclose(op1, transition_matrix_scipy(d1.q, t), atol=1e-12)
 
-            tmp = _decomp(5.0 + 0.01 * round_)
-            args = _clone_args(tmp)
-            expected = transition_matrix_syrk(tmp, t)
+            tmp = _pade(5.0 + 0.01 * round_)
+            q = tmp.q
+            expected = transition_matrix_scipy(q, t)
             del tmp
             del d1, op1  # last references gone: the eviction moment
-            d2 = SpectralDecomposition(**args)
+            d2 = PadeFallback(q=q, pi=PI)
             op2 = engine._operator_for(d2, t)
             assert np.allclose(op2, expected, atol=1e-12), (
                 f"round {round_}: stale P(t) served for a recycled "
@@ -85,22 +96,25 @@ class TestStaleCacheRegression:
     def test_decomposition_cache_eviction_with_gc(self):
         """End-to-end: evicting through a maxsize-1 DecompositionCache
         plus explicit gc never corrupts cached transition matrices."""
-        engine = make_engine("slim", cache_transition_matrices=True)
-        engine._decomp_cache = DecompositionCache(maxsize=1)
+        engine = make_engine("slim")
+        engine._decomp_cache = DecompositionCache(
+            maxsize=1,
+            decomposer=lambda matrix, counter: PadeFallback(q=matrix.q, pi=matrix.pi),
+        )
         t = 0.05
         for k in range(8):
             matrix = build_rate_matrix(2.0, 0.1 + 0.3 * k, PI)
             decomp = engine._decompose(matrix)  # evicts the previous one
             op = engine._operator_for(decomp, t)
-            assert np.allclose(op, transition_matrix_syrk(decomp, t), atol=1e-12)
+            assert np.allclose(op, transition_matrix_scipy(matrix.q, t), atol=1e-12)
             del decomp, op
             gc.collect()
 
 
 class TestLRUEviction:
     def test_hit_and_miss_counters(self):
-        engine = make_engine("slim", cache_transition_matrices=True)
-        d = _decomp(0.2)
+        engine = make_engine("slim")
+        d = _pade(0.2)
         engine._operator_for(d, 0.1)
         engine._operator_for(d, 0.1)
         engine._operator_for(d, 0.2)
@@ -108,9 +122,8 @@ class TestLRUEviction:
         assert engine.transition_misses == 2
 
     def test_lru_keeps_hot_entries(self):
-        engine = make_engine("slim", cache_transition_matrices=True,
-                             transition_cache_size=2)
-        d = _decomp(0.2)
+        engine = make_engine("slim", transition_cache_size=2)
+        d = _pade(0.2)
         engine._operator_for(d, 0.1)  # miss -> {0.1}
         engine._operator_for(d, 0.2)  # miss -> {0.1, 0.2}
         engine._operator_for(d, 0.1)  # hit, refreshes 0.1
@@ -122,16 +135,16 @@ class TestLRUEviction:
         assert len(engine._transition_cache) == 2
 
     def test_eviction_is_incremental_not_full_clear(self):
-        engine = make_engine("slim", cache_transition_matrices=True,
-                             transition_cache_size=4)
-        d = _decomp(0.2)
+        engine = make_engine("slim", transition_cache_size=4)
+        d = _pade(0.2)
         for k in range(8):
             engine._operator_for(d, 0.01 * (k + 1))
         # A full clear() would leave 1 entry; LRU keeps the cache full.
         assert len(engine._transition_cache) == 4
 
     def test_cache_disabled_keeps_counters_at_zero(self):
-        engine = make_engine("slim", cache_transition_matrices=False)
+        # Spectral operators bypass the LRU entirely.
+        engine = make_engine("slim")
         d = _decomp(0.2)
         engine._operator_for(d, 0.1)
         engine._operator_for(d, 0.1)
@@ -142,8 +155,8 @@ class TestLRUEviction:
 
 class TestCacheStats:
     def test_stats_exposed_for_metrics(self):
-        engine = make_engine("slim", cache_transition_matrices=True)
-        d = _decomp(0.2)
+        engine = make_engine("slim")
+        d = _pade(0.2)
         engine._operator_for(d, 0.1)
         engine._operator_for(d, 0.1)
         stats = engine.cache_stats()
@@ -154,8 +167,7 @@ class TestCacheStats:
         assert "decomposition_misses" in stats
 
     def test_stats_without_decomposition_cache(self):
-        engine = make_engine("slim", cache_decompositions=False,
-                             cache_transition_matrices=True)
+        engine = make_engine("slim", cache_decompositions=False)
         stats = engine.cache_stats()
         assert "decomposition_hits" not in stats
         assert stats["transition_misses"] == 0

@@ -261,15 +261,18 @@ class TestRung4Wiring:
         with pytest.raises(NumericalError):
             engine._operator_for(decomp, 0.3)
 
-    def test_pade_operators_ride_the_lru_even_with_caching_off(self, fallback):
+    def test_pade_operators_ride_the_lru_even_with_caching_off(self, fallback, pi):
         engine = make_engine("slim", recovery=RecoveryConfig())
-        assert engine.cache_transition_matrices is False
         op1 = engine._operator_for(fallback, 0.2)
         op2 = engine._operator_for(fallback, 0.2)
         assert op1 is op2
         stats = engine.cache_stats()
         assert stats["transition_hits"] == 1
         assert stats["rung_pade"] == 1
+        # Spectral operators never ride the LRU.
+        decomp = engine._decompose(build_rate_matrix(2.0, 0.5, pi))
+        assert engine._operator_for(decomp, 0.2) is not engine._operator_for(decomp, 0.2)
+        assert engine.cache_stats()["transition_size"] == 1
 
     def test_spectral_rung_usage_is_counted(self, pi):
         engine = make_engine("slim", recovery=RecoveryConfig())
