@@ -22,6 +22,7 @@ import sys
 import time
 
 from repro import BranchSiteModelA, simulate_alignment, simulate_yule_tree
+from repro.io.report import format_recovery_block
 from repro.parallel.batch import GeneJob, analyze_genes
 from repro.parallel.faults import FaultPolicy
 from repro.parallel.metrics import summarize_results
@@ -64,10 +65,6 @@ results = analyze_genes(
     jobs, engine="slim", processes=PROCESSES, seed=1, max_iterations=20,
     policy=policy, journal=JOURNAL, resume=resume,
     on_result=lambda k, res: computed.add(res.gene_id),
-    # Numerical self-healing: guarded engines (eigensolver fallback
-    # ladder, P(t) checks) + seeded optimizer restarts; whatever fired
-    # comes back on each result's `diagnostics`.
-    recover=True,
 )
 elapsed = time.perf_counter() - start
 resumed_ids = [r.gene_id for r in results if r.gene_id not in computed]
@@ -88,13 +85,11 @@ for res in results:
     print(f"{res.gene_id:<10s} {res.lnl0:>12.2f} {res.lnl1:>12.2f} "
           f"{res.statistic:>9.3f} {res.pvalue:>10.3g}  {truth:<9s} {call}")
 
-recovered = [r for r in results if r.recovered]
-if recovered:
-    from repro.core.recovery import FitDiagnostics
-
-    print("\nnumerical recovery (per gene):")
-    for res in recovered:
-        print(f"  {res.gene_id}: {FitDiagnostics.from_dict(res.diagnostics).describe()}")
+# Numerical self-healing runs in every worker (guarded engines, seeded
+# optimizer restarts); whatever fired comes back on each result.
+recovery = format_recovery_block([(r.gene_id, r.diagnostics) for r in results], per="gene")
+if recovery:
+    print("\n" + recovery)
 
 n_sel = len(truly_selected)
 print()

@@ -27,7 +27,7 @@ import numpy as np
 from repro.alignment.parsers import read_alignment, write_phylip
 from repro.core.engine import make_engine
 from repro.io.ctl import ControlFile, parse_ctl
-from repro.io.report import format_report
+from repro.io.report import convergence_mark, format_recovery_block, format_report
 from repro.optimize.beb import beb_site_probabilities
 from repro.optimize.ml import fit_branch_site_test
 from repro.trees.newick import parse_newick, write_newick
@@ -116,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip branches already successful in --journal")
     scan.add_argument("--out", default="-", help="report destination ('-' = stdout)")
     scan.add_argument("--quiet", action="store_true", help="suppress per-branch progress")
-    scan.add_argument(
-        "--no-recover", dest="recover", action="store_false", default=True,
-        help="disable the numerical self-healing layer (eigensolver fallback "
-             "ladder, P(t) guards, optimizer restarts); disabled runs are "
-             "bit-identical to the historical unguarded code",
-    )
     scan.add_argument(
         "--executor", default=None, choices=["inline", "pool", "socket"],
         help="execution substrate (default: inline for --processes 1, else pool)",
@@ -340,7 +334,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             resume=args.resume,
             on_result=progress,
             executor=executor,
-            recover=args.recover,
             model=model_spec,
             map_samples=None if survey_map else (args.map_samples if args.map else None),
             keep_mles=survey_map,
@@ -406,22 +399,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         lines = [f"branch scan: {gene_id} ({scan.n_candidates} candidate branches)"]
         lines.append("")
         lines.append(f"{'branch':<16s} {'2*delta':>9s} {'p (chi2_1)':>12s}  verdict")
+        unconverged = scan.unconverged()
         for label, lrt in sorted(scan.by_branch.items(), key=lambda kv: kv[1].pvalue_chi2):
             verdict = "**SELECTED**" if lrt.significant() else ""
             lines.append(
                 f"{label:<16s} {lrt.statistic:>9.3f} {lrt.pvalue_chi2:>12.4g}  {verdict}"
+                + convergence_mark(unconverged.get(label, ()))
             )
         for label, failure in sorted(scan.failures.items()):
             lines.append(f"{label:<16s} {'FAILED':>9s}  {failure.describe()}")
-    recovered = [r for r in scan.gene_results if getattr(r, "recovered", False)]
-    if recovered:
-        from repro.core.recovery import FitDiagnostics
-
-        lines.append("")
-        lines.append("numerical recovery (per branch):")
-        for res in recovered:
-            diag = FitDiagnostics.from_dict(res.diagnostics)
-            lines.append(f"  {res.gene_id}: {diag.describe()}")
+    recovery = format_recovery_block(
+        [(r.gene_id, r.diagnostics) for r in scan.gene_results], per="branch"
+    )
+    if recovery:
+        lines += ["", recovery]
     mapped = [r for r in scan.gene_results if getattr(r, "mapping", None)]
     if mapped:
         from repro.io.report import format_mapping_block

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from repro.codon.matrix import CodonRateMatrix
 from repro.core.flops import FlopCounter, eigh_flops
-from repro.core.recovery import NumericalEventRecorder, RecoveryConfig
+from repro.core.recovery import RESIDUAL_TOL, NumericalEventRecorder
 from repro.utils.numerics import validate_probability_vector, validate_square
 
 __all__ = [
@@ -186,7 +186,6 @@ def decompose_guarded(
     rate_matrix: CodonRateMatrix,
     driver: str = "evr",
     counter: Optional[FlopCounter] = None,
-    config: Optional[RecoveryConfig] = None,
     recorder: Optional[NumericalEventRecorder] = None,
 ) -> AnyDecomposition:
     """:func:`decompose` with the §II-C1 promise *checked* and a fallback ladder.
@@ -198,19 +197,19 @@ def decompose_guarded(
     2. ``eigh(driver="ev")`` — the classic QR solver, skipped when it
        *is* the configured driver;
     3. :class:`PadeFallback` — per-branch ``scipy.linalg.expm``;
-    4. (operator-level, when ``config.uniformization``) the expm-free
-       uniformized kernel (:mod:`repro.core.uniformization`) — engaged
-       by the engines when a Padé-built ``P(t)`` fails its guard, so a
-       Padé residual failure degrades gracefully instead of raising
+    4. (operator-level) the expm-free uniformized kernel
+       (:mod:`repro.core.uniformization`) — engaged by the engines when
+       a Padé-built ``P(t)`` fails its guard, so a Padé residual failure
+       degrades gracefully instead of raising
        :class:`~repro.core.recovery.NumericalError`.
 
     A rung is rejected when LAPACK raises or when the reconstruction
-    residual ``‖A − XΛXᵀ‖`` exceeds ``config.residual_tol`` (relative);
+    residual ``‖A − XΛXᵀ‖`` exceeds
+    :data:`~repro.core.recovery.RESIDUAL_TOL` (relative);
     every rejection and every fallback is recorded on ``recorder``, and
     the returned :class:`PadeFallback` carries the per-rung rejection
     reasons on ``ladder`` for a potential ``ladder_exhausted`` report.
     """
-    config = config if config is not None else RecoveryConfig()
     a = symmetrize(rate_matrix)
     validate_square(a, name="A")
     pi = validate_probability_vector(rate_matrix.pi, name="pi")
@@ -231,13 +230,13 @@ def decompose_guarded(
                 )
             continue
         residual = _residual(a, eigenvalues, eigenvectors)
-        if not np.isfinite(residual) or residual > config.residual_tol:
+        if not np.isfinite(residual) or residual > RESIDUAL_TOL:
             rejections.append((drv, f"residual {residual:.3e}"))
             if recorder is not None:
                 recorder.record(
                     "eigh_residual", "eigen",
                     f"eigh(driver={drv!r}) residual {residual:.3e} "
-                    f"> {config.residual_tol:.0e}",
+                    f"> {RESIDUAL_TOL:.0e}",
                     driver=drv, residual=residual, **ctx,
                 )
             continue

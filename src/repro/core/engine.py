@@ -42,7 +42,6 @@ from repro.core.eigen import (
     DecompositionCache,
     PadeFallback,
     SpectralDecomposition,
-    decompose,
     decompose_guarded,
 )
 from repro.core.expm import (
@@ -54,12 +53,14 @@ from repro.core.expm import (
     transition_matrix_syrk,
 )
 from repro.core.recovery import (
+    TRANSITION_CACHE_SIZE,
+    UNIFORMIZATION_TOL,
     NumericalError,
     NumericalEventRecorder,
     PruningGuard,
-    RecoveryConfig,
     guard_symmetric_operator,
     guard_transition_matrix,
+    screen_operator_stack,
 )
 from repro.core.uniformization import UniformizedOperator
 from repro.core.flops import (
@@ -101,11 +102,9 @@ __all__ = [
 ]
 
 
-def _decompose_guarded(matrix, counter, driver, config, recorder):
+def _decompose_guarded(matrix, counter, driver, recorder):
     """The recovery ladder's decomposer, looked up at call time."""
-    return decompose_guarded(
-        matrix, driver=driver, counter=counter, config=config, recorder=recorder
-    )
+    return decompose_guarded(matrix, driver=driver, counter=counter, recorder=recorder)
 
 
 class BatchedOperatorSet:
@@ -113,13 +112,10 @@ class BatchedOperatorSet:
 
     ``stack`` is the frozen F-ordered ``(n, n·B)`` buffer from a stacked
     build (``None`` when the operators were built per branch — Padé
-    fallback decompositions, engines without a stacked kernel, or
-    hits in the Padé operator LRU).  Each entry of ``operators`` (keyed by
-    branch length) is then a zero-copy, read-only, F-contiguous
-    column-block view of the stack, packaged in the engine's operator
-    form.  Because the views only *reference* the stack, replacing one
-    branch's operator (a recovery-ladder rebuild) never invalidates the
-    others.
+    fallback decompositions or engines without a stacked kernel).  Each
+    entry of ``operators`` (keyed by branch length) is then a zero-copy,
+    read-only, F-contiguous column-block view of the stack, packaged in
+    the engine's operator form.
     """
 
     __slots__ = ("operators", "stack")
@@ -151,25 +147,20 @@ class LikelihoodEngine:
     stopwatch:
         Optional :class:`Stopwatch`; engines record ``eigh``, ``expm``
         and ``clv`` phases so benches can show where time goes.
-    cache_decompositions:
-        Reuse spectral decompositions across evaluations with unchanged
-        (κ, ω, scale) — both comparison sides get this (it models the
-        per-ω reuse CodeML itself performs), default on.
-    transition_cache_size:
-        Capacity of the LRU that holds operators built off a Padé
-        fallback (and the uniformized operators that replace a failed
-        Padé build).  Spectral operators never ride it: CodeML v4.4c
-        recomputes P per evaluation, the paper's cost model assumes one
-        expm per branch per iteration, and the incremental binding's
-        dirty-path state already skips every clean branch (DESIGN.md §9).
-    recovery:
-        A :class:`~repro.core.recovery.RecoveryConfig` enables the
-        numerical self-healing layer: the eigensolver fallback ladder
-        (``evr`` → ``ev`` → per-branch Padé ``expm``), reconstruction
-        guards on every branch operator, and CLV/mixture sanity checks
-        during pruning — every trigger recorded on :attr:`events`.
-        ``None`` (default) runs the historical unguarded code and is
-        bit-identical to it.
+
+    Every engine runs guarded (DESIGN.md §8): decompositions go through
+    the eigensolver fallback ladder (``evr`` → ``ev`` → per-branch Padé
+    ``expm`` → uniformization) and are reused across evaluations with
+    unchanged (κ, ω, scale) — the per-ω reuse CodeML itself performs;
+    every branch operator is screened and, when flagged, guarded; CLVs
+    and per-class site log-likelihoods are checked during pruning.
+    Every trigger is recorded on :attr:`events`.  Operators built off a
+    Padé fallback ride an LRU of
+    :data:`~repro.core.recovery.TRANSITION_CACHE_SIZE` entries; spectral
+    operators never do: CodeML v4.4c recomputes P per evaluation, the
+    paper's cost model assumes one expm per branch per iteration, and
+    the incremental binding's dirty-path state already skips every clean
+    branch (DESIGN.md §9).
     """
 
     name = "abstract"
@@ -182,43 +173,28 @@ class LikelihoodEngine:
         code: GeneticCode = UNIVERSAL,
         counter: Optional[FlopCounter] = None,
         stopwatch: Optional[Stopwatch] = None,
-        cache_decompositions: bool = True,
-        transition_cache_size: int = 4096,
-        recovery: Optional[RecoveryConfig] = None,
     ) -> None:
         self.code = code
         self.counter = counter
         self.stopwatch = stopwatch if stopwatch is not None else Stopwatch()
-        self.recovery = recovery
-        #: Structured numerical-event stream (``None`` when recovery is off).
-        self.events: Optional[NumericalEventRecorder] = (
-            NumericalEventRecorder() if recovery is not None else None
-        )
+        #: Structured numerical-event stream.
+        self.events = NumericalEventRecorder()
         # A partial over plain values, not a closure over ``self``: the
         # decomposition cache holds the decomposer, so closing over the
         # engine would make a reference cycle that keeps every finished
         # task's engine (and its caches) alive until a gen-2 collection.
-        decomposer = (
-            partial(
-                _decompose_guarded, driver=self.eigh_driver,
-                config=recovery, recorder=self.events,
-            )
-            if recovery is not None
-            else None
+        self._decomp_cache = DecompositionCache(
+            maxsize=16,
+            decomposer=partial(
+                _decompose_guarded, driver=self.eigh_driver, recorder=self.events
+            ),
         )
-        self._decomp_cache: Optional[DecompositionCache] = (
-            DecompositionCache(maxsize=16, driver=self.eigh_driver, decomposer=decomposer)
-            if cache_decompositions
-            else None
-        )
-        self._guarded_decomposer = decomposer
         # Keyed by (decomposition token, t).  The token is the
         # process-unique sequence number on the decomposition — NOT
         # id(): after the decomposition cache evicts and the object is
         # collected, a recycled id would silently alias a fresh
         # decomposition onto a stale P(t).
         self._transition_cache: "OrderedDict[Tuple[int, float], object]" = OrderedDict()
-        self._transition_cache_size = transition_cache_size
         self.transition_hits = 0
         self.transition_misses = 0
         #: Branch operators *built* (cache misses) per ladder rung that
@@ -264,10 +240,11 @@ class LikelihoodEngine:
 
     def _guard_operator(self, operator: object, t: float) -> object:
         """Reconstruction guards on a freshly built branch operator."""
-        assert self.recovery is not None
-        return guard_transition_matrix(
-            operator, self.recovery, self.events, t=t, engine=self.name
-        )
+        return guard_transition_matrix(operator, self.events, t=t, engine=self.name)
+
+    def _screen_stack(self, stack: np.ndarray, decomp) -> np.ndarray:
+        """Blocks of a freshly built stack that :meth:`_guard_operator` must see."""
+        return screen_operator_stack(stack, np.ones(decomp.n_states), stochastic=True)
 
     def _count_saved_propagation(self, shape: Tuple[int, int]) -> None:
         """Ledger one branch application the incremental layer skipped.
@@ -332,9 +309,12 @@ class LikelihoodEngine:
     ) -> BatchedOperatorSet:
         """Build (and guard) the operators of one decomposition for ``ts``.
 
-        The stacked path guards every operator *before* freezing the
-        stack (guards repair in place), then creates the public views
-        from the frozen buffer so they are read-only.
+        The stacked path screens the whole stack in one vectorised pass
+        and runs the per-operator guard only on the blocks the screen
+        flags — the same events and repairs as guarding every block
+        (:func:`~repro.core.recovery.screen_operator_stack`).  Guards
+        repair in place, so they run *before* the stack is frozen; the
+        public views are then created from the frozen buffer, read-only.
         """
         ts = [float(t) for t in ts]
         stack = (
@@ -345,27 +325,16 @@ class LikelihoodEngine:
         if stack is None:
             return BatchedOperatorSet({t: self._make_operator(decomp, t) for t in ts})
         n = decomp.n_states
-        replacements: Dict[float, object] = {}
-        if self.recovery is not None:
-            for b, t in enumerate(ts):
-                view_op = self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp)
-                try:
-                    self._guard_operator(view_op, t)
-                except NumericalError as exc:
-                    if not self.recovery.cross_check:
-                        raise
-                    # Stack views never alias each other, so one bad
-                    # branch can be replaced without touching the rest.
-                    replacements[t] = self._recover_operator(
-                        decomp, t, exc, path="spectral", failing=view_op
-                    )
+        for b in self._screen_stack(stack, decomp):
+            self._guard_operator(
+                self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp), ts[b]
+            )
         stack.setflags(write=False)
         operators = {
             t: self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp)
             for b, t in enumerate(ts)
         }
-        operators.update(replacements)
-        self._note_rung(getattr(decomp, "rung", "evr"), len(ts) - len(replacements))
+        self._note_rung(getattr(decomp, "rung", "evr"), len(ts))
         return BatchedOperatorSet(operators, stack)
 
     def operator_set_for(self, decomp, ts: Sequence[float]) -> BatchedOperatorSet:
@@ -383,39 +352,23 @@ class LikelihoodEngine:
     # ------------------------------------------------------------------
     def _decompose(self, matrix: CodonRateMatrix):
         with self.stopwatch.measure("eigh"):
-            if self._decomp_cache is not None:
-                return self._decomp_cache.get(matrix, counter=self.counter)
-            if self._guarded_decomposer is not None:
-                return self._guarded_decomposer(matrix, self.counter)
-            return decompose(matrix, driver=self.eigh_driver, counter=self.counter)
+            return self._decomp_cache.get(matrix, counter=self.counter)
 
     def _make_operator(self, decomp, t: float) -> object:
-        """Build (and, when recovery is on, guard) one branch operator."""
+        """Build and guard one branch operator."""
         if isinstance(decomp, PadeFallback):
             try:
-                p = transition_matrix_scipy(decomp.q, t)
-                if self.recovery is not None:
-                    p = guard_transition_matrix(
-                        p, self.recovery, self.events, t=t, engine=self.name, path="pade"
-                    )
+                p = guard_transition_matrix(
+                    transition_matrix_scipy(decomp.q, t),
+                    self.events, t=t, engine=self.name, path="pade",
+                )
             except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeWarning) as exc:
                 # Rung 4: a failed Padé residual check degrades to the
-                # uniformized kernel instead of a hard NumericalError
-                # (re-raised unchanged when rung 4 is disabled).
-                return self._recover_operator(decomp, t, exc, path="pade")
+                # uniformized kernel instead of a hard NumericalError.
+                return self._recover_operator(decomp, t, exc)
             self._note_rung("pade")
             return self._wrap_probability_matrix(p, decomp.pi)
-        op = self._build_operator(decomp, t)
-        if self.recovery is not None:
-            try:
-                op = self._guard_operator(op, t)
-            except NumericalError as exc:
-                if self.recovery.cross_check:
-                    # Opt-in: validate the failing spectral P(t) against
-                    # the uniformized witness and serve the witness.
-                    return self._recover_operator(decomp, t, exc, path="spectral",
-                                                  failing=op)
-                raise
+        op = self._guard_operator(self._build_operator(decomp, t), t)
         self._note_rung(getattr(decomp, "rung", "evr"))
         return op
 
@@ -431,103 +384,49 @@ class LikelihoodEngine:
         uni = self._uniformized.get(decomp.token)
         if uni is None:
             q = decomp.q if isinstance(decomp, PadeFallback) else decomp.reconstruct_q()
-            tol = (
-                self.recovery.uniformization_tol if self.recovery is not None else 1e-12
+            uni = UniformizedOperator(
+                q, decomp.pi, tol=UNIFORMIZATION_TOL, counter=self.counter
             )
-            uni = UniformizedOperator(q, decomp.pi, tol=tol, counter=self.counter)
             self._uniformized[decomp.token] = uni
         return uni
 
-    def _recover_operator(
-        self, decomp, t: float, exc: BaseException, path: str, failing: object = None
-    ) -> object:
+    def _recover_operator(self, decomp, t: float, exc: BaseException) -> object:
         """Serve one branch operator from the uniformized kernel (rung 4).
 
-        Called after ``path``'s P(t) failed its guard with ``exc``.
-        Records ``uniformization_fallback`` (plus the cross-check
-        attribution when enabled and a failing operator is at hand); if
-        the uniformized P(t) *also* fails, emits one structured
-        ``ladder_exhausted`` event carrying every rung's rejection
-        reason and raises a matching :class:`NumericalError` — never
-        the last rung's raw LAPACK/scipy exception.
+        Called after a Padé-built P(t) failed its guard with ``exc``.
+        Records ``uniformization_fallback``; if the uniformized P(t)
+        *also* fails, emits one structured ``ladder_exhausted`` event
+        carrying every rung's rejection reason and raises a matching
+        :class:`NumericalError` — never the last rung's raw LAPACK/scipy
+        exception.
         """
-        rec = self.recovery
-        if rec is None or not rec.uniformization:
-            raise exc
         history = [list(pair) for pair in getattr(decomp, "ladder", ())]
-        history.append([path, str(exc)])
+        history.append(["pade", str(exc)])
         try:
             uni = self._uniformized_for(decomp)
-            p = uni.transition_matrix(t)
             p = guard_transition_matrix(
-                p, rec, self.events, t=t, engine=self.name, path="uniformization"
+                uni.transition_matrix(t),
+                self.events, t=t, engine=self.name, path="uniformization",
             )
         except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeWarning) as last:
             history.append(["uniformization", str(last)])
             detail = "; ".join(f"{rung}: {why}" for rung, why in history)
-            if self.events is not None:
-                self.events.record(
-                    "ladder_exhausted", "expm", detail,
-                    t=float(t), engine=self.name, rungs_failed=len(history),
-                )
+            self.events.record(
+                "ladder_exhausted", "expm", detail,
+                t=float(t), engine=self.name, rungs_failed=len(history),
+            )
             raise NumericalError(
                 f"every recovery rung failed for P(t={float(t):g}) — {detail}",
                 where="expm",
                 context={"t": float(t), "engine": self.name, "rungs": detail},
             ) from last
-        if self.events is not None:
-            self.events.record(
-                "uniformization_fallback", "expm",
-                f"{path} P(t) guard failed ({exc}); served by uniformized kernel",
-                t=float(t), path=path, mu=float(uni.mu), engine=self.name,
-            )
-            if rec.cross_check and failing is not None:
-                self._cross_check(decomp, t, failing, p, path)
+        self.events.record(
+            "uniformization_fallback", "expm",
+            f"pade P(t) guard failed ({exc}); served by uniformized kernel",
+            t=float(t), path="pade", mu=float(uni.mu), engine=self.name,
+        )
         self._note_rung("uniformization")
         return self._wrap_probability_matrix(p, decomp.pi)
-
-    def _cross_check(
-        self, decomp, t: float, failing: object, p_uni: np.ndarray, path: str
-    ) -> None:
-        """Attribute a guard failure: which path diverged from the witness?
-
-        Compares the failing path's dense P(t) — and, for a spectral
-        failure, an independently computed Padé P(t) — against the
-        uniformized result, recording one ``uniformization_cross_check``
-        event whose ``diverged`` context names every path beyond
-        ``cross_check_tol``.
-        """
-        rec = self.recovery
-        verdicts: List[Tuple[str, float]] = []
-        p_fail = np.asarray(self._operator_probability_matrix(failing), dtype=float)
-        dev = (
-            float(np.max(np.abs(p_fail - p_uni)))
-            if np.all(np.isfinite(p_fail))
-            else float("inf")
-        )
-        verdicts.append((path, dev))
-        if not isinstance(decomp, PadeFallback):
-            try:
-                p_pade = transition_matrix_scipy(decomp.reconstruct_q(), t)
-                dev_pade = (
-                    float(np.max(np.abs(p_pade - p_uni)))
-                    if np.all(np.isfinite(p_pade))
-                    else float("inf")
-                )
-            except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeWarning):
-                dev_pade = float("inf")
-            verdicts.append(("pade", dev_pade))
-        diverged = [name for name, d in verdicts if not d <= rec.cross_check_tol]
-        detail = "; ".join(
-            f"{name} {'diverged' if not d <= rec.cross_check_tol else 'agrees'}"
-            f" (max|dP|={d:.3e})"
-            for name, d in verdicts
-        )
-        ctx = {f"dev_{name}": d for name, d in verdicts}
-        self.events.record(
-            "uniformization_cross_check", "expm", detail,
-            t=float(t), diverged=",".join(diverged) or "none", **ctx,
-        )
 
     def _operator_for(self, decomp, t: float) -> object:
         """One branch operator, through the LRU when ``decomp`` is Padé.
@@ -553,7 +452,7 @@ class LikelihoodEngine:
         self._transition_cache[key] = op
         # LRU eviction: drop the coldest entry, never the whole
         # working set (a full clear() thrashes the hot branches).
-        while len(self._transition_cache) > self._transition_cache_size:
+        while len(self._transition_cache) > TRANSITION_CACHE_SIZE:
             self._transition_cache.popitem(last=False)
         return op
 
@@ -572,13 +471,10 @@ class LikelihoodEngine:
             "operator_builds": self.operator_builds,
             "operator_build_saves": self.operator_build_saves,
             "operator_builds_naive": self.operator_builds_naive,
+            "decomposition_hits": self._decomp_cache.hits,
+            "decomposition_misses": self._decomp_cache.misses,
+            "decomposition_size": len(self._decomp_cache),
         }
-        if self._decomp_cache is not None:
-            stats.update(
-                decomposition_hits=self._decomp_cache.hits,
-                decomposition_misses=self._decomp_cache.misses,
-                decomposition_size=len(self._decomp_cache),
-            )
         if self._uniformized:
             # Rung-4 / mapping kernel reuse: R-power products actually
             # run vs served from the per-decomposition caches, and the
@@ -768,12 +664,12 @@ class SlimV2Engine(LikelihoodEngine):
         return (np.asfortranarray(0.5 * (m + m.T)), pi)
 
     def _guard_operator(self, operator: tuple, t: float) -> tuple:
-        assert self.recovery is not None
         m, pi = operator
-        guard_symmetric_operator(
-            m, pi, self.recovery, self.events, t=t, engine=self.name
-        )
+        guard_symmetric_operator(m, pi, self.events, t=t, engine=self.name)
         return operator
+
+    def _screen_stack(self, stack: np.ndarray, decomp) -> np.ndarray:
+        return screen_operator_stack(stack, decomp.pi, stochastic=False)
 
     def _propagate(self, operator: tuple, clv: np.ndarray) -> np.ndarray:
         m, pi = operator
@@ -1064,11 +960,8 @@ class BoundLikelihood:
         ]
         schedule = self._schedule
         engine = self.engine
-        guarded = engine.recovery is not None
 
-        def guard_for(cls: SiteClass):
-            if not guarded:
-                return None
+        def guard_for(cls: SiteClass) -> PruningGuard:
             return PruningGuard(
                 recorder=engine.events,
                 context={"site_class": cls.label, "engine": engine.name},
@@ -1261,13 +1154,12 @@ class BoundLikelihood:
             values, lengths, touched=touched, skip_zero=True
         )
         class_lnl = site_class_log_likelihoods(results, self.pi)
-        if self.engine.recovery is not None:
-            check_finite_site_log_likelihoods(
-                class_lnl,
-                recorder=self.engine.events,
-                class_labels=list(graph.labels),
-                engine=self.engine.name,
-            )
+        check_finite_site_log_likelihoods(
+            class_lnl,
+            recorder=self.engine.events,
+            class_labels=list(graph.labels),
+            engine=self.engine.name,
+        )
         lnl, _ = mixture_log_likelihood(
             results, self.pi, graph.proportions, self.patterns.weights, class_lnl=class_lnl
         )
@@ -1291,13 +1183,12 @@ class BoundLikelihood:
         )
         results, graph, _ = self._evaluate_classes(values, lengths)
         class_lnl = site_class_log_likelihoods(results, self.pi)
-        if self.engine.recovery is not None:
-            check_finite_site_log_likelihoods(
-                class_lnl,
-                recorder=self.engine.events,
-                class_labels=list(graph.labels),
-                engine=self.engine.name,
-            )
+        check_finite_site_log_likelihoods(
+            class_lnl,
+            recorder=self.engine.events,
+            class_labels=list(graph.labels),
+            engine=self.engine.name,
+        )
         self.n_evaluations += 1
         return class_lnl, graph.proportions
 

@@ -1,4 +1,4 @@
-"""Numerical self-healing: event taxonomy, typed errors, recovery configs.
+"""Numerical self-healing: event taxonomy, typed errors, ladder constants.
 
 The paper's claim (§II-C1) is that the symmetrised eigenpath is the
 numerically *well-conditioned* route to ``P(t) = e^{Qt}``.  This module
@@ -8,7 +8,7 @@ et al., arXiv:1203.3092) restarts failed codeml runs, and in the spirit
 of Woodhams et al. (arXiv:1709.05079), who show codon-model matrix
 paths do go numerically bad in practice.
 
-Three cooperating pieces:
+Four cooperating pieces:
 
 * :class:`NumericalEvent` / :class:`NumericalEventRecorder` — every
   guard trigger and fallback is recorded as a structured event, so a
@@ -18,13 +18,20 @@ Three cooperating pieces:
   optimizer's existing barrier logic (``except ValueError → +inf``)
   keeps working unchanged; being *typed* means callers and tests can
   tell a diagnosed numerical fault from a plain validation error.
-* :class:`RecoveryConfig` (engine-side guards + fallback ladder) and
-  :class:`RecoveryPolicy` (optimizer-side restarts) — both are plain
-  frozen dataclasses so they pickle into batch-worker payloads.
+* The guards — :func:`guard_transition_matrix`,
+  :func:`guard_symmetric_operator`, :class:`PruningGuard` — and
+  :func:`screen_operator_stack`, the vectorised pass that decides which
+  blocks of a stacked operator build need a guard at all.
+* The ladder constants (``RESIDUAL_TOL`` … ``TRANSITION_CACHE_SIZE``)
+  and :func:`perturb_start`, the optimizer's seeded restart draw.
 
-Zero-cost contract: recovery is **opt-in**.  With ``recovery=None``
-(the default everywhere) no guard code runs and every engine's output
-is bit-identical to the unguarded implementation.
+Always-on contract: every engine, every fit and every batch task runs
+guarded; there is no unguarded mode.  A guard acts only on an operator
+or CLV that is already broken — a healthy one is read, never rewritten —
+so wherever nothing is broken the likelihoods are bit-identical to the
+bare kernels'.  The cost is one screen per
+operator stack instead of one Python guard call per branch operator
+(DESIGN.md §8 records the measured overhead).
 
 Event taxonomy (``NumericalEvent.kind``)
 ----------------------------------------
@@ -33,15 +40,10 @@ Event taxonomy (``NumericalEvent.kind``)
 ``eigh_fallback``         decomposition served by a lower rung of the
                           ladder (``detail`` names the rung: ``ev`` or
                           ``pade``).
-``uniformization_fallback``  a branch operator whose Padé (or, in
-                          cross-check mode, spectral) ``P(t)`` failed
-                          its guard was served by the uniformized
-                          kernel instead — rung 4
+``uniformization_fallback``  a branch operator whose Padé ``P(t)``
+                          failed its guard was served by the
+                          uniformized kernel instead — rung 4
                           (:mod:`repro.core.uniformization`).
-``uniformization_cross_check``  cross-check mode compared the failing
-                          path's ``P(t)`` against the uniformized
-                          result; ``detail``/``context`` attribute
-                          which path diverged and by how much.
 ``ladder_exhausted``      every rung — spectral, Padé *and* the
                           uniformized kernel — failed for one branch
                           operator; the single structured event carries
@@ -80,12 +82,12 @@ __all__ = [
     "NumericalEvent",
     "NumericalEventRecorder",
     "NumericalError",
-    "RecoveryConfig",
-    "RecoveryPolicy",
     "FitDiagnostics",
     "PruningGuard",
     "guard_transition_matrix",
     "guard_symmetric_operator",
+    "screen_operator_stack",
+    "perturb_start",
 ]
 
 #: JSON-representable context value.
@@ -137,7 +139,7 @@ class NumericalEvent:
 class NumericalEventRecorder:
     """Append-only sink for :class:`NumericalEvent` records.
 
-    Engines own one of these when recovery is enabled; the optimizer and
+    Every engine owns one of these; the optimizer and
     the batch layer read it back to build per-fit / per-gene diagnostics.
     """
 
@@ -205,89 +207,47 @@ class NumericalError(ValueError):
         return base
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Engine-side guard tolerances and fallback-ladder switches.
+# ----------------------------------------------------------------------
+# Ladder constants (one value each; the guards run on every evaluation)
+# ----------------------------------------------------------------------
+# Tolerances are chosen so a *healthy* evaluation never trips a guard:
+# double-precision eigendecomposition residuals and row-sum drift sit
+# around 1e-14, orders below every threshold here — which is what keeps
+# guarded evaluation bit-identical to the bare kernels on clean data.
 
-    Passing one of these to an engine (``make_engine(name,
-    recovery=RecoveryConfig())``) turns on the eigensolver fallback
-    ladder, the P(t) reconstruction guards and the CLV/mixture checks;
-    ``recovery=None`` (default) runs the historical unguarded code.
-
-    Tolerances are chosen so a *healthy* evaluation never trips a guard:
-    double-precision eigendecomposition residuals and row-sum drift sit
-    around 1e-14, orders below every threshold here — which is what
-    keeps recovery-enabled runs bit-identical on clean data.
-    """
-
-    #: Relative residual ``‖A − XΛXᵀ‖_max / max(1, ‖A‖_max)`` above which
-    #: a decomposition is rejected and the next rung tried.
-    residual_tol: float = 1e-9
-    #: P(t) rows whose sums deviate from 1 by more than this are
-    #: renormalised (and the event recorded).
-    row_sum_tol: float = 1e-8
-    #: Row-sum deviation beyond this is unrecoverable: hard error.
-    row_sum_error: float = 1e-3
-    #: P(t) entries below ``-negative_tol`` are a hard error; entries in
-    #: ``[-negative_tol, 0)`` are clamped to zero.
-    negative_tol: float = 1e-8
-    #: Rung 4: when a Padé-built branch ``P(t)`` fails its guard, degrade
-    #: gracefully to the uniformized kernel instead of raising
-    #: :class:`NumericalError`.  Only ever consulted *after* a guard
-    #: failure, so the healthy path stays bit-identical either way.
-    uniformization: bool = True
-    #: Poisson-tail truncation bound for the uniformized series.
-    uniformization_tol: float = 1e-12
-    #: Opt-in: on a *spectral* guard failure too, validate the failing
-    #: path against the uniformized ``P(t)``, record which path diverged
-    #: (``uniformization_cross_check``), and serve the uniformized
-    #: operator instead of raising.
-    cross_check: bool = False
-    #: Max-abs deviation from the uniformized ``P(t)`` above which a
-    #: cross-checked path is attributed as "diverged".
-    cross_check_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.residual_tol <= 0 or self.row_sum_tol <= 0 or self.negative_tol <= 0:
-            raise ValueError("recovery tolerances must be positive")
-        if self.row_sum_error <= self.row_sum_tol:
-            raise ValueError("row_sum_error must exceed row_sum_tol")
-        if self.uniformization_tol <= 0 or self.cross_check_tol <= 0:
-            raise ValueError("recovery tolerances must be positive")
+#: Relative residual ``‖A − XΛXᵀ‖_max / max(1, ‖A‖_max)`` above which a
+#: decomposition is rejected and the next rung tried.
+RESIDUAL_TOL = 1e-9
+#: P(t) rows whose sums deviate from 1 by more than this are
+#: renormalised (and the event recorded).
+ROW_SUM_TOL = 1e-8
+#: Row-sum deviation beyond this is unrecoverable: hard error.
+ROW_SUM_ERROR = 1e-3
+#: P(t) entries below ``-NEGATIVE_TOL`` are a hard error; entries in
+#: ``[-NEGATIVE_TOL, 0)`` are clamped to zero.
+NEGATIVE_TOL = 1e-8
+#: Poisson-tail truncation bound for the uniformized series (rung 4).
+UNIFORMIZATION_TOL = 1e-12
+#: Optimizer restart budget across all triggers within one fit.
+MAX_RESTARTS = 3
+#: Std-dev of a restart's Gaussian start perturbation, relative to
+#: ``|x| + 0.1`` per unconstrained coordinate.
+PERTURB_SCALE = 0.25
+#: Capacity of the engines' LRU of operators built off a Padé fallback
+#: (and of the uniformized operators that replace a failed Padé build).
+TRANSITION_CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Optimizer-side restart policy (seeded, deterministic).
+def perturb_start(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A perturbed copy of unconstrained start vector ``x`` (restart draw).
 
-    Used by :func:`repro.optimize.ml.fit_model`: on a non-finite
-    objective at the start point, or a line search that collapses before
-    taking a single step, the fit restarts from a perturbed start drawn
-    from the fit's own seeded RNG (:mod:`repro.utils.rng`) — so recovery
-    is reproducible from the same master seed, per the paper's
+    Draws from the fit's own seeded RNG (:mod:`repro.utils.rng`), so a
+    restart is reproducible from the same master seed, per the paper's
     fixed-seed fairness rule (§IV).
     """
-
-    #: Restart budget across all triggers within one fit.
-    max_restarts: int = 3
-    #: Std-dev of the Gaussian perturbation, relative to ``|x| + 0.1``
-    #: per unconstrained coordinate.
-    perturb_scale: float = 0.25
-    #: Restart when the very first line search fails to find a decrease
-    #: (a collapse *after* progress is treated as convergence, as before).
-    restart_on_line_search_collapse: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        if self.perturb_scale <= 0:
-            raise ValueError("perturb_scale must be positive")
-
-    def perturb(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """A perturbed copy of unconstrained start vector ``x``."""
-        x = np.asarray(x, dtype=float)
-        sigma = self.perturb_scale * (np.abs(x) + 0.1)
-        return x + rng.normal(0.0, 1.0, size=x.shape) * sigma
+    x = np.asarray(x, dtype=float)
+    sigma = PERTURB_SCALE * (np.abs(x) + 0.1)
+    return x + rng.normal(0.0, 1.0, size=x.shape) * sigma
 
 
 @dataclass
@@ -379,7 +339,6 @@ def _summarize_indices(indices: np.ndarray, limit: int = 8) -> str:
 
 def guard_transition_matrix(
     p: np.ndarray,
-    config: RecoveryConfig,
     recorder: Optional[NumericalEventRecorder],
     *,
     t: float,
@@ -389,9 +348,9 @@ def guard_transition_matrix(
     """Validate/repair a reconstructed ``P(t)`` (stochastic matrix).
 
     In order: non-finite entries are a hard error; entries below
-    ``-negative_tol`` are a hard error and tiny negatives are clamped;
-    row sums within ``row_sum_tol`` of 1 are left untouched (bit-identity
-    on the healthy path), drift up to ``row_sum_error`` is renormalised
+    ``-NEGATIVE_TOL`` are a hard error and tiny negatives are clamped;
+    row sums within ``ROW_SUM_TOL`` of 1 are left untouched (bit-identity
+    on the healthy path), drift up to ``ROW_SUM_ERROR`` is renormalised
     with an event, and anything beyond is a hard error.  May modify
     ``p`` in place; returns it.
     """
@@ -408,11 +367,11 @@ def guard_transition_matrix(
         )
     min_entry = float(p.min())
     if min_entry < 0.0:
-        if min_entry < -config.negative_tol:
+        if min_entry < -NEGATIVE_TOL:
             if recorder is not None:
                 recorder.record(
                     "pt_invalid", where,
-                    f"P(t) entry {min_entry:.3e} below -{config.negative_tol:.0e}", **ctx
+                    f"P(t) entry {min_entry:.3e} below -{NEGATIVE_TOL:.0e}", **ctx
                 )
             raise NumericalError(
                 f"P(t) has an entry {min_entry:.3e} far below zero",
@@ -427,9 +386,9 @@ def guard_transition_matrix(
         np.maximum(p, 0.0, out=p)
     row_sums = p.sum(axis=1)
     drift = float(np.max(np.abs(row_sums - 1.0)))
-    if drift > config.row_sum_tol:
-        if drift > config.row_sum_error:
-            rows = np.argwhere(np.abs(row_sums - 1.0) > config.row_sum_error).ravel()
+    if drift > ROW_SUM_TOL:
+        if drift > ROW_SUM_ERROR:
+            rows = np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_ERROR).ravel()
             if recorder is not None:
                 recorder.record(
                     "pt_invalid", where,
@@ -454,7 +413,6 @@ def guard_transition_matrix(
 def guard_symmetric_operator(
     m: np.ndarray,
     pi: np.ndarray,
-    config: RecoveryConfig,
     recorder: Optional[NumericalEventRecorder],
     *,
     t: float,
@@ -466,8 +424,8 @@ def guard_symmetric_operator(
     The stochasticity condition translates to ``M π = 1``.  Unlike the
     plain P(t) guard this never renormalises: scaling rows of ``M``
     would break the exact symmetry the ``dsymv``/``dsymm`` kernels rely
-    on, so drift beyond ``row_sum_tol`` is recorded (``pt_row_drift``)
-    and drift beyond ``row_sum_error`` is a hard error.
+    on, so drift beyond ``ROW_SUM_TOL`` is recorded (``pt_row_drift``)
+    and drift beyond ``ROW_SUM_ERROR`` is a hard error.
     """
     ctx: Dict[str, ContextValue] = {"t": float(t), **context}
     if not np.all(np.isfinite(m)):
@@ -478,8 +436,8 @@ def guard_symmetric_operator(
         )
     row_sums = m @ pi
     drift = float(np.max(np.abs(row_sums - 1.0)))
-    if drift > config.row_sum_tol:
-        if drift > config.row_sum_error:
+    if drift > ROW_SUM_TOL:
+        if drift > ROW_SUM_ERROR:
             if recorder is not None:
                 recorder.record(
                     "pt_invalid", where, f"M·π off by {drift:.3e}", **ctx
@@ -496,3 +454,40 @@ def guard_symmetric_operator(
                 **ctx,
             )
     return m
+
+
+def screen_operator_stack(
+    stack: np.ndarray, weights: np.ndarray, *, stochastic: bool
+) -> np.ndarray:
+    """Indices of the blocks of an operator stack that need their guard.
+
+    ``stack`` is an ``(n, n·B)`` stack of B column blocks ``X_b``, each
+    of which should satisfy ``X_b · weights = 1``: all-ones weights for
+    P(t) blocks (row sums), ``π`` for symmetric blocks (``M π = 1``).
+    One vectorised pass over the whole stack flags a block when
+
+    * it holds a non-finite entry;
+    * a weighted row sum drifts from 1 by more than ``ROW_SUM_TOL / 2``
+      (all B·n sums come from one batched matrix–vector product);
+    * ``stochastic`` and its smallest entry is negative.
+
+    The threshold is half the guards' own, so rounding differences
+    between this product and a guard's per-block sum cannot hide a
+    block the guard would act on.  Every block that
+    :func:`guard_transition_matrix` or :func:`guard_symmetric_operator`
+    would clamp, renormalise, record or reject is therefore flagged, and
+    guarding just the flagged blocks, in order, records the same events
+    and makes the same repairs as guarding each block.
+    """
+    n = stack.shape[0]
+    # blocks[b] is X_bᵀ: a C-ordered view of an F-ordered stack, so
+    # weights @ blocks[b] = X_b · weights.
+    blocks = stack.T.reshape(-1, n, n)
+    flat = blocks.reshape(blocks.shape[0], n * n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        flagged = ~np.isfinite(flat).all(axis=1)
+        drift = np.abs(np.matmul(weights, blocks) - 1.0).max(axis=1)
+        flagged |= drift > 0.5 * ROW_SUM_TOL
+        if stochastic:
+            flagged |= flat.min(axis=1) < 0.0
+    return np.flatnonzero(flagged)

@@ -11,10 +11,11 @@ LRT statistics with Holm-corrected p-values.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.recovery import FitDiagnostics
 from repro.models.base import CodonSiteModel
 from repro.optimize.beb import SiteProbabilities
 from repro.optimize.lrt import holm_correction
@@ -30,6 +31,8 @@ __all__ = [
     "write_report",
     "format_fit_block",
     "format_mapping_block",
+    "format_recovery_block",
+    "convergence_mark",
     "format_survey_report",
     "write_survey_report",
 ]
@@ -186,6 +189,35 @@ def format_mapping_block(mapping: dict, max_sites: int = 10, indent: str = "") -
     return "\n".join(lines)
 
 
+def format_recovery_block(
+    entries: Iterable[Tuple[str, Union[FitDiagnostics, Mapping, None]]],
+    per: str,
+) -> str:
+    """What the numerical recovery layer did, one line per fit that needed it.
+
+    ``entries`` pairs a label (hypothesis, gene or branch task) with its
+    :class:`~repro.core.recovery.FitDiagnostics` or the journal's dict
+    form of one.  Returns ``""`` when nothing fired anywhere, else a
+    ``numerical recovery (per <per>):`` heading followed by
+    ``  <label>: <restarts, bounds, events>`` lines — never in the
+    ``  name = value`` shape of the report's parameter lines.
+    """
+    lines = []
+    for label, diagnostics in entries:
+        if not isinstance(diagnostics, FitDiagnostics):
+            diagnostics = FitDiagnostics.from_dict(diagnostics)
+        if diagnostics.recovered:
+            lines.append(f"  {label}: {diagnostics.describe()}")
+    if not lines:
+        return ""
+    return "\n".join([f"numerical recovery (per {per}):", *lines])
+
+
+def convergence_mark(hypotheses: Sequence[str]) -> str:
+    """Row suffix flagging the hypotheses whose fit did not converge."""
+    return f"  [not converged: {'+'.join(hypotheses)}]" if hypotheses else ""
+
+
 def format_report(
     test: BranchSiteTest,
     tree: Optional[Tree] = None,
@@ -196,7 +228,8 @@ def format_report(
     mapping: Optional[dict] = None,
 ) -> str:
     """Full analysis report: H0 block, H1 block, LRT, selected sites,
-    and (when sampled) the stochastic substitution-mapping event table."""
+    (when sampled) the stochastic substitution-mapping event table, and
+    (when anything fired) what the numerical recovery layer did."""
     h0_model, h1_model = models if models is not None else (None, None)
     header = "SlimCodeML reproduction — branch-site test for positive selection"
     lines = [_RULE, header]
@@ -234,6 +267,11 @@ def format_report(
     if mapping is not None:
         lines += ["", "--- Substitution mapping (uniformization) " + "-" * 19, ""]
         lines.append(format_mapping_block(mapping))
+    recovery = format_recovery_block(
+        [("H0", test.h0.diagnostics), ("H1", test.h1.diagnostics)], per="hypothesis"
+    )
+    if recovery:
+        lines += ["", recovery]
     lines += ["", _RULE]
     return "\n".join(lines)
 
@@ -265,7 +303,8 @@ def format_survey_report(
     One row per tested branch: the LRT statistic, the raw conservative
     χ² p-value, the Holm-Bonferroni adjusted p-value over the whole
     survey, and the verdict at family-wise level ``alpha``.  Branches
-    are sorted by raw p-value so the interesting ones lead.
+    are sorted by raw p-value so the interesting ones lead; a row whose
+    H0 or H1 fit stopped before convergence is marked.
     """
     branches = sorted(scan.by_branch)
     header = "SlimCodeML reproduction — all-branches positive-selection survey"
@@ -285,6 +324,7 @@ def format_survey_report(
         f"{'branch':<24s} {'2*dlnL':>10s} {'p (chi2)':>12s} {'p (Holm)':>12s}   verdict"
     )
     n_selected = 0
+    unconverged = scan.unconverged()
     for idx in order:
         branch = branches[idx]
         lrt = scan.by_branch[branch]
@@ -294,12 +334,18 @@ def format_survey_report(
         lines.append(
             f"{branch:<24s} {lrt.statistic:>10.4f} {raw[idx]:>12.4g} "
             f"{adjusted[idx]:>12.4g}   {verdict}"
+            + convergence_mark(unconverged.get(branch, ()))
         )
     lines += [
         "",
         f"{n_selected} of {len(branches)} branches under positive selection "
         f"(Holm-corrected, family-wise alpha = {alpha})",
     ]
+    if unconverged:
+        lines.append(
+            f"{len(unconverged)} of {len(branches)} rows marked [not converged]: "
+            "an H0 or H1 fit stopped before convergence"
+        )
     if scan.failures:
         lines.append("")
         lines.append(f"failed branches ({len(scan.failures)}):")

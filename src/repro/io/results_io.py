@@ -52,8 +52,10 @@ SCHEMA_VERSION = 1
 #: version 8 grew the ``mapping`` payload additively (``mapping_ci``
 #: normal-approximation confidence intervals, ``seconds``, ``method``)
 #: and added ``h1_mles`` (the H1 maximum-likelihood point, kept only
-#: when the survey's one-pass mapper asked for it).
-JOURNAL_VERSION = 8
+#: when the survey's one-pass mapper asked for it); version 9 added
+#: ``converged`` (per-hypothesis ``{"h0": bool, "h1": bool}``; absent on
+#: older records, which read back as unknown, ``None``).
+JOURNAL_VERSION = 9
 
 
 def fit_to_dict(fit: FitResult) -> Dict:
@@ -217,6 +219,7 @@ def gene_result_to_dict(result) -> Dict:
         "rung_usage": getattr(result, "rung_usage", None),
         "mapping": getattr(result, "mapping", None),
         "h1_mles": getattr(result, "h1_mles", None),
+        "converged": getattr(result, "converged", None),
     })
 
 
@@ -261,6 +264,7 @@ def gene_result_from_dict(payload: Dict):
         rung_usage=payload.get("rung_usage"),
         mapping=payload.get("mapping"),
         h1_mles=payload.get("h1_mles"),
+        converged=payload.get("converged"),
     )
 
 

@@ -203,7 +203,7 @@ def _complete_node(
     node_clv: np.ndarray,
     parent: int,
     scale_threshold: float,
-    guard: Optional[PruningGuard],
+    guard: PruningGuard,
 ) -> Optional[np.ndarray]:
     """Guard-check and rescale a completed node's CLV in place.
 
@@ -212,47 +212,43 @@ def _complete_node(
     calls it too, so the arithmetic (and the guard semantics) of the two
     cannot diverge.
 
-    With a :class:`~repro.core.recovery.PruningGuard`, NaN/Inf columns
-    and pattern columns that went *entirely* zero (which would otherwise
-    surface much later as an uninformative ``-inf`` log-likelihood)
-    raise a typed :class:`~repro.core.recovery.NumericalError` naming
-    the node and the offending pattern indices.  Without one the
-    historical unguarded arithmetic runs bit for bit.
+    NaN/Inf columns and pattern columns that went *entirely* zero (which
+    would otherwise surface much later as an uninformative ``-inf``
+    log-likelihood) raise ``guard``'s typed
+    :class:`~repro.core.recovery.NumericalError` naming the node and the
+    offending pattern indices.
     """
     col_max = node_clv.max(axis=0)
-    if guard is not None:
-        # NaN propagates through max(); +inf survives it too, so one
-        # O(n_patterns) pass over the column maxima catches both
-        # non-finite modes at the node where they appear.
-        bad = ~np.isfinite(col_max)
-        if bad.any():
-            patterns = np.flatnonzero(bad)
-            raise guard.fail(
-                "clv_nonfinite",
-                f"non-finite CLV at node {parent} in "
-                f"{patterns.shape[0]} pattern column(s)",
-                node=int(parent),
-                patterns=str([int(i) for i in patterns[:8]]),
-            )
+    # NaN propagates through max(); +inf survives it too, so one
+    # O(n_patterns) pass over the column maxima catches both non-finite
+    # modes at the node where they appear.
+    bad = ~np.isfinite(col_max)
+    if bad.any():
+        patterns = np.flatnonzero(bad)
+        raise guard.fail(
+            "clv_nonfinite",
+            f"non-finite CLV at node {parent} in "
+            f"{patterns.shape[0]} pattern column(s)",
+            node=int(parent),
+            patterns=str([int(i) for i in patterns[:8]]),
+        )
     needs = col_max < scale_threshold
     if not needs.any():
         return None
-    if guard is not None:
-        zero = needs & (col_max <= 0.0)
-        if zero.any():
-            patterns = np.flatnonzero(zero)
-            raise guard.fail(
-                "clv_zero_column",
-                f"pattern column(s) went entirely zero at node "
-                f"{parent} — underflow past rescue or data "
-                f"impossible under the current parameters",
-                node=int(parent),
-                patterns=str([int(i) for i in patterns[:8]]),
-            )
-    safe = np.where(needs & (col_max > 0.0), col_max, 1.0)
+    zero = needs & (col_max <= 0.0)
+    if zero.any():
+        patterns = np.flatnonzero(zero)
+        raise guard.fail(
+            "clv_zero_column",
+            f"pattern column(s) went entirely zero at node "
+            f"{parent} — underflow past rescue or data "
+            f"impossible under the current parameters",
+            node=int(parent),
+            patterns=str([int(i) for i in patterns[:8]]),
+        )
+    safe = np.where(needs, col_max, 1.0)
     node_clv /= safe[None, :]
-    with np.errstate(divide="ignore"):
-        return np.where(safe != 1.0, np.log(safe), 0.0)
+    return np.log(safe)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +366,7 @@ def _complete_from_children(
     parent: int,
     kids: Sequence[int],
     scale_threshold: float,
-    guard: Optional[PruningGuard],
+    guard: PruningGuard,
 ) -> None:
     """Rebuild a node's CLV from stored contributions (row order) and rescale."""
     node_clv = state.contributions[kids[0]].copy(order="K")
@@ -387,8 +383,8 @@ def prune_site_class_batched(
     transition_factory: TransitionFactory,
     propagate_level: LevelPropagator,
     state: PruningState,
+    guard: PruningGuard,
     scale_threshold: float = SCALE_THRESHOLD,
-    guard: Optional[PruningGuard] = None,
     dirty: Optional[Set[int]] = None,
     on_reuse: Optional[Callable[[np.ndarray], None]] = None,
 ) -> PruningResult:
@@ -410,7 +406,7 @@ def prune_site_class_batched(
         full pass; a ready one is updated in place along the paths from
         ``dirty`` to the root.
     guard:
-        Optional :class:`~repro.core.recovery.PruningGuard` checking each
+        The :class:`~repro.core.recovery.PruningGuard` checking each
         completed node's CLV (see :func:`_complete_node`).
     dirty:
         With a ready ``state``: the child-node indices of branches whose

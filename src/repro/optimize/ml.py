@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from repro.core.engine import BoundLikelihood
-from repro.core.recovery import FitDiagnostics, NumericalEvent, RecoveryPolicy
+from repro.core.recovery import MAX_RESTARTS, FitDiagnostics, NumericalEvent, perturb_start
 from repro.models.base import CodonSiteModel
 from repro.models.parameters import _X_CLIP
 from repro.optimize.bfgs import OptimizeResult, minimize_bfgs
@@ -157,7 +157,6 @@ def fit_model(
     seed: RngLike = None,
     callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
     fixed_params: Optional[set] = None,
-    recovery: Optional[RecoveryPolicy] = None,
     incremental: Optional[bool] = None,
 ) -> FitResult:
     """Maximise the likelihood of ``bound``'s model.
@@ -189,15 +188,6 @@ def fit_model(
         (CodeML's ``fix_kappa``-style options).  Only
         ``kappa``/``omega``/``omega0``/``omega2`` can be fixed; the
         proportion pair shares packed coordinates and cannot.
-    recovery:
-        Optional :class:`~repro.core.recovery.RecoveryPolicy`.  When set,
-        the fit restarts from seeded perturbed start points on a
-        non-finite objective at the start, on a line search that
-        collapses before the first step, and on a converged fit whose
-        model parameters are parked on their transform walls; the best
-        optimum across attempts is kept and every trigger lands on
-        ``FitResult.diagnostics``.  ``None`` (default) reproduces the
-        historical single-attempt behaviour bit-for-bit.
     incremental:
         ``True``/``False`` overrides the binding's incremental-evaluation
         setting for this fit (flipping it drops any cached CLV state);
@@ -206,6 +196,14 @@ def fit_model(
         carry per-coordinate structure hints so a branch-length probe
         re-prunes only that branch's root path; model-parameter probes
         invalidate everything, so results stay bit-identical.
+
+    The fit restarts — up to :data:`~repro.core.recovery.MAX_RESTARTS`
+    times, from start points perturbed with the fit's own seeded RNG —
+    on a non-finite objective at the start, on a line search that
+    collapses before the first step, and on a fit whose model parameters
+    are parked on their transform walls.  The best optimum across
+    attempts is kept and every trigger lands on ``FitResult.diagnostics``;
+    a healthy fit runs one attempt, bit-identical to a plain BFGS run.
 
     Returns
     -------
@@ -315,98 +313,86 @@ def fit_model(
         return flags
 
     diagnostics = FitDiagnostics()
-    recorder = getattr(bound.engine, "events", None)
-    events_mark = recorder.mark() if recorder is not None else 0
+    recorder = bound.engine.events
+    events_mark = recorder.mark()
 
     start_time = time.perf_counter()
-    if recovery is None:
-        opt = _minimize(free_x0)
-    else:
-        # Seeded restart loop: every perturbation draws from the fit's
-        # own RNG, so recovery is reproducible from the master seed.
-        best: Optional[OptimizeResult] = None
-        attempts: list = []
-        x_start = free_x0
-        while True:
-            f_start = objective(x_start)
-            if not np.isfinite(f_start):
-                diagnostics.events.append(
-                    NumericalEvent(
-                        "nonfinite_start",
-                        "optimizer",
-                        f"objective = {f_start} at the start point",
-                        {"restart": diagnostics.restarts},
-                    )
+    # Seeded restart loop: every perturbation draws from the fit's own
+    # RNG, so recovery is reproducible from the master seed.
+    best: Optional[OptimizeResult] = None
+    attempts: list = []
+    x_start = free_x0
+    while True:
+        f_start = objective(x_start)
+        if not np.isfinite(f_start):
+            diagnostics.events.append(
+                NumericalEvent(
+                    "nonfinite_start",
+                    "optimizer",
+                    f"objective = {f_start} at the start point",
+                    {"restart": diagnostics.restarts},
                 )
-                if diagnostics.restarts >= recovery.max_restarts:
-                    if best is not None:
-                        break
-                    raise ValueError(
-                        "objective is not finite at the start point "
-                        f"(after {diagnostics.restarts} restarts)"
-                    )
-                diagnostics.restarts += 1
-                diagnostics.events.append(
-                    NumericalEvent(
-                        "optimizer_restart",
-                        "optimizer",
-                        "non-finite start",
-                        {"restart": diagnostics.restarts},
-                    )
-                )
-                x_start = recovery.perturb(free_x0, rng)
-                continue
-            attempt = _minimize(x_start)
-            attempts.append(attempt)
-            if best is None or attempt.fun < best.fun:
-                best = attempt
-            collapsed = (
-                attempt.line_search_failed
-                and attempt.n_iterations == 0
-                and recovery.restart_on_line_search_collapse
             )
-            parked = _parked_params(_expand(attempt.x))
-            if (
-                not (collapsed or parked)
-                or diagnostics.restarts >= recovery.max_restarts
-            ):
-                break
+            if diagnostics.restarts >= MAX_RESTARTS:
+                if best is not None:
+                    break
+                raise ValueError(
+                    "objective is not finite at the start point "
+                    f"(after {diagnostics.restarts} restarts)"
+                )
             diagnostics.restarts += 1
             diagnostics.events.append(
                 NumericalEvent(
                     "optimizer_restart",
                     "optimizer",
-                    "line search collapsed before the first step"
-                    if collapsed
-                    else "parameters parked at bounds: " + ",".join(parked),
+                    "non-finite start",
                     {"restart": diagnostics.restarts},
                 )
             )
-            x_start = recovery.perturb(free_x0, rng)
-        assert best is not None
-        # Attribute the *total* work across attempts to the kept optimum
-        # so Table-III-style accounting reflects what was actually spent.
-        best.n_iterations = sum(a.n_iterations for a in attempts)
-        best.n_evaluations = sum(a.n_evaluations for a in attempts)
-        opt = best
+            x_start = perturb_start(free_x0, rng)
+            continue
+        attempt = _minimize(x_start)
+        attempts.append(attempt)
+        if best is None or attempt.fun < best.fun:
+            best = attempt
+        collapsed = attempt.line_search_failed and attempt.n_iterations == 0
+        parked = _parked_params(_expand(attempt.x))
+        if not (collapsed or parked) or diagnostics.restarts >= MAX_RESTARTS:
+            break
+        diagnostics.restarts += 1
+        diagnostics.events.append(
+            NumericalEvent(
+                "optimizer_restart",
+                "optimizer",
+                "line search collapsed before the first step"
+                if collapsed
+                else "parameters parked at bounds: " + ",".join(parked),
+                {"restart": diagnostics.restarts},
+            )
+        )
+        x_start = perturb_start(free_x0, rng)
+    assert best is not None
+    # Attribute the *total* work across attempts to the kept optimum so
+    # Table-III-style accounting reflects what was actually spent.
+    best.n_iterations = sum(a.n_iterations for a in attempts)
+    best.n_evaluations = sum(a.n_evaluations for a in attempts)
+    opt = best
     runtime = time.perf_counter() - start_time
 
-    if recovery is not None or recorder is not None:
-        parked = _parked_params(_expand(opt.x))
-        if optimize_branch_lengths:
-            k = model.n_params
-            logs = _expand(opt.x)[k:]
-            lo = math.log(_MIN_BRANCH)
-            for j, v in enumerate(logs):
-                if v <= lo or v >= _MAX_LOG_BRANCH:
-                    parked.append(f"branch[{j}]")
-        if parked:
-            diagnostics.boundary_flags = parked
-            diagnostics.events.append(
-                NumericalEvent("boundary_parked", "optimizer", ",".join(parked))
-            )
-        if recorder is not None:
-            diagnostics.events.extend(recorder.since(events_mark))
+    parked = _parked_params(_expand(opt.x))
+    if optimize_branch_lengths:
+        k = model.n_params
+        logs = _expand(opt.x)[k:]
+        lo = math.log(_MIN_BRANCH)
+        for j, v in enumerate(logs):
+            if v <= lo or v >= _MAX_LOG_BRANCH:
+                parked.append(f"branch[{j}]")
+    if parked:
+        diagnostics.boundary_flags = parked
+        diagnostics.events.append(
+            NumericalEvent("boundary_parked", "optimizer", ",".join(parked))
+        )
+    diagnostics.events.extend(recorder.since(events_mark))
 
     values, lengths = _unpack_full(model, _expand(opt.x), fixed_lengths, optimize_branch_lengths)
     return FitResult(

@@ -44,7 +44,7 @@ from repro.alignment.msa import CodonAlignment
 from repro.alignment.patterns import PatternAlignment, compress_patterns
 from repro.codon.frequencies import estimate_codon_frequencies
 from repro.core.engine import make_engine
-from repro.core.recovery import FitDiagnostics, RecoveryConfig, RecoveryPolicy
+from repro.core.recovery import FitDiagnostics
 from repro.io.results_io import ResultJournal
 from repro.models.registry import resolve_model_spec
 from repro.optimize.lrt import LRTResult, holm_correction, likelihood_ratio_test
@@ -131,8 +131,8 @@ class GeneResult:
     worker: Optional[str] = None
     #: Combined H0+H1 numerical diagnostics as a JSON dict (see
     #: :meth:`repro.core.recovery.FitDiagnostics.to_dict`), with boundary
-    #: flags prefixed ``h0:``/``h1:``.  ``None`` = clean fit or recovery
-    #: disabled — nothing fired.
+    #: flags prefixed ``h0:``/``h1:``.  ``None`` = clean fit, nothing
+    #: fired.
     diagnostics: Optional[Dict] = None
     #: Incremental-evaluation counters (``{"propagations": n, "reuses": m}``)
     #: when the worker ran with dirty-path CLV caching; ``None`` otherwise.
@@ -149,8 +149,8 @@ class GeneResult:
     model: Optional[str] = None
     #: Per-rung operator-build counts from the worker engine's recovery
     #: ladder (``{"evr": n, "pade": m, "uniformization": k}``, see
-    #: ``LikelihoodEngine.rung_usage``).  ``None`` when recovery was off
-    #: or on pre-v7 journal records.
+    #: ``LikelihoodEngine.rung_usage``).  ``None`` on failed tasks and on
+    #: journal records written without the field.
     rung_usage: Optional[Dict[str, int]] = None
     #: Stochastic substitution-mapping payload
     #: (:meth:`repro.likelihood.mapping.SubstitutionMapping.to_payload`),
@@ -164,6 +164,10 @@ class GeneResult:
     #: re-fitting.  ``None`` otherwise (the default: journals stay
     #: lean).
     h1_mles: Optional[Dict] = None
+    #: Whether each hypothesis' fit converged (``{"h0": bool, "h1":
+    #: bool}``); ``None`` on failed tasks and on pre-v9 journal records
+    #: (unknown).
+    converged: Optional[Dict[str, bool]] = None
 
     @property
     def failed(self) -> bool:
@@ -173,6 +177,15 @@ class GeneResult:
     def recovered(self) -> bool:
         """True when any numerical recovery machinery fired for this gene."""
         return self.diagnostics is not None
+
+    @property
+    def unconverged(self) -> List[str]:
+        """Hypotheses (``"H0"``/``"H1"``) whose fit did not converge.
+
+        Empty when both converged or when convergence is unknown.
+        """
+        flags = self.converged or {}
+        return [key.upper() for key in ("h0", "h1") if flags.get(key) is False]
 
     @classmethod
     def from_failure(cls, failure: TaskFailure, worker: Optional[str] = None) -> "GeneResult":
@@ -236,7 +249,6 @@ def _run_mapping(bind, spec, test, map_samples: Optional[int], seed) -> Optional
 def _assemble_result(gene_id: str, test, engine, incremental: bool,
                      setup_seconds: float = 0.0,
                      model: Optional[str] = None,
-                     recover: bool = False,
                      mapping: Optional[Dict] = None,
                      keep_mles: bool = False) -> GeneResult:
     clv_stats = None
@@ -246,9 +258,6 @@ def _assemble_result(gene_id: str, test, engine, incremental: bool,
             "propagations": int(stats["clv_propagations"]),
             "reuses": int(stats["clv_reuses"]),
         }
-    rung_usage = None
-    if recover and engine.rung_usage:
-        rung_usage = {k: int(v) for k, v in engine.rung_usage.items()}
     h1_mles = None
     if keep_mles:
         h1_mles = {
@@ -268,16 +277,16 @@ def _assemble_result(gene_id: str, test, engine, incremental: bool,
         clv_stats=clv_stats,
         setup_seconds=setup_seconds,
         model=model,
-        rung_usage=rung_usage,
+        rung_usage={k: int(v) for k, v in engine.rung_usage.items()},
         mapping=mapping,
         h1_mles=h1_mles,
+        converged={"h0": bool(test.h0.converged), "h1": bool(test.h1.converged)},
     )
 
 
 def _build_shared_context(
     pending: Sequence["GeneJob"],
     engine: str,
-    recover: bool,
     incremental: bool,
     max_iterations: int,
     model: Optional[str] = None,
@@ -330,7 +339,6 @@ def _build_shared_context(
         keys.append((ni, ai))
     context = {
         "engine": engine,
-        "recover": recover,
         "incremental": incremental,
         "max_iterations": max_iterations,
         "model": model,
@@ -368,8 +376,8 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     """Worker entry point (module-level so it pickles).
 
     ``payload`` is ``(gene_id, newick_idx, fg_node, aln_idx, seed)``;
-    everything batch-constant — engine choice, recovery/incremental
-    flags, iteration budget, trees, compressed alignments, codon
+    everything batch-constant — engine choice, incremental flag,
+    iteration budget, trees, compressed alignments, codon
     frequencies — comes from the one-shot ``context``.  Materialised
     patterns are cached in the context per worker process, so only the
     first task touching an alignment pays the (already cheap) rebuild;
@@ -391,27 +399,23 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     tree = parse_newick(context["newicks"][newick_idx])
     if fg_node is not None:
         tree.mark_foreground(tree.nodes[fg_node])
-    recover = bool(context["recover"])
     incremental = bool(context["incremental"])
     spec = resolve_model_spec(context.get("model"))  # absent in pre-spec contexts
     map_samples = context.get("map_samples")  # absent in pre-mapping contexts
     keep_mles = bool(context.get("keep_mles"))  # absent in pre-v8 contexts
-    engine = make_engine(
-        context["engine"], recovery=RecoveryConfig() if recover else None
-    )
+    engine = make_engine(context["engine"])
     bind = lambda model: engine.bind(tree, patterns, model, pi=pi,
                                      incremental=incremental)
     test = fit_branch_site_test(
         bind,
         seed=seed,
         max_iterations=int(context["max_iterations"]),
-        recovery=RecoveryPolicy() if recover else None,
         models=spec.pair(),
     )
     mapping = _run_mapping(bind, spec, test, map_samples, seed)
     return _assemble_result(gene_id, test, engine, incremental,
                             setup_seconds=setup, model=spec.spec,
-                            recover=recover, mapping=mapping,
+                            mapping=mapping,
                             keep_mles=keep_mles)
 
 
@@ -427,7 +431,6 @@ def analyze_genes(
     worker: Optional[Callable[[Tuple, Dict], GeneResult]] = None,
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
-    recover: bool = False,
     incremental: bool = True,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
@@ -467,13 +470,6 @@ def analyze_genes(
         *not* shut down, so e.g. one connected
         :class:`~repro.parallel.executors.sockets.SocketExecutor` fleet
         can serve a scan and then its journal resume.
-    recover:
-        Enable the numerical self-healing layer in each worker: engines
-        run with guarded decomposition/operators
-        (:class:`~repro.core.recovery.RecoveryConfig`) and fits restart
-        per :class:`~repro.core.recovery.RecoveryPolicy`; whatever fired
-        rides back on ``GeneResult.diagnostics``.  Off by default —
-        results are then bit-identical to the unguarded code.
     incremental:
         Dirty-path CLV caching in each worker (on by default;
         :meth:`LikelihoodEngine.bind` with ``incremental=True``): BFGS
@@ -496,6 +492,11 @@ def analyze_genes(
         Attach each task's H1 maximum-likelihood point to
         ``GeneResult.h1_mles`` so a coordinator can re-bind candidates
         after the scan (the survey's one-pass mapper).
+
+    Every worker runs the numerical self-healing layer (guarded
+    engines, seeded optimizer restarts); whatever fired rides back on
+    ``GeneResult.diagnostics`` and the ladder rungs that built each
+    task's operators on ``GeneResult.rung_usage``.
 
     Returns
     -------
@@ -525,7 +526,7 @@ def analyze_genes(
     # One broadcast context per batch, integer indices per task (see
     # module docstring).
     context, keys = _build_shared_context(
-        pending_jobs, engine, recover, incremental, max_iterations,
+        pending_jobs, engine, incremental, max_iterations,
         model=model, map_samples=map_samples, keep_mles=keep_mles,
     )
     payloads = [
@@ -621,6 +622,16 @@ class BranchScanResult:
         adjusted = holm_correction(raw)
         return [b for b, adj in zip(branches, adjusted) if adj < alpha]
 
+    def unconverged(self) -> Dict[str, List[str]]:
+        """Branch label → hypotheses (``"H0"``/``"H1"``) whose fit did not
+        converge, for every tested branch with at least one such fit."""
+        prefix = f"{self.gene_id}:"
+        return {
+            res.gene_id[len(prefix):]: res.unconverged
+            for res in self.gene_results
+            if res.unconverged and res.gene_id.startswith(prefix)
+        }
+
     def raise_on_failure(self) -> "BranchScanResult":
         """Opt back into the old fail-fast contract (first failure raises)."""
         if self.failures:
@@ -661,7 +672,6 @@ def scan_branches(
     worker: Optional[Callable] = None,
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
-    recover: bool = False,
     incremental: bool = True,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
@@ -702,7 +712,6 @@ def scan_branches(
         worker=worker,
         on_result=on_result,
         executor=executor,
-        recover=recover,
         incremental=incremental,
         model=model,
         map_samples=map_samples,

@@ -46,8 +46,8 @@ class BatchSummary:
     tasks_by_worker: Dict[str, int] = field(default_factory=dict)
     #: Worker identity → successful compute seconds it contributed.
     runtime_by_worker: Dict[str, float] = field(default_factory=dict)
-    #: Tasks whose numerical self-healing layer fired (recovery enabled
-    #: and at least one event/restart/boundary flag recorded).
+    #: Tasks whose numerical self-healing layer fired (at least one
+    #: event/restart/boundary flag recorded).
     n_recovered: int = 0
     #: ``gene_id`` of those tasks, for per-gene drill-down.
     recovered_ids: List[str] = field(default_factory=list)
@@ -68,8 +68,8 @@ class BatchSummary:
     #: the caller after the batch: bytes/frames split into the one-shot
     #: broadcast versus per-task traffic.  Empty = backend has no wire.
     wire: Dict[str, float] = field(default_factory=dict)
-    #: Ladder rung → operator builds it served, summed over tasks that
-    #: ran with recovery (``GeneResult.rung_usage``).
+    #: Ladder rung → operator builds it served, summed over tasks
+    #: (``GeneResult.rung_usage``).
     rungs_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Tasks that produced a substitution-mapping payload (``--map``).
     n_mapped: int = 0
@@ -81,6 +81,11 @@ class BatchSummary:
     #: Sampler wall clock summed over mapped tasks (payload ``seconds``;
     #: 0.0 on pre-v8 payloads that did not record it).
     total_mapping_seconds: float = 0.0
+    #: Successful tasks whose per-hypothesis convergence is known (pre-v9
+    #: journal records do not say), and those among them with an H0 or
+    #: H1 fit that did not converge.
+    n_convergence_known: int = 0
+    n_unconverged: int = 0
 
     @property
     def n_resumed(self) -> int:
@@ -133,6 +138,9 @@ class BatchSummary:
             self.failures_by_kind[kind] = self.failures_by_kind.get(kind, 0) + 1
         else:
             self.n_ok += 1
+            if getattr(result, "converged", None) is not None:
+                self.n_convergence_known += 1
+                self.n_unconverged += bool(result.unconverged)
             self.total_runtime_seconds += result.runtime_seconds
             self.total_iterations += result.iterations
             self.total_evaluations += result.n_evaluations
@@ -161,6 +169,11 @@ class BatchSummary:
             f"{self.total_iterations} optimizer iterations, "
             f"{self.total_evaluations} likelihood evaluations"
         )
+        if self.n_convergence_known:
+            lines.append(
+                f"unconverged: {self.n_unconverged}/{self.n_convergence_known} "
+                "tasks with an H0 or H1 fit stopped before convergence"
+            )
         applications = self.total_clv_propagations + self.total_clv_reuses
         if applications:
             pct = 100.0 * self.total_clv_reuses / applications

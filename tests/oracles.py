@@ -52,6 +52,7 @@ def prune_reference(
     guard: Optional[PruningGuard] = None,
 ) -> PruningResult:
     """One sequential post-order pass for a single site class."""
+    guard = guard if guard is not None else PruningGuard()
     if not branch_table:
         raise ValueError("cannot prune an empty branch table")
     n_patterns = leaf_clvs[0].shape[1]
@@ -102,7 +103,8 @@ def prune_levels(
         list(branch_table), schedule, leaf_clvs, transition_factory,
         lambda items: [propagate(op, clv) for op, clv in items],
         state if state is not None else PruningState.empty(n_nodes),
-        scale_threshold=scale_threshold, guard=guard, dirty=dirty, on_reuse=on_reuse,
+        guard if guard is not None else PruningGuard(),
+        scale_threshold=scale_threshold, dirty=dirty, on_reuse=on_reuse,
     )
 
 
@@ -131,12 +133,10 @@ def _reference_results(bound, values: Dict[str, float], branch_lengths=None):
     rows = [(c, p, float(lengths[pos]), fg) for c, p, pos, fg in bound._rows]
     results = []
     for cls in graph.nodes:
-        guard = None
-        if engine.recovery is not None:
-            guard = PruningGuard(
-                recorder=engine.events,
-                context={"site_class": cls.label, "engine": engine.name},
-            )
+        guard = PruningGuard(
+            recorder=engine.events,
+            context={"site_class": cls.label, "engine": engine.name},
+        )
         results.append(prune_reference(
             rows, bound._n_nodes, bound._leaf_clvs, factory_for(cls),
             engine._propagate, guard=guard,
@@ -274,3 +274,38 @@ def sample_mapping_serial(bound, values, **kwargs):
     """``sample_substitution_mapping`` drawn by :func:`sample_histories_serial`."""
     with serial_sampler():
         return mapping_mod.sample_substitution_mapping(bound, values, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Guard exercise
+# ----------------------------------------------------------------------
+#: Operator scale that trips the row-sum guards without any hard error:
+#: drift 1e-6 lies between ``ROW_SUM_TOL`` and ``ROW_SUM_ERROR``.
+NUDGE = 1.0 + 1e-6
+
+_SPECTRAL_KERNELS = (
+    "stacked_symmetric_operators",
+    "stacked_syrk_operators",
+    "symmetric_branch_matrix",
+    "transition_matrix_einsum",
+    "transition_matrix_syrk",
+)
+
+
+def nudge_operators(monkeypatch, factor: float = NUDGE) -> None:
+    """Scale every spectral branch operator the engines build by ``factor``.
+
+    Stacked and per-branch kernels are scaled alike, so a stack block
+    stays bit-equal to its per-branch operator and the driver/oracle
+    comparisons keep their meaning — but every operator now drifts from
+    stochasticity, so the guards act on all of them: P(t) rows are
+    renormalised (``pt_row_renormalized``) and symmetric operators have
+    their drift recorded (``pt_row_drift``).
+    """
+    import repro.core.engine as engine_mod
+
+    for name in _SPECTRAL_KERNELS:
+        real = getattr(engine_mod, name)
+        monkeypatch.setattr(
+            engine_mod, name, lambda *args, _real=real, **kwargs: _real(*args, **kwargs) * factor
+        )

@@ -19,13 +19,18 @@ from repro.core.expm import (
     transition_matrix_syrk,
 )
 from repro.core.flops import FlopCounter, blas_level, symm_flops, syrk_flops
-from repro.core.recovery import RecoveryConfig
+from repro.core.recovery import (
+    NumericalError,
+    NumericalEventRecorder,
+    guard_symmetric_operator,
+    guard_transition_matrix,
+)
 from repro.likelihood.pruning import (
     build_level_schedule,
     compute_recompute_rows,
 )
 from repro.trees.newick import parse_newick
-from tests.oracles import reference_class_matrix, reference_log_likelihood
+from tests.oracles import nudge_operators, reference_class_matrix, reference_log_likelihood
 
 ENGINE_NAMES = ("codeml", "slim", "slim-v2")
 
@@ -85,11 +90,14 @@ class TestOperatorSetViews:
 
     @pytest.mark.parametrize("engine_name", ["slim", "slim-v2"])
     @pytest.mark.parametrize("recover", [False, True])
-    def test_views_read_only_f_contiguous(self, decomp, engine_name, recover):
-        engine = make_engine(
-            engine_name, recovery=RecoveryConfig() if recover else None
-        )
+    def test_views_read_only_f_contiguous(self, decomp, engine_name, recover, monkeypatch):
+        # recover=True: every block drifts, so the guards act on (and, for
+        # P stacks, repair) the whole stack before it freezes.
+        if recover:
+            nudge_operators(monkeypatch)
+        engine = make_engine(engine_name)
         opset = engine.build_operator_set(decomp, TS)
+        assert len(engine.events) == (len(TS) if recover else 0)
         assert len(opset) == len(TS)
         n = decomp.n_states
         for t in TS:
@@ -111,8 +119,8 @@ class TestOperatorSetViews:
         # The recovery ladder guards (and may repair) operators *before*
         # the stack freezes; the public views must equal the guarded
         # per-branch operators bit for bit afterwards.
-        guarded = make_engine(engine_name, recovery=RecoveryConfig())
-        plain = make_engine(engine_name, recovery=RecoveryConfig())
+        guarded = make_engine(engine_name)
+        plain = make_engine(engine_name)
         opset = guarded.build_operator_set(decomp, TS)
         for t in TS:
             ref = self._operator_matrix(engine_name, plain._make_operator(decomp, t))
@@ -123,6 +131,98 @@ class TestOperatorSetViews:
         opset = make_engine("slim").build_operator_set(decomp, TS)
         with pytest.raises(KeyError):
             opset.view(0.123456)
+
+
+# ----------------------------------------------------------------------
+# Stack screen: one vectorised pass decides which blocks get a guard
+# ----------------------------------------------------------------------
+_RAW_STACK = {"slim": stacked_syrk_operators, "slim-v2": stacked_symmetric_operators}
+
+
+def _guard_each_view(engine_name, stack, decomp):
+    """The per-operator reference: guard every block, in order."""
+    recorder = NumericalEventRecorder()
+    n = decomp.n_states
+    for b, t in enumerate(TS):
+        view = stack[:, b * n : (b + 1) * n]
+        if engine_name == "slim":
+            guard_transition_matrix(view, recorder, t=t, engine=engine_name)
+        else:
+            guard_symmetric_operator(view, decomp.pi, recorder, t=t, engine=engine_name)
+    return recorder
+
+
+def _screened(engine_name, stack, decomp, monkeypatch):
+    """``build_operator_set`` over a given (possibly damaged) raw stack."""
+    engine = make_engine(engine_name)
+    monkeypatch.setattr(engine, "_build_operator_stack", lambda d, ts: stack)
+    return engine, engine.build_operator_set(decomp, TS)
+
+
+def _events(recorder):
+    return [event.to_dict() for event in recorder]
+
+
+class TestStackScreen:
+    @pytest.mark.parametrize("engine_name", ["slim", "slim-v2"])
+    def test_screened_stack_is_the_raw_stack(self, decomp, engine_name):
+        # Guards never perturb healthy numbers: the screened, frozen
+        # stack equals the raw stacked builder's output bit for bit.
+        engine = make_engine(engine_name)
+        opset = engine.build_operator_set(decomp, TS)
+        np.testing.assert_array_equal(opset.stack, _RAW_STACK[engine_name](decomp, TS))
+        assert len(engine.events) == 0
+
+    @pytest.mark.parametrize("engine_name", ["slim", "slim-v2"])
+    def test_flagged_blocks_match_per_operator_guarding(
+        self, decomp, engine_name, monkeypatch
+    ):
+        n = decomp.n_states
+        damaged = np.array(_RAW_STACK[engine_name](decomp, TS), order="F")
+        damaged[:, 2 * n : 3 * n] *= 1.0 + 1e-6  # past ROW_SUM_TOL, within repair
+        if engine_name == "slim":
+            damaged[3, 7] = -1e-10  # tiny negative in P(0) = I: clamped
+        reference = damaged.copy(order="F")
+        expected = _guard_each_view(engine_name, reference, decomp)
+        engine, opset = _screened(engine_name, damaged, decomp, monkeypatch)
+        assert _events(engine.events) == _events(expected)
+        assert len(engine.events) == (2 if engine_name == "slim" else 1)
+        # Same repairs: the frozen stack and every view equal the
+        # per-operator guarded blocks.
+        np.testing.assert_array_equal(opset.stack, reference)
+        for b, t in enumerate(TS):
+            view = opset.view(t)
+            view = view[0] if engine_name == "slim-v2" else view
+            np.testing.assert_array_equal(view, reference[:, b * n : (b + 1) * n])
+
+    @pytest.mark.parametrize("engine_name", ["slim", "slim-v2"])
+    def test_unrepairable_block_raises_like_per_operator_guarding(
+        self, decomp, engine_name, monkeypatch
+    ):
+        n = decomp.n_states
+        damaged = np.array(_RAW_STACK[engine_name](decomp, TS), order="F")
+        damaged[:, 1 * n : 2 * n] *= 1.0 + 1e-6
+        damaged[:, 3 * n : 4 * n] *= 1.5  # beyond ROW_SUM_ERROR
+        with pytest.raises(NumericalError) as want:
+            _guard_each_view(engine_name, damaged.copy(order="F"), decomp)
+        engine = make_engine(engine_name)
+        monkeypatch.setattr(engine, "_build_operator_stack", lambda d, ts: damaged)
+        with pytest.raises(NumericalError) as got:
+            engine.build_operator_set(decomp, TS)
+        assert str(got.value) == str(want.value)
+        assert got.value.context == want.value.context
+        kinds = [event.kind for event in engine.events]
+        assert kinds[-1] == "pt_invalid" and len(kinds) == 2
+
+    def test_nonfinite_block_is_flagged(self, decomp, monkeypatch):
+        n = decomp.n_states
+        damaged = np.array(stacked_symmetric_operators(decomp, TS), order="F")
+        damaged[5, 5 * n + 5] = np.nan
+        engine = make_engine("slim-v2")
+        monkeypatch.setattr(engine, "_build_operator_stack", lambda d, ts: damaged)
+        with pytest.raises(NumericalError, match="non-finite"):
+            engine.build_operator_set(decomp, TS)
+        assert [event.kind for event in engine.events] == ["pt_invalid"]
 
 
 # ----------------------------------------------------------------------
@@ -183,13 +283,17 @@ class TestLevelSchedule:
 @pytest.mark.parametrize("incremental", [False, True])
 @pytest.mark.parametrize("recover", [False, True])
 def test_batched_bitwise_identical(
-    engine_name, incremental, recover, small_tree, small_sim, h1_model, bsm_values
+    engine_name, incremental, recover, small_tree, small_sim, h1_model, bsm_values,
+    monkeypatch,
 ):
+    # recover=False: the guarded driver on clean operators (no guard
+    # fires); recover=True: every operator drifts, so the guards repair
+    # or record on both sides of the comparison.
+    if recover:
+        nudge_operators(monkeypatch)
+
     def build():
-        engine = make_engine(
-            engine_name, recovery=RecoveryConfig() if recover else None
-        )
-        return engine.bind(
+        return make_engine(engine_name).bind(
             small_tree, small_sim.alignment, h1_model, incremental=incremental
         )
 
@@ -212,6 +316,8 @@ def test_batched_bitwise_identical(
             bsm_values, probe, touched=(1,)
         )
         assert reference_log_likelihood(ref, bsm_values) == ba.log_likelihood(bsm_values)
+    assert (len(ba.engine.events) > 0) == recover
+    assert (len(ref.engine.events) > 0) == recover
 
 
 def test_batched_site_class_matrix_identical(small_tree, small_sim, h1_model, bsm_values):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import make_engine
-from repro.core.recovery import RecoveryConfig
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.bsrel import BSRELModel
 from repro.models.parameters import (
@@ -23,7 +22,7 @@ from repro.models.parameters import (
 from repro.models.registry import resolve_model_spec
 
 from .conftest import ENGINE_NAMES
-from .oracles import reference_log_likelihood
+from .oracles import nudge_operators, reference_log_likelihood
 
 #: Model A values mapped onto the bsrel:2 parameter names.
 def _bsrel2_values(bsm_values):
@@ -147,9 +146,8 @@ class TestModelABitIdentity:
     """bsrel:2 ≡ model A: exact float lnL equality, every evaluation mode."""
 
     def _bind_pair(self, engine_name, small_tree, small_sim, **bind_kwargs):
-        recovery = bind_kwargs.pop("recovery", None)
-        engine_a = make_engine(engine_name, recovery=recovery)
-        engine_b = make_engine(engine_name, recovery=recovery)
+        engine_a = make_engine(engine_name)
+        engine_b = make_engine(engine_name)
         bound_a = engine_a.bind(
             small_tree, small_sim.alignment, BranchSiteModelA(), **bind_kwargs
         )
@@ -187,13 +185,14 @@ class TestModelABitIdentity:
             bound_b, _bsrel2_values(bsm_values)
         )
 
-    def test_recovery_layer(self, engine_name, small_tree, small_sim, bsm_values):
-        bound_a, bound_b = self._bind_pair(
-            engine_name, small_tree, small_sim, recovery=RecoveryConfig()
-        )
+    def test_recovery_layer(self, engine_name, small_tree, small_sim, bsm_values, monkeypatch):
+        # Every operator drifts, so the guards act on each build.
+        nudge_operators(monkeypatch)
+        bound_a, bound_b = self._bind_pair(engine_name, small_tree, small_sim)
         assert bound_a.log_likelihood(bsm_values) == bound_b.log_likelihood(
             _bsrel2_values(bsm_values)
         )
+        assert len(bound_a.engine.events) > 0 and len(bound_b.engine.events) > 0
 
     def test_site_class_matrix_identical(self, engine_name, small_tree, small_sim, bsm_values):
         bound_a, bound_b = self._bind_pair(engine_name, small_tree, small_sim)

@@ -1,6 +1,10 @@
 """CLI end-to-end on tiny inputs."""
 
+import re
+
+import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.cli import build_parser, main
 
@@ -85,6 +89,59 @@ class TestRun:
         assert "engine: codeml" in capsys.readouterr().out
 
 
+class TestGuardedByDefault:
+    def test_no_recover_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["scan", "--seqfile", "a", "--treefile", "b", "--no-recover"])
+        assert exc_info.value.code == 2
+        assert "--no-recover" in capsys.readouterr().err
+
+    def test_run_reports_what_the_ladder_did(self, tiny_dataset, capsys, monkeypatch):
+        real_eigh = scipy.linalg.eigh
+
+        def flaky(a, *args, **kwargs):
+            if kwargs.get("driver") == "evr":
+                raise np.linalg.LinAlgError("injected evr failure")
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", flaky)
+        rc = main(
+            [
+                "run",
+                "--seqfile", str(tiny_dataset) + ".phy",
+                "--treefile", str(tiny_dataset) + ".nwk",
+                "--max-iterations", "2",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        block = out.split("numerical recovery (per hypothesis):\n", 1)[1]
+        assert re.search(r"^  H0: .*eigh_fallbackx\d+", block, flags=re.M)
+        assert re.search(r"^  H1: .*eigh_fallbackx\d+", block, flags=re.M)
+        # Report readers take "  name = value" lines for H1 parameters;
+        # the recovery block must never look like one.
+        assert not re.search(r"^  \w+\s+= \S+$", block, flags=re.M)
+
+    def test_survey_marks_every_unconverged_row(self, tmp_path, capsys):
+        assert main(["datasets", "--outdir", str(tmp_path), "--only", "iii"]) == 0
+        rc = main(
+            [
+                "scan",
+                "--seqfile", str(tmp_path / "dataset_iii.phy"),
+                "--treefile", str(tmp_path / "dataset_iii.nwk"),
+                "--internal-only", "--survey", "--max-iterations", "1", "--quiet",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        table = out.split("p (Holm)", 1)[1].split("\n\n", 1)[0]
+        rows = table.strip().splitlines()[1:]
+        assert len(rows) == 22
+        assert all(row.endswith("[not converged: H0+H1]") for row in rows)
+        assert "22 of 22 rows marked [not converged]" in out
+        assert "unconverged: 22/22 tasks" in out
+
+
 class TestScan:
     def _argv(self, tiny_dataset, *extra):
         return [
@@ -103,6 +160,15 @@ class TestScan:
         assert "branch scan" in out
         assert "p (chi2_1)" in out
         assert "tasks" in out and "likelihood evaluations" in out  # summary block
+
+    def test_scan_table_marks_unconverged_rows(self, tiny_dataset, capsys):
+        # One optimizer iteration: no fit converges, every row is marked.
+        rc = main(self._argv(tiny_dataset))
+        assert rc == 0
+        out = capsys.readouterr().out
+        rows = [line for line in out.splitlines() if line.startswith("node#")]
+        assert rows and all("[not converged: H0+H1]" in row for row in rows)
+        assert f"unconverged: {len(rows)}/{len(rows)} tasks" in out
 
     def test_scan_survey_mode(self, tiny_dataset, capsys):
         rc = main(self._argv(tiny_dataset, "--survey"))

@@ -15,7 +15,6 @@ from repro.core.engine import (
     make_engine,
 )
 from repro.core.flops import FlopCounter
-from repro.core.recovery import RecoveryConfig
 
 ENGINE_NAMES = ("codeml", "slim", "slim-v2")
 
@@ -193,13 +192,13 @@ class TestCachingAndAccounting:
 
 @pytest.mark.parametrize("name", ENGINE_NAMES)
 def test_dropped_engine_freed_by_refcount(name):
-    # A scan builds one engine per task with recovery on; nothing may tie
+    # A scan builds one (guarded) engine per task; nothing may tie
     # the engine into a reference cycle, or every finished task's engine
     # (and its caches) would live until a gen-2 collection.
     gc.collect()
     gc.disable()
     try:
-        engine = make_engine(name, recovery=RecoveryConfig())
+        engine = make_engine(name)
         ref = weakref.ref(engine)
         del engine
         assert ref() is None

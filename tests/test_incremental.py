@@ -15,11 +15,16 @@ from repro.codon.matrix import build_rate_matrix
 from repro.core.eigen import decompose
 from repro.core.engine import make_engine
 from repro.core.expm import transition_matrix_syrk
-from repro.core.recovery import RecoveryConfig, RecoveryPolicy
 from repro.likelihood.pruning import PruningState, build_leaf_clvs
 from repro.optimize.ml import fit_model
 from repro.trees.newick import parse_newick
-from tests.oracles import prune_levels, prune_reference
+from tests.oracles import (
+    nudge_operators,
+    prune_levels,
+    prune_reference,
+    reference_class_matrix,
+    reference_log_likelihood,
+)
 
 ENGINE_NAMES = ("codeml", "slim", "slim-v2")
 
@@ -203,12 +208,21 @@ def _update_sequence(lengths, values, rng, steps=8):
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 @pytest.mark.parametrize("recover", [False, True], ids=["plain", "recover"])
 class TestEngineBitIdentity:
+    """Incremental == full re-pruning, exactly.
+
+    ``plain``: clean operators, and the full side is also pinned to the
+    per-branch oracle; ``recover``: every operator drifts, so the guards
+    repair or record on every build (``tests.oracles.nudge_operators``).
+    """
+
     def test_randomized_updates_bit_identical(
-        self, engine_name, recover, small_tree, small_sim, h1_model, bsm_values
+        self, engine_name, recover, small_tree, small_sim, h1_model, bsm_values,
+        monkeypatch,
     ):
-        kwargs = {"recovery": RecoveryConfig()} if recover else {}
-        eng_full = make_engine(engine_name, **kwargs)
-        eng_inc = make_engine(engine_name, **kwargs)
+        if recover:
+            nudge_operators(monkeypatch)
+        eng_full = make_engine(engine_name)
+        eng_inc = make_engine(engine_name)
         b_full = eng_full.bind(small_tree, small_sim.alignment, h1_model)
         b_inc = eng_inc.bind(
             small_tree, small_sim.alignment, h1_model, incremental=True
@@ -222,15 +236,20 @@ class TestEngineBitIdentity:
             else:
                 b = b_inc.log_likelihood(values, L, touched=touched)
             assert a == b  # exact float equality, not approx
+            if not recover:
+                assert a == reference_log_likelihood(b_full, values, L)
         assert eng_inc.clv_reuses > 0
         assert eng_inc.clv_propagations < eng_full.clv_propagations
+        assert (len(eng_inc.events) > 0) == recover
 
     def test_site_class_matrix_bit_identical(
-        self, engine_name, recover, small_tree, small_sim, h0_model, bsm_values
+        self, engine_name, recover, small_tree, small_sim, h0_model, bsm_values,
+        monkeypatch,
     ):
-        kwargs = {"recovery": RecoveryConfig()} if recover else {}
-        eng_full = make_engine(engine_name, **kwargs)
-        eng_inc = make_engine(engine_name, **kwargs)
+        if recover:
+            nudge_operators(monkeypatch)
+        eng_full = make_engine(engine_name)
+        eng_inc = make_engine(engine_name)
         b_full = eng_full.bind(small_tree, small_sim.alignment, h0_model)
         b_inc = eng_inc.bind(
             small_tree, small_sim.alignment, h0_model, incremental=True
@@ -245,6 +264,10 @@ class TestEngineBitIdentity:
         m_inc, p_inc = b_inc.site_class_matrix(values, bumped)
         np.testing.assert_array_equal(m_full, m_inc)
         np.testing.assert_array_equal(p_full, p_inc)
+        if not recover:
+            m_ref, _ = reference_class_matrix(b_full, values, bumped)
+            np.testing.assert_array_equal(m_full, m_ref)
+        assert (len(eng_inc.events) > 0) == recover
 
 
 class TestEngineSemantics:
@@ -360,12 +383,12 @@ def test_fit_model_incremental_override_toggles_binding(
 
 
 def test_fit_model_incremental_with_recovery(small_tree, small_sim, h1_model):
-    eng_full = make_engine("slim", recovery=RecoveryConfig())
-    eng_inc = make_engine("slim", recovery=RecoveryConfig())
+    eng_full = make_engine("slim")
+    eng_inc = make_engine("slim")
     b_full = eng_full.bind(small_tree, small_sim.alignment, h1_model)
     b_inc = eng_inc.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
-    fit_full = fit_model(b_full, seed=3, max_iterations=5, recovery=RecoveryPolicy())
-    fit_inc = fit_model(b_inc, seed=3, max_iterations=5, recovery=RecoveryPolicy())
+    fit_full = fit_model(b_full, seed=3, max_iterations=5)
+    fit_inc = fit_model(b_inc, seed=3, max_iterations=5)
     assert fit_full.lnl == fit_inc.lnl
     assert fit_full.n_evaluations == fit_inc.n_evaluations
 

@@ -3,8 +3,8 @@
 One fixture file per historical journal version (v2 added the header,
 v3 diagnostics, v4 clv_stats, v5 setup_seconds, v6 the model spec, v7
 rung_usage + the substitution-mapping payload, v8 the additive
-``mapping_ci``/``seconds``/``method`` mapping keys and ``h1_mles``)
-plus the current version; the tolerant reader must load every one of
+``mapping_ci``/``seconds``/``method`` mapping keys and ``h1_mles``, v9
+per-hypothesis ``converged``) plus the current version; the tolerant reader must load every one of
 them — that is the
 contract that lets a scan journalled by an old release resume on a new
 one.
@@ -20,7 +20,7 @@ import pytest
 from repro.io.results_io import JOURNAL_VERSION, ResultJournal
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data", "journals")
-VERSIONS = (2, 3, 4, 5, 6, 7, 8)
+VERSIONS = (2, 3, 4, 5, 6, 7, 8, 9)
 
 
 def _fixture(version):
@@ -122,6 +122,19 @@ class TestFixtureVersions:
         assert mapped.h1_mles["branch_lengths"] == [0.31, 0.05]
         assert by_id["gene1:F"].h1_mles is None
 
+    def test_v9_converged_survives(self):
+        by_id = {r.gene_id: r for r in ResultJournal(_fixture(9)).load()}
+        assert by_id["gene1:A"].converged == {"h0": True, "h1": False}
+        assert by_id["gene1:A"].unconverged == ["H1"]
+        assert by_id["gene1:F"].unconverged == []
+
+    @pytest.mark.parametrize("version", [v for v in VERSIONS if v < 9])
+    def test_older_versions_read_convergence_as_unknown(self, version):
+        # Pre-v9 journals never recorded convergence: unknown, not "converged".
+        for result in ResultJournal(_fixture(version)).load():
+            assert result.converged is None
+            assert result.unconverged == []
+
     @pytest.mark.parametrize("version", [v for v in VERSIONS if v < 6])
     def test_older_versions_default_model_to_none(self, version):
         # Pre-v6 journals never recorded the model: readers see None and
@@ -175,6 +188,7 @@ class TestForwardGuards:
         reloaded = ResultJournal(path).load()
         assert [r.gene_id for r in reloaded] == [r.gene_id for r in originals]
         assert [r.model for r in reloaded] == [r.model for r in originals]
+        assert [r.converged for r in reloaded] == [r.converged for r in originals]
         assert np.allclose(
             [r.lnl1 for r in reloaded], [r.lnl1 for r in originals]
         )

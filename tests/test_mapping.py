@@ -6,7 +6,6 @@ import pytest
 
 from repro.alignment.simulate import simulate_alignment
 from repro.core.engine import make_engine
-from repro.core.recovery import RecoveryConfig
 from repro.likelihood.mapping import (
     SubstitutionMapping,
     sample_substitution_mapping,
@@ -14,7 +13,7 @@ from repro.likelihood.mapping import (
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.m0 import M0Model
 from repro.trees.newick import parse_newick
-from tests.oracles import sample_mapping_serial
+from tests.oracles import nudge_operators, sample_mapping_serial
 
 M0_VALUES = {"kappa": 2.0, "omega": 0.5}
 BSA_VALUES = {"kappa": 2.2, "omega0": 0.2, "omega2": 4.0, "p0": 0.5, "p1": 0.3}
@@ -94,14 +93,15 @@ class TestBatchedSerialEquivalence:
 
     @pytest.mark.parametrize("engine_name", ("codeml", "slim", "slim-v2"))
     @pytest.mark.parametrize("recover", (False, True), ids=("plain", "recovery"))
-    def test_bit_identical_to_serial(self, engine_name, recover):
+    def test_bit_identical_to_serial(self, engine_name, recover, monkeypatch):
+        # recovery: every operator drifts, so the guards act on each one.
+        if recover:
+            nudge_operators(monkeypatch)
         tree = parse_newick("((A:0.2,B:0.1):0.08 #1,(C:0.15,D:0.12):0.05,E:0.3);")
         sim = simulate_alignment(
             tree, BranchSiteModelA(), BSA_VALUES, n_codons=30, seed=23
         )
-        engine = make_engine(
-            engine_name, recovery=RecoveryConfig() if recover else None
-        )
+        engine = make_engine(engine_name)
         bound = engine.bind(tree, sim.alignment, BranchSiteModelA())
         serial = sample_mapping_serial(bound, BSA_VALUES, n_samples=6, seed=11)
         batched = sample_substitution_mapping(bound, BSA_VALUES, n_samples=6, seed=11)
@@ -110,6 +110,7 @@ class TestBatchedSerialEquivalence:
         assert np.array_equal(serial.syn_var, batched.syn_var)
         assert np.array_equal(serial.nonsyn_var, batched.nonsyn_var)
         assert batched.to_payload()["method"] == "batched"
+        assert (len(engine.events) > 0) == recover
 
 
 class TestUncertainty:

@@ -77,12 +77,16 @@ class TestEngineInternals:
         # Symmetric reads: roughly half of the matrix per application.
         assert counter.matrix_reads["clv:dsymv"] < counter.by_operation["clv:dsymv"] / 2
 
-    def test_transition_cache_size_bound(self, small_tree, small_sim, h1_model, bsm_values):
+    def test_transition_cache_size_bound(
+        self, small_tree, small_sim, h1_model, bsm_values, monkeypatch
+    ):
+        import repro.core.engine as engine_mod
         from repro.core.eigen import DecompositionCache, PadeFallback
         from repro.core.engine import SlimEngine
 
         # Only Padé-built operators ride the LRU.
-        engine = SlimEngine(transition_cache_size=4)
+        monkeypatch.setattr(engine_mod, "TRANSITION_CACHE_SIZE", 4)
+        engine = SlimEngine()
         engine._decomp_cache = DecompositionCache(
             decomposer=lambda matrix, counter: PadeFallback(q=matrix.q, pi=matrix.pi)
         )

@@ -10,8 +10,8 @@ Covers the recovery subsystem top to bottom:
 * CLV checks in pruning (zero columns, non-finite values);
 * seeded optimizer restarts (non-finite start, line-search collapse);
 * batch scans: injected failures recover end-to-end with diagnostics in
-  the journal and summary, and bit-identity holds wherever recovery has
-  nothing to do.
+  the journal and summary, and the always-on guards leave healthy
+  likelihoods bit-identical to the bare kernels.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import scipy.linalg
 
 from repro.codon.matrix import build_rate_matrix
 from repro.core.eigen import PadeFallback, SpectralDecomposition, decompose, decompose_guarded
-from repro.core.engine import make_engine
+import repro.optimize.ml as ml_mod
+from repro.core.engine import LikelihoodEngine, SlimV2Engine, make_engine
 from repro.core.expm import transition_matrix_einsum, transition_matrix_scipy
 from repro.core.recovery import (
     FitDiagnostics,
@@ -32,8 +33,6 @@ from repro.core.recovery import (
     NumericalEvent,
     NumericalEventRecorder,
     PruningGuard,
-    RecoveryConfig,
-    RecoveryPolicy,
     guard_symmetric_operator,
     guard_transition_matrix,
 )
@@ -45,6 +44,13 @@ from tests.conftest import ENGINE_NAMES
 from tests.oracles import prune_levels
 
 REAL_EIGH = scipy.linalg.eigh
+
+
+def _bare_kernels(monkeypatch):
+    """Switch the operator guards off: no block flagged, no guard applied."""
+    for cls in (LikelihoodEngine, SlimV2Engine):
+        monkeypatch.setattr(cls, "_screen_stack", lambda self, stack, decomp: ())
+        monkeypatch.setattr(cls, "_guard_operator", lambda self, op, t: op)
 
 
 @pytest.fixture(scope="module")
@@ -144,44 +150,43 @@ class TestSpectralVsPade:
 # ----------------------------------------------------------------------
 class TestTransitionGuard:
     def setup_method(self):
-        self.config = RecoveryConfig()
         self.recorder = NumericalEventRecorder()
 
     def test_clean_matrix_untouched(self):
         p = np.array([[0.9, 0.1], [0.2, 0.8]])
         before = p.copy()
-        out = guard_transition_matrix(p, self.config, self.recorder, t=0.1)
+        out = guard_transition_matrix(p, self.recorder, t=0.1)
         assert out is p
         assert np.array_equal(p, before)  # bit-identical: no event, no edit
         assert len(self.recorder) == 0
 
     def test_tiny_negative_clamped(self):
         p = np.array([[-1e-10, 1.0 + 1e-10], [0.5, 0.5]])
-        guard_transition_matrix(p, self.config, self.recorder, t=0.1)
+        guard_transition_matrix(p, self.recorder, t=0.1)
         assert p[0, 0] == 0.0
         assert self.recorder.counts() == {"pt_negative_clamped": 1}
 
     def test_large_negative_is_hard_error(self):
         p = np.array([[-1e-3, 1.0 + 1e-3], [0.5, 0.5]])
         with pytest.raises(NumericalError):
-            guard_transition_matrix(p, self.config, self.recorder, t=0.1)
+            guard_transition_matrix(p, self.recorder, t=0.1)
         assert "pt_invalid" in self.recorder.counts()
 
     def test_row_drift_renormalized(self):
         p = np.array([[0.9, 0.1], [0.2, 0.8]]) * (1.0 + 1e-5)
-        guard_transition_matrix(p, self.config, self.recorder, t=0.1)
+        guard_transition_matrix(p, self.recorder, t=0.1)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert self.recorder.counts() == {"pt_row_renormalized": 1}
 
     def test_row_drift_beyond_repair_is_hard_error(self):
         p = np.array([[0.9, 0.1], [0.2, 0.8]]) * 1.5
         with pytest.raises(NumericalError):
-            guard_transition_matrix(p, self.config, self.recorder, t=0.1)
+            guard_transition_matrix(p, self.recorder, t=0.1)
 
     def test_nonfinite_is_hard_error(self):
         p = np.array([[np.nan, 1.0], [0.5, 0.5]])
         with pytest.raises(NumericalError) as exc_info:
-            guard_transition_matrix(p, self.config, self.recorder, t=2.5, engine="slim")
+            guard_transition_matrix(p, self.recorder, t=2.5, engine="slim")
         assert exc_info.value.context["t"] == 2.5
         assert exc_info.value.context["engine"] == "slim"
 
@@ -191,7 +196,7 @@ class TestSymmetricGuard:
         pi = np.array([0.5, 0.5])
         m = np.ones((2, 2))
         recorder = NumericalEventRecorder()
-        out = guard_symmetric_operator(m, pi, RecoveryConfig(), recorder, t=0.1)
+        out = guard_symmetric_operator(m, pi, recorder, t=0.1)
         assert out is m and len(recorder) == 0
 
     def test_drift_recorded_but_never_renormalized(self):
@@ -199,7 +204,7 @@ class TestSymmetricGuard:
         m = np.ones((2, 2)) * (1.0 + 1e-5)
         before = m.copy()
         recorder = NumericalEventRecorder()
-        guard_symmetric_operator(m, pi, RecoveryConfig(), recorder, t=0.1)
+        guard_symmetric_operator(m, pi, recorder, t=0.1)
         # Renormalising would break the symmetry dsymm relies on.
         assert np.array_equal(m, before)
         assert recorder.counts() == {"pt_row_drift": 1}
@@ -208,7 +213,7 @@ class TestSymmetricGuard:
         pi = np.array([0.5, 0.5])
         m = np.ones((2, 2)) * 1.5
         with pytest.raises(NumericalError):
-            guard_symmetric_operator(m, pi, RecoveryConfig(), None, t=0.1)
+            guard_symmetric_operator(m, pi, None, t=0.1)
 
 
 # ----------------------------------------------------------------------
@@ -239,13 +244,15 @@ class TestPruningGuards:
         assert "0" in exc_info.value.context["patterns"]
         assert recorder.counts() == {"clv_zero_column": 1}
 
-    def test_zero_column_without_guard_keeps_minus_inf(self):
+    def test_zero_column_raises_without_a_recorder(self):
+        # Pruning is always guarded: even a guard with no recorder turns
+        # the zero column into a typed error, never a silent -inf.
         a = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.5], [0.0, 0.0]])
         b = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.5], [0.0, 0.0]])
-        result = _toy_pruning([a, b], guard=None)
-        logs = result.site_log_likelihoods(np.full(4, 0.25))
-        assert logs[0] == -np.inf  # legacy behaviour preserved bit-for-bit
-        assert np.isfinite(logs[1])
+        with pytest.raises(NumericalError) as exc_info:
+            _toy_pruning([a, b], guard=PruningGuard())
+        assert exc_info.value.context["node"] == 2
+        assert exc_info.value.context["patterns"] == "[0]"
 
     def test_nonfinite_clv_raises(self):
         a = np.array([[np.nan, 1.0], [0.0, 0.0], [0.0, 0.5], [0.0, 0.0]])
@@ -331,7 +338,7 @@ def bound(small_tree, small_sim, h0_model):
 class TestRecoveryPolicy:
     def test_restart_recovers_poisoned_start(self, bound):
         poisoned = _PoisonedBound(bound, n_bad=1)
-        fit = fit_model(poisoned, seed=3, max_iterations=10, recovery=RecoveryPolicy())
+        fit = fit_model(poisoned, seed=3, max_iterations=10)
         assert np.isfinite(fit.lnl)
         assert fit.diagnostics.restarts == 1
         counts = fit.diagnostics.event_counts()
@@ -339,7 +346,9 @@ class TestRecoveryPolicy:
         assert counts["optimizer_restart"] == 1
         assert fit.diagnostics.recovered
 
-    def test_without_policy_poisoned_start_still_raises(self, bound):
+    def test_without_policy_poisoned_start_still_raises(self, bound, monkeypatch):
+        # No restart budget: a non-finite start point is a hard error.
+        monkeypatch.setattr(ml_mod, "MAX_RESTARTS", 0)
         with pytest.raises(ValueError, match="not finite at the start"):
             fit_model(_PoisonedBound(bound, n_bad=1), seed=3, max_iterations=10)
 
@@ -349,7 +358,6 @@ class TestRecoveryPolicy:
                 _PoisonedBound(bound, n_bad=1),
                 seed=3,
                 max_iterations=10,
-                recovery=RecoveryPolicy(),
             )
             for _ in range(2)
         ]
@@ -357,8 +365,8 @@ class TestRecoveryPolicy:
         assert np.array_equal(fits[0].branch_lengths, fits[1].branch_lengths)
 
     def test_collapse_then_budget_exhaustion_keeps_best(self, bound):
-        policy = RecoveryPolicy(max_restarts=3)
-        fit = fit_model(_CliffBound(bound), seed=3, max_iterations=10, recovery=policy)
+        assert ml_mod.MAX_RESTARTS == 3
+        fit = fit_model(_CliffBound(bound), seed=3, max_iterations=10)
         assert fit.lnl == 0.0  # the one finite optimum survives
         assert fit.diagnostics.restarts == 3
         kinds = fit.diagnostics.event_counts()
@@ -369,9 +377,11 @@ class TestRecoveryPolicy:
             if e.kind == "optimizer_restart"
         )
 
-    def test_healthy_fit_is_bit_identical_with_policy(self, bound):
+    def test_healthy_fit_is_bit_identical_with_policy(self, bound, monkeypatch):
+        recovered = fit_model(bound, seed=3, max_iterations=15)
+        # A single attempt with no restart budget is the plain BFGS fit.
+        monkeypatch.setattr(ml_mod, "MAX_RESTARTS", 0)
         plain = fit_model(bound, seed=3, max_iterations=15)
-        recovered = fit_model(bound, seed=3, max_iterations=15, recovery=RecoveryPolicy())
         assert plain.lnl == recovered.lnl
         assert np.array_equal(plain.branch_lengths, recovered.branch_lengths)
         assert plain.n_evaluations == recovered.n_evaluations
@@ -384,17 +394,16 @@ class TestRecoveryPolicy:
 class TestEngineBitIdentity:
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_recovery_enabled_is_bit_identical_on_clean_data(
-        self, name, small_tree, small_sim, h1_model, bsm_values
+        self, name, small_tree, small_sim, h1_model, bsm_values, monkeypatch
     ):
         lengths = np.asarray(
             [b[2] for b in small_tree.branch_table()], dtype=float
         )
-        plain = make_engine(name).bind(small_tree, small_sim.alignment, h1_model)
-        guarded = make_engine(name, recovery=RecoveryConfig()).bind(
-            small_tree, small_sim.alignment, h1_model
-        )
-        lnl_plain = plain.log_likelihood(bsm_values, lengths)
+        guarded = make_engine(name).bind(small_tree, small_sim.alignment, h1_model)
         lnl_guarded = guarded.log_likelihood(bsm_values, lengths)
+        _bare_kernels(monkeypatch)
+        plain = make_engine(name).bind(small_tree, small_sim.alignment, h1_model)
+        lnl_plain = plain.log_likelihood(bsm_values, lengths)
         assert lnl_plain == lnl_guarded
         assert len(guarded.engine.events) == 0
 
@@ -412,7 +421,7 @@ class TestEngineBitIdentity:
             raise np.linalg.LinAlgError("injected total failure")
 
         monkeypatch.setattr(scipy.linalg, "eigh", dead)
-        guarded = make_engine(name, recovery=RecoveryConfig()).bind(
+        guarded = make_engine(name).bind(
             small_tree, small_sim.alignment, h1_model
         )
         lnl_fallback = guarded.log_likelihood(bsm_values, lengths)
@@ -450,7 +459,7 @@ class TestScanRecovery:
         scan = scan_branches(
             "geneX", tree, alignment,
             engine="slim", seed=1, max_iterations=3,
-            internal_only=True, journal=journal, recover=True,
+            internal_only=True, journal=journal,
         )
         assert scan.ok  # every branch produced an LRT despite the fault
         summary = scan.summary()
@@ -467,16 +476,16 @@ class TestScanRecovery:
             header = json.loads(handle.readline())
         assert header["version"] >= 3
 
-    def test_unaffected_scan_is_bit_identical_with_recovery(self, scan_inputs):
+    def test_unaffected_scan_is_bit_identical_with_recovery(self, scan_inputs, monkeypatch):
         tree, alignment = scan_inputs
-        plain = scan_branches(
-            "geneY", tree, alignment,
-            engine="slim", seed=1, max_iterations=3, internal_only=True,
-        )
         guarded = scan_branches(
             "geneY", tree, alignment,
             engine="slim", seed=1, max_iterations=3, internal_only=True,
-            recover=True,
+        )
+        _bare_kernels(monkeypatch)
+        plain = scan_branches(
+            "geneY", tree, alignment,
+            engine="slim", seed=1, max_iterations=3, internal_only=True,
         )
         assert guarded.summary().n_recovered == 0
         for a, b in zip(plain.gene_results, guarded.gene_results):

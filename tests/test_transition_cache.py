@@ -21,6 +21,7 @@ from repro.core.eigen import (
     SpectralDecomposition,
     decompose,
 )
+import repro.core.engine as engine_mod
 from repro.core.engine import make_engine
 from repro.core.expm import transition_matrix_scipy
 
@@ -121,8 +122,9 @@ class TestLRUEviction:
         assert engine.transition_hits == 1
         assert engine.transition_misses == 2
 
-    def test_lru_keeps_hot_entries(self):
-        engine = make_engine("slim", transition_cache_size=2)
+    def test_lru_keeps_hot_entries(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "TRANSITION_CACHE_SIZE", 2)
+        engine = make_engine("slim")
         d = _pade(0.2)
         engine._operator_for(d, 0.1)  # miss -> {0.1}
         engine._operator_for(d, 0.2)  # miss -> {0.1, 0.2}
@@ -134,8 +136,9 @@ class TestLRUEviction:
         assert engine.transition_misses == 4
         assert len(engine._transition_cache) == 2
 
-    def test_eviction_is_incremental_not_full_clear(self):
-        engine = make_engine("slim", transition_cache_size=4)
+    def test_eviction_is_incremental_not_full_clear(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "TRANSITION_CACHE_SIZE", 4)
+        engine = make_engine("slim")
         d = _pade(0.2)
         for k in range(8):
             engine._operator_for(d, 0.01 * (k + 1))
@@ -166,8 +169,10 @@ class TestCacheStats:
         assert "decomposition_hits" in stats
         assert "decomposition_misses" in stats
 
-    def test_stats_without_decomposition_cache(self):
-        engine = make_engine("slim", cache_decompositions=False)
-        stats = engine.cache_stats()
-        assert "decomposition_hits" not in stats
+    def test_stats_of_a_fresh_engine(self):
+        # Every engine owns a decomposition cache: its counters are
+        # reported from the start, at zero like the transition LRU's.
+        stats = make_engine("slim").cache_stats()
+        assert stats["decomposition_hits"] == stats["decomposition_misses"] == 0
+        assert stats["decomposition_size"] == 0
         assert stats["transition_misses"] == 0

@@ -11,7 +11,7 @@ from repro.codon.matrix import build_rate_matrix
 from repro.core.eigen import PadeFallback, decompose
 from repro.core.engine import make_engine
 from repro.core.expm import transition_matrix_scipy, transition_matrix_syrk
-from repro.core.recovery import NumericalError, RecoveryConfig
+from repro.core.recovery import NumericalError
 from repro.core.uniformization import (
     UniformizedOperator,
     poisson_truncation,
@@ -170,7 +170,7 @@ class TestRung4Wiring:
     def test_pade_guard_failure_degrades_to_uniformization(
         self, fallback, monkeypatch
     ):
-        engine = make_engine("slim", recovery=RecoveryConfig())
+        engine = make_engine("slim")
         monkeypatch.setattr(
             engine_mod, "transition_matrix_scipy",
             lambda q, t: np.full_like(q, -1.0),
@@ -188,7 +188,7 @@ class TestRung4Wiring:
         assert "pade" not in engine.rung_usage
 
     def test_ladder_exhaustion_is_one_structured_event(self, fallback, monkeypatch):
-        engine = make_engine("slim", recovery=RecoveryConfig())
+        engine = make_engine("slim")
         monkeypatch.setattr(
             engine_mod, "transition_matrix_scipy",
             lambda q, t: np.full_like(q, np.nan),
@@ -212,43 +212,8 @@ class TestRung4Wiring:
         assert len(exhausted) == 1
         assert exhausted[0].context["rungs_failed"] == 4
 
-    def test_rung4_disabled_reraises_the_pade_failure(self, fallback, monkeypatch):
-        engine = make_engine("slim", recovery=RecoveryConfig(uniformization=False))
-        monkeypatch.setattr(
-            engine_mod, "transition_matrix_scipy",
-            lambda q, t: np.full_like(q, -1.0),
-        )
-        with pytest.raises(NumericalError):
-            engine._operator_for(fallback, 0.4)
-        assert "uniformization" not in engine.rung_usage
-
-    def test_cross_check_attributes_the_diverged_path(self, pi, monkeypatch):
-        engine = make_engine("slim", recovery=RecoveryConfig(cross_check=True))
-        decomp = engine._decompose(build_rate_matrix(2.0, 0.5, pi))
-        real_build = type(engine)._build_operator
-
-        def corrupt(self, d, t):
-            bad = np.array(real_build(self, d, t), copy=True)
-            bad[0, :] += 0.5  # far beyond any repair tolerance
-            return bad
-
-        monkeypatch.setattr(type(engine), "_build_operator", corrupt)
-        op = engine._operator_for(decomp, 0.3)
-        # Served by the witness: agrees with the honest spectral result.
-        p = np.asarray(engine._operator_probability_matrix(op))
-        assert np.max(np.abs(p - transition_matrix_syrk(decomp, 0.3))) < 1e-9
-        checks = [
-            ev for ev in engine.events.events
-            if ev.kind == "uniformization_cross_check"
-        ]
-        assert len(checks) == 1
-        # The corrupted spectral path is named; the Padé witness agrees.
-        assert checks[0].context["diverged"] == "spectral"
-        assert checks[0].context["dev_spectral"] > 0.4
-        assert checks[0].context["dev_pade"] < 1e-8
-
     def test_spectral_failure_without_cross_check_still_raises(self, pi, monkeypatch):
-        engine = make_engine("slim", recovery=RecoveryConfig())
+        engine = make_engine("slim")
         decomp = engine._decompose(build_rate_matrix(2.0, 0.5, pi))
         real_build = type(engine)._build_operator
 
@@ -262,7 +227,7 @@ class TestRung4Wiring:
             engine._operator_for(decomp, 0.3)
 
     def test_pade_operators_ride_the_lru_even_with_caching_off(self, fallback, pi):
-        engine = make_engine("slim", recovery=RecoveryConfig())
+        engine = make_engine("slim")
         op1 = engine._operator_for(fallback, 0.2)
         op2 = engine._operator_for(fallback, 0.2)
         assert op1 is op2
@@ -275,7 +240,7 @@ class TestRung4Wiring:
         assert engine.cache_stats()["transition_size"] == 1
 
     def test_spectral_rung_usage_is_counted(self, pi):
-        engine = make_engine("slim", recovery=RecoveryConfig())
+        engine = make_engine("slim")
         decomp = engine._decompose(build_rate_matrix(2.0, 0.5, pi))
         engine._operator_for(decomp, 0.1)
         engine._operator_for(decomp, 0.2)
@@ -314,7 +279,7 @@ class TestFaultInjectedScan:
         )
         scan = scan_branches(
             "faulted", tree, alignment,
-            seed=3, max_iterations=3, processes=1, recover=True,
+            seed=3, max_iterations=3, processes=1,
             map_samples=2,
         )
         assert scan.ok, scan.failures
@@ -353,7 +318,7 @@ class TestFaultInjectedScan:
         )
         scan = scan_branches(
             "exhausted", tree, alignment,
-            seed=3, max_iterations=3, processes=1, recover=True,
+            seed=3, max_iterations=3, processes=1,
             map_samples=2,
         )
         # Every branch failed — but the batch finished with structured
@@ -363,3 +328,57 @@ class TestFaultInjectedScan:
         for failure in scan.failures.values():
             assert failure.error_type == "ValueError"
             assert "not finite at the start point" in failure.message
+
+
+class TestLibraryDefaultsAreGuarded:
+    """Every entry point runs the ladder — no opt-in, no unguarded mode."""
+
+    def test_survey_mapper_completes_through_the_ladder(self, scan_problem, monkeypatch):
+        import repro.parallel.batch as batch_mod
+        from repro.parallel.batch import (
+            BranchScanResult,
+            GeneResult,
+            branch_label,
+            map_survey_candidates,
+        )
+
+        tree, alignment = scan_problem
+        engines = []
+
+        def recording_make_engine(name, **kwargs):
+            engines.append(make_engine(name, **kwargs))
+            return engines[-1]
+
+        monkeypatch.setattr(batch_mod, "make_engine", recording_make_engine)
+        monkeypatch.setattr(scipy.linalg, "eigh", _dead_eigh)
+        node = next(n for n in tree.nodes if not n.is_root and not n.is_leaf)
+        label = branch_label(tree, node.index)
+        point = {
+            "values": {"kappa": 2.2, "omega0": 0.2, "omega2": 4.0, "p0": 0.5, "p1": 0.3},
+            "branch_lengths": list(tree.branch_lengths()),
+        }
+        scan = BranchScanResult(
+            "g", by_branch={}, gene_results=[GeneResult(
+                gene_id=f"g:{label}", lnl0=-1.0, lnl1=-1.0, statistic=0.0,
+                pvalue=1.0, iterations=0, runtime_seconds=0.0, h1_mles=point,
+            )],
+        )
+        payloads = map_survey_candidates(
+            "g", tree, alignment, scan, [label], map_samples=2, internal_only=True
+        )
+        assert "error" not in payloads[label], payloads[label]
+        assert payloads[label]["branches"]
+        (engine,) = engines
+        assert engine.rung_usage.get("pade", 0) > 0
+        assert "evr" not in engine.rung_usage
+
+    def test_analyze_genes_defaults_report_rung_usage(self, scan_problem):
+        from repro.parallel.batch import GeneJob, analyze_genes
+
+        tree, alignment = scan_problem
+        (res,) = analyze_genes(
+            [GeneJob.from_objects("g", tree, alignment)], max_iterations=1
+        )
+        assert not res.failed
+        assert res.rung_usage is not None and res.rung_usage["evr"] > 0
+        assert res.converged == {"h0": False, "h1": False}
