@@ -280,24 +280,20 @@ class DecompositionCache:
     lookups.  Keys quantise parameters to 15 significant digits so the
     cache is insensitive to benign float formatting round-trips.
 
-    ``decomposer`` overrides the decomposition call itself — the seam
-    through which the engines route :func:`decompose_guarded` so the
-    fallback ladder's product (including a :class:`PadeFallback`) is
-    cached exactly like a healthy decomposition.
+    ``decomposer(rate_matrix, counter)`` computes a missing entry — the
+    engines pass :func:`decompose_guarded` so the fallback ladder's
+    product (including a :class:`PadeFallback`) is cached exactly like a
+    healthy decomposition.
     """
 
     def __init__(
         self,
+        decomposer: Callable[[CodonRateMatrix, Optional[FlopCounter]], "AnyDecomposition"],
         maxsize: int = 16,
-        driver: str = "evr",
-        decomposer: Optional[
-            Callable[[CodonRateMatrix, Optional[FlopCounter]], "AnyDecomposition"]
-        ] = None,
     ) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
         self._maxsize = maxsize
-        self._driver = driver
         self._decomposer = decomposer
         self._store: dict[tuple, AnyDecomposition] = {}
         self.hits = 0
@@ -324,10 +320,7 @@ class DecompositionCache:
             self._store[key] = found  # refresh LRU position
             return found
         self.misses += 1
-        if self._decomposer is not None:
-            decomp = self._decomposer(rate_matrix, counter)
-        else:
-            decomp = decompose(rate_matrix, driver=self._driver, counter=counter)
+        decomp = self._decomposer(rate_matrix, counter)
         self._store[key] = decomp
         while len(self._store) > self._maxsize:
             self._store.pop(next(iter(self._store)))

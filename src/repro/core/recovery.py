@@ -353,6 +353,10 @@ def guard_transition_matrix(
     on the healthy path), drift up to ``ROW_SUM_ERROR`` is renormalised
     with an event, and anything beyond is a hard error.  May modify
     ``p`` in place; returns it.
+
+    Stacked builds only reach this guard for the blocks that
+    :func:`screen_operator_stack` flags: a new trigger added here must
+    be added to the screen too, or stacked blocks will skip it.
     """
     ctx: Dict[str, ContextValue] = {"t": float(t), **context}
     if not np.all(np.isfinite(p)):
@@ -426,6 +430,10 @@ def guard_symmetric_operator(
     would break the exact symmetry the ``dsymv``/``dsymm`` kernels rely
     on, so drift beyond ``ROW_SUM_TOL`` is recorded (``pt_row_drift``)
     and drift beyond ``ROW_SUM_ERROR`` is a hard error.
+
+    As with :func:`guard_transition_matrix`, stacked blocks only get here
+    when :func:`screen_operator_stack` flags them, so any new trigger
+    must be mirrored in the screen.
     """
     ctx: Dict[str, ContextValue] = {"t": float(t), **context}
     if not np.all(np.isfinite(m)):

@@ -74,6 +74,9 @@ class TestFallbackLadder:
         decomp = decompose_guarded(matrix, recorder=recorder)
         assert isinstance(decomp, SpectralDecomposition)
         assert len(recorder) == 0  # nothing fired on the healthy path
+        plain = decompose(matrix)
+        assert np.array_equal(decomp.eigenvalues, plain.eigenvalues)
+        assert np.array_equal(decomp.eigenvectors, plain.eigenvectors)
 
     def test_evr_failure_falls_to_ev(self, matrix, monkeypatch):
         def flaky(a, *args, **kwargs):
