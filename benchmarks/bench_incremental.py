@@ -55,7 +55,9 @@ def run_pair(dataset, engine_name: str, budget: int, incremental: bool):
     )
     wall = time.perf_counter() - wall
     iterations = h0.n_iterations + h1.n_iterations
-    return h0.lnl, h1.lnl, iterations, engine.clv_propagations, engine.clv_reuses, wall
+    counters = engine.counters
+    return (h0.lnl, h1.lnl, iterations, counters["clv_propagations"],
+            counters["clv_reuses"], wall)
 
 
 def main(argv=None) -> int:

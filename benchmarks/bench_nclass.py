@@ -86,9 +86,8 @@ def run_nclass(dataset, engine_name: str, k: int, budget: int):
         max_iterations=budget,
     )
     wall = time.perf_counter() - wall
-    stats = engine.cache_stats()
-    builds = stats["operator_builds"]
-    naive = stats["operator_builds_naive"]
+    builds = engine.counters["operator_builds"]
+    naive = engine.counters["operator_builds_naive"]
     dedupe = 1.0 - builds / naive if naive else 0.0
     return 2 * k, builds, naive, dedupe, fit.lnl, wall
 

@@ -12,7 +12,7 @@ length-prefixed-pickle plane on a real branch scan:
   honest total-bytes-moved-per-task number, not a best case;
 * **worker cold start** — per-task payload decode + alignment
   materialisation under each plane, plus the worker-measured
-  ``setup_seconds`` actually observed during the scan;
+  ``setup_s`` metric actually observed during the scan;
 * **numeric identity** — the socket scan's per-branch results must be
   exactly equal (float equality, not tolerance) to the process-pool
   scan of the same seed, or the run aborts.
@@ -214,7 +214,7 @@ def _cold_start_bench(dataset, candidates, budget, seed, reps=5):
         )
         for n in candidates
     ]
-    context, _ = _build_shared_context(jobs, "slim", False, False, budget)
+    context, _ = _build_shared_context(jobs, "slim", budget)
     flat = b"".join(
         bytes(b) for b in wire.encode_frame(
             wire.MSG_BATCH, 1,
@@ -308,8 +308,8 @@ def main(argv=None) -> int:
         return 1
 
     cold = _cold_start_bench(dataset, candidates, budget, SEED)
-    measured_setup = sum(r.setup_seconds for r in scan.gene_results)
-    n_cold = sum(1 for r in scan.gene_results if r.setup_seconds > 0.0)
+    measured_setup = sum(r.metrics.get("setup_s", 0.0) for r in scan.gene_results)
+    n_cold = sum(r.metrics.get("cold_starts", 0) for r in scan.gene_results)
     # Fleet-level cold start: the old plane paid the full rebuild on
     # every task; the new plane pays one decode + one materialisation
     # per worker and parses only the (deduplicated) tree afterwards.

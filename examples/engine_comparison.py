@@ -39,7 +39,7 @@ for name in ("codeml", "slim", "slim-v2"):
         seed=1,
         max_iterations=ITERATIONS,
     )
-    runs[name] = (test, engine.stopwatch)
+    runs[name] = (test, engine.counters)
 
 ref_test, _ = runs["codeml"]
 print(f"\n{'engine':<10s} {'runtime (s)':>12s} {'speedup':>8s} {'lnL H1':>14s} {'D vs codeml':>12s}")
@@ -50,10 +50,8 @@ for name, (test, _) in runs.items():
           f"{test.h1.lnl:>14.4f} {d:>12.2e}")
 
 print("\nTime breakdown per engine (accumulated over both fits):")
-for name, (_, stopwatch) in runs.items():
-    eigh = stopwatch.total("eigh")
-    expm = stopwatch.total("expm")
-    clv = stopwatch.total("clv")
+for name, (_, counters) in runs.items():
+    eigh, expm, clv = counters["eigh_s"], counters["expm_s"], counters["clv_s"]
     total = eigh + expm + clv
     print(f"  {name:<10s} eigh {eigh:6.2f}s ({eigh/total:5.1%})  "
           f"expm {expm:6.2f}s ({expm/total:5.1%})  "

@@ -431,7 +431,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if executor is not None and hasattr(executor, "wire_stats"):
         # Counters survive shutdown: report data-plane traffic (bytes per
         # task vs the one-shot broadcast) alongside the compute metrics.
-        summary.wire = executor.wire_stats()
+        summary.metrics.update(
+            (f"wire_{key}", value) for key, value in executor.wire_stats().items()
+        )
     lines.append(summary.format())
     if args.journal:
         lines.append(f"journal    : {args.journal}"

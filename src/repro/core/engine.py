@@ -66,11 +66,9 @@ from repro.core.uniformization import UniformizedOperator
 from repro.core.flops import (
     FlopCounter,
     gemm_flops,
-    gemm_matrix_reads,
     gemv_flops,
     symm_flops,
     symv_flops,
-    syrk_flops,
 )
 from repro.likelihood.mixture import (
     check_finite_site_log_likelihoods,
@@ -89,7 +87,6 @@ from repro.models.base import CodonSiteModel, SiteClass
 from repro.models.class_graph import ClassPlan, SiteClassGraph
 from repro.models.scaling import build_class_matrices
 from repro.trees.tree import Tree
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "LikelihoodEngine",
@@ -100,6 +97,23 @@ __all__ = [
     "BoundLikelihood",
     "make_engine",
 ]
+
+
+#: Keys every engine's :attr:`~LikelihoodEngine.counters` starts with
+#: (DESIGN.md §8 says which code writes each).  ``rung_<name>`` keys
+#: join on first use; ``*_s`` keys are seconds.
+COUNTER_KEYS = (
+    "transition_hits",
+    "transition_misses",
+    "clv_propagations",
+    "clv_reuses",
+    "operator_builds",
+    "operator_build_saves",
+    "operator_builds_naive",
+    "eigh_s",
+    "expm_s",
+    "clv_s",
+)
 
 
 def _decompose_guarded(matrix, counter, driver, recorder):
@@ -144,9 +158,12 @@ class LikelihoodEngine:
         Genetic code (61-state universal by default).
     counter:
         Optional :class:`FlopCounter` accumulating analytic flops.
-    stopwatch:
-        Optional :class:`Stopwatch`; engines record ``eigh``, ``expm``
-        and ``clv`` phases so benches can show where time goes.
+
+    Every count the engine makes lands in :attr:`counters`, one flat
+    map (DESIGN.md §8 lists its keys): cache hits and misses, CLV
+    propagations and reuses, the operator-build ledger, one
+    ``rung_<name>`` entry per ladder rung that built operators, and the
+    seconds spent in the ``eigh``/``expm``/``clv`` phases.
 
     Every engine runs guarded (DESIGN.md §8): decompositions go through
     the eigensolver fallback ladder (``evr`` → ``ev`` → per-branch Padé
@@ -172,11 +189,11 @@ class LikelihoodEngine:
         self,
         code: GeneticCode = UNIVERSAL,
         counter: Optional[FlopCounter] = None,
-        stopwatch: Optional[Stopwatch] = None,
     ) -> None:
         self.code = code
         self.counter = counter
-        self.stopwatch = stopwatch if stopwatch is not None else Stopwatch()
+        #: The one counter map; rung keys appear on first use.
+        self.counters: Dict[str, float] = dict.fromkeys(COUNTER_KEYS, 0)
         #: Structured numerical-event stream.
         self.events = NumericalEventRecorder()
         # A partial over plain values, not a closure over ``self``: the
@@ -195,28 +212,9 @@ class LikelihoodEngine:
         # collected, a recycled id would silently alias a fresh
         # decomposition onto a stale P(t).
         self._transition_cache: "OrderedDict[Tuple[int, float], object]" = OrderedDict()
-        self.transition_hits = 0
-        self.transition_misses = 0
-        #: Branch operators *built* (cache misses) per ladder rung that
-        #: served them: ``evr``/``ev`` (spectral), ``pade``,
-        #: ``uniformization``.  Feeds ``cache_stats()['rung_*']`` and,
-        #: through the batch layer, ``GeneResult.rung_usage``.
-        self.rung_usage: Dict[str, int] = {}
         #: Rung 4 state: one reusable uniformized kernel per
         #: decomposition token (powers of R shared across branch lengths).
         self._uniformized: Dict[int, UniformizedOperator] = {}
-        #: CLV propagations actually executed and branch applications
-        #: served from incremental-state buffers instead.
-        self.clv_propagations = 0
-        self.clv_reuses = 0
-        #: Operator ledger: distinct (ω, t) stacked builds requested,
-        #: duplicate requests deduped across classes, and the
-        #: per-class-independent baseline (what each class would build
-        #: with only its own operator memo, no graph edges).  The
-        #: N-class acceptance metric is ``1 − builds/naive``.
-        self.operator_builds = 0
-        self.operator_build_saves = 0
-        self.operator_builds_naive = 0
 
     # ------------------------------------------------------------------
     # Kernel hooks (overridden per engine)
@@ -245,15 +243,6 @@ class LikelihoodEngine:
     def _screen_stack(self, stack: np.ndarray, decomp) -> np.ndarray:
         """Blocks of a freshly built stack that :meth:`_guard_operator` must see."""
         return screen_operator_stack(stack, np.ones(decomp.n_states), stochastic=True)
-
-    def _count_saved_propagation(self, shape: Tuple[int, int]) -> None:
-        """Ledger one branch application the incremental layer skipped.
-
-        Mirrors exactly what this engine's :meth:`_propagate` would have
-        charged to the flop counter, but into the *saved* ledger
-        (:meth:`FlopCounter.note_saved`), so totals remain honest counts
-        of executed arithmetic.  Only called when a counter is attached.
-        """
 
     # ------------------------------------------------------------------
     # Batched-evaluation hooks (DESIGN.md §10)
@@ -284,14 +273,6 @@ class LikelihoodEngine:
         directly.
         """
         return operator
-
-    def _note_saved_build(self, decomp) -> None:
-        """Ledger one operator build skipped by the batched (ω, t) dedupe.
-
-        Model A's background-tied classes (0↔2a, 1↔2b) request the same
-        (decomposition, t) operators; the batched planner builds each
-        distinct pair once and records the aliases here.
-        """
 
     def _propagate_level(
         self, items: Sequence[Tuple[object, np.ndarray]]
@@ -346,13 +327,17 @@ class LikelihoodEngine:
         """
         if isinstance(decomp, PadeFallback):
             return BatchedOperatorSet({float(t): self._operator_for(decomp, t) for t in ts})
-        with self.stopwatch.measure("expm"):
-            return self.build_operator_set(decomp, ts)
+        start = time.perf_counter()
+        opset = self.build_operator_set(decomp, ts)
+        self.counters["expm_s"] += time.perf_counter() - start
+        return opset
 
     # ------------------------------------------------------------------
     def _decompose(self, matrix: CodonRateMatrix):
-        with self.stopwatch.measure("eigh"):
-            return self._decomp_cache.get(matrix, counter=self.counter)
+        start = time.perf_counter()
+        decomp = self._decomp_cache.get(matrix, counter=self.counter)
+        self.counters["eigh_s"] += time.perf_counter() - start
+        return decomp
 
     def _make_operator(self, decomp, t: float) -> object:
         """Build and guard one branch operator."""
@@ -377,7 +362,8 @@ class LikelihoodEngine:
     # ------------------------------------------------------------------
     def _note_rung(self, rung: str, count: int = 1) -> None:
         if count:
-            self.rung_usage[rung] = self.rung_usage.get(rung, 0) + count
+            key = f"rung_{rung}"
+            self.counters[key] = self.counters.get(key, 0) + count
 
     def _uniformized_for(self, decomp) -> UniformizedOperator:
         """The per-decomposition uniformized kernel (cached R powers)."""
@@ -428,6 +414,12 @@ class LikelihoodEngine:
         self._note_rung("uniformization")
         return self._wrap_probability_matrix(p, decomp.pi)
 
+    def _timed_operator(self, decomp, t: float) -> object:
+        start = time.perf_counter()
+        op = self._make_operator(decomp, t)
+        self.counters["expm_s"] += time.perf_counter() - start
+        return op
+
     def _operator_for(self, decomp, t: float) -> object:
         """One branch operator, through the LRU when ``decomp`` is Padé.
 
@@ -438,17 +430,15 @@ class LikelihoodEngine:
         cached under the same key.  Spectral operators are rebuilt.
         """
         if not isinstance(decomp, PadeFallback):
-            with self.stopwatch.measure("expm"):
-                return self._make_operator(decomp, t)
+            return self._timed_operator(decomp, t)
         key = (decomp.token, float(t))
         op = self._transition_cache.get(key)
         if op is not None:
-            self.transition_hits += 1
+            self.counters["transition_hits"] += 1
             self._transition_cache.move_to_end(key)
             return op
-        self.transition_misses += 1
-        with self.stopwatch.measure("expm"):
-            op = self._make_operator(decomp, t)
+        self.counters["transition_misses"] += 1
+        op = self._timed_operator(decomp, t)
         self._transition_cache[key] = op
         # LRU eviction: drop the coldest entry, never the whole
         # working set (a full clear() thrashes the hot branches).
@@ -456,25 +446,18 @@ class LikelihoodEngine:
             self._transition_cache.popitem(last=False)
         return op
 
-    def cache_stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters for the caches (batch-scan metrics).
+    def cache_stats(self) -> Dict[str, float]:
+        """:attr:`counters` plus the caches' own sizes and hit/miss counts.
 
-        ``clv_propagations``/``clv_reuses`` cover the incremental CLV
-        layer: applications executed versus served from state buffers.
+        The decomposition cache and the uniformized kernels keep their
+        counts themselves; they are read here, under ``decomposition_*``
+        and ``uniformized_*``, next to the engine's counter map.
         """
-        stats = {
-            "transition_hits": self.transition_hits,
-            "transition_misses": self.transition_misses,
-            "transition_size": len(self._transition_cache),
-            "clv_propagations": self.clv_propagations,
-            "clv_reuses": self.clv_reuses,
-            "operator_builds": self.operator_builds,
-            "operator_build_saves": self.operator_build_saves,
-            "operator_builds_naive": self.operator_builds_naive,
-            "decomposition_hits": self._decomp_cache.hits,
-            "decomposition_misses": self._decomp_cache.misses,
-            "decomposition_size": len(self._decomp_cache),
-        }
+        stats = dict(self.counters)
+        stats["transition_size"] = len(self._transition_cache)
+        stats["decomposition_hits"] = self._decomp_cache.hits
+        stats["decomposition_misses"] = self._decomp_cache.misses
+        stats["decomposition_size"] = len(self._decomp_cache)
         if self._uniformized:
             # Rung-4 / mapping kernel reuse: R-power products actually
             # run vs served from the per-decomposition caches, and the
@@ -484,8 +467,6 @@ class LikelihoodEngine:
             stats["uniformized_power_builds"] = sum(u.power_builds for u in kernels)
             stats["uniformized_power_hits"] = sum(u.power_hits for u in kernels)
             stats["uniformized_draws_served"] = sum(u.draws_served for u in kernels)
-        for rung, count in self.rung_usage.items():
-            stats[f"rung_{rung}"] = count
         return stats
 
     # ------------------------------------------------------------------
@@ -554,17 +535,6 @@ class BaselineEngine(LikelihoodEngine):
                              reads=n_patterns * n * n)
         return out
 
-    def _count_saved_propagation(self, shape: Tuple[int, int]) -> None:
-        n, n_patterns = shape
-        self.counter.note_saved("clv:einsum-matvec", n_patterns * gemv_flops(n, n),
-                                reads=n_patterns * n * n)
-
-    def _note_saved_build(self, decomp) -> None:
-        if self.counter is not None:
-            n = decomp.n_states
-            self.counter.note_saved("expm:einsum(eq9)", gemm_flops(n, n, n),
-                                    reads=2 * gemm_matrix_reads(n, n))
-
 
 class SlimEngine(LikelihoodEngine):
     """SlimCodeML as evaluated in the paper: dsyrk expm + per-site dgemv.
@@ -606,28 +576,12 @@ class SlimEngine(LikelihoodEngine):
         if self.counter is not None:
             self.counter.add("clv:dgemv", n_patterns * gemv_flops(n, n),
                              reads=n_patterns * n * n)
-            self.counter.note_saved("clv:dgemv-writeback", reads=n_patterns * n)
         return out
-
-    def _count_saved_propagation(self, shape: Tuple[int, int]) -> None:
-        n, n_patterns = shape
-        if self.bundled:
-            self.counter.note_saved("clv:dgemm", gemm_flops(n, n_patterns, n),
-                                    reads=n * n)
-        else:
-            self.counter.note_saved("clv:dgemv", n_patterns * gemv_flops(n, n),
-                                    reads=n_patterns * n * n)
 
     def _build_operator_stack(
         self, decomp: SpectralDecomposition, ts: Sequence[float]
     ) -> np.ndarray:
         return stacked_syrk_operators(decomp, ts, counter=self.counter)
-
-    def _note_saved_build(self, decomp) -> None:
-        if self.counter is not None:
-            n = decomp.n_states
-            self.counter.note_saved("expm:dsyrk", syrk_flops(n, n),
-                                    reads=gemm_matrix_reads(n, n))
 
 
 class SlimV2Engine(LikelihoodEngine):
@@ -689,17 +643,7 @@ class SlimV2Engine(LikelihoodEngine):
         if self.counter is not None:
             self.counter.add("clv:dsymv", n_patterns * symv_flops(n),
                              reads=n_patterns * n * (n + 1) // 2)
-            self.counter.note_saved("clv:dsymv-writeback", reads=n_patterns * n)
         return out
-
-    def _count_saved_propagation(self, shape: Tuple[int, int]) -> None:
-        n, n_patterns = shape
-        if self.bundled:
-            self.counter.note_saved("clv:dsymm", symm_flops(n, n_patterns),
-                                    reads=n * (n + 1) // 2)
-        else:
-            self.counter.note_saved("clv:dsymv", n_patterns * symv_flops(n),
-                                    reads=n_patterns * n * (n + 1) // 2)
 
     def _build_operator_stack(
         self, decomp: SpectralDecomposition, ts: Sequence[float]
@@ -714,12 +658,6 @@ class SlimV2Engine(LikelihoodEngine):
         m, pi = operator
         return m * pi[None, :]
 
-    def _note_saved_build(self, decomp) -> None:
-        if self.counter is not None:
-            n = decomp.n_states
-            self.counter.note_saved("expm:dsyrk(sym-branch)", syrk_flops(n, n),
-                                    reads=gemm_matrix_reads(n, n))
-
     def _propagate_level(
         self, items: Sequence[Tuple[object, np.ndarray]]
     ) -> List[np.ndarray]:
@@ -729,7 +667,7 @@ class SlimV2Engine(LikelihoodEngine):
         the whole level (and at n = 61 a fused wide call is no faster —
         BLAS is already at peak); what the level fuses is everything
         around the kernels: one workspace allocation, one output stack,
-        one counter/stopwatch entry.  Each block is still the per-branch
+        one flop-counter entry.  Each block is still the per-branch
         arithmetic on identically-laid-out operands (``dsymm`` into an
         F-contiguous column view with ``beta=0`` is bit-identical to a
         standalone call), so results match :meth:`_propagate` bit for
@@ -849,11 +787,6 @@ class BoundLikelihood:
         self._class_memo: Optional[Tuple[Dict[str, float], SiteClassGraph, Dict]] = None
         self._class_states_memo: Optional[Tuple[tuple, tuple]] = None
 
-    def set_incremental(self, enabled: bool) -> None:
-        """Toggle incremental evaluation, dropping any cached state."""
-        self.incremental = bool(enabled)
-        self._invalidate_incremental()
-
     def _invalidate_incremental(self) -> None:
         self._inc_states = {}
         self._inc_values = None
@@ -903,10 +836,7 @@ class BoundLikelihood:
         return graph, decomps
 
     def _note_reuse(self, contribution: np.ndarray) -> None:
-        engine = self.engine
-        engine.clv_reuses += 1
-        if engine.counter is not None:
-            engine._count_saved_propagation(contribution.shape)
+        self.engine.counters["clv_reuses"] += 1
 
     def _has_ready_state(self, idx: int) -> bool:
         """Planner predicate: class ``idx`` has a committed pruning state."""
@@ -993,13 +923,14 @@ class BoundLikelihood:
 
         # Aggregate the distinct (ω, t) operators those passes will ask
         # for; duplicate requests (graph-edge-tied classes, equal branch
-        # lengths) are built once and ledgered as saved builds.  The
+        # lengths) are built once and counted as build saves.  The
         # naive ledger records the per-class-independent baseline — each
         # class pruning its full (or dirty) row set with only its own
         # operator memo, i.e. evaluation without the class graph's
         # sharing edges — so ``1 − builds/naive`` is the dedupe saving.
         requested: Dict[float, List[float]] = {}
         seen: set = set()
+        counters = engine.counters
         for plan in plans:
             if plan.mode == "skip":
                 continue
@@ -1009,18 +940,17 @@ class BoundLikelihood:
                 child, parent, t, fg = rows[ri]
                 omega = cls.omega_foreground if fg else cls.omega_background
                 naive_keys.add((omega, t))
-            engine.operator_builds_naive += len(naive_keys)
+            counters["operator_builds_naive"] += len(naive_keys)
             recompute = None if plan.mode == "populate" else dirty_for(plan)
             for ri in compute_recompute_rows(rows, recompute):
                 child, parent, t, fg = rows[ri]
                 omega = cls.omega_foreground if fg else cls.omega_background
                 key = (omega, t)
                 if key in seen:
-                    engine.operator_build_saves += 1
-                    engine._note_saved_build(decomps[omega])
+                    counters["operator_build_saves"] += 1
                     continue
                 seen.add(key)
-                engine.operator_builds += 1
+                counters["operator_builds"] += 1
                 requested.setdefault(omega, []).append(t)
 
         opsets = {
@@ -1037,13 +967,11 @@ class BoundLikelihood:
 
             return transition
 
-        stopwatch = engine.stopwatch
-
         def propagate_level(items):
-            engine.clv_propagations += len(items)
+            counters["clv_propagations"] += len(items)
             start = time.perf_counter()
             out = engine._propagate_level(items)
-            stopwatch.add("clv", time.perf_counter() - start)
+            counters["clv_s"] += time.perf_counter() - start
             return out
 
         try:

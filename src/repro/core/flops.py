@@ -122,26 +122,11 @@ class FlopCounter:
 
     by_operation: Dict[str, int] = field(default_factory=dict)
     matrix_reads: Dict[str, int] = field(default_factory=dict)
-    #: Work *not* performed because a cached result was reused (the
-    #: incremental CLV layer reports skipped ``dsymm``/``dgemv`` calls
-    #: here).  Kept separate so :attr:`total_flops` stays an honest
-    #: count of arithmetic actually executed.
-    saved_by_operation: Dict[str, int] = field(default_factory=dict)
-    saved_reads: Dict[str, int] = field(default_factory=dict)
 
     def add(self, operation: str, flops: int, reads: int = 0) -> None:
         self.by_operation[operation] = self.by_operation.get(operation, 0) + int(flops)
         if reads:
             self.matrix_reads[operation] = self.matrix_reads.get(operation, 0) + int(reads)
-
-    def note_saved(self, operation: str, flops: int = 0, reads: int = 0) -> None:
-        """Record work that a cache/reuse path avoided (never in totals)."""
-        if flops:
-            self.saved_by_operation[operation] = (
-                self.saved_by_operation.get(operation, 0) + int(flops)
-            )
-        if reads:
-            self.saved_reads[operation] = self.saved_reads.get(operation, 0) + int(reads)
 
     @property
     def total_flops(self) -> int:
@@ -150,14 +135,6 @@ class FlopCounter:
     @property
     def total_reads(self) -> int:
         return sum(self.matrix_reads.values())
-
-    @property
-    def total_saved_flops(self) -> int:
-        return sum(self.saved_by_operation.values())
-
-    @property
-    def total_saved_reads(self) -> int:
-        return sum(self.saved_reads.values())
 
     @property
     def by_level(self) -> Dict[str, int]:
@@ -184,8 +161,6 @@ class FlopCounter:
     def reset(self) -> None:
         self.by_operation.clear()
         self.matrix_reads.clear()
-        self.saved_by_operation.clear()
-        self.saved_reads.clear()
 
     def merge(self, other: "FlopCounter") -> None:
         """Fold another counter's totals into this one (for parallel fits)."""
@@ -193,10 +168,6 @@ class FlopCounter:
             self.add(op, fl)
         for op, rd in other.matrix_reads.items():
             self.matrix_reads[op] = self.matrix_reads.get(op, 0) + rd
-        for op, fl in other.saved_by_operation.items():
-            self.note_saved(op, flops=fl)
-        for op, rd in other.saved_reads.items():
-            self.note_saved(op, reads=rd)
 
     def summary(self) -> str:
         rows = sorted(self.by_operation.items(), key=lambda kv: -kv[1])
@@ -213,19 +184,4 @@ class FlopCounter:
             )
             lines.append(f"{'BY LEVEL':<28s} {parts}")
             lines.append(f"{'BLAS-3 FRACTION':<28s} {self.blas3_fraction:>16.4f}")
-        if self.saved_by_operation or self.saved_reads:
-            lines.append("saved by reuse:")
-            ops = sorted(
-                set(self.saved_by_operation) | set(self.saved_reads),
-                key=lambda op: -self.saved_by_operation.get(op, 0),
-            )
-            for op in ops:
-                lines.append(
-                    f"{op:<28s} {self.saved_by_operation.get(op, 0):>16,d} flops "
-                    f"{self.saved_reads.get(op, 0):>14,d} reads"
-                )
-            lines.append(
-                f"{'TOTAL SAVED':<28s} {self.total_saved_flops:>16,d} flops "
-                f"{self.total_saved_reads:>14,d} reads"
-            )
         return "\n".join(lines)

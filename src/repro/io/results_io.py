@@ -54,8 +54,13 @@ SCHEMA_VERSION = 1
 #: and added ``h1_mles`` (the H1 maximum-likelihood point, kept only
 #: when the survey's one-pass mapper asked for it); version 9 added
 #: ``converged`` (per-hypothesis ``{"h0": bool, "h1": bool}``; absent on
-#: older records, which read back as unknown, ``None``).
-JOURNAL_VERSION = 9
+#: older records, which read back as unknown, ``None``); version 10
+#: replaced ``clv_stats``, ``setup_seconds`` and ``rung_usage`` with one
+#: open ``metrics`` map (the task's engine counters plus ``setup_s`` and
+#: ``cold_starts``).  The reader maps the three older fields into
+#: ``metrics`` (:func:`_legacy_metrics`), and keys it has never seen are
+#: kept as they are, so a new counter needs no version bump.
+JOURNAL_VERSION = 10
 
 
 def fit_to_dict(fit: FitResult) -> Dict:
@@ -213,10 +218,8 @@ def gene_result_to_dict(result) -> Dict:
         "failure": failure,
         "worker": getattr(result, "worker", None),
         "diagnostics": getattr(result, "diagnostics", None),
-        "clv_stats": getattr(result, "clv_stats", None),
-        "setup_seconds": getattr(result, "setup_seconds", 0.0),
+        "metrics": dict(result.metrics),
         "model": getattr(result, "model", None),
-        "rung_usage": getattr(result, "rung_usage", None),
         "mapping": getattr(result, "mapping", None),
         "h1_mles": getattr(result, "h1_mles", None),
         "converged": getattr(result, "converged", None),
@@ -258,14 +261,33 @@ def gene_result_from_dict(payload: Dict):
         failure=failure,
         worker=payload.get("worker"),
         diagnostics=payload.get("diagnostics"),
-        clv_stats=payload.get("clv_stats"),
-        setup_seconds=float(payload.get("setup_seconds") or 0.0),
+        metrics={**_legacy_metrics(payload), **(payload.get("metrics") or {})},
         model=payload.get("model"),
-        rung_usage=payload.get("rung_usage"),
         mapping=payload.get("mapping"),
         h1_mles=payload.get("h1_mles"),
         converged=payload.get("converged"),
     )
+
+
+def _legacy_metrics(payload: Dict) -> Dict[str, float]:
+    """The v4–v9 counter fields of a record as ``metrics`` keys.
+
+    v4 ``clv_stats`` → ``clv_propagations``/``clv_reuses``; v5
+    ``setup_seconds`` (when non-zero) → ``setup_s`` plus
+    ``cold_starts: 1``; v7 ``rung_usage`` → one ``rung_<name>`` key
+    per rung.
+    """
+    metrics: Dict[str, float] = {}
+    clv = payload.get("clv_stats") or {}
+    for old, new in (("propagations", "clv_propagations"), ("reuses", "clv_reuses")):
+        if old in clv:
+            metrics[new] = clv[old]
+    setup = payload.get("setup_seconds") or 0.0
+    if setup > 0.0:
+        metrics.update(setup_s=setup, cold_starts=1)
+    for rung, count in (payload.get("rung_usage") or {}).items():
+        metrics[f"rung_{rung}"] = count
+    return metrics
 
 
 class ResultJournal:

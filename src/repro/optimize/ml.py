@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-import scipy.optimize
 
 from repro.core.engine import BoundLikelihood
 from repro.core.recovery import MAX_RESTARTS, FitDiagnostics, NumericalEvent, perturb_start
@@ -150,14 +149,9 @@ def fit_model(
     start_values: Optional[Dict[str, float]] = None,
     start_lengths: "Optional[np.ndarray] | str" = None,
     optimize_branch_lengths: bool = True,
-    method: str = "bfgs",
     max_iterations: int = 200,
-    gtol: float = 1e-4,
-    ftol: float = 1e-9,
     seed: RngLike = None,
-    callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
     fixed_params: Optional[set] = None,
-    incremental: Optional[bool] = None,
 ) -> FitResult:
     """Maximise the likelihood of ``bound``'s model.
 
@@ -177,25 +171,20 @@ def fit_model(
     optimize_branch_lengths:
         Fix branch lengths (False) or co-estimate them (True, CodeML's
         behaviour for these tests).
-    method:
-        ``"bfgs"`` (our implementation, iteration-counted) or
-        ``"lbfgsb"`` (scipy's L-BFGS-B as a cross-check backend).
     max_iterations:
-        Optimizer iteration budget.  Benchmarks use a fixed budget; for
+        BFGS iteration budget (:func:`~repro.optimize.bfgs.minimize_bfgs`
+        at its default tolerances).  Benchmarks use a fixed budget; for
         converged results use a large value and check ``converged``.
     fixed_params:
         Names of scalar model parameters to hold at their start values
         (CodeML's ``fix_kappa``-style options).  Only
         ``kappa``/``omega``/``omega0``/``omega2`` can be fixed; the
         proportion pair shares packed coordinates and cannot.
-    incremental:
-        ``True``/``False`` overrides the binding's incremental-evaluation
-        setting for this fit (flipping it drops any cached CLV state);
-        ``None`` (default) respects how the problem was bound.  With
-        incremental evaluation on and ``method="bfgs"``, gradient probes
-        carry per-coordinate structure hints so a branch-length probe
-        re-prunes only that branch's root path; model-parameter probes
-        invalidate everything, so results stay bit-identical.
+
+    On an incremental binding (``bind(incremental=True)``), gradient
+    probes carry per-coordinate structure hints so a branch-length probe
+    re-prunes only that branch's root path; model-parameter probes
+    invalidate everything, so results stay bit-identical.
 
     The fit restarts — up to :data:`~repro.core.recovery.MAX_RESTARTS`
     times, from start points perturbed with the fit's own seeded RNG —
@@ -210,8 +199,6 @@ def fit_model(
     FitResult
     """
     model = bound.model
-    if incremental is not None and bool(incremental) != getattr(bound, "incremental", False):
-        bound.set_incremental(incremental)
     rng = make_rng(seed)
     if start_values is None:
         start_values = model.default_start(rng)
@@ -264,41 +251,12 @@ def fit_model(
     # a probe re-prunes one root path; model-parameter coordinates get
     # the "model" sentinel (full invalidation — operators change).
     coordinate_touched = None
-    if method == "bfgs" and getattr(bound, "incremental", False):
+    if getattr(bound, "incremental", False):
         k = model.n_params
         coordinate_touched = [
             "model" if pos < k or not optimize_branch_lengths else (int(pos) - k,)
             for pos in np.flatnonzero(~frozen_idx)
         ]
-
-    def _minimize(x_start: np.ndarray) -> OptimizeResult:
-        if method == "bfgs":
-            return minimize_bfgs(
-                objective,
-                x_start,
-                gtol=gtol,
-                ftol=ftol,
-                max_iterations=max_iterations,
-                callback=callback,
-                coordinate_touched=coordinate_touched,
-            )
-        if method == "lbfgsb":
-            res = scipy.optimize.minimize(
-                objective,
-                x_start,
-                method="L-BFGS-B",
-                options={"maxiter": max_iterations, "ftol": ftol, "gtol": gtol},
-            )
-            return OptimizeResult(
-                x=res.x,
-                fun=float(res.fun),
-                n_iterations=int(res.nit),
-                n_evaluations=int(res.nfev),
-                converged=bool(res.success),
-                message=str(res.message),
-                history=[],
-            )
-        raise ValueError(f"unknown method {method!r}; use 'bfgs' or 'lbfgsb'")
 
     def _parked_params(x_full: np.ndarray) -> list:
         """Names of coordinates parked on their transform walls."""
@@ -351,7 +309,12 @@ def fit_model(
             )
             x_start = perturb_start(free_x0, rng)
             continue
-        attempt = _minimize(x_start)
+        attempt = minimize_bfgs(
+            objective,
+            x_start,
+            max_iterations=max_iterations,
+            coordinate_touched=coordinate_touched,
+        )
         attempts.append(attempt)
         if best is None or attempt.fun < best.fun:
             best = attempt
@@ -450,9 +413,6 @@ def fit_branch_site_test(
     make_bound: Callable[[CodonSiteModel], BoundLikelihood],
     seed: RngLike = 1,
     max_iterations: int = 200,
-    method: str = "bfgs",
-    share_start_lengths: bool = True,
-    retry_degenerate_h1: bool = True,
     start_overrides: Optional[Dict[str, float]] = None,
     models: "Optional[tuple[CodonSiteModel, CodonSiteModel]]" = None,
     grid_search: Optional[bool] = None,
@@ -464,6 +424,15 @@ def fit_branch_site_test(
     model pair sharing the branch-site structure (e.g. the BS-REL
     family from ``repro.models.bsrel``) plugs in via ``models``.
 
+    H1 starts from H0's fitted branch lengths (CodeML-style warm start).
+    When the H0 optimum is also a stationary point of H1 (e.g. the
+    selected proportion collapsed, making the foreground ω
+    unidentifiable), the warm-started H1 fit terminates immediately;
+    mirroring PAML's advice to try several initial ω values, a second
+    H1 fit from the model's default start is then run and the better
+    optimum kept.  Every engine follows the identical rule, so
+    comparisons stay fair.
+
     Parameters
     ----------
     make_bound:
@@ -473,17 +442,6 @@ def fit_branch_site_test(
     seed:
         Start-value seed — the same integer must be given to each engine
         under comparison (paper §IV fixed-seed rule).
-    share_start_lengths:
-        Start H1 from H0's fitted branch lengths (CodeML-style warm
-        start); both engines do the same, so comparisons stay fair.
-    retry_degenerate_h1:
-        When the H0 optimum is also a stationary point of H1 (e.g. the
-        selected proportion collapsed, making the foreground ω
-        unidentifiable), the warm-started H1 fit terminates immediately.
-        Mirroring PAML's advice to try several initial ω values, a
-        second H1 fit from the model's default start is then run and the
-        better optimum kept.  Both engines follow the identical rule, so
-        comparisons stay fair.
     start_overrides:
         Explicit start values overriding the seeded defaults (e.g. the
         control file's ``kappa``); keys outside a hypothesis' parameter
@@ -530,7 +488,6 @@ def fit_branch_site_test(
         start_values=_grid(h0_model, bound0, h0_start),
         seed=seed,
         max_iterations=max_iterations,
-        method=method,
         **fit_kwargs,
     )
 
@@ -548,20 +505,18 @@ def fit_branch_site_test(
     h1 = fit_model(
         bound1,
         start_values=h1_start,
-        start_lengths=h0.branch_lengths if share_start_lengths else None,
+        start_lengths=h0.branch_lengths,
         seed=seed,
         max_iterations=max_iterations,
-        method=method,
         **fit_kwargs,
     )
-    if retry_degenerate_h1 and (h1.n_iterations == 0 or h1.lnl <= h0.lnl + 1e-8):  # noqa: SIM102
+    if h1.n_iterations == 0 or h1.lnl <= h0.lnl + 1e-8:
         retry = fit_model(
             bound1,
             start_values=_with_overrides(h1_model, h1_model.default_start(make_rng(seed))),
-            start_lengths=h0.branch_lengths if share_start_lengths else None,
+            start_lengths=h0.branch_lengths,
             seed=seed,
             max_iterations=max_iterations,
-            method=method,
             **fit_kwargs,
         )
         if retry.lnl > h1.lnl:
@@ -602,7 +557,6 @@ def fit_sites_test(
     make_bound: Callable[[CodonSiteModel], BoundLikelihood],
     seed: RngLike = 1,
     max_iterations: int = 200,
-    method: str = "bfgs",
     **fit_kwargs,
 ) -> SitesTest:
     """Fit M1a (null) and M2a (alternative) and run the 2-df LRT.
@@ -617,7 +571,7 @@ def fit_sites_test(
     m2a_model = M2aModel()
 
     bound1 = make_bound(m1a_model)
-    m1a = fit_model(bound1, seed=seed, max_iterations=max_iterations, method=method, **fit_kwargs)
+    m1a = fit_model(bound1, seed=seed, max_iterations=max_iterations, **fit_kwargs)
 
     bound2 = make_bound(m2a_model)
     m2a_start = m2a_model.default_start(make_rng(seed))
@@ -633,7 +587,6 @@ def fit_sites_test(
         start_lengths=m1a.branch_lengths,
         seed=seed,
         max_iterations=max_iterations,
-        method=method,
         **fit_kwargs,
     )
     lrt = likelihood_ratio_test(m1a.lnl, m2a.lnl, df=2)

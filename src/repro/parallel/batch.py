@@ -134,24 +134,18 @@ class GeneResult:
     #: flags prefixed ``h0:``/``h1:``.  ``None`` = clean fit, nothing
     #: fired.
     diagnostics: Optional[Dict] = None
-    #: Incremental-evaluation counters (``{"propagations": n, "reuses": m}``)
-    #: when the worker ran with dirty-path CLV caching; ``None`` otherwise.
-    clv_stats: Optional[Dict[str, int]] = None
-    #: Worker-side one-time setup charged to this task: seconds spent
-    #: materialising the broadcast context (alignment patterns, codon
-    #: frequencies) on a cache miss.  ``0.0`` on cache hits — the batch
-    #: summary aggregates this as the fleet's cold-start cost.
-    setup_seconds: float = 0.0
+    #: The task's counters: the worker engine's
+    #: :attr:`~repro.core.engine.LikelihoodEngine.counters` after the
+    #: task, plus ``setup_s`` (seconds materialising the broadcast
+    #: context) and ``cold_starts: 1`` when the task paid that cold
+    #: start.  An open map: journals store it whole and the batch
+    #: summary sums it key by key.  Empty on failed tasks.
+    metrics: Dict[str, float] = field(default_factory=dict)
     #: Model-spec string the worker fitted (see
     #: :func:`repro.models.registry.resolve_model_spec`); ``None`` on
     #: results from journals written before the field existed — readers
     #: treat that as the model-A default.
     model: Optional[str] = None
-    #: Per-rung operator-build counts from the worker engine's recovery
-    #: ladder (``{"evr": n, "pade": m, "uniformization": k}``, see
-    #: ``LikelihoodEngine.rung_usage``).  ``None`` on failed tasks and on
-    #: journal records written without the field.
-    rung_usage: Optional[Dict[str, int]] = None
     #: Stochastic substitution-mapping payload
     #: (:meth:`repro.likelihood.mapping.SubstitutionMapping.to_payload`),
     #: ``{"error": ...}`` when sampling failed without sinking the task,
@@ -246,18 +240,14 @@ def _run_mapping(bind, spec, test, map_samples: Optional[int], seed) -> Optional
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _assemble_result(gene_id: str, test, engine, incremental: bool,
-                     setup_seconds: float = 0.0,
+def _assemble_result(gene_id: str, test, engine,
+                     setup_s: Optional[float] = None,
                      model: Optional[str] = None,
                      mapping: Optional[Dict] = None,
                      keep_mles: bool = False) -> GeneResult:
-    clv_stats = None
-    if incremental:
-        stats = engine.cache_stats()
-        clv_stats = {
-            "propagations": int(stats["clv_propagations"]),
-            "reuses": int(stats["clv_reuses"]),
-        }
+    metrics = dict(engine.counters)
+    if setup_s is not None:
+        metrics.update(setup_s=setup_s, cold_starts=1)
     h1_mles = None
     if keep_mles:
         h1_mles = {
@@ -274,10 +264,8 @@ def _assemble_result(gene_id: str, test, engine, incremental: bool,
         runtime_seconds=test.combined_runtime,
         n_evaluations=test.combined_evaluations,
         diagnostics=_combine_diagnostics(test.h0.diagnostics, test.h1.diagnostics),
-        clv_stats=clv_stats,
-        setup_seconds=setup_seconds,
+        metrics=metrics,
         model=model,
-        rung_usage={k: int(v) for k, v in engine.rung_usage.items()},
         mapping=mapping,
         h1_mles=h1_mles,
         converged={"h0": bool(test.h0.converged), "h1": bool(test.h1.converged)},
@@ -287,7 +275,6 @@ def _assemble_result(gene_id: str, test, engine, incremental: bool,
 def _build_shared_context(
     pending: Sequence["GeneJob"],
     engine: str,
-    incremental: bool,
     max_iterations: int,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
@@ -339,7 +326,6 @@ def _build_shared_context(
         keys.append((ni, ai))
     context = {
         "engine": engine,
-        "incremental": incremental,
         "max_iterations": max_iterations,
         "model": model,
         "map_samples": map_samples,
@@ -376,19 +362,19 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     """Worker entry point (module-level so it pickles).
 
     ``payload`` is ``(gene_id, newick_idx, fg_node, aln_idx, seed)``;
-    everything batch-constant — engine choice, incremental flag,
-    iteration budget, trees, compressed alignments, codon
-    frequencies — comes from the one-shot ``context``.  Materialised
-    patterns are cached in the context per worker process, so only the
-    first task touching an alignment pays the (already cheap) rebuild;
-    that cost is reported as ``setup_seconds``.
+    everything batch-constant — engine choice, iteration budget,
+    trees, compressed alignments, codon frequencies — comes from the
+    one-shot ``context``.  Materialised patterns are cached in the
+    context per worker process, so only the first task touching an
+    alignment pays the (already cheap) rebuild; that cost is reported
+    as the ``setup_s`` metric.
 
     Raises on failure: the fault layer (:mod:`repro.parallel.faults`)
     owns error capture, classification and retries.
     """
     gene_id, newick_idx, fg_node, aln_idx, seed = payload
     cache = context.setdefault("_cache", {})
-    setup = 0.0
+    setup = None
     cached = cache.get(aln_idx)
     if cached is None:
         t0 = time.perf_counter()
@@ -399,13 +385,11 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     tree = parse_newick(context["newicks"][newick_idx])
     if fg_node is not None:
         tree.mark_foreground(tree.nodes[fg_node])
-    incremental = bool(context["incremental"])
     spec = resolve_model_spec(context.get("model"))  # absent in pre-spec contexts
     map_samples = context.get("map_samples")  # absent in pre-mapping contexts
     keep_mles = bool(context.get("keep_mles"))  # absent in pre-v8 contexts
     engine = make_engine(context["engine"])
-    bind = lambda model: engine.bind(tree, patterns, model, pi=pi,
-                                     incremental=incremental)
+    bind = lambda model: engine.bind(tree, patterns, model, pi=pi, incremental=True)
     test = fit_branch_site_test(
         bind,
         seed=seed,
@@ -413,8 +397,8 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
         models=spec.pair(),
     )
     mapping = _run_mapping(bind, spec, test, map_samples, seed)
-    return _assemble_result(gene_id, test, engine, incremental,
-                            setup_seconds=setup, model=spec.spec,
+    return _assemble_result(gene_id, test, engine,
+                            setup_s=setup, model=spec.spec,
                             mapping=mapping,
                             keep_mles=keep_mles)
 
@@ -431,7 +415,6 @@ def analyze_genes(
     worker: Optional[Callable[[Tuple, Dict], GeneResult]] = None,
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
-    incremental: bool = True,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
     keep_mles: bool = False,
@@ -470,12 +453,6 @@ def analyze_genes(
         *not* shut down, so e.g. one connected
         :class:`~repro.parallel.executors.sockets.SocketExecutor` fleet
         can serve a scan and then its journal resume.
-    incremental:
-        Dirty-path CLV caching in each worker (on by default;
-        :meth:`LikelihoodEngine.bind` with ``incremental=True``): BFGS
-        gradient probes re-prune only the probed branch's root path.
-        Bit-identical to full re-pruning; the reuse counters ride back
-        on ``GeneResult.clv_stats``.
     model:
         Model-spec string resolved per worker through
         :func:`repro.models.registry.resolve_model_spec` — e.g.
@@ -495,8 +472,10 @@ def analyze_genes(
 
     Every worker runs the numerical self-healing layer (guarded
     engines, seeded optimizer restarts); whatever fired rides back on
-    ``GeneResult.diagnostics`` and the ladder rungs that built each
-    task's operators on ``GeneResult.rung_usage``.
+    ``GeneResult.diagnostics``, and every engine counter — CLV reuse,
+    the ladder rungs that built the task's operators — on
+    ``GeneResult.metrics``.  Workers bind incrementally (dirty-path CLV
+    caching, bit-identical to full re-pruning).
 
     Returns
     -------
@@ -526,7 +505,7 @@ def analyze_genes(
     # One broadcast context per batch, integer indices per task (see
     # module docstring).
     context, keys = _build_shared_context(
-        pending_jobs, engine, incremental, max_iterations,
+        pending_jobs, engine, max_iterations,
         model=model, map_samples=map_samples, keep_mles=keep_mles,
     )
     payloads = [
@@ -672,7 +651,6 @@ def scan_branches(
     worker: Optional[Callable] = None,
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
-    incremental: bool = True,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
     keep_mles: bool = False,
@@ -712,7 +690,6 @@ def scan_branches(
         worker=worker,
         on_result=on_result,
         executor=executor,
-        incremental=incremental,
         model=model,
         map_samples=map_samples,
         keep_mles=keep_mles,

@@ -3,10 +3,11 @@
 The fault layer makes a genome scan *survive* bad tasks; this module
 makes the survival *visible*.  A :class:`BatchSummary` aggregates what
 each worker reported — runtime, optimizer iterations, likelihood
-evaluations (:class:`~repro.core.flops.FlopCounter`-style accounting
-travels inside each :class:`~repro.parallel.batch.GeneResult`) — plus
-the fault layer's attempt/failure classification, and renders the
-operator-facing report the ``slimcodeml scan`` subcommand prints.
+evaluations, and the open counter map each
+:class:`~repro.parallel.batch.GeneResult` carries (``metrics``, summed
+key by key) — plus the fault layer's attempt/failure classification,
+and renders the operator-facing report the ``slimcodeml scan``
+subcommand prints.
 """
 
 from __future__ import annotations
@@ -55,22 +56,11 @@ class BatchSummary:
     total_restarts: int = 0
     #: Numerical event kind → occurrence count across all tasks.
     events_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Branch applications actually recomputed by incremental workers.
-    total_clv_propagations: int = 0
-    #: Branch applications served from incremental CLV state instead.
-    total_clv_reuses: int = 0
-    #: Worker-side one-time context materialisation (cold start), summed.
-    total_setup_seconds: float = 0.0
-    #: Tasks that paid a cold start (first touch of an alignment's
-    #: broadcast entry in some worker process).
-    n_cold_starts: int = 0
-    #: Data-plane counters (an executor's ``wire_stats()``), attached by
-    #: the caller after the batch: bytes/frames split into the one-shot
-    #: broadcast versus per-task traffic.  Empty = backend has no wire.
-    wire: Dict[str, float] = field(default_factory=dict)
-    #: Ladder rung → operator builds it served, summed over tasks
-    #: (``GeneResult.rung_usage``).
-    rungs_by_kind: Dict[str, int] = field(default_factory=dict)
+    #: ``GeneResult.metrics`` summed key by key over the tasks computed
+    #: by this invocation (resumed results contribute nothing).  A
+    #: caller may merge an executor's ``wire_stats()`` in under
+    #: ``wire_`` keys after the batch.
+    metrics: Dict[str, float] = field(default_factory=dict)
     #: Tasks that produced a substitution-mapping payload (``--map``).
     n_mapped: int = 0
     #: Tasks whose mapping sampler failed (payload carried an error).
@@ -100,8 +90,11 @@ class BatchSummary:
         if resumed:
             self.resumed_ids.append(result.gene_id)
         worker = getattr(result, "worker", None)
-        if worker is not None and not resumed:
-            self.tasks_by_worker[worker] = self.tasks_by_worker.get(worker, 0) + 1
+        if not resumed:
+            if worker is not None:
+                self.tasks_by_worker[worker] = self.tasks_by_worker.get(worker, 0) + 1
+            for key, value in result.metrics.items():
+                self.metrics[key] = self.metrics.get(key, 0) + value
         diagnostics = getattr(result, "diagnostics", None)
         if diagnostics:
             self.n_recovered += 1
@@ -110,10 +103,6 @@ class BatchSummary:
             for event in diagnostics.get("events", []):
                 kind = event.get("kind", "unknown")
                 self.events_by_kind[kind] = self.events_by_kind.get(kind, 0) + 1
-        rung_usage = getattr(result, "rung_usage", None)
-        if rung_usage:
-            for rung, count in rung_usage.items():
-                self.rungs_by_kind[rung] = self.rungs_by_kind.get(rung, 0) + int(count)
         mapping = getattr(result, "mapping", None)
         if mapping:
             if "error" in mapping:
@@ -124,14 +113,6 @@ class BatchSummary:
                 for row in mapping.get("branches", []):
                     self.total_mapped_syn += float(row.get("syn", 0.0))
                     self.total_mapped_nonsyn += float(row.get("nonsyn", 0.0))
-        clv_stats = getattr(result, "clv_stats", None)
-        if clv_stats:
-            self.total_clv_propagations += int(clv_stats.get("propagations", 0))
-            self.total_clv_reuses += int(clv_stats.get("reuses", 0))
-        setup = float(getattr(result, "setup_seconds", 0.0) or 0.0)
-        if setup > 0.0 and not resumed:
-            self.total_setup_seconds += setup
-            self.n_cold_starts += 1
         if result.failed:
             self.n_failed += 1
             kind = result.failure.kind if result.failure is not None else "error"
@@ -151,6 +132,7 @@ class BatchSummary:
 
     def format(self) -> str:
         """Multi-line human-readable report."""
+        m = self.metrics
         lines = [
             f"tasks      : {self.n_tasks} total, {self.n_ok} ok, {self.n_failed} failed"
             + (f", {self.n_resumed} resumed from journal" if self.n_resumed else ""),
@@ -174,11 +156,12 @@ class BatchSummary:
                 f"unconverged: {self.n_unconverged}/{self.n_convergence_known} "
                 "tasks with an H0 or H1 fit stopped before convergence"
             )
-        applications = self.total_clv_propagations + self.total_clv_reuses
+        reuses = int(m.get("clv_reuses", 0))
+        applications = int(m.get("clv_propagations", 0)) + reuses
         if applications:
-            pct = 100.0 * self.total_clv_reuses / applications
+            pct = 100.0 * reuses / applications
             lines.append(
-                f"clv reuse  : {self.total_clv_reuses} of {applications} "
+                f"clv reuse  : {reuses} of {applications} "
                 f"branch applications served from cache ({pct:.1f}%)"
             )
         if self.n_recovered:
@@ -194,13 +177,15 @@ class BatchSummary:
                     for kind, count in sorted(self.events_by_kind.items())
                 )
             lines.append(line)
-        if self.rungs_by_kind:
+        rungs = sorted(
+            (key[len("rung_"):], int(count))
+            for key, count in m.items()
+            if key.startswith("rung_")
+        )
+        if rungs:
             lines.append(
                 "rungs      : operator builds "
-                + ", ".join(
-                    f"{rung}={count}"
-                    for rung, count in sorted(self.rungs_by_kind.items())
-                )
+                + ", ".join(f"{rung}={count}" for rung, count in rungs)
             )
         if self.n_mapped or self.n_mapping_failed:
             line = (
@@ -216,25 +201,24 @@ class BatchSummary:
                     "s" if self.n_mapping_failed != 1 else ""
                 )
             lines.append(line)
-        if self.n_cold_starts:
+        cold_starts = int(m.get("cold_starts", 0))
+        if cold_starts:
             lines.append(
-                f"cold start : {self.total_setup_seconds * 1000.0:.1f} ms "
+                f"cold start : {m.get('setup_s', 0.0) * 1000.0:.1f} ms "
                 f"materialising broadcast context across "
-                f"{self.n_cold_starts} first-touch task"
-                f"{'s' if self.n_cold_starts != 1 else ''}"
+                f"{cold_starts} first-touch task"
+                f"{'s' if cold_starts != 1 else ''}"
             )
-        if self.wire:
-            dispatched = int(self.wire.get("tasks_dispatched", 0))
-            if dispatched:
-                per_task = self.wire.get("task_bytes_mean", 0.0)
-                lines.append(
-                    f"wire       : {per_task:,.0f} B/task over {dispatched} "
-                    f"dispatches, one-shot broadcast "
-                    f"{int(self.wire.get('broadcast_bytes', 0)):,} B "
-                    f"({int(self.wire.get('broadcasts', 0))} deliveries), "
-                    f"{int(self.wire.get('bytes_sent', 0)):,} B out / "
-                    f"{int(self.wire.get('bytes_received', 0)):,} B in"
-                )
+        dispatched = int(m.get("wire_tasks_dispatched", 0))
+        if dispatched:
+            lines.append(
+                f"wire       : {m.get('wire_task_bytes_mean', 0.0):,.0f} B/task over "
+                f"{dispatched} dispatches, one-shot broadcast "
+                f"{int(m.get('wire_broadcast_bytes', 0)):,} B "
+                f"({int(m.get('wire_broadcasts', 0))} deliveries), "
+                f"{int(m.get('wire_bytes_sent', 0)):,} B out / "
+                f"{int(m.get('wire_bytes_received', 0)):,} B in"
+            )
         if self.tasks_by_worker:
             parts = ", ".join(
                 f"{worker}={count} task{'s' if count != 1 else ''}"

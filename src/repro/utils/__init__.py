@@ -1,7 +1,7 @@
 """Shared numerical and infrastructure utilities.
 
 Small, dependency-free helpers used across the library: a seeded RNG
-policy, validation helpers, log-space arithmetic, and lightweight timers.
+policy, validation helpers and log-space arithmetic.
 """
 
 from repro.utils.numerics import (
@@ -11,10 +11,8 @@ from repro.utils.numerics import (
     validate_square,
 )
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
 
 __all__ = [
-    "Stopwatch",
     "logsumexp_weighted",
     "make_rng",
     "relative_difference",

@@ -6,8 +6,8 @@
 * :func:`profile_call` — cProfile a callable and return the hottest
   functions as structured rows (handy in notebooks and bug reports);
 * :func:`evaluation_breakdown` — the engine-level phase split
-  (eigendecomposition / matrix exponential / CLV propagation) using the
-  engines' built-in stopwatches, i.e. the decomposition that motivates
+  (eigendecomposition / matrix exponential / CLV propagation) read off
+  the engines' phase-seconds counters, i.e. the decomposition that motivates
   each of the paper's optimizations.
 """
 
@@ -65,13 +65,17 @@ def evaluation_breakdown(engine, bound, values, n_evaluations: int = 3) -> Dict[
     """Fractional time per engine phase over ``n_evaluations`` likelihood calls.
 
     Returns a dict with keys ``eigh``, ``expm``, ``clv`` (fractions of
-    their sum) plus ``total_seconds``.  The engine's stopwatch is reset
-    first so the numbers describe exactly these evaluations.
+    their sum) plus ``total_seconds``.  The phases are the growth of the
+    engine's ``eigh_s``/``expm_s``/``clv_s`` counters over exactly these
+    evaluations.
     """
-    engine.stopwatch.reset()
+    before = dict(engine.counters)
     for _ in range(n_evaluations):
         bound.log_likelihood(values)
-    phases = {label: engine.stopwatch.total(label) for label in ("eigh", "expm", "clv")}
+    phases = {
+        label: engine.counters[f"{label}_s"] - before[f"{label}_s"]
+        for label in ("eigh", "expm", "clv")
+    }
     total = sum(phases.values())
     out = {label: (secs / total if total > 0 else 0.0) for label, secs in phases.items()}
     out["total_seconds"] = total

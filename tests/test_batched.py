@@ -411,17 +411,13 @@ class TestZeroWeightClasses:
 def test_background_tied_builds_ledgered_as_saved(
     small_tree, small_sim, h1_model, bsm_values
 ):
-    counter = FlopCounter()
-    engine = make_engine("slim-v2", counter=counter)
+    engine = make_engine("slim-v2")
     bound = engine.bind(small_tree, small_sim.alignment, h1_model)
     bound.log_likelihood(bsm_values)
     # Model A pairs 0↔2a and 1↔2b request identical background
     # operators; the planner builds each distinct (ω, t) once and
-    # ledgers the aliases.
-    saved = counter.saved_by_operation
-    assert any(op.startswith("expm:") for op in saved), saved
-    n = 61
-    assert counter.total_saved_flops >= syrk_flops(n, n)
+    # counts the aliases as build saves.
+    assert engine.counters["operator_build_saves"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Likelihood engines: agreement, caching, accounting, binding."""
 
 import gc
+import os
+import re
 import weakref
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from repro.alignment.patterns import compress_patterns
 from repro.core.eigen import DecompositionCache, PadeFallback
 from repro.core.engine import (
+    COUNTER_KEYS,
     BaselineEngine,
     SlimEngine,
     SlimV2Engine,
@@ -150,17 +153,17 @@ class TestCachingAndAccounting:
         spectral = SlimEngine()
         bound = spectral.bind(small_tree, small_sim.alignment, h1_model)
         bound.log_likelihood(bsm_values)
-        builds_one = spectral.rung_usage["evr"]
+        builds_one = spectral.counters["rung_evr"]
         bound.log_likelihood(bsm_values)
-        assert spectral.rung_usage["evr"] == 2 * builds_one  # rebuilt per evaluation
+        assert spectral.counters["rung_evr"] == 2 * builds_one  # rebuilt per evaluation
 
         pade = _pade_engine()
         bound = pade.bind(small_tree, small_sim.alignment, h1_model)
         first = bound.log_likelihood(bsm_values)
-        assert pade.rung_usage["pade"] == builds_one
+        assert pade.counters["rung_pade"] == builds_one
         assert bound.log_likelihood(bsm_values) == first
-        assert pade.rung_usage["pade"] == builds_one  # second eval fully cached
-        assert pade.transition_hits == builds_one
+        assert pade.counters["rung_pade"] == builds_one  # second eval fully cached
+        assert pade.counters["transition_hits"] == builds_one
 
     def test_flop_split_reported(self, small_tree, small_sim, h1_model, bsm_values):
         counter = FlopCounter()
@@ -170,12 +173,15 @@ class TestCachingAndAccounting:
         assert "clv:dgemv" in counter.by_operation
         assert counter.total_flops > 0
 
-    def test_stopwatch_phases(self, small_tree, small_sim, h1_model, bsm_values):
+    def test_phase_seconds_counters(self, small_tree, small_sim, h1_model, bsm_values):
         engine = make_engine("slim")
         engine.bind(small_tree, small_sim.alignment, h1_model).log_likelihood(bsm_values)
-        assert engine.stopwatch.count("expm") > 0
-        assert engine.stopwatch.count("clv") > 0
-        assert engine.stopwatch.count("eigh") >= 3  # one per distinct omega
+        assert engine.counters["expm_s"] > 0
+        assert engine.counters["clv_s"] > 0
+        assert engine.counters["eigh_s"] > 0
+        stats = engine.cache_stats()
+        # One decomposition per distinct omega.
+        assert stats["decomposition_hits"] + stats["decomposition_misses"] >= 3
 
     def test_expm_count_matches_paper_model(self, small_tree, small_sim, h1_model, bsm_values):
         # Per evaluation: background branches need P(w0), P(w1);
@@ -186,8 +192,55 @@ class TestCachingAndAccounting:
         bound.log_likelihood(bsm_values)
         n_branches = small_tree.n_branches
         expected = 2 * (n_branches - 1) + 3  # distinct (omega, t) pairs
-        assert engine.operator_builds == expected
-        assert engine.rung_usage["evr"] == expected
+        assert engine.counters["operator_builds"] == expected
+        assert engine.counters["rung_evr"] == expected
+
+
+#: The benchmark tracer's reader of ``cache_stats()`` (it sums every
+#: engine's stats under a ``cache.`` prefix).
+SPANS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "clibench", "spans.py")
+
+
+class TestCounterMap:
+    """``counters`` is the one place engine code writes counts, and
+    ``cache_stats()`` keeps every key the benchmark tracer reads."""
+
+    @staticmethod
+    def _tracer_keys():
+        with open(SPANS_PY, encoding="utf-8") as handle:
+            source = handle.read()
+        exact = set(re.findall(r'c\["cache\.(\w+)"\]', source))
+        prefixes = set(re.findall(r'startswith\("cache\.(\w+)"\)', source))
+        # Pinned, so a rename on either side fails here instead of
+        # silently zeroing a per-layer benchmark metric.
+        assert exact == {
+            "decomposition_hits", "decomposition_misses",
+            "transition_hits", "transition_misses",
+            "clv_propagations", "clv_reuses",
+        }
+        assert prefixes == {"rung_"}
+        return exact, prefixes
+
+    def test_fresh_engine_has_every_tracer_key(self):
+        exact, _ = self._tracer_keys()
+        stats = make_engine("slim-v2").cache_stats()
+        assert exact | set(COUNTER_KEYS) <= set(stats)
+        assert all(stats[key] == 0 for key in exact | set(COUNTER_KEYS))
+
+    def test_fit_fills_every_tracer_key(self, small_tree, small_sim, h1_model):
+        from repro.optimize.ml import fit_model
+
+        exact, prefixes = self._tracer_keys()
+        engine = make_engine("slim-v2")
+        bound = engine.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
+        fit_model(bound, seed=1, max_iterations=2)
+        stats = engine.cache_stats()
+        assert exact <= set(stats)
+        for key in ("decomposition_hits", "decomposition_misses",
+                    "clv_propagations", "clv_reuses"):
+            assert stats[key] > 0, key
+        (prefix,) = prefixes
+        assert stats[f"{prefix}evr"] == stats["operator_builds"] > 0
 
 
 @pytest.mark.parametrize("name", ENGINE_NAMES)

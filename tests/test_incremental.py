@@ -238,8 +238,8 @@ class TestEngineBitIdentity:
             assert a == b  # exact float equality, not approx
             if not recover:
                 assert a == reference_log_likelihood(b_full, values, L)
-        assert eng_inc.clv_reuses > 0
-        assert eng_inc.clv_propagations < eng_full.clv_propagations
+        assert eng_inc.counters["clv_reuses"] > 0
+        assert eng_inc.counters["clv_propagations"] < eng_full.counters["clv_propagations"]
         assert (len(eng_inc.events) > 0) == recover
 
     def test_site_class_matrix_bit_identical(
@@ -290,24 +290,10 @@ class TestEngineSemantics:
         bound.log_likelihood(bsm_values, probe, touched=(2,))
         # Re-evaluating the committed point must be a pure cache hit: the
         # probe did not advance the durable state.
-        before = engine.clv_propagations
+        before = engine.counters["clv_propagations"]
         again = bound.log_likelihood(bsm_values, lengths)
         assert again == base
-        assert engine.clv_propagations == before
-
-    def test_set_incremental_toggles_and_invalidates(
-        self, small_tree, small_sim, h1_model, bsm_values
-    ):
-        engine = make_engine("slim")
-        bound = engine.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
-        lengths = np.asarray(bound.branch_lengths, dtype=float)
-        a = bound.log_likelihood(bsm_values, lengths)
-        bound.set_incremental(False)
-        assert bound._inc_values is None
-        b = bound.log_likelihood(bsm_values, lengths)
-        assert a == b
-        bound.set_incremental(True)
-        assert a == bound.log_likelihood(bsm_values, lengths)
+        assert engine.counters["clv_propagations"] == before
 
     def test_cache_stats_exposes_clv_counters(
         self, small_tree, small_sim, h1_model, bsm_values
@@ -322,21 +308,6 @@ class TestEngineSemantics:
         stats = engine.cache_stats()
         assert stats["clv_propagations"] > 0
         assert stats["clv_reuses"] > 0
-
-    def test_flop_counter_ledgers_saved_work(
-        self, small_tree, small_sim, h1_model, bsm_values
-    ):
-        from repro.core.flops import FlopCounter
-
-        engine = make_engine("slim", counter=FlopCounter())
-        bound = engine.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
-        lengths = np.asarray(bound.branch_lengths, dtype=float)
-        bound.log_likelihood(bsm_values, lengths)
-        bumped = lengths.copy()
-        bumped[0] *= 1.01
-        bound.log_likelihood(bsm_values, bumped)
-        assert engine.counter.total_saved_flops > 0
-        assert "saved by reuse" in engine.counter.summary()
 
 
 # ----------------------------------------------------------------------
@@ -362,18 +333,17 @@ def test_fit_model_incremental_identical_and_cheaper(
     # aliases background-tied subtrees across classes.
     n_classes = len(h1_model.site_classes(fit_full.values))
     full_repruning = b_full.n_evaluations * n_classes * b_full.n_branches
-    assert eng_inc.clv_propagations * 2 <= full_repruning
-    assert eng_inc.clv_propagations < eng_full.clv_propagations
+    assert eng_inc.counters["clv_propagations"] * 2 <= full_repruning
+    assert eng_inc.counters["clv_propagations"] < eng_full.counters["clv_propagations"]
 
 
-def test_fit_model_incremental_override_toggles_binding(
+def test_fit_model_on_incremental_binding_matches_plain(
     small_tree, small_sim, h1_model
 ):
     engine = make_engine("slim")
-    bound = engine.bind(small_tree, small_sim.alignment, h1_model)
-    assert not bound.incremental
-    fit = fit_model(bound, seed=1, max_iterations=3, incremental=True)
-    assert bound.incremental
+    bound = engine.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
+    fit = fit_model(bound, seed=1, max_iterations=3)
+    assert engine.counters["clv_reuses"] > 0
     reference = fit_model(
         make_engine("slim").bind(small_tree, small_sim.alignment, h1_model),
         seed=1,
@@ -402,16 +372,13 @@ class TestBatchIntegration:
         from repro.parallel.metrics import summarize_results
 
         job = GeneJob.from_objects("g1", small_tree, small_sim.alignment)
-        [plain] = analyze_genes([job], processes=1, max_iterations=3, incremental=False)
         [inc] = analyze_genes([job], processes=1, max_iterations=3)
-        assert plain.clv_stats is None
-        assert inc.clv_stats is not None and inc.clv_stats["reuses"] > 0
-        assert inc.lnl0 == plain.lnl0 and inc.lnl1 == plain.lnl1
+        assert inc.metrics["clv_reuses"] > 0
+        assert inc.metrics["clv_propagations"] > 0
 
         summary = summarize_results([inc])
-        assert summary.total_clv_reuses == inc.clv_stats["reuses"]
+        assert summary.metrics["clv_reuses"] == inc.metrics["clv_reuses"]
         assert "clv reuse" in summary.format()
-        assert "clv reuse" not in summarize_results([plain]).format()
 
     def test_gene_result_clv_stats_roundtrip(self):
         from repro.io.results_io import gene_result_from_dict, gene_result_to_dict
@@ -425,10 +392,42 @@ class TestBatchIntegration:
             pvalue=0.15,
             iterations=4,
             runtime_seconds=0.1,
-            clv_stats={"propagations": 12, "reuses": 30},
+            metrics={"clv_propagations": 12, "clv_reuses": 30},
         )
         back = gene_result_from_dict(gene_result_to_dict(result))
-        assert back.clv_stats == {"propagations": 12, "reuses": 30}
+        assert back.metrics == {"clv_propagations": 12, "clv_reuses": 30}
         assert gene_result_from_dict(
             gene_result_to_dict(GeneResult("g", -1.0, -1.0, 0.0, 1.0, 1, 0.0))
-        ).clv_stats is None
+        ).metrics == {}
+
+    def test_resumed_results_contribute_no_metrics(self, small_tree, small_sim, tmp_path):
+        from repro.parallel.batch import scan_branches
+
+        journal = tmp_path / "scan.jsonl"
+        first = scan_branches("g", small_tree, small_sim.alignment,
+                              max_iterations=1, journal=str(journal))
+        # Keep the header and the first two task records: a scan killed
+        # after two branches.
+        lines = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+        journal.write_text("".join(lines[:3]), encoding="utf-8")
+
+        computed = set()
+        scan = scan_branches("g", small_tree, small_sim.alignment,
+                             max_iterations=1, journal=str(journal), resume=True,
+                             on_result=lambda k, res: computed.add(res.gene_id))
+        resumed = [r.gene_id for r in scan.gene_results if r.gene_id not in computed]
+        assert len(resumed) == 2 and len(computed) == first.n_candidates - 2
+        summary = scan.summary(resumed_ids=resumed)
+
+        expected = {}
+        for res in scan.gene_results:
+            if res.gene_id in computed:
+                for key, value in res.metrics.items():
+                    expected[key] = expected.get(key, 0) + value
+        assert summary.metrics == expected
+        # The resumed records do carry counters; the summary leaves them out.
+        loaded = [r for r in scan.gene_results if r.gene_id in resumed]
+        assert all(r.metrics["clv_reuses"] > 0 for r in loaded)
+        reuses = int(expected["clv_reuses"])
+        applications = reuses + int(expected["clv_propagations"])
+        assert f"clv reuse  : {reuses} of {applications} " in summary.format()

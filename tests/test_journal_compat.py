@@ -4,10 +4,11 @@ One fixture file per historical journal version (v2 added the header,
 v3 diagnostics, v4 clv_stats, v5 setup_seconds, v6 the model spec, v7
 rung_usage + the substitution-mapping payload, v8 the additive
 ``mapping_ci``/``seconds``/``method`` mapping keys and ``h1_mles``, v9
-per-hypothesis ``converged``) plus the current version; the tolerant reader must load every one of
-them — that is the
-contract that lets a scan journalled by an old release resume on a new
-one.
+per-hypothesis ``converged``, v10 the open ``metrics`` map that replaced
+the v4/v5/v7 counter fields); the tolerant reader must load every one
+of them, with the old counter fields mapped into ``metrics`` — that is
+the contract that lets a scan journalled by an old release resume on a
+new one.
 """
 
 import json
@@ -20,7 +21,7 @@ import pytest
 from repro.io.results_io import JOURNAL_VERSION, ResultJournal
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data", "journals")
-VERSIONS = (2, 3, 4, 5, 6, 7, 8, 9)
+VERSIONS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
 
 def _fixture(version):
@@ -73,14 +74,18 @@ class TestFixtureVersions:
         assert diagnosed.diagnostics["boundary_flags"] == ["h1:omega2_upper"]
 
     def test_v4_clv_stats_survive(self):
-        results = ResultJournal(_fixture(4)).load()
-        cached = next(r for r in results if r.gene_id == "gene1:A")
-        assert cached.clv_stats == {"propagations": 412, "reuses": 1888}
+        by_id = {r.gene_id: r for r in ResultJournal(_fixture(4)).load()}
+        assert by_id["gene1:A"].metrics == {"clv_propagations": 412, "clv_reuses": 1888}
+        assert by_id["gene1:D"].metrics == {}  # clv_stats: null
 
     def test_v5_setup_seconds_survive(self):
-        results = ResultJournal(_fixture(5)).load()
-        warm = next(r for r in results if r.gene_id == "gene1:A")
-        assert warm.setup_seconds == 0.041
+        by_id = {r.gene_id: r for r in ResultJournal(_fixture(5)).load()}
+        assert by_id["gene1:A"].metrics == {
+            "clv_propagations": 398, "clv_reuses": 1902,
+            "setup_s": 0.041, "cold_starts": 1,
+        }
+        # A warm task (setup_seconds 0.0) paid no cold start.
+        assert by_id["gene1:E"].metrics == {}
 
     def test_v6_model_spec_survives(self):
         results = ResultJournal(_fixture(6)).load()
@@ -92,14 +97,17 @@ class TestFixtureVersions:
         results = ResultJournal(_fixture(7)).load()
         by_id = {r.gene_id: r for r in results}
         mapped = by_id["gene1:A"]
-        assert mapped.rung_usage == {"evr": 1380, "pade": 14, "uniformization": 2}
+        assert mapped.metrics == {
+            "rung_evr": 1380, "rung_pade": 14, "rung_uniformization": 2,
+            "setup_s": 0.038, "cold_starts": 1,
+        }
         assert mapped.mapping["n_samples"] == 16
         rows = {row["branch"]: row for row in mapped.mapping["branches"]}
         assert rows["A"]["foreground"] and rows["A"]["ratio"] == 1.25
         assert rows["B"]["ratio"] is None  # zero syn events: undefined
         assert mapped.mapping["foreground_sites"]["nonsyn"] == [2.0, 0.0, 1.25]
         # A task that ran without --map / recovery journals None for both.
-        assert by_id["gene1:F"].rung_usage is None
+        assert by_id["gene1:F"].metrics == {}
         assert by_id["gene1:F"].mapping is None
 
     def test_v8_mapping_ci_and_h1_mles_survive(self):
@@ -128,6 +136,27 @@ class TestFixtureVersions:
         assert by_id["gene1:A"].unconverged == ["H1"]
         assert by_id["gene1:F"].unconverged == []
 
+    def test_v10_metrics_survive(self):
+        by_id = {r.gene_id: r for r in ResultJournal(_fixture(10)).load()}
+        metrics = by_id["gene1:A"].metrics
+        assert metrics["clv_propagations"] == 398 and metrics["clv_reuses"] == 1902
+        assert metrics["rung_evr"] == 1380 and metrics["rung_uniformization"] == 2
+        assert metrics["setup_s"] == 0.038 and metrics["cold_starts"] == 1
+        assert metrics["newer_counter"] == 7  # a key this reader never heard of
+        assert by_id["gene1:F"].metrics == {}
+
+    def test_v10_unknown_metric_survives_load_and_append(self, tmp_path):
+        originals = ResultJournal(_fixture(10)).load()
+        path = tmp_path / "again.jsonl"
+        with ResultJournal(path) as journal:
+            for result in originals:
+                journal.append(result)
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert records[1]["metrics"]["newer_counter"] == 7
+        reloaded = {r.gene_id: r for r in ResultJournal(path).load()}
+        assert reloaded["gene1:A"].metrics == originals[0].metrics
+
     @pytest.mark.parametrize("version", [v for v in VERSIONS if v < 9])
     def test_older_versions_read_convergence_as_unknown(self, version):
         # Pre-v9 journals never recorded convergence: unknown, not "converged".
@@ -146,7 +175,7 @@ class TestFixtureVersions:
     def test_older_versions_default_mapping_fields_to_none(self, version):
         # Pre-v7 journals never recorded rung usage or mapping payloads.
         for result in ResultJournal(_fixture(version)).load():
-            assert result.rung_usage is None
+            assert not any(key.startswith("rung_") for key in result.metrics)
             assert result.mapping is None
 
     @pytest.mark.parametrize("version", [v for v in VERSIONS if v < 8])
@@ -189,6 +218,7 @@ class TestForwardGuards:
         assert [r.gene_id for r in reloaded] == [r.gene_id for r in originals]
         assert [r.model for r in reloaded] == [r.model for r in originals]
         assert [r.converged for r in reloaded] == [r.converged for r in originals]
+        assert [r.metrics for r in reloaded] == [r.metrics for r in originals]
         assert np.allclose(
             [r.lnl1 for r in reloaded], [r.lnl1 for r in originals]
         )

@@ -92,7 +92,7 @@ class TestEngineInternals:
         )
         bound = engine.bind(small_tree, small_sim.alignment, h1_model)
         bound.log_likelihood(bsm_values)
-        assert engine.transition_misses > 4
+        assert engine.counters["transition_misses"] > 4
         assert len(engine._transition_cache) == 4
 
     def test_counter_merge_and_summary(self):

@@ -59,13 +59,31 @@ class TestFitModel:
         assert not np.allclose(fit.branch_lengths, small_tree.branch_lengths())
 
     def test_lbfgsb_backend_agrees(self, m0_bound):
-        ours = fit_model(m0_bound, seed=2, max_iterations=100, method="bfgs")
-        scipys = fit_model(m0_bound, seed=2, max_iterations=100, method="lbfgsb")
-        assert ours.lnl == pytest.approx(scipys.lnl, abs=0.05)
+        # scipy's L-BFGS-B on the same packed objective, from the same
+        # seeded start, must reach the same optimum as our BFGS.
+        import scipy.optimize
 
-    def test_unknown_method(self, m0_bound):
-        with pytest.raises(ValueError, match="unknown method"):
-            fit_model(m0_bound, method="genetic-algorithm")
+        from repro.optimize.ml import _pack_full, _unpack_full
+        from repro.utils.rng import make_rng
+
+        ours = fit_model(m0_bound, seed=2, max_iterations=100)
+        model = m0_bound.model
+        base = np.asarray(m0_bound.branch_lengths, dtype=float)
+        lengths = np.where(base > 0, base, 0.1)
+        x0 = _pack_full(model, model.default_start(make_rng(2)), lengths, True)
+
+        def objective(x):
+            values, ts = _unpack_full(model, x, lengths, True)
+            try:
+                return -m0_bound.log_likelihood(values, ts)
+            except (ValueError, FloatingPointError):
+                return np.inf
+
+        scipys = scipy.optimize.minimize(
+            objective, x0, method="L-BFGS-B",
+            options={"maxiter": 100, "ftol": 1e-9, "gtol": 1e-4},
+        )
+        assert ours.lnl == pytest.approx(-scipys.fun, abs=0.05)
 
     def test_summary_text(self, m0_bound):
         fit = fit_model(m0_bound, max_iterations=2, seed=1)

@@ -1,6 +1,7 @@
 """Profiling helpers."""
 
 import numpy as np
+import pytest
 
 from repro.core.engine import make_engine
 from repro.models.m0 import M0Model
@@ -30,8 +31,16 @@ def test_evaluation_breakdown_fractions():
     sim = simulate_alignment(tree, M0Model(), values, 40, seed=2)
     engine = make_engine("slim")
     bound = engine.bind(tree, sim.alignment, M0Model())
+    bound.log_likelihood(values)
+    earlier = dict(engine.counters)
     breakdown = evaluation_breakdown(engine, bound, values, n_evaluations=2)
     fractions = [breakdown[k] for k in ("eigh", "expm", "clv")]
     assert all(0 <= f <= 1 for f in fractions)
     assert abs(sum(fractions) - 1.0) < 1e-9
     assert breakdown["total_seconds"] > 0
+    # The breakdown reads the growth of the engine's phase-seconds
+    # counters over its own evaluations; it never resets them.
+    phases = ("eigh_s", "expm_s", "clv_s")
+    grown = sum(engine.counters[k] - earlier[k] for k in phases)
+    assert breakdown["total_seconds"] == pytest.approx(grown)
+    assert engine.counters["clv_propagations"] > earlier["clv_propagations"] > 0

@@ -119,8 +119,8 @@ class TestLRUEviction:
         engine._operator_for(d, 0.1)
         engine._operator_for(d, 0.1)
         engine._operator_for(d, 0.2)
-        assert engine.transition_hits == 1
-        assert engine.transition_misses == 2
+        assert engine.counters["transition_hits"] == 1
+        assert engine.counters["transition_misses"] == 2
 
     def test_lru_keeps_hot_entries(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "TRANSITION_CACHE_SIZE", 2)
@@ -131,9 +131,9 @@ class TestLRUEviction:
         engine._operator_for(d, 0.1)  # hit, refreshes 0.1
         engine._operator_for(d, 0.3)  # miss, evicts the cold 0.2
         engine._operator_for(d, 0.1)  # hit: hot entry survived eviction
-        assert engine.transition_hits == 2
+        assert engine.counters["transition_hits"] == 2
         engine._operator_for(d, 0.2)  # miss: 0.2 was the LRU victim
-        assert engine.transition_misses == 4
+        assert engine.counters["transition_misses"] == 4
         assert len(engine._transition_cache) == 2
 
     def test_eviction_is_incremental_not_full_clear(self, monkeypatch):
@@ -151,8 +151,8 @@ class TestLRUEviction:
         d = _decomp(0.2)
         engine._operator_for(d, 0.1)
         engine._operator_for(d, 0.1)
-        assert engine.transition_hits == 0
-        assert engine.transition_misses == 0
+        assert engine.counters["transition_hits"] == 0
+        assert engine.counters["transition_misses"] == 0
         assert len(engine._transition_cache) == 0
 
 

@@ -184,8 +184,8 @@ class TestRung4Wiring:
         ]
         assert len(events) == 1
         assert events[0].context["path"] == "pade"
-        assert engine.rung_usage.get("uniformization") == 1
-        assert "pade" not in engine.rung_usage
+        assert engine.counters.get("rung_uniformization") == 1
+        assert "rung_pade" not in engine.counters
 
     def test_ladder_exhaustion_is_one_structured_event(self, fallback, monkeypatch):
         engine = make_engine("slim")
@@ -285,9 +285,8 @@ class TestFaultInjectedScan:
         assert scan.ok, scan.failures
         assert scan.n_candidates == 7
         for res in scan.gene_results:
-            assert res.rung_usage is not None
-            assert res.rung_usage.get("uniformization", 0) > 0
-            assert "evr" not in res.rung_usage and "pade" not in res.rung_usage
+            assert res.metrics.get("rung_uniformization", 0) > 0
+            assert "rung_evr" not in res.metrics and "rung_pade" not in res.metrics
             # Event attribution: rung 4 fired, every time from the Padé
             # path (the spectral rungs never produced a decomposition).
             fallback_events = [
@@ -369,8 +368,8 @@ class TestLibraryDefaultsAreGuarded:
         assert "error" not in payloads[label], payloads[label]
         assert payloads[label]["branches"]
         (engine,) = engines
-        assert engine.rung_usage.get("pade", 0) > 0
-        assert "evr" not in engine.rung_usage
+        assert engine.counters.get("rung_pade", 0) > 0
+        assert "rung_evr" not in engine.counters
 
     def test_analyze_genes_defaults_report_rung_usage(self, scan_problem):
         from repro.parallel.batch import GeneJob, analyze_genes
@@ -380,5 +379,5 @@ class TestLibraryDefaultsAreGuarded:
             [GeneJob.from_objects("g", tree, alignment)], max_iterations=1
         )
         assert not res.failed
-        assert res.rung_usage is not None and res.rung_usage["evr"] > 0
+        assert res.metrics["rung_evr"] > 0
         assert res.converged == {"h0": False, "h1": False}

@@ -1,6 +1,4 @@
-"""Utility layer: log-space arithmetic, RNG policy, stopwatch."""
-
-import time
+"""Utility layer: log-space arithmetic, RNG policy."""
 
 import numpy as np
 import pytest
@@ -12,7 +10,6 @@ from repro.utils.numerics import (
     validate_square,
 )
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
 
 
 class TestLogsumexpWeighted:
@@ -97,34 +94,3 @@ class TestRng:
         with pytest.raises(ValueError):
             spawn_rngs(1, -1)
 
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw.measure("a"):
-            time.sleep(0.002)
-        with sw.measure("a"):
-            pass
-        assert sw.count("a") == 2
-        assert sw.total("a") >= 0.002
-
-    def test_unknown_label_is_zero(self):
-        sw = Stopwatch()
-        assert sw.total("nope") == 0.0
-        assert sw.count("nope") == 0
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw.measure("a"):
-            pass
-        sw.reset()
-        assert sw.count("a") == 0
-
-    def test_summary_sorted_by_time(self):
-        sw = Stopwatch()
-        with sw.measure("fast"):
-            pass
-        with sw.measure("slow"):
-            time.sleep(0.003)
-        lines = sw.summary().splitlines()
-        assert lines[0].startswith("slow")
