@@ -1,0 +1,195 @@
+"""E-GRAD — analytic branch-length gradients versus finite differences.
+
+``BoundLikelihood.branch_gradient`` yields ``∂lnL/∂t`` for every branch
+from one outside pass (DESIGN.md §9); ``fit_model`` uses it for every
+branch coordinate and keeps forward differences only for the model
+parameters.  Per dataset this bench reports
+
+* agreement: the worst ``|g − ref| / max(|ref|, 1)`` of the analytic
+  ``∂lnL/∂log t`` against a Richardson-extrapolated central difference,
+  ``(4·CD(h) − CD(2h))/3`` with ``h = 1e-4``, under H0 and H1;
+* milliseconds per branch gradient: the analytic pass (reading the
+  evaluation it follows) against forward differences over every branch
+  (one likelihood evaluation per branch);
+* likelihood evaluations per BFGS iteration of a budgeted H1 fit
+  (start gradient included) against the all-FD count
+  ``1 + n_free_coords``.
+
+Standalone so CI can gate it::
+
+    PYTHONPATH=src python benchmarks/bench_gradient.py --quick \\
+        --assert-agreement 1e-6 --assert-eval-reduction 4.0
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import time
+
+import numpy as np
+from harness import SEED, format_table, get_dataset, write_result
+
+from repro.core.engine import make_engine
+from repro.models.branch_site import BranchSiteModelA
+from repro.optimize.ml import fit_model
+
+H = 1e-4
+
+
+def agreement(bound, values, branches) -> float:
+    """Worst relative error of ``t·∂lnL/∂t`` over ``branches``."""
+    lengths = np.asarray(bound.branch_lengths, dtype=float)
+    x = np.log(lengths)
+
+    def lnl(log_t):
+        return bound.log_likelihood(values, np.exp(log_t))
+
+    def central(i, h):
+        step = np.zeros_like(x)
+        step[i] = h
+        return (lnl(x + step) - lnl(x - step)) / (2.0 * h)
+
+    bound.log_likelihood(values, lengths)
+    _, grad = bound.branch_gradient(values, lengths)
+    worst = 0.0
+    for j in branches:
+        ref = (4.0 * central(j, H) - central(j, 2.0 * H)) / 3.0
+        worst = max(worst, abs(lengths[j] * grad[j] - ref) / max(abs(ref), 1.0))
+    return worst
+
+
+def gradient_ms(bound, values, reps: int):
+    """Median ms per branch gradient: analytic pass vs forward differences."""
+    lengths = np.asarray(bound.branch_lengths, dtype=float)
+    analytic, fd = [], []
+    for _ in range(reps):
+        bound.log_likelihood(values, lengths)
+        start = time.perf_counter()
+        bound.branch_gradient(values, lengths)
+        analytic.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        for j in range(bound.n_branches):
+            probe = lengths.copy()
+            probe[j] *= np.exp(1e-6)
+            bound.log_likelihood(values, probe)
+        fd.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(analytic), 1e3 * statistics.median(fd)
+
+
+def evals_per_iteration(dataset, engine_name: str, budget: int):
+    """``(evaluations per iteration, all-FD count)`` of a budgeted H1 fit."""
+    model = BranchSiteModelA(fix_omega2=False)
+    bound = make_engine(engine_name).bind(dataset.tree, dataset.alignment, model)
+    fit = fit_model(bound, seed=SEED, max_iterations=budget)
+    per_iter = fit.n_evaluations / (fit.n_iterations + 1)
+    return per_iter, 1 + model.n_params + bound.n_branches
+
+
+def sampled_branches(bound, k: int):
+    n = bound.n_branches
+    picks = {int(j) for j in np.linspace(0, n - 1, k)}
+    picks |= {pos for _, _, pos, fg in bound._rows if fg}
+    return sorted(picks)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="CI smoke mode: datasets i and iii, 4 branches checked, 3 timing reps",
+    )
+    parser.add_argument(
+        "--engine", default="slim-v2", choices=["codeml", "slim", "slim-v2"],
+    )
+    parser.add_argument(
+        "--iterations", type=int, default=None,
+        help="H1 fit budget for the evaluations-per-iteration column (default 3)",
+    )
+    parser.add_argument(
+        "--assert-agreement", type=float, default=None, metavar="TOL",
+        help="exit non-zero if any checked gradient errs by more than TOL",
+    )
+    parser.add_argument(
+        "--assert-eval-reduction", type=float, default=None, metavar="FACTOR",
+        help="exit non-zero unless the dataset-iii H1 fit's evaluations per "
+             "iteration are at least FACTOR below the all-FD count",
+    )
+    args = parser.parse_args(argv)
+
+    names = ["i", "iii"] if args.quick else ["i", "ii", "iii", "iv"]
+    n_check = 4 if args.quick else 8
+    reps = 3 if args.quick else 7
+    budget = args.iterations if args.iterations is not None else 3
+
+    rows = []
+    worst = 0.0
+    reduction_iii = None
+    for name in names:
+        dataset = get_dataset(name)
+        values1 = dataset.spec.true_values()
+        values0 = {k: v for k, v in values1.items() if k != "omega2"}
+        errors = []
+        for model, values in (
+            (BranchSiteModelA(fix_omega2=True), values0),
+            (BranchSiteModelA(fix_omega2=False), values1),
+        ):
+            bound = make_engine(args.engine).bind(dataset.tree, dataset.alignment, model)
+            errors.append(agreement(bound, values, sampled_branches(bound, n_check)))
+        worst = max(worst, *errors)
+        ms_analytic, ms_fd = gradient_ms(bound, values1, reps)
+        per_iter, all_fd = evals_per_iteration(dataset, args.engine, budget)
+        if name == "iii":
+            reduction_iii = all_fd / per_iter
+        rows.append([
+            name,
+            str(bound.n_branches),
+            f"{errors[0]:.1e}",
+            f"{errors[1]:.1e}",
+            f"{ms_fd:.1f}",
+            f"{ms_analytic:.1f}",
+            f"{ms_fd / ms_analytic:.1f}x",
+            str(all_fd),
+            f"{per_iter:.1f}",
+        ])
+        print(f"dataset {name}: done", file=sys.stderr)
+
+    table = format_table(
+        [
+            "dataset", "branches", "agree H0", "agree H1",
+            "FD ms/grad", "analytic ms/grad", "speedup",
+            "all-FD evals/iter", "evals/iter",
+        ],
+        rows,
+        title=(
+            f"E-GRAD analytic branch gradients — engine {args.engine}, "
+            f"agreement vs Richardson central FD (h={H:g} in log t), "
+            f"FD = one evaluation per branch, H1 fit budget {budget}, seed {SEED}"
+        ),
+    )
+    if args.quick:
+        print(table)
+    else:
+        write_result("E-GRAD_gradients.txt", table)
+
+    status = 0
+    if args.assert_agreement is not None and worst > args.assert_agreement:
+        print(
+            f"FAIL: gradient agreement {worst:.3e} exceeds {args.assert_agreement:.1e}",
+            file=sys.stderr,
+        )
+        status = 1
+    if args.assert_eval_reduction is not None:
+        if reduction_iii is None or reduction_iii < args.assert_eval_reduction:
+            print(
+                f"FAIL: dataset-iii evaluations per iteration are {reduction_iii} "
+                f"times below the all-FD count, need {args.assert_eval_reduction}",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

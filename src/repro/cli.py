@@ -197,9 +197,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     engine = make_engine(engine_name)
     test = fit_branch_site_test(
-        lambda model: engine.bind(
-            tree, alignment, model, freq_method=ctl.freq_method, incremental=True
-        ),
+        lambda model: engine.bind(tree, alignment, model, freq_method=ctl.freq_method),
         seed=seed,
         max_iterations=max_iterations,
         start_overrides={"kappa": ctl.kappa},

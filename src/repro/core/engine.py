@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -72,6 +73,7 @@ from repro.core.flops import (
 )
 from repro.likelihood.mixture import (
     check_finite_site_log_likelihoods,
+    class_posteriors,
     mixture_log_likelihood,
     site_class_log_likelihoods,
 )
@@ -113,6 +115,9 @@ COUNTER_KEYS = (
     "eigh_s",
     "expm_s",
     "clv_s",
+    "gradient_passes",
+    "gradient_s",
+    "derivative_builds",
 )
 
 
@@ -162,8 +167,10 @@ class LikelihoodEngine:
     Every count the engine makes lands in :attr:`counters`, one flat
     map (DESIGN.md §8 lists its keys): cache hits and misses, CLV
     propagations and reuses, the operator-build ledger, one
-    ``rung_<name>`` entry per ladder rung that built operators, and the
-    seconds spent in the ``eigh``/``expm``/``clv`` phases.
+    ``rung_<name>`` entry per ladder rung that built operators, the
+    seconds spent in the ``eigh``/``expm``/``clv`` phases, and the
+    branch-gradient pass (``gradient_passes``, inclusive ``gradient_s``,
+    and ``derivative_builds``, kept out of the forward build ledger).
 
     Every engine runs guarded (DESIGN.md §8): decompositions go through
     the eigensolver fallback ladder (``evr`` → ``ev`` → per-branch Padé
@@ -174,10 +181,8 @@ class LikelihoodEngine:
     Every trigger is recorded on :attr:`events`.  Operators built off a
     Padé fallback ride an LRU of
     :data:`~repro.core.recovery.TRANSITION_CACHE_SIZE` entries; spectral
-    operators never do: CodeML v4.4c recomputes P per evaluation, the
-    paper's cost model assumes one expm per branch per iteration, and
-    the incremental binding's dirty-path state already skips every clean
-    branch (DESIGN.md §9).
+    operators never do: CodeML v4.4c recomputes P per evaluation, and
+    the paper's cost model assumes one expm per branch per iteration.
     """
 
     name = "abstract"
@@ -317,6 +322,49 @@ class LikelihoodEngine:
         }
         self._note_rung(getattr(decomp, "rung", "evr"), len(ts))
         return BatchedOperatorSet(operators, stack)
+
+    def _build_derivative_stack(
+        self, decomp: SpectralDecomposition, ts: Sequence[float]
+    ) -> np.ndarray:
+        """F-ordered ``(n, n·B)`` stack of ``P′(t_b) = Q·P(t_b)`` operators.
+
+        Block b is the derivative of this engine's operator for
+        ``ts[b]``, in the same representation, so the unchanged
+        :meth:`_propagate_level` applies it (DESIGN.md §9).
+        """
+        raise NotImplementedError
+
+    def derivative_set_for(
+        self, decomp, ts: Sequence[float], forward: BatchedOperatorSet
+    ) -> BatchedOperatorSet:
+        """Branch-length derivative operators of one decomposition.
+
+        A spectral decomposition gets one stacked build
+        (:meth:`_build_derivative_stack`).  A Padé fallback has no
+        eigensystem: its forward operators came from the Padé or the
+        uniformization rung, so ``P′ = Q·P(t)`` is formed from the
+        repaired ``P(t)`` in ``forward``.  Derivative builds are counted
+        under ``derivative_builds``, outside the forward build ledger.
+        """
+        ts = [float(t) for t in ts]
+        self.counters["derivative_builds"] += len(ts)
+        if isinstance(decomp, PadeFallback):
+            return BatchedOperatorSet({
+                t: self._wrap_probability_matrix(
+                    decomp.q @ self._operator_probability_matrix(forward.view(t)), decomp.pi
+                )
+                for t in ts
+            })
+        stack = self._build_derivative_stack(decomp, ts)
+        stack.setflags(write=False)
+        n = decomp.n_states
+        return BatchedOperatorSet(
+            {
+                t: self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp)
+                for b, t in enumerate(ts)
+            },
+            stack,
+        )
 
     def operator_set_for(self, decomp, ts: Sequence[float]) -> BatchedOperatorSet:
         """Operators of one decomposition for every distinct ``t``.
@@ -477,16 +525,13 @@ class LikelihoodEngine:
         model: CodonSiteModel,
         pi: Optional[np.ndarray] = None,
         freq_method: str = "f3x4",
-        incremental: bool = False,
         leaf_clvs: Optional[Sequence[np.ndarray]] = None,
     ) -> "BoundLikelihood":
         """Bind this engine to a (tree, alignment, model) problem.
 
         ``pi`` defaults to the CodeML-style empirical estimate
         (``freq_method``, default F3x4) computed from the *uncompressed*
-        alignment.  ``incremental=True`` enables dirty-path CLV caching
-        and cross-class subtree sharing on the binding (bit-identical to
-        full re-pruning; see :class:`BoundLikelihood`).  ``leaf_clvs``
+        alignment.  ``leaf_clvs``
         (indexed by leaf node index, as :func:`build_leaf_clvs` returns)
         lets several bindings over the *same* (topology, pattern
         alignment) — e.g. the survey mapper's per-candidate foreground
@@ -510,7 +555,6 @@ class LikelihoodEngine:
             patterns = compress_patterns(data)
         return BoundLikelihood(
             self, tree, patterns, model, np.asarray(pi, dtype=float),
-            incremental=incremental,
             leaf_clvs=leaf_clvs,
         )
 
@@ -524,6 +568,19 @@ class BaselineEngine(LikelihoodEngine):
 
     def _build_operator(self, decomp: SpectralDecomposition, t: float) -> np.ndarray:
         return transition_matrix_einsum(decomp, t, counter=self.counter)
+
+    def _build_derivative_stack(
+        self, decomp: SpectralDecomposition, ts: Sequence[float]
+    ) -> np.ndarray:
+        # No stacked kernel: the Eq. 9 contraction per branch, laid into
+        # the column blocks of one buffer.
+        n = decomp.n_states
+        stack = np.empty((n, n * len(ts)), order="F")
+        for b, t in enumerate(ts):
+            stack[:, b * n : (b + 1) * n] = transition_matrix_einsum(
+                decomp, t, counter=self.counter, derivative=True
+            )
+        return stack
 
     def _propagate(self, operator: np.ndarray, clv: np.ndarray) -> np.ndarray:
         n, n_patterns = clv.shape
@@ -582,6 +639,11 @@ class SlimEngine(LikelihoodEngine):
         self, decomp: SpectralDecomposition, ts: Sequence[float]
     ) -> np.ndarray:
         return stacked_syrk_operators(decomp, ts, counter=self.counter)
+
+    def _build_derivative_stack(
+        self, decomp: SpectralDecomposition, ts: Sequence[float]
+    ) -> np.ndarray:
+        return stacked_syrk_operators(decomp, ts, counter=self.counter, derivative=True)
 
 
 class SlimV2Engine(LikelihoodEngine):
@@ -650,6 +712,11 @@ class SlimV2Engine(LikelihoodEngine):
     ) -> np.ndarray:
         return stacked_symmetric_operators(decomp, ts, counter=self.counter)
 
+    def _build_derivative_stack(
+        self, decomp: SpectralDecomposition, ts: Sequence[float]
+    ) -> np.ndarray:
+        return stacked_symmetric_operators(decomp, ts, counter=self.counter, derivative=True)
+
     def _operator_from_view(self, view: np.ndarray, decomp) -> tuple:
         return (view, decomp.pi)
 
@@ -696,39 +763,56 @@ class SlimV2Engine(LikelihoodEngine):
         return [out[:, i * n_patterns : (i + 1) * n_patterns] for i in range(k)]
 
 
+@dataclass
+class _Evaluation:
+    """One evaluation's per-class pass, kept as the binding's last-point memo.
+
+    Everything the branch gradient (and the mapping sampler) reads at
+    the point just evaluated: the class graph and decompositions, the
+    forward operator sets, the per-class plans, results and pruning
+    states.  States and operator stacks are immutable once written.
+    """
+
+    values: Dict[str, float]
+    lengths: np.ndarray
+    skip_zero: bool
+    graph: SiteClassGraph
+    decomps: Dict[float, object]
+    opsets: Dict[float, BatchedOperatorSet]
+    plans: List[ClassPlan]
+    rows: List[Tuple[int, int, float, bool]]
+    results: List[PruningResult]
+    states: Dict[int, PruningState]
+    class_lnl: Optional[np.ndarray] = None
+
+    def at(self, values: Dict[str, float], lengths: np.ndarray) -> bool:
+        """Whether this evaluation was made at exactly ``(values, lengths)``."""
+        return self.values == values and np.array_equal(self.lengths, lengths)
+
+
 class BoundLikelihood:
     """A (engine, tree, patterns, model) problem ready for evaluation.
 
     Owns a private branch-length vector (ordered like
     :meth:`Tree.branch_lengths`) so evaluations never mutate the caller's
     tree.  Exposes exactly what the optimizer and the empirical-Bayes
-    step need.
-
-    With ``incremental=True`` the binding keeps per-class
-    :class:`~repro.likelihood.pruning.PruningState` buffers between
-    evaluations and recomputes only dirty paths (DESIGN.md §9):
-
-    * Dirty branches are derived from *exact value differences* against
-      the last committed evaluation — same model values and one changed
-      branch length re-prune one root path; changed model values
-      invalidate everything.  Correctness therefore never depends on the
-      optional ``touched`` hint.
-    * ``touched`` (a finite-difference probe's coordinate hint) marks an
-      evaluation as a transient probe: it is evaluated against the
-      committed base state via derived (copy-on-write) states and does
-      not advance it, so successive gradient probes each dirty one path
-      instead of two.
-    * Site classes sharing their background ω (model A pairs 0↔2a and
-      1↔2b) alias each other's buffers and re-prune only the
-      foreground-to-root path — or nothing when the foreground ω is
-      also equal (e.g. H0's 1↔2b).  Non-incremental bindings get this
-      aliasing too, over per-evaluation states.
+    step need: lnL, the per-class site log-likelihoods and, for the
+    optimizer, lnL with its exact branch-length gradient
+    (:meth:`branch_gradient`).
 
     Every evaluation runs the level-order driver (stacked operators,
-    one fused propagation call per tree level, DESIGN.md §10).  All
-    reuse is bit-identical to full re-pruning (exact float equality),
-    enforced against the per-branch reference recursion in
-    ``tests/oracles.py``.
+    one fused propagation call per tree level, DESIGN.md §10) over
+    fresh per-class :class:`~repro.likelihood.pruning.PruningState`
+    buffers.  Site classes sharing their background ω (model A pairs
+    0↔2a and 1↔2b) alias each other's buffers and re-prune only the
+    foreground-to-root path — or nothing when the foreground ω is also
+    equal (H0's 1↔2b; DESIGN.md §11).  The aliasing is bit-identical to
+    pruning every class from scratch (exact float equality), enforced
+    against the per-branch reference recursion in ``tests/oracles.py``.
+
+    The binding keeps its last evaluation (:class:`_Evaluation`) as a
+    one-entry, exact-key memo: the branch gradient and the mapping
+    sampler's :meth:`class_states` read it instead of re-pruning.
     """
 
     def __init__(
@@ -738,7 +822,6 @@ class BoundLikelihood:
         patterns: PatternAlignment,
         model: CodonSiteModel,
         pi: np.ndarray,
-        incremental: bool = False,
         leaf_clvs: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
         tree.validate_branch_lengths()
@@ -776,23 +859,9 @@ class BoundLikelihood:
         self.branch_lengths = np.array(tree.branch_lengths(), dtype=float)
         # The level schedule is static per binding.
         self._schedule = build_level_schedule(self._rows, self._n_nodes)
-
-        # Incremental-evaluation state (see class docstring / DESIGN.md §9).
-        self.incremental = bool(incremental)
-        self._child_of_pos = {pos: child for child, _, pos, _ in self._rows}
         self._fg_children = [child for child, _, _, fg in self._rows if fg]
-        self._inc_states: Dict[int, PruningState] = {}
-        self._inc_values: Optional[Dict[str, float]] = None
-        self._inc_lengths: Optional[np.ndarray] = None
-        self._class_memo: Optional[Tuple[Dict[str, float], SiteClassGraph, Dict]] = None
-        self._class_states_memo: Optional[Tuple[tuple, tuple]] = None
-
-    def _invalidate_incremental(self) -> None:
-        self._inc_states = {}
-        self._inc_values = None
-        self._inc_lengths = None
-        self._class_memo = None
-        self._class_states_memo = None
+        #: Last-point memo: the most recent evaluation's per-class pass.
+        self._last: Optional[_Evaluation] = None
 
     # ------------------------------------------------------------------
     @property
@@ -813,35 +882,14 @@ class BoundLikelihood:
             raise ValueError("branch lengths must be finite and non-negative")
         self.branch_lengths = lengths.copy()
 
+    def _lengths(self, branch_lengths: Optional[Sequence[float]]) -> np.ndarray:
+        if branch_lengths is None:
+            return self.branch_lengths
+        return np.asarray(branch_lengths, dtype=float)
+
     # ------------------------------------------------------------------
-    def _graph_and_decomps(self, values: Dict[str, float]):
-        """Site-class graph + per-ω decompositions, memoised on ``values``.
-
-        The graph carries the class nodes plus their derived sharing
-        edges (:mod:`repro.models.class_graph`); the evaluator consumes
-        it instead of hard-coding the model-A class shape.  Gradient
-        probes of branch-length coordinates leave the model values
-        untouched, so rebuilding the rate matrices per probe would
-        dominate a dirty-path evaluation; one exact-value memo entry
-        (last values seen) removes that cost and keeps decomposition
-        tokens stable across the probes.
-        """
-        memo = self._class_memo
-        if memo is not None and memo[0] == values:
-            return memo[1], memo[2]
-        graph = self.model.site_class_graph(values)
-        matrices = build_class_matrices(values["kappa"], graph.nodes, self.pi, self.engine.code)
-        decomps = {omega: self.engine._decompose(m) for omega, m in matrices.items()}
-        self._class_memo = (dict(values), graph, decomps)
-        return graph, decomps
-
     def _note_reuse(self, contribution: np.ndarray) -> None:
         self.engine.counters["clv_reuses"] += 1
-
-    def _has_ready_state(self, idx: int) -> bool:
-        """Planner predicate: class ``idx`` has a committed pruning state."""
-        state = self._inc_states.get(idx)
-        return state is not None and state.ready
 
     def _skipped_class_result(self) -> PruningResult:
         """Placeholder for a zero-weight class skipped without operators.
@@ -861,35 +909,33 @@ class BoundLikelihood:
         self,
         values: Dict[str, float],
         lengths: np.ndarray,
-        touched: "Optional[object]" = None,
         skip_zero: bool = False,
-    ) -> Tuple[List[PruningResult], SiteClassGraph, Dict[int, PruningState]]:
+    ) -> _Evaluation:
         """Stacked-operator, level-order evaluation of every site class.
 
-        Plans the exact branch set each class will recompute (the class
-        graph replays the incremental recurrence), aggregates the
-        distinct (ω, t) operators those passes need, builds one stack
-        per decomposition, then prunes level by level.  Non-incremental
-        bindings run the same machinery over ephemeral per-evaluation
-        states, which is what lets full evaluations alias
-        background-tied subtrees along the graph's sharing edges (for
-        model A: 0↔2a, 1↔2b) exactly like incremental ones — every
-        reused CLV is bit-identical to what recomputation would produce.
+        Plans each class's pass on the site-class graph (skip a
+        zero-weight class, derive a background-tied class from its base,
+        populate the rest), aggregates the distinct (ω, t) operators
+        those passes need, builds one stack per decomposition, then
+        prunes level by level.  A derived class aliases its base's
+        background subtrees (for model A: 0↔2a, 1↔2b) — every reused CLV
+        is bit-identical to what recomputation would produce.
 
-        Returns the per-class results, the class graph, and the
-        per-class :class:`PruningState` dict (keyed by class index;
-        absent for ``skip``-planned classes) — the states carry the
-        per-node inside CLVs the stochastic-mapping sampler conditions
-        on, so mapping rides the same pass instead of re-pruning
-        privately.
+        The returned evaluation (also kept as the last-point memo)
+        carries the per-class :class:`PruningState` dict (keyed by class
+        index; absent for skipped classes): the per-node inside CLVs the
+        branch gradient and the stochastic-mapping sampler read, so
+        neither re-prunes privately.
         """
-        graph, decomps = self._graph_and_decomps(values)
+        self._last = None
+        engine = self.engine
+        graph = self.model.site_class_graph(values)
+        matrices = build_class_matrices(values["kappa"], graph.nodes, self.pi, engine.code)
+        decomps = {omega: engine._decompose(m) for omega, m in matrices.items()}
         rows = [
             (child, parent, float(lengths[pos]), fg)
             for child, parent, pos, fg in self._rows
         ]
-        schedule = self._schedule
-        engine = self.engine
 
         def guard_for(cls: SiteClass) -> PruningGuard:
             return PruningGuard(
@@ -897,37 +943,22 @@ class BoundLikelihood:
                 context={"site_class": cls.label, "engine": engine.name},
             )
 
-        persist = self.incremental
-        commit = touched is None
-        full = True
-        dirty_children: set = set()
-        if persist and self._inc_values is not None and values == self._inc_values:
-            diff = np.flatnonzero(np.asarray(lengths, dtype=float) != self._inc_lengths)
-            dirty_children = {self._child_of_pos[int(p)] for p in diff}
-            full = False
-
-        # Plan: per-class evaluation mode plus the dirty set its pass
-        # will use (skipped classes cannot anchor a sharing edge).
-        plans = graph.plan(
-            full=full,
-            has_state=self._has_ready_state if persist else None,
-            skip_zero=skip_zero,
-        )
+        # Plan: per-class evaluation mode (skipped classes cannot anchor
+        # a sharing edge).
+        plans = graph.plan(skip_zero=skip_zero)
 
         def dirty_for(plan: ClassPlan) -> Optional[set]:
             if plan.mode == "derive":
                 return set() if plan.full_share else set(self._fg_children)
-            if plan.mode == "incremental":
-                return dirty_children
             return None
 
         # Aggregate the distinct (ω, t) operators those passes will ask
         # for; duplicate requests (graph-edge-tied classes, equal branch
         # lengths) are built once and counted as build saves.  The
         # naive ledger records the per-class-independent baseline — each
-        # class pruning its full (or dirty) row set with only its own
-        # operator memo, i.e. evaluation without the class graph's
-        # sharing edges — so ``1 − builds/naive`` is the dedupe saving.
+        # class pruning every row with only its own operator memo, i.e.
+        # evaluation without the class graph's sharing edges — so
+        # ``1 − builds/naive`` is the dedupe saving.
         requested: Dict[float, List[float]] = {}
         seen: set = set()
         counters = engine.counters
@@ -935,14 +966,11 @@ class BoundLikelihood:
             if plan.mode == "skip":
                 continue
             cls = graph.nodes[plan.index]
-            naive_keys = set()
-            for ri in compute_recompute_rows(rows, None if full else dirty_children):
-                child, parent, t, fg = rows[ri]
-                omega = cls.omega_foreground if fg else cls.omega_background
-                naive_keys.add((omega, t))
-            counters["operator_builds_naive"] += len(naive_keys)
-            recompute = None if plan.mode == "populate" else dirty_for(plan)
-            for ri in compute_recompute_rows(rows, recompute):
+            counters["operator_builds_naive"] += len({
+                (cls.omega_foreground if fg else cls.omega_background, t)
+                for _, _, t, fg in rows
+            })
+            for ri in compute_recompute_rows(rows, dirty_for(plan)):
                 child, parent, t, fg = rows[ri]
                 omega = cls.omega_foreground if fg else cls.omega_background
                 key = (omega, t)
@@ -967,50 +995,68 @@ class BoundLikelihood:
 
             return transition
 
-        def propagate_level(items):
-            counters["clv_propagations"] += len(items)
-            start = time.perf_counter()
-            out = engine._propagate_level(items)
-            counters["clv_s"] += time.perf_counter() - start
-            return out
+        results: List[PruningResult] = []
+        states: Dict[int, PruningState] = {}
+        for plan in plans:
+            if plan.mode == "skip":
+                results.append(self._skipped_class_result())
+                continue
+            idx, cls = plan.index, graph.nodes[plan.index]
+            if plan.mode == "derive":
+                state = states[plan.base].derive()
+            else:
+                state = PruningState.empty(self._n_nodes)
+            results.append(prune_site_class_batched(
+                rows, self._schedule, self._leaf_clvs, factory_for(cls),
+                self._propagate_level, state, guard=guard_for(cls),
+                dirty=dirty_for(plan), on_reuse=self._note_reuse,
+            ))
+            states[idx] = state
+        self._last = _Evaluation(
+            values=dict(values),
+            lengths=np.array(lengths, dtype=float),
+            skip_zero=skip_zero,
+            graph=graph,
+            decomps=decomps,
+            opsets=opsets,
+            plans=plans,
+            rows=rows,
+            results=results,
+            states=states,
+        )
+        return self._last
 
-        try:
-            results: List[PruningResult] = []
-            new_states: Dict[int, PruningState] = {}
-            for plan in plans:
-                if plan.mode == "skip":
-                    results.append(self._skipped_class_result())
-                    continue
-                idx, cls = plan.index, graph.nodes[plan.index]
-                if plan.mode == "derive":
-                    state = new_states[plan.base].derive()
-                elif plan.mode == "populate":
-                    state = PruningState.empty(self._n_nodes)
-                else:
-                    state = self._inc_states[idx]
-                    if not commit:
-                        # Probe: evaluate against the base state via a
-                        # copy-on-write derivation, leave it untouched.
-                        state = state.derive()
-                res = prune_site_class_batched(
-                    rows, schedule, self._leaf_clvs, factory_for(cls),
-                    propagate_level, state, guard=guard_for(cls),
-                    dirty=dirty_for(plan), on_reuse=self._note_reuse,
-                )
-                new_states[idx] = state
-                results.append(res)
-        except Exception:
-            # A committing evaluation may have advanced some class states
-            # in place before failing; the cached base values would then
-            # misdescribe them, so drop everything rather than risk a
-            # stale-reuse miscomputation on the next call.
-            self._invalidate_incremental()
-            raise
-        if persist and commit:
-            self._inc_states = new_states
-            self._inc_values = dict(values)
-            self._inc_lengths = np.asarray(lengths, dtype=float).copy()
-        return results, graph, new_states
+    def _propagate_level(self, items) -> List[np.ndarray]:
+        """The engine's fused level kernel, counted and timed."""
+        counters = self.engine.counters
+        counters["clv_propagations"] += len(items)
+        start = time.perf_counter()
+        out = self.engine._propagate_level(items)
+        counters["clv_s"] += time.perf_counter() - start
+        return out
+
+    def _memoised(
+        self, values: Dict[str, float], lengths: np.ndarray, skip_zero: bool
+    ) -> _Evaluation:
+        """The last evaluation if it was made at this point, else a new one.
+
+        A memo that skipped zero-weight classes cannot serve a caller
+        that needs every class.
+        """
+        ev = self._last
+        if ev is None or not ev.at(values, lengths) or (ev.skip_zero and not skip_zero):
+            ev = self._evaluate_classes(values, lengths, skip_zero=skip_zero)
+            self.n_evaluations += 1
+        return ev
+
+    def _checked_class_lnl(self, ev: _Evaluation) -> np.ndarray:
+        """``ev``'s per-class site log-likelihoods, checked for NaN/+inf."""
+        return check_finite_site_log_likelihoods(
+            self._class_lnl(ev),
+            recorder=self.engine.events,
+            class_labels=list(ev.graph.labels),
+            engine=self.engine.name,
+        )
 
     def class_states(
         self,
@@ -1022,12 +1068,14 @@ class BoundLikelihood:
         The stochastic-mapping sampler's data plane: one evaluation
         fills every internal node's CLV for every site class (sharing
         plan included — background-tied classes alias subtrees), so the
-        sampler never re-prunes privately.
+        sampler never re-prunes privately.  PruningState CLVs are
+        immutable once written and the sampler only reads them, so the
+        last-point memo serves a repeat — mapping is typically re-drawn
+        at one MLE (more draws, several seeds).
 
         The decompositions handed back are the exact objects the pass
-        evaluated with (the values memo serves both lookups), so their
-        tokens stay aligned with the Padé operator LRU and the
-        uniformized kernels the sampler will key on.
+        evaluated with, so their tokens stay aligned with the Padé
+        operator LRU and the uniformized kernels the sampler will key on.
 
         Returns ``(class_lnl, graph, decomps, states)`` where
         ``class_lnl`` is the ``(n_classes, n_patterns)``
@@ -1035,64 +1083,186 @@ class BoundLikelihood:
         included — ``skip_zero`` is off) and ``states`` maps class
         index → :class:`PruningState` with every node's CLV filled.
         """
-        lengths = (
-            np.asarray(branch_lengths, dtype=float)
-            if branch_lengths is not None
-            else self.branch_lengths
-        )
-        key = (tuple(sorted(values.items())), lengths.tobytes())
-        if self._class_states_memo is not None and self._class_states_memo[0] == key:
-            return self._class_states_memo[1]
-        graph, decomps = self._graph_and_decomps(values)
-        results, _, states = self._evaluate_classes(values, lengths)
-        class_lnl = site_class_log_likelihoods(results, self.pi)
-        self.n_evaluations += 1
-        out = (class_lnl, graph, decomps, states)
-        # PruningState CLVs are immutable-once-written and the sampler
-        # only reads them, so caching the last point is safe; mapping
-        # is typically re-drawn at one MLE (more draws, several seeds),
-        # which makes the repeat hit the common case.
-        self._class_states_memo = (key, out)
-        return out
+        ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=False)
+        return self._class_lnl(ev), ev.graph, ev.decomps, ev.states
 
     def log_likelihood(
         self,
         values: Dict[str, float],
         branch_lengths: Optional[Sequence[float]] = None,
-        touched: "Optional[object]" = None,
     ) -> float:
         """Evaluate lnL at ``values`` (model params) and branch lengths.
 
-        ``touched`` (incremental bindings only) marks this evaluation as
-        a transient finite-difference probe: either ``"model"`` or a
-        tuple of branch-length positions the caller perturbed.  The hint
-        is advisory — dirty paths are always derived from exact value
-        differences — but a hinted evaluation does not advance the
-        cached base state, so a gradient's probes each re-prune one
-        path instead of two.
+        Every call is a fresh evaluation; it replaces the last-point memo.
         """
-        if touched is not None and not self.incremental:
-            raise ValueError("touched hints require an incremental=True binding")
-        lengths = (
-            np.asarray(branch_lengths, dtype=float)
-            if branch_lengths is not None
-            else self.branch_lengths
-        )
-        results, graph, _ = self._evaluate_classes(
-            values, lengths, touched=touched, skip_zero=True
-        )
-        class_lnl = site_class_log_likelihoods(results, self.pi)
-        check_finite_site_log_likelihoods(
-            class_lnl,
-            recorder=self.engine.events,
-            class_labels=list(graph.labels),
-            engine=self.engine.name,
-        )
-        lnl, _ = mixture_log_likelihood(
-            results, self.pi, graph.proportions, self.patterns.weights, class_lnl=class_lnl
-        )
+        ev = self._evaluate_classes(values, self._lengths(branch_lengths), skip_zero=True)
         self.n_evaluations += 1
+        return self._mixture_lnl(ev)
+
+    def _mixture_lnl(self, ev: _Evaluation) -> float:
+        lnl, _ = mixture_log_likelihood(
+            ev.results, self.pi, ev.graph.proportions, self.patterns.weights,
+            class_lnl=self._checked_class_lnl(ev),
+        )
         return lnl
+
+    def _class_lnl(self, ev: _Evaluation) -> np.ndarray:
+        """``ev``'s per-class per-pattern log-likelihoods, computed once."""
+        if ev.class_lnl is None:
+            ev.class_lnl = site_class_log_likelihoods(ev.results, self.pi)
+        return ev.class_lnl
+
+    def branch_gradient(
+        self,
+        values: Dict[str, float],
+        branch_lengths: Optional[Sequence[float]] = None,
+    ) -> Tuple[float, np.ndarray]:
+        """lnL and ``∂lnL/∂t`` for every branch, by one outside pass.
+
+        The gradient is ordered like :attr:`branch_lengths`.  It reads
+        the class states and operator sets of the last evaluation when
+        that was made at exactly this point (the optimizer's line-search
+        or start evaluation), so it runs no forward pass of its own;
+        otherwise it evaluates first.  Per class, one pre-order pass
+        over the level schedule forms the outside vectors and applies
+        the derivative operators (DESIGN.md §9); the class ratios are
+        mixed with the per-pattern class posteriors.  A
+        derivative that comes out non-finite is left in the result and
+        recorded as a ``gradient_nonfinite`` event.
+        """
+        engine = self.engine
+        counters = engine.counters
+        start = time.perf_counter()
+        ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=True)
+        graph = ev.graph
+        lnl = self._mixture_lnl(ev)
+        weighted_post = (
+            class_posteriors(self._class_lnl(ev), graph.proportions) * self.patterns.weights
+        )
+
+        # Rows whose derivative application D = P′·L each class pass
+        # must run: every row for a populated class; for a partial share
+        # only the foreground path, where its inside CLVs or ω differ
+        # from its base's — elsewhere the base's D is the same array.  A
+        # full share reuses its base's ratios outright.
+        fresh_rows: Dict[int, List[int]] = {}
+        for plan in ev.plans:
+            if plan.mode == "populate":
+                fresh_rows[plan.index] = list(range(len(ev.rows)))
+            elif plan.mode == "derive" and not plan.full_share:
+                fresh_rows[plan.index] = compute_recompute_rows(
+                    ev.rows, set(self._fg_children)
+                )
+        requested: Dict[float, List[float]] = {}
+        for idx, fresh in fresh_rows.items():
+            cls = graph.nodes[idx]
+            for ri in fresh:
+                _, _, t, fg = ev.rows[ri]
+                ts = requested.setdefault(
+                    cls.omega_foreground if fg else cls.omega_background, []
+                )
+                if t not in ts:
+                    ts.append(t)
+        dsets = {
+            omega: engine.derivative_set_for(ev.decomps[omega], ts, ev.opsets[omega])
+            for omega, ts in requested.items()
+        }
+
+        row_grad = np.zeros(len(ev.rows))
+        ratios: Dict[int, np.ndarray] = {}
+        derivatives: Dict[int, List[Optional[np.ndarray]]] = {}
+        for plan in ev.plans:
+            idx = plan.index
+            if plan.mode == "skip":
+                continue
+            if plan.mode == "derive" and plan.full_share:
+                ratios[idx] = ratios[plan.base]
+            else:
+                ratios[idx], derivatives[idx] = self._outside_ratios(
+                    graph.nodes[idx], ev, idx, dsets, fresh_rows[idx],
+                    derivatives.get(plan.base),
+                )
+            row_grad += ratios[idx] @ weighted_post[idx]
+        grad = np.empty(len(ev.rows))
+        for ri, (_, _, pos, _) in enumerate(self._rows):
+            grad[pos] = row_grad[ri]
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            engine.events.record(
+                "gradient_nonfinite", "gradient",
+                f"branch derivative non-finite at {bad.size} branch(es)",
+                branches=str([int(b) for b in bad[:8]]), engine=engine.name,
+            )
+        counters["gradient_passes"] += 1
+        counters["gradient_s"] += time.perf_counter() - start
+        return lnl, grad
+
+    def _outside_ratios(
+        self,
+        cls: SiteClass,
+        ev: _Evaluation,
+        index: int,
+        dsets: Dict[float, BatchedOperatorSet],
+        fresh_rows: List[int],
+        base_derivatives: Optional[List[Optional[np.ndarray]]],
+    ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
+        """Per-branch ratios ``∂L_k/∂t_b / L_k`` of one class, ``(B, P)``.
+
+        Pre-order over the level schedule, top level first: the branch
+        above child ``c`` (parent ``p``) gets
+        ``U_c = O_p ∘ ∏_{siblings s} contribution_s`` with
+        ``O_root = π``, rescaled per pattern column; an internal child
+        then gets ``O_c = P(t_c)ᵀ U_c = Π·P·(Π⁻¹U_c)`` (reversibility),
+        so the forward operators serve the outside pass unchanged.  The
+        ratio is ``Σ_x U_c·D_c / Σ_x U_c·contribution_c`` with
+        ``D_c = P′(t_c)·L_c``: the column scalings of ``U`` and of the
+        stored CLVs cancel.  ``D_c`` is applied for ``fresh_rows`` and
+        taken from ``base_derivatives`` elsewhere.  Each level is one
+        fused propagation call carrying its derivative and outside
+        applications.  Returns the ratios and every row's ``D_c``.
+        """
+        state = ev.states[index]
+        rows = ev.rows
+        pi_col = self.pi[:, None]
+        schedule = self._schedule
+        fresh = set(fresh_rows)
+        derivatives = (
+            list(base_derivatives) if base_derivatives is not None else [None] * len(rows)
+        )
+        outside: List[Optional[np.ndarray]] = [None] * self._n_nodes
+        outside[schedule.root_index] = np.broadcast_to(pi_col, (pi_col.shape[0], self.n_patterns))
+        ratios = np.zeros((len(rows), self.n_patterns))
+        for h in range(len(schedule.levels) - 1, -1, -1):
+            level = schedule.levels[h]
+            items, targets, us = [], [], []
+            for ri in level:
+                child, parent, t, fg = rows[ri]
+                omega = cls.omega_foreground if fg else cls.omega_background
+                u = np.array(outside[parent])
+                for sibling in state.children[parent]:
+                    if sibling != child:
+                        u *= state.contributions[sibling]
+                col_max = u.max(axis=0)
+                col_max[col_max == 0.0] = 1.0
+                u /= col_max
+                us.append(u)
+                if ri in fresh:
+                    items.append((dsets[omega].operators[t], state.clvs[child]))
+                    targets.append((derivatives, ri))
+                if h > 0:
+                    items.append((ev.opsets[omega].operators[t], u / pi_col))
+                    targets.append((outside, child))
+            if items:
+                # Counted as propagations; timed under gradient_s only, so
+                # the eigh/expm/clv phase seconds stay the evaluation's.
+                self.engine.counters["clv_propagations"] += len(items)
+                for (store, key), out in zip(targets, self.engine._propagate_level(items)):
+                    store[key] = out if store is derivatives else pi_col * out
+            for ri, u in zip(level, us):
+                num = np.einsum("ij,ij->j", u, derivatives[ri])
+                den = np.einsum("ij,ij->j", u, state.contributions[rows[ri][0]])
+                np.divide(num, den, out=ratios[ri], where=den != 0.0)
+        return ratios, derivatives
 
     def site_class_matrix(
         self,
@@ -1104,21 +1274,9 @@ class BoundLikelihood:
         The inputs to NEB/BEB site classification
         (:mod:`repro.optimize.beb`).
         """
-        lengths = (
-            np.asarray(branch_lengths, dtype=float)
-            if branch_lengths is not None
-            else self.branch_lengths
-        )
-        results, graph, _ = self._evaluate_classes(values, lengths)
-        class_lnl = site_class_log_likelihoods(results, self.pi)
-        check_finite_site_log_likelihoods(
-            class_lnl,
-            recorder=self.engine.events,
-            class_labels=list(graph.labels),
-            engine=self.engine.name,
-        )
+        ev = self._evaluate_classes(values, self._lengths(branch_lengths))
         self.n_evaluations += 1
-        return class_lnl, graph.proportions
+        return self._checked_class_lnl(ev), ev.graph.proportions
 
 
 _ENGINES = {

@@ -10,6 +10,7 @@ LRT statistics with Holm-corrected p-values.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -91,6 +92,7 @@ def format_fit_block(
         f"lnL = {fit.lnl:.6f}",
         f"optimizer: {fit.n_iterations} iterations, {fit.n_evaluations} evaluations, "
         f"{fit.runtime_seconds:.2f} s"
+        + (f", |gradient| = {fit.grad_norm:.3g}" if math.isfinite(fit.grad_norm) else "")
         + ("" if fit.converged else "  [NOT CONVERGED: " + fit.message + "]"),
         "",
         "Parameter estimates:",

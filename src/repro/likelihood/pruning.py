@@ -17,24 +17,22 @@ Branches are grouped by the height of their child node, so one fused
 propagation call serves every branch of a tree level (DESIGN.md §10).
 A :class:`PruningState` keeps every node's CLV, every branch's
 propagated contribution, and every node's per-pattern rescale vector;
-non-incremental callers use a fresh state per evaluation.
+each evaluation fills fresh states.
 
-Incremental (dirty-path) mode reuses a filled state between
-evaluations.  Given the set of branches whose operator changed, only
-CLVs on the paths from those branches to the root are recomputed;
-everything else is served from the state buffers.  The recomputation replays the *same* arithmetic in the
-*same* order as a full pass (child contributions multiplied in
-branch-table row order, rescale vectors summed in node completion
-order), so incremental results are bit-identical to full re-pruning —
-see DESIGN.md §9 for the invalidation rules and the proof obligations.
+Dirty-path mode updates a filled state: given the set of branches whose
+operator differs, only CLVs on the paths from those branches to the root
+are recomputed; everything else is served from the state buffers.  The
+recomputation replays the *same* arithmetic in the *same* order as a
+full pass (child contributions multiplied in branch-table row order,
+rescale vectors summed in node completion order), so its results are
+bit-identical to full re-pruning.
 
 This layer is class-structure agnostic: which passes run, which states
 alias another class's buffers (via :meth:`PruningState.derive`), and
 which branch set is ``dirty`` are all decided above, by the planner on
 the model's :class:`~repro.models.class_graph.SiteClassGraph` — a
 sharing edge maps to ``derive()`` plus a foreground-path (or empty)
-dirty set, a changed branch length maps to that branch's
-root path.  See DESIGN.md §11.
+dirty set.  See DESIGN.md §11.
 """
 
 from __future__ import annotations
@@ -118,21 +116,21 @@ def build_leaf_clvs(alignment: CodonAlignment) -> List[np.ndarray]:
 
 @dataclass
 class PruningState:
-    """Persistent per-class buffers for incremental re-pruning.
+    """Per-class pruning buffers: inside CLVs, contributions, rescale vectors.
 
-    Stored arrays are treated as **immutable** once written: an
-    incremental pass that recomputes a node always allocates fresh
-    arrays, so states derived via :meth:`derive` (cross-class aliasing,
-    speculative gradient probes) can safely share buffers with their
-    base state.
+    Stored arrays are treated as **immutable** once written: a
+    dirty-path pass that recomputes a node always allocates fresh
+    arrays, so states derived via :meth:`derive` (cross-class aliasing)
+    can safely share buffers with their base state, and the branch
+    gradient can read a finished evaluation's states.
 
     ``children`` (each node's child list in branch-table row order) and
     ``completion_order`` (the order internal nodes complete in a
     post-order pass) are static given the branch table; recording them
-    lets the incremental pass rebuild a node's CLV with the exact
+    lets a dirty-path pass rebuild a node's CLV with the exact
     multiplication order of a full pass and re-sum the per-node rescale
     vectors in the exact float addition order — the two invariants that
-    make incremental results bit-identical to full re-pruning.
+    make dirty-path results bit-identical to full re-pruning.
     """
 
     n_nodes: int
@@ -342,7 +340,7 @@ def compute_recompute_rows(
     branch_table: Sequence[Tuple[int, int, object, object]],
     dirty: Optional[Set[int]],
 ) -> List[int]:
-    """Row indices the incremental recurrence recomputes for ``dirty``.
+    """Row indices the dirty-path recurrence recomputes for ``dirty``.
 
     Replays exactly the dirty recurrence of
     :func:`prune_site_class_batched` (a branch is recomputed iff its

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.models.base import SiteClass
 __all__ = ["SharingEdge", "ClassPlan", "SiteClassGraph"]
 
 #: Evaluation modes a planned class pass can take (see :meth:`SiteClassGraph.plan`).
-_MODES = ("skip", "derive", "populate", "incremental")
+_MODES = ("skip", "derive", "populate")
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ class ClassPlan:
 
     ``mode`` is one of ``skip`` (zero-weight class elided), ``derive``
     (alias ``base``'s state; re-prune nothing when ``full_share`` else
-    only the foreground-to-root path), ``populate`` (prune from scratch)
-    or ``incremental`` (re-prune the caller's dirty paths against the
-    class's own persisted state).
+    only the foreground-to-root path) or ``populate`` (prune from
+    scratch).
     """
 
     index: int
@@ -180,34 +179,18 @@ class SiteClassGraph:
         return tuple(i for i, e in enumerate(self.edges) if e is not None)
 
     # -- evaluation planning -------------------------------------------
-    def plan(
-        self,
-        *,
-        full: bool,
-        has_state: Optional[Callable[[int], bool]] = None,
-        skip_zero: bool = False,
-    ) -> List[ClassPlan]:
+    def plan(self, *, skip_zero: bool = False) -> List[ClassPlan]:
         """Per-class pruning plan for one likelihood evaluation.
 
-        ``full`` marks a from-scratch evaluation (model values changed or
-        no base state); when False, non-shared classes re-prune only the
-        caller's dirty paths against their persisted state, which
-        ``has_state(index)`` must confirm exists.  ``skip_zero`` elides
-        zero-weight classes entirely (their mixture row is masked out).
+        ``skip_zero`` elides zero-weight classes entirely (their mixture
+        row is masked out).
 
         The static :attr:`edges` cannot be used verbatim here because a
-        skipped or state-less base breaks the chain at runtime: sharing
-        requires the base's state to be materialised *this* evaluation,
-        so the base of record is the first class with a matching
-        background ω that actually runs a populate/incremental pass.
-        A partial share (differing foreground ω) additionally needs that
-        state to be current everywhere off the foreground path, which
-        only a ``full`` rebuild guarantees — under a dirty-path update
-        each partially-shared class advances its own persisted state
-        instead.
+        skipped class breaks the chain at runtime: sharing requires the
+        base's state to be materialised *this* evaluation, so the base
+        of record is the first class with a matching background ω that
+        actually runs a populating pass.
         """
-        if has_state is None:
-            has_state = lambda _idx: False  # noqa: E731 - trivial default
         plans: List[ClassPlan] = []
         first_live_bg: Dict[float, int] = {}
         for idx, node in enumerate(self.nodes):
@@ -215,18 +198,12 @@ class SiteClassGraph:
                 plans.append(ClassPlan(idx, "skip"))
                 continue
             base_idx = first_live_bg.get(node.omega_background)
-            same_fg = (
-                base_idx is not None
-                and node.omega_foreground == self.nodes[base_idx].omega_foreground
-            )
-            if base_idx is not None and (full or same_fg):
+            if base_idx is not None:
+                same_fg = node.omega_foreground == self.nodes[base_idx].omega_foreground
                 plans.append(ClassPlan(idx, "derive", base=base_idx, full_share=same_fg))
                 continue
-            if full or not has_state(idx):
-                plans.append(ClassPlan(idx, "populate"))
-            else:
-                plans.append(ClassPlan(idx, "incremental"))
-            first_live_bg.setdefault(node.omega_background, idx)
+            plans.append(ClassPlan(idx, "populate"))
+            first_live_bg[node.omega_background] = idx
         return plans
 
     def __len__(self) -> int:

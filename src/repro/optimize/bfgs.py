@@ -12,8 +12,9 @@ Implementation notes
 --------------------
 * Dense inverse-Hessian update (parameter counts here are ≤ a few
   hundred: model params + 2s−3 branch lengths).
-* Forward-difference gradients with per-coordinate relative steps; an
-  evaluation counter includes gradient probes.
+* Forward-difference gradients with per-coordinate relative steps by
+  default; a caller with analytic derivatives passes ``gradient=``.
+  The evaluation counter includes every gradient probe.
 * Armijo backtracking line search; the BFGS update is skipped when the
   curvature condition fails (standard damping-free safeguard, which
   keeps the inverse Hessian positive definite).
@@ -22,7 +23,7 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -68,35 +69,24 @@ class OptimizeResult:
     #: with ``n_iterations == 0``, a collapse the recovery policy in
     #: :mod:`repro.optimize.ml` treats as a restartable fault.
     line_search_failed: bool = False
+    #: Infinity norm of the gradient at ``x`` (the last one computed).
+    grad_norm: float = float("nan")
 
 
 def finite_difference_gradient(
-    fun: Callable[..., float],
+    fun: Callable[[np.ndarray], float],
     x: np.ndarray,
     f0: float,
     relative_step: float = 1e-6,
-    touched: Optional[Sequence[object]] = None,
 ) -> np.ndarray:
-    """Forward-difference gradient with per-coordinate relative steps.
-
-    ``touched`` optionally supplies one structure hint per coordinate
-    (e.g. which branch a coordinate moves); the probe for coordinate
-    ``i`` is then issued as ``fun(probe, touched[i])`` so an incremental
-    likelihood can re-prune only that coordinate's dirty path and treat
-    the probe as transient.  Without hints every probe is the plain
-    ``fun(probe)`` of the historical code.
-    """
+    """Forward-difference gradient with per-coordinate relative steps."""
     n = x.shape[0]
-    if touched is not None and len(touched) != n:
-        raise ValueError(
-            f"touched hints must match the coordinate count: {len(touched)} != {n}"
-        )
     grad = np.empty(n)
     for i in range(n):
         h = relative_step * (abs(x[i]) + 1.0)
         probe = x.copy()
         probe[i] += h
-        fi = fun(probe) if touched is None else fun(probe, touched[i])
+        fi = fun(probe)
         slope = (fi - f0) / h
         if not np.isfinite(slope):
             # Probe hit an infinite barrier (parameter wall): represent
@@ -107,17 +97,24 @@ def finite_difference_gradient(
     return grad
 
 
+#: ``gradient(fun, x, fx) -> grad``: ``fun`` is the minimiser's counted,
+#: barrier-mapped objective, so probes a gradient makes through it count
+#: as evaluations; ``fx`` is ``fun(x)``, the call made just before.
+GradientFn = Callable[[Callable[[np.ndarray], float], np.ndarray, float], np.ndarray]
+
+
 def minimize_bfgs(
-    fun: Callable[..., float],
+    fun: Callable[[np.ndarray], float],
     x0: np.ndarray,
     gtol: float = 1e-4,
     ftol: float = 1e-9,
     max_iterations: int = 200,
     relative_step: float = 1e-6,
     callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
-    coordinate_touched: Optional[Sequence[object]] = None,
+    gradient: Optional[GradientFn] = None,
+    f0: Optional[float] = None,
 ) -> OptimizeResult:
-    """Minimise ``fun`` from ``x0`` with BFGS and numeric gradients.
+    """Minimise ``fun`` from ``x0`` with BFGS.
 
     Parameters
     ----------
@@ -132,11 +129,14 @@ def minimize_bfgs(
         on equal work.
     callback:
         Called as ``callback(iteration, x, f)`` after each accepted step.
-    coordinate_touched:
-        Optional per-coordinate structure hints forwarded to
-        :func:`finite_difference_gradient`; when given, ``fun`` must also
-        accept ``fun(x, hint)`` for gradient probes.  Line-search
-        evaluations always call the plain ``fun(x)``.
+    gradient:
+        ``gradient(f, x, fx) -> grad`` (:data:`GradientFn`), called at
+        the start point and after every accepted step, each time right
+        after ``f(x)`` was evaluated.  Default: forward differences on
+        every coordinate (:func:`finite_difference_gradient`).
+    f0:
+        ``fun(x0)`` when the caller has just evaluated it (it still
+        counts as an evaluation); ``fun`` is then not called at ``x0``.
 
     Returns
     -------
@@ -150,17 +150,25 @@ def minimize_bfgs(
     n = x.shape[0]
     evaluations = 0
 
-    def f(z: np.ndarray, *hint: object) -> float:
+    def f(z: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
         # Any non-finite value (NaN, ±inf) becomes a +inf barrier so the
         # line search backs off uniformly.
-        return _barrier(float(fun(z, *hint)))
+        return _barrier(float(fun(z)))
 
-    fx = f(x)
+    if gradient is None:
+        def gradient(g_fun, z, fz):
+            return finite_difference_gradient(g_fun, z, fz, relative_step)
+
+    if f0 is None:
+        fx = f(x)
+    else:
+        evaluations += 1
+        fx = _barrier(float(f0))
     if not np.isfinite(fx):
         raise ValueError("objective is not finite at the start point")
-    grad = finite_difference_gradient(f, x, fx, relative_step, touched=coordinate_touched)
+    grad = gradient(f, x, fx)
     h_inv = np.eye(n)
     history: List[float] = [fx]
     message = "maximum iterations reached"
@@ -207,9 +215,7 @@ def minimize_bfgs(
             iteration -= 1
             break
 
-        grad_new = finite_difference_gradient(
-            f, x_new, fx_new, relative_step, touched=coordinate_touched
-        )
+        grad_new = gradient(f, x_new, fx_new)
         s = x_new - x
         y = grad_new - grad
         sy = float(s @ y)
@@ -238,4 +244,5 @@ def minimize_bfgs(
         message=message,
         history=history,
         line_search_failed=line_search_failed,
+        grad_norm=float(np.max(np.abs(grad))) if n else 0.0,
     )

@@ -24,7 +24,8 @@ from repro.core.engine import BoundLikelihood
 from repro.core.recovery import MAX_RESTARTS, FitDiagnostics, NumericalEvent, perturb_start
 from repro.models.base import CodonSiteModel
 from repro.models.parameters import _X_CLIP
-from repro.optimize.bfgs import OptimizeResult, minimize_bfgs
+from repro.optimize import bfgs as _bfgs
+from repro.optimize.bfgs import BARRIER_SLOPE, OptimizeResult, minimize_bfgs
 from repro.optimize.lrt import LRTResult, likelihood_ratio_test
 from repro.utils.rng import RngLike, make_rng
 
@@ -52,7 +53,10 @@ class FitResult:
 
     ``n_iterations`` counts optimizer iterations (the paper's Table III
     "Iterations" column); ``n_evaluations`` counts likelihood calls
-    including finite-difference probes.
+    including finite-difference probes.  ``grad_norm`` is the infinity
+    norm of the objective gradient at the optimum, in the optimizer's
+    coordinates (exact for branch lengths, forward differences for
+    model parameters).
     """
 
     model_name: str
@@ -68,6 +72,7 @@ class FitResult:
     history: list = field(default_factory=list)
     #: Convergence/recovery diagnostics (empty = clean fit).
     diagnostics: FitDiagnostics = field(default_factory=FitDiagnostics)
+    grad_norm: float = float("nan")
 
     def summary(self) -> str:
         params = ", ".join(f"{k}={v:.4f}" for k, v in self.values.items())
@@ -181,10 +186,11 @@ def fit_model(
         ``kappa``/``omega``/``omega0``/``omega2`` can be fixed; the
         proportion pair shares packed coordinates and cannot.
 
-    On an incremental binding (``bind(incremental=True)``), gradient
-    probes carry per-coordinate structure hints so a branch-length probe
-    re-prunes only that branch's root path; model-parameter probes
-    invalidate everything, so results stay bit-identical.
+    Gradients come in two parts: every free branch-length coordinate
+    gets its exact derivative from one outside pass
+    (:meth:`BoundLikelihood.branch_gradient`, chain rule through
+    ``log t``), and only the free model coordinates are probed by
+    forward differences.
 
     The fit restarts — up to :data:`~repro.core.recovery.MAX_RESTARTS`
     times, from start points perturbed with the fit's own seeded RNG —
@@ -233,30 +239,53 @@ def fit_model(
         full[~frozen_idx] = x_free
         return full
 
-    def objective(x_free: np.ndarray, touched: object = None) -> float:
+    def objective(x_free: np.ndarray) -> float:
         values, lengths = _unpack_full(
             model, _expand(x_free), fixed_lengths, optimize_branch_lengths
         )
         try:
-            # Only forward the hint when one was issued: duck-typed bound
-            # stand-ins (test seams) need not grow the ``touched`` kwarg.
-            if touched is None:
-                return -bound.log_likelihood(values, lengths)
-            return -bound.log_likelihood(values, lengths, touched=touched)
+            return -bound.log_likelihood(values, lengths)
         except (ValueError, FloatingPointError):
             return np.inf
 
-    # Structure hints for gradient probes: with an incremental binding,
-    # each free branch-length coordinate maps to its branch-table row so
-    # a probe re-prunes one root path; model-parameter coordinates get
-    # the "model" sentinel (full invalidation — operators change).
-    coordinate_touched = None
-    if getattr(bound, "incremental", False):
-        k = model.n_params
-        coordinate_touched = [
-            "model" if pos < k or not optimize_branch_lengths else (int(pos) - k,)
-            for pos in np.flatnonzero(~frozen_idx)
-        ]
+    # Free coordinates split into model parameters (forward differences)
+    # and log branch lengths (analytic, DESIGN.md §9).
+    k = model.n_params
+    free_pos = np.flatnonzero(~frozen_idx)
+    branch_coords = np.flatnonzero(free_pos >= k) if optimize_branch_lengths else free_pos[:0]
+    model_coords = np.setdiff1d(np.arange(free_pos.size), branch_coords)
+    log_min = math.log(_MIN_BRANCH)
+
+    def gradient(f, x_free: np.ndarray, fx: float) -> np.ndarray:
+        grad = np.empty(x_free.shape[0])
+        if branch_coords.size:
+            # First, while the binding's last-point memo still holds the
+            # evaluation at x_free; the model probes below replace it.
+            x_full = _expand(x_free)
+            values, lengths = _unpack_full(model, x_full, fixed_lengths, True)
+            try:
+                _, dlnl = bound.branch_gradient(values, lengths)
+            except (ValueError, FloatingPointError):
+                dlnl = np.full(lengths.shape, np.nan)
+            logs = x_full[k:]
+            # A coordinate clipped onto a wall does not move the length,
+            # so its forward difference is zero — the analytic part agrees.
+            moving = (logs >= log_min) & (logs < _MAX_LOG_BRANCH)
+            slope = np.where(moving, -lengths * dlnl, 0.0)
+            slope[~np.isfinite(slope)] = BARRIER_SLOPE
+            grad[branch_coords] = slope
+        if model_coords.size:
+            def probe(z: np.ndarray) -> float:
+                full = x_free.copy()
+                full[model_coords] = z
+                return f(full)
+
+            # Through the module attribute, so a wrapper installed on
+            # bfgs.finite_difference_gradient (a profiler) sees the call.
+            grad[model_coords] = _bfgs.finite_difference_gradient(
+                probe, x_free[model_coords], fx
+            )
+        return grad
 
     def _parked_params(x_full: np.ndarray) -> list:
         """Names of coordinates parked on their transform walls."""
@@ -313,7 +342,8 @@ def fit_model(
             objective,
             x_start,
             max_iterations=max_iterations,
-            coordinate_touched=coordinate_touched,
+            gradient=gradient,
+            f0=f_start,
         )
         attempts.append(attempt)
         if best is None or attempt.fun < best.fun:
@@ -371,6 +401,7 @@ def fit_model(
         message=opt.message,
         history=[-h for h in opt.history],
         diagnostics=diagnostics,
+        grad_norm=opt.grad_norm,
     )
 
 

@@ -389,7 +389,7 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     map_samples = context.get("map_samples")  # absent in pre-mapping contexts
     keep_mles = bool(context.get("keep_mles"))  # absent in pre-v8 contexts
     engine = make_engine(context["engine"])
-    bind = lambda model: engine.bind(tree, patterns, model, pi=pi, incremental=True)
+    bind = lambda model: engine.bind(tree, patterns, model, pi=pi)
     test = fit_branch_site_test(
         bind,
         seed=seed,
@@ -474,8 +474,7 @@ def analyze_genes(
     engines, seeded optimizer restarts); whatever fired rides back on
     ``GeneResult.diagnostics``, and every engine counter — CLV reuse,
     the ladder rungs that built the task's operators — on
-    ``GeneResult.metrics``.  Workers bind incrementally (dirty-path CLV
-    caching, bit-identical to full re-pruning).
+    ``GeneResult.metrics``.
 
     Returns
     -------

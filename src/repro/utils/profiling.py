@@ -8,7 +8,7 @@
 * :func:`evaluation_breakdown` — the engine-level phase split
   (eigendecomposition / matrix exponential / CLV propagation) read off
   the engines' phase-seconds counters, i.e. the decomposition that motivates
-  each of the paper's optimizations.
+  each of the paper's optimizations, plus the branch-gradient pass.
 """
 
 from __future__ import annotations
@@ -67,11 +67,15 @@ def evaluation_breakdown(engine, bound, values, n_evaluations: int = 3) -> Dict[
     Returns a dict with keys ``eigh``, ``expm``, ``clv`` (fractions of
     their sum) plus ``total_seconds``.  The phases are the growth of the
     engine's ``eigh_s``/``expm_s``/``clv_s`` counters over exactly these
-    evaluations.
+    evaluations.  After each evaluation the branch gradient is taken at
+    the same point, as the optimizer does; ``gradient_seconds`` is the
+    growth of ``gradient_s`` over those passes (the outside pass and the
+    derivative operators; they add nothing to the three phases).
     """
     before = dict(engine.counters)
     for _ in range(n_evaluations):
         bound.log_likelihood(values)
+        bound.branch_gradient(values)
     phases = {
         label: engine.counters[f"{label}_s"] - before[f"{label}_s"]
         for label in ("eigh", "expm", "clv")
@@ -79,4 +83,5 @@ def evaluation_breakdown(engine, bound, values, n_evaluations: int = 3) -> Dict[
     total = sum(phases.values())
     out = {label: (secs / total if total > 0 else 0.0) for label, secs in phases.items()}
     out["total_seconds"] = total
+    out["gradient_seconds"] = engine.counters["gradient_s"] - before["gradient_s"]
     return out

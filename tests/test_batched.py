@@ -280,42 +280,39 @@ class TestLevelSchedule:
 # End-to-end bit-identity: level-order == per-branch oracle, all engines
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
-@pytest.mark.parametrize("incremental", [False, True])
+@pytest.mark.parametrize("gradient", [False, True])
 @pytest.mark.parametrize("recover", [False, True])
 def test_batched_bitwise_identical(
-    engine_name, incremental, recover, small_tree, small_sim, h1_model, bsm_values,
+    engine_name, gradient, recover, small_tree, small_sim, h1_model, bsm_values,
     monkeypatch,
 ):
     # recover=False: the guarded driver on clean operators (no guard
     # fires); recover=True: every operator drifts, so the guards repair
-    # or record on both sides of the comparison.
+    # or record on both sides of the comparison.  gradient=True runs a
+    # branch-gradient pass after every evaluation: it reads the
+    # evaluation's states through the last-point memo and must leave
+    # the next evaluation bit-identical.
     if recover:
         nudge_operators(monkeypatch)
 
     def build():
-        return make_engine(engine_name).bind(
-            small_tree, small_sim.alignment, h1_model, incremental=incremental
-        )
+        return make_engine(engine_name).bind(small_tree, small_sim.alignment, h1_model)
 
     ref, ba = build(), build()
-    assert reference_log_likelihood(ref, bsm_values) == ba.log_likelihood(bsm_values)
-    # Dirty one branch, then return to base (exercises populate →
-    # incremental → reuse transitions).
+
+    def check(lengths=None):
+        expected = reference_log_likelihood(ref, bsm_values, lengths)
+        assert expected == ba.log_likelihood(bsm_values, lengths)
+        if gradient:
+            lnl, grad = ba.branch_gradient(bsm_values, lengths)
+            assert lnl == expected and np.all(np.isfinite(grad))
+
+    check()
+    # Move one branch, then return to base.
     bumped = ba.branch_lengths.copy()
     bumped[2] *= 1.3
-    assert reference_log_likelihood(ref, bsm_values, bumped) == ba.log_likelihood(
-        bsm_values, bumped
-    )
-    assert reference_log_likelihood(ref, bsm_values) == ba.log_likelihood(bsm_values)
-    if incremental:
-        # Probe evaluations (gradient hints) must agree and must not
-        # disturb the committed base state.
-        probe = ba.branch_lengths.copy()
-        probe[1] *= 1.01
-        assert reference_log_likelihood(ref, bsm_values, probe) == ba.log_likelihood(
-            bsm_values, probe, touched=(1,)
-        )
-        assert reference_log_likelihood(ref, bsm_values) == ba.log_likelihood(bsm_values)
+    check(bumped)
+    check()
     assert (len(ba.engine.events) > 0) == recover
     assert (len(ref.engine.events) > 0) == recover
 

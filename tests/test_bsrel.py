@@ -3,9 +3,9 @@
 The acceptance bar for the site-class-graph refactor: the 4-class
 branch-site model A expressed as ``bsrel:2`` must produce *exactly* the
 same log-likelihood (float equality, not tolerance) as the historical
-model-A path, per engine, with and without incremental evaluation and
-the recovery layer, through both the level-order driver and the
-per-branch reference recursion (``tests/oracles.py``).
+model-A path, per engine, across repeated evaluations and branch
+gradients and with the recovery layer, through both the level-order
+driver and the per-branch reference recursion (``tests/oracles.py``).
 """
 
 import numpy as np
@@ -163,14 +163,19 @@ class TestModelABitIdentity:
         )
 
     def test_incremental(self, engine_name, small_tree, small_sim, bsm_values):
-        bound_a, bound_b = self._bind_pair(
-            engine_name, small_tree, small_sim, incremental=True
-        )
+        # A sequence of evaluations, each followed by a branch gradient
+        # that reads it through the last-point memo: lnL and gradient
+        # are both exactly model A's.
+        bound_a, bound_b = self._bind_pair(engine_name, small_tree, small_sim)
         lengths = np.asarray(small_tree.branch_lengths(), dtype=float)
-        for scale in (1.0, 1.0, 1.1):  # repeat → exercises the dirty path
-            assert bound_a.log_likelihood(
-                bsm_values, lengths * scale
-            ) == bound_b.log_likelihood(_bsrel2_values(bsm_values), lengths * scale)
+        for scale in (1.0, 1.0, 1.1):
+            lnl_a = bound_a.log_likelihood(bsm_values, lengths * scale)
+            lnl_b = bound_b.log_likelihood(_bsrel2_values(bsm_values), lengths * scale)
+            assert lnl_a == lnl_b
+            grad_a = bound_a.branch_gradient(bsm_values, lengths * scale)
+            grad_b = bound_b.branch_gradient(_bsrel2_values(bsm_values), lengths * scale)
+            assert grad_a[0] == grad_b[0] == lnl_a
+            np.testing.assert_array_equal(grad_a[1], grad_b[1])
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_batched_modes(self, engine_name, batched, small_tree, small_sim, bsm_values):

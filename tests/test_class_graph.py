@@ -132,30 +132,18 @@ class TestViews:
 class TestPlanning:
     def test_full_evaluation_derives_shared_classes(self, h1_model, bsm_values):
         graph = h1_model.site_class_graph(bsm_values)
-        plans = graph.plan(full=True)
+        plans = graph.plan()
         assert [p.mode for p in plans] == ["populate", "populate", "derive", "derive"]
         assert plans[2].base == 0 and plans[3].base == 1
         assert not plans[2].full_share
 
-    def test_dirty_update_with_state(self, h1_model, bsm_values):
-        graph = h1_model.site_class_graph(bsm_values)
-        plans = graph.plan(full=False, has_state=lambda i: True)
-        # Partial shares cannot ride a dirty update: each class advances
-        # its own persisted state instead.
-        assert [p.mode for p in plans] == ["incremental"] * 4
-
-    def test_dirty_update_full_share_still_derives(self, h0_model, bsm_values):
+    def test_h0_full_share_derives(self, h0_model, bsm_values):
         values = {k: v for k, v in bsm_values.items() if k != "omega2"}
         graph = h0_model.site_class_graph(values)
-        plans = graph.plan(full=False, has_state=lambda i: True)
-        # 2b's share is full under H0, so it derives even on a dirty pass.
-        assert plans[3].mode == "derive" and plans[3].full_share
-
-    def test_missing_state_falls_back_to_populate(self, h1_model, bsm_values):
-        graph = h1_model.site_class_graph(bsm_values)
-        plans = graph.plan(full=False, has_state=lambda i: i == 0)
-        assert plans[0].mode == "incremental"
-        assert plans[1].mode == "populate"
+        plans = graph.plan()
+        # 2b's share is full under H0: it re-prunes nothing.
+        assert plans[3] == ClassPlan(3, "derive", base=1, full_share=True)
+        assert plans[2].mode == "derive" and not plans[2].full_share
 
     def test_skip_zero_reanchors_sharing(self):
         # When the would-be base has zero weight and is skipped, the
@@ -166,7 +154,7 @@ class TestPlanning:
             ("c", 0.4, 0.3, 2.0, True),
         )
         graph = SiteClassGraph.from_classes(classes)
-        plans = graph.plan(full=True, skip_zero=True)
+        plans = graph.plan(skip_zero=True)
         assert plans[0] == ClassPlan(0, "skip")
         assert plans[1].mode == "populate"
         assert plans[2] == ClassPlan(2, "derive", base=1, full_share=True)
@@ -180,7 +168,7 @@ class TestPlanning:
         # Statically b shares with a...
         assert graph.edges[1] is not None
         # ...but with a skipped, b must populate.
-        plans = graph.plan(full=True, skip_zero=True)
+        plans = graph.plan(skip_zero=True)
         assert plans[1].mode == "populate"
 
 

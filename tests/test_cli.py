@@ -74,7 +74,14 @@ class TestRun:
             ]
         )
         assert rc == 0
-        assert "lnL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "lnL" in out
+        # The final gradient norm rides on each fit's optimizer line, not
+        # on an indented "name = value" line (those are parameters).
+        optimizer_lines = [ln for ln in out.splitlines() if ln.startswith("optimizer: ")]
+        assert len(optimizer_lines) == 2
+        assert all(re.search(r", \|gradient\| = \S+", ln) for ln in optimizer_lines)
+        assert not re.search(r"^  \|?grad", out, flags=re.M)
 
     def test_run_with_ctl(self, tiny_dataset, tmp_path, capsys):
         ctl = tmp_path / "run.ctl"

@@ -232,7 +232,7 @@ class TestCounterMap:
 
         exact, prefixes = self._tracer_keys()
         engine = make_engine("slim-v2")
-        bound = engine.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
+        bound = engine.bind(small_tree, small_sim.alignment, h1_model)
         fit_model(bound, seed=1, max_iterations=2)
         stats = engine.cache_stats()
         assert exact <= set(stats)

@@ -1,9 +1,13 @@
-"""Incremental likelihood evaluation: bit-identity and reuse accounting.
+"""Reuse without drift: cross-class aliasing, dirty-path pruning states
+and the binding's last-point memo, plus their reuse accounting.
 
-The dirty-path CLV cache and the cross-class subtree sharing promise
-*exact* float equality with full re-pruning (DESIGN.md §9) — not
-closeness.  Every comparison here is ``==`` / ``array_equal``; a single
-ulp of drift is a failure.
+Background-tied site classes alias each other's pruning states and
+re-prune only the foreground path (DESIGN.md §11); the branch gradient
+and the mapping sampler read the last evaluation's states through the
+last-point memo (DESIGN.md §9).  All of it promises *exact* float
+equality with pruning every class from scratch — not closeness.  Every
+comparison here is ``==`` / ``array_equal``; a single ulp of drift is a
+failure.
 """
 
 import numpy as np
@@ -16,7 +20,6 @@ from repro.core.eigen import decompose
 from repro.core.engine import make_engine
 from repro.core.expm import transition_matrix_syrk
 from repro.likelihood.pruning import PruningState, build_leaf_clvs
-from repro.optimize.ml import fit_model
 from repro.trees.newick import parse_newick
 from tests.oracles import (
     nudge_operators,
@@ -182,9 +185,9 @@ class TestPruningState:
 # Property test: randomized update sequences through the engine layer
 # ----------------------------------------------------------------------
 def _update_sequence(lengths, values, rng, steps=8):
-    """Committed single-branch / multi-branch / model-param updates,
-    with a non-committing probe sprinkled in after every third step."""
-    seqs = [(dict(values), lengths.copy(), None)]
+    """Single-branch / multi-branch / model-parameter updates, with the
+    previous point revisited after every third step."""
+    seqs = [(dict(values), lengths.copy())]
     v, L = dict(values), lengths
     for step in range(steps):
         kind = int(rng.integers(0, 3))
@@ -197,22 +200,24 @@ def _update_sequence(lengths, values, rng, steps=8):
         else:
             v = dict(v)
             v["omega0"] = float(v["omega0"] * (1.0 + 0.05 * rng.random()))
-        seqs.append((dict(v), L.copy(), None))
+        seqs.append((dict(v), L.copy()))
         if step % 3 == 1:
-            probe = L.copy()
-            probe[0] += 1e-6
-            seqs.append((dict(v), probe, (0,)))
+            seqs.append(seqs[-2])
     return seqs
 
 
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 @pytest.mark.parametrize("recover", [False, True], ids=["plain", "recover"])
 class TestEngineBitIdentity:
-    """Incremental == full re-pruning, exactly.
+    """Aliased, memo-reading evaluation == pruning every class afresh.
 
-    ``plain``: clean operators, and the full side is also pinned to the
-    per-branch oracle; ``recover``: every operator drifts, so the guards
-    repair or record on every build (``tests.oracles.nudge_operators``).
+    One binding walks an update sequence, running the branch gradient
+    and the mapping data plane (both read the last-point memo) after
+    every evaluation; a second binding only evaluates.  ``plain``:
+    clean operators, and both are also pinned to the per-branch oracle,
+    which prunes every class from scratch; ``recover``: every operator
+    drifts, so the guards repair or record on every build
+    (``tests.oracles.nudge_operators``).
     """
 
     def test_randomized_updates_bit_identical(
@@ -221,26 +226,27 @@ class TestEngineBitIdentity:
     ):
         if recover:
             nudge_operators(monkeypatch)
-        eng_full = make_engine(engine_name)
-        eng_inc = make_engine(engine_name)
-        b_full = eng_full.bind(small_tree, small_sim.alignment, h1_model)
-        b_inc = eng_inc.bind(
-            small_tree, small_sim.alignment, h1_model, incremental=True
-        )
-        lengths = np.asarray(b_full.branch_lengths, dtype=float)
+        eng_plain = make_engine(engine_name)
+        eng_memo = make_engine(engine_name)
+        b_plain = eng_plain.bind(small_tree, small_sim.alignment, h1_model)
+        b_memo = eng_memo.bind(small_tree, small_sim.alignment, h1_model)
+        lengths = np.asarray(b_plain.branch_lengths, dtype=float)
         rng = np.random.default_rng(11)
-        for values, L, touched in _update_sequence(lengths, bsm_values, rng):
-            a = b_full.log_likelihood(values, L)
-            if touched is None:
-                b = b_inc.log_likelihood(values, L)
-            else:
-                b = b_inc.log_likelihood(values, L, touched=touched)
+        for values, L in _update_sequence(lengths, bsm_values, rng):
+            a = b_plain.log_likelihood(values, L)
+            b = b_memo.log_likelihood(values, L)
             assert a == b  # exact float equality, not approx
+            assert b_memo.branch_gradient(values, L)[0] == a
+            class_lnl, _, _, states = b_memo.class_states(values, L)
+            assert all(not state.missing_nodes() for state in states.values())
             if not recover:
-                assert a == reference_log_likelihood(b_full, values, L)
-        assert eng_inc.counters["clv_reuses"] > 0
-        assert eng_inc.counters["clv_propagations"] < eng_full.counters["clv_propagations"]
-        assert (len(eng_inc.events) > 0) == recover
+                assert a == reference_log_likelihood(b_plain, values, L)
+                np.testing.assert_array_equal(
+                    class_lnl, reference_class_matrix(b_plain, values, L)[0]
+                )
+        # Background-tied classes were served from their base's buffers.
+        assert eng_memo.counters["clv_reuses"] > 0
+        assert (len(eng_memo.events) > 0) == recover
 
     def test_site_class_matrix_bit_identical(
         self, engine_name, recover, small_tree, small_sim, h0_model, bsm_values,
@@ -248,58 +254,32 @@ class TestEngineBitIdentity:
     ):
         if recover:
             nudge_operators(monkeypatch)
-        eng_full = make_engine(engine_name)
-        eng_inc = make_engine(engine_name)
-        b_full = eng_full.bind(small_tree, small_sim.alignment, h0_model)
-        b_inc = eng_inc.bind(
-            small_tree, small_sim.alignment, h0_model, incremental=True
-        )
+        eng_plain = make_engine(engine_name)
+        eng_memo = make_engine(engine_name)
+        b_plain = eng_plain.bind(small_tree, small_sim.alignment, h0_model)
+        b_memo = eng_memo.bind(small_tree, small_sim.alignment, h0_model)
         values = {k: v for k, v in bsm_values.items() if k != "omega2"}
-        lengths = np.asarray(b_full.branch_lengths, dtype=float)
-        b_full.log_likelihood(values, lengths)
-        b_inc.log_likelihood(values, lengths)
+        lengths = np.asarray(b_plain.branch_lengths, dtype=float)
+        b_memo.log_likelihood(values, lengths)
+        b_memo.branch_gradient(values, lengths)
         bumped = lengths.copy()
         bumped[1] *= 1.07
-        m_full, p_full = b_full.site_class_matrix(values, bumped)
-        m_inc, p_inc = b_inc.site_class_matrix(values, bumped)
-        np.testing.assert_array_equal(m_full, m_inc)
-        np.testing.assert_array_equal(p_full, p_inc)
+        m_plain, p_plain = b_plain.site_class_matrix(values, bumped)
+        m_memo, p_memo = b_memo.site_class_matrix(values, bumped)
+        np.testing.assert_array_equal(m_plain, m_memo)
+        np.testing.assert_array_equal(p_plain, p_memo)
         if not recover:
-            m_ref, _ = reference_class_matrix(b_full, values, bumped)
-            np.testing.assert_array_equal(m_full, m_ref)
-        assert (len(eng_inc.events) > 0) == recover
+            m_ref, _ = reference_class_matrix(b_plain, values, bumped)
+            np.testing.assert_array_equal(m_plain, m_ref)
+        assert (len(eng_memo.events) > 0) == recover
 
 
 class TestEngineSemantics:
-    def test_touched_requires_incremental_binding(
-        self, small_tree, small_sim, h1_model, bsm_values
-    ):
-        bound = make_engine("slim").bind(small_tree, small_sim.alignment, h1_model)
-        with pytest.raises(ValueError, match="incremental"):
-            bound.log_likelihood(
-                bsm_values, bound.branch_lengths, touched=(0,)
-            )
-
-    def test_probe_does_not_commit(self, small_tree, small_sim, h1_model, bsm_values):
-        engine = make_engine("slim")
-        bound = engine.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
-        lengths = np.asarray(bound.branch_lengths, dtype=float)
-        base = bound.log_likelihood(bsm_values, lengths)
-        probe = lengths.copy()
-        probe[2] += 1e-6
-        bound.log_likelihood(bsm_values, probe, touched=(2,))
-        # Re-evaluating the committed point must be a pure cache hit: the
-        # probe did not advance the durable state.
-        before = engine.counters["clv_propagations"]
-        again = bound.log_likelihood(bsm_values, lengths)
-        assert again == base
-        assert engine.counters["clv_propagations"] == before
-
     def test_cache_stats_exposes_clv_counters(
         self, small_tree, small_sim, h1_model, bsm_values
     ):
         engine = make_engine("slim")
-        bound = engine.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
+        bound = engine.bind(small_tree, small_sim.alignment, h1_model)
         lengths = np.asarray(bound.branch_lengths, dtype=float)
         bound.log_likelihood(bsm_values, lengths)
         bumped = lengths.copy()
@@ -308,59 +288,6 @@ class TestEngineSemantics:
         stats = engine.cache_stats()
         assert stats["clv_propagations"] > 0
         assert stats["clv_reuses"] > 0
-
-
-# ----------------------------------------------------------------------
-# fit_model: hinted gradients, identical optimum, fewer propagations
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
-def test_fit_model_incremental_identical_and_cheaper(
-    engine_name, small_tree, small_sim, h1_model
-):
-    eng_full = make_engine(engine_name)
-    eng_inc = make_engine(engine_name)
-    b_full = eng_full.bind(small_tree, small_sim.alignment, h1_model)
-    b_inc = eng_inc.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
-    fit_full = fit_model(b_full, seed=1, max_iterations=6)
-    fit_inc = fit_model(b_inc, seed=1, max_iterations=6)
-    assert fit_full.lnl == fit_inc.lnl
-    assert fit_full.n_evaluations == fit_inc.n_evaluations
-    np.testing.assert_array_equal(fit_full.branch_lengths, fit_inc.branch_lengths)
-    assert fit_full.values == fit_inc.values
-    # The point of the exercise: markedly fewer branch propagations than
-    # full re-pruning (every branch of every class on every evaluation),
-    # and fewer than a full level-order evaluation, which already
-    # aliases background-tied subtrees across classes.
-    n_classes = len(h1_model.site_classes(fit_full.values))
-    full_repruning = b_full.n_evaluations * n_classes * b_full.n_branches
-    assert eng_inc.counters["clv_propagations"] * 2 <= full_repruning
-    assert eng_inc.counters["clv_propagations"] < eng_full.counters["clv_propagations"]
-
-
-def test_fit_model_on_incremental_binding_matches_plain(
-    small_tree, small_sim, h1_model
-):
-    engine = make_engine("slim")
-    bound = engine.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
-    fit = fit_model(bound, seed=1, max_iterations=3)
-    assert engine.counters["clv_reuses"] > 0
-    reference = fit_model(
-        make_engine("slim").bind(small_tree, small_sim.alignment, h1_model),
-        seed=1,
-        max_iterations=3,
-    )
-    assert fit.lnl == reference.lnl
-
-
-def test_fit_model_incremental_with_recovery(small_tree, small_sim, h1_model):
-    eng_full = make_engine("slim")
-    eng_inc = make_engine("slim")
-    b_full = eng_full.bind(small_tree, small_sim.alignment, h1_model)
-    b_inc = eng_inc.bind(small_tree, small_sim.alignment, h1_model, incremental=True)
-    fit_full = fit_model(b_full, seed=3, max_iterations=5)
-    fit_inc = fit_model(b_inc, seed=3, max_iterations=5)
-    assert fit_full.lnl == fit_inc.lnl
-    assert fit_full.n_evaluations == fit_inc.n_evaluations
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +306,20 @@ class TestBatchIntegration:
         summary = summarize_results([inc])
         assert summary.metrics["clv_reuses"] == inc.metrics["clv_reuses"]
         assert "clv reuse" in summary.format()
+
+    def test_scan_metrics_carry_gradient_counters(self, small_tree, small_sim):
+        from repro.parallel.batch import scan_branches
+
+        scan = scan_branches("g", small_tree, small_sim.alignment, max_iterations=1)
+        keys = ("gradient_passes", "gradient_s", "derivative_builds")
+        for res in scan.gene_results:
+            assert all(key in res.metrics for key in keys)
+            assert res.metrics["gradient_passes"] > 0
+            assert res.metrics["derivative_builds"] > 0
+        summary = scan.summary()
+        assert summary.metrics["gradient_passes"] == sum(
+            r.metrics["gradient_passes"] for r in scan.gene_results
+        )
 
     def test_gene_result_clv_stats_roundtrip(self):
         from repro.io.results_io import gene_result_from_dict, gene_result_to_dict

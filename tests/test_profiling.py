@@ -43,4 +43,6 @@ def test_evaluation_breakdown_fractions():
     phases = ("eigh_s", "expm_s", "clv_s")
     grown = sum(engine.counters[k] - earlier[k] for k in phases)
     assert breakdown["total_seconds"] == pytest.approx(grown)
+    assert breakdown["gradient_seconds"] > 0
+    assert engine.counters["gradient_passes"] == 2
     assert engine.counters["clv_propagations"] > earlier["clv_propagations"] > 0

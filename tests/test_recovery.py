@@ -313,9 +313,12 @@ class _PoisonedBound:
             return float("nan")
         return self._inner.log_likelihood(values, lengths)
 
+    def branch_gradient(self, values, lengths):
+        return self._inner.branch_gradient(values, lengths)
+
 
 class _CliffBound:
-    """Finite exactly twice (pre-check + optimizer start), then -inf.
+    """Finite exactly twice (start point + first gradient probe), then -inf.
 
     Forces a line-search collapse at iteration 0, then non-finite
     restarts until the budget runs out — both policy triggers in one
@@ -331,6 +334,9 @@ class _CliffBound:
     def log_likelihood(self, values, lengths):
         self._calls += 1
         return 0.0 if self._calls <= 2 else -np.inf
+
+    def branch_gradient(self, values, lengths):
+        return 0.0, np.zeros(len(lengths))
 
 
 @pytest.fixture(scope="module")

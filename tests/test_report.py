@@ -50,6 +50,13 @@ class TestFitBlock:
         assert "site class" in block
         assert "2a" in block and "2b" in block
 
+    def test_gradient_norm_on_optimizer_line(self, test_obj):
+        fit = test_obj.h1
+        assert "|gradient|" not in format_fit_block(fit)  # unknown: left out
+        fit.grad_norm = 3.25e-5
+        text = format_fit_block(fit)
+        assert "optimizer: 12 iterations, 150 evaluations, 1.25 s, |gradient| = 3.25e-05" in text
+
     def test_unconverged_flagged(self):
         fit = _fit("m", -1.0, {"kappa": 2.0, "omega0": 0.3, "p0": 0.5, "p1": 0.3}, converged=False)
         assert "NOT CONVERGED" in format_fit_block(fit)
