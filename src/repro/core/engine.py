@@ -29,10 +29,10 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dgemv, dsymm, dsymv
+from scipy.linalg.blas import dgemv, dsymm, dsymv
 
 from repro.alignment.msa import CodonAlignment
 from repro.alignment.patterns import PatternAlignment, compress_patterns
@@ -66,7 +66,6 @@ from repro.core.recovery import (
 from repro.core.uniformization import UniformizedOperator
 from repro.core.flops import (
     FlopCounter,
-    gemm_flops,
     gemv_flops,
     symm_flops,
     symv_flops,
@@ -97,6 +96,7 @@ __all__ = [
     "SlimV2Engine",
     "BatchedOperatorSet",
     "BoundLikelihood",
+    "ClassEvaluation",
     "make_engine",
 ]
 
@@ -187,8 +187,6 @@ class LikelihoodEngine:
 
     name = "abstract"
     eigh_driver = "evr"
-    #: Whether CLVs are propagated with one BLAS-3 call over all patterns.
-    bundled = False
 
     def __init__(
         self,
@@ -272,10 +270,9 @@ class LikelihoodEngine:
     def _operator_probability_matrix(self, operator: object) -> np.ndarray:
         """Dense ``P(t)`` from this engine's operator representation.
 
-        Post-fit analyses (ancestral reconstruction, stochastic mapping)
-        need plain transition probabilities, built through
-        :meth:`_operator_for`.  P-propagating engines hold ``P``
-        directly.
+        The mapping sampler needs plain transition probabilities; it
+        reads them off the evaluation's operator sets through this
+        hook.  P-propagating engines hold ``P`` directly.
         """
         return operator
 
@@ -564,7 +561,6 @@ class BaselineEngine(LikelihoodEngine):
 
     name = "codeml"
     eigh_driver = "ev"
-    bundled = False
 
     def _build_operator(self, decomp: SpectralDecomposition, t: float) -> np.ndarray:
         return transition_matrix_einsum(decomp, t, counter=self.counter)
@@ -596,23 +592,18 @@ class BaselineEngine(LikelihoodEngine):
 class SlimEngine(LikelihoodEngine):
     """SlimCodeML as evaluated in the paper: dsyrk expm + per-site dgemv.
 
-    ``bundled=True`` upgrades the CLV step to one ``dgemm`` over all
-    patterns — the §III-B optimisation the paper describes but excluded
-    from its evaluated prototype; off by default for fidelity.
+    The §III-B bundling the paper describes but left out of its
+    evaluated prototype is ``slim-v2``'s; E-K2 measures it on the raw
+    kernels (``benchmarks/bench_clv_bundling.py``).
     """
 
     name = "slim"
     eigh_driver = "evr"
-    bundled = False
-
-    def __init__(self, *args, bundled: bool = False, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.bundled = bundled
 
     def _build_operator(self, decomp: SpectralDecomposition, t: float) -> np.ndarray:
-        # Fortran layout once at build time: every per-pattern dgemv (and
-        # the bundled dgemm) then takes the operator as-is, instead of
-        # re-deriving a BLAS-ready operand on each CLV application.
+        # Fortran layout once at build time: every per-pattern dgemv then
+        # takes the operator as-is, instead of re-deriving a BLAS-ready
+        # operand on each CLV application.
         return np.asfortranarray(transition_matrix_syrk(decomp, t, counter=self.counter))
 
     def _wrap_probability_matrix(self, p: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -620,11 +611,6 @@ class SlimEngine(LikelihoodEngine):
 
     def _propagate(self, operator: np.ndarray, clv: np.ndarray) -> np.ndarray:
         n, n_patterns = clv.shape
-        if self.bundled:
-            out = dgemm(1.0, operator, clv)
-            if self.counter is not None:
-                self.counter.add("clv:dgemm", gemm_flops(n, n_patterns, n), reads=n * n)
-            return out
         out = np.empty_like(clv, order="F")
         for p in range(n_patterns):
             # Writing straight into the F-contiguous output column skips
@@ -657,7 +643,6 @@ class SlimV2Engine(LikelihoodEngine):
 
     name = "slim-v2"
     eigh_driver = "evr"
-    bundled = True
 
     def __init__(self, *args, bundled: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -764,13 +749,14 @@ class SlimV2Engine(LikelihoodEngine):
 
 
 @dataclass
-class _Evaluation:
+class ClassEvaluation:
     """One evaluation's per-class pass, kept as the binding's last-point memo.
 
-    Everything the branch gradient (and the mapping sampler) reads at
+    Everything the branch gradient and the post-fit analyses read at
     the point just evaluated: the class graph and decompositions, the
     forward operator sets, the per-class plans, results and pruning
     states.  States and operator stacks are immutable once written.
+    ``class_lnl`` is filled (and finite-checked) on first use.
     """
 
     values: Dict[str, float]
@@ -785,6 +771,11 @@ class _Evaluation:
     states: Dict[int, PruningState]
     class_lnl: Optional[np.ndarray] = None
 
+    @property
+    def proportions(self) -> np.ndarray:
+        """The class proportions the evaluation mixed."""
+        return self.graph.proportions
+
     def at(self, values: Dict[str, float], lengths: np.ndarray) -> bool:
         """Whether this evaluation was made at exactly ``(values, lengths)``."""
         return self.values == values and np.array_equal(self.lengths, lengths)
@@ -795,10 +786,11 @@ class BoundLikelihood:
 
     Owns a private branch-length vector (ordered like
     :meth:`Tree.branch_lengths`) so evaluations never mutate the caller's
-    tree.  Exposes exactly what the optimizer and the empirical-Bayes
-    step need: lnL, the per-class site log-likelihoods and, for the
-    optimizer, lnL with its exact branch-length gradient
-    (:meth:`branch_gradient`).
+    tree.  Exposes exactly what the optimizer and the post-fit analyses
+    need: lnL, lnL with its exact branch-length gradient
+    (:meth:`branch_gradient`), and the all-class evaluation
+    (:meth:`class_evaluation`) that NEB/BEB, ancestral reconstruction
+    and the mapping sampler read.
 
     Every evaluation runs the level-order driver (stacked operators,
     one fused propagation call per tree level, DESIGN.md §10) over
@@ -810,9 +802,9 @@ class BoundLikelihood:
     pruning every class from scratch (exact float equality), enforced
     against the per-branch reference recursion in ``tests/oracles.py``.
 
-    The binding keeps its last evaluation (:class:`_Evaluation`) as a
-    one-entry, exact-key memo: the branch gradient and the mapping
-    sampler's :meth:`class_states` read it instead of re-pruning.
+    The binding keeps its last evaluation (:class:`ClassEvaluation`) as a
+    one-entry, exact-key memo: the branch gradient and
+    :meth:`class_evaluation` read it instead of re-pruning.
     """
 
     def __init__(
@@ -861,7 +853,7 @@ class BoundLikelihood:
         self._schedule = build_level_schedule(self._rows, self._n_nodes)
         self._fg_children = [child for child, _, _, fg in self._rows if fg]
         #: Last-point memo: the most recent evaluation's per-class pass.
-        self._last: Optional[_Evaluation] = None
+        self._last: Optional[ClassEvaluation] = None
 
     # ------------------------------------------------------------------
     @property
@@ -910,7 +902,7 @@ class BoundLikelihood:
         values: Dict[str, float],
         lengths: np.ndarray,
         skip_zero: bool = False,
-    ) -> _Evaluation:
+    ) -> ClassEvaluation:
         """Stacked-operator, level-order evaluation of every site class.
 
         Plans each class's pass on the site-class graph (skip a
@@ -924,8 +916,8 @@ class BoundLikelihood:
         The returned evaluation (also kept as the last-point memo)
         carries the per-class :class:`PruningState` dict (keyed by class
         index; absent for skipped classes): the per-node inside CLVs the
-        branch gradient and the stochastic-mapping sampler read, so
-        neither re-prunes privately.
+        branch gradient and the post-fit analyses read, so none of them
+        re-prunes privately.
         """
         self._last = None
         engine = self.engine
@@ -1012,7 +1004,7 @@ class BoundLikelihood:
                 dirty=dirty_for(plan), on_reuse=self._note_reuse,
             ))
             states[idx] = state
-        self._last = _Evaluation(
+        self._last = ClassEvaluation(
             values=dict(values),
             lengths=np.array(lengths, dtype=float),
             skip_zero=skip_zero,
@@ -1037,7 +1029,7 @@ class BoundLikelihood:
 
     def _memoised(
         self, values: Dict[str, float], lengths: np.ndarray, skip_zero: bool
-    ) -> _Evaluation:
+    ) -> ClassEvaluation:
         """The last evaluation if it was made at this point, else a new one.
 
         A memo that skipped zero-weight classes cannot serve a caller
@@ -1049,7 +1041,7 @@ class BoundLikelihood:
             self.n_evaluations += 1
         return ev
 
-    def _checked_class_lnl(self, ev: _Evaluation) -> np.ndarray:
+    def _checked_class_lnl(self, ev: ClassEvaluation) -> np.ndarray:
         """``ev``'s per-class site log-likelihoods, checked for NaN/+inf."""
         return check_finite_site_log_likelihoods(
             self._class_lnl(ev),
@@ -1058,33 +1050,28 @@ class BoundLikelihood:
             engine=self.engine.name,
         )
 
-    def class_states(
+    def class_evaluation(
         self,
         values: Dict[str, float],
         branch_lengths: Optional[Sequence[float]] = None,
-    ) -> Tuple[np.ndarray, SiteClassGraph, Dict, Dict[int, PruningState]]:
-        """Per-class inside CLVs via one level-order pass.
+    ) -> ClassEvaluation:
+        """The all-class evaluation at ``values``: the post-fit data plane.
 
-        The stochastic-mapping sampler's data plane: one evaluation
-        fills every internal node's CLV for every site class (sharing
-        plan included — background-tied classes alias subtrees), so the
-        sampler never re-prunes privately.  PruningState CLVs are
-        immutable once written and the sampler only reads them, so the
-        last-point memo serves a repeat — mapping is typically re-drawn
-        at one MLE (more draws, several seeds).
-
-        The decompositions handed back are the exact objects the pass
-        evaluated with, so their tokens stay aligned with the Padé
-        operator LRU and the uniformized kernels the sampler will key on.
-
-        Returns ``(class_lnl, graph, decomps, states)`` where
-        ``class_lnl`` is the ``(n_classes, n_patterns)``
-        :func:`site_class_log_likelihoods` matrix (zero-weight classes
-        included — ``skip_zero`` is off) and ``states`` maps class
-        index → :class:`PruningState` with every node's CLV filled.
+        NEB/BEB read its finite-checked ``class_lnl`` (the
+        ``(n_classes, n_patterns)`` :func:`site_class_log_likelihoods`
+        matrix) and ``proportions``; ancestral reconstruction its inside
+        states and :meth:`outside_vectors`; the mapping sampler its
+        inside states, decompositions and forward operator sets.  Every
+        class is evaluated (``skip_zero`` off), so zero-weight classes
+        keep their rows and states.  The last-point memo serves a repeat
+        at the same point — post-fit analyses typically read one MLE
+        several times — and the decompositions are the exact objects the
+        pass evaluated with, so their tokens stay aligned with the Padé
+        operator LRU and the uniformized kernels.
         """
         ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=False)
-        return self._class_lnl(ev), ev.graph, ev.decomps, ev.states
+        self._checked_class_lnl(ev)
+        return ev
 
     def log_likelihood(
         self,
@@ -1099,14 +1086,14 @@ class BoundLikelihood:
         self.n_evaluations += 1
         return self._mixture_lnl(ev)
 
-    def _mixture_lnl(self, ev: _Evaluation) -> float:
+    def _mixture_lnl(self, ev: ClassEvaluation) -> float:
         lnl, _ = mixture_log_likelihood(
             ev.results, self.pi, ev.graph.proportions, self.patterns.weights,
             class_lnl=self._checked_class_lnl(ev),
         )
         return lnl
 
-    def _class_lnl(self, ev: _Evaluation) -> np.ndarray:
+    def _class_lnl(self, ev: ClassEvaluation) -> np.ndarray:
         """``ev``'s per-class per-pattern log-likelihoods, computed once."""
         if ev.class_lnl is None:
             ev.class_lnl = site_class_log_likelihoods(ev.results, self.pi)
@@ -1179,8 +1166,7 @@ class BoundLikelihood:
                 ratios[idx] = ratios[plan.base]
             else:
                 ratios[idx], derivatives[idx] = self._outside_ratios(
-                    graph.nodes[idx], ev, idx, dsets, fresh_rows[idx],
-                    derivatives.get(plan.base),
+                    ev, idx, dsets, fresh_rows[idx], derivatives.get(plan.base),
                 )
             row_grad += ratios[idx] @ weighted_post[idx]
         grad = np.empty(len(ev.rows))
@@ -1197,43 +1183,38 @@ class BoundLikelihood:
         counters["gradient_s"] += time.perf_counter() - start
         return lnl, grad
 
-    def _outside_ratios(
+    def _outside_pass(
         self,
-        cls: SiteClass,
-        ev: _Evaluation,
+        ev: ClassEvaluation,
         index: int,
-        dsets: Dict[float, BatchedOperatorSet],
-        fresh_rows: List[int],
-        base_derivatives: Optional[List[Optional[np.ndarray]]],
-    ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
-        """Per-branch ratios ``∂L_k/∂t_b / L_k`` of one class, ``(B, P)``.
+        outside: List[Optional[np.ndarray]],
+        extra: Optional[Callable] = None,
+    ) -> Iterator[Tuple[List[int], List[np.ndarray], Dict[int, np.ndarray]]]:
+        """Pre-order pass over the level schedule for one class of ``ev``.
 
-        Pre-order over the level schedule, top level first: the branch
-        above child ``c`` (parent ``p``) gets
+        Top level first, the branch above child ``c`` (parent ``p``) gets
         ``U_c = O_p ∘ ∏_{siblings s} contribution_s`` with
         ``O_root = π``, rescaled per pattern column; an internal child
-        then gets ``O_c = P(t_c)ᵀ U_c = Π·P·(Π⁻¹U_c)`` (reversibility),
-        so the forward operators serve the outside pass unchanged.  The
-        ratio is ``Σ_x U_c·D_c / Σ_x U_c·contribution_c`` with
-        ``D_c = P′(t_c)·L_c``: the column scalings of ``U`` and of the
-        stored CLVs cancel.  ``D_c`` is applied for ``fresh_rows`` and
-        taken from ``base_derivatives`` elsewhere.  Each level is one
-        fused propagation call carrying its derivative and outside
-        applications.  Returns the ratios and every row's ``D_c``.
+        then gets ``O_c = P(t_c)ᵀ U_c = Π·P·(Π⁻¹U_c)`` (reversibility), so
+        the forward operators serve the outside pass unchanged.  π sits
+        at the root only: ``O_v(x)`` is ``P(state_v = x, data outside
+        v's subtree)`` up to a per-column scale (DESIGN.md §9).
+
+        Fills ``outside`` (indexed by node; leaves stay ``None``) and
+        yields, per level, its rows, their ``U`` vectors and the results
+        of the ``extra`` items.  ``extra(row, ω, t)`` may return one more
+        (operator, CLV) item for a row; it rides the level's one fused
+        propagation call, just ahead of that row's outside item.
         """
+        cls = ev.graph.nodes[index]
         state = ev.states[index]
         rows = ev.rows
         pi_col = self.pi[:, None]
         schedule = self._schedule
-        fresh = set(fresh_rows)
-        derivatives = (
-            list(base_derivatives) if base_derivatives is not None else [None] * len(rows)
-        )
-        outside: List[Optional[np.ndarray]] = [None] * self._n_nodes
         outside[schedule.root_index] = np.broadcast_to(pi_col, (pi_col.shape[0], self.n_patterns))
-        ratios = np.zeros((len(rows), self.n_patterns))
         for h in range(len(schedule.levels) - 1, -1, -1):
             level = schedule.levels[h]
+            applied: Dict[int, np.ndarray] = {}
             items, targets, us = [], [], []
             for ri in level:
                 child, parent, t, fg = rows[ri]
@@ -1246,38 +1227,74 @@ class BoundLikelihood:
                 col_max[col_max == 0.0] = 1.0
                 u /= col_max
                 us.append(u)
-                if ri in fresh:
-                    items.append((dsets[omega].operators[t], state.clvs[child]))
-                    targets.append((derivatives, ri))
+                item = extra(ri, omega, t) if extra is not None else None
+                if item is not None:
+                    items.append(item)
+                    targets.append((applied, ri))
                 if h > 0:
                     items.append((ev.opsets[omega].operators[t], u / pi_col))
                     targets.append((outside, child))
             if items:
-                # Counted as propagations; timed under gradient_s only, so
-                # the eigh/expm/clv phase seconds stay the evaluation's.
+                # Counted as propagations; not timed under clv_s, so the
+                # eigh/expm/clv phase seconds stay the evaluation's.
                 self.engine.counters["clv_propagations"] += len(items)
                 for (store, key), out in zip(targets, self.engine._propagate_level(items)):
-                    store[key] = out if store is derivatives else pi_col * out
+                    store[key] = out if store is applied else pi_col * out
+            yield level, us, applied
+
+    def outside_vectors(self, ev: ClassEvaluation, index: int) -> List[Optional[np.ndarray]]:
+        """Every internal node's outside vector ``O_v`` for class ``index``.
+
+        ``L_v ∘ O_v`` (with ``L_v`` the class's stored inside CLV) is
+        proportional, per pattern column, to ``P(state_v = x, data |
+        class)`` — the marginal reconstruction's per-class posterior.
+        Leaves get ``None``.
+        """
+        outside: List[Optional[np.ndarray]] = [None] * self._n_nodes
+        for _ in self._outside_pass(ev, index, outside):
+            pass
+        return outside
+
+    def _outside_ratios(
+        self,
+        ev: ClassEvaluation,
+        index: int,
+        dsets: Dict[float, BatchedOperatorSet],
+        fresh_rows: List[int],
+        base_derivatives: Optional[List[Optional[np.ndarray]]],
+    ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
+        """Per-branch ratios ``∂L_k/∂t_b / L_k`` of one class, ``(B, P)``.
+
+        The ratio is ``Σ_x U_c·D_c / Σ_x U_c·contribution_c`` with
+        ``D_c = P′(t_c)·L_c`` and ``U_c`` from :meth:`_outside_pass`: the
+        column scalings of ``U`` and of the stored CLVs cancel.  ``D_c``
+        is applied for ``fresh_rows``, riding each level's fused call
+        with the outside applications, and taken from
+        ``base_derivatives`` elsewhere.  Returns the ratios and every
+        row's ``D_c``.
+        """
+        state = ev.states[index]
+        rows = ev.rows
+        fresh = set(fresh_rows)
+        derivatives = (
+            list(base_derivatives) if base_derivatives is not None else [None] * len(rows)
+        )
+
+        def derivative_item(ri: int, omega: float, t: float):
+            if ri in fresh:
+                return (dsets[omega].operators[t], state.clvs[rows[ri][0]])
+            return None
+
+        ratios = np.zeros((len(rows), self.n_patterns))
+        outside: List[Optional[np.ndarray]] = [None] * self._n_nodes
+        for level, us, applied in self._outside_pass(ev, index, outside, derivative_item):
             for ri, u in zip(level, us):
+                if ri in applied:
+                    derivatives[ri] = applied[ri]
                 num = np.einsum("ij,ij->j", u, derivatives[ri])
                 den = np.einsum("ij,ij->j", u, state.contributions[rows[ri][0]])
                 np.divide(num, den, out=ratios[ri], where=den != 0.0)
         return ratios, derivatives
-
-    def site_class_matrix(
-        self,
-        values: Dict[str, float],
-        branch_lengths: Optional[Sequence[float]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-class per-pattern log-likelihoods and class proportions.
-
-        The inputs to NEB/BEB site classification
-        (:mod:`repro.optimize.beb`).
-        """
-        ev = self._evaluate_classes(values, self._lengths(branch_lengths))
-        self.n_evaluations += 1
-        return self._checked_class_lnl(ev), ev.graph.proportions
-
 
 _ENGINES = {
     "codeml": BaselineEngine,

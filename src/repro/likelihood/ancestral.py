@@ -3,24 +3,26 @@
 After fitting, CodeML can reconstruct the most probable codon at every
 internal node — used to localise *where* on the foreground branch the
 selected substitutions happened.  Marginal reconstruction needs, besides
-the standard *inside* conditional vectors (pruning, Fig. 2), an
-*outside* pass computing for each node ``v`` the probability of all data
-outside ``v``'s subtree given ``v``'s state:
+the standard *inside* conditional vectors ``L_v`` (pruning, Fig. 2), an
+*outside* vector ``O_v`` per node: the probability of the state at ``v``
+together with all data outside ``v``'s subtree.  The branch gradient's
+pre-order pass forms exactly these (DESIGN.md §9):
 
-    U_root(y) = 1
-    U_c(x)    = Σ_y P(t_c)[y, x] · U_p(y) · Π_{siblings s} (P(t_s) · L_s)(y)
+    O_root = π
+    U_c    = O_p ∘ ∏_{siblings s} P(t_s)·L_s
+    O_c(x) = Σ_y P(t_c)[y, x] · U_c(y)          (O_c = P(t_c)ᵀ U_c)
 
-Within one site class the posterior is
-``P(state_v = x | class, data) ∝ π_x · L_v(x) · U_v(x)`` — per-column
-normalisation cancels all rescaling constants, so underflow protection
-is a simple per-node column max rescale.  Classes are then mixed with
-their exact *posterior* weights ``P(class | data)`` (from
+π enters at the root only, so within one site class the posterior is
+``P(state_v = x | class, data) ∝ L_v(x) · O_v(x)`` — per-column
+normalisation cancels every rescaling constant.  Classes are then mixed
+with their exact *posterior* weights ``P(class | data)`` (from
 :func:`repro.likelihood.mixture.class_posteriors`), which keeps the
 cross-class magnitudes correct without tracking scale factors.
 
-Transition matrices come from the bound engine's operator layer
-(:meth:`LikelihoodEngine._operator_for`), so they are built with the
-same kernels (and recovery guards) as the fit's.
+Everything is read from the binding's all-class evaluation
+(:meth:`~repro.core.engine.BoundLikelihood.class_evaluation`): the
+inside states, the forward operators the outside pass applies, and the
+class log-likelihoods — the kernels and recovery guards of the fit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.models.scaling import build_class_matrices
+from repro.likelihood.mixture import class_posteriors
 
 __all__ = ["AncestralReconstruction", "marginal_reconstruction"]
 
@@ -68,11 +70,10 @@ class AncestralReconstruction:
         return float(self.best_probabilities[node_index].mean())
 
 
-def _rescale_columns(matrix: np.ndarray) -> None:
-    """In-place per-column max normalisation (posteriors are ratios)."""
-    col_max = matrix.max(axis=0)
-    safe = np.where(col_max > 0, col_max, 1.0)
-    matrix /= safe[None, :]
+def _normalise_columns(matrix: np.ndarray) -> np.ndarray:
+    """Each pattern column divided by its sum (all-zero columns kept)."""
+    totals = matrix.sum(axis=0)
+    return matrix / np.where(totals > 0, totals, 1.0)[None, :]
 
 
 def marginal_reconstruction(
@@ -96,108 +97,38 @@ def marginal_reconstruction(
     AncestralReconstruction
         Posteriors expanded back to per-site resolution.
     """
-    tree = bound.tree
     patterns = bound.patterns
-    pi = bound.pi
-    lengths = (
-        np.asarray(branch_lengths, dtype=float)
-        if branch_lengths is not None
-        else bound.branch_lengths
-    )
-    model = bound.model
-    engine = bound.engine
-    # The validated class graph, not a raw class list: reconstruction
-    # must mix exactly the classes (weights, labels, order) the fit used.
-    graph = model.site_class_graph(values)
-    classes = graph.nodes
-    matrices = build_class_matrices(values["kappa"], classes, pi, engine.code)
-    decomps = {omega: engine._decompose(matrix) for omega, matrix in matrices.items()}
+    ev = bound.class_evaluation(values, branch_lengths)
+    class_post = class_posteriors(ev.class_lnl, ev.proportions)
+    internal = [n.index for n in bound.tree.nodes if not n.is_leaf]
+    joint = {v: np.zeros((bound.pi.shape[0], patterns.n_patterns)) for v in internal}
 
-    non_root = [n for n in tree.nodes if not n.is_root]
-    pos_of = {n.index: k for k, n in enumerate(non_root)}
-    n_nodes = len(tree.nodes)
-    n_patterns = patterns.n_patterns
-    n_states = pi.shape[0]
-    leaf_clvs = bound._leaf_clvs  # shared read-only leaf indicators
-
-    # Exact per-site class posteriors weight the per-class state
-    # posteriors (see module docstring).
-    class_lnl, proportions = bound.site_class_matrix(values, lengths)
-    from repro.likelihood.mixture import class_posteriors
-
-    class_post = class_posteriors(class_lnl, proportions)
-
-    # Dense P(t) per (ω, t) from the engine's operator layer, built once
-    # per distinct pair.
-    p_memo: Dict[tuple, np.ndarray] = {}
-
-    def p_matrix(omega: float, t: float) -> np.ndarray:
-        key = (omega, t)
-        if key not in p_memo:
-            op = engine._operator_for(decomps[omega], t)
-            p_memo[key] = engine._operator_probability_matrix(op)
-        return p_memo[key]
-
-    internal_nodes = [n for n in tree.nodes if not n.is_leaf]
-    joint = {n.index: np.zeros((n_states, n_patterns)) for n in internal_nodes}
-
-    for class_idx, cls in enumerate(classes):
-        if cls.proportion == 0.0:
+    # Per-class node posteriors, keyed by the class whose states and
+    # operators produced them: a full share (identical ω on every
+    # branch, every CLV aliased) reuses its base's.
+    per_class: Dict[int, Dict[int, np.ndarray]] = {}
+    for plan in ev.plans:
+        index = plan.index
+        if ev.graph.nodes[index].proportion == 0.0:
             continue
-
-        def branch_p(node) -> np.ndarray:
-            omega = cls.omega_foreground if node.foreground else cls.omega_background
-            return p_matrix(omega, float(lengths[pos_of[node.index]]))
-
-        # Inside pass: L_v for every node (leaves are the indicators).
-        inside: List[Optional[np.ndarray]] = [None] * n_nodes
-        for i, clv in enumerate(leaf_clvs):
-            inside[i] = clv
-        # Cache each branch's propagated contribution (P_c @ L_c); the
-        # outside pass reuses them for sibling products.
-        propagated: Dict[int, np.ndarray] = {}
-        for node in tree.postorder():
-            if node.is_leaf:
-                continue
-            acc = np.ones((n_states, n_patterns))
-            for child in node.children:
-                contrib = branch_p(child) @ inside[child.index]
-                propagated[child.index] = contrib
-                acc *= contrib
-            _rescale_columns(acc)
-            inside[node.index] = acc
-
-        # Outside pass: U_v, pre-order.
-        outside: List[Optional[np.ndarray]] = [None] * n_nodes
-        outside[tree.root.index] = np.ones((n_states, n_patterns))
-        for node in tree.preorder():
-            up = outside[node.index]
-            for child in node.children:
-                acc = up.copy()
-                for sibling in node.children:
-                    if sibling is not child:
-                        acc *= propagated[sibling.index]
-                down = branch_p(child).T @ acc
-                _rescale_columns(down)
-                outside[child.index] = down
-
-        for node in internal_nodes:
-            raw = pi[:, None] * inside[node.index] * outside[node.index]
-            totals = raw.sum(axis=0)
-            safe = np.where(totals > 0, totals, 1.0)
-            # Posterior given this class, weighted by P(class | data).
-            joint[node.index] += class_post[class_idx][None, :] * (raw / safe[None, :])
+        source = plan.base if plan.mode == "derive" and plan.full_share else index
+        if source not in per_class:
+            clvs = ev.states[source].clvs
+            outside = bound.outside_vectors(ev, source)
+            per_class[source] = {
+                v: _normalise_columns(clvs[v] * outside[v]) for v in internal
+            }
+        for v in internal:
+            joint[v] += class_post[index][None, :] * per_class[source][v]
 
     best_states: Dict[int, np.ndarray] = {}
     best_probs: Dict[int, np.ndarray] = {}
-    for node_index, matrix in joint.items():
-        totals = matrix.sum(axis=0)
-        safe = np.where(totals > 0, totals, 1.0)
-        posterior = matrix / safe[None, :]
+    columns = np.arange(patterns.n_patterns)
+    for v, matrix in joint.items():
+        posterior = _normalise_columns(matrix)
         states = posterior.argmax(axis=0)
-        probs = posterior[states, np.arange(n_patterns)]
-        best_states[node_index] = patterns.expand(states)
-        best_probs[node_index] = patterns.expand(probs)
+        best_states[v] = patterns.expand(states)
+        best_probs[v] = patterns.expand(posterior[states, columns])
 
     return AncestralReconstruction(
         node_indices=sorted(joint),

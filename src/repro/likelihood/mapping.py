@@ -35,9 +35,10 @@ Batched layout (DESIGN.md §14)
 ------------------------------
 
 The per-class **inside CLVs** come from one level-order batched pass
-(:meth:`~repro.core.engine.BoundLikelihood.class_states`): the same
+(:meth:`~repro.core.engine.BoundLikelihood.class_evaluation`): the same
 stacked-operator machinery and class-graph sharing plan the evaluator
-uses, instead of a private per-child Python re-prune.  The draws
+uses, instead of a private per-child Python re-prune; the dense
+``P(t)`` of stage 2 come from that pass's operator sets.  The draws
 themselves are array-wide: every stage pre-draws its uniform variates
 in a **canonical order**, then resolves them with vectorised
 categorical picks (columns are ``sample × pattern`` pairs), batched
@@ -541,9 +542,9 @@ def sample_substitution_mapping(
     ``_uniformized_for`` memo, so a recovery rung 4 that already fired
     during the fit shares its cached powers of ``R`` with the sampler
     (and vice versa); the per-class inside CLVs come from one
-    level-order pass (``BoundLikelihood.class_states``), sharing the
-    class graph's subtree aliasing with the fit that produced
-    ``values``.
+    level-order pass (``BoundLikelihood.class_evaluation``), sharing
+    the class graph's subtree aliasing with the fit that produced
+    ``values``, and stage 2's dense ``P(t)`` from its operator sets.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -561,10 +562,10 @@ def sample_substitution_mapping(
     # Conditionals: one level-order pass fills every node's
     # inside CLV for every class (sharing plan included), plus the exact
     # class log-likelihood matrix the NEB posteriors need.
-    class_lnl, graph, decomps, states = bound.class_states(values, lengths)
-    classes = graph.nodes
-    class_post = class_posteriors(class_lnl, graph.proportions)
-    unis = {omega: engine._uniformized_for(decomp) for omega, decomp in decomps.items()}
+    ev = bound.class_evaluation(values, lengths)
+    classes = ev.graph.nodes
+    class_post = class_posteriors(ev.class_lnl, ev.proportions)
+    unis = {omega: engine._uniformized_for(decomp) for omega, decomp in ev.decomps.items()}
 
     non_root = [n for n in tree.nodes if not n.is_root]
     pos_of = {n.index: k for k, n in enumerate(non_root)}
@@ -572,7 +573,7 @@ def sample_substitution_mapping(
 
     inside: List[List[np.ndarray]] = []
     for ci in range(len(classes)):
-        state = states[ci]
+        state = ev.states[ci]
         missing = state.missing_nodes()
         if missing:
             raise RuntimeError(
@@ -580,14 +581,15 @@ def sample_substitution_mapping(
             )
         inside.append(list(state.clvs))
 
-    # Dense P(t) per (ω, t) from the engine's operator layer — fixed
-    # across samples, computed once, off the decompositions above.
+    # Dense P(t) per (ω, t), read off the evaluation's forward operator
+    # sets — fixed across samples, computed once.  Every pair a class
+    # needs is there: a derived class's background rows are its base's.
     p_memo: Dict[tuple, np.ndarray] = {}
 
     def p_matrix(omega: float, t: float) -> np.ndarray:
         key = (omega, t)
         if key not in p_memo:
-            op = engine._operator_for(decomps[omega], t)
+            op = ev.opsets[omega].view(t)
             p_memo[key] = engine._operator_probability_matrix(op)
         return p_memo[key]
 

@@ -74,8 +74,8 @@ def neb_site_probabilities(
     branch_lengths: Optional[Sequence[float]] = None,
 ) -> SiteProbabilities:
     """Naive empirical Bayes: class posteriors at the given MLEs."""
-    class_lnl, proportions = bound.site_class_matrix(values, branch_lengths)
-    post = class_posteriors(class_lnl, proportions)
+    ev = bound.class_evaluation(values, branch_lengths)
+    post = class_posteriors(ev.class_lnl, ev.proportions)
     per_site = bound.patterns.expand(post, axis=1)
     positive = per_site[_positive_indices(bound, values), :].sum(axis=0)
     return SiteProbabilities(
@@ -121,7 +121,7 @@ def beb_site_probabilities(
         vals = dict(values)
         if "omega2" in vals:
             vals["omega2"] = float(omega2)
-        class_lnl, _ = bound.site_class_matrix(vals, branch_lengths)
+        class_lnl = bound.class_evaluation(vals, branch_lengths).class_lnl
         if class_lnl.shape[0] != n_classes_expected:
             raise ValueError("BEB requires the 4-class branch-site model A")
         class_lnls.append(class_lnl)

@@ -385,9 +385,9 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     tree = parse_newick(context["newicks"][newick_idx])
     if fg_node is not None:
         tree.mark_foreground(tree.nodes[fg_node])
-    spec = resolve_model_spec(context.get("model"))  # absent in pre-spec contexts
-    map_samples = context.get("map_samples")  # absent in pre-mapping contexts
-    keep_mles = bool(context.get("keep_mles"))  # absent in pre-v8 contexts
+    spec = resolve_model_spec(context["model"])
+    map_samples = context["map_samples"]
+    keep_mles = bool(context["keep_mles"])
     engine = make_engine(context["engine"])
     bind = lambda model: engine.bind(tree, patterns, model, pi=pi)
     test = fit_branch_site_test(

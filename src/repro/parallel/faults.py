@@ -8,8 +8,8 @@ drivers (:mod:`repro.parallel.batch`) delegate to.
 
 Since the executor refactor, :func:`run_tasks` is a pure *policy
 driver*: it owns per-task attempt accounting, bounded retries with
-(optionally jittered) exponential backoff, quarantine-based crash
-attribution and the restart budget — while the execution substrate
+exponential backoff, quarantine-based crash attribution and the
+restart budget — while the execution substrate
 lives behind the :class:`~repro.parallel.executors.base.Executor`
 protocol (inline, process pool, or a TCP worker fleet).  The driver
 sees only structured events (``ok`` / ``error`` / ``timeout`` /
@@ -35,7 +35,6 @@ input order, so one poisoned task cannot mask a thousand finished ones.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -51,6 +50,9 @@ FAILURE_KINDS = ("error", "timeout", "pool")
 
 #: Floor for event-wait polling so a just-expired deadline cannot spin.
 _MIN_WAIT = 0.02
+
+#: Growth factor of successive retry backoffs.
+BACKOFF_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
@@ -68,18 +70,7 @@ class FaultPolicy:
         ``max_retries + 1`` times.
     retry_backoff:
         Sleep before retry ``k`` is ``retry_backoff *
-        backoff_multiplier**(k-1)`` seconds; 0 retries immediately.
-    backoff_multiplier:
-        Exponential growth factor for successive backoffs.
-    jitter:
-        Full-jitter fraction in ``[0, 1]``: each backoff is drawn
-        uniformly from ``[base * (1 - jitter), base]``.  The default 0
-        keeps backoffs deterministic (test reproducibility); set e.g.
-        ``jitter=1.0`` when a batch of simultaneous failures would
-        otherwise retry in lockstep and stampede a shared backend.
-    jitter_seed:
-        Seed for the jitter RNG, so even jittered schedules are
-        reproducible run-to-run.
+        BACKOFF_MULTIPLIER**(k-1)`` seconds; 0 retries immediately.
     retry_timeouts:
         Whether a timed-out attempt is retried like an error.  Off by
         default: hung tasks are usually deterministically hung, and each
@@ -100,9 +91,6 @@ class FaultPolicy:
     task_timeout: Optional[float] = None
     max_retries: int = 0
     retry_backoff: float = 0.5
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.0
-    jitter_seed: Optional[int] = None
     retry_timeouts: bool = False
     max_pool_restarts: int = 2
 
@@ -113,22 +101,14 @@ class FaultPolicy:
             raise ValueError("max_retries must be non-negative")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
         if self.max_pool_restarts < 0:
             raise ValueError("max_pool_restarts must be non-negative")
-        # The RNG rides outside the frozen-field set: it is scheduling
-        # state, not policy identity (eq/hash ignore it).
-        object.__setattr__(self, "_rng", random.Random(self.jitter_seed))
 
     def backoff_seconds(self, failed_attempt: int) -> float:
         """Sleep before re-running a task whose attempt ``k`` (1-based) failed."""
         if self.retry_backoff <= 0:
             return 0.0
-        base = self.retry_backoff * self.backoff_multiplier ** (failed_attempt - 1)
-        if self.jitter <= 0:
-            return base
-        return base * (1.0 - self.jitter * self._rng.random())  # type: ignore[attr-defined]
+        return self.retry_backoff * BACKOFF_MULTIPLIER ** (failed_attempt - 1)
 
 
 @register_struct

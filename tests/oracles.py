@@ -145,7 +145,8 @@ def _reference_results(bound, values: Dict[str, float], branch_lengths=None):
 
 
 def reference_class_matrix(bound, values, branch_lengths=None):
-    """``bound.site_class_matrix`` through the per-branch recursion."""
+    """``bound.class_evaluation``'s ``(class_lnl, proportions)`` through the
+    per-branch recursion."""
     results, graph = _reference_results(bound, values, branch_lengths)
     return site_class_log_likelihoods(results, bound.pi), graph.proportions
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from repro.alignment.simulate import simulate_alignment
 from repro.core.engine import make_engine
 from repro.likelihood.ancestral import marginal_reconstruction
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.m0 import M0Model
+from repro.models.scaling import build_class_matrices
 from repro.trees.newick import parse_newick
 
 
@@ -98,3 +100,65 @@ class TestMixtureReconstruction:
                 recs[1].best_probabilities[node_index],
                 atol=1e-10,
             )
+
+
+def _enumerated_posteriors(bound, values):
+    """Exact node posteriors on ``((A,B)u,C,D)r`` by summing out the other node.
+
+    ``P(data, state_v = x)`` from dense ``expm(Q·t)`` per class, mixed by
+    the class proportions — no pruning, no outside pass.
+    """
+    tree = bound.tree
+    graph = bound.model.site_class_graph(values)
+    matrices = build_class_matrices(values["kappa"], graph.nodes, bound.pi, bound.engine.code)
+    aln = bound.patterns.alignment
+    leaf = {n.name: n for n in tree.nodes if n.is_leaf}
+    obs = {name: aln.states[aln.names.index(name)] for name in leaf}
+    u = next(n for n in tree.nodes if not (n.is_leaf or n.is_root))
+
+    def p(cls, node):
+        omega = cls.omega_foreground if node.foreground else cls.omega_background
+        return expm(matrices[omega].q * node.length)
+
+    joint_root = joint_u = 0.0
+    for cls in graph.nodes:
+        above = bound.pi[:, None] * p(cls, leaf["C"])[:, obs["C"]] * p(cls, leaf["D"])[:, obs["D"]]
+        below = p(cls, leaf["A"])[:, obs["A"]] * p(cls, leaf["B"])[:, obs["B"]]
+        p_u = p(cls, u)
+        joint_root = joint_root + cls.proportion * above * (p_u @ below)
+        joint_u = joint_u + cls.proportion * (p_u.T @ above) * below
+    return {
+        tree.root.index: joint_root / joint_root.sum(axis=0),
+        u.index: joint_u / joint_u.sum(axis=0),
+    }
+
+
+@pytest.mark.parametrize("engine_name", ["codeml", "slim", "slim-v2"])
+@pytest.mark.parametrize(
+    "newick, model, values",
+    [
+        ("((A:0.6,B:0.4):0.5,C:0.7,D:0.3);", M0Model(), {"kappa": 2.5, "omega": 0.3}),
+        (
+            "((A:0.6,B:0.4):0.5 #1,C:0.7,D:0.3);",
+            BranchSiteModelA(),
+            {"kappa": 2.5, "omega0": 0.2, "omega2": 4.0, "p0": 0.5, "p1": 0.3},
+        ),
+    ],
+    ids=["M0", "modelA-H1"],
+)
+def test_matches_exact_enumeration(engine_name, newick, model, values):
+    """Every internal node against brute-force enumeration under a
+    non-uniform F3x4 π, where ``Pᵀ ≠ P`` and a transposed outside
+    recursion misplaces the stationary weights."""
+    tree = parse_newick(newick)
+    sim = simulate_alignment(tree, model, values, 40, seed=3)
+    bound = make_engine(engine_name).bind(tree, sim.alignment, model)
+    assert bound.pi.max() / bound.pi.min() > 2.0
+    rec = marginal_reconstruction(bound, values)
+    exact = _enumerated_posteriors(bound, values)
+    assert sorted(exact) == rec.node_indices
+    for node_index, posterior in exact.items():
+        np.testing.assert_array_equal(posterior.argmax(axis=0), rec.best_states[node_index])
+        np.testing.assert_allclose(
+            rec.best_probabilities[node_index], posterior.max(axis=0), rtol=0, atol=1e-10
+        )

@@ -321,9 +321,9 @@ def test_batched_site_class_matrix_identical(small_tree, small_sim, h1_model, bs
     ref = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
     ba = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
     m1, p1 = reference_class_matrix(ref, bsm_values)
-    m2, p2 = ba.site_class_matrix(bsm_values)
-    np.testing.assert_array_equal(m1, m2)
-    np.testing.assert_array_equal(p1, p2)
+    ev = ba.class_evaluation(bsm_values)
+    np.testing.assert_array_equal(m1, ev.class_lnl)
+    np.testing.assert_array_equal(p1, ev.proportions)
 
 
 def test_slim_v2_defaults_batched(small_tree, small_sim, h1_model, bsm_values, monkeypatch):
@@ -394,10 +394,10 @@ class TestZeroWeightClasses:
         )
 
     def test_class_matrix_keeps_zero_rows(self, small_tree, small_sim, h1_model):
-        # site_class_matrix feeds NEB/BEB and must report every class —
+        # class_evaluation feeds NEB/BEB and must report every class —
         # the skip optimisation only applies to the mixture evaluation.
         ba = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
-        m, props = ba.site_class_matrix(self.ZERO_P1)
+        m = ba.class_evaluation(self.ZERO_P1).class_lnl
         assert m.shape[0] == 4
         assert np.all(np.isfinite(m))
 

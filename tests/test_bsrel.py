@@ -201,10 +201,10 @@ class TestModelABitIdentity:
 
     def test_site_class_matrix_identical(self, engine_name, small_tree, small_sim, bsm_values):
         bound_a, bound_b = self._bind_pair(engine_name, small_tree, small_sim)
-        lnl_a, props_a = bound_a.site_class_matrix(bsm_values)
-        lnl_b, props_b = bound_b.site_class_matrix(_bsrel2_values(bsm_values))
-        assert np.array_equal(lnl_a, lnl_b)
-        assert np.array_equal(props_a, props_b)
+        ev_a = bound_a.class_evaluation(bsm_values)
+        ev_b = bound_b.class_evaluation(_bsrel2_values(bsm_values))
+        assert np.array_equal(ev_a.class_lnl, ev_b.class_lnl)
+        assert np.array_equal(ev_a.proportions, ev_b.proportions)
 
 
 class TestSixClassEvaluation:

@@ -62,7 +62,7 @@ class TestFaultPolicy:
         assert policy.task_timeout is None
 
     def test_backoff_grows_exponentially(self):
-        policy = FaultPolicy(retry_backoff=0.5, backoff_multiplier=2.0)
+        policy = FaultPolicy(retry_backoff=0.5)
         assert policy.backoff_seconds(1) == 0.5
         assert policy.backoff_seconds(2) == 1.0
         assert policy.backoff_seconds(3) == 2.0
@@ -71,31 +71,10 @@ class TestFaultPolicy:
         assert FaultPolicy(retry_backoff=0.0).backoff_seconds(3) == 0.0
 
     def test_default_backoff_is_deterministic(self):
-        """Without opting into jitter, repeated calls return the exact
-        exponential schedule — no hidden randomness."""
-        policy = FaultPolicy(retry_backoff=1.0, backoff_multiplier=2.0)
+        """Repeated calls return the exact exponential schedule — no
+        hidden randomness."""
+        policy = FaultPolicy(retry_backoff=1.0)
         assert [policy.backoff_seconds(2) for _ in range(5)] == [2.0] * 5
-
-    def test_jitter_stays_within_full_jitter_band(self):
-        policy = FaultPolicy(retry_backoff=1.0, backoff_multiplier=2.0,
-                             jitter=0.5, jitter_seed=0)
-        for attempt in (1, 2, 3):
-            base = 1.0 * 2.0 ** (attempt - 1)
-            for _ in range(20):
-                delay = policy.backoff_seconds(attempt)
-                assert base * 0.5 <= delay <= base
-
-    def test_jitter_seed_reproduces_schedule(self):
-        a = FaultPolicy(retry_backoff=0.5, jitter=1.0, jitter_seed=42)
-        b = FaultPolicy(retry_backoff=0.5, jitter=1.0, jitter_seed=42)
-        assert [a.backoff_seconds(1) for _ in range(4)] == [
-            b.backoff_seconds(1) for _ in range(4)
-        ]
-
-    def test_jitter_spreads_delays(self):
-        policy = FaultPolicy(retry_backoff=1.0, jitter=1.0, jitter_seed=7)
-        delays = {policy.backoff_seconds(1) for _ in range(10)}
-        assert len(delays) > 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -105,8 +84,6 @@ class TestFaultPolicy:
             {"max_retries": -1},
             {"retry_backoff": -0.1},
             {"max_pool_restarts": -1},
-            {"jitter": -0.1},
-            {"jitter": 1.5},
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):

@@ -237,8 +237,9 @@ class TestEngineBitIdentity:
             b = b_memo.log_likelihood(values, L)
             assert a == b  # exact float equality, not approx
             assert b_memo.branch_gradient(values, L)[0] == a
-            class_lnl, _, _, states = b_memo.class_states(values, L)
-            assert all(not state.missing_nodes() for state in states.values())
+            ev = b_memo.class_evaluation(values, L)
+            class_lnl = ev.class_lnl
+            assert all(not state.missing_nodes() for state in ev.states.values())
             if not recover:
                 assert a == reference_log_likelihood(b_plain, values, L)
                 np.testing.assert_array_equal(
@@ -264,10 +265,11 @@ class TestEngineBitIdentity:
         b_memo.branch_gradient(values, lengths)
         bumped = lengths.copy()
         bumped[1] *= 1.07
-        m_plain, p_plain = b_plain.site_class_matrix(values, bumped)
-        m_memo, p_memo = b_memo.site_class_matrix(values, bumped)
-        np.testing.assert_array_equal(m_plain, m_memo)
-        np.testing.assert_array_equal(p_plain, p_memo)
+        ev_plain = b_plain.class_evaluation(values, bumped)
+        ev_memo = b_memo.class_evaluation(values, bumped)
+        m_plain = ev_plain.class_lnl
+        np.testing.assert_array_equal(m_plain, ev_memo.class_lnl)
+        np.testing.assert_array_equal(ev_plain.proportions, ev_memo.proportions)
         if not recover:
             m_ref, _ = reference_class_matrix(b_plain, values, bumped)
             np.testing.assert_array_equal(m_plain, m_ref)

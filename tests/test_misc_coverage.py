@@ -146,24 +146,3 @@ class TestModelRepr:
         from repro.models.branch_site import BranchSiteModelA
 
         assert "omega2" in repr(BranchSiteModelA())
-
-
-class TestSlimBundledMode:
-    def test_bundled_agrees_with_per_site(self, small_tree, small_sim, h1_model, bsm_values):
-        from repro.core.engine import SlimEngine
-
-        per_site = SlimEngine().bind(small_tree, small_sim.alignment, h1_model)
-        bundled = SlimEngine(bundled=True).bind(small_tree, small_sim.alignment, h1_model)
-        assert bundled.log_likelihood(bsm_values) == pytest.approx(
-            per_site.log_likelihood(bsm_values), rel=1e-13
-        )
-
-    def test_bundled_counter_uses_gemm(self, small_tree, small_sim, h1_model, bsm_values):
-        from repro.core.engine import SlimEngine
-        from repro.core.flops import FlopCounter
-
-        counter = FlopCounter()
-        engine = SlimEngine(counter=counter, bundled=True)
-        engine.bind(small_tree, small_sim.alignment, h1_model).log_likelihood(bsm_values)
-        assert "clv:dgemm" in counter.by_operation
-        assert "clv:dgemv" not in counter.by_operation
