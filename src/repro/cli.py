@@ -25,6 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.alignment.parsers import read_alignment, write_phylip
+from repro.alignment.patterns import compress_patterns
+from repro.codon.frequencies import estimate_codon_frequencies
 from repro.core.engine import make_engine
 from repro.io.ctl import ControlFile, parse_ctl
 from repro.io.report import convergence_mark, format_recovery_block, format_report
@@ -196,22 +198,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tree.require_single_foreground()
 
     engine = make_engine(engine_name)
+    # Compress the patterns and estimate pi once: H0, H1 and the post-fit
+    # H1 binding that --beb and --map share all bind from them.
+    pi = estimate_codon_frequencies(
+        alignment.to_sequences(), method=ctl.freq_method, code=engine.code
+    )
+    patterns = compress_patterns(alignment)
+    bind = lambda model: engine.bind(tree, patterns, model, pi=pi)
     test = fit_branch_site_test(
-        lambda model: engine.bind(tree, alignment, model, freq_method=ctl.freq_method),
+        bind,
         seed=seed,
         max_iterations=max_iterations,
         start_overrides={"kappa": ctl.kappa},
         fixed_params={"kappa"} if ctl.fix_kappa else None,
     )
-    sites = None
+    sites = mapping = None
+    if args.beb or args.map:
+        bound = bind(_h1_model())
     if args.beb:
-        bound = engine.bind(tree, alignment, _h1_model(), freq_method=ctl.freq_method)
         sites = beb_site_probabilities(bound, test.h1.values, test.h1.branch_lengths)
-    mapping = None
     if args.map:
         from repro.likelihood.mapping import sample_substitution_mapping
 
-        bound = engine.bind(tree, alignment, _h1_model(), freq_method=ctl.freq_method)
         mapping = sample_substitution_mapping(
             bound, test.h1.values, branch_lengths=test.h1.branch_lengths,
             n_samples=args.map_samples, seed=seed,
@@ -312,10 +320,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"  [{k + 1}/{n_candidates}] {res.gene_id}: {state} ({detail})",
               file=sys.stderr)
 
-    # With --survey --map, mapping is deferred: tasks keep their H1 MLEs
-    # instead of sampling, and the coordinator maps only the branches
-    # that survive Holm selection — in one pass over one shared engine.
-    survey_map = args.survey and args.map
     start = time.perf_counter()
     try:
         scan = scan_branches(
@@ -333,8 +337,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             on_result=progress,
             executor=executor,
             model=model_spec,
-            map_samples=None if survey_map else (args.map_samples if args.map else None),
-            keep_mles=survey_map,
         )
     except RuntimeError as exc:
         # e.g. the socket executor never saw its --min-workers register.
@@ -344,42 +346,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if executor is not None:
             executor.shutdown()
 
-    if survey_map:
-        from repro.io.results_io import ResultJournal
-        from repro.parallel.batch import map_survey_candidates
-
-        significant = scan.holm_significant(args.alpha)
-        if significant and not args.quiet:
-            print(
-                f"  mapping {len(significant)} Holm-significant branch"
-                f"{'es' if len(significant) != 1 else ''} (one pass, "
-                f"shared kernels)...",
-                file=sys.stderr,
-            )
-        if significant:
-            payloads = map_survey_candidates(
-                gene_id,
-                tree,
-                alignment,
-                scan,
-                significant,
-                engine=args.engine,
-                map_samples=args.map_samples,
-                seed=args.seed,
-                model=model_spec,
-                internal_only=args.internal_only,
-            )
-            by_id = {f"{gene_id}:{label}": p for label, p in payloads.items()}
-            updated = [r for r in scan.gene_results if r.gene_id in by_id]
-            for res in updated:
-                res.mapping = by_id[res.gene_id]
-            if args.journal and updated:
-                # Re-journal the mapped results: completed() keeps the
-                # latest successful record per id, so the upsert wins on
-                # resume without rewriting the file.
-                with ResultJournal(args.journal) as sink:
-                    for res in updated:
-                        sink.append(res)
+    unmapped = []
+    if args.map:
+        unmapped = _map_scan(args, gene_id, tree, alignment, scan, model_spec)
     wall = time.perf_counter() - start
 
     resumed = [r.gene_id for r in scan.gene_results if r.gene_id not in computed_ids]
@@ -411,19 +380,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     if recovery:
         lines += ["", recovery]
-    mapped = [r for r in scan.gene_results if getattr(r, "mapping", None)]
-    if mapped:
+    mapped = [r for r in scan.gene_results if r.mapping]
+    if mapped or unmapped:
         from repro.io.report import format_mapping_block
 
-        lines.append("")
-        lines.append(
-            "substitution mapping (Holm-significant branches, one pass):"
-            if survey_map
-            else "substitution mapping (per tested branch):"
-        )
+        lines += ["", "substitution mapping (one pass at each branch's H1 MLEs):"]
         for res in mapped:
             lines.append(f"  {res.gene_id}:")
             lines.append(format_mapping_block(res.mapping, indent="    "))
+        if unmapped:
+            lines.append(f"  not mapped (no stored H1 MLEs): {', '.join(unmapped)}")
     lines.append("")
     summary = scan.summary(wall_seconds=wall, resumed_ids=resumed)
     if executor is not None and hasattr(executor, "wire_stats"):
@@ -444,6 +410,56 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             handle.write(report + "\n")
         print(f"report written to {args.out}")
     return 0 if scan.ok else 1
+
+
+def _map_scan(args, gene_id, tree, alignment, scan, model_spec):
+    """Map the scan's selected branches in the coordinator (``--map``).
+
+    Workers only fit.  Every tested branch — with ``--survey``, every
+    Holm-significant one — is sampled in one pass over one shared
+    engine, at the H1 MLEs its task kept.  Mapped results are
+    re-journalled: ``completed()`` keeps the latest successful record
+    per id, so the upsert wins on resume, and a resumed branch already
+    mapped with ``--map-samples`` draws is not sampled again.  Returns
+    the selected labels that could not be mapped (no stored MLEs).
+    """
+    from repro.io.results_io import ResultJournal
+    from repro.parallel.batch import map_survey_candidates
+
+    selected = scan.holm_significant(args.alpha) if args.survey else list(scan.by_branch)
+    result_of = {res.gene_id: res for res in scan.gene_results}
+    todo = [
+        label for label in selected
+        if (result_of[f"{gene_id}:{label}"].mapping or {}).get("n_samples")
+        != args.map_samples
+    ]
+    if not todo:
+        return []
+    if not args.quiet:
+        kind = "Holm-significant" if args.survey else "tested"
+        print(
+            f"  mapping {len(todo)} {kind} branch{'es' if len(todo) != 1 else ''} "
+            f"(one pass, shared kernels)...",
+            file=sys.stderr,
+        )
+    payloads = map_survey_candidates(
+        gene_id, tree, alignment, scan, todo,
+        engine=args.engine, map_samples=args.map_samples, seed=args.seed,
+        model=model_spec,
+    )
+    by_id = {f"{gene_id}:{label}": payload for label, payload in payloads.items()}
+    updated = [res for res in scan.gene_results if res.gene_id in by_id]
+    for res in updated:
+        res.mapping = by_id[res.gene_id]
+    if args.journal and updated:
+        with ResultJournal(args.journal) as sink:
+            for res in updated:
+                sink.append(res)
+    unmapped = [label for label in todo if label not in payloads]
+    if unmapped:
+        print(f"warning: no stored H1 MLEs, not mapped: {', '.join(unmapped)}",
+              file=sys.stderr)
+    return unmapped
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:

@@ -531,7 +531,7 @@ class LikelihoodEngine:
         alignment.  ``leaf_clvs``
         (indexed by leaf node index, as :func:`build_leaf_clvs` returns)
         lets several bindings over the *same* (topology, pattern
-        alignment) — e.g. the survey mapper's per-candidate foreground
+        alignment) — e.g. the scan mapper's per-candidate foreground
         marks — share one leaf-CLV build instead of redoing it per
         binding; the caller guarantees the leaf order matches
         ``tree.leaf_names()``.

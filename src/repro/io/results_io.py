@@ -51,8 +51,10 @@ SCHEMA_VERSION = 1
 #: mapping payload from ``--map``) — both ``None``/absent when off;
 #: version 8 grew the ``mapping`` payload additively (``mapping_ci``
 #: normal-approximation confidence intervals, ``seconds``, ``method``)
-#: and added ``h1_mles`` (the H1 maximum-likelihood point, kept only
-#: when the survey's one-pass mapper asked for it); version 9 added
+#: and added ``h1_mles`` (the H1 maximum-likelihood point the
+#: coordinator's ``--map`` pass re-binds at; written for every successful
+#: task, while older v8+ writers kept it only for ``scan --survey
+#: --map`` — the reader treats absence as ``None``); version 9 added
 #: ``converged`` (per-hypothesis ``{"h0": bool, "h1": bool}``; absent on
 #: older records, which read back as unknown, ``None``); version 10
 #: replaced ``clv_stats``, ``setup_seconds`` and ``rung_usage`` with one

@@ -148,15 +148,16 @@ class GeneResult:
     model: Optional[str] = None
     #: Stochastic substitution-mapping payload
     #: (:meth:`repro.likelihood.mapping.SubstitutionMapping.to_payload`),
+    #: attached by the coordinator after the scan
+    #: (:func:`map_survey_candidates`) — workers never sample.
     #: ``{"error": ...}`` when sampling failed without sinking the task,
     #: ``None`` when mapping was not requested.
     mapping: Optional[Dict] = None
     #: H1 maximum-likelihood point (``{"values": {...}, "branch_lengths":
-    #: [...]}``) kept when the coordinator asked for it (``keep_mles``)
-    #: — the survey's one-pass mapper re-binds each significant
-    #: candidate at *its own* MLEs after Holm selection, without
-    #: re-fitting.  ``None`` otherwise (the default: journals stay
-    #: lean).
+    #: [...]}``), set on every successful task: the coordinator's mapper
+    #: re-binds each candidate at *its own* MLEs without re-fitting.
+    #: ``None`` on failed tasks and on journal records written before
+    #: every task kept it.
     h1_mles: Optional[Dict] = None
     #: Whether each hypothesis' fit converged (``{"h0": bool, "h1":
     #: bool}``); ``None`` on failed tasks and on pre-v9 journal records
@@ -216,44 +217,12 @@ def _combine_diagnostics(h0: FitDiagnostics, h1: FitDiagnostics) -> Optional[Dic
     return merged.to_dict()
 
 
-def _run_mapping(bind, spec, test, map_samples: Optional[int], seed) -> Optional[Dict]:
-    """Sample substitution histories at the H1 MLEs (``--map``).
-
-    A sampling failure must not sink an otherwise finished test (the
-    fit already succeeded), so it degrades to an ``{"error": ...}``
-    payload the report surfaces per task.
-    """
-    if not map_samples:
-        return None
-    try:
-        from repro.likelihood.mapping import sample_substitution_mapping
-
-        bound = bind(spec.pair()[1])
-        return sample_substitution_mapping(
-            bound,
-            test.h1.values,
-            branch_lengths=test.h1.branch_lengths,
-            n_samples=int(map_samples),
-            seed=int(seed) if np.isscalar(seed) else 0,
-        ).to_payload()
-    except Exception as exc:  # noqa: BLE001 — mapping is strictly additive
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
 def _assemble_result(gene_id: str, test, engine,
                      setup_s: Optional[float] = None,
-                     model: Optional[str] = None,
-                     mapping: Optional[Dict] = None,
-                     keep_mles: bool = False) -> GeneResult:
+                     model: Optional[str] = None) -> GeneResult:
     metrics = dict(engine.counters)
     if setup_s is not None:
         metrics.update(setup_s=setup_s, cold_starts=1)
-    h1_mles = None
-    if keep_mles:
-        h1_mles = {
-            "values": {k: float(v) for k, v in test.h1.values.items()},
-            "branch_lengths": [float(x) for x in test.h1.branch_lengths],
-        }
     return GeneResult(
         gene_id=gene_id,
         lnl0=test.h0.lnl,
@@ -266,8 +235,10 @@ def _assemble_result(gene_id: str, test, engine,
         diagnostics=_combine_diagnostics(test.h0.diagnostics, test.h1.diagnostics),
         metrics=metrics,
         model=model,
-        mapping=mapping,
-        h1_mles=h1_mles,
+        h1_mles={
+            "values": {k: float(v) for k, v in test.h1.values.items()},
+            "branch_lengths": [float(x) for x in test.h1.branch_lengths],
+        },
         converged={"h0": bool(test.h0.converged), "h1": bool(test.h1.converged)},
     )
 
@@ -277,8 +248,6 @@ def _build_shared_context(
     engine: str,
     max_iterations: int,
     model: Optional[str] = None,
-    map_samples: Optional[int] = None,
-    keep_mles: bool = False,
 ) -> Tuple[Dict, List[Tuple[int, int]]]:
     """Deduplicate batch state and precompute per-alignment derivations.
 
@@ -328,8 +297,6 @@ def _build_shared_context(
         "engine": engine,
         "max_iterations": max_iterations,
         "model": model,
-        "map_samples": map_samples,
-        "keep_mles": keep_mles,
         "newicks": newicks,
         "alignments": alignments,
     }
@@ -386,21 +353,14 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     if fg_node is not None:
         tree.mark_foreground(tree.nodes[fg_node])
     spec = resolve_model_spec(context["model"])
-    map_samples = context["map_samples"]
-    keep_mles = bool(context["keep_mles"])
     engine = make_engine(context["engine"])
-    bind = lambda model: engine.bind(tree, patterns, model, pi=pi)
     test = fit_branch_site_test(
-        bind,
+        lambda model: engine.bind(tree, patterns, model, pi=pi),
         seed=seed,
         max_iterations=int(context["max_iterations"]),
         models=spec.pair(),
     )
-    mapping = _run_mapping(bind, spec, test, map_samples, seed)
-    return _assemble_result(gene_id, test, engine,
-                            setup_s=setup, model=spec.spec,
-                            mapping=mapping,
-                            keep_mles=keep_mles)
+    return _assemble_result(gene_id, test, engine, setup_s=setup, model=spec.spec)
 
 
 def analyze_genes(
@@ -416,8 +376,6 @@ def analyze_genes(
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
     model: Optional[str] = None,
-    map_samples: Optional[int] = None,
-    keep_mles: bool = False,
 ) -> List[GeneResult]:
     """Run the branch-site test for every gene over an executor.
 
@@ -458,23 +416,14 @@ def analyze_genes(
         :func:`repro.models.registry.resolve_model_spec` — e.g.
         ``"bsrel:3"`` for the 6-class BS-REL test.  ``None`` keeps the
         historical model-A default (bit-identical to it).
-    map_samples:
-        When set, each worker additionally samples that many posterior
-        substitution histories at the H1 MLEs (uniformization-based
-        stochastic mapping, :mod:`repro.likelihood.mapping`) and
-        attaches the per-branch event payload to
-        ``GeneResult.mapping``.  ``None``/``0`` = off (the default; the
-        fit itself is untouched either way).
-    keep_mles:
-        Attach each task's H1 maximum-likelihood point to
-        ``GeneResult.h1_mles`` so a coordinator can re-bind candidates
-        after the scan (the survey's one-pass mapper).
 
     Every worker runs the numerical self-healing layer (guarded
     engines, seeded optimizer restarts); whatever fired rides back on
     ``GeneResult.diagnostics``, and every engine counter — CLV reuse,
     the ladder rungs that built the task's operators — on
-    ``GeneResult.metrics``.
+    ``GeneResult.metrics``.  Workers only fit: each successful task
+    returns its H1 MLE point on ``GeneResult.h1_mles``, from which
+    :func:`map_survey_candidates` samples histories afterwards.
 
     Returns
     -------
@@ -503,10 +452,7 @@ def analyze_genes(
 
     # One broadcast context per batch, integer indices per task (see
     # module docstring).
-    context, keys = _build_shared_context(
-        pending_jobs, engine, max_iterations,
-        model=model, map_samples=map_samples, keep_mles=keep_mles,
-    )
+    context, keys = _build_shared_context(pending_jobs, engine, max_iterations, model=model)
     payloads = [
         (job.gene_id, ni, job.fg_node, ai, s)
         for job, (ni, ai), s in zip(pending_jobs, keys, payload_seeds)
@@ -651,8 +597,6 @@ def scan_branches(
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
     model: Optional[str] = None,
-    map_samples: Optional[int] = None,
-    keep_mles: bool = False,
 ) -> BranchScanResult:
     """Test every candidate branch of one gene as foreground in turn.
 
@@ -690,8 +634,6 @@ def scan_branches(
         on_result=on_result,
         executor=executor,
         model=model,
-        map_samples=map_samples,
-        keep_mles=keep_mles,
     )
     by_branch: Dict[str, LRTResult] = {}
     failures: Dict[str, TaskFailure] = {}
@@ -722,14 +664,13 @@ def map_survey_candidates(
     map_samples: int = 16,
     seed: int = 1,
     model: Optional[str] = None,
-    internal_only: bool = False,
 ) -> Dict[str, Dict]:
-    """Map every selected survey candidate in one shared-kernel pass.
+    """Map the selected scan branches in one shared-kernel pass.
 
-    ``scan --survey --map`` defers mapping until after Holm selection,
-    then draws histories for just the significant branches — here, in
-    the coordinator, over **one** engine instance.  What that sharing
-    buys (versus per-task mapping inside each worker):
+    Workers only fit; ``scan --map`` draws histories afterwards, here in
+    the coordinator, over **one** engine instance — for every tested
+    branch, or with ``--survey`` for the Holm-significant ones.  What
+    that sharing buys:
 
     * one pattern compression and one F3x4 estimate for the gene;
     * one set of leaf CLVs, threaded into every candidate binding via
@@ -739,12 +680,13 @@ def map_survey_candidates(
       table, so candidates whose MLEs land on the same (κ, ω) reuse
       R-power stacks and jump-weight series across foreground choices.
 
-    Each candidate is still sampled at *its own* H1 MLEs (carried on
-    ``GeneResult.h1_mles`` by ``keep_mles=True``) with the same
-    per-candidate seed the per-task path would have used, on a marked
-    copy of the shared base tree.  Candidates without stored MLEs (e.g.
-    failed tasks) are skipped; a sampling failure degrades to an
-    ``{"error": ...}`` payload exactly like the per-task path.
+    Each candidate is sampled at *its own* H1 MLEs
+    (``GeneResult.h1_mles``) with its task seed ``seed + k``, where
+    ``k`` is its ordinal in ``scan.gene_results`` (candidate order), on
+    a marked copy of the shared base tree.  Labels without stored MLEs
+    (failed tasks, records from older journals) are left out of the
+    result; a sampling failure degrades to an ``{"error": ...}``
+    payload.
 
     Returns ``{branch_label: mapping payload}``.
     """
@@ -757,28 +699,17 @@ def map_survey_candidates(
     )
     patterns = compress_patterns(alignment)
     prefix = f"{gene_id}:"
-    mles = {
-        res.gene_id[len(prefix):]: res.h1_mles
-        for res in scan.gene_results
-        if res.h1_mles and res.gene_id.startswith(prefix)
+    task_of = {
+        res.gene_id[len(prefix):]: (k, res)
+        for k, res in enumerate(scan.gene_results)
+        if res.gene_id.startswith(prefix)
     }
-    candidates = [
-        n for n in tree.nodes
-        if not n.is_root and (not internal_only or not n.is_leaf)
-    ]
-    node_of = {branch_label(tree, n.index): n.index for n in candidates}
-    # Seeds must match what the per-task path would have drawn with:
-    # analyze_genes gives candidate k seed ``seed + k`` in the same
-    # candidate order ``scan_branches`` enumerated (pass the scan's
-    # ``internal_only`` so the ordinals line up).
-    seed_of = {
-        branch_label(tree, n.index): seed + k for k, n in enumerate(candidates)
-    }
+    node_of = {branch_label(tree, n.index): n.index for n in tree.nodes if not n.is_root}
     shared_leaf_clvs = None
     out: Dict[str, Dict] = {}
     for label in labels:
-        point = mles.get(label)
-        if point is None or label not in node_of:
+        k, res = task_of.get(label, (None, None))
+        if res is None or not res.h1_mles or label not in node_of:
             continue
         marked = tree.copy()
         marked.mark_foreground(marked.nodes[node_of[label]])
@@ -791,10 +722,10 @@ def map_survey_candidates(
                 shared_leaf_clvs = bound._leaf_clvs
             out[label] = sample_substitution_mapping(
                 bound,
-                point["values"],
-                branch_lengths=point["branch_lengths"],
+                res.h1_mles["values"],
+                branch_lengths=res.h1_mles["branch_lengths"],
                 n_samples=int(map_samples),
-                seed=seed_of.get(label, seed),
+                seed=seed + k,
             ).to_payload()
         except Exception as exc:  # noqa: BLE001 — mapping is strictly additive
             out[label] = {"error": f"{type(exc).__name__}: {exc}"}

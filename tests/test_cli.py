@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.cli import build_parser, main
+from repro.alignment.parsers import read_alignment
+from repro.cli import _read_tree, build_parser, main
 
 
 class TestParser:
@@ -215,6 +216,91 @@ class TestScan:
         assert rc == 0
         out = capsys.readouterr().out
         assert "resumed from journal" in out
+
+    def test_scan_map_samples_every_tested_branch_at_its_kept_mles(
+        self, tiny_dataset, tmp_path, capsys
+    ):
+        from repro.core.engine import make_engine
+        from repro.io.results_io import ResultJournal
+        from repro.likelihood.mapping import sample_substitution_mapping
+        from repro.models.branch_site import BranchSiteModelA
+        from repro.parallel.batch import branch_label
+
+        journal = tmp_path / "map.jsonl"
+        rc = main(self._argv(
+            tiny_dataset, "--map", "--map-samples", "3", "--seed", "5",
+            "--journal", str(journal),
+        ))
+        assert rc == 0
+        assert "substitution mapping" in capsys.readouterr().out
+        tree = _read_tree(str(tiny_dataset) + ".nwk")
+        alignment = read_alignment(str(tiny_dataset) + ".phy")
+        candidates = [n for n in tree.nodes if not n.is_root and not n.is_leaf]
+        latest = ResultJournal(str(journal)).completed()
+        assert len(latest) == len(candidates)
+        engine = make_engine("slim-v2")
+        # Candidate k of the --internal-only scan draws with seed + k.
+        for k, node in enumerate(candidates):
+            res = latest[f"tiny:{branch_label(tree, node.index)}"]
+            marked = tree.copy()
+            marked.mark_foreground(marked.nodes[node.index])
+            expected = sample_substitution_mapping(
+                engine.bind(marked, alignment, BranchSiteModelA(fix_omega2=False)),
+                res.h1_mles["values"],
+                branch_lengths=res.h1_mles["branch_lengths"],
+                n_samples=3,
+                seed=5 + k,
+            ).to_payload()
+            got = dict(res.mapping)
+            got.pop("seconds")
+            expected.pop("seconds")
+            assert got == expected
+
+    @pytest.mark.parametrize(
+        "mode", [(), ("--survey", "--alpha", "0.5")], ids=["plain", "survey"]
+    )
+    def test_scan_map_resume_neither_samples_nor_journals_again(
+        self, tiny_dataset, tmp_path, capsys, mode
+    ):
+        journal = tmp_path / "map.jsonl"
+        argv = self._argv(
+            tiny_dataset, *mode, "--map", "--map-samples", "3",
+            "--journal", str(journal),
+        )
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert "mapping 2 " in first.err
+        written = journal.read_bytes()
+        assert main(argv + ["--resume"]) == 0
+        again = capsys.readouterr()
+        assert "mapping" not in again.err
+        assert journal.read_bytes() == written
+
+        def mapping_block(out):
+            block = out[out.index("substitution mapping"):out.index("tasks      :")]
+            return re.sub(r"sampler, [0-9.]+ s\)", "sampler, * s)", block)
+
+        assert mapping_block(again.out) == mapping_block(first.out)
+
+    def test_scan_map_names_branches_without_stored_mles(
+        self, tiny_dataset, tmp_path, capsys
+    ):
+        import json
+
+        journal = tmp_path / "old.jsonl"
+        assert main(self._argv(tiny_dataset, "--journal", str(journal))) == 0
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        for record in records:
+            record.pop("h1_mles", None)  # as journalled before every task kept it
+        journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        rc = main(self._argv(tiny_dataset, "--journal", str(journal), "--resume", "--map"))
+        assert rc == 0
+        captured = capsys.readouterr()
+        unmapped = "node#5, node#6"
+        assert f"warning: no stored H1 MLEs, not mapped: {unmapped}" in captured.err
+        assert f"not mapped (no stored H1 MLEs): {unmapped}" in captured.out
+        assert "E[nonsyn]" not in captured.out
 
     def test_scan_report_to_file(self, tiny_dataset, tmp_path):
         out = tmp_path / "scan.txt"

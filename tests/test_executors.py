@@ -581,31 +581,41 @@ class TestDistributedAcceptance:
         assert any(r.worker and r.worker.startswith("w") for r in via_socket)
 
     def test_map_payloads_bit_identical_across_backends(self, gene):
-        """PR 10 acceptance: ``--map`` draws from a seed-keyed generator
-        inside the worker, so the sampled histories cannot depend on
-        which process ran the task — inline, pool and socket backends
-        must emit bit-identical mapping payloads (timing aside)."""
-        from repro.parallel.batch import analyze_genes
+        """Workers only fit and keep their H1 MLEs; ``--map`` then draws
+        in the coordinator from a seed-keyed generator.  The kept MLEs
+        cannot depend on which process ran the task — inline, pool and
+        socket backends must return bit-identical ``h1_mles`` — and so
+        neither can the mappings drawn from each backend's results
+        (timing aside)."""
+        from repro.parallel.batch import map_survey_candidates, scan_branches
 
-        jobs = _gene_jobs(gene, 2)
-        payloads = {}
+        tree, alignment = gene
+        snapshots = {}
         for kind in BACKENDS:
             with backend(kind) as executor:
-                results = analyze_genes(
-                    jobs, max_iterations=1, seed=23, map_samples=4,
-                    executor=executor,
+                scan = scan_branches(
+                    "g", tree, alignment, internal_only=True,
+                    max_iterations=1, seed=23, executor=executor,
                 )
-            assert all(not r.failed for r in results)
-            snapshot = []
-            for r in results:
-                mapping = dict(r.mapping)
+            assert scan.ok, scan.failures
+            assert all(r.h1_mles for r in scan.gene_results)
+            payloads = map_survey_candidates(
+                "g", tree, alignment, scan, list(scan.by_branch),
+                map_samples=4, seed=23,
+            )
+            assert payloads.keys() == scan.by_branch.keys()
+            mappings = []
+            for label, payload in payloads.items():
+                mapping = dict(payload)
                 assert "error" not in mapping
                 assert mapping["method"] == "batched"
                 assert mapping["mapping_ci"]["level"] == 0.95
                 mapping.pop("seconds")  # wall clock is per-host noise
-                snapshot.append((r.gene_id, mapping))
-            payloads[kind] = snapshot
-        assert payloads["inline"] == payloads["pool"] == payloads["socket"]
+                mappings.append((label, mapping))
+            snapshots[kind] = (
+                [(r.gene_id, r.h1_mles) for r in scan.gene_results], mappings,
+            )
+        assert snapshots["inline"] == snapshots["pool"] == snapshots["socket"]
 
     def test_sigkilled_worker_leaves_resumable_journal(self, gene, tmp_path):
         """ISSUE acceptance: SIGKILL one of two workers mid-batch; the

@@ -18,7 +18,7 @@ from repro.core.uniformization import (
     uniformized_transition_matrix,
 )
 from repro.models.branch_site import BranchSiteModelA
-from repro.parallel.batch import scan_branches
+from repro.parallel.batch import map_survey_candidates, scan_branches
 from repro.trees.newick import parse_newick
 
 OMEGAS = (1e-4, 1.0, 50.0, 500.0)
@@ -280,7 +280,6 @@ class TestFaultInjectedScan:
         scan = scan_branches(
             "faulted", tree, alignment,
             seed=3, max_iterations=3, processes=1,
-            map_samples=2,
         )
         assert scan.ok, scan.failures
         assert scan.n_candidates == 7
@@ -297,10 +296,16 @@ class TestFaultInjectedScan:
             assert all(
                 ev["context"]["path"] == "pade" for ev in fallback_events
             )
-            # --map rode along, sampling through the same uniformized
-            # kernels: no error payload, real per-branch event rows.
-            assert res.mapping is not None and "error" not in res.mapping
-            assert res.mapping["branches"]
+        # --map in the coordinator, at every task's kept H1 MLEs, samples
+        # through the same uniformized kernels: no error payload, real
+        # per-branch event rows.
+        payloads = map_survey_candidates(
+            "faulted", tree, alignment, scan, list(scan.by_branch), map_samples=2, seed=3,
+        )
+        assert payloads.keys() == scan.by_branch.keys()
+        for payload in payloads.values():
+            assert "error" not in payload, payload
+            assert payload["branches"]
 
     def test_total_exhaustion_survives_as_structured_failures(
         self, scan_problem, monkeypatch
@@ -318,7 +323,6 @@ class TestFaultInjectedScan:
         scan = scan_branches(
             "exhausted", tree, alignment,
             seed=3, max_iterations=3, processes=1,
-            map_samples=2,
         )
         # Every branch failed — but the batch finished with structured
         # per-branch failures instead of aborting on a raw exception.
@@ -327,6 +331,10 @@ class TestFaultInjectedScan:
         for failure in scan.failures.values():
             assert failure.error_type == "ValueError"
             assert "not finite at the start point" in failure.message
+        # Failed tasks keep no MLEs, so the coordinator has nothing to map.
+        assert all(res.h1_mles is None for res in scan.gene_results)
+        labels = list(scan.failures)
+        assert map_survey_candidates("exhausted", tree, alignment, scan, labels) == {}
 
 
 class TestLibraryDefaultsAreGuarded:
@@ -334,12 +342,7 @@ class TestLibraryDefaultsAreGuarded:
 
     def test_survey_mapper_completes_through_the_ladder(self, scan_problem, monkeypatch):
         import repro.parallel.batch as batch_mod
-        from repro.parallel.batch import (
-            BranchScanResult,
-            GeneResult,
-            branch_label,
-            map_survey_candidates,
-        )
+        from repro.parallel.batch import BranchScanResult, GeneResult, branch_label
 
         tree, alignment = scan_problem
         engines = []
@@ -363,7 +366,7 @@ class TestLibraryDefaultsAreGuarded:
             )],
         )
         payloads = map_survey_candidates(
-            "g", tree, alignment, scan, [label], map_samples=2, internal_only=True
+            "g", tree, alignment, scan, [label], map_samples=2
         )
         assert "error" not in payloads[label], payloads[label]
         assert payloads[label]["branches"]
