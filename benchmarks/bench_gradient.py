@@ -1,24 +1,29 @@
-"""E-GRAD — analytic branch-length gradients versus finite differences.
+"""E-GRAD — the analytic gradient versus finite differences.
 
-``BoundLikelihood.branch_gradient`` yields ``∂lnL/∂t`` for every branch
-from one outside pass (DESIGN.md §9); ``fit_model`` uses it for every
-branch coordinate and keeps forward differences only for the model
-parameters.  Per dataset this bench reports
+``BoundLikelihood.gradient`` yields ``∂lnL/∂t`` for every branch and the
+κ, per-class ω, proportion and rate-scale derivatives from one outside
+pass (DESIGN.md §9); ``fit_model`` chains them onto every free
+coordinate and probes no likelihood.  Per dataset this bench reports
 
-* agreement: the worst ``|g − ref| / max(|ref|, 1)`` of the analytic
-  ``∂lnL/∂log t`` against a Richardson-extrapolated central difference,
-  ``(4·CD(h) − CD(2h))/3`` with ``h = 1e-4``, under H0 and H1;
-* milliseconds per branch gradient: the analytic pass (reading the
-  evaluation it follows) against forward differences over every branch
-  (one likelihood evaluation per branch);
-* likelihood evaluations per BFGS iteration of a budgeted H1 fit
-  (start gradient included) against the all-FD count
-  ``1 + n_free_coords``.
+* agreement: the worst ``|g − ref| / max(|ref|, 1)`` against a
+  Richardson-extrapolated central difference ``(4·CD(h) − CD(2h))/3`` of
+  the likelihood, under H0 and H1 — for ``∂lnL/∂log t`` with
+  ``h = 1e-4``, and for every packed model coordinate with ``h = 3e-3``
+  (a model probe builds new eigendecompositions, whose round-off a
+  smaller step would amplify);
+* milliseconds per gradient: the analytic pass (reading the evaluation
+  it follows) against forward differences over every coordinate (one
+  likelihood evaluation per branch and per model parameter);
+* likelihood evaluations per BFGS iteration of an H1 fit run to
+  convergence (cap 1000; start point included) against the all-FD
+  count ``1 + n_free_coords``.  A short budget would measure the first
+  steps, where the line search backtracks from the identity metric.
 
 Standalone so CI can gate it::
 
     PYTHONPATH=src python benchmarks/bench_gradient.py --quick \\
-        --assert-agreement 1e-6 --assert-eval-reduction 4.0
+        --assert-agreement 1e-6 --assert-eval-reduction 4.0 \\
+        --assert-evals-per-iter 2.5
 """
 
 from __future__ import annotations
@@ -33,53 +38,78 @@ from harness import SEED, format_table, get_dataset, write_result
 
 from repro.core.engine import make_engine
 from repro.models.branch_site import BranchSiteModelA
-from repro.optimize.ml import fit_model
+from repro.optimize.ml import _mixture_jacobian, fit_model
 
 H = 1e-4
+H_MODEL = 3e-3
+
+
+def _richardson(f, x, i, h):
+    def central(step_size):
+        step = np.zeros_like(x)
+        step[i] = step_size
+        return (f(x + step) - f(x - step)) / (2.0 * step_size)
+
+    return (4.0 * central(h) - central(2.0 * h)) / 3.0
 
 
 def agreement(bound, values, branches) -> float:
-    """Worst relative error of ``t·∂lnL/∂t`` over ``branches``."""
+    """Worst relative error of ``t·∂lnL/∂t`` over ``branches`` and of
+    ``∂lnL/∂x`` over every packed model coordinate."""
+    model = bound.model
     lengths = np.asarray(bound.branch_lengths, dtype=float)
-    x = np.log(lengths)
+    bound.log_likelihood(values, lengths)
+    g = bound.gradient(values, lengths)
+    worst = 0.0
 
-    def lnl(log_t):
+    def lnl_of_log_t(log_t):
         return bound.log_likelihood(values, np.exp(log_t))
 
-    def central(i, h):
-        step = np.zeros_like(x)
-        step[i] = h
-        return (lnl(x + step) - lnl(x - step)) / (2.0 * h)
-
-    bound.log_likelihood(values, lengths)
-    _, grad = bound.branch_gradient(values, lengths)
-    worst = 0.0
     for j in branches:
-        ref = (4.0 * central(j, H) - central(j, 2.0 * H)) / 3.0
-        worst = max(worst, abs(lengths[j] * grad[j] - ref) / max(abs(ref), 1.0))
+        ref = _richardson(lnl_of_log_t, np.log(lengths), j, H)
+        worst = max(worst, abs(lengths[j] * g.branches[j] - ref) / max(abs(ref), 1.0))
+
+    def lnl_of_x(x):
+        return bound.log_likelihood(model.unpack(x), lengths)
+
+    x = model.pack(values)
+    dlnl = np.concatenate([[g.kappa, g.log_scale], g.omega.ravel(), g.proportions])
+    analytic = _mixture_jacobian(
+        model, x, np.arange(x.size), bound.pi, bound.engine.code, dlnl.size
+    ) @ dlnl
+    for i in range(x.size):
+        ref = _richardson(lnl_of_x, x, i, H_MODEL)
+        worst = max(worst, abs(analytic[i] - ref) / max(abs(ref), 1.0))
     return worst
 
 
 def gradient_ms(bound, values, reps: int):
-    """Median ms per branch gradient: analytic pass vs forward differences."""
+    """Median ms per gradient: analytic pass vs forward differences
+    over every branch and model coordinate."""
+    model = bound.model
     lengths = np.asarray(bound.branch_lengths, dtype=float)
+    x = model.pack(values)
     analytic, fd = [], []
     for _ in range(reps):
         bound.log_likelihood(values, lengths)
         start = time.perf_counter()
-        bound.branch_gradient(values, lengths)
+        bound.gradient(values, lengths)
         analytic.append(time.perf_counter() - start)
         start = time.perf_counter()
         for j in range(bound.n_branches):
             probe = lengths.copy()
             probe[j] *= np.exp(1e-6)
             bound.log_likelihood(values, probe)
+        for i in range(x.size):
+            probe = x.copy()
+            probe[i] += 1e-6 * (abs(probe[i]) + 1.0)
+            bound.log_likelihood(model.unpack(probe), lengths)
         fd.append(time.perf_counter() - start)
     return 1e3 * statistics.median(analytic), 1e3 * statistics.median(fd)
 
 
 def evals_per_iteration(dataset, engine_name: str, budget: int):
-    """``(evaluations per iteration, all-FD count)`` of a budgeted H1 fit."""
+    """``(evaluations per iteration, all-FD count)`` of an H1 fit."""
     model = BranchSiteModelA(fix_omega2=False)
     bound = make_engine(engine_name).bind(dataset.tree, dataset.alignment, model)
     fit = fit_model(bound, seed=SEED, max_iterations=budget)
@@ -105,7 +135,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--iterations", type=int, default=None,
-        help="H1 fit budget for the evaluations-per-iteration column (default 3)",
+        help="H1 fit cap for the evaluations-per-iteration column (default 1000: converged)",
     )
     parser.add_argument(
         "--assert-agreement", type=float, default=None, metavar="TOL",
@@ -116,16 +146,22 @@ def main(argv=None) -> int:
         help="exit non-zero unless the dataset-iii H1 fit's evaluations per "
              "iteration are at least FACTOR below the all-FD count",
     )
+    parser.add_argument(
+        "--assert-evals-per-iter", type=float, default=None, metavar="MAX",
+        help="exit non-zero if the dataset-iii H1 fit takes more than MAX "
+             "likelihood evaluations per iteration",
+    )
     args = parser.parse_args(argv)
 
     names = ["i", "iii"] if args.quick else ["i", "ii", "iii", "iv"]
     n_check = 4 if args.quick else 8
     reps = 3 if args.quick else 7
-    budget = args.iterations if args.iterations is not None else 3
+    budget = args.iterations if args.iterations is not None else 1000
 
     rows = []
     worst = 0.0
     reduction_iii = None
+    per_iter_iii = None
     for name in names:
         dataset = get_dataset(name)
         values1 = dataset.spec.true_values()
@@ -142,6 +178,7 @@ def main(argv=None) -> int:
         per_iter, all_fd = evals_per_iteration(dataset, args.engine, budget)
         if name == "iii":
             reduction_iii = all_fd / per_iter
+            per_iter_iii = per_iter
         rows.append([
             name,
             str(bound.n_branches),
@@ -163,9 +200,10 @@ def main(argv=None) -> int:
         ],
         rows,
         title=(
-            f"E-GRAD analytic branch gradients — engine {args.engine}, "
-            f"agreement vs Richardson central FD (h={H:g} in log t), "
-            f"FD = one evaluation per branch, H1 fit budget {budget}, seed {SEED}"
+            f"E-GRAD analytic gradients — engine {args.engine}, "
+            f"agreement vs Richardson central FD (h={H:g} in log t, "
+            f"{H_MODEL:g} in the packed model coordinates), "
+            f"FD = one evaluation per coordinate, H1 fit cap {budget}, seed {SEED}"
         ),
     )
     if args.quick:
@@ -185,6 +223,14 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: dataset-iii evaluations per iteration are {reduction_iii} "
                 f"times below the all-FD count, need {args.assert_eval_reduction}",
+                file=sys.stderr,
+            )
+            status = 1
+    if args.assert_evals_per_iter is not None:
+        if per_iter_iii is None or per_iter_iii > args.assert_evals_per_iter:
+            print(
+                f"FAIL: the dataset-iii H1 fit takes {per_iter_iii} evaluations "
+                f"per iteration, allowed {args.assert_evals_per_iter}",
                 file=sys.stderr,
             )
             status = 1

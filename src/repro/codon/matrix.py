@@ -32,6 +32,7 @@ __all__ = [
     "CodonRateMatrix",
     "build_rate_matrix",
     "exchangeability_matrix",
+    "exchangeability_derivatives",
     "mean_rate",
     "mixture_scale_factor",
 ]
@@ -57,6 +58,23 @@ def exchangeability_matrix(
     rate[table.single & table.transition] *= kappa
     rate[table.single & ~table.synonymous] *= omega
     return rate
+
+
+def exchangeability_derivatives(
+    kappa: float, omega: float, code: GeneticCode = UNIVERSAL
+) -> tuple[np.ndarray, np.ndarray]:
+    """``∂R/∂κ`` and ``∂R/∂ω`` of :func:`exchangeability_matrix`.
+
+    ``R_ij = κ^[transition]·ω^[non-synonymous]`` on single-nucleotide
+    pairs, so each derivative keeps the entries that carry its factor,
+    with that factor removed (well defined at ``ω = 0`` too).
+    """
+    table = classification_table(code)
+    ts = table.single & table.transition
+    ns = table.single & ~table.synonymous
+    d_kappa = np.where(ts, np.where(ns, omega, 1.0), 0.0)
+    d_omega = np.where(ns, np.where(ts, kappa, 1.0), 0.0)
+    return d_kappa, d_omega
 
 
 def mean_rate(q_unscaled: np.ndarray, pi: np.ndarray) -> float:

@@ -275,9 +275,9 @@ class DecompositionCache:
     A branch-site likelihood evaluation needs decompositions for at most
     three distinct ω values (ω0, ω1 = 1, ω2) regardless of tree size;
     within one evaluation — and across evaluations that leave (κ, ω)
-    untouched, e.g. the branch-length sweeps of a finite-difference
-    gradient — the cache turns repeat decompositions into dictionary
-    lookups.  Keys quantise parameters to 15 significant digits so the
+    and the rate scale untouched, e.g. H1's warm start from H0's optimum
+    or a repeated post-fit evaluation — the cache turns repeat
+    decompositions into dictionary lookups.  Keys quantise parameters to 15 significant digits so the
     cache is insensitive to benign float formatting round-trips.
 
     ``decomposer(rate_matrix, counter)`` computes a missing entry — the

@@ -29,7 +29,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dsymm, dsymv
@@ -38,7 +38,7 @@ from repro.alignment.msa import CodonAlignment
 from repro.alignment.patterns import PatternAlignment, compress_patterns
 from repro.codon.frequencies import estimate_codon_frequencies
 from repro.codon.genetic_code import GeneticCode, UNIVERSAL
-from repro.codon.matrix import CodonRateMatrix
+from repro.codon.matrix import CodonRateMatrix, exchangeability_derivatives
 from repro.core.eigen import (
     DecompositionCache,
     PadeFallback,
@@ -97,6 +97,7 @@ __all__ = [
     "BatchedOperatorSet",
     "BoundLikelihood",
     "ClassEvaluation",
+    "LikelihoodGradient",
     "make_engine",
 ]
 
@@ -117,7 +118,6 @@ COUNTER_KEYS = (
     "clv_s",
     "gradient_passes",
     "gradient_s",
-    "derivative_builds",
 )
 
 
@@ -169,8 +169,7 @@ class LikelihoodEngine:
     propagations and reuses, the operator-build ledger, one
     ``rung_<name>`` entry per ladder rung that built operators, the
     seconds spent in the ``eigh``/``expm``/``clv`` phases, and the
-    branch-gradient pass (``gradient_passes``, inclusive ``gradient_s``,
-    and ``derivative_builds``, kept out of the forward build ledger).
+    gradient pass (``gradient_passes`` and inclusive ``gradient_s``).
 
     Every engine runs guarded (DESIGN.md §8): decompositions go through
     the eigensolver fallback ladder (``evr`` → ``ev`` → per-branch Padé
@@ -319,49 +318,6 @@ class LikelihoodEngine:
         }
         self._note_rung(getattr(decomp, "rung", "evr"), len(ts))
         return BatchedOperatorSet(operators, stack)
-
-    def _build_derivative_stack(
-        self, decomp: SpectralDecomposition, ts: Sequence[float]
-    ) -> np.ndarray:
-        """F-ordered ``(n, n·B)`` stack of ``P′(t_b) = Q·P(t_b)`` operators.
-
-        Block b is the derivative of this engine's operator for
-        ``ts[b]``, in the same representation, so the unchanged
-        :meth:`_propagate_level` applies it (DESIGN.md §9).
-        """
-        raise NotImplementedError
-
-    def derivative_set_for(
-        self, decomp, ts: Sequence[float], forward: BatchedOperatorSet
-    ) -> BatchedOperatorSet:
-        """Branch-length derivative operators of one decomposition.
-
-        A spectral decomposition gets one stacked build
-        (:meth:`_build_derivative_stack`).  A Padé fallback has no
-        eigensystem: its forward operators came from the Padé or the
-        uniformization rung, so ``P′ = Q·P(t)`` is formed from the
-        repaired ``P(t)`` in ``forward``.  Derivative builds are counted
-        under ``derivative_builds``, outside the forward build ledger.
-        """
-        ts = [float(t) for t in ts]
-        self.counters["derivative_builds"] += len(ts)
-        if isinstance(decomp, PadeFallback):
-            return BatchedOperatorSet({
-                t: self._wrap_probability_matrix(
-                    decomp.q @ self._operator_probability_matrix(forward.view(t)), decomp.pi
-                )
-                for t in ts
-            })
-        stack = self._build_derivative_stack(decomp, ts)
-        stack.setflags(write=False)
-        n = decomp.n_states
-        return BatchedOperatorSet(
-            {
-                t: self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp)
-                for b, t in enumerate(ts)
-            },
-            stack,
-        )
 
     def operator_set_for(self, decomp, ts: Sequence[float]) -> BatchedOperatorSet:
         """Operators of one decomposition for every distinct ``t``.
@@ -565,19 +521,6 @@ class BaselineEngine(LikelihoodEngine):
     def _build_operator(self, decomp: SpectralDecomposition, t: float) -> np.ndarray:
         return transition_matrix_einsum(decomp, t, counter=self.counter)
 
-    def _build_derivative_stack(
-        self, decomp: SpectralDecomposition, ts: Sequence[float]
-    ) -> np.ndarray:
-        # No stacked kernel: the Eq. 9 contraction per branch, laid into
-        # the column blocks of one buffer.
-        n = decomp.n_states
-        stack = np.empty((n, n * len(ts)), order="F")
-        for b, t in enumerate(ts):
-            stack[:, b * n : (b + 1) * n] = transition_matrix_einsum(
-                decomp, t, counter=self.counter, derivative=True
-            )
-        return stack
-
     def _propagate(self, operator: np.ndarray, clv: np.ndarray) -> np.ndarray:
         n, n_patterns = clv.shape
         out = np.empty_like(clv, order="F")
@@ -625,11 +568,6 @@ class SlimEngine(LikelihoodEngine):
         self, decomp: SpectralDecomposition, ts: Sequence[float]
     ) -> np.ndarray:
         return stacked_syrk_operators(decomp, ts, counter=self.counter)
-
-    def _build_derivative_stack(
-        self, decomp: SpectralDecomposition, ts: Sequence[float]
-    ) -> np.ndarray:
-        return stacked_syrk_operators(decomp, ts, counter=self.counter, derivative=True)
 
 
 class SlimV2Engine(LikelihoodEngine):
@@ -697,11 +635,6 @@ class SlimV2Engine(LikelihoodEngine):
     ) -> np.ndarray:
         return stacked_symmetric_operators(decomp, ts, counter=self.counter)
 
-    def _build_derivative_stack(
-        self, decomp: SpectralDecomposition, ts: Sequence[float]
-    ) -> np.ndarray:
-        return stacked_symmetric_operators(decomp, ts, counter=self.counter, derivative=True)
-
     def _operator_from_view(self, view: np.ndarray, decomp) -> tuple:
         return (view, decomp.pi)
 
@@ -752,7 +685,7 @@ class SlimV2Engine(LikelihoodEngine):
 class ClassEvaluation:
     """One evaluation's per-class pass, kept as the binding's last-point memo.
 
-    Everything the branch gradient and the post-fit analyses read at
+    Everything the gradient pass and the post-fit analyses read at
     the point just evaluated: the class graph and decompositions, the
     forward operator sets, the per-class plans, results and pruning
     states.  States and operator stacks are immutable once written.
@@ -763,6 +696,7 @@ class ClassEvaluation:
     lengths: np.ndarray
     skip_zero: bool
     graph: SiteClassGraph
+    scale: float
     decomps: Dict[float, object]
     opsets: Dict[float, BatchedOperatorSet]
     plans: List[ClassPlan]
@@ -781,14 +715,36 @@ class ClassEvaluation:
         return self.values == values and np.array_equal(self.lengths, lengths)
 
 
+@dataclass
+class LikelihoodGradient:
+    """lnL and its derivatives at one point, from one gradient pass.
+
+    ``branches`` is ``∂lnL/∂t`` ordered like
+    :attr:`BoundLikelihood.branch_lengths`.  ``kappa`` and ``omega`` hold
+    the common rate scale ``c`` fixed; ``c`` enters through
+    ``log_scale = ∂lnL/∂log c = −Σ_b t_b·∂lnL/∂t_b`` alone.  ``omega`` is
+    ``(n_classes, 2)``: per site class, the derivative through its
+    background and through its foreground ω (0 for a partition with no
+    branch).  ``proportions`` treats each class weight as a free
+    coordinate; the model's simplex is the caller's chain rule.
+    """
+
+    lnl: float
+    branches: np.ndarray
+    kappa: float
+    omega: np.ndarray
+    proportions: np.ndarray
+    log_scale: float
+
+
 class BoundLikelihood:
     """A (engine, tree, patterns, model) problem ready for evaluation.
 
     Owns a private branch-length vector (ordered like
     :meth:`Tree.branch_lengths`) so evaluations never mutate the caller's
     tree.  Exposes exactly what the optimizer and the post-fit analyses
-    need: lnL, lnL with its exact branch-length gradient
-    (:meth:`branch_gradient`), and the all-class evaluation
+    need: lnL, lnL with its exact gradient in every coordinate
+    (:meth:`gradient`), and the all-class evaluation
     (:meth:`class_evaluation`) that NEB/BEB, ancestral reconstruction
     and the mapping sampler read.
 
@@ -803,7 +759,7 @@ class BoundLikelihood:
     against the per-branch reference recursion in ``tests/oracles.py``.
 
     The binding keeps its last evaluation (:class:`ClassEvaluation`) as a
-    one-entry, exact-key memo: the branch gradient and
+    one-entry, exact-key memo: the gradient pass and
     :meth:`class_evaluation` read it instead of re-pruning.
     """
 
@@ -916,7 +872,7 @@ class BoundLikelihood:
         The returned evaluation (also kept as the last-point memo)
         carries the per-class :class:`PruningState` dict (keyed by class
         index; absent for skipped classes): the per-node inside CLVs the
-        branch gradient and the post-fit analyses read, so none of them
+        gradient pass and the post-fit analyses read, so none of them
         re-prunes privately.
         """
         self._last = None
@@ -924,6 +880,7 @@ class BoundLikelihood:
         graph = self.model.site_class_graph(values)
         matrices = build_class_matrices(values["kappa"], graph.nodes, self.pi, engine.code)
         decomps = {omega: engine._decompose(m) for omega, m in matrices.items()}
+        scale = next(iter(matrices.values())).scale
         rows = [
             (child, parent, float(lengths[pos]), fg)
             for child, parent, pos, fg in self._rows
@@ -1009,6 +966,7 @@ class BoundLikelihood:
             lengths=np.array(lengths, dtype=float),
             skip_zero=skip_zero,
             graph=graph,
+            scale=scale,
             decomps=decomps,
             opsets=opsets,
             plans=plans,
@@ -1104,74 +1062,67 @@ class BoundLikelihood:
         values: Dict[str, float],
         branch_lengths: Optional[Sequence[float]] = None,
     ) -> Tuple[float, np.ndarray]:
-        """lnL and ``∂lnL/∂t`` for every branch, by one outside pass.
+        """lnL and ``∂lnL/∂t`` for every branch: a view of :meth:`gradient`."""
+        grad = self.gradient(values, branch_lengths)
+        return grad.lnl, grad.branches
 
-        The gradient is ordered like :attr:`branch_lengths`.  It reads
-        the class states and operator sets of the last evaluation when
-        that was made at exactly this point (the optimizer's line-search
-        or start evaluation), so it runs no forward pass of its own;
-        otherwise it evaluates first.  Per class, one pre-order pass
-        over the level schedule forms the outside vectors and applies
-        the derivative operators (DESIGN.md §9); the class ratios are
-        mixed with the per-pattern class posteriors.  A
-        derivative that comes out non-finite is left in the result and
-        recorded as a ``gradient_nonfinite`` event.
+    def gradient(
+        self,
+        values: Dict[str, float],
+        branch_lengths: Optional[Sequence[float]] = None,
+    ) -> "LikelihoodGradient":
+        """lnL and its derivative in every coordinate, by one outside pass.
+
+        It reads the class states and operator sets of the last
+        evaluation when that was made at exactly this point (the
+        optimizer's line-search or start evaluation), so it runs no
+        forward pass of its own; otherwise it evaluates first.  Per
+        class, one pre-order pass over the level schedule forms the
+        outside vectors ``U``; with the stored inside CLVs they feed one
+        contraction (:class:`_RateContraction`) that yields ``∂lnL/∂t``,
+        ``∂lnL/∂κ`` and every class's ``∂lnL/∂ω``.  The proportion
+        derivatives come from the class likelihoods (DESIGN.md §9).  A
+        branch derivative that comes out non-finite is left in the
+        result and recorded as a ``gradient_nonfinite`` event.
         """
         engine = self.engine
         counters = engine.counters
         start = time.perf_counter()
         ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=True)
         graph = ev.graph
-        lnl = self._mixture_lnl(ev)
-        weighted_post = (
-            class_posteriors(self._class_lnl(ev), graph.proportions) * self.patterns.weights
+        class_lnl = self._checked_class_lnl(ev)
+        weights = self.patterns.weights
+        lnl, site_lnl = mixture_log_likelihood(
+            ev.results, self.pi, graph.proportions, weights, class_lnl=class_lnl
         )
+        weighted_post = class_posteriors(class_lnl, graph.proportions) * weights
+        # ∂lnL/∂p_k = Σ_p w_p·L_k(p)/L(p); a skipped class reads 0.
+        with np.errstate(invalid="ignore", over="ignore"):
+            d_proportions = np.exp(class_lnl - site_lnl[None, :]) @ weights
 
-        # Rows whose derivative application D = P′·L each class pass
-        # must run: every row for a populated class; for a partial share
-        # only the foreground path, where its inside CLVs or ω differ
-        # from its base's — elsewhere the base's D is the same array.  A
-        # full share reuses its base's ratios outright.
-        fresh_rows: Dict[int, List[int]] = {}
-        for plan in ev.plans:
-            if plan.mode == "populate":
-                fresh_rows[plan.index] = list(range(len(ev.rows)))
-            elif plan.mode == "derive" and not plan.full_share:
-                fresh_rows[plan.index] = compute_recompute_rows(
-                    ev.rows, set(self._fg_children)
-                )
-        requested: Dict[float, List[float]] = {}
-        for idx, fresh in fresh_rows.items():
-            cls = graph.nodes[idx]
-            for ri in fresh:
-                _, _, t, fg = ev.rows[ri]
-                ts = requested.setdefault(
-                    cls.omega_foreground if fg else cls.omega_background, []
-                )
-                if t not in ts:
-                    ts.append(t)
-        dsets = {
-            omega: engine.derivative_set_for(ev.decomps[omega], ts, ev.opsets[omega])
-            for omega, ts in requested.items()
-        }
-
-        row_grad = np.zeros(len(ev.rows))
-        ratios: Dict[int, np.ndarray] = {}
-        derivatives: Dict[int, List[Optional[np.ndarray]]] = {}
-        for plan in ev.plans:
-            idx = plan.index
-            if plan.mode == "skip":
-                continue
-            if plan.mode == "derive" and plan.full_share:
-                ratios[idx] = ratios[plan.base]
+        # A full share reads its base's pass with its own weights; no
+        # other pass outlives its class, and the projected inside CLVs of
+        # a background ω go once its last class is folded in.
+        live = [plan for plan in ev.plans if plan.mode != "skip"]
+        shared = {plan.base for plan in live if plan.full_share}
+        last_of = {graph.nodes[plan.index].omega_background: plan.index for plan in live}
+        passes: Dict[int, _OutsidePass] = {}
+        contraction = _RateContraction(self, ev)
+        for plan in live:
+            if plan.full_share:
+                outside = passes[plan.base]
             else:
-                ratios[idx], derivatives[idx] = self._outside_ratios(
-                    ev, idx, dsets, fresh_rows[idx], derivatives.get(plan.base),
-                )
-            row_grad += ratios[idx] @ weighted_post[idx]
+                outside = self._outside_data(ev, plan.index)
+                if plan.index in shared:
+                    passes[plan.index] = outside
+            contraction.add(plan.index, outside, weighted_post[plan.index])
+            del outside
+            omega = graph.nodes[plan.index].omega_background
+            if last_of[omega] == plan.index:
+                contraction.release(omega)
         grad = np.empty(len(ev.rows))
         for ri, (_, _, pos, _) in enumerate(self._rows):
-            grad[pos] = row_grad[ri]
+            grad[pos] = contraction.branches[ri]
         bad = np.flatnonzero(~np.isfinite(grad))
         if bad.size:
             engine.events.record(
@@ -1179,32 +1130,37 @@ class BoundLikelihood:
                 f"branch derivative non-finite at {bad.size} branch(es)",
                 branches=str([int(b) for b in bad[:8]]), engine=engine.name,
             )
+        d_kappa, d_omega = contraction.derivatives()
         counters["gradient_passes"] += 1
         counters["gradient_s"] += time.perf_counter() - start
-        return lnl, grad
+        return LikelihoodGradient(
+            lnl=lnl,
+            branches=grad,
+            kappa=d_kappa,
+            omega=d_omega,
+            proportions=d_proportions,
+            log_scale=-float(ev.lengths @ grad),
+        )
 
     def _outside_pass(
         self,
         ev: ClassEvaluation,
         index: int,
         outside: List[Optional[np.ndarray]],
-        extra: Optional[Callable] = None,
-    ) -> Iterator[Tuple[List[int], List[np.ndarray], Dict[int, np.ndarray]]]:
+    ) -> Iterator[Tuple[List[int], List[np.ndarray]]]:
         """Pre-order pass over the level schedule for one class of ``ev``.
 
         Top level first, the branch above child ``c`` (parent ``p``) gets
         ``U_c = O_p ∘ ∏_{siblings s} contribution_s`` with
         ``O_root = π``, rescaled per pattern column; an internal child
         then gets ``O_c = P(t_c)ᵀ U_c = Π·P·(Π⁻¹U_c)`` (reversibility), so
-        the forward operators serve the outside pass unchanged.  π sits
-        at the root only: ``O_v(x)`` is ``P(state_v = x, data outside
-        v's subtree)`` up to a per-column scale (DESIGN.md §9).
+        the forward operators serve the outside pass unchanged, one
+        fused propagation call per level.  π sits at the root only:
+        ``O_v(x)`` is ``P(state_v = x, data outside v's subtree)`` up to
+        a per-column scale (DESIGN.md §9).
 
         Fills ``outside`` (indexed by node; leaves stay ``None``) and
-        yields, per level, its rows, their ``U`` vectors and the results
-        of the ``extra`` items.  ``extra(row, ω, t)`` may return one more
-        (operator, CLV) item for a row; it rides the level's one fused
-        propagation call, just ahead of that row's outside item.
+        yields, per level, its rows and their ``U`` vectors.
         """
         cls = ev.graph.nodes[index]
         state = ev.states[index]
@@ -1214,11 +1170,9 @@ class BoundLikelihood:
         outside[schedule.root_index] = np.broadcast_to(pi_col, (pi_col.shape[0], self.n_patterns))
         for h in range(len(schedule.levels) - 1, -1, -1):
             level = schedule.levels[h]
-            applied: Dict[int, np.ndarray] = {}
-            items, targets, us = [], [], []
+            items, children, us = [], [], []
             for ri in level:
                 child, parent, t, fg = rows[ri]
-                omega = cls.omega_foreground if fg else cls.omega_background
                 u = np.array(outside[parent])
                 for sibling in state.children[parent]:
                     if sibling != child:
@@ -1227,20 +1181,17 @@ class BoundLikelihood:
                 col_max[col_max == 0.0] = 1.0
                 u /= col_max
                 us.append(u)
-                item = extra(ri, omega, t) if extra is not None else None
-                if item is not None:
-                    items.append(item)
-                    targets.append((applied, ri))
                 if h > 0:
+                    omega = cls.omega_foreground if fg else cls.omega_background
                     items.append((ev.opsets[omega].operators[t], u / pi_col))
-                    targets.append((outside, child))
+                    children.append(child)
             if items:
                 # Counted as propagations; not timed under clv_s, so the
                 # eigh/expm/clv phase seconds stay the evaluation's.
                 self.engine.counters["clv_propagations"] += len(items)
-                for (store, key), out in zip(targets, self.engine._propagate_level(items)):
-                    store[key] = out if store is applied else pi_col * out
-            yield level, us, applied
+                for child, out in zip(children, self.engine._propagate_level(items)):
+                    outside[child] = pi_col * out
+            yield level, us
 
     def outside_vectors(self, ev: ClassEvaluation, index: int) -> List[Optional[np.ndarray]]:
         """Every internal node's outside vector ``O_v`` for class ``index``.
@@ -1255,46 +1206,277 @@ class BoundLikelihood:
             pass
         return outside
 
-    def _outside_ratios(
-        self,
-        ev: ClassEvaluation,
-        index: int,
-        dsets: Dict[float, BatchedOperatorSet],
-        fresh_rows: List[int],
-        base_derivatives: Optional[List[Optional[np.ndarray]]],
-    ) -> Tuple[np.ndarray, List[Optional[np.ndarray]]]:
-        """Per-branch ratios ``∂L_k/∂t_b / L_k`` of one class, ``(B, P)``.
-
-        The ratio is ``Σ_x U_c·D_c / Σ_x U_c·contribution_c`` with
-        ``D_c = P′(t_c)·L_c`` and ``U_c`` from :meth:`_outside_pass`: the
-        column scalings of ``U`` and of the stored CLVs cancel.  ``D_c``
-        is applied for ``fresh_rows``, riding each level's fused call
-        with the outside applications, and taken from
-        ``base_derivatives`` elsewhere.  Returns the ratios and every
-        row's ``D_c``.
-        """
+    def _outside_data(self, ev: ClassEvaluation, index: int) -> "_OutsidePass":
+        """One class's ``U`` per row and ``Σ_x U·contribution``, the class
+        likelihood up to the column scalings of ``U`` and of the stored
+        CLVs, which the contraction's ratios cancel."""
         state = ev.states[index]
         rows = ev.rows
-        fresh = set(fresh_rows)
-        derivatives = (
-            list(base_derivatives) if base_derivatives is not None else [None] * len(rows)
+        result = _OutsidePass(
+            us=[None] * len(rows),
+            dens=np.empty((len(rows), self.n_patterns)),
         )
-
-        def derivative_item(ri: int, omega: float, t: float):
-            if ri in fresh:
-                return (dsets[omega].operators[t], state.clvs[rows[ri][0]])
-            return None
-
-        ratios = np.zeros((len(rows), self.n_patterns))
         outside: List[Optional[np.ndarray]] = [None] * self._n_nodes
-        for level, us, applied in self._outside_pass(ev, index, outside, derivative_item):
+        for level, us in self._outside_pass(ev, index, outside):
             for ri, u in zip(level, us):
-                if ri in applied:
-                    derivatives[ri] = applied[ri]
-                num = np.einsum("ij,ij->j", u, derivatives[ri])
-                den = np.einsum("ij,ij->j", u, state.contributions[rows[ri][0]])
-                np.divide(num, den, out=ratios[ri], where=den != 0.0)
-        return ratios, derivatives
+                result.us[ri] = u
+                np.einsum("ij,ij->j", u, state.contributions[rows[ri][0]], out=result.dens[ri])
+        return result
+
+
+@dataclass
+class _OutsidePass:
+    """One class pass of the gradient: per row ``U`` and ``Σ_x U·contribution``."""
+
+    us: List[Optional[np.ndarray]]
+    dens: np.ndarray
+
+
+#: Bytes per block of the contraction's ``(rows, patterns, n)``
+#: temporaries: a block of rows that stays in cache.
+_BLOCK_BYTES = 1 << 18
+
+#: Relative step of the operator differences that stand in for the
+#: Daleckii–Krein contraction on a decomposition with no eigensystem.
+_RATE_STEP = 1e-4
+
+
+class _RateContraction:
+    """Every derivative of one gradient pass but the proportions'.
+
+    For a branch with operator ``P(t) = Π^{-½} X e^{Λt} Xᵀ Π^{½}`` and a
+    rate parameter θ of its symmetric generator ``A = XΛXᵀ``,
+    ``Uᵀ ∂P L = Ũᵀ (F(t) ∘ XᵀA′X) L̃`` (Daleckii–Krein) with
+    ``Ũ = XᵀΠ^{-½}U``, ``L̃ = XᵀΠ^{½}L`` and
+    ``F_ij = (e^{λ_i t} − e^{λ_j t})/(λ_i − λ_j)``.  Weighting pattern p
+    by ``r_p = w_p·posterior_p / (Uᵀ P L)_p``, each row forms
+    ``W_b = Ũ_b diag(r_b) L̃_bᵀ``; then
+
+    * ``∂lnL/∂t_b`` sums ``λ_i e^{λ_i t_b}·(W_b)_ii`` over the classes
+      (``∂P/∂t = Q·P`` is diagonal in the eigenbasis);
+    * each (class, branch partition) accumulates
+      ``M = Σ_b F_b ∘ W_b``, and a parameter costs one inner product
+      ``⟨XᵀA′X, M⟩``.
+
+    ``∂P`` is never formed.  Rate derivatives hold the common scale
+    fixed (DESIGN.md §9).
+
+    A Padé or uniformization decomposition has no eigensystem: a row
+    takes ``∂lnL/∂t`` from ``Uᵀ(Q·contribution)`` and contracts
+    ``W_b = U_b diag(r_b) L_bᵀ`` with a central difference of the
+    operator, ``⟨∂P_b, W_b⟩``, re-pruning nothing, and the pass records
+    a ``rate_derivative_difference`` event.
+    """
+
+    def __init__(self, bound: "BoundLikelihood", ev: ClassEvaluation) -> None:
+        self.bound = bound
+        self.ev = ev
+        self.sqrt_pi = np.sqrt(bound.pi)
+        #: ``∂lnL/∂t`` per row of ``ev.rows``.
+        self.branches = np.zeros(len(ev.rows))
+        #: (class, partition) → ω and its accumulated M (spectral only).
+        self.slots: Dict[Tuple[int, int], Tuple[float, np.ndarray]] = {}
+        #: (class, partition) → [∂κ, ∂ω] from difference rows.
+        self.differenced: Dict[Tuple[int, int], np.ndarray] = {}
+        self._l: Dict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]] = {}
+        self._f: Dict[float, Tuple[np.ndarray, ...]] = {}
+        self._basis: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+        self._dp: Dict[Tuple[float, float], Tuple[np.ndarray, np.ndarray]] = {}
+        self._differenced_omegas: set = set()
+        self._generators: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def add(self, index: int, outside: _OutsidePass, weighted_post: np.ndarray) -> None:
+        """Fold class ``index``'s rows in, read through ``outside``."""
+        ev = self.ev
+        cls = ev.graph.nodes[index]
+        groups: Dict[Tuple[float, int], List[int]] = {}
+        for ri, (_, _, _, fg) in enumerate(ev.rows):
+            omega = cls.omega_foreground if fg else cls.omega_background
+            groups.setdefault((omega, int(fg)), []).append(ri)
+        for (omega, part), rows in groups.items():
+            dens = outside.dens[rows]
+            r = np.divide(weighted_post, dens, out=np.zeros_like(dens), where=dens != 0.0)
+            decomp = ev.decomps[omega]
+            if isinstance(decomp, PadeFallback):
+                self._add_differenced(index, part, omega, decomp, outside, rows, r)
+                continue
+            basis_u = self._bases(omega)[0]
+            m = np.zeros_like(basis_u)
+            # Stacked transposed, (rows, P, n): the stored vectors are
+            # F-ordered, so each row's block copies contiguously.
+            step = max(1, _BLOCK_BYTES // dens[0].nbytes // basis_u.shape[0])
+            for lo in range(0, len(rows), step):
+                block = rows[lo : lo + step]
+                us = np.stack([outside.us[ri].T for ri in block])
+                us *= r[lo : lo + step, :, None]
+                ut = np.matmul(us, basis_u)
+                w = np.matmul(ut.transpose(0, 2, 1), self._projected_l(index, omega, block))
+                f, rate = self._f_stack(omega, block)
+                self.branches[block] += np.einsum("bii,bi->b", w, rate)
+                m += np.einsum("bij,bij->ij", w, f)
+            self.slots[(index, part)] = (omega, m)
+
+    def release(self, omega: float) -> None:
+        """Drop the inside-CLV projections of decomposition ``omega``."""
+        for key in [key for key in self._l if key[1] == omega]:
+            del self._l[key]
+
+    # -- eigenbasis pieces ---------------------------------------------
+    def _bases(self, omega: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``Π^{-½}X`` and ``Π^{½}X`` of decomposition ``omega``."""
+        found = self._basis.get(omega)
+        if found is None:
+            x = self.ev.decomps[omega].eigenvectors
+            found = self._basis[omega] = (
+                x / self.sqrt_pi[:, None], x * self.sqrt_pi[:, None]
+            )
+        return found
+
+    def _projected_l(self, index: int, omega: float, rows) -> np.ndarray:
+        """``L̃ᵀ = LᵀΠ^{½}X`` per row, ``(rows, P, n)``; an inside CLV a
+        shared class aliases from its base is projected once.  Read-only:
+        the rows may be the cache's own."""
+        ev = self.ev
+        clvs = ev.states[index].clvs
+        children = [ev.rows[ri][0] for ri in rows]
+        todo = [
+            child for child in children
+            if (held := self._l.get((child, omega))) is None or held[0] is not clvs[child]
+        ]
+        if todo:
+            projected = np.matmul(np.stack([clvs[c].T for c in todo]), self._bases(omega)[1])
+            for child, lt in zip(todo, projected):
+                self._l[(child, omega)] = (clvs[child], lt)
+            if len(todo) == len(children):
+                return projected
+        return np.stack([self._l[(child, omega)][1] for child in children])
+
+    def _f_stack(self, omega: float, rows: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Daleckii–Krein ``F(t_b)``, ``(rows, n, n)``, and ``λ e^{λ t_b}``.
+
+        ``F_ij = (e^{λ_i t} − e^{λ_j t})/(λ_i − λ_j)`` is formed as
+        ``|e^{λ_i t} − e^{λ_j t}|/|λ_i − λ_j|``, whose relative error is
+        about ``ε/x`` with ``x = |λ_i − λ_j|·t``; below ``x = 1e-4`` (ties
+        included) it is ``e^{max(λ_i,λ_j)t}·t·(1 − x/2 + x²/6)``, the
+        series of ``e^{max(λ_i,λ_j)t}·(1 − e^{−x})/|λ_i − λ_j|``.  Each
+        (ω, row) is built once and shared by every class that reads it.
+        """
+        ev = self.ev
+        lam = ev.decomps[omega].eigenvalues
+        found = self._f.get(omega)
+        if found is None:
+            gap = np.abs(lam[:, None] - lam[None, :])
+            with np.errstate(divide="ignore"):
+                inv_gap = np.where(gap > 0.0, 1.0 / gap, 0.0)
+            n, b = lam.shape[0], len(ev.rows)
+            found = self._f[omega] = (
+                np.empty((b, n, n)), np.empty((b, n)), np.zeros(b, dtype=bool), gap, inv_gap,
+            )
+        stack, rates, built, gap, inv_gap = found
+        missing = [ri for ri in rows if not built[ri]]
+        if missing:
+            t = np.array([ev.rows[ri][2] for ri in missing])
+            e = np.exp(np.multiply.outer(t, lam))
+            f = np.subtract(e[:, :, None], e[:, None, :])
+            np.abs(f, out=f)
+            f *= inv_gap
+            i, j = np.nonzero(gap < 1e-4 / max(t.max(), 1e-300))
+            if i.size:
+                x = gap[i, j] * t[:, None]
+                series = np.maximum(e[:, i], e[:, j]) * t[:, None] * (1.0 - x * (0.5 - x / 6.0))
+                f[:, i, j] = np.where(x < 1e-4, series, f[:, i, j])
+            stack[missing] = f
+            rates[missing] = e * lam
+            built[missing] = True
+        return stack[rows], rates[rows]
+
+    def _rate_derivatives(self, omega: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``∂A/∂κ`` and ``∂A/∂ω`` of the symmetric generator at fixed scale."""
+        ev = self.ev
+        pi = self.bound.pi
+        out = []
+        for d_r in exchangeability_derivatives(
+            ev.values["kappa"], omega, self.bound.engine.code
+        ):
+            a = (self.sqrt_pi[:, None] * d_r) * self.sqrt_pi[None, :]
+            np.fill_diagonal(a, -(d_r @ pi))
+            out.append(a / ev.scale)
+        return out[0], out[1]
+
+    def _generators_for(self, omega: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``XᵀA′X`` for κ and ω of decomposition ``omega``."""
+        found = self._generators.get(omega)
+        if found is None:
+            x = self.ev.decomps[omega].eigenvectors
+            found = self._generators[omega] = tuple(
+                x.T @ a @ x for a in self._rate_derivatives(omega)
+            )
+        return found
+
+    # -- no eigensystem ------------------------------------------------
+    def _add_differenced(self, index: int, part: int, omega: float, decomp, outside, rows, r) -> None:
+        ev = self.ev
+        clvs = ev.states[index].clvs
+        contributions = ev.states[index].contributions
+        acc = self.differenced.setdefault((index, part), np.zeros(2))
+        for j, ri in enumerate(rows):
+            child, _, t, _ = ev.rows[ri]
+            # P′ = Q·P(t) on the rung's repaired forward operator.
+            u = outside.us[ri]
+            self.branches[ri] += r[j] @ np.einsum("ij,ij->j", u, decomp.q @ contributions[child])
+            w = (u * r[j]) @ clvs[child].T
+            d_kappa, d_omega = self._operator_difference(omega, decomp, t)
+            acc += (np.vdot(d_kappa, w), np.vdot(d_omega, w))
+
+    def _operator_difference(self, omega: float, decomp, t: float):
+        """Central differences of ``P(t)`` in κ and ω, from the rung that
+        serves this decomposition (Padé, else uniformization)."""
+        key = (omega, t)
+        found = self._dp.get(key)
+        if found is not None:
+            return found
+        if omega not in self._differenced_omegas:
+            self._differenced_omegas.add(omega)
+            self.bound.engine.events.record(
+                "rate_derivative_difference", "gradient",
+                f"no eigensystem for omega={omega:g} ({decomp.rung}): "
+                "kappa/omega derivatives by operator differences",
+                omega=float(omega), engine=self.bound.engine.name,
+            )
+        pi = decomp.pi
+        values = (self.ev.values["kappa"], omega)
+        diffs = []
+        for i, a_prime in enumerate(self._rate_derivatives(omega)):
+            # A′ = Π^{½} Q′ Π^{-½}: back to the generator's own basis.
+            q_prime = (a_prime / self.sqrt_pi[:, None]) * self.sqrt_pi[None, :]
+            h = _RATE_STEP * max(abs(values[i]), 1.0)
+            up = self._probability(decomp.q + h * q_prime, pi, t)
+            down = self._probability(decomp.q - h * q_prime, pi, t)
+            diffs.append((up - down) / (2.0 * h))
+        found = self._dp[key] = (diffs[0], diffs[1])
+        return found
+
+    def _probability(self, q: np.ndarray, pi: np.ndarray, t: float) -> np.ndarray:
+        try:
+            return guard_transition_matrix(transition_matrix_scipy(q, t), None, t=t)
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeWarning):
+            return UniformizedOperator(q, pi, tol=UNIFORMIZATION_TOL).transition_matrix(t)
+
+    # ------------------------------------------------------------------
+    def derivatives(self) -> Tuple[float, np.ndarray]:
+        """``(∂lnL/∂κ, ∂lnL/∂ω)``, the latter ``(n_classes, 2)`` as
+        (background, foreground) per class."""
+        d_omega = np.zeros((self.ev.graph.n_classes, 2))
+        d_kappa = 0.0
+        for (index, part), (omega, m) in self.slots.items():
+            g_kappa, g_omega = self._generators_for(omega)
+            d_kappa += float(np.vdot(g_kappa, m))
+            d_omega[index, part] += float(np.vdot(g_omega, m))
+        for (index, part), (dk, dw) in self.differenced.items():
+            d_kappa += float(dk)
+            d_omega[index, part] += float(dw)
+        return d_kappa, d_omega
+
 
 _ENGINES = {
     "codeml": BaselineEngine,

@@ -32,14 +32,6 @@ The three reconstruction paths implemented here differ only in how
     ``P(t)·w = M·(Πw)`` for any CLV ``w``, so per-site propagation uses
     the *symmetric* ``M`` (``dsymv``/``dsymm``: half the matrix reads).
 
-Branch-length derivatives ``P′(t) = Q·P(t)`` (the analytic gradient,
-DESIGN.md §9) come off the same eigensystem with ``Λe^{Λt}`` in place
-of ``e^{Λt}``.  Because every eigenvalue is ≤ 0,
-``Λe^{Λt} = −(|Λ|^{1/2} e^{Λt/2})²``, so the half-flops ``dsyrk`` form
-survives with ``alpha = −1`` and ``Y_d = X |Λ|^{1/2} e^{Λt/2}``
-(``derivative=True`` on the stacked builders and on
-:func:`transition_matrix_einsum`); derivatives are never clipped.
-
 All kernels call the BLAS through :mod:`scipy.linalg.blas` so the
 measured difference is the documented ``dgemm``/``dsyrk`` contract, the
 same routines the paper links against.
@@ -116,7 +108,6 @@ def transition_matrix_einsum(
     t: float,
     counter: Optional[FlopCounter] = None,
     clip_negative: bool = True,
-    derivative: bool = False,
 ) -> np.ndarray:
     """CodeML v4.4c comparator: Eq. 9 via a non-BLAS contraction.
 
@@ -124,25 +115,19 @@ def transition_matrix_einsum(
     evaluated by ``np.einsum`` with ``optimize=False`` so that no vendor
     BLAS is involved — modelling CodeML's hand-written portable C loops
     (see the module docstring for the calibration rationale).
-
-    ``derivative=True`` returns ``P′(t) = Q·P(t)`` instead: the same
-    Eq. 9 product with ``Λe^{Λt}`` as the diagonal, never clipped.
     """
     t = _validate_t(t)
     n = decomp.n_states
     x = decomp.eigenvectors
     diagonal = _exp_eigenvalues(decomp.eigenvalues, t)
-    if derivative:
-        diagonal = diagonal * decomp.eigenvalues
     y_tilde = x * diagonal[None, :]
     z = np.einsum("ij,kj->ik", y_tilde, x, optimize=False)
     if counter is not None:
         counter.add(
-            "dexpm:einsum(eq9)" if derivative else "expm:einsum(eq9)",
-            gemm_flops(n, n, n), reads=2 * gemm_matrix_reads(n, n),
+            "expm:einsum(eq9)", gemm_flops(n, n, n), reads=2 * gemm_matrix_reads(n, n)
         )
     p = _apply_pi_scalings(z, decomp)
-    if clip_negative and not derivative:
+    if clip_negative:
         np.maximum(p, 0.0, out=p)
     return p
 
@@ -266,13 +251,8 @@ def symmetric_branch_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _exp_stack(
-    eigenvalues: np.ndarray, ts: Sequence[float], half: bool, derivative: bool = False
-) -> np.ndarray:
+def _exp_stack(eigenvalues: np.ndarray, ts: Sequence[float], half: bool) -> np.ndarray:
     """Rows of ``exp(λ t_b)`` (or ``t_b/2``), bit-identical to the 1-D kernel.
-
-    ``derivative=True`` scales every row by ``|λ|^{1/2}`` — the factor
-    that turns the ``dsyrk`` operand ``Y`` into ``Y_d`` of ``P′(t)``.
 
     The multiply and clamp are batched 2-D (elementwise ufuncs are
     stride-insensitive, and IEEE multiplication commutes bitwise), but
@@ -289,15 +269,11 @@ def _exp_stack(
     e = np.empty_like(args)
     for b in range(args.shape[0]):
         np.exp(args[b], out=e[b])
-    if derivative:
-        e *= np.sqrt(np.abs(eigenvalues))[None, :]
     return e
 
 
-def _syrk_into_views(
-    lower_stack: np.ndarray, y_stack: np.ndarray, n: int, alpha: float = 1.0
-) -> None:
-    """One ``dsyrk`` per column-block view, writing ``alpha·YYᵀ`` in place.
+def _syrk_into_views(lower_stack: np.ndarray, y_stack: np.ndarray, n: int) -> None:
+    """One ``dsyrk`` per column-block view, writing ``YYᵀ`` in place.
 
     ``lower_stack`` must be zero-initialised: BLAS only writes the lower
     triangle, and the mirror stage reads the (zero) strict upper half —
@@ -307,7 +283,7 @@ def _syrk_into_views(
     n_branches = y_stack.shape[1] // n
     for b in range(n_branches):
         view = lower_stack[:, b * n : (b + 1) * n]
-        res = dsyrk(alpha, y_stack[:, b * n : (b + 1) * n], c=view, lower=True, overwrite_c=1)
+        res = dsyrk(1.0, y_stack[:, b * n : (b + 1) * n], c=view, lower=True, overwrite_c=1)
         if res is not view and not np.shares_memory(res, view):  # pragma: no cover
             view[...] = res
 
@@ -338,25 +314,22 @@ def stacked_syrk_operators(
     ts: Sequence[float],
     counter: Optional[FlopCounter] = None,
     clip_negative: bool = True,
-    derivative: bool = False,
 ) -> np.ndarray:
     """Batched :func:`transition_matrix_syrk`: ``P(t_b)`` for every branch.
 
     Returns an F-ordered ``(n, n·B)`` stack whose column block b equals
     ``transition_matrix_syrk(decomp, ts[b])`` bit for bit.
-    ``derivative=True`` stacks ``P′(t_b) = −Π^{-1/2} Y_d Y_dᵀ Π^{1/2}``
-    instead (module docstring), with no clip.
     """
     n = decomp.n_states
     if len(ts) == 0:
         return np.empty((n, 0), order="F")
-    exps = _exp_stack(decomp.eigenvalues, ts, half=True, derivative=derivative)
+    exps = _exp_stack(decomp.eigenvalues, ts, half=True)
     y = _y_stack(decomp.eigenvectors, exps, n)
     lower = np.zeros((n, n * len(ts)), order="F")
-    _syrk_into_views(lower, y, n, alpha=-1.0 if derivative else 1.0)
+    _syrk_into_views(lower, y, n)
     if counter is not None:
         counter.add(
-            "dexpm:dsyrk" if derivative else "expm:dsyrk",
+            "expm:dsyrk",
             len(ts) * syrk_flops(n, n),
             reads=len(ts) * gemm_matrix_reads(n, n),
         )
@@ -367,7 +340,7 @@ def stacked_syrk_operators(
     # In the (b, j, i) view the row scaling is axis 2, the column axis 1.
     np.multiply(s3, decomp.inv_sqrt_pi[None, None, :], out=s3)
     np.multiply(s3, decomp.sqrt_pi[None, :, None], out=s3)
-    if clip_negative and not derivative:
+    if clip_negative:
         np.maximum(stack, 0.0, out=stack)
     return stack
 
@@ -376,26 +349,23 @@ def stacked_symmetric_operators(
     decomp: SpectralDecomposition,
     ts: Sequence[float],
     counter: Optional[FlopCounter] = None,
-    derivative: bool = False,
 ) -> np.ndarray:
     """Batched :func:`symmetric_branch_matrix`: ``M(t_b)`` for every branch.
 
     Returns an F-ordered ``(n, n·B)`` stack whose column block b equals
     ``symmetric_branch_matrix(decomp, ts[b])`` bit for bit.
-    ``derivative=True`` stacks ``M′(t_b) = −Ŷ_d Ŷ_dᵀ`` with
-    ``Ŷ_d = Π^{-1/2} X |Λ|^{1/2} e^{Λt_b/2}``, so ``P′(t)·w = M′·(Πw)``.
     """
     n = decomp.n_states
     if len(ts) == 0:
         return np.empty((n, 0), order="F")
-    exps = _exp_stack(decomp.eigenvalues, ts, half=True, derivative=derivative)
+    exps = _exp_stack(decomp.eigenvalues, ts, half=True)
     scaled_x = decomp.inv_sqrt_pi[:, None] * decomp.eigenvectors
     y = _y_stack(scaled_x, exps, n)
     lower = np.zeros((n, n * len(ts)), order="F")
-    _syrk_into_views(lower, y, n, alpha=-1.0 if derivative else 1.0)
+    _syrk_into_views(lower, y, n)
     if counter is not None:
         counter.add(
-            "dexpm:dsyrk(sym-branch)" if derivative else "expm:dsyrk(sym-branch)",
+            "expm:dsyrk(sym-branch)",
             len(ts) * syrk_flops(n, n),
             reads=len(ts) * gemm_matrix_reads(n, n),
         )

@@ -16,7 +16,7 @@ what a branch length is.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,15 +38,21 @@ def mixture_scale(
     classes: Sequence[SiteClass],
     pi: np.ndarray,
     code: GeneticCode = UNIVERSAL,
+    rates: Optional[Dict[Tuple[float, float], float]] = None,
 ) -> float:
-    """Common normalisation factor for a site-class mixture (see module doc)."""
+    """Common normalisation factor for a site-class mixture (see module doc).
+
+    ``rates`` optionally carries raw mean rates keyed by ``(κ, ω)``
+    across calls with the same ``pi`` and ``code`` (a caller that varies
+    one parameter at a time rebuilds only the matrices it moved).
+    """
     factor = 0.0
-    rate_cache: Dict[float, float] = {}
+    rate_cache: Dict[Tuple[float, float], float] = {} if rates is None else rates
     for cls in classes:
-        omega = cls.omega_background
-        if omega not in rate_cache:
-            rate_cache[omega] = _raw_rate(kappa, omega, pi, code)
-        factor += cls.proportion * rate_cache[omega]
+        key = (kappa, cls.omega_background)
+        if key not in rate_cache:
+            rate_cache[key] = _raw_rate(kappa, cls.omega_background, pi, code)
+        factor += cls.proportion * rate_cache[key]
     if factor <= 0:
         raise ValueError("mixture mean rate must be positive")
     return factor

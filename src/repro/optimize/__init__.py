@@ -1,11 +1,13 @@
 """Maximum-likelihood estimation, hypothesis testing, and site inference.
 
-* :mod:`repro.optimize.bfgs` — quasi-Newton BFGS with finite-difference
-  gradients by default (paper §II-B: "Newton-Raphson methods or an
-  approximation like the Broyden-Fletcher-Goldfarb-Shanno (BFGS) method").
+* :mod:`repro.optimize.bfgs` — quasi-Newton BFGS (paper §II-B:
+  "Newton-Raphson methods or an approximation like the
+  Broyden-Fletcher-Goldfarb-Shanno (BFGS) method"); forward differences
+  only for callers that bring no gradient.
 * :mod:`repro.optimize.ml` — the fit driver: packs model parameters and
-  branch lengths, counts iterations (Table III), runs H0/H1 pairs; branch
-  coordinates get exact gradients from the engine's outside pass.
+  branch lengths, counts iterations (Table III), runs H0/H1 pairs; every
+  coordinate gets its exact gradient from the engine's one-pass
+  gradient (outside pass and eigenbasis contraction).
 * :mod:`repro.optimize.lrt` — the likelihood ratio test for positive
   selection, with the χ²₁ and boundary-mixture p-values.
 * :mod:`repro.optimize.beb` — naive and Bayes empirical Bayes posterior

@@ -1,4 +1,4 @@
-"""BFGS quasi-Newton minimiser with finite-difference gradients.
+"""BFGS quasi-Newton minimiser.
 
 The paper maximises the branch-site likelihood with "iterative
 maximization algorithms such as Newton-Raphson methods or an
@@ -12,9 +12,11 @@ Implementation notes
 --------------------
 * Dense inverse-Hessian update (parameter counts here are ≤ a few
   hundred: model params + 2s−3 branch lengths).
-* Forward-difference gradients with per-coordinate relative steps by
-  default; a caller with analytic derivatives passes ``gradient=``.
-  The evaluation counter includes every gradient probe.
+* The caller passes its gradient (``gradient=``); the likelihood fits
+  pass an analytic one, so every counted evaluation is the start point
+  or a line-search step.  Without one, forward differences with
+  per-coordinate relative steps (:func:`finite_difference_gradient`)
+  stand in, and the evaluation counter includes their probes.
 * Armijo backtracking line search; the BFGS update is skipped when the
   curvature condition fails (standard damping-free safeguard, which
   keeps the inverse Hessian positive definite).
@@ -32,6 +34,7 @@ __all__ = [
     "minimize_bfgs",
     "finite_difference_gradient",
     "BARRIER_SLOPE",
+    "ITERATION_CAP",
 ]
 
 #: Finite stand-in slope for a gradient probe that hit a non-finite
@@ -40,6 +43,9 @@ __all__ = [
 #: from the wall, small enough that ``slope * h`` stays well inside the
 #: double range for any reasonable step.
 BARRIER_SLOPE = 1e8
+
+#: ``OptimizeResult.message`` of a run that spent its iteration budget.
+ITERATION_CAP = "maximum iterations reached"
 
 
 def _barrier(value: float) -> float:
@@ -109,7 +115,6 @@ def minimize_bfgs(
     gtol: float = 1e-4,
     ftol: float = 1e-9,
     max_iterations: int = 200,
-    relative_step: float = 1e-6,
     callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
     gradient: Optional[GradientFn] = None,
     f0: Optional[float] = None,
@@ -141,8 +146,8 @@ def minimize_bfgs(
     Returns
     -------
     OptimizeResult
-        ``n_evaluations`` counts every objective call, including
-        finite-difference probes.
+        ``n_evaluations`` counts every objective call, gradient probes
+        made through ``f`` included.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1:
@@ -158,8 +163,7 @@ def minimize_bfgs(
         return _barrier(float(fun(z)))
 
     if gradient is None:
-        def gradient(g_fun, z, fz):
-            return finite_difference_gradient(g_fun, z, fz, relative_step)
+        gradient = finite_difference_gradient
 
     if f0 is None:
         fx = f(x)
@@ -171,7 +175,7 @@ def minimize_bfgs(
     grad = gradient(f, x, fx)
     h_inv = np.eye(n)
     history: List[float] = [fx]
-    message = "maximum iterations reached"
+    message = ITERATION_CAP
     converged = False
     line_search_failed = False
 

@@ -24,8 +24,8 @@ from repro.core.engine import BoundLikelihood
 from repro.core.recovery import MAX_RESTARTS, FitDiagnostics, NumericalEvent, perturb_start
 from repro.models.base import CodonSiteModel
 from repro.models.parameters import _X_CLIP
-from repro.optimize import bfgs as _bfgs
-from repro.optimize.bfgs import BARRIER_SLOPE, OptimizeResult, minimize_bfgs
+from repro.models.scaling import mixture_scale
+from repro.optimize.bfgs import BARRIER_SLOPE, ITERATION_CAP, OptimizeResult, minimize_bfgs
 from repro.optimize.lrt import LRTResult, likelihood_ratio_test
 from repro.utils.rng import RngLike, make_rng
 
@@ -52,11 +52,10 @@ class FitResult:
     """One maximised model fit.
 
     ``n_iterations`` counts optimizer iterations (the paper's Table III
-    "Iterations" column); ``n_evaluations`` counts likelihood calls
-    including finite-difference probes.  ``grad_norm`` is the infinity
-    norm of the objective gradient at the optimum, in the optimizer's
-    coordinates (exact for branch lengths, forward differences for
-    model parameters).
+    "Iterations" column); ``n_evaluations`` counts likelihood calls (the
+    start point and line-search steps; a gradient pass is not one).
+    ``grad_norm`` is the infinity norm of the analytic objective
+    gradient at the optimum, in the optimizer's coordinates.
     """
 
     model_name: str
@@ -73,6 +72,11 @@ class FitResult:
     #: Convergence/recovery diagnostics (empty = clean fit).
     diagnostics: FitDiagnostics = field(default_factory=FitDiagnostics)
     grad_norm: float = float("nan")
+
+    @property
+    def capped(self) -> bool:
+        """True when the fit stopped on its iteration budget."""
+        return not self.converged and self.message == ITERATION_CAP
 
     def summary(self) -> str:
         params = ", ".join(f"{k}={v:.4f}" for k, v in self.values.items())
@@ -113,6 +117,64 @@ def _unpack_full(
     else:
         lengths = fixed_lengths
     return values, lengths
+
+
+#: Relative step of the central differences on the packed → mixture
+#: coordinate map (it evaluates no likelihood).
+_MAP_STEP = 1e-5
+
+
+def _mixture_coordinates(
+    model: CodonSiteModel, values: Dict[str, float], pi: np.ndarray, code, rates=None
+) -> np.ndarray:
+    """``(κ, log c, ω per class and partition, proportions)`` at ``values``.
+
+    The coordinates :meth:`BoundLikelihood.gradient` differentiates in,
+    laid out like its result: ``c`` is :func:`mixture_scale` (``rates``
+    its optional raw-rate cache), the ω's run (background, foreground)
+    per class.
+    """
+    nodes = model.site_class_graph(values).nodes
+    scale = mixture_scale(values["kappa"], nodes, pi, code, rates)
+    return np.array(
+        [values["kappa"], math.log(scale)]
+        + [w for c in nodes for w in (c.omega_background, c.omega_foreground)]
+        + [c.proportion for c in nodes]
+    )
+
+
+def _mixture_jacobian(
+    model: CodonSiteModel,
+    x_model: np.ndarray,
+    coords: np.ndarray,
+    pi: np.ndarray,
+    code,
+    width: int,
+) -> np.ndarray:
+    """``∂(mixture coordinates)/∂x_i`` for packed coordinates ``coords``.
+
+    Central differences on :func:`_mixture_coordinates` (``width``
+    entries), a map that evaluates no likelihood, so every model stays
+    generic.  Probes stay inside the transforms' clip
+    ``[−_X_CLIP, _X_CLIP]``; a coordinate on the upper clip or beyond
+    either one does not move the map, so its row is 0 (the
+    forward-difference convention of the branch walls).
+    """
+    jacobian = np.zeros((len(coords), width))
+    rates: Dict = {}
+    for row, i in enumerate(coords):
+        x = float(x_model[i])
+        if not -_X_CLIP <= x < _X_CLIP:
+            continue
+        h = _MAP_STEP * (abs(x) + 1.0)
+        lo, hi = max(x - h, -_X_CLIP), min(x + h, _X_CLIP)
+        probe = np.array(x_model, dtype=float)
+        probe[i] = hi
+        up = _mixture_coordinates(model, model.unpack(probe), pi, code, rates)
+        probe[i] = lo
+        down = _mixture_coordinates(model, model.unpack(probe), pi, code, rates)
+        jacobian[row] = (up - down) / (hi - lo)
+    return jacobian
 
 
 def ng86_start_lengths(bound: BoundLikelihood) -> np.ndarray:
@@ -186,11 +248,13 @@ def fit_model(
         ``kappa``/``omega``/``omega0``/``omega2`` can be fixed; the
         proportion pair shares packed coordinates and cannot.
 
-    Gradients come in two parts: every free branch-length coordinate
-    gets its exact derivative from one outside pass
-    (:meth:`BoundLikelihood.branch_gradient`, chain rule through
-    ``log t``), and only the free model coordinates are probed by
-    forward differences.
+    Every gradient is one pass (:meth:`BoundLikelihood.gradient`): a
+    free branch-length coordinate takes its exact derivative through
+    ``log t``; a free model coordinate takes the pass's derivatives in
+    κ, each class's ω's, the class proportions and the rate scale ``c``,
+    chained through ``model.unpack`` → ``site_classes`` →
+    ``mixture_scale`` (:func:`_mixture_jacobian`).  No likelihood is
+    probed by finite differences.
 
     The fit restarts — up to :data:`~repro.core.recovery.MAX_RESTARTS`
     times, from start points perturbed with the fit's own seeded RNG —
@@ -248,43 +312,39 @@ def fit_model(
         except (ValueError, FloatingPointError):
             return np.inf
 
-    # Free coordinates split into model parameters (forward differences)
-    # and log branch lengths (analytic, DESIGN.md §9).
+    # Every free coordinate is analytic (DESIGN.md §9): log branch
+    # lengths by the chain rule through ``log t``, model parameters
+    # through the mixture coordinates.
     k = model.n_params
     free_pos = np.flatnonzero(~frozen_idx)
     branch_coords = np.flatnonzero(free_pos >= k) if optimize_branch_lengths else free_pos[:0]
-    model_coords = np.setdiff1d(np.arange(free_pos.size), branch_coords)
+    model_coords = np.flatnonzero(free_pos < k)
     log_min = math.log(_MIN_BRANCH)
 
     def gradient(f, x_free: np.ndarray, fx: float) -> np.ndarray:
+        # Right after f(x_free): the binding's last-point memo holds that
+        # evaluation, so the pass runs no forward pruning of its own.
+        x_full = _expand(x_free)
+        values, lengths = _unpack_full(model, x_full, fixed_lengths, optimize_branch_lengths)
+        try:
+            g = bound.gradient(values, lengths)
+        except (ValueError, FloatingPointError):
+            return np.full(x_free.shape[0], BARRIER_SLOPE)
         grad = np.empty(x_free.shape[0])
         if branch_coords.size:
-            # First, while the binding's last-point memo still holds the
-            # evaluation at x_free; the model probes below replace it.
-            x_full = _expand(x_free)
-            values, lengths = _unpack_full(model, x_full, fixed_lengths, True)
-            try:
-                _, dlnl = bound.branch_gradient(values, lengths)
-            except (ValueError, FloatingPointError):
-                dlnl = np.full(lengths.shape, np.nan)
             logs = x_full[k:]
             # A coordinate clipped onto a wall does not move the length,
             # so its forward difference is zero — the analytic part agrees.
             moving = (logs >= log_min) & (logs < _MAX_LOG_BRANCH)
-            slope = np.where(moving, -lengths * dlnl, 0.0)
-            slope[~np.isfinite(slope)] = BARRIER_SLOPE
-            grad[branch_coords] = slope
+            grad[branch_coords] = np.where(moving, -lengths * g.branches, 0.0)
         if model_coords.size:
-            def probe(z: np.ndarray) -> float:
-                full = x_free.copy()
-                full[model_coords] = z
-                return f(full)
-
-            # Through the module attribute, so a wrapper installed on
-            # bfgs.finite_difference_gradient (a profiler) sees the call.
-            grad[model_coords] = _bfgs.finite_difference_gradient(
-                probe, x_free[model_coords], fx
+            dlnl = np.concatenate([[g.kappa, g.log_scale], g.omega.ravel(), g.proportions])
+            jacobian = _mixture_jacobian(
+                model, x_full[:k], free_pos[model_coords], bound.pi, bound.engine.code,
+                dlnl.size,
             )
+            grad[model_coords] = -(jacobian @ dlnl)
+        grad[~np.isfinite(grad)] = BARRIER_SLOPE
         return grad
 
     def _parked_params(x_full: np.ndarray) -> list:
@@ -427,8 +487,9 @@ class BranchSiteTest:
 
     @property
     def combined_evaluations(self) -> int:
-        """Likelihood evaluations across H0+H1, finite-difference probes
-        included — the per-task work metric batch scans aggregate."""
+        """Likelihood evaluations across H0+H1 (start points and
+        line-search steps) — the per-task work metric batch scans
+        aggregate."""
         return self.h0.n_evaluations + self.h1.n_evaluations
 
     def summary(self) -> str:

@@ -107,9 +107,9 @@ class GeneJob:
 class GeneResult:
     """Worker output for one gene (or one branch of a branch scan).
 
-    ``n_evaluations`` counts likelihood evaluations across H0+H1
-    (finite-difference probes included) — the per-task work metric the
-    batch summary aggregates.  ``attempts`` is how many times the fault
+    ``n_evaluations`` counts likelihood evaluations across H0+H1 (start
+    points and line-search steps) — the per-task work metric the batch
+    summary aggregates.  ``attempts`` is how many times the fault
     layer ran the task; ``failure`` carries the structured record when
     the task ultimately failed (``error`` keeps the flat string form).
     """
@@ -223,6 +223,11 @@ def _assemble_result(gene_id: str, test, engine,
     metrics = dict(engine.counters)
     if setup_s is not None:
         metrics.update(setup_s=setup_s, cold_starts=1)
+    # Per hypothesis: the exact gradient norm at the kept optimum, and
+    # whether the fit stopped on its iteration budget.
+    for name, fit in (("h0", test.h0), ("h1", test.h1)):
+        metrics[f"grad_norm_{name}"] = float(fit.grad_norm)
+        metrics[f"capped_{name}"] = int(fit.capped)
     return GeneResult(
         gene_id=gene_id,
         lnl0=test.h0.lnl,

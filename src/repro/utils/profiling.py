@@ -67,15 +67,15 @@ def evaluation_breakdown(engine, bound, values, n_evaluations: int = 3) -> Dict[
     Returns a dict with keys ``eigh``, ``expm``, ``clv`` (fractions of
     their sum) plus ``total_seconds``.  The phases are the growth of the
     engine's ``eigh_s``/``expm_s``/``clv_s`` counters over exactly these
-    evaluations.  After each evaluation the branch gradient is taken at
-    the same point, as the optimizer does; ``gradient_seconds`` is the
+    evaluations.  After each evaluation the gradient is taken at the
+    same point, as the optimizer does; ``gradient_seconds`` is the
     growth of ``gradient_s`` over those passes (the outside pass and the
-    derivative operators; they add nothing to the three phases).
+    contraction; they add nothing to the three phases).
     """
     before = dict(engine.counters)
     for _ in range(n_evaluations):
         bound.log_likelihood(values)
-        bound.branch_gradient(values)
+        bound.gradient(values)
     phases = {
         label: engine.counters[f"{label}_s"] - before[f"{label}_s"]
         for label in ("eigh", "expm", "clv")

@@ -228,12 +228,17 @@ class TestCounterMap:
         assert all(stats[key] == 0 for key in exact | set(COUNTER_KEYS))
 
     def test_fit_fills_every_tracer_key(self, small_tree, small_sim, h1_model):
-        from repro.optimize.ml import fit_model
+        from repro.optimize.ml import fit_branch_site_test
 
         exact, prefixes = self._tracer_keys()
         engine = make_engine("slim-v2")
-        bound = engine.bind(small_tree, small_sim.alignment, h1_model)
-        fit_model(bound, seed=1, max_iterations=2)
+        # The H0+H1 pair a user runs: with analytic gradients no probe
+        # revisits a decomposition, but H1's warm start (H0's κ, ω0 and
+        # proportions, hence its rate scale) is served from the cache.
+        fit_branch_site_test(
+            lambda m: engine.bind(small_tree, small_sim.alignment, m),
+            seed=1, max_iterations=2,
+        )
         stats = engine.cache_stats()
         assert exact <= set(stats)
         for key in ("decomposition_hits", "decomposition_misses",

@@ -313,11 +313,12 @@ class TestBatchIntegration:
         from repro.parallel.batch import scan_branches
 
         scan = scan_branches("g", small_tree, small_sim.alignment, max_iterations=1)
-        keys = ("gradient_passes", "gradient_s", "derivative_builds")
+        keys = ("gradient_passes", "gradient_s", "grad_norm_h0", "grad_norm_h1",
+                "capped_h0", "capped_h1")
         for res in scan.gene_results:
             assert all(key in res.metrics for key in keys)
             assert res.metrics["gradient_passes"] > 0
-            assert res.metrics["derivative_builds"] > 0
+            assert res.metrics["gradient_s"] > 0
         summary = scan.summary()
         assert summary.metrics["gradient_passes"] == sum(
             r.metrics["gradient_passes"] for r in scan.gene_results

@@ -305,6 +305,7 @@ class _PoisonedBound:
         self._n_bad = n_bad
         self.engine = inner.engine
         self.model = inner.model
+        self.pi = inner.pi
         self.branch_lengths = inner.branch_lengths
 
     def log_likelihood(self, values, lengths):
@@ -313,12 +314,12 @@ class _PoisonedBound:
             return float("nan")
         return self._inner.log_likelihood(values, lengths)
 
-    def branch_gradient(self, values, lengths):
-        return self._inner.branch_gradient(values, lengths)
+    def gradient(self, values, lengths):
+        return self._inner.gradient(values, lengths)
 
 
 class _CliffBound:
-    """Finite exactly twice (start point + first gradient probe), then -inf.
+    """Finite exactly twice (start point + first line-search step), then -inf.
 
     Forces a line-search collapse at iteration 0, then non-finite
     restarts until the budget runs out — both policy triggers in one
@@ -326,17 +327,20 @@ class _CliffBound:
     """
 
     def __init__(self, inner):
+        self._inner = inner
         self._calls = 0
         self.engine = inner.engine
         self.model = inner.model
+        self.pi = inner.pi
         self.branch_lengths = inner.branch_lengths
 
     def log_likelihood(self, values, lengths):
         self._calls += 1
         return 0.0 if self._calls <= 2 else -np.inf
 
-    def branch_gradient(self, values, lengths):
-        return 0.0, np.zeros(len(lengths))
+    def gradient(self, values, lengths):
+        # A real, non-zero slope, so the fit takes a line search.
+        return self._inner.gradient(values, lengths)
 
 
 @pytest.fixture(scope="module")

@@ -242,6 +242,31 @@ class TestResultJournal:
             journal.append(_ok_result("g1"))
             assert len(ResultJournal(str(path)).load()) == 2
 
+    def test_gradient_norm_and_cap_flags_roundtrip(self, tmp_path, bstest):
+        # Per hypothesis: the exact grad_norm and whether the fit stopped
+        # on its iteration budget, in the open metrics map (no version bump).
+        from dataclasses import replace
+
+        from repro.core.engine import make_engine
+        from repro.optimize.bfgs import ITERATION_CAP
+        from repro.parallel.batch import _assemble_result
+
+        h0 = replace(bstest.h0, converged=False, message=ITERATION_CAP, grad_norm=0.125)
+        h1 = replace(bstest.h1, grad_norm=3.0e-5)
+        test = BranchSiteTest(h0=h0, h1=h1, lrt=bstest.lrt)
+        result = _assemble_result("g0", test, make_engine("slim-v2"))
+        expected = {"grad_norm_h0": 0.125, "grad_norm_h1": 3.0e-5, "capped_h0": 1, "capped_h1": 0}
+        assert {key: result.metrics[key] for key in expected} == expected
+        path = tmp_path / "j.jsonl"
+        with ResultJournal(str(path)) as journal:
+            journal.append(result)
+        with open(path, encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        assert header["version"] == JOURNAL_VERSION == 10
+        (loaded,) = ResultJournal(str(path)).load()
+        assert {key: loaded.metrics[key] for key in expected} == expected
+        assert loaded.metrics == result.metrics
+
 
 class TestJournalVersioning:
     def test_fresh_journal_starts_with_versioned_header(self, tmp_path):
