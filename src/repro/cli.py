@@ -439,7 +439,7 @@ def _map_scan(args, gene_id, tree, alignment, scan, model_spec):
         kind = "Holm-significant" if args.survey else "tested"
         print(
             f"  mapping {len(todo)} {kind} branch{'es' if len(todo) != 1 else ''} "
-            f"(one pass, shared kernels)...",
+            f"(one pass)...",
             file=sys.stderr,
         )
     payloads = map_survey_candidates(

@@ -11,16 +11,15 @@ with LAPACK's ``dsyevr`` — multiple relatively robust representations —
 which is exactly what ``scipy.linalg.eigh(driver="evr")`` calls.
 
 One decomposition per distinct ω value serves *every* branch of the tree
-(only the ``e^{Λt}`` rescaling depends on the branch length), which is
-why the engines cache :class:`SpectralDecomposition` objects keyed by the
-rate-matrix parameters.
+(only the ``e^{Λt}`` rescaling depends on the branch length), so an
+engine evaluation decomposes each distinct ω once and keeps the
+:class:`SpectralDecomposition` for exactly as long as that evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +35,6 @@ __all__ = [
     "symmetrize",
     "decompose",
     "decompose_guarded",
-    "DecompositionCache",
 ]
 
 
@@ -50,10 +48,6 @@ def symmetrize(rate_matrix: CodonRateMatrix) -> np.ndarray:
     sqrt_pi = np.sqrt(pi)
     a = (sqrt_pi[:, None] * rate_matrix.s) * sqrt_pi[None, :]
     return 0.5 * (a + a.T)
-
-
-#: Process-wide monotone sequence backing ``SpectralDecomposition.token``.
-_TOKENS = count()
 
 
 @dataclass(frozen=True)
@@ -71,11 +65,6 @@ class SpectralDecomposition:
         rule of thumb).
     pi, sqrt_pi, inv_sqrt_pi:
         The stationary distribution and its elementwise square roots.
-    token:
-        Process-unique monotone id.  Unlike ``id()`` it is never reused
-        after garbage collection, so downstream caches (the engines'
-        transition-matrix cache) can key on it without risking a stale
-        hit from a recycled address.
     rung:
         Which ladder rung produced this decomposition — the eigh driver
         name (``"evr"``/``"ev"``); feeds the engines' per-rung usage
@@ -87,7 +76,6 @@ class SpectralDecomposition:
     pi: np.ndarray
     sqrt_pi: np.ndarray
     inv_sqrt_pi: np.ndarray
-    token: int = field(default_factory=lambda: next(_TOKENS))
     rung: str = "evr"
 
     @property
@@ -150,17 +138,16 @@ class PadeFallback:
     length instead of one eigendecomposition per ω) but algorithmically
     independent of the spectral path that just failed.
 
-    Quacks like :class:`SpectralDecomposition` where the caches care:
-    it carries ``pi`` and a process-unique ``token``.  ``ladder``
-    records why each eigensolver rung above was rejected — ``(driver,
-    reason)`` pairs — so a later ``ladder_exhausted`` event (rung 4
-    failing too) can report the *whole* failure history rather than
-    the last raw exception.
+    Quacks like :class:`SpectralDecomposition` where the engines care:
+    it carries ``pi`` and ``n_states``.  ``ladder`` records why each
+    eigensolver rung above was rejected — ``(driver, reason)`` pairs —
+    so a later ``ladder_exhausted`` event (rung 4 failing too) can
+    report the *whole* failure history rather than the last raw
+    exception.
     """
 
     q: np.ndarray
     pi: np.ndarray
-    token: int = field(default_factory=lambda: next(_TOKENS))
     #: Why each eigh rung was rejected: tuple of (driver, reason) pairs.
     ladder: tuple = ()
 
@@ -268,68 +255,3 @@ def decompose_guarded(
         ladder=tuple(rejections),
     )
 
-
-class DecompositionCache:
-    """LRU cache of spectral decompositions keyed by model parameters.
-
-    A branch-site likelihood evaluation needs decompositions for at most
-    three distinct ω values (ω0, ω1 = 1, ω2) regardless of tree size;
-    within one evaluation — and across evaluations that leave (κ, ω)
-    and the rate scale untouched, e.g. H1's warm start from H0's optimum
-    or a repeated post-fit evaluation — the cache turns repeat
-    decompositions into dictionary lookups.  Keys quantise parameters to 15 significant digits so the
-    cache is insensitive to benign float formatting round-trips.
-
-    ``decomposer(rate_matrix, counter)`` computes a missing entry — the
-    engines pass :func:`decompose_guarded` so the fallback ladder's
-    product (including a :class:`PadeFallback`) is cached exactly like a
-    healthy decomposition.
-    """
-
-    def __init__(
-        self,
-        decomposer: Callable[[CodonRateMatrix, Optional[FlopCounter]], "AnyDecomposition"],
-        maxsize: int = 16,
-    ) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be at least 1")
-        self._maxsize = maxsize
-        self._decomposer = decomposer
-        self._store: dict[tuple, AnyDecomposition] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _key(rate_matrix: CodonRateMatrix) -> tuple:
-        return (
-            round(float(rate_matrix.kappa), 15),
-            round(float(rate_matrix.omega), 15),
-            round(float(rate_matrix.scale), 15),
-            hash(rate_matrix.pi.tobytes()),
-        )
-
-    def get(
-        self,
-        rate_matrix: CodonRateMatrix,
-        counter: Optional[FlopCounter] = None,
-    ) -> "AnyDecomposition":
-        key = self._key(rate_matrix)
-        found = self._store.pop(key, None)
-        if found is not None:
-            self.hits += 1
-            self._store[key] = found  # refresh LRU position
-            return found
-        self.misses += 1
-        decomp = self._decomposer(rate_matrix, counter)
-        self._store[key] = decomp
-        while len(self._store) > self._maxsize:
-            self._store.pop(next(iter(self._store)))
-        return decomp
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)

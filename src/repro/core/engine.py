@@ -14,7 +14,7 @@ engine         eigensolver             P(t) reconstruction          CLV propagat
                code implements)
 ``slim``       ``dsyevr`` (MRRR,       Eq. 10–11 ``dsyrk``          per-site ``dgemv``
 (SlimCodeML)   §III-A step 2)          (≈n³)
-``slim-v2``    ``dsyevr``              Eq. 12–13 symmetric          bundled ``dsymm``
+``slim-v2``    ``dsyevr``              Eq. 12–13 symmetric          batched ``dsymm``
 (extension)                            branch matrix ``ŶŶᵀ``        on Π-scaled CLVs
                                                                     (BLAS-3, §III-B)
 =============  ======================  ==========================  =================
@@ -26,25 +26,18 @@ no BLAS — its products are hand-written portable C loops).
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsymm, dsymv
+from scipy.linalg.blas import dgemv, dsymm
 
 from repro.alignment.msa import CodonAlignment
 from repro.alignment.patterns import PatternAlignment, compress_patterns
 from repro.codon.frequencies import estimate_codon_frequencies
 from repro.codon.genetic_code import GeneticCode, UNIVERSAL
 from repro.codon.matrix import CodonRateMatrix, exchangeability_derivatives
-from repro.core.eigen import (
-    DecompositionCache,
-    PadeFallback,
-    SpectralDecomposition,
-    decompose_guarded,
-)
+from repro.core.eigen import PadeFallback, SpectralDecomposition, decompose_guarded
 from repro.core.expm import (
     stacked_symmetric_operators,
     stacked_syrk_operators,
@@ -54,7 +47,6 @@ from repro.core.expm import (
     transition_matrix_syrk,
 )
 from repro.core.recovery import (
-    TRANSITION_CACHE_SIZE,
     UNIFORMIZATION_TOL,
     NumericalError,
     NumericalEventRecorder,
@@ -64,12 +56,7 @@ from repro.core.recovery import (
     screen_operator_stack,
 )
 from repro.core.uniformization import UniformizedOperator
-from repro.core.flops import (
-    FlopCounter,
-    gemv_flops,
-    symm_flops,
-    symv_flops,
-)
+from repro.core.flops import FlopCounter, gemv_flops, symm_flops
 from repro.likelihood.mixture import (
     check_finite_site_log_likelihoods,
     class_posteriors,
@@ -106,8 +93,6 @@ __all__ = [
 #: (DESIGN.md §8 says which code writes each).  ``rung_<name>`` keys
 #: join on first use; ``*_s`` keys are seconds.
 COUNTER_KEYS = (
-    "transition_hits",
-    "transition_misses",
     "clv_propagations",
     "clv_reuses",
     "operator_builds",
@@ -119,11 +104,6 @@ COUNTER_KEYS = (
     "gradient_passes",
     "gradient_s",
 )
-
-
-def _decompose_guarded(matrix, counter, driver, recorder):
-    """The recovery ladder's decomposer, looked up at call time."""
-    return decompose_guarded(matrix, driver=driver, counter=counter, recorder=recorder)
 
 
 class BatchedOperatorSet:
@@ -155,7 +135,7 @@ class BatchedOperatorSet:
 
 
 class LikelihoodEngine:
-    """Abstract engine: owns the kernels and cross-evaluation caches.
+    """Abstract engine: owns the kernels, the counters and the event stream.
 
     Parameters
     ----------
@@ -165,23 +145,24 @@ class LikelihoodEngine:
         Optional :class:`FlopCounter` accumulating analytic flops.
 
     Every count the engine makes lands in :attr:`counters`, one flat
-    map (DESIGN.md §8 lists its keys): cache hits and misses, CLV
-    propagations and reuses, the operator-build ledger, one
-    ``rung_<name>`` entry per ladder rung that built operators, the
-    seconds spent in the ``eigh``/``expm``/``clv`` phases, and the
-    gradient pass (``gradient_passes`` and inclusive ``gradient_s``).
+    map (DESIGN.md §8 lists its keys): CLV propagations and reuses,
+    the operator-build ledger, one ``rung_<name>`` entry per ladder rung
+    that built operators, the seconds spent in the ``eigh``/``expm``/
+    ``clv`` phases, and the gradient pass (``gradient_passes`` and
+    inclusive ``gradient_s``).
 
     Every engine runs guarded (DESIGN.md §8): decompositions go through
     the eigensolver fallback ladder (``evr`` → ``ev`` → per-branch Padé
-    ``expm`` → uniformization) and are reused across evaluations with
-    unchanged (κ, ω, scale) — the per-ω reuse CodeML itself performs;
-    every branch operator is screened and, when flagged, guarded; CLVs
-    and per-class site log-likelihoods are checked during pruning.
-    Every trigger is recorded on :attr:`events`.  Operators built off a
-    Padé fallback ride an LRU of
-    :data:`~repro.core.recovery.TRANSITION_CACHE_SIZE` entries; spectral
-    operators never do: CodeML v4.4c recomputes P per evaluation, and
-    the paper's cost model assumes one expm per branch per iteration.
+    ``expm`` → uniformization); every branch operator is screened and,
+    when flagged, guarded; CLVs and per-class site log-likelihoods are
+    checked during pruning.  Every trigger is recorded on
+    :attr:`events`.
+
+    The engine keeps no numerical state between evaluations: each
+    evaluation decomposes every distinct ω once and builds its
+    operators once, and they live exactly as long as the evaluation —
+    as CodeML v4.4c, which recomputes P per evaluation, and the paper's
+    cost model of one expm per branch per iteration.
     """
 
     name = "abstract"
@@ -198,25 +179,6 @@ class LikelihoodEngine:
         self.counters: Dict[str, float] = dict.fromkeys(COUNTER_KEYS, 0)
         #: Structured numerical-event stream.
         self.events = NumericalEventRecorder()
-        # A partial over plain values, not a closure over ``self``: the
-        # decomposition cache holds the decomposer, so closing over the
-        # engine would make a reference cycle that keeps every finished
-        # task's engine (and its caches) alive until a gen-2 collection.
-        self._decomp_cache = DecompositionCache(
-            maxsize=16,
-            decomposer=partial(
-                _decompose_guarded, driver=self.eigh_driver, recorder=self.events
-            ),
-        )
-        # Keyed by (decomposition token, t).  The token is the
-        # process-unique sequence number on the decomposition — NOT
-        # id(): after the decomposition cache evicts and the object is
-        # collected, a recycled id would silently alias a fresh
-        # decomposition onto a stale P(t).
-        self._transition_cache: "OrderedDict[Tuple[int, float], object]" = OrderedDict()
-        #: Rung 4 state: one reusable uniformized kernel per
-        #: decomposition token (powers of R shared across branch lengths).
-        self._uniformized: Dict[int, UniformizedOperator] = {}
 
     # ------------------------------------------------------------------
     # Kernel hooks (overridden per engine)
@@ -291,13 +253,20 @@ class LikelihoodEngine:
     ) -> BatchedOperatorSet:
         """Build (and guard) the operators of one decomposition for ``ts``.
 
-        The stacked path screens the whole stack in one vectorised pass
-        and runs the per-operator guard only on the blocks the screen
-        flags — the same events and repairs as guarding every block
+        The one operator builder, timed under ``expm_s``.  A spectral
+        decomposition gets one stacked build where the engine has a
+        stacked kernel; the stacked path screens the whole stack in one
+        vectorised pass and runs the per-operator guard only on the
+        blocks the screen flags — the same events and repairs as
+        guarding every block
         (:func:`~repro.core.recovery.screen_operator_stack`).  Guards
         repair in place, so they run *before* the stack is frozen; the
         public views are then created from the frozen buffer, read-only.
+        Otherwise (a Padé fallback, or no stacked kernel) each length is
+        built on its own, and a rung-4 kernel made for one length serves
+        the call's remaining lengths.
         """
+        start = time.perf_counter()
         ts = [float(t) for t in ts]
         stack = (
             None
@@ -305,43 +274,43 @@ class LikelihoodEngine:
             else self._build_operator_stack(decomp, ts)
         )
         if stack is None:
-            return BatchedOperatorSet({t: self._make_operator(decomp, t) for t in ts})
-        n = decomp.n_states
-        for b in self._screen_stack(stack, decomp):
-            self._guard_operator(
-                self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp), ts[b]
+            kernel: List[UniformizedOperator] = []
+            opset = BatchedOperatorSet(
+                {t: self._make_operator(decomp, t, kernel) for t in ts}
             )
-        stack.setflags(write=False)
-        operators = {
-            t: self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp)
-            for b, t in enumerate(ts)
-        }
-        self._note_rung(getattr(decomp, "rung", "evr"), len(ts))
-        return BatchedOperatorSet(operators, stack)
-
-    def operator_set_for(self, decomp, ts: Sequence[float]) -> BatchedOperatorSet:
-        """Operators of one decomposition for every distinct ``t``.
-
-        Spectral decompositions get one (stacked) build per call.  A
-        Padé fallback has no stacked kernel, so its operators go one by
-        one through :meth:`_operator_for` and its LRU.
-        """
-        if isinstance(decomp, PadeFallback):
-            return BatchedOperatorSet({float(t): self._operator_for(decomp, t) for t in ts})
-        start = time.perf_counter()
-        opset = self.build_operator_set(decomp, ts)
+        else:
+            n = decomp.n_states
+            for b in self._screen_stack(stack, decomp):
+                self._guard_operator(
+                    self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp), ts[b]
+                )
+            stack.setflags(write=False)
+            operators = {
+                t: self._operator_from_view(stack[:, b * n : (b + 1) * n], decomp)
+                for b, t in enumerate(ts)
+            }
+            self._note_rung(getattr(decomp, "rung", "evr"), len(ts))
+            opset = BatchedOperatorSet(operators, stack)
         self.counters["expm_s"] += time.perf_counter() - start
         return opset
 
     # ------------------------------------------------------------------
     def _decompose(self, matrix: CodonRateMatrix):
         start = time.perf_counter()
-        decomp = self._decomp_cache.get(matrix, counter=self.counter)
+        decomp = decompose_guarded(
+            matrix, driver=self.eigh_driver, counter=self.counter, recorder=self.events
+        )
         self.counters["eigh_s"] += time.perf_counter() - start
         return decomp
 
-    def _make_operator(self, decomp, t: float) -> object:
-        """Build and guard one branch operator."""
+    def _make_operator(
+        self, decomp, t: float, kernel: Optional[List[UniformizedOperator]] = None
+    ) -> object:
+        """Build and guard one branch operator.
+
+        ``kernel`` holds the rung-4 uniformized kernel of ``decomp`` once
+        one is made, so a build call's lengths share it.
+        """
         if isinstance(decomp, PadeFallback):
             try:
                 p = guard_transition_matrix(
@@ -351,7 +320,9 @@ class LikelihoodEngine:
             except (ValueError, ArithmeticError, np.linalg.LinAlgError, RuntimeWarning) as exc:
                 # Rung 4: a failed Padé residual check degrades to the
                 # uniformized kernel instead of a hard NumericalError.
-                return self._recover_operator(decomp, t, exc)
+                return self._recover_operator(
+                    decomp, t, exc, kernel if kernel is not None else []
+                )
             self._note_rung("pade")
             return self._wrap_probability_matrix(p, decomp.pi)
         op = self._guard_operator(self._build_operator(decomp, t), t)
@@ -366,21 +337,22 @@ class LikelihoodEngine:
             key = f"rung_{rung}"
             self.counters[key] = self.counters.get(key, 0) + count
 
-    def _uniformized_for(self, decomp) -> UniformizedOperator:
-        """The per-decomposition uniformized kernel (cached R powers)."""
-        uni = self._uniformized.get(decomp.token)
-        if uni is None:
-            q = decomp.q if isinstance(decomp, PadeFallback) else decomp.reconstruct_q()
-            uni = UniformizedOperator(
-                q, decomp.pi, tol=UNIFORMIZATION_TOL, counter=self.counter
-            )
-            self._uniformized[decomp.token] = uni
-        return uni
+    def _uniformize(self, decomp) -> UniformizedOperator:
+        """A new uniformized kernel of ``decomp``'s generator.
 
-    def _recover_operator(self, decomp, t: float, exc: BaseException) -> object:
+        The caller owns it: its cached powers of ``R`` live as long as
+        the one build or sampling call that asked for it.
+        """
+        q = decomp.q if isinstance(decomp, PadeFallback) else decomp.reconstruct_q()
+        return UniformizedOperator(q, decomp.pi, tol=UNIFORMIZATION_TOL, counter=self.counter)
+
+    def _recover_operator(
+        self, decomp, t: float, exc: BaseException, kernel: List[UniformizedOperator]
+    ) -> object:
         """Serve one branch operator from the uniformized kernel (rung 4).
 
-        Called after a Padé-built P(t) failed its guard with ``exc``.
+        Called after a Padé-built P(t) failed its guard with ``exc``;
+        ``kernel`` is the build call's holder (see :meth:`_make_operator`).
         Records ``uniformization_fallback``; if the uniformized P(t)
         *also* fails, emits one structured ``ladder_exhausted`` event
         carrying every rung's rejection reason and raises a matching
@@ -390,7 +362,9 @@ class LikelihoodEngine:
         history = [list(pair) for pair in getattr(decomp, "ladder", ())]
         history.append(["pade", str(exc)])
         try:
-            uni = self._uniformized_for(decomp)
+            if not kernel:
+                kernel.append(self._uniformize(decomp))
+            uni = kernel[0]
             p = guard_transition_matrix(
                 uni.transition_matrix(t),
                 self.events, t=t, engine=self.name, path="uniformization",
@@ -415,60 +389,9 @@ class LikelihoodEngine:
         self._note_rung("uniformization")
         return self._wrap_probability_matrix(p, decomp.pi)
 
-    def _timed_operator(self, decomp, t: float) -> object:
-        start = time.perf_counter()
-        op = self._make_operator(decomp, t)
-        self.counters["expm_s"] += time.perf_counter() - start
-        return op
-
-    def _operator_for(self, decomp, t: float) -> object:
-        """One branch operator, through the LRU when ``decomp`` is Padé.
-
-        Each Padé build is a full scipy ``expm`` (orders costlier than a
-        spectral rescale), and :class:`DecompositionCache` hands back the
-        *same* ``PadeFallback`` per (κ, ω), so its token is stable across
-        gradient probes.  Rung-4 results built for a failed Padé step are
-        cached under the same key.  Spectral operators are rebuilt.
-        """
-        if not isinstance(decomp, PadeFallback):
-            return self._timed_operator(decomp, t)
-        key = (decomp.token, float(t))
-        op = self._transition_cache.get(key)
-        if op is not None:
-            self.counters["transition_hits"] += 1
-            self._transition_cache.move_to_end(key)
-            return op
-        self.counters["transition_misses"] += 1
-        op = self._timed_operator(decomp, t)
-        self._transition_cache[key] = op
-        # LRU eviction: drop the coldest entry, never the whole
-        # working set (a full clear() thrashes the hot branches).
-        while len(self._transition_cache) > TRANSITION_CACHE_SIZE:
-            self._transition_cache.popitem(last=False)
-        return op
-
     def cache_stats(self) -> Dict[str, float]:
-        """:attr:`counters` plus the caches' own sizes and hit/miss counts.
-
-        The decomposition cache and the uniformized kernels keep their
-        counts themselves; they are read here, under ``decomposition_*``
-        and ``uniformized_*``, next to the engine's counter map.
-        """
-        stats = dict(self.counters)
-        stats["transition_size"] = len(self._transition_cache)
-        stats["decomposition_hits"] = self._decomp_cache.hits
-        stats["decomposition_misses"] = self._decomp_cache.misses
-        stats["decomposition_size"] = len(self._decomp_cache)
-        if self._uniformized:
-            # Rung-4 / mapping kernel reuse: R-power products actually
-            # run vs served from the per-decomposition caches, and the
-            # endpoint-conditioned histories drawn off those kernels.
-            kernels = list(self._uniformized.values())
-            stats["uniformized_kernels"] = len(kernels)
-            stats["uniformized_power_builds"] = sum(u.power_builds for u in kernels)
-            stats["uniformized_power_hits"] = sum(u.power_hits for u in kernels)
-            stats["uniformized_draws_served"] = sum(u.draws_served for u in kernels)
-        return stats
+        """A copy of :attr:`counters` (the benchmark tracer's reader)."""
+        return dict(self.counters)
 
     # ------------------------------------------------------------------
     def bind(
@@ -575,16 +498,11 @@ class SlimV2Engine(LikelihoodEngine):
 
     The branch operator is the symmetric ``M = Ŷ Ŷᵀ`` with
     ``P(t)·w = M·(Πw)``; propagation Π-scales the child CLV (O(n) per
-    pattern) and applies one ``dsymm`` over all patterns (or per-site
-    ``dsymv`` when ``bundled=False``).
+    pattern) and applies one ``dsymm`` over all patterns.
     """
 
     name = "slim-v2"
     eigh_driver = "evr"
-
-    def __init__(self, *args, bundled: bool = True, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.bundled = bundled
 
     def _build_operator(self, decomp: SpectralDecomposition, t: float) -> tuple:
         # M is exactly symmetric by construction (lower + lowerᵀ), so the
@@ -616,18 +534,10 @@ class SlimV2Engine(LikelihoodEngine):
         # Π-scale into a preallocated F buffer (no C-temp + relayout copy).
         scaled = np.empty((n, n_patterns), order="F")
         np.multiply(pi[:, None], clv, out=scaled)
-        if self.bundled:
-            out = dsymm(1.0, m, scaled, side=0, lower=0)
-            if self.counter is not None:
-                self.counter.add("clv:dsymm", symm_flops(n, n_patterns),
-                                 reads=n * (n + 1) // 2)
-            return out
-        out = np.empty_like(clv, order="F")
-        for p in range(n_patterns):
-            dsymv(1.0, m, scaled[:, p], beta=0.0, y=out[:, p], overwrite_y=1, lower=0)
+        out = dsymm(1.0, m, scaled, side=0, lower=0)
         if self.counter is not None:
-            self.counter.add("clv:dsymv", n_patterns * symv_flops(n),
-                             reads=n_patterns * n * (n + 1) // 2)
+            self.counter.add("clv:dsymm", symm_flops(n, n_patterns),
+                             reads=n * (n + 1) // 2)
         return out
 
     def _build_operator_stack(
@@ -658,7 +568,7 @@ class SlimV2Engine(LikelihoodEngine):
         standalone call), so results match :meth:`_propagate` bit for
         bit.
         """
-        if not self.bundled or len(items) <= 1:
+        if len(items) <= 1:
             return [self._propagate(op, clv) for op, clv in items]
         n, n_patterns = items[0][1].shape
         k = len(items)
@@ -931,7 +841,7 @@ class BoundLikelihood:
                 requested.setdefault(omega, []).append(t)
 
         opsets = {
-            omega: engine.operator_set_for(decomps[omega], ts)
+            omega: engine.build_operator_set(decomps[omega], ts)
             for omega, ts in requested.items()
         }
 
@@ -1023,9 +933,9 @@ class BoundLikelihood:
         class is evaluated (``skip_zero`` off), so zero-weight classes
         keep their rows and states.  The last-point memo serves a repeat
         at the same point — post-fit analyses typically read one MLE
-        several times — and the decompositions are the exact objects the
-        pass evaluated with, so their tokens stay aligned with the Padé
-        operator LRU and the uniformized kernels.
+        several times — and the decompositions and operator sets are the
+        exact objects the pass evaluated with; they live as long as the
+        evaluation does.
         """
         ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=False)
         self._checked_class_lnl(ev)

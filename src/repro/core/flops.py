@@ -150,7 +150,7 @@ class FlopCounter:
         """Fraction of executed flops spent in matrix-matrix (level-3) kernels.
 
         The paper's optimisation story in one number: per-site ``dgemv``
-        loops push this down, bundled/batched ``dgemm``/``dsymm``/``dsyrk``
+        loops push this down, batched ``dgemm``/``dsymm``/``dsyrk``
         push it towards 1.  Returns 0.0 on an empty counter.
         """
         total = self.total_flops

@@ -22,7 +22,7 @@ Four cooperating pieces:
   :func:`guard_symmetric_operator`, :class:`PruningGuard` — and
   :func:`screen_operator_stack`, the vectorised pass that decides which
   blocks of a stacked operator build need a guard at all.
-* The ladder constants (``RESIDUAL_TOL`` … ``TRANSITION_CACHE_SIZE``)
+* The ladder constants (``RESIDUAL_TOL`` … ``PERTURB_SCALE``)
   and :func:`perturb_start`, the optimizer's seeded restart draw.
 
 Always-on contract: every engine, every fit and every batch task runs
@@ -233,9 +233,6 @@ MAX_RESTARTS = 3
 #: Std-dev of a restart's Gaussian start perturbation, relative to
 #: ``|x| + 0.1`` per unconstrained coordinate.
 PERTURB_SCALE = 0.25
-#: Capacity of the engines' LRU of operators built off a Padé fallback
-#: (and of the uniformized operators that replace a failed Padé build).
-TRANSITION_CACHE_SIZE = 4096
 
 
 def perturb_start(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

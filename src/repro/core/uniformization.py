@@ -34,11 +34,9 @@ sums to rounding, so the invariants survive.  The per-segment tolerance
 is tightened by ``2^s`` to absorb the error doubling of each squaring.
 
 :class:`UniformizedOperator` is the reusable per-decomposition object:
-it caches the powers ``R^k`` (shared by every branch length *and* by
-the stochastic-mapping sampler in :mod:`repro.likelihood.mapping`) and
-carries ``pi`` plus a probe-stable ``token`` exactly like
-:class:`~repro.core.eigen.SpectralDecomposition`, so the engines' LRU
-transition cache can key on it without special cases.
+it caches the powers ``R^k``, shared by every branch length of the one
+call that made it — a rung-4 operator build or a stochastic-mapping
+pass (:mod:`repro.likelihood.mapping`) — and dropped with it.
 """
 
 from __future__ import annotations
@@ -47,8 +45,6 @@ import math
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-from repro.core.eigen import _TOKENS
 
 __all__ = [
     "UniformizedOperator",
@@ -98,10 +94,9 @@ class UniformizedOperator:
     """Reusable uniformization of one generator ``Q`` (see module docstring).
 
     Quacks like :class:`~repro.core.eigen.SpectralDecomposition` where
-    the caches care — ``pi``, ``n_states``, a process-unique ``token``
-    drawn from the same monotone sequence — and adds the jump-chain
+    the engines care — ``pi``, ``n_states`` — and adds the jump-chain
     pieces (``mu``, ``r``, cached powers) the recovery rung and the
-    stochastic-mapping sampler share.
+    stochastic-mapping sampler read.
 
     Parameters
     ----------
@@ -142,7 +137,6 @@ class UniformizedOperator:
         self.pi = np.asarray(pi, dtype=float)
         self.tol = float(tol)
         self.squaring_threshold = float(squaring_threshold)
-        self.token = next(_TOKENS)
         n = q.shape[0]
         diag = np.diagonal(q)
         #: Uniformization rate μ = max |q_ii| (0 for the zero generator).
@@ -172,14 +166,6 @@ class UniformizedOperator:
         self._weights_memo: dict = {}
         #: Series evaluations performed (diagnostics/benchmarks).
         self.evaluations = 0
-        #: Power-cache reuse ledger: ``power_hits`` counts requests served
-        #: from :attr:`_powers` without arithmetic, ``power_builds`` the
-        #: ``R^{k-1}·R`` products actually run, ``draws_served`` the
-        #: endpoint-conditioned histories the mapping sampler drew off
-        #: this kernel (see :meth:`note_draws`).
-        self.power_hits = 0
-        self.power_builds = 0
-        self.draws_served = 0
         self._counter = counter
 
     @property
@@ -194,13 +180,9 @@ class UniformizedOperator:
         """``R^k`` from the cache, extending it on demand."""
         if k < 0:
             raise ValueError("power exponent must be non-negative")
-        if k < len(self._powers):
-            self.power_hits += 1
-            return self._powers[k]
         n = self.n_states
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1] @ self.r)
-            self.power_builds += 1
             if self._counter is not None:
                 self._counter.add("uniformization:power-dgemm", 2 * n * n * n,
                                   reads=2 * n * n)
@@ -221,17 +203,13 @@ class UniformizedOperator:
             self._stack = np.asarray(self._powers)
         return self._stack[: k_max + 1]
 
-    def note_draws(self, n_draws: int) -> None:
-        """Record endpoint-conditioned histories served off this kernel."""
-        self.draws_served += int(n_draws)
-
     def jump_weights(self, t: float, max_terms: int = MAX_TERMS) -> np.ndarray:
         """Truncated Poisson(μt) weights for the jump-count distribution.
 
         Used by the endpoint-conditioned sampler, which needs the raw
         series (no squaring shortcut exists for path sampling).  Memoised
         per ``(t, max_terms)`` — the sampler asks for the same branch
-        lengths on every draw batch, and the kernel outlives one call.
+        lengths on every draw batch.
         """
         key = (float(t), max_terms)
         cached = self._weights_memo.get(key)
@@ -300,8 +278,8 @@ def uniformized_transition_matrix(
     """One-shot ``P(t)`` via uniformization (tests/benchmarks convenience).
 
     Building a throwaway :class:`UniformizedOperator` per call forfeits
-    the power cache; the engines keep one operator per decomposition
-    instead (see ``LikelihoodEngine._uniformized_for``).
+    the power cache; an engine build call shares one kernel across its
+    branch lengths instead (see ``LikelihoodEngine.build_operator_set``).
     """
     q = np.asarray(q, dtype=float)
     if pi is None:

@@ -452,7 +452,6 @@ def _sample_histories(
                     weights[:, None]
                     * stack[:, parent_states[cols], child_states[cols]]
                 )
-                uni.note_draws(cols.size)
                 pos += cols.size
             jumps_all[k, all_cols] = _pick_jumps(contrib, u_jump[k, all_cols])
 
@@ -538,13 +537,13 @@ def sample_substitution_mapping(
 
     Notes
     -----
-    Uniformized kernels are obtained through the engine's
-    ``_uniformized_for`` memo, so a recovery rung 4 that already fired
-    during the fit shares its cached powers of ``R`` with the sampler
-    (and vice versa); the per-class inside CLVs come from one
-    level-order pass (``BoundLikelihood.class_evaluation``), sharing
-    the class graph's subtree aliasing with the fit that produced
-    ``values``, and stage 2's dense ``P(t)`` from its operator sets.
+    The sampler builds one uniformized kernel per ω of the evaluation's
+    decompositions; its cached powers of ``R`` serve every branch and
+    draw of this call and are dropped on return.  The per-class inside
+    CLVs come from one level-order pass
+    (``BoundLikelihood.class_evaluation``), sharing the class graph's
+    subtree aliasing with the fit that produced ``values``, and stage
+    2's dense ``P(t)`` from its operator sets.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -565,7 +564,7 @@ def sample_substitution_mapping(
     ev = bound.class_evaluation(values, lengths)
     classes = ev.graph.nodes
     class_post = class_posteriors(ev.class_lnl, ev.proportions)
-    unis = {omega: engine._uniformized_for(decomp) for omega, decomp in ev.decomps.items()}
+    unis = {omega: engine._uniformize(decomp) for omega, decomp in ev.decomps.items()}
 
     non_root = [n for n in tree.nodes if not n.is_root]
     pos_of = {n.index: k for k, n in enumerate(non_root)}

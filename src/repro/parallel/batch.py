@@ -670,7 +670,7 @@ def map_survey_candidates(
     seed: int = 1,
     model: Optional[str] = None,
 ) -> Dict[str, Dict]:
-    """Map the selected scan branches in one shared-kernel pass.
+    """Map the selected scan branches in one coordinator pass.
 
     Workers only fit; ``scan --map`` draws histories afterwards, here in
     the coordinator, over **one** engine instance — for every tested
@@ -680,10 +680,11 @@ def map_survey_candidates(
     * one pattern compression and one F3x4 estimate for the gene;
     * one set of leaf CLVs, threaded into every candidate binding via
       ``bind(leaf_clvs=...)`` — foreground choice never changes leaf
-      data;
-    * one pooled decomposition LRU and one ``_uniformized`` kernel
-      table, so candidates whose MLEs land on the same (κ, ω) reuse
-      R-power stacks and jump-weight series across foreground choices.
+      data.
+
+    Numerical state is not shared: each candidate's decompositions,
+    operators and uniformized kernels live only while it is sampled,
+    so the coordinator's memory does not grow with the candidate count.
 
     Each candidate is sampled at *its own* H1 MLEs
     (``GeneResult.h1_mles``) with its task seed ``seed + k``, where

@@ -43,3 +43,20 @@ def small_sim(small_tree, h1_model, bsm_values):
 @pytest.fixture(scope="session")
 def uniform_pi():
     return np.full(61, 1.0 / 61.0)
+
+
+@pytest.fixture
+def pade_decompositions(monkeypatch):
+    """Every engine decomposition is a Padé fallback (recovery rung 3).
+
+    Replaces the name ``repro.core.engine`` calls the recovery ladder
+    through, so an engine built in the test evaluates every ω on the
+    per-branch ``expm`` path without a failing eigensolver.
+    """
+    import repro.core.engine as engine_mod
+    from repro.core.eigen import PadeFallback
+
+    monkeypatch.setattr(
+        engine_mod, "decompose_guarded",
+        lambda matrix, **_: PadeFallback(q=matrix.q, pi=matrix.pi),
+    )

@@ -9,7 +9,7 @@ float equality with simpler code kept here:
   operator application per branch in branch-table row order;
 * :func:`reference_log_likelihood` / :func:`reference_class_matrix` — a
   whole binding evaluated through that recursion with the engine's
-  per-branch kernels (``_operator_for`` + ``_propagate``), no stacks,
+  per-branch kernels (``_make_operator`` + ``_propagate``), no stacks,
   no level fusion, no cross-class aliasing, no persistent state;
 * :func:`sample_histories_serial` — the per-sample / per-node /
   per-column mapping sampler over the canonical uniform stream;
@@ -125,7 +125,7 @@ def _reference_results(bound, values: Dict[str, float], branch_lengths=None):
             omega = cls.omega_foreground if foreground else cls.omega_background
             op = operators.get((omega, t))
             if op is None:
-                op = operators[(omega, t)] = engine._operator_for(decomps[omega], t)
+                op = operators[(omega, t)] = engine._make_operator(decomps[omega], t)
             return op
 
         return transition
@@ -218,7 +218,6 @@ def sample_histories_serial(plan, rng: np.random.Generator):
                 for n in range(k_max + 1):
                     contrib[n] = weights[n] * uni.power(n)[parent_states, child_states]
                 jumps_all[k, j] = _pick_jumps(contrib, u_jump[k, j])
-                uni.note_draws(cols.size)
 
     offsets, total_inter = _inter_offsets(jumps_all)
     u_inter = rng.random(total_inter)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codon.matrix import build_rate_matrix
-from repro.core.eigen import DecompositionCache, decompose, decompose_guarded, symmetrize
+from repro.core.eigen import decompose, symmetrize
 from repro.core.flops import FlopCounter
 
 
@@ -63,51 +63,3 @@ class TestDecompose:
         decompose(matrix, counter=counter)
         assert counter.by_operation.get("eigh(dsyevr)", 0) > 0
 
-
-def _guarded(matrix, counter):
-    """The engines' decomposer: the recovery ladder at its default driver."""
-    return decompose_guarded(matrix, counter=counter)
-
-
-class TestDecompositionCache:
-    def test_hit_on_repeat(self, matrix):
-        cache = DecompositionCache(_guarded)
-        first = cache.get(matrix)
-        second = cache.get(matrix)
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_miss_on_different_omega(self, pi):
-        cache = DecompositionCache(_guarded)
-        cache.get(build_rate_matrix(2.0, 0.5, pi))
-        cache.get(build_rate_matrix(2.0, 0.6, pi))
-        assert cache.misses == 2
-
-    def test_miss_on_different_pi(self):
-        cache = DecompositionCache(_guarded)
-        pi_a = np.full(61, 1 / 61)
-        rng = np.random.default_rng(0)
-        pi_b = rng.dirichlet(np.full(61, 8.0))
-        cache.get(build_rate_matrix(2.0, 0.5, pi_a))
-        cache.get(build_rate_matrix(2.0, 0.5, pi_b))
-        assert cache.misses == 2
-
-    def test_lru_eviction(self, pi):
-        cache = DecompositionCache(_guarded, maxsize=2)
-        m1 = build_rate_matrix(2.0, 0.1, pi)
-        m2 = build_rate_matrix(2.0, 0.2, pi)
-        m3 = build_rate_matrix(2.0, 0.3, pi)
-        cache.get(m1), cache.get(m2), cache.get(m3)
-        assert len(cache) == 2
-        cache.get(m1)  # evicted -> miss
-        assert cache.misses == 4
-
-    def test_clear(self, matrix):
-        cache = DecompositionCache(_guarded)
-        cache.get(matrix)
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            DecompositionCache(_guarded, maxsize=0)

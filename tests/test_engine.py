@@ -1,4 +1,4 @@
-"""Likelihood engines: agreement, caching, accounting, binding."""
+"""Likelihood engines: agreement, evaluation-scoped state, accounting, binding."""
 
 import gc
 import os
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.alignment.patterns import compress_patterns
-from repro.core.eigen import DecompositionCache, PadeFallback
+import repro.core.engine as engine_mod
 from repro.core.engine import (
     COUNTER_KEYS,
     BaselineEngine,
@@ -20,15 +20,6 @@ from repro.core.engine import (
 from repro.core.flops import FlopCounter
 
 ENGINE_NAMES = ("codeml", "slim", "slim-v2")
-
-
-def _pade_engine(**kwargs):
-    """A slim engine whose every decomposition is a Padé fallback."""
-    engine = SlimEngine(**kwargs)
-    engine._decomp_cache = DecompositionCache(
-        decomposer=lambda matrix, counter: PadeFallback(q=matrix.q, pi=matrix.pi)
-    )
-    return engine
 
 
 class TestFactory:
@@ -67,13 +58,6 @@ class TestEngineAgreement:
         bound = make_engine(name).bind(small_tree, small_sim.alignment, h0_model)
         assert bound.log_likelihood(values) == pytest.approx(
             reference.log_likelihood(values), rel=1e-12
-        )
-
-    def test_slimv2_per_site_mode_agrees(self, small_tree, small_sim, h1_model, bsm_values):
-        bundled = SlimV2Engine(bundled=True).bind(small_tree, small_sim.alignment, h1_model)
-        per_site = SlimV2Engine(bundled=False).bind(small_tree, small_sim.alignment, h1_model)
-        assert bundled.log_likelihood(bsm_values) == pytest.approx(
-            per_site.log_likelihood(bsm_values), rel=1e-13
         )
 
 
@@ -125,46 +109,58 @@ class TestBinding:
         assert bound.n_evaluations == 2
 
 
-class TestCachingAndAccounting:
-    def test_decomposition_cache_hits_across_evals(self, small_tree, small_sim, h1_model, bsm_values):
-        engine = make_engine("slim")
-        bound = engine.bind(small_tree, small_sim.alignment, h1_model)
+class TestEvaluationScopedState:
+    """Decompositions and operators live exactly as long as the
+    evaluation that made them; nothing carries over to the next one."""
+
+    def test_one_decomposition_per_distinct_omega(
+        self, small_tree, small_sim, h1_model, bsm_values, monkeypatch
+    ):
+        # The benchmark tracer counts ``eigen.calls`` as the spans of this
+        # very name, so it must be called once per distinct ω and no more.
+        calls = []
+        real = engine_mod.decompose_guarded
+
+        def counting(matrix, **kwargs):
+            calls.append(matrix.omega)
+            return real(matrix, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "decompose_guarded", counting)
+        bound = make_engine("slim").bind(small_tree, small_sim.alignment, h1_model)
         bound.log_likelihood(bsm_values)
-        # The binding memoises the last values' decompositions, so move
-        # away and back: the return trip is served by the engine cache.
+        distinct = {bsm_values["omega0"], 1.0, bsm_values["omega2"]}
+        assert sorted(calls) == sorted(distinct)
+        # A repeat at the same point decomposes again: no cross-evaluation reuse.
+        bound.log_likelihood(bsm_values)
+        assert sorted(calls) == sorted(2 * list(distinct))
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_state_dies_with_its_evaluation(
+        self, name, small_tree, small_sim, h1_model, bsm_values
+    ):
+        bound = make_engine(name).bind(small_tree, small_sim.alignment, h1_model)
+        bound.log_likelihood(bsm_values)
+        ev = bound._last
+        refs = [weakref.ref(d) for d in ev.decomps.values()]
+        refs += [weakref.ref(s.stack) for s in ev.opsets.values() if s.stack is not None]
+        del ev
         bound.log_likelihood(dict(bsm_values, omega0=0.5))
-        misses = engine._decomp_cache.misses
-        bound.log_likelihood(bsm_values)
-        assert engine._decomp_cache.misses == misses  # all hits on return
-        assert engine._decomp_cache.hits >= 3
+        assert refs and all(ref() is None for ref in refs)
 
-    def test_transition_cache_off_by_default(self, small_tree, small_sim, h1_model, bsm_values):
-        # Spectral operators never ride the operator LRU, on any engine.
-        for name in ENGINE_NAMES:
-            engine = make_engine(name)
-            bound = engine.bind(small_tree, small_sim.alignment, h1_model)
-            bound.log_likelihood(bsm_values)
-            bound.log_likelihood(bsm_values)
-            stats = engine.cache_stats()
-            assert stats["transition_size"] == 0, name
-            assert stats["transition_hits"] == stats["transition_misses"] == 0, name
-
-    def test_transition_cache_reduces_expm_calls(self, small_tree, small_sim, h1_model, bsm_values):
-        spectral = SlimEngine()
-        bound = spectral.bind(small_tree, small_sim.alignment, h1_model)
-        bound.log_likelihood(bsm_values)
-        builds_one = spectral.counters["rung_evr"]
-        bound.log_likelihood(bsm_values)
-        assert spectral.counters["rung_evr"] == 2 * builds_one  # rebuilt per evaluation
-
-        pade = _pade_engine()
-        bound = pade.bind(small_tree, small_sim.alignment, h1_model)
+    def test_repeated_pade_evaluation_rebuilds(
+        self, small_tree, small_sim, h1_model, bsm_values, pade_decompositions
+    ):
+        engine = SlimEngine()
+        bound = engine.bind(small_tree, small_sim.alignment, h1_model)
         first = bound.log_likelihood(bsm_values)
-        assert pade.counters["rung_pade"] == builds_one
+        builds_one = engine.counters["rung_pade"]
+        assert builds_one == engine.counters["operator_builds"] > 0
+        assert engine.counters["expm_s"] > 0
         assert bound.log_likelihood(bsm_values) == first
-        assert pade.counters["rung_pade"] == builds_one  # second eval fully cached
-        assert pade.counters["transition_hits"] == builds_one
+        assert engine.counters["rung_pade"] == 2 * builds_one
 
+
+class TestCachingAndAccounting:
     def test_flop_split_reported(self, small_tree, small_sim, h1_model, bsm_values):
         counter = FlopCounter()
         engine = SlimEngine(counter=counter)
@@ -179,9 +175,6 @@ class TestCachingAndAccounting:
         assert engine.counters["expm_s"] > 0
         assert engine.counters["clv_s"] > 0
         assert engine.counters["eigh_s"] > 0
-        stats = engine.cache_stats()
-        # One decomposition per distinct omega.
-        assert stats["decomposition_hits"] + stats["decomposition_misses"] >= 3
 
     def test_expm_count_matches_paper_model(self, small_tree, small_sim, h1_model, bsm_values):
         # Per evaluation: background branches need P(w0), P(w1);
@@ -201,9 +194,18 @@ class TestCachingAndAccounting:
 SPANS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "clibench", "spans.py")
 
 
+#: Tracer keys whose caches are gone: absent, so the tracer reads 0 hits
+#: and counts ``eigen.calls`` from its ``eigen.decompose`` spans.
+REMOVED_CACHE_KEYS = {
+    "decomposition_hits", "decomposition_misses",
+    "transition_hits", "transition_misses",
+}
+
+
 class TestCounterMap:
     """``counters`` is the one place engine code writes counts, and
-    ``cache_stats()`` keeps every key the benchmark tracer reads."""
+    ``cache_stats()`` is a copy of it holding every key the benchmark
+    tracer reads but the removed caches'."""
 
     @staticmethod
     def _tracer_keys():
@@ -223,26 +225,28 @@ class TestCounterMap:
 
     def test_fresh_engine_has_every_tracer_key(self):
         exact, _ = self._tracer_keys()
-        stats = make_engine("slim-v2").cache_stats()
-        assert exact | set(COUNTER_KEYS) <= set(stats)
-        assert all(stats[key] == 0 for key in exact | set(COUNTER_KEYS))
+        engine = make_engine("slim-v2")
+        stats = engine.cache_stats()
+        assert stats == engine.counters and stats is not engine.counters
+        live = (exact - REMOVED_CACHE_KEYS) | set(COUNTER_KEYS)
+        assert live <= set(stats)
+        assert not REMOVED_CACHE_KEYS & set(stats)
+        assert all(stats[key] == 0 for key in live)
 
     def test_fit_fills_every_tracer_key(self, small_tree, small_sim, h1_model):
         from repro.optimize.ml import fit_branch_site_test
 
         exact, prefixes = self._tracer_keys()
         engine = make_engine("slim-v2")
-        # The H0+H1 pair a user runs: with analytic gradients no probe
-        # revisits a decomposition, but H1's warm start (H0's κ, ω0 and
-        # proportions, hence its rate scale) is served from the cache.
+        # The H0+H1 pair a user runs.
         fit_branch_site_test(
             lambda m: engine.bind(small_tree, small_sim.alignment, m),
             seed=1, max_iterations=2,
         )
         stats = engine.cache_stats()
-        assert exact <= set(stats)
-        for key in ("decomposition_hits", "decomposition_misses",
-                    "clv_propagations", "clv_reuses"):
+        assert exact - REMOVED_CACHE_KEYS <= set(stats)
+        assert not REMOVED_CACHE_KEYS & set(stats)
+        for key in ("clv_propagations", "clv_reuses"):
             assert stats[key] > 0, key
         (prefix,) = prefixes
         assert stats[f"{prefix}evr"] == stats["operator_builds"] > 0
@@ -252,7 +256,7 @@ class TestCounterMap:
 def test_dropped_engine_freed_by_refcount(name):
     # A scan builds one (guarded) engine per task; nothing may tie
     # the engine into a reference cycle, or every finished task's engine
-    # (and its caches) would live until a gen-2 collection.
+    # would live until a gen-2 collection.
     gc.collect()
     gc.disable()
     try:

@@ -452,7 +452,7 @@ def test_gradient_after_evaluation_runs_no_forward_pass(
     # No forward operator was built and no inside CLV re-propagated:
     # every application is an outside or a derivative one.
     for key in ("operator_builds", "operator_builds_naive", "operator_build_saves",
-                "clv_reuses", "decomposition_misses"):
+                "clv_reuses", "eigh_s"):
         assert engine.counters.get(key) == before.get(key), key
     plans = h1_model.site_class_graph(bsm_values).plan(skip_zero=True)
     grown = engine.counters["clv_propagations"] - before["clv_propagations"]

@@ -1,11 +1,16 @@
 """Stochastic substitution mapping: shapes, determinism, calibration,
 and the journal payload the scan report renders."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_mod
 from repro.alignment.simulate import simulate_alignment
 from repro.core.engine import make_engine
+from repro.core.uniformization import UniformizedOperator
 from repro.likelihood.mapping import (
     SubstitutionMapping,
     sample_substitution_mapping,
@@ -24,6 +29,20 @@ def m0_bound():
     tree = parse_newick("((A:0.05,B:0.05):0.05,(C:0.05,D:0.05):0.05,E:0.08);")
     sim = simulate_alignment(tree, M0Model(), M0_VALUES, 60, seed=17)
     return make_engine("slim").bind(tree, sim.alignment, M0Model())
+
+
+@pytest.fixture
+def built_kernels(monkeypatch):
+    """Weak references to every uniformized kernel an engine builds."""
+    refs = []
+
+    class Recording(UniformizedOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine_mod, "UniformizedOperator", Recording)
+    return refs
 
 
 @pytest.fixture(scope="module")
@@ -72,13 +91,46 @@ class TestSampler:
         )
         assert mapping.syn[0].sum() == 0.0 and mapping.nonsyn[0].sum() == 0.0
 
-    def test_shares_uniformized_kernels_with_the_engine(self, m0_bound):
-        engine = m0_bound.engine
-        before = len(engine._uniformized)
-        sample_substitution_mapping(m0_bound, M0_VALUES, n_samples=2, seed=1)
-        # One uniformized kernel per distinct ω decomposition, memoised
-        # on the engine — recovery rung 4 reuses the same cached powers.
-        assert len(engine._uniformized) >= max(before, 1)
+    def test_drops_its_uniformized_kernels_on_return(self, bsa_bound, built_kernels):
+        # One kernel per ω of the evaluation, none alive once the
+        # sampler returns (counted by reference, no cycle collection).
+        gc.disable()
+        try:
+            sample_substitution_mapping(bsa_bound, BSA_VALUES, n_samples=2, seed=1)
+            assert len(built_kernels) == 3
+            assert all(ref() is None for ref in built_kernels)
+        finally:
+            gc.enable()
+
+    def test_survey_mapper_drops_every_candidates_kernels(self, built_kernels):
+        from repro.parallel.batch import (
+            BranchScanResult, GeneResult, branch_label, map_survey_candidates,
+        )
+
+        tree = parse_newick("((A:0.2,B:0.1):0.08,(C:0.15,D:0.12):0.05,E:0.3);")
+        sim = simulate_alignment(
+            tree.copy(), M0Model(), M0_VALUES, n_codons=30, seed=5
+        )
+        point = {"values": BSA_VALUES, "branch_lengths": list(tree.branch_lengths())}
+        labels = [branch_label(tree, n.index) for n in tree.nodes if not n.is_root][:3]
+        scan = BranchScanResult("g", by_branch={}, gene_results=[
+            GeneResult(
+                gene_id=f"g:{label}", lnl0=-1.0, lnl1=-1.0, statistic=0.0,
+                pvalue=1.0, iterations=0, runtime_seconds=0.0, h1_mles=point,
+            )
+            for label in labels
+        ])
+        gc.disable()
+        try:
+            payloads = map_survey_candidates(
+                "g", tree, sim.alignment, scan, labels, map_samples=2
+            )
+            assert len(built_kernels) == 3 * len(labels)
+            assert all(ref() is None for ref in built_kernels)
+        finally:
+            gc.enable()
+        assert payloads.keys() == set(labels)
+        assert all("error" not in payload for payload in payloads.values())
 
     def test_rejects_nonpositive_sample_count(self, m0_bound):
         with pytest.raises(ValueError, match="n_samples"):

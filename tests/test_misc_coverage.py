@@ -66,34 +66,24 @@ class TestEngineInternals:
         assert "expm:dsyrk(sym-branch)" in counter.by_operation
         assert "clv:dsymm" in counter.by_operation
 
-    def test_slimv2_per_site_counter(self, small_tree, small_sim, h1_model, bsm_values):
-        from repro.core.engine import SlimV2Engine
-        from repro.core.flops import FlopCounter
-
-        counter = FlopCounter()
-        engine = SlimV2Engine(counter=counter, bundled=False)
-        engine.bind(small_tree, small_sim.alignment, h1_model).log_likelihood(bsm_values)
-        assert "clv:dsymv" in counter.by_operation
-        # Symmetric reads: roughly half of the matrix per application.
-        assert counter.matrix_reads["clv:dsymv"] < counter.by_operation["clv:dsymv"] / 2
-
-    def test_transition_cache_size_bound(
-        self, small_tree, small_sim, h1_model, bsm_values, monkeypatch
+    def test_pade_operators_live_with_their_evaluation(
+        self, small_tree, small_sim, h1_model, bsm_values, pade_decompositions
     ):
-        import repro.core.engine as engine_mod
-        from repro.core.eigen import DecompositionCache, PadeFallback
+        import weakref
+
         from repro.core.engine import SlimEngine
 
-        # Only Padé-built operators ride the LRU.
-        monkeypatch.setattr(engine_mod, "TRANSITION_CACHE_SIZE", 4)
         engine = SlimEngine()
-        engine._decomp_cache = DecompositionCache(
-            decomposer=lambda matrix, counter: PadeFallback(q=matrix.q, pi=matrix.pi)
-        )
         bound = engine.bind(small_tree, small_sim.alignment, h1_model)
         bound.log_likelihood(bsm_values)
-        assert engine.counters["transition_misses"] > 4
-        assert len(engine._transition_cache) == 4
+        refs = [
+            weakref.ref(op)
+            for opset in bound._last.opsets.values()
+            for op in opset.operators.values()
+        ]
+        assert len(refs) == engine.counters["rung_pade"] > 4
+        bound.log_likelihood(dict(bsm_values, omega0=0.5))
+        assert all(ref() is None for ref in refs)
 
     def test_counter_merge_and_summary(self):
         from repro.core.flops import FlopCounter

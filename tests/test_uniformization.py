@@ -125,12 +125,6 @@ class TestUniformizedOperator:
         assert squarings >= 3
         assert terms <= 200  # squaring keeps the series short
 
-    def test_tokens_are_unique_and_monotone(self, pi):
-        q = build_rate_matrix(2.0, 0.5, pi).q
-        a = UniformizedOperator(q, pi)
-        b = UniformizedOperator(q, pi)
-        assert b.token > a.token
-
     def test_rejects_bad_inputs(self, pi):
         q = build_rate_matrix(2.0, 0.5, pi).q
         with pytest.raises(ValueError, match="square"):
@@ -157,7 +151,7 @@ class TestUniformizedOperator:
 
 
 class TestRung4Wiring:
-    """Engine-level behaviour: fallback, attribution, exhaustion, cache."""
+    """Engine-level behaviour: fallback, attribution, exhaustion, kernel scope."""
 
     @pytest.fixture
     def fallback(self, pi):
@@ -175,7 +169,7 @@ class TestRung4Wiring:
             engine_mod, "transition_matrix_scipy",
             lambda q, t: np.full_like(q, -1.0),
         )
-        op = engine._operator_for(fallback, 0.4)
+        op = engine._make_operator(fallback, 0.4)
         p = np.asarray(engine._operator_probability_matrix(op))
         ref = transition_matrix_scipy(fallback.q, 0.4)
         assert np.max(np.abs(p - ref)) < 1e-9
@@ -198,7 +192,7 @@ class TestRung4Wiring:
             lambda self, t: (_ for _ in ()).throw(ValueError("series diverged")),
         )
         with pytest.raises(NumericalError, match="every recovery rung failed") as err:
-            engine._operator_for(fallback, 0.4)
+            engine._make_operator(fallback, 0.4)
         # The structured error carries the whole failure history — every
         # eigensolver rejection plus the Padé and uniformization errors —
         # not the last rung's raw exception.
@@ -224,26 +218,46 @@ class TestRung4Wiring:
 
         monkeypatch.setattr(type(engine), "_build_operator", corrupt)
         with pytest.raises(NumericalError):
-            engine._operator_for(decomp, 0.3)
+            engine._make_operator(decomp, 0.3)
 
-    def test_pade_operators_ride_the_lru_even_with_caching_off(self, fallback, pi):
+    def test_pade_operators_are_rebuilt_per_build(self, fallback):
         engine = make_engine("slim")
-        op1 = engine._operator_for(fallback, 0.2)
-        op2 = engine._operator_for(fallback, 0.2)
-        assert op1 is op2
-        stats = engine.cache_stats()
-        assert stats["transition_hits"] == 1
-        assert stats["rung_pade"] == 1
-        # Spectral operators never ride the LRU.
-        decomp = engine._decompose(build_rate_matrix(2.0, 0.5, pi))
-        assert engine._operator_for(decomp, 0.2) is not engine._operator_for(decomp, 0.2)
-        assert engine.cache_stats()["transition_size"] == 1
+        op1 = engine.build_operator_set(fallback, [0.2]).view(0.2)
+        op2 = engine.build_operator_set(fallback, [0.2]).view(0.2)
+        assert op1 is not op2
+        assert np.array_equal(op1, op2)
+        assert engine.cache_stats()["rung_pade"] == 2
+
+    def test_one_rung4_kernel_per_build_call(self, fallback, monkeypatch):
+        engine = make_engine("slim")
+        monkeypatch.setattr(
+            engine_mod, "transition_matrix_scipy",
+            lambda q, t: np.full_like(q, -1.0),
+        )
+        kernels = []
+        real = engine._uniformize
+
+        def recording(decomp):
+            kernels.append(real(decomp))
+            return kernels[-1]
+
+        monkeypatch.setattr(engine, "_uniformize", recording)
+        ts = [0.1, 0.2, 0.4]
+        opset = engine.build_operator_set(fallback, ts)
+        # The call's lengths share the kernel its first failure made.
+        assert len(kernels) == 1
+        assert engine.counters["rung_uniformization"] == len(ts)
+        for t in ts:
+            assert np.array_equal(opset.view(t), kernels[0].transition_matrix(t))
+        # A second call makes its own.
+        engine.build_operator_set(fallback, ts)
+        assert len(kernels) == 2
 
     def test_spectral_rung_usage_is_counted(self, pi):
         engine = make_engine("slim")
         decomp = engine._decompose(build_rate_matrix(2.0, 0.5, pi))
-        engine._operator_for(decomp, 0.1)
-        engine._operator_for(decomp, 0.2)
+        engine._make_operator(decomp, 0.1)
+        engine._make_operator(decomp, 0.2)
         assert engine.cache_stats()["rung_evr"] == 2
 
 
@@ -297,7 +311,7 @@ class TestFaultInjectedScan:
                 ev["context"]["path"] == "pade" for ev in fallback_events
             )
         # --map in the coordinator, at every task's kept H1 MLEs, samples
-        # through the same uniformized kernels: no error payload, real
+        # through rung 4's uniformized kernels: no error payload, real
         # per-branch event rows.
         payloads = map_survey_candidates(
             "faulted", tree, alignment, scan, list(scan.by_branch), map_samples=2, seed=3,
