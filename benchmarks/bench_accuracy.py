@@ -87,13 +87,18 @@ def test_converged_fit_accuracy_dataset_i(benchmark, results_store):
             f"{rec.lnl_h1:.6f}",
             rec.iterations_h0,
             rec.iterations_h1,
+            rec.evaluations_h0,
+            rec.evaluations_h1,
             f"{rec.runtime_combined:.2f}",
         ]
         for engine, rec in records.items()
     ]
-    rows.append(["D (vs codeml)", f"{d_h0:.2e}", f"{d_h1:.2e}", "", "", ""])
+    rows.append(["D (vs codeml)", f"{d_h0:.2e}", f"{d_h1:.2e}", "", "", "", "", ""])
     text = format_table(
-        ["engine", "lnL H0", "lnL H1", "iters H0", "iters H1", "runtime H0+H1 (s)"],
+        [
+            "engine", "lnL H0", "lnL H1", "iters H0", "iters H1",
+            "evals H0", "evals H1", "runtime H0+H1 (s)",
+        ],
         rows,
         title="E-ACC/2: converged H0+H1 fits on dataset i (same seed, both engines)",
     )

@@ -17,13 +17,13 @@ coordinate and probes no likelihood.  Per dataset this bench reports
 * likelihood evaluations per BFGS iteration of an H1 fit run to
   convergence (cap 1000; start point included) against the all-FD
   count ``1 + n_free_coords``.  A short budget would measure the first
-  steps, where the line search backtracks from the identity metric.
+  steps, taken before the inverse-Hessian estimate has any curvature.
 
 Standalone so CI can gate it::
 
     PYTHONPATH=src python benchmarks/bench_gradient.py --quick \\
         --assert-agreement 1e-6 --assert-eval-reduction 4.0 \\
-        --assert-evals-per-iter 2.5
+        --assert-evals-per-iter 2.0
 """
 
 from __future__ import annotations

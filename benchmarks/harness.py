@@ -84,6 +84,8 @@ class RunRecord:
     runtime_h1: float
     iterations_h0: int
     iterations_h1: int
+    evaluations_h0: int
+    evaluations_h1: int
     lnl_h0: float
     lnl_h1: float
 
@@ -143,6 +145,8 @@ def record_from_test(dataset: str, engine: str, test: BranchSiteTest) -> RunReco
         runtime_h1=test.h1.runtime_seconds,
         iterations_h0=test.h0.n_iterations,
         iterations_h1=test.h1.n_iterations,
+        evaluations_h0=test.h0.n_evaluations,
+        evaluations_h1=test.h1.n_evaluations,
         lnl_h0=test.h0.lnl,
         lnl_h1=test.h1.lnl,
     )

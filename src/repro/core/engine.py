@@ -768,6 +768,7 @@ class BoundLikelihood:
         values: Dict[str, float],
         lengths: np.ndarray,
         skip_zero: bool = False,
+        base: Optional[ClassEvaluation] = None,
     ) -> ClassEvaluation:
         """Stacked-operator, level-order evaluation of every site class.
 
@@ -779,6 +780,14 @@ class BoundLikelihood:
         background subtrees (for model A: 0↔2a, 1↔2b) — every reused CLV
         is bit-identical to what recomputation would produce.
 
+        ``base`` is an earlier evaluation of this binding.  When it was
+        made at the same κ, rate scale and branch lengths, its
+        decompositions and operator sets serve every ω it shares with
+        this point, and each class it evaluated with the same
+        (background, foreground) ω pair is taken from it whole — result
+        and state — instead of pruned again.  The same arithmetic on the
+        same inputs, so the reuse is bit-identical too.
+
         The returned evaluation (also kept as the last-point memo)
         carries the per-class :class:`PruningState` dict (keyed by class
         index; absent for skipped classes): the per-node inside CLVs the
@@ -789,8 +798,19 @@ class BoundLikelihood:
         engine = self.engine
         graph = self.model.site_class_graph(values)
         matrices = build_class_matrices(values["kappa"], graph.nodes, self.pi, engine.code)
-        decomps = {omega: engine._decompose(m) for omega, m in matrices.items()}
         scale = next(iter(matrices.values())).scale
+        if not (
+            base is not None
+            and base.values["kappa"] == values["kappa"]
+            and base.scale == scale
+            and np.array_equal(base.lengths, lengths)
+        ):
+            base = None
+        lent = {} if base is None else base.decomps
+        decomps = {
+            omega: lent[omega] if omega in lent else engine._decompose(m)
+            for omega, m in matrices.items()
+        }
         rows = [
             (child, parent, float(lengths[pos]), fg)
             for child, parent, pos, fg in self._rows
@@ -805,6 +825,20 @@ class BoundLikelihood:
         # Plan: per-class evaluation mode (skipped classes cannot anchor
         # a sharing edge).
         plans = graph.plan(skip_zero=skip_zero)
+
+        def pair(cls: SiteClass) -> Tuple[float, float]:
+            return cls.omega_background, cls.omega_foreground
+
+        reused = set() if base is None else {
+            plan.index
+            for plan in plans
+            if plan.mode != "skip"
+            and plan.index in base.states
+            and pair(graph.nodes[plan.index]) == pair(base.graph.nodes[plan.index])
+        }
+        base_sets = {} if base is None else {
+            omega: opset for omega, opset in base.opsets.items() if omega in matrices
+        }
 
         def dirty_for(plan: ClassPlan) -> Optional[set]:
             if plan.mode == "derive":
@@ -822,7 +856,7 @@ class BoundLikelihood:
         seen: set = set()
         counters = engine.counters
         for plan in plans:
-            if plan.mode == "skip":
+            if plan.mode == "skip" or plan.index in reused:
                 continue
             cls = graph.nodes[plan.index]
             counters["operator_builds_naive"] += len({
@@ -833,17 +867,19 @@ class BoundLikelihood:
                 child, parent, t, fg = rows[ri]
                 omega = cls.omega_foreground if fg else cls.omega_background
                 key = (omega, t)
-                if key in seen:
+                if key in seen or (omega in base_sets and t in base_sets[omega]):
                     counters["operator_build_saves"] += 1
                     continue
                 seen.add(key)
                 counters["operator_builds"] += 1
                 requested.setdefault(omega, []).append(t)
 
-        opsets = {
-            omega: engine.build_operator_set(decomps[omega], ts)
-            for omega, ts in requested.items()
-        }
+        # A shared ω whose base set lacks a length gets one complete set.
+        opsets = dict(base_sets)
+        for omega, ts in requested.items():
+            if omega in base_sets:
+                ts = list(base_sets[omega].operators) + ts
+            opsets[omega] = engine.build_operator_set(decomps[omega], ts)
 
         def factory_for(cls: SiteClass):
             fg_set = opsets.get(cls.omega_foreground)
@@ -861,6 +897,10 @@ class BoundLikelihood:
                 results.append(self._skipped_class_result())
                 continue
             idx, cls = plan.index, graph.nodes[plan.index]
+            if idx in reused:
+                results.append(base.results[idx])
+                states[idx] = base.states[idx]
+                continue
             if plan.mode == "derive":
                 state = states[plan.base].derive()
             else:
@@ -896,7 +936,11 @@ class BoundLikelihood:
         return out
 
     def _memoised(
-        self, values: Dict[str, float], lengths: np.ndarray, skip_zero: bool
+        self,
+        values: Dict[str, float],
+        lengths: np.ndarray,
+        skip_zero: bool,
+        base: Optional[ClassEvaluation] = None,
     ) -> ClassEvaluation:
         """The last evaluation if it was made at this point, else a new one.
 
@@ -905,7 +949,7 @@ class BoundLikelihood:
         """
         ev = self._last
         if ev is None or not ev.at(values, lengths) or (ev.skip_zero and not skip_zero):
-            ev = self._evaluate_classes(values, lengths, skip_zero=skip_zero)
+            ev = self._evaluate_classes(values, lengths, skip_zero=skip_zero, base=base)
             self.n_evaluations += 1
         return ev
 
@@ -922,6 +966,7 @@ class BoundLikelihood:
         self,
         values: Dict[str, float],
         branch_lengths: Optional[Sequence[float]] = None,
+        base: Optional[ClassEvaluation] = None,
     ) -> ClassEvaluation:
         """The all-class evaluation at ``values``: the post-fit data plane.
 
@@ -935,9 +980,12 @@ class BoundLikelihood:
         at the same point — post-fit analyses typically read one MLE
         several times — and the decompositions and operator sets are the
         exact objects the pass evaluated with; they live as long as the
-        evaluation does.
+        evaluation does.  ``base`` lends an earlier evaluation's
+        decompositions, operator sets and unchanged classes
+        (:meth:`_evaluate_classes`): BEB's ω2 grid moves only the
+        ω2 classes.
         """
-        ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=False)
+        ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=False, base=base)
         self._checked_class_lnl(ev)
         return ev
 

@@ -116,12 +116,19 @@ def beb_site_probabilities(
     n_classes_expected = 4
 
     # Per ω2 grid value: the (4, n_patterns) class log-likelihood matrix.
+    # Classes 0 and 1 and the ω0/ω1 decompositions do not depend on ω2:
+    # the first grid evaluation lends them to the rest, and goes when
+    # this call returns.
     class_lnls = []
+    first = None
     for omega2 in omega2_grid:
         vals = dict(values)
         if "omega2" in vals:
             vals["omega2"] = float(omega2)
-        class_lnl = bound.class_evaluation(vals, branch_lengths).class_lnl
+        ev = bound.class_evaluation(vals, branch_lengths, base=first)
+        if first is None:
+            first = ev
+        class_lnl = ev.class_lnl
         if class_lnl.shape[0] != n_classes_expected:
             raise ValueError("BEB requires the 4-class branch-site model A")
         class_lnls.append(class_lnl)

@@ -17,9 +17,16 @@ Implementation notes
   or a line-search step.  Without one, forward differences with
   per-coordinate relative steps (:func:`finite_difference_gradient`)
   stand in, and the evaluation counter includes their probes.
-* Armijo backtracking line search; the BFGS update is skipped when the
-  curvature condition fails (standard damping-free safeguard, which
-  keeps the inverse Hessian positive definite).
+* Armijo line search.  The first trial step is 1 for a quasi-Newton
+  direction and ``min(1, 1/‖g‖₂)`` for raw steepest descent (the
+  identity start, or a reset after a non-descent direction), the scale
+  SciPy's BFGS uses.  A rejected finite trial ``α`` is replaced by the
+  minimiser of the quadratic through ``f(0)``, ``f'(0)`` and ``f(α)``,
+  clipped to ``[0.1α, 0.5α]``; a non-finite trial halves.  The search
+  fails once the step falls below 2⁻³⁹ of its first trial.
+* The BFGS update is skipped when the curvature condition fails
+  (standard damping-free safeguard, which keeps the inverse Hessian
+  positive definite).
 """
 
 from __future__ import annotations
@@ -103,6 +110,30 @@ def finite_difference_gradient(
     return grad
 
 
+def _backtrack(step: float, f0: float, slope: float, f_step: float) -> float:
+    """Next trial step after ``f_step = f(step)`` failed the Armijo test.
+
+    Minimises the quadratic through ``f(0) = f0``, ``f'(0) = slope`` and
+    ``f(step)``, kept within ``[0.1, 0.5]·step`` so one bad model can
+    neither stall the search nor jump past the useful range.  A
+    non-finite trial (a barrier) carries no curvature, so it halves.
+    """
+    if not np.isfinite(f_step):
+        return 0.5 * step
+    # Rejection means f_step > f0 + 1e-4·slope·step > f0 + slope·step,
+    # so the curvature term is positive.
+    trial = -slope * step * step / (2.0 * (f_step - f0 - slope * step))
+    return min(max(trial, 0.1 * step), 0.5 * step)
+
+
+def _bfgs_update(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inverse-Hessian BFGS update for step ``s`` and gradient change ``y``
+    (the caller has checked the curvature condition ``sᵀy > 0``)."""
+    rho = 1.0 / float(s @ y)
+    left = np.eye(s.shape[0]) - rho * np.outer(s, y)
+    return left @ h_inv @ left.T + rho * np.outer(s, s)
+
+
 #: ``gradient(fun, x, fx) -> grad``: ``fun`` is the minimiser's counted,
 #: barrier-mapped objective, so probes a gradient makes through it count
 #: as evaluations; ``fx`` is ``fun(x)``, the call made just before.
@@ -174,6 +205,7 @@ def minimize_bfgs(
         raise ValueError("objective is not finite at the start point")
     grad = gradient(f, x, fx)
     h_inv = np.eye(n)
+    steepest = True
     history: List[float] = [fx]
     message = ITERATION_CAP
     converged = False
@@ -193,6 +225,7 @@ def minimize_bfgs(
         if slope >= 0:
             # Numerical breakdown: reset to steepest descent.
             h_inv = np.eye(n)
+            steepest = True
             direction = -grad
             slope = float(grad @ direction)
             if slope >= 0:
@@ -201,17 +234,23 @@ def minimize_bfgs(
                 iteration -= 1
                 break
 
-        # Armijo backtracking.
-        step = 1.0
+        # A raw steepest-descent direction carries the gradient's units,
+        # so its first trial moves a unit distance at most; a
+        # quasi-Newton direction is tried at its full length.
+        step = min(1.0, 1.0 / float(np.linalg.norm(grad))) if steepest else 1.0
+        # Give up at 2⁻³⁹ of the first trial (40 trials of pure halving):
+        # interpolation can shrink the step tenfold per trial, and below
+        # round-off x + step·direction == x would pass as a null "decrease".
+        min_step = step * 2.0**-39
         accepted = False
         fx_new = fx
-        for _ in range(40):
+        while step >= min_step:
             x_new = x + step * direction
             fx_new = f(x_new)
             if fx_new <= fx + 1e-4 * step * slope:
                 accepted = True
                 break
-            step *= 0.5
+            step = _backtrack(step, fx, slope, fx_new)
         if not accepted:
             message = "line search failed to find a decrease"
             converged = True
@@ -222,12 +261,9 @@ def minimize_bfgs(
         grad_new = gradient(f, x_new, fx_new)
         s = x_new - x
         y = grad_new - grad
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            rho = 1.0 / sy
-            i_mat = np.eye(n)
-            left = i_mat - rho * np.outer(s, y)
-            h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
+        if float(s @ y) > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+            h_inv = _bfgs_update(h_inv, s, y)
+            steepest = False
 
         f_decrease = fx - fx_new
         x, fx, grad = x_new, fx_new, grad_new

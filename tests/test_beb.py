@@ -86,6 +86,46 @@ class TestBEB:
         assert sites.probabilities.shape[0] == h0_bound.patterns.n_sites
 
 
+class TestGridReuse:
+    """BEB's ω2 grid re-evaluates only the classes ω2 moves."""
+
+    def test_decomposes_each_omega_once_per_call(self, strong_selection_problem, monkeypatch):
+        import repro.core.engine as engine_mod
+
+        bound, values, _ = strong_selection_problem
+        calls = []
+        real = engine_mod.decompose_guarded
+
+        def counting(matrix, **kwargs):
+            calls.append(matrix.omega)
+            return real(matrix, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "decompose_guarded", counting)
+        beb_site_probabilities(bound, values, n_proportion_grid=2, n_omega2_grid=3)
+        # ω0 and ω1 once, then one decomposition per ω2 grid value.
+        assert len(calls) == 2 + 3 and len(set(calls)) == 5
+
+    @pytest.mark.parametrize("rung", ["spectral", "pade_decompositions"])
+    def test_reused_evaluation_is_bit_identical(self, strong_selection_problem, rung, request):
+        if rung != "spectral":
+            request.getfixturevalue(rung)
+        bound, values, _ = strong_selection_problem
+        tree, alignment = bound.tree, _expand(bound)
+        lent = make_engine("slim").bind(tree, alignment, BranchSiteModelA())
+        first = lent.class_evaluation(values)
+        moved = [
+            dict(values, omega2=3.5),
+            dict(values, omega2=1.0),  # ω2 = ω1: classes 2a/2b tie to 1
+            dict(values, kappa=2.5),  # another κ: nothing to lend
+        ]
+        for vals in moved:
+            ev = lent.class_evaluation(vals, base=first)
+            fresh = make_engine("slim").bind(tree, alignment, BranchSiteModelA())
+            np.testing.assert_array_equal(ev.class_lnl, fresh.class_evaluation(vals).class_lnl)
+            # The lent evaluation is complete: the gradient pass reads it.
+            assert lent.gradient(vals).lnl == fresh.gradient(vals).lnl
+
+
 def _expand(bound):
     """Recover a plain alignment from a bound problem (test helper)."""
     pat = bound.patterns

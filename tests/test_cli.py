@@ -256,8 +256,11 @@ class TestScan:
             expected.pop("seconds")
             assert got == expected
 
+    # Holm-adjusted p-values are capped at 1, so a family-wise level
+    # above 1 puts both internal branches in the survey's Holm set
+    # whatever statistic the 1-iteration fits reach.
     @pytest.mark.parametrize(
-        "mode", [(), ("--survey", "--alpha", "0.5")], ids=["plain", "survey"]
+        "mode", [(), ("--survey", "--alpha", "1.01")], ids=["plain", "survey"]
     )
     def test_scan_map_resume_neither_samples_nor_journals_again(
         self, tiny_dataset, tmp_path, capsys, mode
