@@ -26,7 +26,6 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from repro.alignment.distances import nei_gojobori
 from repro.alignment.msa import CodonAlignment
 from repro.alignment.parsers import read_alignment, read_fasta, read_phylip
 from repro.alignment.patterns import compress_patterns
@@ -93,7 +92,6 @@ __all__ = [
     "make_engine",
     "marginal_reconstruction",
     "neb_site_probabilities",
-    "nei_gojobori",
     "parse_newick",
     "prune_to_taxa",
     "read_alignment",

@@ -8,7 +8,6 @@ all pruning implementations — compresses identical columns into weighted
 datasets (see DESIGN.md §5).
 """
 
-from repro.alignment.distances import initial_branch_length_matrix, nei_gojobori
 from repro.alignment.msa import CodonAlignment, MISSING, AMBIGUOUS
 from repro.alignment.parsers import (
     read_alignment,
@@ -26,8 +25,6 @@ __all__ = [
     "MISSING",
     "PatternAlignment",
     "compress_patterns",
-    "initial_branch_length_matrix",
-    "nei_gojobori",
     "read_alignment",
     "read_fasta",
     "read_phylip",

@@ -20,7 +20,6 @@ supported via the ``scale`` argument of :func:`build_rate_matrix`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "exchangeability_matrix",
     "exchangeability_derivatives",
     "mean_rate",
-    "mixture_scale_factor",
 ]
 
 
@@ -80,26 +78,6 @@ def exchangeability_derivatives(
 def mean_rate(q_unscaled: np.ndarray, pi: np.ndarray) -> float:
     """Expected substitution rate ``-sum_i pi_i q_ii`` of an unscaled Q."""
     return float(-np.dot(pi, np.diag(q_unscaled)))
-
-
-def mixture_scale_factor(rates: Sequence[float], proportions: Sequence[float]) -> float:
-    """Common 1/scale for a mixture: weighted mean of per-class raw rates.
-
-    ``rates`` are the unscaled per-class mean rates, ``proportions`` the
-    site-class probabilities.  Dividing every class Q by the returned
-    value makes the *average* rate across classes equal to one, which is
-    how CodeML defines branch lengths for site and branch-site models.
-    """
-    rates = np.asarray(rates, dtype=float)
-    proportions = np.asarray(proportions, dtype=float)
-    if rates.shape != proportions.shape:
-        raise ValueError("rates and proportions must have matching shapes")
-    if np.any(proportions < 0) or not np.isclose(proportions.sum(), 1.0):
-        raise ValueError("proportions must be a probability vector")
-    factor = float(np.dot(rates, proportions))
-    if factor <= 0:
-        raise ValueError("mixture mean rate must be positive")
-    return factor
 
 
 @dataclass(frozen=True)

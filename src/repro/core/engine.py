@@ -1015,15 +1015,6 @@ class BoundLikelihood:
             ev.class_lnl = site_class_log_likelihoods(ev.results, self.pi)
         return ev.class_lnl
 
-    def branch_gradient(
-        self,
-        values: Dict[str, float],
-        branch_lengths: Optional[Sequence[float]] = None,
-    ) -> Tuple[float, np.ndarray]:
-        """lnL and ``∂lnL/∂t`` for every branch: a view of :meth:`gradient`."""
-        grad = self.gradient(values, branch_lengths)
-        return grad.lnl, grad.branches
-
     def gradient(
         self,
         values: Dict[str, float],

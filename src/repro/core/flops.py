@@ -32,7 +32,6 @@ __all__ = [
     "syrk_flops",
     "eigh_flops",
     "gemm_matrix_reads",
-    "symm_matrix_reads",
 ]
 
 
@@ -76,11 +75,6 @@ def gemm_matrix_reads(m: int, n: int) -> int:
     return m * n
 
 
-def symm_matrix_reads(n: int) -> int:
-    """Matrix elements touched for a symmetric operand (packed half)."""
-    return n * (n + 1) // 2
-
-
 #: Kernel substrings → BLAS level.  Matrix-matrix kernels (level 3) are
 #: the ones the paper — and the batched engine — push work towards;
 #: matrix-vector kernels (level 2) are what they displace.  ``symv`` and
@@ -102,8 +96,8 @@ def blas_level(operation: str) -> str:
     """Classify a counter operation name into a BLAS level bucket.
 
     Returns one of ``"blas3"``, ``"blas2"``, ``"lapack"``, ``"nonblas"``.
-    The classification is a pure function of the name so counters need
-    no extra state and :meth:`FlopCounter.merge` stays a plain re-add.
+    The classification is a pure function of the name, so counters need
+    no extra state.
     """
     for marker, level in _LEVEL_MARKERS:
         if marker in operation:
@@ -133,10 +127,6 @@ class FlopCounter:
         return sum(self.by_operation.values())
 
     @property
-    def total_reads(self) -> int:
-        return sum(self.matrix_reads.values())
-
-    @property
     def by_level(self) -> Dict[str, int]:
         """Executed flops bucketed by BLAS level (blas3/blas2/lapack/nonblas)."""
         levels: Dict[str, int] = {}
@@ -161,13 +151,6 @@ class FlopCounter:
     def reset(self) -> None:
         self.by_operation.clear()
         self.matrix_reads.clear()
-
-    def merge(self, other: "FlopCounter") -> None:
-        """Fold another counter's totals into this one (for parallel fits)."""
-        for op, fl in other.by_operation.items():
-            self.add(op, fl)
-        for op, rd in other.matrix_reads.items():
-            self.matrix_reads[op] = self.matrix_reads.get(op, 0) + rd
 
     def summary(self) -> str:
         rows = sorted(self.by_operation.items(), key=lambda kv: -kv[1])

@@ -48,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "UniformizedOperator",
-    "uniformized_transition_matrix",
     "poisson_truncation",
 ]
 
@@ -267,21 +266,3 @@ class UniformizedOperator:
             squarings = int(math.ceil(math.log2(mu_t / self.squaring_threshold)))
         seg_tol = max(self.tol / (2.0 ** squarings), 1e-300)
         return poisson_truncation(mu_t / (2 ** squarings), seg_tol).shape[0], squarings
-
-
-def uniformized_transition_matrix(
-    q: np.ndarray,
-    t: float,
-    pi: Optional[np.ndarray] = None,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """One-shot ``P(t)`` via uniformization (tests/benchmarks convenience).
-
-    Building a throwaway :class:`UniformizedOperator` per call forfeits
-    the power cache; an engine build call shares one kernel across its
-    branch lengths instead (see ``LikelihoodEngine.build_operator_set``).
-    """
-    q = np.asarray(q, dtype=float)
-    if pi is None:
-        pi = np.full(q.shape[0], 1.0 / q.shape[0])
-    return UniformizedOperator(q, pi, tol=tol).transition_matrix(t)

@@ -148,9 +148,3 @@ def stick_break_unpack(coords: "list[float] | np.ndarray") -> "list[float]":
         remaining = remaining * (1.0 - share)
     ws.append(remaining)
     return ws
-
-
-def transform_array(values: np.ndarray, transform: Transform, to_unconstrained: bool) -> np.ndarray:
-    """Vectorised helper applying one transform across an array."""
-    fn = transform.to_unconstrained if to_unconstrained else transform.to_constrained
-    return np.array([fn(v) for v in np.asarray(values, dtype=float)])

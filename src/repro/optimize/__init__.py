@@ -2,8 +2,8 @@
 
 * :mod:`repro.optimize.bfgs` — quasi-Newton BFGS (paper §II-B:
   "Newton-Raphson methods or an approximation like the
-  Broyden-Fletcher-Goldfarb-Shanno (BFGS) method"); forward differences
-  only for callers that bring no gradient.
+  Broyden-Fletcher-Goldfarb-Shanno (BFGS) method"); every caller passes
+  its gradient.
 * :mod:`repro.optimize.ml` — the fit driver: packs model parameters and
   branch lengths, counts iterations (Table III), runs H0/H1 pairs; every
   coordinate gets its exact gradient from the engine's one-pass

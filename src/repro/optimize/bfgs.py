@@ -12,11 +12,10 @@ Implementation notes
 --------------------
 * Dense inverse-Hessian update (parameter counts here are ≤ a few
   hundred: model params + 2s−3 branch lengths).
-* The caller passes its gradient (``gradient=``); the likelihood fits
-  pass an analytic one, so every counted evaluation is the start point
-  or a line-search step.  Without one, forward differences with
-  per-coordinate relative steps (:func:`finite_difference_gradient`)
-  stand in, and the evaluation counter includes their probes.
+* The caller passes its gradient; the likelihood fits pass an analytic
+  one, so every counted evaluation is the start point or a line-search
+  step.  Probes a gradient makes through the counted objective it is
+  handed count as evaluations too.
 * Armijo line search.  The first trial step is 1 for a quasi-Newton
   direction and ``min(1, 1/‖g‖₂)`` for raw steepest descent (the
   identity start, or a reset after a non-descent direction), the scale
@@ -39,8 +38,9 @@ import numpy as np
 __all__ = [
     "OptimizeResult",
     "minimize_bfgs",
-    "finite_difference_gradient",
     "BARRIER_SLOPE",
+    "FTOL",
+    "GTOL",
     "ITERATION_CAP",
 ]
 
@@ -53,6 +53,13 @@ BARRIER_SLOPE = 1e8
 
 #: ``OptimizeResult.message`` of a run that spent its iteration budget.
 ITERATION_CAP = "maximum iterations reached"
+
+#: Convergence on the gradient infinity norm.
+GTOL = 1e-4
+
+#: Convergence on the relative objective decrease between accepted
+#: iterations.
+FTOL = 1e-9
 
 
 def _barrier(value: float) -> float:
@@ -84,30 +91,6 @@ class OptimizeResult:
     line_search_failed: bool = False
     #: Infinity norm of the gradient at ``x`` (the last one computed).
     grad_norm: float = float("nan")
-
-
-def finite_difference_gradient(
-    fun: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    f0: float,
-    relative_step: float = 1e-6,
-) -> np.ndarray:
-    """Forward-difference gradient with per-coordinate relative steps."""
-    n = x.shape[0]
-    grad = np.empty(n)
-    for i in range(n):
-        h = relative_step * (abs(x[i]) + 1.0)
-        probe = x.copy()
-        probe[i] += h
-        fi = fun(probe)
-        slope = (fi - f0) / h
-        if not np.isfinite(slope):
-            # Probe hit an infinite barrier (parameter wall): represent
-            # it as a steep finite uphill slope so the direction update
-            # stays well-defined.
-            slope = BARRIER_SLOPE
-        grad[i] = slope
-    return grad
 
 
 def _backtrack(step: float, f0: float, slope: float, f_step: float) -> float:
@@ -143,33 +126,25 @@ GradientFn = Callable[[Callable[[np.ndarray], float], np.ndarray, float], np.nda
 def minimize_bfgs(
     fun: Callable[[np.ndarray], float],
     x0: np.ndarray,
-    gtol: float = 1e-4,
-    ftol: float = 1e-9,
+    gradient: GradientFn,
     max_iterations: int = 200,
-    callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
-    gradient: Optional[GradientFn] = None,
     f0: Optional[float] = None,
 ) -> OptimizeResult:
     """Minimise ``fun`` from ``x0`` with BFGS.
 
+    Converges on :data:`GTOL` (gradient infinity norm) or :data:`FTOL`
+    (relative objective decrease between accepted iterations).
+
     Parameters
     ----------
-    gtol:
-        Convergence on the gradient infinity norm.
-    ftol:
-        Convergence on the relative objective decrease between accepted
-        iterations.
+    gradient:
+        ``gradient(f, x, fx) -> grad`` (:data:`GradientFn`), called at
+        the start point and after every accepted step, each time right
+        after ``f(x)`` was evaluated.
     max_iterations:
         Iteration budget; benchmark fits use a *fixed* budget per engine
         so per-iteration speedups (paper Table IV, ``Si``) are measured
         on equal work.
-    callback:
-        Called as ``callback(iteration, x, f)`` after each accepted step.
-    gradient:
-        ``gradient(f, x, fx) -> grad`` (:data:`GradientFn`), called at
-        the start point and after every accepted step, each time right
-        after ``f(x)`` was evaluated.  Default: forward differences on
-        every coordinate (:func:`finite_difference_gradient`).
     f0:
         ``fun(x0)`` when the caller has just evaluated it (it still
         counts as an evaluation); ``fun`` is then not called at ``x0``.
@@ -193,9 +168,6 @@ def minimize_bfgs(
         # line search backs off uniformly.
         return _barrier(float(fun(z)))
 
-    if gradient is None:
-        gradient = finite_difference_gradient
-
     if f0 is None:
         fx = f(x)
     else:
@@ -214,7 +186,7 @@ def minimize_bfgs(
     iteration = 0
     for iteration in range(1, max_iterations + 1):
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < gtol:
+        if grad_norm < GTOL:
             message = f"gradient norm {grad_norm:.3g} < gtol"
             converged = True
             iteration -= 1
@@ -268,9 +240,7 @@ def minimize_bfgs(
         f_decrease = fx - fx_new
         x, fx, grad = x_new, fx_new, grad_new
         history.append(fx)
-        if callback is not None:
-            callback(iteration, x, fx)
-        if 0 <= f_decrease < ftol * (abs(fx) + 1.0):
+        if 0 <= f_decrease < FTOL * (abs(fx) + 1.0):
             message = f"objective decrease {f_decrease:.3g} below ftol"
             converged = True
             break

@@ -1,8 +1,8 @@
 """Maximum-likelihood fit driver: the CodeML run loop.
 
 ``fit_model`` maximises one model's likelihood over its free parameters
-and (optionally) all branch lengths, exactly the quantity whose runtime
-and iteration count the paper reports per dataset (Table III).
+and all branch lengths, exactly the quantity whose runtime and
+iteration count the paper reports per dataset (Table III).
 ``fit_branch_site_test`` runs the H0+H1 pair and the LRT — one row of
 the paper's evaluation.
 
@@ -92,31 +92,16 @@ class FitResult:
 
 
 def _pack_full(
-    model: CodonSiteModel,
-    values: Dict[str, float],
-    lengths: np.ndarray,
-    optimize_branch_lengths: bool,
+    model: CodonSiteModel, values: Dict[str, float], lengths: np.ndarray
 ) -> np.ndarray:
-    x_model = model.pack(values)
-    if not optimize_branch_lengths:
-        return x_model
     safe = np.maximum(np.asarray(lengths, dtype=float), _MIN_BRANCH)
-    return np.concatenate([x_model, np.log(safe)])
+    return np.concatenate([model.pack(values), np.log(safe)])
 
 
-def _unpack_full(
-    model: CodonSiteModel,
-    x: np.ndarray,
-    fixed_lengths: np.ndarray,
-    optimize_branch_lengths: bool,
-) -> tuple[Dict[str, float], np.ndarray]:
+def _unpack_full(model: CodonSiteModel, x: np.ndarray) -> tuple[Dict[str, float], np.ndarray]:
     k = model.n_params
-    values = model.unpack(x[:k])
-    if optimize_branch_lengths:
-        lengths = np.exp(np.clip(x[k:], math.log(_MIN_BRANCH), _MAX_LOG_BRANCH))
-    else:
-        lengths = fixed_lengths
-    return values, lengths
+    lengths = np.exp(np.clip(x[k:], math.log(_MIN_BRANCH), _MAX_LOG_BRANCH))
+    return model.unpack(x[:k]), lengths
 
 
 #: Relative step of the central differences on the packed → mixture
@@ -177,33 +162,6 @@ def _mixture_jacobian(
     return jacobian
 
 
-def ng86_start_lengths(bound: BoundLikelihood) -> np.ndarray:
-    """Data-driven start branch lengths: OLS fit to NG86 distances.
-
-    Pairwise Nei-Gojobori divergences are computed on the bound
-    problem's (pattern-compressed, weight-corrected) alignment in tree
-    leaf order, then projected onto the topology by ordinary least
-    squares — the classical distance-based initialisation CodeML also
-    derives from pairwise estimates.
-    """
-    from repro.alignment.distances import nei_gojobori
-    from repro.trees.least_squares import least_squares_branch_lengths
-
-    alignment = bound.patterns.alignment
-    weights = bound.patterns.weights
-    leaf_names = bound.tree.leaf_names()
-    rows = [alignment.row(name) for name in leaf_names]
-    n = len(rows)
-    dist = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = nei_gojobori(alignment, rows[a], rows[b], column_weights=weights).total_distance
-            if not np.isfinite(d):
-                d = 3.0  # saturated pair
-            dist[a, b] = dist[b, a] = d
-    return least_squares_branch_lengths(bound.tree, dist)
-
-
 #: Parameters eligible for ``fixed_params``: scalar coordinates whose
 #: position in the packed vector equals their position in
 #: ``model.param_names``.  The proportion pair (p0, p1) shares two
@@ -214,8 +172,7 @@ _FIXABLE = {"kappa", "omega0", "omega2", "omega"}
 def fit_model(
     bound: BoundLikelihood,
     start_values: Optional[Dict[str, float]] = None,
-    start_lengths: "Optional[np.ndarray] | str" = None,
-    optimize_branch_lengths: bool = True,
+    start_lengths: Optional[np.ndarray] = None,
     max_iterations: int = 200,
     seed: RngLike = None,
     fixed_params: Optional[set] = None,
@@ -231,12 +188,10 @@ def fit_model(
         default (the paper fixes the seed so competing engines start
         identically).
     start_lengths:
-        Branch-length start point; defaults to the tree's lengths where
-        positive, else 0.1.  The string ``"ng86"`` requests the
-        data-driven OLS/Nei-Gojobori initialisation
-        (:func:`ng86_start_lengths`).
-    optimize_branch_lengths:
-        Fix branch lengths (False) or co-estimate them (True, CodeML's
+        Branch-length start point, one finite length per branch of
+        ``bound``'s tree (``ValueError`` otherwise); defaults to the
+        tree's lengths where positive, else 0.1.  Branch lengths are
+        always co-estimated with the model parameters (CodeML's
         behaviour for these tests).
     max_iterations:
         BFGS iteration budget (:func:`~repro.optimize.bfgs.minimize_bfgs`
@@ -249,7 +204,7 @@ def fit_model(
         proportion pair shares packed coordinates and cannot.
 
     Every gradient is one pass (:meth:`BoundLikelihood.gradient`): a
-    free branch-length coordinate takes its exact derivative through
+    branch-length coordinate takes its exact derivative through
     ``log t``; a free model coordinate takes the pass's derivatives in
     κ, each class's ω's, the class proportions and the rate scale ``c``,
     chained through ``model.unpack`` → ``site_classes`` →
@@ -272,16 +227,19 @@ def fit_model(
     rng = make_rng(seed)
     if start_values is None:
         start_values = model.default_start(rng)
-    if isinstance(start_lengths, str):
-        if start_lengths != "ng86":
-            raise ValueError(f"unknown start_lengths mode {start_lengths!r}; use 'ng86'")
-        start_lengths = ng86_start_lengths(bound)
-    elif start_lengths is None:
-        base = np.asarray(bound.branch_lengths, dtype=float)
+    base = np.asarray(bound.branch_lengths, dtype=float)
+    if start_lengths is None:
         start_lengths = np.where(base > 0, base, 0.1)
+    start_lengths = np.asarray(start_lengths, dtype=float)
+    if start_lengths.shape != base.shape:
+        raise ValueError(
+            f"start_lengths has shape {start_lengths.shape}; "
+            f"the tree has {base.size} branches"
+        )
+    if not np.all(np.isfinite(start_lengths)):
+        raise ValueError("start_lengths must be finite")
 
-    x0 = _pack_full(model, start_values, start_lengths, optimize_branch_lengths)
-    fixed_lengths = np.asarray(start_lengths, dtype=float)
+    x0 = _pack_full(model, start_values, start_lengths)
 
     # Freeze requested scalar parameters at their packed start coordinates.
     frozen_idx = np.zeros(x0.shape[0], dtype=bool)
@@ -304,9 +262,7 @@ def fit_model(
         return full
 
     def objective(x_free: np.ndarray) -> float:
-        values, lengths = _unpack_full(
-            model, _expand(x_free), fixed_lengths, optimize_branch_lengths
-        )
+        values, lengths = _unpack_full(model, _expand(x_free))
         try:
             return -bound.log_likelihood(values, lengths)
         except (ValueError, FloatingPointError):
@@ -317,7 +273,7 @@ def fit_model(
     # through the mixture coordinates.
     k = model.n_params
     free_pos = np.flatnonzero(~frozen_idx)
-    branch_coords = np.flatnonzero(free_pos >= k) if optimize_branch_lengths else free_pos[:0]
+    branch_coords = np.flatnonzero(free_pos >= k)
     model_coords = np.flatnonzero(free_pos < k)
     log_min = math.log(_MIN_BRANCH)
 
@@ -325,18 +281,17 @@ def fit_model(
         # Right after f(x_free): the binding's last-point memo holds that
         # evaluation, so the pass runs no forward pruning of its own.
         x_full = _expand(x_free)
-        values, lengths = _unpack_full(model, x_full, fixed_lengths, optimize_branch_lengths)
+        values, lengths = _unpack_full(model, x_full)
         try:
             g = bound.gradient(values, lengths)
         except (ValueError, FloatingPointError):
             return np.full(x_free.shape[0], BARRIER_SLOPE)
         grad = np.empty(x_free.shape[0])
-        if branch_coords.size:
-            logs = x_full[k:]
-            # A coordinate clipped onto a wall does not move the length,
-            # so its forward difference is zero — the analytic part agrees.
-            moving = (logs >= log_min) & (logs < _MAX_LOG_BRANCH)
-            grad[branch_coords] = np.where(moving, -lengths * g.branches, 0.0)
+        logs = x_full[k:]
+        # A coordinate clipped onto a wall does not move the length,
+        # so its forward difference is zero — the analytic part agrees.
+        moving = (logs >= log_min) & (logs < _MAX_LOG_BRANCH)
+        grad[branch_coords] = np.where(moving, -lengths * g.branches, 0.0)
         if model_coords.size:
             dlnl = np.concatenate([[g.kappa, g.log_scale], g.omega.ravel(), g.proportions])
             jacobian = _mixture_jacobian(
@@ -401,8 +356,8 @@ def fit_model(
         attempt = minimize_bfgs(
             objective,
             x_start,
+            gradient,
             max_iterations=max_iterations,
-            gradient=gradient,
             f0=f_start,
         )
         attempts.append(attempt)
@@ -433,13 +388,9 @@ def fit_model(
     runtime = time.perf_counter() - start_time
 
     parked = _parked_params(_expand(opt.x))
-    if optimize_branch_lengths:
-        k = model.n_params
-        logs = _expand(opt.x)[k:]
-        lo = math.log(_MIN_BRANCH)
-        for j, v in enumerate(logs):
-            if v <= lo or v >= _MAX_LOG_BRANCH:
-                parked.append(f"branch[{j}]")
+    for j, v in enumerate(_expand(opt.x)[k:]):
+        if v <= log_min or v >= _MAX_LOG_BRANCH:
+            parked.append(f"branch[{j}]")
     if parked:
         diagnostics.boundary_flags = parked
         diagnostics.events.append(
@@ -447,7 +398,7 @@ def fit_model(
         )
     diagnostics.events.extend(recorder.since(events_mark))
 
-    values, lengths = _unpack_full(model, _expand(opt.x), fixed_lengths, optimize_branch_lengths)
+    values, lengths = _unpack_full(model, _expand(opt.x))
     return FitResult(
         model_name=model.name,
         engine_name=bound.engine.name,

@@ -11,16 +11,12 @@ Table II datasets.
 from repro.trees.newick import parse_newick, write_newick
 from repro.trees.prune import prune_to_taxa
 from repro.trees.simulate import simulate_yule_tree
-from repro.trees.stats import colless_index, leaf_depths, patristic_distance_matrix
 from repro.trees.tree import Node, Tree
 
 __all__ = [
     "Node",
     "Tree",
-    "colless_index",
-    "leaf_depths",
     "parse_newick",
-    "patristic_distance_matrix",
     "prune_to_taxa",
     "simulate_yule_tree",
     "write_newick",

@@ -12,7 +12,7 @@ structure in their hot loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Node", "Tree"]
 
@@ -279,10 +279,3 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(n_leaves={self.n_leaves}, n_branches={self.n_branches})"
-
-
-def map_branches(tree: Tree, fn: Callable[[Node], float]) -> None:
-    """Apply ``fn`` to every non-root node and assign its branch length."""
-    for node in tree.nodes:
-        if not node.is_root:
-            node.length = float(fn(node))

@@ -10,13 +10,12 @@ from repro.utils.numerics import (
     validate_probability_vector,
     validate_square,
 )
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 
 __all__ = [
     "logsumexp_weighted",
     "make_rng",
     "relative_difference",
-    "spawn_rngs",
     "validate_probability_vector",
     "validate_square",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 RngLike = Union[int, np.random.Generator, None]
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: RngLike = None) -> np.random.Generator:
@@ -29,20 +29,3 @@ def make_rng(seed: RngLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: RngLike, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from one seed.
-
-    Used by the batch driver so that parallel gene analyses are each
-    reproducible and mutually independent regardless of scheduling order.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    root = np.random.SeedSequence(seed if isinstance(seed, int) else None)
-    if isinstance(seed, np.random.Generator):
-        # Spawn from the generator's bit generator state deterministically.
-        children = seed.bit_generator.seed_seq.spawn(n)  # type: ignore[attr-defined]
-    else:
-        children = root.spawn(n)
-    return [np.random.default_rng(c) for c in children]

@@ -14,13 +14,18 @@ float equality with simpler code kept here:
 * :func:`sample_histories_serial` — the per-sample / per-node /
   per-column mapping sampler over the canonical uniform stream;
 * :func:`prune_levels` — a thin wrapper running the production driver
-  on a raw branch table, so kernel-level tests need no engine.
+  on a raw branch table, so kernel-level tests need no engine;
+* :func:`finite_difference_gradient` — forward differences, the
+  ``gradient`` that optimizer and gradient tests pass to
+  :func:`repro.optimize.bfgs.minimize_bfgs` in place of an analytic one;
+* :func:`patristic_distance_matrix` — pairwise leaf path lengths, the
+  quantity :func:`repro.trees.prune.prune_to_taxa` must preserve.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +42,8 @@ from repro.likelihood.pruning import (
     prune_site_class_batched,
 )
 from repro.models.scaling import build_class_matrices
+from repro.optimize.bfgs import BARRIER_SLOPE
+from repro.trees.tree import Tree
 
 
 # ----------------------------------------------------------------------
@@ -309,3 +316,65 @@ def nudge_operators(monkeypatch, factor: float = NUDGE) -> None:
         monkeypatch.setattr(
             engine_mod, name, lambda *args, _real=real, **kwargs: _real(*args, **kwargs) * factor
         )
+
+
+# ----------------------------------------------------------------------
+# Optimizer
+# ----------------------------------------------------------------------
+def finite_difference_gradient(
+    fun: Callable[[np.ndarray], float],
+    x: np.ndarray,
+    f0: float,
+    relative_step: float = 1e-6,
+) -> np.ndarray:
+    """Forward-difference gradient with per-coordinate relative steps."""
+    n = x.shape[0]
+    grad = np.empty(n)
+    for i in range(n):
+        h = relative_step * (abs(x[i]) + 1.0)
+        probe = x.copy()
+        probe[i] += h
+        fi = fun(probe)
+        slope = (fi - f0) / h
+        if not np.isfinite(slope):
+            # Probe hit an infinite barrier (parameter wall): represent
+            # it as a steep finite uphill slope so the direction update
+            # stays well-defined.
+            slope = BARRIER_SLOPE
+        grad[i] = slope
+    return grad
+
+
+# ----------------------------------------------------------------------
+# Trees
+# ----------------------------------------------------------------------
+def patristic_distance_matrix(tree: Tree) -> np.ndarray:
+    """Pairwise leaf path-length matrix ordered like ``tree.leaves``.
+
+    Computed in one post-order pass: when a node joins subtrees, every
+    cross-subtree leaf pair's path goes through it, with distances
+    ``depth_a + depth_b`` relative to the node.
+    """
+    n = tree.n_leaves
+    dist = np.zeros((n, n))
+    # For each node: map leaf index -> distance from that leaf up to node.
+    below: Dict[int, Dict[int, float]] = {}
+    for node in tree.postorder():
+        if node.is_leaf:
+            below[node.index] = {node.index: 0.0}
+            continue
+        merged: Dict[int, float] = {}
+        child_maps = []
+        for child in node.children:
+            child_map = {
+                leaf: d + child.length for leaf, d in below.pop(child.index).items()
+            }
+            child_maps.append(child_map)
+        for i, map_a in enumerate(child_maps):
+            for map_b in child_maps[i + 1 :]:
+                for leaf_a, da in map_a.items():
+                    for leaf_b, db in map_b.items():
+                        dist[leaf_a, leaf_b] = dist[leaf_b, leaf_a] = da + db
+            merged.update(map_a)
+        below[node.index] = merged
+    return dist

@@ -304,8 +304,8 @@ def test_batched_bitwise_identical(
         expected = reference_log_likelihood(ref, bsm_values, lengths)
         assert expected == ba.log_likelihood(bsm_values, lengths)
         if gradient:
-            lnl, grad = ba.branch_gradient(bsm_values, lengths)
-            assert lnl == expected and np.all(np.isfinite(grad))
+            g = ba.gradient(bsm_values, lengths)
+            assert g.lnl == expected and np.all(np.isfinite(g.branches))
 
     check()
     # Move one branch, then return to base.

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.optimize import bfgs
-from repro.optimize.bfgs import finite_difference_gradient, minimize_bfgs
+from repro.optimize.bfgs import minimize_bfgs
+from tests.oracles import finite_difference_gradient
 
 
 def quadratic(x):
@@ -17,46 +18,43 @@ def rosenbrock(x):
 
 class TestMinimize:
     def test_quadratic_converges(self):
-        res = minimize_bfgs(quadratic, np.zeros(4))
+        res = minimize_bfgs(quadratic, np.zeros(4), finite_difference_gradient)
         assert res.converged
         assert np.allclose(res.x, 1.5, atol=1e-3)
         assert res.fun < 1e-6
 
     def test_rosenbrock_converges(self):
-        res = minimize_bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iterations=500)
+        res = minimize_bfgs(
+            rosenbrock, np.array([-1.2, 1.0]), finite_difference_gradient, max_iterations=500
+        )
         assert res.converged
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-2)
 
     def test_iteration_budget_respected(self):
-        res = minimize_bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iterations=3)
+        res = minimize_bfgs(
+            rosenbrock, np.array([-1.2, 1.0]), finite_difference_gradient, max_iterations=3
+        )
         assert res.n_iterations == 3
         assert not res.converged
         assert "maximum iterations" in res.message
 
     def test_history_monotone_nonincreasing(self):
-        res = minimize_bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iterations=50)
+        res = minimize_bfgs(
+            rosenbrock, np.array([-1.2, 1.0]), finite_difference_gradient, max_iterations=50
+        )
+        assert len(res.history) == res.n_iterations + 1
         assert all(b <= a + 1e-12 for a, b in zip(res.history, res.history[1:]))
 
     def test_already_at_optimum(self):
-        res = minimize_bfgs(quadratic, np.full(3, 1.5))
+        res = minimize_bfgs(quadratic, np.full(3, 1.5), finite_difference_gradient)
         assert res.converged
         assert res.n_iterations == 0
 
     def test_evaluation_count_includes_gradient_probes(self):
         n = 5
-        res = minimize_bfgs(quadratic, np.zeros(n), max_iterations=2)
+        res = minimize_bfgs(quadratic, np.zeros(n), finite_difference_gradient, max_iterations=2)
         # Each iteration needs at least one line-search eval + n probes.
         assert res.n_evaluations >= (n + 1) * 2
-
-    def test_callback_invoked_per_iteration(self):
-        calls = []
-        minimize_bfgs(
-            quadratic,
-            np.zeros(2),
-            max_iterations=10,
-            callback=lambda k, x, f: calls.append(k),
-        )
-        assert calls == list(range(1, len(calls) + 1))
 
     def test_nan_objective_treated_as_barrier(self):
         def partial(x):
@@ -64,17 +62,17 @@ class TestMinimize:
                 return float("nan")
             return float((x[0] - 1.0) ** 2)
 
-        res = minimize_bfgs(partial, np.array([0.0]))
+        res = minimize_bfgs(partial, np.array([0.0]), finite_difference_gradient)
         assert res.converged
         assert res.x[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            minimize_bfgs(lambda x: float("inf"), np.zeros(2))
+            minimize_bfgs(lambda x: float("inf"), np.zeros(2), finite_difference_gradient)
 
     def test_matrix_x0_rejected(self):
         with pytest.raises(ValueError, match="vector"):
-            minimize_bfgs(quadratic, np.zeros((2, 2)))
+            minimize_bfgs(quadratic, np.zeros((2, 2)), finite_difference_gradient)
 
 
 def _recording(fun):

@@ -172,10 +172,10 @@ class TestModelABitIdentity:
             lnl_a = bound_a.log_likelihood(bsm_values, lengths * scale)
             lnl_b = bound_b.log_likelihood(_bsrel2_values(bsm_values), lengths * scale)
             assert lnl_a == lnl_b
-            grad_a = bound_a.branch_gradient(bsm_values, lengths * scale)
-            grad_b = bound_b.branch_gradient(_bsrel2_values(bsm_values), lengths * scale)
-            assert grad_a[0] == grad_b[0] == lnl_a
-            np.testing.assert_array_equal(grad_a[1], grad_b[1])
+            grad_a = bound_a.gradient(bsm_values, lengths * scale)
+            grad_b = bound_b.gradient(_bsrel2_values(bsm_values), lengths * scale)
+            assert grad_a.lnl == grad_b.lnl == lnl_a
+            np.testing.assert_array_equal(grad_a.branches, grad_b.branches)
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_batched_modes(self, engine_name, batched, small_tree, small_sim, bsm_values):

@@ -18,14 +18,14 @@ import pytest
 import scipy.linalg
 
 import repro.core.engine as engine_mod
-import repro.optimize.bfgs as bfgs_mod
 import repro.optimize.ml as ml_mod
 from repro.core.engine import make_engine
 from repro.datasets import make_dataset
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.registry import resolve_model_spec
-from repro.optimize.bfgs import finite_difference_gradient
 from repro.utils.rng import make_rng
+
+from tests.oracles import finite_difference_gradient
 
 from .conftest import ENGINE_NAMES
 
@@ -72,8 +72,9 @@ def assert_gradient_agrees(bound, values, lengths=None, branches=None):
         return bound.log_likelihood(values, np.exp(log_t))
 
     lnl0 = bound.log_likelihood(values, lengths)
-    lnl_g, grad = bound.branch_gradient(values, lengths)
-    assert lnl_g == lnl0
+    g = bound.gradient(values, lengths)
+    grad = g.branches
+    assert g.lnl == lnl0
     assert np.all(np.isfinite(grad))
     worst = 0.0
     for j in branches if branches is not None else _sample_branches(bound):
@@ -91,7 +92,7 @@ def _capture_fit_gradient(bound, monkeypatch, **fit_kwargs):
     class Captured(Exception):
         pass
 
-    def capture(fun, x0, gradient=None, **kwargs):
+    def capture(fun, x0, gradient, **kwargs):
         seen.update(fun=fun, x0=np.asarray(x0, dtype=float), gradient=gradient)
         raise Captured
 
@@ -236,7 +237,7 @@ def test_full_share_reuses_base_ratios(small_tree, small_sim, h0_model, bsm_valu
     assert_gradient_agrees(bound, values, branches=range(bound.n_branches))
     bound.log_likelihood(values)
     before = engine.counters["clv_propagations"]
-    bound.branch_gradient(values)
+    bound.gradient(values)
     plans = h0_model.site_class_graph(values).plan(skip_zero=True)
     assert [(p.mode, p.full_share) for p in plans][3] == ("derive", True)
     grown = engine.counters["clv_propagations"] - before
@@ -342,7 +343,7 @@ def test_nonfinite_derivative_is_a_recorded_barrier(
         return f, np.full_like(rate, np.nan)
 
     monkeypatch.setattr(engine_mod._RateContraction, "_f_stack", poisoned)
-    _, grad = bound.branch_gradient(bsm_values)
+    grad = bound.gradient(bsm_values).branches
     assert not np.any(np.isfinite(grad))
     assert engine.events.counts().get("gradient_nonfinite") == 1
 
@@ -399,40 +400,6 @@ def test_fit_gradient_on_the_clip_walls(small_tree, small_sim, h1_model, monkeyp
         assert _error(grad[i], _richardson(fun, x, i)) <= TOL
 
 
-def test_fixed_branch_lengths_use_the_analytic_model_gradient(
-    small_tree, small_sim, h1_model, monkeypatch
-):
-    bound = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
-    fun, x0, gradient = _capture_fit_gradient(
-        bound, monkeypatch, optimize_branch_lengths=False
-    )
-    assert x0.shape[0] == h1_model.n_params
-    passes = bound.engine.counters["gradient_passes"]
-    fx = fun(x0)
-    evaluations = bound.n_evaluations
-    grad = gradient(fun, x0, fx)
-    # One gradient pass at the memoised point, no likelihood evaluation.
-    assert bound.engine.counters["gradient_passes"] == passes + 1
-    assert bound.n_evaluations == evaluations
-    for i in range(x0.shape[0]):
-        assert _error(grad[i], _richardson(fun, x0, i, H_MODEL)) <= TOL
-
-
-def test_fit_path_runs_no_finite_differences(small_tree, small_sim, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("finite differences on the fit path")
-
-    monkeypatch.setattr(bfgs_mod, "finite_difference_gradient", forbidden)
-    engine = make_engine("slim-v2")
-    bound = engine.bind(small_tree, small_sim.alignment, BranchSiteModelA(fix_omega2=True))
-    fit = ml_mod.fit_model(bound, seed=1, max_iterations=3)
-    assert fit.n_iterations > 0
-    test = ml_mod.fit_branch_site_test(
-        lambda m: engine.bind(small_tree, small_sim.alignment, m), seed=1, max_iterations=2
-    )
-    assert np.isfinite(test.lrt.statistic)
-
-
 # ----------------------------------------------------------------------
 # Reuse of the forward pass
 # ----------------------------------------------------------------------
@@ -446,8 +413,7 @@ def test_gradient_after_evaluation_runs_no_forward_pass(
     lnl = bound.log_likelihood(bsm_values, lengths)  # the line-search evaluation
     before = dict(engine.counters)
     evaluations = bound.n_evaluations
-    lnl_g, _ = bound.branch_gradient(bsm_values, lengths)
-    assert lnl_g == lnl
+    assert bound.gradient(bsm_values, lengths).lnl == lnl
     assert bound.n_evaluations == evaluations
     # No forward operator was built and no inside CLV re-propagated:
     # every application is an outside or a derivative one.
@@ -467,10 +433,10 @@ def test_gradient_without_a_matching_evaluation_evaluates_first(
     bound = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
     bound.log_likelihood(bsm_values)
     moved = bound.branch_lengths * 1.2
-    lnl, grad = bound.branch_gradient(bsm_values, moved)
+    g = bound.gradient(bsm_values, moved)
     fresh = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
-    assert lnl == fresh.log_likelihood(bsm_values, moved)
-    np.testing.assert_array_equal(grad, fresh.branch_gradient(bsm_values, moved)[1])
+    assert g.lnl == fresh.log_likelihood(bsm_values, moved)
+    np.testing.assert_array_equal(g.branches, fresh.gradient(bsm_values, moved).branches)
 
 
 def test_fit_evaluations_per_iteration(small_tree, small_sim, h1_model):

@@ -236,7 +236,7 @@ class TestEngineBitIdentity:
             a = b_plain.log_likelihood(values, L)
             b = b_memo.log_likelihood(values, L)
             assert a == b  # exact float equality, not approx
-            assert b_memo.branch_gradient(values, L)[0] == a
+            assert b_memo.gradient(values, L).lnl == a
             ev = b_memo.class_evaluation(values, L)
             class_lnl = ev.class_lnl
             assert all(not state.missing_nodes() for state in ev.states.values())
@@ -262,7 +262,7 @@ class TestEngineBitIdentity:
         values = {k: v for k, v in bsm_values.items() if k != "omega2"}
         lengths = np.asarray(b_plain.branch_lengths, dtype=float)
         b_memo.log_likelihood(values, lengths)
-        b_memo.branch_gradient(values, lengths)
+        b_memo.gradient(values, lengths)
         bumped = lengths.copy()
         bumped[1] *= 1.07
         ev_plain = b_plain.class_evaluation(values, bumped)

@@ -85,16 +85,15 @@ class TestEngineInternals:
         bound.log_likelihood(dict(bsm_values, omega0=0.5))
         assert all(ref() is None for ref in refs)
 
-    def test_counter_merge_and_summary(self):
+    def test_counter_add_and_summary(self):
         from repro.core.flops import FlopCounter
 
-        a, b = FlopCounter(), FlopCounter()
+        a = FlopCounter()
         a.add("x", 100, reads=10)
-        b.add("x", 50, reads=5)
-        b.add("y", 7)
-        a.merge(b)
+        a.add("x", 50, reads=5)
+        a.add("y", 7)
         assert a.by_operation == {"x": 150, "y": 7}
-        assert a.matrix_reads["x"] == 15
+        assert a.matrix_reads == {"x": 15}
         assert "TOTAL" in a.summary()
 
 
@@ -116,14 +115,6 @@ class TestCliParser:
 
 
 class TestTreeHelpers:
-    def test_map_branches(self):
-        from repro.trees.newick import parse_newick
-        from repro.trees.tree import map_branches
-
-        tree = parse_newick("(A:0.1,B:0.2,C:0.3);")
-        map_branches(tree, lambda node: 0.5)
-        assert tree.branch_lengths() == [0.5, 0.5, 0.5]
-
     def test_repr(self):
         from repro.trees.newick import parse_newick
 

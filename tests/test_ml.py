@@ -47,11 +47,22 @@ class TestFitModel:
         assert a.lnl == b.lnl
         assert a.values == b.values
 
-    def test_fixed_branch_lengths(self, m0_bound, small_tree):
-        fit = fit_model(
-            m0_bound, max_iterations=5, seed=1, optimize_branch_lengths=False
-        )
-        assert fit.branch_lengths == pytest.approx(np.asarray(small_tree.branch_lengths()))
+    @pytest.mark.parametrize(
+        "make_lengths",
+        [
+            lambda n: np.full(2, 0.1),
+            lambda n: np.full(n + 4, 0.1),
+            lambda n: np.where(np.arange(n) == 1, np.nan, 0.1),
+        ],
+        ids=["too-short", "too-long", "nan"],
+    )
+    def test_start_lengths_checked_before_any_evaluation(
+        self, make_lengths, small_tree, small_sim
+    ):
+        bound = make_engine("slim").bind(small_tree, small_sim.alignment, M0Model())
+        with pytest.raises(ValueError, match="start_lengths"):
+            fit_model(bound, start_lengths=make_lengths(bound.n_branches), seed=1)
+        assert bound.n_evaluations == 0
 
     def test_branch_lengths_optimized_by_default(self, m0_bound, small_tree):
         fit = fit_model(m0_bound, max_iterations=10, seed=1)
@@ -70,10 +81,10 @@ class TestFitModel:
         model = m0_bound.model
         base = np.asarray(m0_bound.branch_lengths, dtype=float)
         lengths = np.where(base > 0, base, 0.1)
-        x0 = _pack_full(model, model.default_start(make_rng(2)), lengths, True)
+        x0 = _pack_full(model, model.default_start(make_rng(2)), lengths)
 
         def objective(x):
-            values, ts = _unpack_full(model, x, lengths, True)
+            values, ts = _unpack_full(model, x)
             try:
                 return -m0_bound.log_likelihood(values, ts)
             except (ValueError, FloatingPointError):

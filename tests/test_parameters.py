@@ -10,7 +10,6 @@ from repro.models.parameters import (
     PositiveTransform,
     simplex_pack,
     simplex_unpack,
-    transform_array,
 )
 
 
@@ -90,12 +89,3 @@ class TestSimplex:
     def test_boundary_rejected(self, p0, p1):
         with pytest.raises(ValueError):
             simplex_pack(p0, p1)
-
-
-class TestTransformArray:
-    def test_vectorised(self):
-        tr = PositiveTransform()
-        thetas = np.array([0.1, 1.0, 10.0])
-        xs = transform_array(thetas, tr, to_unconstrained=True)
-        back = transform_array(xs, tr, to_unconstrained=False)
-        assert np.allclose(back, thetas)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from repro.models.branch import TwoRatioModel
 from repro.models.m0 import M0Model
 from repro.models.sites import M1aModel, M2aModel
-from repro.trees.least_squares import least_squares_branch_lengths
 from repro.trees.prune import prune_to_taxa
 from repro.trees.simulate import simulate_yule_tree
-from repro.trees.stats import patristic_distance_matrix
+from tests.oracles import patristic_distance_matrix
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -49,25 +48,6 @@ class TestPruneProperties:
         pruned.validate_branch_lengths()
 
 
-class TestLeastSquaresProperties:
-    @_slow
-    @given(seed=seeds, n=st.integers(min_value=4, max_value=15))
-    def test_exact_on_additive_distances(self, seed, n):
-        tree = simulate_yule_tree(n, seed=seed)
-        dist = patristic_distance_matrix(tree)
-        recovered = least_squares_branch_lengths(tree, dist)
-        assert np.allclose(recovered, np.maximum(tree.branch_lengths(), 1e-6), atol=1e-7)
-
-    @_slow
-    @given(seed=seeds, scale=st.floats(min_value=0.1, max_value=10.0))
-    def test_scaling_equivariance(self, seed, scale):
-        tree = simulate_yule_tree(7, seed=seed)
-        dist = patristic_distance_matrix(tree)
-        base = least_squares_branch_lengths(tree, dist)
-        scaled = least_squares_branch_lengths(tree, scale * dist)
-        assert np.allclose(scaled, np.maximum(scale * base, 1e-6), rtol=1e-6, atol=1e-6)
-
-
 class TestModelTransformsExtended:
     @settings(max_examples=40, deadline=None)
     @given(x=st.lists(st.floats(min_value=-25, max_value=25), min_size=3, max_size=3))
@@ -94,41 +74,6 @@ class TestModelTransformsExtended:
         model = M1aModel()
         values = model.unpack(np.array(x))
         model.check_roundtrip(values, atol=1e-6)
-
-
-class TestNg86Properties:
-    @_slow
-    @given(seed=seeds)
-    def test_symmetry_in_sequence_order(self, seed):
-        from repro.alignment.distances import nei_gojobori
-        from repro.alignment.msa import CodonAlignment
-
-        rng = np.random.default_rng(seed)
-        states = rng.integers(0, 61, size=(2, 30)).astype(np.int32)
-        aln = CodonAlignment(names=["a", "b"], states=states)
-        fwd = nei_gojobori(aln, 0, 1)
-        rev = nei_gojobori(aln, 1, 0)
-        assert fwd.ds == pytest.approx(rev.ds)
-        assert fwd.dn == pytest.approx(rev.dn)
-
-    @_slow
-    @given(seed=seeds)
-    def test_weighted_equals_expanded(self, seed):
-        from repro.alignment.distances import nei_gojobori
-        from repro.alignment.msa import CodonAlignment
-        from repro.alignment.patterns import compress_patterns
-
-        rng = np.random.default_rng(seed)
-        # Few distinct columns so compression actually bites.
-        base = rng.integers(0, 61, size=(2, 4)).astype(np.int32)
-        cols = rng.integers(0, 4, size=25)
-        states = base[:, cols]
-        aln = CodonAlignment(names=["a", "b"], states=states)
-        pat = compress_patterns(aln)
-        direct = nei_gojobori(aln, 0, 1)
-        weighted = nei_gojobori(pat.alignment, 0, 1, column_weights=pat.weights)
-        assert weighted.ds == pytest.approx(direct.ds, abs=1e-12)
-        assert weighted.dn == pytest.approx(direct.dn, abs=1e-12)
 
 
 class TestSerializationProperties:

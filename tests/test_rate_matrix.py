@@ -8,7 +8,6 @@ from repro.codon.matrix import (
     build_rate_matrix,
     exchangeability_matrix,
     mean_rate,
-    mixture_scale_factor,
 )
 
 
@@ -118,14 +117,3 @@ class TestBuildRateMatrix:
             build_rate_matrix(2.0, 0.5, pi, scale="bogus")
         with pytest.raises(ValueError):
             build_rate_matrix(2.0, 0.5, pi, scale=-1.0)
-
-
-class TestMixtureScale:
-    def test_weighted_average(self):
-        assert mixture_scale_factor([1.0, 3.0], [0.5, 0.5]) == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mixture_scale_factor([1.0], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            mixture_scale_factor([1.0, 1.0], [0.7, 0.7])

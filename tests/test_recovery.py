@@ -41,7 +41,7 @@ from repro.optimize.bfgs import BARRIER_SLOPE, minimize_bfgs
 from repro.optimize.ml import fit_model
 from repro.parallel.batch import scan_branches
 from tests.conftest import ENGINE_NAMES
-from tests.oracles import prune_levels
+from tests.oracles import finite_difference_gradient, prune_levels
 
 REAL_EIGH = scipy.linalg.eigh
 
@@ -281,7 +281,9 @@ class TestBfgsBarrier:
                 return -np.inf
             return (x[0] - 1.9) ** 2
 
-        result = minimize_bfgs(f, np.array([0.0]), max_iterations=50)
+        result = minimize_bfgs(
+            f, np.array([0.0]), finite_difference_gradient, max_iterations=50
+        )
         assert np.isfinite(result.fun)
         assert result.x[0] < 2.0
 
@@ -291,7 +293,7 @@ class TestBfgsBarrier:
         def spike(z):
             return 0.0 if np.array_equal(z, x0) else np.inf
 
-        result = minimize_bfgs(spike, x0, max_iterations=10)
+        result = minimize_bfgs(spike, x0, finite_difference_gradient, max_iterations=10)
         assert result.line_search_failed
         assert result.n_iterations == 0
 

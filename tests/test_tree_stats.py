@@ -1,11 +1,11 @@
-"""Tree statistics: patristic matrix, depths, imbalance."""
+"""The patristic distance oracle (``tests/oracles.py``) on hand-computed trees."""
 
 import numpy as np
 import pytest
 
 from repro.trees.newick import parse_newick
 from repro.trees.simulate import simulate_yule_tree
-from repro.trees.stats import colless_index, leaf_depths, patristic_distance_matrix
+from tests.oracles import patristic_distance_matrix
 
 
 class TestPatristicMatrix:
@@ -32,55 +32,3 @@ class TestPatristicMatrix:
         assert np.all(np.diag(dist) == 0)
         off = dist[~np.eye(12, dtype=bool)]
         assert np.all(off > 0)
-
-    def test_agrees_with_incidence_matrix_route(self):
-        from repro.trees.least_squares import branch_incidence_matrix
-
-        tree = simulate_yule_tree(9, seed=5)
-        a = branch_incidence_matrix(tree)
-        b = np.array(tree.branch_lengths())
-        via_incidence = a @ b
-        dist = patristic_distance_matrix(tree)
-        row = 0
-        for i in range(9):
-            for j in range(i + 1, 9):
-                assert dist[i, j] == pytest.approx(via_incidence[row], abs=1e-12)
-                row += 1
-
-    def test_ols_recovers_from_patristic(self):
-        from repro.trees.least_squares import least_squares_branch_lengths
-
-        tree = simulate_yule_tree(8, seed=2)
-        recovered = least_squares_branch_lengths(tree, patristic_distance_matrix(tree))
-        assert np.allclose(
-            recovered, np.maximum(tree.branch_lengths(), 1e-6), atol=1e-9
-        )
-
-
-class TestLeafDepths:
-    def test_star_tree(self):
-        tree = parse_newick("(A:0.1,B:0.2,C:0.3);")
-        assert leaf_depths(tree).tolist() == pytest.approx([0.1, 0.2, 0.3])
-
-    def test_nested_depths(self):
-        tree = parse_newick("((A:0.1,B:0.2):0.5,C:0.3,D:0.4);")
-        depths = dict(zip(tree.leaf_names(), leaf_depths(tree)))
-        assert depths["A"] == pytest.approx(0.6)
-        assert depths["B"] == pytest.approx(0.7)
-        assert depths["C"] == pytest.approx(0.3)
-
-
-class TestColless:
-    def test_balanced_four_taxa(self):
-        tree = parse_newick("((A,B),(C,D));")
-        assert colless_index(tree) == 0
-
-    def test_caterpillar(self):
-        # (((A,B),C),D): splits |2-1| + |1-1| + |3-1| = 3
-        tree = parse_newick("(((A,B),C),D);")
-        assert colless_index(tree) == 3
-
-    def test_increases_with_imbalance(self):
-        balanced = parse_newick("(((A,B),(C,D)),((E,F),(G,H)));")
-        caterpillar = parse_newick("(((((((A,B),C),D),E),F),G),H);")
-        assert colless_index(balanced) < colless_index(caterpillar)

@@ -15,7 +15,6 @@ from repro.core.recovery import NumericalError
 from repro.core.uniformization import (
     UniformizedOperator,
     poisson_truncation,
-    uniformized_transition_matrix,
 )
 from repro.models.branch_site import BranchSiteModelA
 from repro.parallel.batch import map_survey_candidates, scan_branches
@@ -62,7 +61,7 @@ class TestKernelInvariants:
     @pytest.mark.parametrize("t", TIMES)
     def test_rows_nonnegative_and_stochastic(self, pi, omega, t):
         q = build_rate_matrix(2.0, omega, pi).q
-        p = uniformized_transition_matrix(q, t, pi)
+        p = UniformizedOperator(q, pi).transition_matrix(t)
         assert np.all(p >= 0.0), f"negative entry at omega={omega}, t={t}"
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
 
@@ -74,7 +73,7 @@ class TestKernelInvariants:
         # it as the ladder's independent witness.
         matrix = build_rate_matrix(2.0, omega, pi)
         p_spec = transition_matrix_syrk(decompose(matrix), t)
-        p_uni = uniformized_transition_matrix(matrix.q, t, pi)
+        p_uni = UniformizedOperator(matrix.q, pi).transition_matrix(t)
         assert np.max(np.abs(p_uni - p_spec)) <= 1e-10
 
     @pytest.mark.parametrize("omega", OMEGAS)
@@ -84,12 +83,12 @@ class TestKernelInvariants:
         # Padé path on the moderate grid.
         q = build_rate_matrix(2.0, omega, pi).q
         p_pade = transition_matrix_scipy(q, t)
-        p_uni = uniformized_transition_matrix(q, t, pi)
+        p_uni = UniformizedOperator(q, pi).transition_matrix(t)
         assert np.max(np.abs(p_uni - p_pade)) <= 1e-8
 
     def test_zero_time_is_identity(self, pi):
         q = build_rate_matrix(2.0, 1.0, pi).q
-        assert np.array_equal(uniformized_transition_matrix(q, 0.0, pi), np.eye(61))
+        assert np.array_equal(UniformizedOperator(q, pi).transition_matrix(0.0), np.eye(61))
 
 
 class TestUniformizedOperator:

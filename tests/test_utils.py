@@ -9,7 +9,7 @@ from repro.utils.numerics import (
     validate_probability_vector,
     validate_square,
 )
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 
 
 class TestLogsumexpWeighted:
@@ -80,17 +80,3 @@ class TestRng:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(0)
         assert make_rng(gen) is gen
-
-    def test_spawn_independent_streams(self):
-        a, b = spawn_rngs(7, 2)
-        assert a.random() != b.random()
-
-    def test_spawn_reproducible(self):
-        a1, _ = spawn_rngs(7, 2)
-        a2, _ = spawn_rngs(7, 2)
-        assert a1.random() == a2.random()
-
-    def test_spawn_count_validated(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
-
