@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.codon.genetic_code import (
+    PURINES,
     GeneticCode,
     is_transition,
     nucleotide_diff_positions,
@@ -96,23 +97,19 @@ def classification_table(code: GeneticCode) -> "PairTable":
     """Precompute boolean masks over the ``n × n`` sense-codon grid.
 
     The masks drive vectorized Q assembly; they are cached per genetic
-    code because they never change.
+    code because they never change.  They are built by broadcasting over
+    the ``(n, 3)`` nucleotide array, and agree pair for pair with
+    :func:`classify_pair`.
     """
     codons = code.sense_codons
-    n = len(codons)
-    single = np.zeros((n, n), dtype=bool)
-    transition = np.zeros((n, n), dtype=bool)
-    synonymous = np.zeros((n, n), dtype=bool)
-    for i, ci in enumerate(codons):
-        for j, cj in enumerate(codons):
-            if i == j:
-                continue
-            cls = classify_pair(ci, cj, code)
-            if cls.kind is PairKind.MULTIPLE:
-                continue
-            single[i, j] = True
-            transition[i, j] = bool(cls.transition)
-            synonymous[i, j] = bool(cls.synonymous)
+    nucs = np.array([list(c) for c in codons])
+    differs = nucs[:, None, :] != nucs[None, :, :]
+    single = differs.sum(axis=2) == 1
+    purine = np.isin(nucs, list(PURINES))
+    same_class = purine[:, None, :] == purine[None, :, :]
+    transition = single & (differs & same_class).any(axis=2)
+    aa = np.array([code.translate(c) for c in codons])
+    synonymous = single & (aa[:, None] == aa[None, :])
     return PairTable(single=single, transition=transition, synonymous=synonymous)
 
 

@@ -16,7 +16,7 @@ what a branch length is.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,15 +69,22 @@ def build_class_matrices(
     Returns a dict keyed by ω value (both branch categories pooled); the
     branch-site model yields at most three entries however large the
     tree, which is what bounds the per-evaluation eigendecomposition
-    count (§II-C1).
+    count (§II-C1).  Each distinct ω is built once, unscaled: its mean
+    rate feeds :func:`mixture_scale`, and the scaled matrix divides it
+    by the common factor — the arithmetic of ``build_rate_matrix`` with
+    ``scale=factor``, so Q, S and ``scale`` are bit-identical to it.
     """
-    factor = mixture_scale(kappa, classes, pi, code)
-    omegas: List[float] = []
+    raw: Dict[float, CodonRateMatrix] = {}
     for cls in classes:
         for omega in (cls.omega_background, cls.omega_foreground):
-            if omega not in omegas:
-                omegas.append(omega)
-    return {
-        omega: build_rate_matrix(kappa, omega, pi, code=code, scale=factor)
-        for omega in omegas
-    }
+            if omega not in raw:
+                raw[omega] = build_rate_matrix(kappa, omega, pi, code=code, scale="none")
+    rates = {(kappa, omega): mean_rate(m.q, pi) for omega, m in raw.items()}
+    factor = float(mixture_scale(kappa, classes, pi, code, rates))
+    matrices = {}
+    for omega, m in raw.items():
+        q = m.q / factor
+        matrices[omega] = CodonRateMatrix(
+            q=q, s=q / m.pi[None, :], pi=m.pi, kappa=kappa, omega=omega, scale=factor
+        )
+    return matrices

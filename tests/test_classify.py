@@ -1,9 +1,10 @@
 """Codon-pair classification against hand-checked cases (paper Eq. 1)."""
 
+import numpy as np
 import pytest
 
 from repro.codon.classify import PairKind, classification_table, classify_pair
-from repro.codon.genetic_code import UNIVERSAL
+from repro.codon.genetic_code import UNIVERSAL, VERTEBRATE_MITOCHONDRIAL
 
 
 class TestClassifyPair:
@@ -84,3 +85,26 @@ class TestClassificationTable:
 
     def test_cached_per_code(self):
         assert classification_table(UNIVERSAL) is classification_table(UNIVERSAL)
+
+    @pytest.mark.parametrize("code", [UNIVERSAL, VERTEBRATE_MITOCHONDRIAL], ids=lambda c: c.name)
+    def test_masks_match_classify_pair(self, code):
+        # The broadcast table against the per-pair classifier, pair for pair.
+        codons = code.sense_codons
+        n = len(codons)
+        single = np.zeros((n, n), dtype=bool)
+        transition = np.zeros((n, n), dtype=bool)
+        synonymous = np.zeros((n, n), dtype=bool)
+        for i, ci in enumerate(codons):
+            for j, cj in enumerate(codons):
+                if i == j:
+                    continue
+                cls = classify_pair(ci, cj, code)
+                if cls.kind is PairKind.MULTIPLE:
+                    continue
+                single[i, j] = True
+                transition[i, j] = cls.transition
+                synonymous[i, j] = cls.synonymous
+        table = classification_table(code)
+        assert np.array_equal(table.single, single)
+        assert np.array_equal(table.transition, transition)
+        assert np.array_equal(table.synonymous, synonymous)

@@ -6,6 +6,9 @@ this catches it at the package, not at the first user.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -29,3 +32,25 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_cli_import_loads_no_scipy_stats_or_optimize():
+    """``import repro.cli`` stays at the numpy + ``scipy.linalg`` floor.
+
+    ``scipy.stats`` alone costs more than the rest of a CLI process's
+    imports together, and every scan worker and survey job pays it once;
+    a fresh interpreter is the only place where that cost shows.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

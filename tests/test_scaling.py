@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.codon.matrix import mean_rate
+import repro.models.scaling as scaling
+from repro.codon.matrix import build_rate_matrix, mean_rate
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.m0 import M0Model
 from repro.models.scaling import build_class_matrices, mixture_scale
@@ -64,3 +65,25 @@ class TestMixtureScale:
         s2 = mixture_scale(2.0, model.site_classes(v2), pi)
         # More conserved mass (omega0) -> lower raw mean rate.
         assert s1 < s2
+
+    def test_matrices_bit_identical_to_scaled_build(self, pi, classes):
+        # Dividing the unscaled build by the common factor is exactly
+        # build_rate_matrix(scale=factor).
+        factor = mixture_scale(2.0, classes, pi)
+        for omega, m in build_class_matrices(2.0, classes, pi).items():
+            ref = build_rate_matrix(2.0, omega, pi, scale=factor)
+            assert m.q.tobytes() == ref.q.tobytes()
+            assert m.s.tobytes() == ref.s.tobytes()
+            assert m.scale == ref.scale and m.omega == omega and m.kappa == 2.0
+
+    def test_one_build_per_distinct_omega(self, pi, classes, monkeypatch):
+        # The unscaled builds feed mixture_scale; nothing is built twice.
+        built = []
+
+        def counting(kappa, omega, *args, **kwargs):
+            built.append(omega)
+            return build_rate_matrix(kappa, omega, *args, **kwargs)
+
+        monkeypatch.setattr(scaling, "build_rate_matrix", counting)
+        build_class_matrices(2.0, classes, pi)
+        assert sorted(built) == [0.2, 1.0, 3.0]
