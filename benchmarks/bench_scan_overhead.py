@@ -21,7 +21,7 @@ from repro.parallel.faults import run_tasks
 N_TASKS = 500
 
 
-def _identity(payload):
+def _identity(payload, _context):
     return payload
 
 
@@ -67,7 +67,7 @@ def test_scan_overhead_summary(benchmark, tmp_path):
 
         t0 = time.perf_counter()
         for payload in payloads:
-            _identity(payload)
+            _identity(payload, None)
         timings["bare loop"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()

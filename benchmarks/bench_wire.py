@@ -147,7 +147,7 @@ def _run_socket_scan(dataset, budget, internal_only, n_workers, seed):
     try:
         t0 = time.perf_counter()
         scan = scan_branches(
-            GENE_ID, dataset.tree, dataset.alignment, engine="slim",
+            GENE_ID, dataset.tree, dataset.alignment,
             internal_only=internal_only, seed=seed, max_iterations=budget,
             executor=executor,
         )
@@ -164,7 +164,7 @@ def _run_pool_scan(dataset, budget, internal_only, n_workers, seed):
     try:
         t0 = time.perf_counter()
         scan = scan_branches(
-            GENE_ID, dataset.tree, dataset.alignment, engine="slim",
+            GENE_ID, dataset.tree, dataset.alignment,
             internal_only=internal_only, seed=seed, max_iterations=budget,
             executor=executor,
         )
@@ -214,7 +214,7 @@ def _cold_start_bench(dataset, candidates, budget, seed, reps=5):
         )
         for n in candidates
     ]
-    context, _ = _build_shared_context(jobs, "slim", budget)
+    context, _ = _build_shared_context(jobs, budget)
     flat = b"".join(
         bytes(b) for b in wire.encode_frame(
             wire.MSG_BATCH, 1,

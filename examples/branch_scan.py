@@ -30,7 +30,6 @@ scan = scan_branches(
     "demo-gene",
     tree,
     sim.alignment,
-    engine="slim",
     internal_only=True,
     seed=3,
     max_iterations=25,

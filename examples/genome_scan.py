@@ -62,7 +62,7 @@ print(f"running branch-site tests on {PROCESSES} processes...")
 computed = set()
 start = time.perf_counter()
 results = analyze_genes(
-    jobs, engine="slim", processes=PROCESSES, seed=1, max_iterations=20,
+    jobs, processes=PROCESSES, seed=1, max_iterations=20,
     policy=policy, journal=JOURNAL, resume=resume,
     on_result=lambda k, res: computed.add(res.gene_id),
 )

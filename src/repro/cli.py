@@ -14,6 +14,9 @@ Subcommands
 ``worker``     serve tasks to a ``scan --executor socket`` on any host
 ``simulate``   generate a synthetic dataset (tree + alignment)
 ``datasets``   materialise the Table II stand-in datasets to disk
+
+``run`` and ``scan`` always use the slim-v2 engine; the paper's engine
+comparison is ``examples/engine_comparison.py`` and ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from repro.alignment.parsers import read_alignment, write_phylip
 from repro.alignment.patterns import compress_patterns
 from repro.codon.frequencies import estimate_codon_frequencies
-from repro.core.engine import make_engine
+from repro.core.engine import PIPELINE_ENGINE, make_engine
 from repro.io.ctl import ControlFile, parse_ctl
 from repro.io.report import convergence_mark, format_recovery_block, format_report
 from repro.optimize.beb import beb_site_probabilities
@@ -49,12 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seqfile", help="alignment (PHYLIP or FASTA)")
     run.add_argument("--treefile", help="Newick tree with #1 foreground mark")
     run.add_argument("--out", default="-", help="report destination ('-' = stdout)")
-    run.add_argument(
-        "--engine",
-        default=None,
-        choices=["codeml", "slim", "slim-v2"],
-        help="likelihood engine (default from ctl, else slim-v2)",
-    )
     run.add_argument("--seed", type=int, default=None, help="start-value seed")
     run.add_argument("--max-iterations", type=int, default=None)
     run.add_argument("--beb", action="store_true", help="compute BEB site probabilities")
@@ -75,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seqfile", required=True, help="alignment (PHYLIP or FASTA)")
     scan.add_argument("--treefile", required=True, help="Newick tree (marks are ignored)")
     scan.add_argument("--gene-id", default=None, help="task-id prefix (default: seqfile stem)")
-    scan.add_argument(
-        "--engine", default="slim-v2", choices=["codeml", "slim", "slim-v2"],
-        help="likelihood engine",
-    )
     scan.add_argument("--internal-only", action="store_true",
                       help="scan internal branches only")
     scan.add_argument(
@@ -156,16 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument(
         "--only", nargs="*", default=None, help="subset of dataset ids (i ii iii iv)"
     )
-
-    bench = sub.add_parser(
-        "bench", help="quick engine comparison on one dataset (Table IV in miniature)"
-    )
-    bench.add_argument("--dataset", default="iii", choices=["i", "ii", "iii", "iv"])
-    bench.add_argument("--iterations", type=int, default=2)
-    bench.add_argument(
-        "--engines", nargs="*", default=["codeml", "slim", "slim-v2"],
-        choices=["codeml", "slim", "slim-v2"],
-    )
     return parser
 
 
@@ -185,7 +168,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ctl = ControlFile(seqfile=args.seqfile, treefile=args.treefile)
     seqfile = args.seqfile or ctl.seqfile
     treefile = args.treefile or ctl.treefile
-    engine_name = args.engine or ctl.engine
     seed = args.seed if args.seed is not None else ctl.seed
     max_iterations = (
         args.max_iterations if args.max_iterations is not None else ctl.max_iterations
@@ -197,7 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tree = _read_tree(treefile)
     tree.require_single_foreground()
 
-    engine = make_engine(engine_name)
+    engine = make_engine(PIPELINE_ENGINE)
     # Compress the patterns and estimate pi once: H0, H1 and the post-fit
     # H1 binding that --beb and --map share all bind from them.
     pi = estimate_codon_frequencies(
@@ -326,7 +308,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             gene_id,
             tree,
             alignment,
-            engine=args.engine,
             internal_only=args.internal_only,
             seed=args.seed,
             max_iterations=args.max_iterations,
@@ -444,8 +425,7 @@ def _map_scan(args, gene_id, tree, alignment, scan, model_spec):
         )
     payloads = map_survey_candidates(
         gene_id, tree, alignment, scan, todo,
-        engine=args.engine, map_samples=args.map_samples, seed=args.seed,
-        model=model_spec,
+        map_samples=args.map_samples, seed=args.seed, model=model_spec,
     )
     by_id = {f"{gene_id}:{label}": payload for label, payload in payloads.items()}
     updated = [res for res in scan.gene_results if res.gene_id in by_id]
@@ -527,38 +507,6 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.datasets import make_dataset
-    from repro.optimize.ml import fit_branch_site_test
-    from repro.utils.numerics import relative_difference
-
-    print(f"generating dataset {args.dataset!r}...")
-    ds = make_dataset(args.dataset)
-    print(
-        f"  {ds.spec.n_species} species x {ds.spec.n_codons} codons, "
-        f"{ds.tree.n_branches} branches; {args.iterations} optimizer "
-        "iterations per hypothesis\n"
-    )
-    runs = {}
-    for name in args.engines:
-        engine = make_engine(name)
-        runs[name] = fit_branch_site_test(
-            lambda m: engine.bind(ds.tree, ds.alignment, m),
-            seed=1,
-            max_iterations=args.iterations,
-        )
-    reference = runs[args.engines[0]]
-    print(f"{'engine':<10s} {'H0+H1 (s)':>10s} {'speedup':>8s} {'lnL H1':>14s} {'D':>10s}")
-    for name, test in runs.items():
-        speedup = reference.combined_runtime / test.combined_runtime
-        d = relative_difference(reference.h1.lnl, test.h1.lnl)
-        print(
-            f"{name:<10s} {test.combined_runtime:>10.2f} {speedup:>7.2f}x "
-            f"{test.h1.lnl:>14.4f} {d:>10.2e}"
-        )
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point (returns the process exit code)."""
     args = build_parser().parse_args(argv)
@@ -572,8 +520,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_simulate(args)
     if args.command == "datasets":
         return _cmd_datasets(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

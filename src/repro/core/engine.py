@@ -8,7 +8,7 @@ single-variable comparison:
 =============  ======================  ==========================  =================
 engine         eigensolver             P(t) reconstruction          CLV propagation
 =============  ======================  ==========================  =================
-``baseline``   ``dsyev`` (QL, the      Eq. 9 left-to-right via     per-site non-BLAS
+``codeml``     ``dsyev`` (QL, the      Eq. 9 left-to-right via     per-site non-BLAS
 (CodeML)       classic EISPACK-style   non-BLAS ``einsum``          matvec
                method CodeML's C       (≈2n³, untuned loops)
                code implements)
@@ -1427,22 +1427,20 @@ class _RateContraction:
         return d_kappa, d_omega
 
 
-_ENGINES = {
-    "codeml": BaselineEngine,
-    "baseline": BaselineEngine,
-    "slim": SlimEngine,
-    "slimcodeml": SlimEngine,
-    "slim-v2": SlimV2Engine,
-    "slimv2": SlimV2Engine,
-}
+_ENGINES = {cls.name: cls for cls in (BaselineEngine, SlimEngine, SlimV2Engine)}
+
+#: The engine ``run``, ``scan`` and the batch API run.  ``codeml`` and
+#: ``slim`` stay reachable through :func:`make_engine` for the paper's
+#: kernel comparisons.
+PIPELINE_ENGINE = SlimV2Engine.name
 
 
 def make_engine(name: str, **kwargs) -> LikelihoodEngine:
-    """Engine factory by CLI-friendly name (see module docstring table)."""
+    """Engine factory by name (see module docstring table)."""
     try:
-        cls = _ENGINES[name.lower()]
+        cls = _ENGINES[name]
     except KeyError:
         raise ValueError(
-            f"unknown engine {name!r}; available: {sorted(set(_ENGINES))}"
+            f"unknown engine {name!r}; available: {sorted(_ENGINES)}"
         ) from None
     return cls(**kwargs)

@@ -28,8 +28,8 @@ rows" contract the acceptance tests pin.
 
 For large ``μt`` the Poisson mass spreads over ``O(μt)`` terms; rather
 than summing thousands of matrix powers the kernel computes
-``P(t/2^s)`` with ``μ·t/2^s ≤ squaring_threshold`` and squares ``s``
-times — squaring a stochastic matrix preserves non-negativity and row
+``P(t/2^s)`` with ``μ·t/2^s ≤ DEFAULT_SQUARING_THRESHOLD`` and squares
+``s`` times — squaring a stochastic matrix preserves non-negativity and row
 sums to rounding, so the invariants survive.  The per-segment tolerance
 is tightened by ``2^s`` to absorb the error doubling of each squaring.
 
@@ -66,8 +66,8 @@ def poisson_truncation(mu_t: float, tol: float, max_terms: int = MAX_TERMS) -> n
 
     Weights are computed by the stable forward recurrence
     ``w_{k+1} = w_k · μt/(k+1)`` from ``w_0 = e^{-μt}`` (no factorials,
-    no overflow for the ``μt ≤ squaring_threshold`` range the kernel
-    feeds it).  Raises :class:`ValueError` when ``max_terms`` terms do
+    no overflow for the ``μt ≤ DEFAULT_SQUARING_THRESHOLD`` range the
+    kernel feeds it).  Raises :class:`ValueError` when ``max_terms`` terms do
     not reach the requested tail bound.
     """
     if mu_t < 0.0 or not np.isfinite(mu_t):
@@ -108,9 +108,6 @@ class UniformizedOperator:
         ``_wrap_probability_matrix`` hook.
     tol:
         Poisson-tail truncation bound per series evaluation.
-    squaring_threshold:
-        Largest ``μt`` summed directly; beyond it the kernel halves
-        ``t`` until under the threshold and squares back up.
     """
 
     #: Ladder-rung identity, mirroring ``SpectralDecomposition.rung``
@@ -122,7 +119,6 @@ class UniformizedOperator:
         q: np.ndarray,
         pi: np.ndarray,
         tol: float = 1e-12,
-        squaring_threshold: float = DEFAULT_SQUARING_THRESHOLD,
         counter=None,
     ) -> None:
         q = np.asarray(q, dtype=float)
@@ -135,7 +131,6 @@ class UniformizedOperator:
         self.q = q
         self.pi = np.asarray(pi, dtype=float)
         self.tol = float(tol)
-        self.squaring_threshold = float(squaring_threshold)
         n = q.shape[0]
         diag = np.diagonal(q)
         #: Uniformization rate μ = max |q_ii| (0 for the zero generator).
@@ -230,7 +225,7 @@ class UniformizedOperator:
         """``P(t)`` with guaranteed non-negative rows summing to 1.
 
         Adaptive truncation to :attr:`tol`; scaling-and-squaring above
-        :attr:`squaring_threshold` (see module docstring).  The result
+        ``DEFAULT_SQUARING_THRESHOLD`` (see module docstring).  The result
         is freshly allocated and row-normalised — the one float of
         drift the truncation leaves is divided out, never left for a
         downstream guard to flag.
@@ -244,8 +239,8 @@ class UniformizedOperator:
         if mu_t == 0.0:
             return np.eye(n)
         squarings = 0
-        if mu_t > self.squaring_threshold:
-            squarings = int(math.ceil(math.log2(mu_t / self.squaring_threshold)))
+        if mu_t > DEFAULT_SQUARING_THRESHOLD:
+            squarings = int(math.ceil(math.log2(mu_t / DEFAULT_SQUARING_THRESHOLD)))
         # Each squaring can double the accumulated error: tighten the
         # per-segment tolerance accordingly (floored well above
         # underflow so the Poisson recurrence stays meaningful).
@@ -262,7 +257,7 @@ class UniformizedOperator:
         if mu_t == 0.0:
             return 1, 0
         squarings = 0
-        if mu_t > self.squaring_threshold:
-            squarings = int(math.ceil(math.log2(mu_t / self.squaring_threshold)))
+        if mu_t > DEFAULT_SQUARING_THRESHOLD:
+            squarings = int(math.ceil(math.log2(mu_t / DEFAULT_SQUARING_THRESHOLD)))
         seg_tol = max(self.tol / (2.0 ** squarings), 1e-300)
         return poisson_truncation(mu_t / (2 ** squarings), seg_tol).shape[0], squarings

@@ -5,10 +5,11 @@ dedicated parameter file is read by CodeML to set model parameters and
 corresponding optimization options").  We parse the subset relevant to
 the branch-site test, validate the combination (``model = 2`` +
 ``NSsites = 2`` is branch-site model A; ``fix_omega`` selects H0/H1) and
-add SlimCodeML-specific extension keys (``engine``, ``max_iterations``).
+add SlimCodeML-specific extension keys (``max_iterations``, ``seed``).
 
 Unknown keys are collected — not fatal — so real CodeML control files
-can be reused as-is.
+can be reused as-is.  That includes an ``engine`` line: ``run`` always
+uses the slim-v2 engine.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ class ControlFile:
     #: 1 removes columns with gaps/ambiguity before analysis.
     cleandata: int = 0
     icode: int = 0
-    #: Extension: likelihood engine ("codeml", "slim", "slim-v2").
-    engine: str = "slim-v2"
     #: Extension: optimizer iteration budget.
     max_iterations: int = 200
     #: Extension: RNG seed for start values (paper fixes this, §IV).
@@ -95,7 +94,6 @@ _KEY_MAP = {
     "codonfreq": ("codon_freq", int),
     "cleandata": ("cleandata", int),
     "icode": ("icode", int),
-    "engine": ("engine", str),
     "max_iterations": ("max_iterations", int),
     "seed": ("seed", int),
 }
@@ -149,8 +147,7 @@ def write_ctl(ctl: ControlFile, destination: PathLike) -> None:
         f"    cleandata = {ctl.cleandata}",
         f"        icode = {ctl.icode}",
         "",
-        f"       engine = {ctl.engine}   * SlimCodeML extension",
-        f"max_iterations = {ctl.max_iterations}",
+        f"max_iterations = {ctl.max_iterations}   * SlimCodeML extension",
         f"         seed = {ctl.seed}",
     ]
     with open(destination, "w", encoding="utf-8") as handle:

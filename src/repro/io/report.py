@@ -38,6 +38,9 @@ __all__ = [
     "write_survey_report",
 ]
 
+#: Foreground sites listed under a mapping table, most non-synonymous first.
+MAPPED_SITES_SHOWN = 10
+
 PathLike = Union[str, os.PathLike]
 _RULE = "=" * 72
 
@@ -122,15 +125,15 @@ def _positive_label_phrase(fit: FitResult, model: Optional[CodonSiteModel]) -> s
     return "/".join(labels) if labels else "positive"
 
 
-def format_mapping_block(mapping: dict, max_sites: int = 10, indent: str = "") -> str:
+def format_mapping_block(mapping: dict, indent: str = "") -> str:
     """Render one task's substitution-mapping payload as an event table.
 
     ``mapping`` is the journal payload from
     :meth:`repro.likelihood.mapping.SubstitutionMapping.to_payload` (or
     its ``{"error": ...}`` degradation).  One row per branch — expected
     synonymous/non-synonymous events and their ratio (the event-count
-    analogue of dN/dS) — followed by the ``max_sites`` foreground sites
-    with the largest expected non-synonymous counts.
+    analogue of dN/dS) — followed by the ``MAPPED_SITES_SHOWN``
+    foreground sites with the largest expected non-synonymous counts.
     """
     if "error" in mapping:
         return f"{indent}mapping failed: {mapping['error']}"
@@ -164,10 +167,10 @@ def format_mapping_block(mapping: dict, max_sites: int = 10, indent: str = "") -
     nonsyn_half = np.asarray(ci_sites.get("nonsyn", []), dtype=float)
     hot = np.nonzero(nonsyn > 0)[0]
     if hot.size:
-        top = hot[np.argsort(nonsyn[hot], kind="stable")[::-1][:max_sites]]
+        top = hot[np.argsort(nonsyn[hot], kind="stable")[::-1][:MAPPED_SITES_SHOWN]]
         lines.append(
             f"{indent}foreground sites with sampled non-synonymous events "
-            f"(top {min(max_sites, hot.size)} of {hot.size}):"
+            f"(top {min(MAPPED_SITES_SHOWN, hot.size)} of {hot.size}):"
         )
         for site in top:
             text = (

@@ -28,6 +28,9 @@ from repro.utils.numerics import logsumexp_weighted
 
 __all__ = ["SiteProbabilities", "neb_site_probabilities", "beb_site_probabilities"]
 
+#: Upper end of the ω2 prior grid, CodeML's value.
+OMEGA2_GRID_MAX = 11.0
+
 
 def _positive_indices(bound: BoundLikelihood, values: Dict[str, float]) -> list:
     """Positively-selected class indices from the model's class graph.
@@ -94,7 +97,6 @@ def beb_site_probabilities(
     branch_lengths: Optional[Sequence[float]] = None,
     n_proportion_grid: int = 10,
     n_omega2_grid: int = 10,
-    omega2_max: float = 11.0,
 ) -> SiteProbabilities:
     """Bayes empirical Bayes over a (total, split, ω2) prior grid.
 
@@ -108,7 +110,7 @@ def beb_site_probabilities(
     """
     grid = _proportion_grid(n_proportion_grid)
     if "omega2" in values:
-        omega2_grid = 1.0 + (_proportion_grid(n_omega2_grid) * (omega2_max - 1.0))
+        omega2_grid = 1.0 + (_proportion_grid(n_omega2_grid) * (OMEGA2_GRID_MAX - 1.0))
     else:
         omega2_grid = np.array([1.0])
 

@@ -458,7 +458,6 @@ def fit_branch_site_test(
     max_iterations: int = 200,
     start_overrides: Optional[Dict[str, float]] = None,
     models: "Optional[tuple[CodonSiteModel, CodonSiteModel]]" = None,
-    grid_search: Optional[bool] = None,
     **fit_kwargs,
 ) -> BranchSiteTest:
     """Fit an H0/H1 branch-site pair and run the 1-df LRT.
@@ -492,12 +491,9 @@ def fit_branch_site_test(
     models:
         ``(h0_model, h1_model)`` instances; default is model A's pair.
         The shared warm-start parameters are the intersection of the two
-        models' parameter names, in H0 order.
-    grid_search:
-        Run the model's ω-grid start-point search (``grid_start``)
-        before each hypothesis fit.  ``None`` (default) enables it
-        exactly for models that expose the hook (BS-REL), keeping model
-        A's historical start path bit-identical.
+        models' parameter names, in H0 order.  A model that exposes a
+        ``grid_start`` hook (BS-REL) runs its ω-grid start-point search
+        before each hypothesis fit; model A has none.
     """
     from repro.models.branch_site import BranchSiteModelA
 
@@ -515,13 +511,8 @@ def fit_branch_site_test(
         return start
 
     def _grid(model: CodonSiteModel, bound: BoundLikelihood, start: Dict[str, float]):
-        use_grid = (
-            hasattr(model, "grid_start") if grid_search is None else bool(grid_search)
-        )
-        if not use_grid:
-            return start
         if not hasattr(model, "grid_start"):
-            raise ValueError(f"{model.name} does not support grid_search")
+            return start
         return model.grid_start(bound, start)
 
     bound0 = make_bound(h0_model)

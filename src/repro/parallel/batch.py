@@ -43,7 +43,7 @@ import numpy as np
 from repro.alignment.msa import CodonAlignment
 from repro.alignment.patterns import PatternAlignment, compress_patterns
 from repro.codon.frequencies import estimate_codon_frequencies
-from repro.core.engine import make_engine
+from repro.core.engine import PIPELINE_ENGINE, make_engine
 from repro.core.recovery import FitDiagnostics
 from repro.io.results_io import ResultJournal
 from repro.models.registry import resolve_model_spec
@@ -250,7 +250,6 @@ def _assemble_result(gene_id: str, test, engine,
 
 def _build_shared_context(
     pending: Sequence["GeneJob"],
-    engine: str,
     max_iterations: int,
     model: Optional[str] = None,
 ) -> Tuple[Dict, List[Tuple[int, int]]]:
@@ -299,7 +298,6 @@ def _build_shared_context(
             })
         keys.append((ni, ai))
     context = {
-        "engine": engine,
         "max_iterations": max_iterations,
         "model": model,
         "newicks": newicks,
@@ -334,9 +332,9 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     """Worker entry point (module-level so it pickles).
 
     ``payload`` is ``(gene_id, newick_idx, fg_node, aln_idx, seed)``;
-    everything batch-constant — engine choice, iteration budget,
-    trees, compressed alignments, codon frequencies — comes from the
-    one-shot ``context``.  Materialised patterns are cached in the
+    everything batch-constant — iteration budget, model spec, trees,
+    compressed alignments, codon frequencies — comes from the one-shot
+    ``context``.  Materialised patterns are cached in the
     context per worker process, so only the first task touching an
     alignment pays the (already cheap) rebuild; that cost is reported
     as the ``setup_s`` metric.
@@ -358,7 +356,7 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     if fg_node is not None:
         tree.mark_foreground(tree.nodes[fg_node])
     spec = resolve_model_spec(context["model"])
-    engine = make_engine(context["engine"])
+    engine = make_engine(PIPELINE_ENGINE)
     test = fit_branch_site_test(
         lambda model: engine.bind(tree, patterns, model, pi=pi),
         seed=seed,
@@ -370,7 +368,6 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
 
 def analyze_genes(
     jobs: Sequence[GeneJob],
-    engine: str = "slim-v2",
     processes: Optional[int] = None,
     seed: int = 1,
     max_iterations: int = 50,
@@ -457,7 +454,7 @@ def analyze_genes(
 
     # One broadcast context per batch, integer indices per task (see
     # module docstring).
-    context, keys = _build_shared_context(pending_jobs, engine, max_iterations, model=model)
+    context, keys = _build_shared_context(pending_jobs, max_iterations, model=model)
     payloads = [
         (job.gene_id, ni, job.fg_node, ai, s)
         for job, (ni, ai), s in zip(pending_jobs, keys, payload_seeds)
@@ -590,7 +587,6 @@ def scan_branches(
     gene_id: str,
     tree: Tree,
     alignment: CodonAlignment,
-    engine: str = "slim-v2",
     internal_only: bool = False,
     seed: int = 1,
     max_iterations: int = 50,
@@ -628,7 +624,6 @@ def scan_branches(
     ]
     results = analyze_genes(
         jobs,
-        engine=engine,
         processes=processes,
         seed=seed,
         max_iterations=max_iterations,
@@ -665,7 +660,6 @@ def map_survey_candidates(
     alignment: CodonAlignment,
     scan: BranchScanResult,
     labels: Sequence[str],
-    engine: str = "slim-v2",
     map_samples: int = 16,
     seed: int = 1,
     model: Optional[str] = None,
@@ -699,7 +693,7 @@ def map_survey_candidates(
     from repro.likelihood.mapping import sample_substitution_mapping
 
     spec = resolve_model_spec(model)
-    eng = make_engine(engine)
+    eng = make_engine(PIPELINE_ENGINE)
     pi = estimate_codon_frequencies(
         alignment.to_sequences(), method="f3x4", code=alignment.code
     )

@@ -105,10 +105,8 @@ class Executor(ABC):
         every worker **once** per batch — over the socket backend as a
         single broadcast frame at worker hello, over the pool backend
         as a ``multiprocessing.shared_memory`` segment workers attach
-        and decode zero-copy.  When a context is given the callable is
-        invoked as ``fn(payload, context)``; with ``context=None`` the
-        legacy single-argument form ``fn(payload)`` is kept, so
-        existing callables keep working unchanged.
+        and decode zero-copy.  The callable is always invoked as
+        ``fn(payload, context)``; ``context`` may be ``None``.
         """
 
     @abstractmethod

@@ -51,10 +51,7 @@ class InlineExecutor(Executor):
         assert self._fn is not None, "submit before start"
         started = time.perf_counter()
         try:
-            if self._context is None:
-                result = self._fn(payload)
-            else:
-                result = self._fn(payload, self._context)
+            result = self._fn(payload, self._context)
         except Exception as exc:  # noqa: BLE001 - faults become events
             self._events.append(
                 ExecutorEvent(

@@ -43,12 +43,6 @@ __all__ = ["ProcessPoolBackend"]
 _MIN_WAIT = 0.02
 
 
-def _invoke(fn: Callable[[object], object], payload: object):
-    """Worker-side wrapper: returns ``(worker_id, result)`` so successes
-    carry the pid that computed them (per-worker metrics attribution)."""
-    return f"pid:{os.getpid()}", fn(payload)
-
-
 #: Worker-process cache of the attached context segment: one batch at a
 #: time, so a new segment name evicts the previous attachment.
 _ATTACHED: Dict[str, Tuple[object, object]] = {}
@@ -89,9 +83,14 @@ def _attach_context(shm_name: str) -> object:
     return context
 
 
-def _invoke_shared(fn: Callable[..., object], payload: object, shm_name: str):
-    """Worker-side wrapper for batches with a shared context segment."""
-    return f"pid:{os.getpid()}", fn(payload, _attach_context(shm_name))
+def _invoke(fn: Callable[[object, object], object], payload: object,
+            shm_name: Optional[str]):
+    """Worker-side wrapper: calls ``fn(payload, context)`` with the
+    batch's attached context segment (``None`` without one) and returns
+    ``(worker_id, result)`` so successes carry the pid that computed
+    them (per-worker metrics attribution)."""
+    context = _attach_context(shm_name) if shm_name is not None else None
+    return f"pid:{os.getpid()}", fn(payload, context)
 
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -175,9 +174,8 @@ class ProcessPoolBackend(Executor):
             self._context_bytes = 0
 
     def _submit_call(self, pool: ProcessPoolExecutor, payload: object) -> Future:
-        if self._shm is not None:
-            return pool.submit(_invoke_shared, self._fn, payload, self._shm.name)
-        return pool.submit(_invoke, self._fn, payload)
+        shm_name = self._shm.name if self._shm is not None else None
+        return pool.submit(_invoke, self._fn, payload, shm_name)
 
     def shutdown(self) -> None:
         for entry in list(self._entries.values()):

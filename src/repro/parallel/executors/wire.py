@@ -512,7 +512,6 @@ def recv_frame(
     sock: socket.socket,
     *,
     timeout: object = _KEEP_TIMEOUT,
-    max_frame: int = MAX_FRAME,
 ) -> Optional[Frame]:
     """Receive one frame; ``None`` on clean EOF at a frame boundary.
 
@@ -535,7 +534,7 @@ def recv_frame(
             raise WireError("peer is not speaking the slimcodeml frame protocol")
         if version != VERSION:
             raise WireError(f"frame protocol version {version} (expected {VERSION})")
-        if body_len > max_frame:
+        if body_len > MAX_FRAME:
             raise WireError(f"frame of {body_len} bytes exceeds protocol maximum")
         if n_sections > _MAX_SECTIONS:
             raise WireError(f"frame with {n_sections} sections exceeds protocol maximum")

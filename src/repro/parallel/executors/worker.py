@@ -156,10 +156,7 @@ def run_worker(
                 continue
             started = time.perf_counter()
             try:
-                if context is None:
-                    result = fn(payload)
-                else:
-                    result = fn(payload, context)
+                result = fn(payload, context)
             except Exception as exc:  # noqa: BLE001 - faults become messages
                 try:
                     _reply_error(sock, send_lock, msg.tag,

@@ -158,7 +158,7 @@ class TaskOutcome:
 
 
 def run_tasks(
-    fn: Callable[[object], object],
+    fn: Callable[[object, object], object],
     payloads: Sequence[object],
     task_ids: Optional[Sequence[str]] = None,
     policy: Optional[FaultPolicy] = None,
@@ -176,9 +176,9 @@ def run_tasks(
 
     ``context`` is the batch's shared read-only state.  It is shipped
     to workers once per batch (socket broadcast frame / pool
-    shared-memory segment) instead of per task, and when present the
-    callable is invoked as ``fn(payload, context)`` rather than
-    ``fn(payload)``.
+    shared-memory segment) instead of per task; the callable is invoked
+    as ``fn(payload, context)``, with ``context`` ``None`` when there is
+    none.
 
     ``executor`` selects the execution substrate (see
     :mod:`repro.parallel.executors`); a caller-provided executor is

@@ -326,33 +326,48 @@ def test_batched_site_class_matrix_identical(small_tree, small_sim, h1_model, bs
     np.testing.assert_array_equal(p1, ev.proportions)
 
 
-def test_slim_v2_defaults_batched(small_tree, small_sim, h1_model, bsm_values, monkeypatch):
-    import inspect
-
+def test_slim_v2_defaults_batched(
+    small_tree, small_sim, h1_model, bsm_values, tmp_path, monkeypatch
+):
+    import repro.cli as cli
     import repro.core.engine as engine_mod
-    from repro.cli import build_parser
-    from repro.io.ctl import ControlFile
-    from repro.parallel.batch import analyze_genes, map_survey_candidates, scan_branches
+    import repro.parallel.batch as batch
+    from repro.alignment.parsers import write_phylip
+    from repro.trees.newick import write_newick
 
-    # slim-v2 is the default engine at every entry point ...
-    assert ControlFile().engine == "slim-v2"
-    scan_args = build_parser().parse_args(["scan", "--seqfile", "a", "--treefile", "b"])
-    assert scan_args.engine == "slim-v2"
-    for api in (analyze_genes, scan_branches, map_survey_candidates):
-        assert inspect.signature(api).parameters["engine"].default == "slim-v2"
-    # ... and every engine evaluates through the level-order driver.
+    # Every engine `run` and `scan --map` build is slim-v2, named by
+    # position (the form a wrapped `make_engine(name, **kwargs)` sees) ...
     calls = []
+    for module in (cli, batch):
+        def recorder(*args, _module=module.__name__, _make=module.make_engine, **kwargs):
+            calls.append((_module, args, kwargs))
+            return _make(*args, **kwargs)
+
+        monkeypatch.setattr(module, "make_engine", recorder)
+    seqfile, treefile = tmp_path / "small.phy", tmp_path / "small.nwk"
+    write_phylip(small_sim.alignment, str(seqfile))
+    treefile.write_text(write_newick(small_tree) + "\n")
+    inputs = ["--seqfile", str(seqfile), "--treefile", str(treefile), "--max-iterations", "1"]
+    assert cli.main(["run", *inputs, "--out", str(tmp_path / "run.txt")]) == 0
+    assert cli.main([
+        "scan", *inputs, "--internal-only", "--map", "--map-samples", "2", "--quiet",
+        "--out", str(tmp_path / "scan.txt"),
+    ]) == 0
+    assert {module for module, _, _ in calls} == {"repro.cli", "repro.parallel.batch"}
+    assert all(args == ("slim-v2",) and not kwargs for _, args, kwargs in calls)
+    # ... and every engine evaluates through the level-order driver.
+    evaluations = []
     driver = engine_mod.prune_site_class_batched
     monkeypatch.setattr(
         engine_mod, "prune_site_class_batched",
-        lambda *a, **k: calls.append(1) or driver(*a, **k),
+        lambda *a, **k: evaluations.append(1) or driver(*a, **k),
     )
     for name in ENGINE_NAMES:
-        calls.clear()
+        evaluations.clear()
         make_engine(name).bind(small_tree, small_sim.alignment, h1_model).log_likelihood(
             bsm_values
         )
-        assert calls, name
+        assert evaluations, name
 
 
 # ----------------------------------------------------------------------

@@ -249,15 +249,3 @@ class TestFitDriver:
         assert "BS-REL" in test.h0.model_name and "BS-REL" in test.h1.model_name
         assert np.isfinite(test.h0.lnl) and np.isfinite(test.h1.lnl)
         assert test.h1.lnl >= test.h0.lnl - 1e-6  # H0 ⊂ H1
-
-    def test_grid_search_flag_requires_hook(self, small_tree, small_sim):
-        from repro.optimize.ml import fit_branch_site_test
-
-        engine = make_engine("slim")
-        with pytest.raises(ValueError, match="grid_search"):
-            fit_branch_site_test(
-                lambda model: engine.bind(small_tree, small_sim.alignment, model),
-                seed=1,
-                max_iterations=2,
-                grid_search=True,  # model A has no grid_start hook
-            )

@@ -55,7 +55,6 @@ class TestRun:
                 "run",
                 "--seqfile", str(tiny_dataset) + ".phy",
                 "--treefile", str(tiny_dataset) + ".nwk",
-                "--engine", "slim",
                 "--max-iterations", "3",
                 "--out", str(out),
             ]
@@ -63,7 +62,7 @@ class TestRun:
         assert rc == 0
         text = out.read_text()
         assert "Likelihood ratio test" in text
-        assert "engine: slim" in text
+        assert "engine: slim-v2" in text
 
     def test_run_stdout(self, tiny_dataset, capsys):
         rc = main(
@@ -85,6 +84,8 @@ class TestRun:
         assert not re.search(r"^  \|?grad", out, flags=re.M)
 
     def test_run_with_ctl(self, tiny_dataset, tmp_path, capsys):
+        from repro.io.ctl import parse_ctl
+
         ctl = tmp_path / "run.ctl"
         ctl.write_text(
             f"seqfile = {tiny_dataset}.phy\n"
@@ -94,7 +95,9 @@ class TestRun:
         )
         rc = main(["run", "--ctl", str(ctl)])
         assert rc == 0
-        assert "engine: codeml" in capsys.readouterr().out
+        # An engine line is read like any other CodeML key this tool ignores.
+        assert "engine: slim-v2" in capsys.readouterr().out
+        assert parse_ctl(ctl).unknown == {"engine": "codeml"}
 
 
 class TestGuardedByDefault:
@@ -103,6 +106,17 @@ class TestGuardedByDefault:
             main(["scan", "--seqfile", "a", "--treefile", "b", "--no-recover"])
         assert exc_info.value.code == 2
         assert "--no-recover" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seqfile", "a", "--treefile", "b", "--engine", "slim"],
+        ["scan", "--seqfile", "a", "--treefile", "b", "--engine", "slim"],
+        ["bench"],
+    ])
+    def test_engine_selector_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_run_reports_what_the_ladder_did(self, tiny_dataset, capsys, monkeypatch):
         real_eigh = scipy.linalg.eigh

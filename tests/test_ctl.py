@@ -34,7 +34,6 @@ class TestParse:
     def test_defaults(self):
         ctl = parse_ctl_text("seqfile = a.phy\ntreefile = a.nwk\n")
         assert ctl.model == 2 and ctl.nssites == 2
-        assert ctl.engine == "slim-v2"
         assert ctl.hypothesis == "H1"
         assert ctl.freq_method == "f3x4"
 
@@ -47,12 +46,11 @@ class TestParse:
         assert ctl.codon_freq == 1 and ctl.fix_omega == 1
 
     def test_unknown_keys_collected(self):
-        ctl = parse_ctl_text("ndata = 5\nRateAncestor = 1\n")
-        assert ctl.unknown == {"ndata": "5", "RateAncestor": "1"}
+        ctl = parse_ctl_text("ndata = 5\nRateAncestor = 1\nengine = codeml\n")
+        assert ctl.unknown == {"ndata": "5", "RateAncestor": "1", "engine": "codeml"}
 
     def test_extension_keys(self):
-        ctl = parse_ctl_text("engine = codeml\nmax_iterations = 42\nseed = 7\n")
-        assert ctl.engine == "codeml"
+        ctl = parse_ctl_text("max_iterations = 42\nseed = 7\n")
         assert ctl.max_iterations == 42
         assert ctl.seed == 7
 
@@ -99,7 +97,6 @@ class TestRoundTrip:
             fix_omega=1,
             kappa=3.5,
             codon_freq=1,
-            engine="slim-v2",
             max_iterations=77,
             seed=13,
         )
@@ -110,6 +107,5 @@ class TestRoundTrip:
         assert again.fix_omega == ctl.fix_omega
         assert again.kappa == ctl.kappa
         assert again.codon_freq == ctl.codon_freq
-        assert again.engine == ctl.engine
         assert again.max_iterations == ctl.max_iterations
         assert again.seed == ctl.seed

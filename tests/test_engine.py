@@ -27,9 +27,7 @@ class TestFactory:
         "name,cls",
         [
             ("codeml", BaselineEngine),
-            ("baseline", BaselineEngine),
             ("slim", SlimEngine),
-            ("slimcodeml", SlimEngine),
             ("slim-v2", SlimV2Engine),
         ],
     )
@@ -37,8 +35,10 @@ class TestFactory:
         assert isinstance(make_engine(name), cls)
 
     def test_unknown(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            make_engine("warp-drive")
+        # Only the engines' own names resolve.
+        for name in ("warp-drive", "baseline", "slimcodeml", "slimv2"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                make_engine(name)
 
 
 class TestEngineAgreement:

@@ -39,17 +39,17 @@ BACKENDS = ["inline", "pool", "socket"]
 # ----------------------------------------------------------------------
 # Module-level workers (pickleable into processes and over the wire)
 # ----------------------------------------------------------------------
-def _double(x):
+def _double(x, _context):
     return 2 * x
 
 
-def _boom_if_odd(x):
+def _boom_if_odd(x, _context):
     if x % 2 == 1:
         raise ValueError(f"odd input {x}")
     return x
 
 
-def _flaky_via_file(payload):
+def _flaky_via_file(payload, _context):
     """Fails until the attempt-counter file reaches the threshold."""
     path, fail_times, value = payload
     with open(path, "a", encoding="utf-8") as handle:
@@ -61,7 +61,7 @@ def _flaky_via_file(payload):
     return value
 
 
-def _sleep_seconds(x):
+def _sleep_seconds(x, _context):
     time.sleep(x)
     return x
 
@@ -71,7 +71,7 @@ def _ctx_scaled(payload, context):
     return float(context["arr"][payload]) * context["scale"]
 
 
-def _log_then_echo(payload):
+def _log_then_echo(payload, _context):
     """Appends its id to a file (exactly-once probe) and echoes it.
 
     The payload drags a large array along purely to make the dispatch
@@ -85,7 +85,7 @@ def _log_then_echo(payload):
     return (value, float(arr[0]))
 
 
-def _exit_if_marked(x):
+def _exit_if_marked(x, _context):
     """Simulates a segfaulting/OOM-killed worker for one payload."""
     if x == "die":
         os._exit(13)

@@ -16,26 +16,26 @@ from repro.parallel.faults import FaultPolicy, TaskFailure, run_tasks
 # ----------------------------------------------------------------------
 # Module-level workers (pickleable into worker processes)
 # ----------------------------------------------------------------------
-def _double(x):
+def _double(x, _context):
     return 2 * x
 
 
-def _boom(x):
+def _boom(x, _context):
     raise ValueError(f"bad input {x}")
 
 
-def _boom_if_odd(x):
+def _boom_if_odd(x, _context):
     if x % 2 == 1:
         raise ValueError(f"odd input {x}")
     return x
 
 
-def _sleep_seconds(x):
+def _sleep_seconds(x, _context):
     time.sleep(x)
     return x
 
 
-def _exit_if_marked(x):
+def _exit_if_marked(x, _context):
     """Simulates a segfaulting/OOM-killed worker for one payload."""
     if x == "die":
         os._exit(13)
@@ -43,7 +43,7 @@ def _exit_if_marked(x):
     return x
 
 
-def _flaky_via_file(payload):
+def _flaky_via_file(payload, _context):
     """Fails until the attempt-counter file reaches the threshold."""
     path, fail_times, value = payload
     with open(path, "a", encoding="utf-8") as handle:

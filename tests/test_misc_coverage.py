@@ -97,23 +97,6 @@ class TestEngineInternals:
         assert "TOTAL" in a.summary()
 
 
-class TestCliParser:
-    def test_bench_subcommand_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["bench", "--dataset", "i", "--iterations", "1", "--engines", "codeml", "slim"]
-        )
-        assert args.command == "bench"
-        assert args.engines == ["codeml", "slim"]
-
-    def test_bench_rejects_unknown_engine(self):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--engines", "warp"])
-
-
 class TestTreeHelpers:
     def test_repr(self):
         from repro.trees.newick import parse_newick

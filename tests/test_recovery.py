@@ -473,7 +473,7 @@ class TestScanRecovery:
         monkeypatch.setattr(scipy.linalg, "eigh", flaky)
         scan = scan_branches(
             "geneX", tree, alignment,
-            engine="slim", seed=1, max_iterations=3,
+            seed=1, max_iterations=3,
             internal_only=True, journal=journal,
         )
         assert scan.ok  # every branch produced an LRT despite the fault
@@ -495,12 +495,12 @@ class TestScanRecovery:
         tree, alignment = scan_inputs
         guarded = scan_branches(
             "geneY", tree, alignment,
-            engine="slim", seed=1, max_iterations=3, internal_only=True,
+            seed=1, max_iterations=3, internal_only=True,
         )
         _bare_kernels(monkeypatch)
         plain = scan_branches(
             "geneY", tree, alignment,
-            engine="slim", seed=1, max_iterations=3, internal_only=True,
+            seed=1, max_iterations=3, internal_only=True,
         )
         assert guarded.summary().n_recovered == 0
         for a, b in zip(plain.gene_results, guarded.gene_results):
