@@ -16,6 +16,7 @@ from harness import format_table, write_result
 
 from repro.io.results_io import ResultJournal
 from repro.parallel.batch import GeneResult
+from repro.parallel.executors import InlineExecutor
 from repro.parallel.faults import run_tasks
 
 N_TASKS = 500
@@ -37,7 +38,7 @@ def test_inprocess_dispatch_overhead(benchmark):
     payloads = list(range(N_TASKS))
 
     def dispatch():
-        return run_tasks(_identity, payloads, in_process=True)
+        return run_tasks(_identity, payloads, InlineExecutor())
 
     outcomes = benchmark.pedantic(dispatch, rounds=5, iterations=1)
     assert all(o.ok for o in outcomes)
@@ -71,7 +72,7 @@ def test_scan_overhead_summary(benchmark, tmp_path):
         timings["bare loop"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        run_tasks(_identity, payloads, in_process=True)
+        run_tasks(_identity, payloads, InlineExecutor())
         timings["fault layer (in-process)"] = time.perf_counter() - t0
 
         results = [_synthetic_result(k) for k in range(N_TASKS)]

@@ -12,6 +12,7 @@ Run:  python examples/branch_scan.py
 
 from repro import BranchSiteModelA, parse_newick, simulate_alignment, write_newick
 from repro.parallel.batch import scan_branches
+from repro.parallel.executors import make_executor
 
 # A 8-species gene; the true foreground is the stem of the (A,B,C) clade.
 tree = parse_newick(
@@ -26,15 +27,18 @@ print(f"true foreground branch: node#{true_fg.index} "
       f"(ancestor of {[l.name for l in true_fg.postorder() if l.is_leaf]})\n")
 
 print("scanning all internal branches (this re-fits H0+H1 per branch)...")
-scan = scan_branches(
-    "demo-gene",
-    tree,
-    sim.alignment,
-    internal_only=True,
-    seed=3,
-    max_iterations=25,
-    processes=1,  # set None to use all cores
-)
+# "inline" runs the branches one after another in this process;
+# make_executor("pool") fans them out over every core.
+with make_executor("inline") as executor:
+    scan = scan_branches(
+        "demo-gene",
+        tree,
+        sim.alignment,
+        internal_only=True,
+        seed=3,
+        max_iterations=25,
+        executor=executor,
+    )
 
 # A scan never raises for one bad branch: successes land in
 # scan.by_branch, failures as structured records in scan.failures.

@@ -24,6 +24,7 @@ import time
 from repro import BranchSiteModelA, simulate_alignment, simulate_yule_tree
 from repro.io.report import format_recovery_block
 from repro.parallel.batch import GeneJob, analyze_genes
+from repro.parallel.executors import make_executor
 from repro.parallel.faults import FaultPolicy
 from repro.parallel.metrics import summarize_results
 from repro.trees.simulate import random_foreground
@@ -61,11 +62,13 @@ if resume:
 print(f"running branch-site tests on {PROCESSES} processes...")
 computed = set()
 start = time.perf_counter()
-results = analyze_genes(
-    jobs, processes=PROCESSES, seed=1, max_iterations=20,
-    policy=policy, journal=JOURNAL, resume=resume,
-    on_result=lambda k, res: computed.add(res.gene_id),
-)
+with make_executor("pool", max_workers=PROCESSES) as executor:
+    results = analyze_genes(
+        jobs, seed=1, max_iterations=20,
+        policy=policy, journal=JOURNAL, resume=resume,
+        on_result=lambda k, res: computed.add(res.gene_id),
+        executor=executor,
+    )
 elapsed = time.perf_counter() - start
 resumed_ids = [r.gene_id for r in results if r.gene_id not in computed]
 

@@ -207,27 +207,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
             n_samples=args.map_samples, seed=seed,
         ).to_payload()
 
-    report = format_report(test, tree=tree, sites=sites, dataset_name=seqfile,
-                           mapping=mapping)
-    if args.out == "-":
-        print(report)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-        print(f"report written to {args.out}")
+    _write_report(
+        format_report(test, tree=tree, sites=sites, dataset_name=seqfile, mapping=mapping),
+        args.out,
+    )
     return 0
+
+
+def _write_report(report: str, out: str) -> None:
+    """Print ``report``, or write it to ``out`` when that is not ``-``."""
+    if out == "-":
+        print(report)
+        return
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.write(report + "\n")
+    print(f"report written to {out}")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     import os
     import time
 
-    from repro.parallel.batch import scan_branches
-    from repro.parallel.faults import FaultPolicy
-
-    from repro.parallel.executors import make_executor
-
     from repro.models.registry import resolve_model_spec
+    from repro.parallel.batch import scan_branches
+    from repro.parallel.executors import make_executor
+    from repro.parallel.faults import FaultPolicy
 
     try:
         # Fail a typo'd spec before any work is scheduled.
@@ -244,37 +248,34 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         max_retries=args.retries,
         retry_backoff=args.backoff,
     )
-    if args.timeout is not None and args.processes == 1 and args.executor in (None, "inline"):
+    kind = args.executor or ("inline" if args.processes == 1 else "pool")
+    if args.timeout is not None and kind == "inline":
         print(
             "warning: --timeout needs worker processes (--processes > 1, or "
             "--executor pool/socket); in-process tasks cannot be interrupted "
             "and the timeout will not be enforced",
             file=sys.stderr,
         )
-
-    executor = None
-    if args.executor is not None:
-        try:
-            bind_host, bind_port = args.bind.rsplit(":", 1)
-            executor = make_executor(
-                args.executor,
-                max_workers=args.processes,
-                bind=bind_host,
-                port=int(bind_port),
-                min_workers=args.min_workers,
-                worker_wait=args.worker_wait,
-            )
-        except (ValueError, OSError) as exc:
-            print(f"error: cannot set up --executor {args.executor}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.executor == "socket":
-            host, port = executor.address
-            print(
-                f"socket executor listening on {host}:{port} — start workers "
-                f"with: slimcodeml worker --connect {host}:{port}",
-                file=sys.stderr,
-            )
+    try:
+        bind_host, bind_port = args.bind.rsplit(":", 1)
+        executor = make_executor(
+            kind,
+            max_workers=args.processes,
+            bind=bind_host,
+            port=int(bind_port),
+            min_workers=args.min_workers,
+            worker_wait=args.worker_wait,
+        )
+    except (ValueError, OSError) as exc:
+        print(f"error: cannot set up --executor {kind}: {exc}", file=sys.stderr)
+        return 2
+    if kind == "socket":
+        host, port = executor.address
+        print(
+            f"socket executor listening on {host}:{port} — start workers "
+            f"with: slimcodeml worker --connect {host}:{port}",
+            file=sys.stderr,
+        )
     if args.resume and not args.journal:
         print(
             "warning: --resume has no effect without --journal; "
@@ -304,28 +305,25 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     try:
-        scan = scan_branches(
-            gene_id,
-            tree,
-            alignment,
-            internal_only=args.internal_only,
-            seed=args.seed,
-            max_iterations=args.max_iterations,
-            processes=args.processes,
-            policy=policy,
-            journal=args.journal,
-            resume=args.resume,
-            on_result=progress,
-            executor=executor,
-            model=model_spec,
-        )
+        with executor:
+            scan = scan_branches(
+                gene_id,
+                tree,
+                alignment,
+                internal_only=args.internal_only,
+                seed=args.seed,
+                max_iterations=args.max_iterations,
+                policy=policy,
+                journal=args.journal,
+                resume=args.resume,
+                on_result=progress,
+                executor=executor,
+                model=model_spec,
+            )
     except RuntimeError as exc:
         # e.g. the socket executor never saw its --min-workers register.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     unmapped = []
     if args.map:
@@ -373,7 +371,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             lines.append(f"  not mapped (no stored H1 MLEs): {', '.join(unmapped)}")
     lines.append("")
     summary = scan.summary(wall_seconds=wall, resumed_ids=resumed)
-    if executor is not None and hasattr(executor, "wire_stats"):
+    if hasattr(executor, "wire_stats"):
         # Counters survive shutdown: report data-plane traffic (bytes per
         # task vs the one-shot broadcast) alongside the compute metrics.
         summary.metrics.update(
@@ -383,13 +381,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.journal:
         lines.append(f"journal    : {args.journal}"
                      + (" (resumed)" if args.resume else ""))
-    report = "\n".join(lines)
-    if args.out == "-":
-        print(report)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-        print(f"report written to {args.out}")
+    _write_report("\n".join(lines), args.out)
     return 0 if scan.ok else 1
 
 

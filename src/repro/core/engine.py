@@ -81,7 +81,6 @@ __all__ = [
     "BaselineEngine",
     "SlimEngine",
     "SlimV2Engine",
-    "BatchedOperatorSet",
     "BoundLikelihood",
     "ClassEvaluation",
     "LikelihoodGradient",
@@ -104,34 +103,6 @@ COUNTER_KEYS = (
     "gradient_passes",
     "gradient_s",
 )
-
-
-class BatchedOperatorSet:
-    """All branch operators of one ω class, possibly backed by one stack.
-
-    ``stack`` is the frozen F-ordered ``(n, n·B)`` buffer from a stacked
-    build (``None`` when the operators were built per branch — Padé
-    fallback decompositions or engines without a stacked kernel).  Each
-    entry of ``operators`` (keyed by branch length) is then a zero-copy,
-    read-only, F-contiguous column-block view of the stack, packaged in
-    the engine's operator form.
-    """
-
-    __slots__ = ("operators", "stack")
-
-    def __init__(self, operators: Dict[float, object], stack: Optional[np.ndarray] = None):
-        self.operators = operators
-        self.stack = stack
-
-    def view(self, t: float) -> object:
-        """The operator for branch length ``t`` (KeyError if unplanned)."""
-        return self.operators[float(t)]
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-    def __contains__(self, t: object) -> bool:
-        return float(t) in self.operators
 
 
 class LikelihoodEngine:
@@ -250,8 +221,11 @@ class LikelihoodEngine:
 
     def build_operator_set(
         self, decomp, ts: Sequence[float]
-    ) -> BatchedOperatorSet:
+    ) -> Dict[float, object]:
         """Build (and guard) the operators of one decomposition for ``ts``.
+
+        Returns ``{t: operator}`` in the engine's operator form, keyed by
+        branch length.
 
         The one operator builder, timed under ``expm_s``.  A spectral
         decomposition gets one stacked build where the engine has a
@@ -260,11 +234,12 @@ class LikelihoodEngine:
         blocks the screen flags — the same events and repairs as
         guarding every block
         (:func:`~repro.core.recovery.screen_operator_stack`).  Guards
-        repair in place, so they run *before* the stack is frozen; the
-        public views are then created from the frozen buffer, read-only.
-        Otherwise (a Padé fallback, or no stacked kernel) each length is
-        built on its own, and a rung-4 kernel made for one length serves
-        the call's remaining lengths.
+        repair in place, so they run *before* the stack is frozen; each
+        operator then wraps a zero-copy, read-only, F-contiguous
+        column-block view of the frozen ``(n, n·B)`` buffer.  Otherwise
+        (a Padé fallback, or no stacked kernel) each length is built on
+        its own, and a rung-4 kernel made for one length serves the
+        call's remaining lengths.
         """
         start = time.perf_counter()
         ts = [float(t) for t in ts]
@@ -275,9 +250,7 @@ class LikelihoodEngine:
         )
         if stack is None:
             kernel: List[UniformizedOperator] = []
-            opset = BatchedOperatorSet(
-                {t: self._make_operator(decomp, t, kernel) for t in ts}
-            )
+            operators = {t: self._make_operator(decomp, t, kernel) for t in ts}
         else:
             n = decomp.n_states
             for b in self._screen_stack(stack, decomp):
@@ -290,9 +263,8 @@ class LikelihoodEngine:
                 for b, t in enumerate(ts)
             }
             self._note_rung(getattr(decomp, "rung", "evr"), len(ts))
-            opset = BatchedOperatorSet(operators, stack)
         self.counters["expm_s"] += time.perf_counter() - start
-        return opset
+        return operators
 
     # ------------------------------------------------------------------
     def _decompose(self, matrix: CodonRateMatrix):
@@ -608,7 +580,7 @@ class ClassEvaluation:
     graph: SiteClassGraph
     scale: float
     decomps: Dict[float, object]
-    opsets: Dict[float, BatchedOperatorSet]
+    opsets: Dict[float, Dict[float, object]]
     plans: List[ClassPlan]
     rows: List[Tuple[int, int, float, bool]]
     results: List[PruningResult]
@@ -878,7 +850,7 @@ class BoundLikelihood:
         opsets = dict(base_sets)
         for omega, ts in requested.items():
             if omega in base_sets:
-                ts = list(base_sets[omega].operators) + ts
+                ts = list(base_sets[omega]) + ts
             opsets[omega] = engine.build_operator_set(decomps[omega], ts)
 
         def factory_for(cls: SiteClass):
@@ -886,7 +858,7 @@ class BoundLikelihood:
             bg_set = opsets.get(cls.omega_background)
 
             def transition(t: float, foreground: bool) -> object:
-                return (fg_set if foreground else bg_set).operators[t]
+                return (fg_set if foreground else bg_set)[t]
 
             return transition
 
@@ -1132,7 +1104,7 @@ class BoundLikelihood:
                 us.append(u)
                 if h > 0:
                     omega = cls.omega_foreground if fg else cls.omega_background
-                    items.append((ev.opsets[omega].operators[t], u / pi_col))
+                    items.append((ev.opsets[omega][t], u / pi_col))
                     children.append(child)
             if items:
                 # Counted as propagations; not timed under clv_s, so the

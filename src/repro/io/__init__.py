@@ -1,22 +1,12 @@
 """CodeML-compatible configuration and result reporting."""
 
 from repro.io.ctl import ControlFile, parse_ctl, write_ctl
-from repro.io.report import (
-    format_report,
-    format_survey_report,
-    write_report,
-    write_survey_report,
-)
-from repro.io.results_io import read_json_result, write_json_result
+from repro.io.report import format_report, format_survey_report
 
 __all__ = [
     "ControlFile",
     "format_report",
     "format_survey_report",
     "parse_ctl",
-    "read_json_result",
     "write_ctl",
-    "write_json_result",
-    "write_report",
-    "write_survey_report",
 ]

@@ -11,7 +11,6 @@ LRT statistics with Holm-corrected p-values.
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,19 +28,16 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 __all__ = [
     "format_report",
-    "write_report",
     "format_fit_block",
     "format_mapping_block",
     "format_recovery_block",
     "convergence_mark",
     "format_survey_report",
-    "write_survey_report",
 ]
 
 #: Foreground sites listed under a mapping table, most non-synonymous first.
 MAPPED_SITES_SHOWN = 10
 
-PathLike = Union[str, os.PathLike]
 _RULE = "=" * 72
 
 
@@ -281,22 +277,6 @@ def format_report(
     return "\n".join(lines)
 
 
-def write_report(
-    destination: PathLike,
-    test: BranchSiteTest,
-    tree: Optional[Tree] = None,
-    sites: Optional[SiteProbabilities] = None,
-    dataset_name: str = "",
-    models: Optional[tuple[CodonSiteModel, CodonSiteModel]] = None,
-) -> None:
-    """Write :func:`format_report` output to ``destination``."""
-    with open(destination, "w", encoding="utf-8") as handle:
-        handle.write(
-            format_report(test, tree=tree, sites=sites, dataset_name=dataset_name, models=models)
-            + "\n"
-        )
-
-
 def format_survey_report(
     scan: "BranchScanResult",
     dataset_name: str = "",
@@ -358,18 +338,3 @@ def format_survey_report(
             lines.append(f"  {branch}: {failure.describe()}")
     lines += ["", _RULE]
     return "\n".join(lines)
-
-
-def write_survey_report(
-    destination: PathLike,
-    scan: "BranchScanResult",
-    dataset_name: str = "",
-    alpha: float = 0.05,
-    model_spec: str = "",
-) -> None:
-    """Write :func:`format_survey_report` output to ``destination``."""
-    with open(destination, "w", encoding="utf-8") as handle:
-        handle.write(
-            format_survey_report(scan, dataset_name=dataset_name, alpha=alpha, model_spec=model_spec)
-            + "\n"
-        )

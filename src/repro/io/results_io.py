@@ -1,31 +1,24 @@
-"""Machine-readable (JSON) serialisation of analysis results.
+"""The JSONL result journal: the one machine-readable archive of scans.
 
 Genome-scale pipelines (Selectome-style) archive per-gene results for
-downstream aggregation; the ``mlc``-style text report is for humans.
-This module round-trips :class:`FitResult`, :class:`BranchSiteTest` and
-:class:`LRTResult` through plain JSON-compatible dicts with a schema
-version, so archives stay readable across library versions.
+downstream aggregation and resume; the ``mlc``-style text report is for
+humans.  Each journal record is one
+:class:`~repro.parallel.batch.GeneResult` laid out from the dataclass'
+own fields, so a new result field reaches the journal without an edit
+here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from typing import Dict, Union
-
-import numpy as np
-
-from repro.optimize.lrt import LRTResult
-from repro.optimize.ml import BranchSiteTest, FitResult
+from dataclasses import fields, is_dataclass
+from functools import lru_cache
+from typing import Dict, Optional, Tuple, Type, Union, get_args, get_type_hints
 
 __all__ = [
     "SCHEMA_VERSION",
-    "fit_to_dict",
-    "fit_from_dict",
-    "branch_site_test_to_dict",
-    "branch_site_test_from_dict",
-    "write_json_result",
-    "read_json_result",
     "gene_result_to_dict",
     "gene_result_from_dict",
     "ResultJournal",
@@ -33,7 +26,7 @@ __all__ = [
 
 PathLike = Union[str, os.PathLike]
 
-#: Bump when the serialised layout changes incompatibly.
+#: Record-layout version, written as every record's ``schema`` key.
 SCHEMA_VERSION = 1
 
 #: Journal format version, recorded in the JSONL header record.  Bump on
@@ -65,92 +58,6 @@ SCHEMA_VERSION = 1
 JOURNAL_VERSION = 10
 
 
-def fit_to_dict(fit: FitResult) -> Dict:
-    """Serialise one fit (arrays become lists, floats stay exact via repr)."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "fit",
-        "model": fit.model_name,
-        "engine": fit.engine_name,
-        "lnl": fit.lnl,
-        "values": dict(fit.values),
-        "branch_lengths": [float(t) for t in fit.branch_lengths],
-        "n_iterations": fit.n_iterations,
-        "n_evaluations": fit.n_evaluations,
-        "runtime_seconds": fit.runtime_seconds,
-        "converged": fit.converged,
-        "message": fit.message,
-        "diagnostics": (
-            fit.diagnostics.to_dict()
-            if fit.diagnostics.recovered or fit.diagnostics.boundary_flags
-            else None
-        ),
-    }
-
-
-def fit_from_dict(payload: Dict) -> FitResult:
-    """Inverse of :func:`fit_to_dict` (history is not archived)."""
-    from repro.core.recovery import FitDiagnostics
-
-    _check(payload, "fit")
-    return FitResult(
-        model_name=payload["model"],
-        engine_name=payload["engine"],
-        lnl=float(payload["lnl"]),
-        values={k: float(v) for k, v in payload["values"].items()},
-        branch_lengths=np.asarray(payload["branch_lengths"], dtype=float),
-        n_iterations=int(payload["n_iterations"]),
-        n_evaluations=int(payload["n_evaluations"]),
-        runtime_seconds=float(payload["runtime_seconds"]),
-        converged=bool(payload["converged"]),
-        message=payload["message"],
-        diagnostics=FitDiagnostics.from_dict(payload.get("diagnostics")),
-    )
-
-
-def _lrt_to_dict(lrt: LRTResult) -> Dict:
-    return {
-        "lnl_null": lrt.lnl_null,
-        "lnl_alternative": lrt.lnl_alternative,
-        "statistic": lrt.statistic,
-        "df": lrt.df,
-        "pvalue_chi2": lrt.pvalue_chi2,
-        "pvalue_mixture": lrt.pvalue_mixture,
-    }
-
-
-def _lrt_from_dict(payload: Dict) -> LRTResult:
-    return LRTResult(
-        lnl_null=float(payload["lnl_null"]),
-        lnl_alternative=float(payload["lnl_alternative"]),
-        statistic=float(payload["statistic"]),
-        df=int(payload["df"]),
-        pvalue_chi2=float(payload["pvalue_chi2"]),
-        pvalue_mixture=float(payload["pvalue_mixture"]),
-    )
-
-
-def branch_site_test_to_dict(test: BranchSiteTest) -> Dict:
-    """Serialise a full H0+H1 analysis."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "branch_site_test",
-        "h0": fit_to_dict(test.h0),
-        "h1": fit_to_dict(test.h1),
-        "lrt": _lrt_to_dict(test.lrt),
-    }
-
-
-def branch_site_test_from_dict(payload: Dict) -> BranchSiteTest:
-    """Inverse of :func:`branch_site_test_to_dict`."""
-    _check(payload, "branch_site_test")
-    return BranchSiteTest(
-        h0=fit_from_dict(payload["h0"]),
-        h1=fit_from_dict(payload["h1"]),
-        lrt=_lrt_from_dict(payload["lrt"]),
-    )
-
-
 def _check(payload: Dict, kind: str) -> None:
     if payload.get("schema") != SCHEMA_VERSION:
         raise ValueError(
@@ -161,123 +68,75 @@ def _check(payload: Dict, kind: str) -> None:
         raise ValueError(f"expected a {kind!r} payload, got {payload.get('kind')!r}")
 
 
-def write_json_result(
-    destination: PathLike, result: Union[FitResult, BranchSiteTest]
-) -> None:
-    """Write a fit or full test to a JSON file."""
-    payload = (
-        branch_site_test_to_dict(result) if isinstance(result, BranchSiteTest) else fit_to_dict(result)
-    )
-    with open(destination, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _jsonable(value):
+    """Dataclasses as field maps, non-finite floats as ``None``, recursively.
 
-
-def read_json_result(source: PathLike) -> Union[FitResult, BranchSiteTest]:
-    """Read a JSON result, dispatching on its ``kind`` field."""
-    with open(source, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    kind = payload.get("kind")
-    if kind == "fit":
-        return fit_from_dict(payload)
-    if kind == "branch_site_test":
-        return branch_site_test_from_dict(payload)
-    raise ValueError(f"unknown result kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# Gene-result journal (checkpoint/resume for batch scans)
-# ----------------------------------------------------------------------
-def gene_result_to_dict(result) -> Dict:
-    """Serialise a :class:`~repro.parallel.batch.GeneResult` (one JSONL record).
-
-    Non-finite floats (a failed task's NaN likelihoods) become ``None``
-    so the payload is strict JSON — ``json.dumps`` would otherwise emit
-    the non-standard ``NaN`` token.
+    ``json.dumps`` would otherwise emit the non-standard ``NaN`` token
+    for a failed task's likelihoods.
     """
-    failure = None
-    if result.failure is not None:
-        failure = {
-            "task_id": result.failure.task_id,
-            "kind": result.failure.kind,
-            "error_type": result.failure.error_type,
-            "message": result.failure.message,
-            "attempts": result.failure.attempts,
-        }
-    return _nan_to_none({
-        "schema": SCHEMA_VERSION,
-        "kind": "gene_result",
-        "gene_id": result.gene_id,
-        "lnl0": result.lnl0,
-        "lnl1": result.lnl1,
-        "statistic": result.statistic,
-        "pvalue": result.pvalue,
-        "iterations": result.iterations,
-        "n_evaluations": result.n_evaluations,
-        "runtime_seconds": result.runtime_seconds,
-        "attempts": result.attempts,
-        "error": result.error,
-        "failure": failure,
-        "worker": getattr(result, "worker", None),
-        "diagnostics": getattr(result, "diagnostics", None),
-        "metrics": dict(result.metrics),
-        "model": getattr(result, "model", None),
-        "mapping": getattr(result, "mapping", None),
-        "h1_mles": getattr(result, "h1_mles", None),
-        "converged": getattr(result, "converged", None),
-    })
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls: Type) -> Tuple[Tuple[str, bool, Optional[type]], ...]:
+    """Per field of ``cls``: its name, whether it is a ``float``, and the
+    dataclass it holds (``Optional[...]`` unwrapped), if any."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        nested = next((a for a in get_args(hint) or (hint,) if is_dataclass(a)), None)
+        out.append((f.name, hint is float, nested))
+    return tuple(out)
+
+
+def _from_record(cls: Type, record: Dict):
+    """Build ``cls`` from the record keys named like its fields.
+
+    Keys it does not name (written by a newer library) are not looked
+    at, absent keys take the field's default, and a ``float`` field
+    journalled as ``null`` (or absent) reads back NaN.
+    """
+    kwargs = {}
+    for name, is_float, nested in _field_types(cls):
+        value = record.get(name)
+        if value is None and is_float:
+            kwargs[name] = float("nan")
+        elif name in record:
+            kwargs[name] = value if value is None or nested is None else _from_record(nested, value)
+    return cls(**kwargs)
+
+
+def gene_result_to_dict(result) -> Dict:
+    """Serialise a :class:`~repro.parallel.batch.GeneResult` (one JSONL
+    record): every field, plus the ``schema``/``kind`` keys."""
+    return {"schema": SCHEMA_VERSION, "kind": "gene_result", **_jsonable(result)}
 
 
 def gene_result_from_dict(payload: Dict):
-    """Inverse of :func:`gene_result_to_dict` (``None`` numerics → NaN)."""
+    """Inverse of :func:`gene_result_to_dict` (``None`` floats → NaN)."""
     # Imported lazily: repro.parallel.batch imports this module at top level.
     from repro.parallel.batch import GeneResult
-    from repro.parallel.faults import TaskFailure
 
     _check(payload, "gene_result")
-    payload = _none_to_nan(payload)
-    failure = None
-    if payload.get("failure") is not None:
-        raw = payload["failure"]
-        failure = TaskFailure(
-            task_id=raw["task_id"],
-            kind=raw["kind"],
-            error_type=raw["error_type"],
-            message=raw["message"],
-            attempts=int(raw["attempts"]),
-        )
-    # Keys this reader does not know (written by a newer library) are
-    # simply not looked at, so journal records can grow new fields
-    # without breaking resume on older code.
-    return GeneResult(
-        gene_id=payload["gene_id"],
-        lnl0=float(payload["lnl0"]),
-        lnl1=float(payload["lnl1"]),
-        statistic=float(payload["statistic"]),
-        pvalue=float(payload["pvalue"]),
-        iterations=int(payload["iterations"]),
-        runtime_seconds=float(payload["runtime_seconds"]),
-        error=payload.get("error"),
-        n_evaluations=int(payload.get("n_evaluations", 0)),
-        attempts=int(payload.get("attempts", 1)),
-        failure=failure,
-        worker=payload.get("worker"),
-        diagnostics=payload.get("diagnostics"),
-        metrics={**_legacy_metrics(payload), **(payload.get("metrics") or {})},
-        model=payload.get("model"),
-        mapping=payload.get("mapping"),
-        h1_mles=payload.get("h1_mles"),
-        converged=payload.get("converged"),
-    )
+    return _from_record(GeneResult, _legacy_metrics(payload))
 
 
-def _legacy_metrics(payload: Dict) -> Dict[str, float]:
-    """The v4–v9 counter fields of a record as ``metrics`` keys.
+def _legacy_metrics(payload: Dict) -> Dict:
+    """The record with its v4–v9 counter fields folded into ``metrics``.
 
     v4 ``clv_stats`` → ``clv_propagations``/``clv_reuses``; v5
     ``setup_seconds`` (when non-zero) → ``setup_s`` plus
     ``cold_starts: 1``; v7 ``rung_usage`` → one ``rung_<name>`` key
-    per rung.
+    per rung.  Keys of the record's own ``metrics`` map win.
     """
     metrics: Dict[str, float] = {}
     clv = payload.get("clv_stats") or {}
@@ -289,7 +148,7 @@ def _legacy_metrics(payload: Dict) -> Dict[str, float]:
         metrics.update(setup_s=setup, cold_starts=1)
     for rung, count in (payload.get("rung_usage") or {}).items():
         metrics[f"rung_{rung}"] = count
-    return metrics
+    return {**payload, "metrics": {**metrics, **(payload.get("metrics") or {})}}
 
 
 class ResultJournal:
@@ -395,23 +254,3 @@ class ResultJournal:
                 # forced re-run) so resume recomputes the gene.
                 done.pop(result.gene_id, None)
         return done
-
-
-def _nan_to_none(value):
-    """Recursively map non-finite floats to ``None`` for strict-JSON output."""
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _nan_to_none(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_nan_to_none(v) for v in value]
-    return value
-
-
-def _none_to_nan(payload: Dict) -> Dict:
-    """Restore journalled ``None`` numerics to NaN for the float fields."""
-    out = dict(payload)
-    for key in ("lnl0", "lnl1", "statistic", "pvalue"):
-        if out.get(key) is None:
-            out[key] = float("nan")
-    return out

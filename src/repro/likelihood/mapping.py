@@ -588,7 +588,7 @@ def sample_substitution_mapping(
     def p_matrix(omega: float, t: float) -> np.ndarray:
         key = (omega, t)
         if key not in p_memo:
-            op = ev.opsets[omega].view(t)
+            op = ev.opsets[omega][t]
             p_memo[key] = engine._operator_probability_matrix(op)
         return p_memo[key]
 

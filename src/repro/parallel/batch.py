@@ -3,7 +3,7 @@
 Two scan axes, both used by Selectome-style genome analyses (§I-A):
 
 * :func:`analyze_genes` — many (alignment, tree) pairs, one branch-site
-  test each, fanned out over worker processes.
+  test each, fanned out over the caller's executor.
 * :func:`scan_branches` — one gene, every candidate branch tested as
   foreground in turn ("done iteratively for each branch of a
   phylogenetic tree", §I-A).
@@ -35,6 +35,7 @@ constraint is fault handling, not kernels):
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +50,7 @@ from repro.io.results_io import ResultJournal
 from repro.models.registry import resolve_model_spec
 from repro.optimize.lrt import LRTResult, holm_correction, likelihood_ratio_test
 from repro.optimize.ml import fit_branch_site_test
-from repro.parallel.executors.base import Executor
+from repro.parallel.executors.base import Executor, make_executor
 from repro.parallel.executors.wire import register_struct
 from repro.parallel.faults import FaultPolicy, TaskFailure, TaskOutcome, run_tasks
 from repro.parallel.metrics import BatchSummary
@@ -368,7 +369,6 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
 
 def analyze_genes(
     jobs: Sequence[GeneJob],
-    processes: Optional[int] = None,
     seed: int = 1,
     max_iterations: int = 50,
     policy: Optional[FaultPolicy] = None,
@@ -384,9 +384,7 @@ def analyze_genes(
     Each gene ``k`` uses seed ``seed + k`` so the batch is reproducible
     regardless of executor backend, worker scheduling and worker count —
     and so a resumed run recomputes a gene with exactly the seed the
-    interrupted run would have used.  With ``processes = 1`` (or a
-    single job and no timeout) everything runs in-process, which is
-    also what the tests use to stay hermetic.
+    interrupted run would have used.
 
     Parameters
     ----------
@@ -408,11 +406,12 @@ def analyze_genes(
         ``(job_index, result)`` hook fired in completion order — drives
         CLI progress reporting.
     executor:
-        Execution substrate (see :mod:`repro.parallel.executors`); when
-        given it overrides ``processes``.  A caller-provided executor is
-        *not* shut down, so e.g. one connected
-        :class:`~repro.parallel.executors.sockets.SocketExecutor` fleet
-        can serve a scan and then its journal resume.
+        Execution substrate, built with
+        :func:`~repro.parallel.executors.base.make_executor`.  Whoever
+        makes an executor shuts it down: this function never shuts down
+        the caller's, so e.g. one connected socket fleet can serve a
+        scan and then its journal resume.  ``None`` runs every task
+        in-process on an inline executor made (and shut down) here.
     model:
         Model-spec string resolved per worker through
         :func:`repro.models.registry.resolve_model_spec` — e.g.
@@ -433,7 +432,6 @@ def analyze_genes(
     result with ``failed=True`` and a structured ``failure`` record
     rather than raising.
     """
-    policy = policy if policy is not None else FaultPolicy()
     run = worker if worker is not None else _run_gene_shared
 
     results: List[Optional[GeneResult]] = [None] * len(jobs)
@@ -460,8 +458,11 @@ def analyze_genes(
         for job, (ni, ai), s in zip(pending_jobs, keys, payload_seeds)
     ]
 
-    sink = ResultJournal(journal) if journal is not None else None
-    try:
+    with ExitStack() as owned:
+        if executor is None:
+            executor = owned.enter_context(make_executor("inline"))
+        sink = owned.enter_context(ResultJournal(journal)) if journal is not None else None
+
         def handle(outcome: TaskOutcome) -> None:
             k = payload_jobs[outcome.index]
             if outcome.ok:
@@ -476,23 +477,15 @@ def analyze_genes(
             if on_result is not None:
                 on_result(k, result)
 
-        in_process = executor is None and (
-            processes == 1 or (len(payloads) <= 1 and policy.task_timeout is None)
-        )
         run_tasks(
             run,
             payloads,
+            executor,
             task_ids=[jobs[k].gene_id for k in payload_jobs],
             policy=policy,
-            max_workers=processes,
             on_outcome=handle,
-            in_process=in_process,
-            executor=executor,
             context=context,
         )
-    finally:
-        if sink is not None:
-            sink.close()
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]
 
@@ -590,7 +583,6 @@ def scan_branches(
     internal_only: bool = False,
     seed: int = 1,
     max_iterations: int = 50,
-    processes: Optional[int] = 1,
     policy: Optional[FaultPolicy] = None,
     journal: Optional[str] = None,
     resume: bool = False,
@@ -624,7 +616,6 @@ def scan_branches(
     ]
     results = analyze_genes(
         jobs,
-        processes=processes,
         seed=seed,
         max_iterations=max_iterations,
         policy=policy,

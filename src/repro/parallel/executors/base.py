@@ -82,9 +82,9 @@ class Executor(ABC):
     driver keeps at most :meth:`capacity` tags in flight, so a
     backend's per-task clocks start at dispatch, not at queue entry.
 
-    ``run_tasks`` shuts down executors it constructed itself; an
-    executor passed in by the caller is started and drained but its
-    lifetime (and its workers') stays with the caller, so one connected
+    Whoever makes an executor shuts it down.  ``run_tasks``,
+    ``analyze_genes`` and ``scan_branches`` start and drain the executor
+    they are handed but never shut it down, so one connected
     :class:`~repro.parallel.executors.sockets.SocketExecutor` can serve
     several batches — e.g. a scan followed by a journal resume.
     """
@@ -163,7 +163,12 @@ def make_executor(
     min_workers: int = 1,
     worker_wait: float = 30.0,
 ):
-    """Build an executor by CLI name (``inline`` / ``pool`` / ``socket``)."""
+    """Build an executor by CLI name (``inline`` / ``pool`` / ``socket``).
+
+    The one place the package constructs an executor.  ``max_workers``
+    sizes the pool (``None``: one per core); the socket options are
+    ignored by the other backends.
+    """
     if name == "inline":
         from repro.parallel.executors.inline import InlineExecutor
 

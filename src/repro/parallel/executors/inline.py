@@ -17,8 +17,7 @@ class InlineExecutor(Executor):
     nondeterminism.  Crashes cannot occur (a segfault would take the
     driver down too) and timeouts are unenforceable — a hung call
     cannot be interrupted from the same thread — so the ``timeout``
-    argument is accepted and ignored, mirroring the documented
-    behaviour of the old ``in_process`` path.
+    argument is accepted and ignored.
     """
 
     name = "inline"

@@ -160,15 +160,14 @@ class TaskOutcome:
 def run_tasks(
     fn: Callable[[object, object], object],
     payloads: Sequence[object],
+    executor: Executor,
     task_ids: Optional[Sequence[str]] = None,
     policy: Optional[FaultPolicy] = None,
-    max_workers: Optional[int] = None,
     on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
-    in_process: bool = False,
-    executor: Optional[Executor] = None,
     context: object = None,
 ) -> List[TaskOutcome]:
-    """Run ``fn`` over ``payloads`` under ``policy``, never raising per-task.
+    """Run ``fn`` over ``payloads`` on ``executor`` under ``policy``, never
+    raising per-task.
 
     Results come back in input order.  ``on_outcome`` fires once per
     task *in completion order* as soon as its terminal state is known —
@@ -180,39 +179,18 @@ def run_tasks(
     as ``fn(payload, context)``, with ``context`` ``None`` when there is
     none.
 
-    ``executor`` selects the execution substrate (see
-    :mod:`repro.parallel.executors`); a caller-provided executor is
-    started and drained but *not* shut down, so a connected worker
-    fleet can serve several batches.  Without one, the driver builds
-    its own: an :class:`~repro.parallel.executors.inline.InlineExecutor`
-    when ``in_process`` is set (sequential, hermetic; timeouts are not
-    enforceable there and ``task_timeout`` is ignored), else a
-    :class:`~repro.parallel.executors.pool.ProcessPoolBackend` over
-    ``max_workers`` processes.
+    ``executor`` is the execution substrate (see
+    :mod:`repro.parallel.executors` and its ``make_executor``).  It is
+    started and drained here but never shut down: whoever makes an
+    executor shuts it down, so a connected worker fleet can serve
+    several batches.
     """
     policy = policy if policy is not None else FaultPolicy()
     ids = list(task_ids) if task_ids is not None else [f"task-{i}" for i in range(len(payloads))]
     if len(ids) != len(payloads):
         raise ValueError(f"{len(payloads)} payloads but {len(ids)} task ids")
-
-    owns_executor = executor is None
-    if executor is None:
-        if in_process or len(payloads) == 0:
-            from repro.parallel.executors.inline import InlineExecutor
-
-            executor = InlineExecutor()
-        else:
-            from repro.parallel.executors.pool import ProcessPoolBackend
-
-            executor = ProcessPoolBackend(max_workers=max_workers)
-
-    driver = _PolicyDriver(fn, payloads, ids, policy, executor, on_outcome,
-                           context=context)
-    try:
-        return driver.run()
-    finally:
-        if owns_executor:
-            executor.shutdown()
+    return _PolicyDriver(fn, payloads, ids, policy, executor, on_outcome,
+                         context=context).run()
 
 
 class _PolicyDriver:

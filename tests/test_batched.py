@@ -11,7 +11,7 @@ import pytest
 
 from repro.codon.matrix import build_rate_matrix
 from repro.core.eigen import decompose
-from repro.core.engine import BatchedOperatorSet, make_engine
+from repro.core.engine import make_engine
 from repro.core.expm import (
     stacked_symmetric_operators,
     stacked_syrk_operators,
@@ -82,12 +82,26 @@ class TestStackedBuilders:
 
 
 # ----------------------------------------------------------------------
-# BatchedOperatorSet view semantics
+# Operator-set view semantics
 # ----------------------------------------------------------------------
-class TestOperatorSetViews:
-    def _operator_matrix(self, engine_name, op):
-        return op[0] if engine_name == "slim-v2" else op
+def _operator_matrix(engine_name, op):
+    return op[0] if engine_name == "slim-v2" else op
 
+
+def _stacked_views(engine_name, opset):
+    """The operator matrices of ``opset`` in ``TS`` order, checked to be
+    consecutive read-only column blocks of one F-ordered buffer."""
+    views = [_operator_matrix(engine_name, opset[t]) for t in TS]
+    n = views[0].shape[0]
+    start = views[0].__array_interface__["data"][0]
+    for b, view in enumerate(views):
+        assert view.flags.f_contiguous and not view.flags.writeable
+        assert view.base is not None and view.base is views[0].base
+        assert view.__array_interface__["data"][0] == start + b * n * n * view.itemsize
+    return views
+
+
+class TestOperatorSetViews:
     @pytest.mark.parametrize("engine_name", ["slim", "slim-v2"])
     @pytest.mark.parametrize("recover", [False, True])
     def test_views_read_only_f_contiguous(self, decomp, engine_name, recover, monkeypatch):
@@ -102,17 +116,14 @@ class TestOperatorSetViews:
         n = decomp.n_states
         for t in TS:
             assert t in opset
-            m = self._operator_matrix(engine_name, opset.view(t))
+            m = _operator_matrix(engine_name, opset[t])
             assert m.flags.f_contiguous
             assert not m.flags.writeable
             assert m.shape == (n, n)
             with pytest.raises((ValueError, RuntimeError)):
                 m[0, 0] = 1.0
-        # The views alias the frozen stack — zero-copy slicing.
-        assert opset.stack is not None
-        for t in TS:
-            m = self._operator_matrix(engine_name, opset.view(t))
-            assert np.shares_memory(m, opset.stack)
+        # The views alias one frozen stack — zero-copy slicing.
+        _stacked_views(engine_name, opset)
 
     @pytest.mark.parametrize("engine_name", ["slim", "slim-v2"])
     def test_views_survive_recovery_guards(self, decomp, engine_name):
@@ -123,14 +134,14 @@ class TestOperatorSetViews:
         plain = make_engine(engine_name)
         opset = guarded.build_operator_set(decomp, TS)
         for t in TS:
-            ref = self._operator_matrix(engine_name, plain._make_operator(decomp, t))
-            got = self._operator_matrix(engine_name, opset.view(t))
+            ref = _operator_matrix(engine_name, plain._make_operator(decomp, t))
+            got = _operator_matrix(engine_name, opset[t])
             np.testing.assert_array_equal(got, ref)
 
     def test_unknown_length_is_an_error(self, decomp):
         opset = make_engine("slim").build_operator_set(decomp, TS)
         with pytest.raises(KeyError):
-            opset.view(0.123456)
+            opset[0.123456]
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +181,9 @@ class TestStackScreen:
         # stack equals the raw stacked builder's output bit for bit.
         engine = make_engine(engine_name)
         opset = engine.build_operator_set(decomp, TS)
-        np.testing.assert_array_equal(opset.stack, _RAW_STACK[engine_name](decomp, TS))
+        np.testing.assert_array_equal(
+            np.hstack(_stacked_views(engine_name, opset)), _RAW_STACK[engine_name](decomp, TS)
+        )
         assert len(engine.events) == 0
 
     @pytest.mark.parametrize("engine_name", ["slim", "slim-v2"])
@@ -189,10 +202,7 @@ class TestStackScreen:
         assert len(engine.events) == (2 if engine_name == "slim" else 1)
         # Same repairs: the frozen stack and every view equal the
         # per-operator guarded blocks.
-        np.testing.assert_array_equal(opset.stack, reference)
-        for b, t in enumerate(TS):
-            view = opset.view(t)
-            view = view[0] if engine_name == "slim-v2" else view
+        for b, view in enumerate(_stacked_views(engine_name, opset)):
             np.testing.assert_array_equal(view, reference[:, b * n : (b + 1) * n])
 
     @pytest.mark.parametrize("engine_name", ["slim", "slim-v2"])

@@ -142,7 +142,14 @@ class TestEvaluationScopedState:
         bound.log_likelihood(bsm_values)
         ev = bound._last
         refs = [weakref.ref(d) for d in ev.decomps.values()]
-        refs += [weakref.ref(s.stack) for s in ev.opsets.values() if s.stack is not None]
+        # A stacked build's operators are column-block views of one buffer.
+        matrices = [
+            op[0] if isinstance(op, tuple) else op
+            for operators in ev.opsets.values()
+            for op in operators.values()
+        ]
+        refs += [weakref.ref(m.base) for m in matrices if m.base is not None]
+        del matrices
         del ev
         bound.log_likelihood(dict(bsm_values, omega0=0.5))
         assert refs and all(ref() is None for ref in refs)

@@ -137,11 +137,11 @@ class TestKillAndResume:
         journal = tmp_path / "scan.jsonl"
         jobs = self._jobs(tree, n=4)
         # Simulate the kill: a first run journalled g0/g1 before dying.
-        full = analyze_genes(jobs, processes=1, max_iterations=1, seed=3)
+        full = analyze_genes(jobs, max_iterations=1, seed=3)
         with ResultJournal(str(journal)) as sink:
             sink.append(full[0])
             sink.append(full[1])
-        resumed = analyze_genes(jobs, processes=1, max_iterations=1, seed=3,
+        resumed = analyze_genes(jobs, max_iterations=1, seed=3,
                                 journal=str(journal), resume=True)
         assert all(not r.failed for r in resumed)
         # g0/g1 loaded verbatim; g2/g3 recomputed with their original
@@ -155,13 +155,13 @@ class TestKillAndResume:
     def test_resume_after_midwrite_kill_drops_torn_record(self, tree, tmp_path):
         journal = tmp_path / "scan.jsonl"
         jobs = self._jobs(tree, n=3)
-        full = analyze_genes(jobs, processes=1, max_iterations=1, seed=3)
+        full = analyze_genes(jobs, max_iterations=1, seed=3)
         with ResultJournal(str(journal)) as sink:
             sink.append(full[0])
         # The kill landed mid-write: g1's record is torn.
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"schema": 1, "kind": "gene_result", "gene_id": "g1", "lnl0"')
-        resumed = analyze_genes(jobs, processes=1, max_iterations=1, seed=3,
+        resumed = analyze_genes(jobs, max_iterations=1, seed=3,
                                 journal=str(journal), resume=True)
         assert all(not r.failed for r in resumed)
         assert resumed[1].lnl1 == full[1].lnl1  # recomputed, not trusted
@@ -193,7 +193,7 @@ class TestKillAndResume:
                 return res
 
             print("READY", flush=True)
-            analyze_genes(jobs, processes=1, max_iterations=1, seed=3,
+            analyze_genes(jobs, max_iterations=1, seed=3,
                           journal=sys.argv[1], worker=slow_worker)
         """)
         proc = subprocess.Popen(
@@ -217,7 +217,7 @@ class TestKillAndResume:
         assert "g0" in done_before and len(done_before) < 4
 
         jobs = self._jobs(tree, n=4)
-        resumed = analyze_genes(jobs, processes=1, max_iterations=1, seed=3,
+        resumed = analyze_genes(jobs, max_iterations=1, seed=3,
                                 journal=str(journal), resume=True)
         assert all(not r.failed for r in resumed)
         assert set(ResultJournal(str(journal)).completed()) == {"g0", "g1", "g2", "g3"}

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.parallel.executors import InlineExecutor, ProcessPoolBackend
 from repro.parallel.faults import FaultPolicy, TaskFailure, run_tasks
 
 
@@ -93,12 +94,12 @@ class TestFaultPolicy:
 
 class TestRunTasksInline:
     def test_results_in_input_order(self):
-        outcomes = run_tasks(_double, [3, 1, 2], in_process=True)
+        outcomes = run_tasks(_double, [3, 1, 2], executor=InlineExecutor())
         assert [o.result for o in outcomes] == [6, 2, 4]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
 
     def test_failure_captured_not_raised(self):
-        outcomes = run_tasks(_boom_if_odd, [0, 1, 2], in_process=True)
+        outcomes = run_tasks(_boom_if_odd, [0, 1, 2], executor=InlineExecutor())
         assert [o.ok for o in outcomes] == [True, False, True]
         failure = outcomes[1].failure
         assert isinstance(failure, TaskFailure)
@@ -110,7 +111,7 @@ class TestRunTasksInline:
         counter = tmp_path / "attempts"
         policy = FaultPolicy(max_retries=2, retry_backoff=0.0)
         (outcome,) = run_tasks(
-            _flaky_via_file, [(str(counter), 2, "ok")], policy=policy, in_process=True
+            _flaky_via_file, [(str(counter), 2, "ok")], policy=policy, executor=InlineExecutor()
         )
         assert outcome.ok
         assert outcome.result == "ok"
@@ -118,31 +119,32 @@ class TestRunTasksInline:
 
     def test_retries_exhausted_reports_total_attempts(self):
         policy = FaultPolicy(max_retries=2, retry_backoff=0.0)
-        (outcome,) = run_tasks(_boom, ["x"], policy=policy, in_process=True)
+        (outcome,) = run_tasks(_boom, ["x"], policy=policy, executor=InlineExecutor())
         assert not outcome.ok
         assert outcome.failure.attempts == 3
 
     def test_on_outcome_fires_per_task(self):
         seen = []
         run_tasks(_double, [1, 2], on_outcome=lambda o: seen.append(o.task_id),
-                  in_process=True)
+                  executor=InlineExecutor())
         assert seen == ["task-0", "task-1"]
 
     def test_custom_task_ids(self):
-        outcomes = run_tasks(_boom, ["x"], task_ids=["geneA"], in_process=True)
+        outcomes = run_tasks(_boom, ["x"], task_ids=["geneA"], executor=InlineExecutor())
         assert outcomes[0].failure.task_id == "geneA"
 
     def test_id_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="task ids"):
-            run_tasks(_double, [1, 2], task_ids=["only-one"], in_process=True)
+            run_tasks(_double, [1, 2], task_ids=["only-one"], executor=InlineExecutor())
 
     def test_empty_batch(self):
-        assert run_tasks(_double, []) == []
+        assert run_tasks(_double, [], InlineExecutor()) == []
 
 
 class TestRunTasksPool:
     def test_mixed_success_and_failure(self):
-        outcomes = run_tasks(_boom_if_odd, [0, 1, 2, 3], max_workers=2)
+        with ProcessPoolBackend(2) as executor:
+            outcomes = run_tasks(_boom_if_odd, [0, 1, 2, 3], executor)
         assert [o.ok for o in outcomes] == [True, False, True, False]
         assert outcomes[2].result == 2
         assert outcomes[1].failure.kind == "error"
@@ -150,9 +152,10 @@ class TestRunTasksPool:
     def test_retry_in_pool(self, tmp_path):
         counter = tmp_path / "attempts"
         policy = FaultPolicy(max_retries=1, retry_backoff=0.0)
-        (outcome,) = run_tasks(
-            _flaky_via_file, [(str(counter), 1, 7)], policy=policy, max_workers=2
-        )
+        with ProcessPoolBackend(2) as executor:
+            (outcome,) = run_tasks(
+                _flaky_via_file, [(str(counter), 1, 7)], executor, policy=policy
+            )
         assert outcome.ok
         assert outcome.result == 7
         assert outcome.attempts == 2
@@ -161,13 +164,14 @@ class TestRunTasksPool:
     def test_hung_task_times_out_without_masking_others(self):
         policy = FaultPolicy(task_timeout=1.5)
         start = time.perf_counter()
-        outcomes = run_tasks(
-            _sleep_seconds,
-            [30.0, 0.05, 0.05, 0.05],
-            policy=policy,
-            max_workers=2,
-        )
-        wall = time.perf_counter() - start
+        with ProcessPoolBackend(2) as executor:
+            outcomes = run_tasks(
+                _sleep_seconds,
+                [30.0, 0.05, 0.05, 0.05],
+                executor,
+                policy=policy,
+            )
+            wall = time.perf_counter() - start
         assert not outcomes[0].ok
         assert outcomes[0].failure.kind == "timeout"
         assert "task_timeout" in outcomes[0].failure.message
@@ -178,7 +182,8 @@ class TestRunTasksPool:
     @pytest.mark.slow
     def test_worker_crash_recovers_surviving_tasks(self):
         payloads = ["a", "die", "b", "c", "d"]
-        outcomes = run_tasks(_exit_if_marked, payloads, max_workers=2)
+        with ProcessPoolBackend(2) as executor:
+            outcomes = run_tasks(_exit_if_marked, payloads, executor)
         by_payload = dict(zip(payloads, outcomes))
         assert not by_payload["die"].ok
         assert by_payload["die"].failure.kind == "pool"
@@ -190,7 +195,8 @@ class TestRunTasksPool:
     @pytest.mark.slow
     def test_crash_loop_exhausts_retries_in_quarantine(self):
         policy = FaultPolicy(max_retries=2, retry_backoff=0.0)
-        outcomes = run_tasks(_exit_if_marked, ["die"], policy=policy, max_workers=1)
+        with ProcessPoolBackend(1) as executor:
+            outcomes = run_tasks(_exit_if_marked, ["die"], executor, policy=policy)
         assert not outcomes[0].ok
         assert outcomes[0].failure.kind == "pool"
         # The quarantine round pins every crash on the culprit, charging

@@ -301,7 +301,7 @@ class TestBatchIntegration:
         from repro.parallel.metrics import summarize_results
 
         job = GeneJob.from_objects("g1", small_tree, small_sim.alignment)
-        [inc] = analyze_genes([job], processes=1, max_iterations=3)
+        [inc] = analyze_genes([job], max_iterations=3)
         assert inc.metrics["clv_reuses"] > 0
         assert inc.metrics["clv_propagations"] > 0
 

@@ -79,7 +79,7 @@ class TestEngineInternals:
         refs = [
             weakref.ref(op)
             for opset in bound._last.opsets.values()
-            for op in opset.operators.values()
+            for op in opset.values()
         ]
         assert len(refs) == engine.counters["rung_pade"] > 4
         bound.log_likelihood(dict(bsm_values, omega0=0.5))

@@ -14,6 +14,7 @@ import pytest
 from repro.alignment.simulate import simulate_alignment
 from repro.models.branch_site import BranchSiteModelA
 from repro.parallel.batch import GeneJob, _run_gene_shared, analyze_genes, scan_branches
+from repro.parallel.executors import ProcessPoolBackend
 from repro.parallel.faults import FaultPolicy, TaskFailure
 from repro.io.results_io import ResultJournal
 from repro.trees.newick import parse_newick
@@ -40,7 +41,7 @@ class TestAnalyzeGenes:
     def test_single_gene_inprocess(self, gene):
         tree, alignment = gene
         job = GeneJob.from_objects("g1", tree, alignment)
-        results = analyze_genes([job], processes=1, max_iterations=2)
+        results = analyze_genes([job], max_iterations=2)
         (res,) = results
         assert not res.failed
         assert np.isfinite(res.lnl0) and np.isfinite(res.lnl1)
@@ -50,21 +51,21 @@ class TestAnalyzeGenes:
     def test_per_gene_seeds_differ(self, gene):
         tree, alignment = gene
         jobs = [GeneJob.from_objects(f"g{i}", tree, alignment) for i in range(2)]
-        a, b = analyze_genes(jobs, processes=1, max_iterations=2, seed=10)
+        a, b = analyze_genes(jobs, max_iterations=2, seed=10)
         # Same data, different derived seeds -> (slightly) different fits.
         assert a.gene_id != b.gene_id
 
     def test_reproducible(self, gene):
         tree, alignment = gene
         job = GeneJob.from_objects("g1", tree, alignment)
-        r1 = analyze_genes([job], processes=1, max_iterations=2, seed=3)[0]
-        r2 = analyze_genes([job], processes=1, max_iterations=2, seed=3)[0]
+        r1 = analyze_genes([job], max_iterations=2, seed=3)[0]
+        r2 = analyze_genes([job], max_iterations=2, seed=3)[0]
         assert r1.lnl1 == r2.lnl1
 
     def test_failure_captured_not_raised(self):
         job = GeneJob(gene_id="bad", newick="(A:0.1,B:0.2,C:0.3);",  # no #1 mark
                       names=("A", "B", "C"), sequences=("ATG", "ATG", "ATG"))
-        (res,) = analyze_genes([job], processes=1, max_iterations=1)
+        (res,) = analyze_genes([job], max_iterations=1)
         assert res.failed
         assert "foreground" in res.error
 
@@ -73,7 +74,7 @@ class TestScanBranches:
     def test_scans_every_internal_branch(self, gene):
         tree, alignment = gene
         scan = scan_branches(
-            "g1", tree, alignment, internal_only=True, max_iterations=1, processes=1
+            "g1", tree, alignment, internal_only=True, max_iterations=1
         )
         internal_branches = sum(
             1 for n in tree.nodes if not n.is_root and not n.is_leaf
@@ -83,7 +84,7 @@ class TestScanBranches:
     def test_labels_and_significance_api(self, gene):
         tree, alignment = gene
         scan = scan_branches(
-            "g1", tree, alignment, internal_only=True, max_iterations=1, processes=1
+            "g1", tree, alignment, internal_only=True, max_iterations=1
         )
         for label, lrt in scan.by_branch.items():
             assert label.startswith("node#") or label in tree.leaf_names()
@@ -93,7 +94,7 @@ class TestScanBranches:
     def test_original_tree_unchanged(self, gene):
         tree, alignment = gene
         before = [n.foreground for n in tree.nodes]
-        scan_branches("g1", tree, alignment, internal_only=True, max_iterations=1, processes=1)
+        scan_branches("g1", tree, alignment, internal_only=True, max_iterations=1)
         assert [n.foreground for n in tree.nodes] == before
 
 
@@ -135,7 +136,7 @@ class TestScanPartialFailure:
         poisoned_label = f"node#{internal[0].index}"
         scan = scan_branches(
             "g1", tree, alignment, internal_only=True, max_iterations=1,
-            processes=1, worker=partial(_worker_poison_suffix, poisoned_label),
+            worker=partial(_worker_poison_suffix, poisoned_label),
         )
         assert not scan.ok
         assert set(scan.failures) == {poisoned_label}
@@ -152,7 +153,6 @@ class TestScanPartialFailure:
         internal = [n for n in tree.nodes if not n.is_root and not n.is_leaf]
         scan = scan_branches(
             "g1", tree, alignment, internal_only=True, max_iterations=1,
-            processes=1,
             worker=partial(_worker_poison_suffix, f"node#{internal[0].index}"),
         )
         with pytest.raises(RuntimeError, match="poisoned"):
@@ -161,7 +161,7 @@ class TestScanPartialFailure:
     def test_clean_scan_is_ok(self, gene):
         tree, alignment = gene
         scan = scan_branches(
-            "g1", tree, alignment, internal_only=True, max_iterations=1, processes=1
+            "g1", tree, alignment, internal_only=True, max_iterations=1
         )
         assert scan.ok
         assert scan.failures == {}
@@ -172,7 +172,6 @@ class TestScanPartialFailure:
         internal = [n for n in tree.nodes if not n.is_root and not n.is_leaf]
         scan = scan_branches(
             "g1", tree, alignment, internal_only=True, max_iterations=1,
-            processes=1,
             worker=partial(_worker_poison_suffix, f"node#{internal[0].index}"),
         )
         summary = scan.summary()
@@ -200,7 +199,7 @@ class TestJournalResume:
     def test_journal_records_every_outcome(self, gene, tmp_path):
         journal = tmp_path / "scan.jsonl"
         jobs = self._jobs(gene, n=4, poisoned=(2,))
-        results = analyze_genes(jobs, processes=1, max_iterations=1,
+        results = analyze_genes(jobs, max_iterations=1,
                                 journal=str(journal))
         assert [r.failed for r in results] == [False, False, True, False]
         entries = ResultJournal(str(journal)).load()
@@ -211,12 +210,12 @@ class TestJournalResume:
         journal = tmp_path / "scan.jsonl"
         log = tmp_path / "ran.log"
         jobs = self._jobs(gene, n=4, poisoned=(2,))
-        first = analyze_genes(jobs, processes=1, max_iterations=1,
+        first = analyze_genes(jobs, max_iterations=1,
                               journal=str(journal))
         # Resume with healthy inputs for the poisoned gene.
         jobs_fixed = self._jobs(gene, n=4, poisoned=())
         second = analyze_genes(
-            jobs_fixed, processes=1, max_iterations=1,
+            jobs_fixed, max_iterations=1,
             journal=str(journal), resume=True,
             worker=partial(_recording_worker, str(log)),
         )
@@ -231,12 +230,12 @@ class TestJournalResume:
     def test_resume_uses_original_seed_for_recomputed_gene(self, gene, tmp_path):
         journal = tmp_path / "scan.jsonl"
         jobs = self._jobs(gene, n=3)
-        baseline = analyze_genes(jobs, processes=1, max_iterations=1, seed=7)
+        baseline = analyze_genes(jobs, max_iterations=1, seed=7)
         # Journal only g0/g1, then resume g2: same seed -> same fit.
         with ResultJournal(str(journal)) as sink:
             sink.append(baseline[0])
             sink.append(baseline[1])
-        resumed = analyze_genes(jobs, processes=1, max_iterations=1, seed=7,
+        resumed = analyze_genes(jobs, max_iterations=1, seed=7,
                                 journal=str(journal), resume=True)
         assert resumed[2].lnl1 == baseline[2].lnl1
 
@@ -264,10 +263,11 @@ class TestFaultScenario:
         journal = tmp_path / "genome.jsonl"
         jobs = self._make_jobs(gene)
         policy = FaultPolicy(task_timeout=10.0)
-        results = analyze_genes(
-            jobs, processes=2, max_iterations=1, seed=11,
-            policy=policy, journal=str(journal), worker=_scenario_worker,
-        )
+        with ProcessPoolBackend(2) as executor:
+            results = analyze_genes(
+                jobs, max_iterations=1, seed=11, policy=policy,
+                journal=str(journal), worker=_scenario_worker, executor=executor,
+            )
 
         failed = [r for r in results if r.failed]
         ok = [r for r in results if not r.failed]
@@ -280,7 +280,7 @@ class TestFaultScenario:
         # --- resume: only the 3 unfinished genes are recomputed -------
         log = tmp_path / "ran.log"
         resumed = analyze_genes(
-            jobs, processes=1, max_iterations=1, seed=11,
+            jobs, max_iterations=1, seed=11,
             journal=str(journal), resume=True,
             worker=partial(_recording_worker, str(log)),
         )

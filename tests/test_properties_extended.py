@@ -74,31 +74,3 @@ class TestModelTransformsExtended:
         model = M1aModel()
         values = model.unpack(np.array(x))
         model.check_roundtrip(values, atol=1e-6)
-
-
-class TestSerializationProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        lnl=st.floats(min_value=-1e8, max_value=0, allow_nan=False),
-        iters=st.integers(min_value=0, max_value=10_000),
-        lengths=st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=20),
-    )
-    def test_fit_roundtrip_arbitrary_values(self, lnl, iters, lengths):
-        from repro.io.results_io import fit_from_dict, fit_to_dict
-        from repro.optimize.ml import FitResult
-
-        fit = FitResult(
-            model_name="m",
-            engine_name="slim",
-            lnl=lnl,
-            values={"kappa": 2.0},
-            branch_lengths=np.array(lengths),
-            n_iterations=iters,
-            n_evaluations=iters * 3,
-            runtime_seconds=1.0,
-            converged=True,
-            message="ok",
-        )
-        back = fit_from_dict(fit_to_dict(fit))
-        assert back.lnl == fit.lnl
-        assert np.array_equal(back.branch_lengths, fit.branch_lengths)

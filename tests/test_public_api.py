@@ -54,3 +54,39 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+REMOVED_IO_NAMES = [
+    "fit_to_dict",
+    "fit_from_dict",
+    "branch_site_test_to_dict",
+    "branch_site_test_from_dict",
+    "write_json_result",
+    "read_json_result",
+    "write_report",
+    "write_survey_report",
+]
+
+
+@pytest.mark.parametrize("module_name", ["repro.io", "repro.io.results_io", "repro.io.report"])
+def test_journal_is_the_only_result_archive(module_name):
+    module = importlib.import_module(module_name)
+    assert [name for name in REMOVED_IO_NAMES if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("removed", ["in_process", "max_workers", "processes"])
+def test_batch_runners_take_only_an_executor(removed):
+    """Where a batch runs is chosen by the executor the caller hands in."""
+    from repro.parallel.batch import analyze_genes, scan_branches
+    from repro.parallel.executors import make_executor
+    from repro.parallel.faults import run_tasks
+    from repro.trees.newick import parse_newick
+
+    option = {removed: 1}
+    with make_executor("inline") as executor:
+        with pytest.raises(TypeError, match=removed):
+            run_tasks(print, [], executor, **option)
+    with pytest.raises(TypeError, match=removed):
+        analyze_genes([], **option)
+    with pytest.raises(TypeError, match=removed):
+        scan_branches("g", parse_newick("(A:0.1,B:0.1);"), None, **option)

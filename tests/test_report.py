@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.io.report import format_fit_block, format_report, write_report
+from repro.io.report import format_fit_block, format_report
 from repro.optimize.lrt import likelihood_ratio_test
 from repro.optimize.ml import BranchSiteTest, FitResult
 
@@ -106,8 +106,3 @@ class TestFullReport:
             probabilities=np.array([0.1]), class_probabilities=np.full((4, 1), 0.025), method="NEB"
         )
         assert "no sites with posterior" in format_report(test_obj, sites=sites)
-
-    def test_write_report(self, test_obj, tmp_path):
-        path = tmp_path / "out.mlc"
-        write_report(path, test_obj)
-        assert "Likelihood ratio test" in path.read_text()

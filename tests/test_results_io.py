@@ -1,6 +1,7 @@
-"""JSON result serialisation."""
+"""The JSONL result journal: record layout, round trips and versioning."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,14 +10,8 @@ from repro.io.results_io import (
     JOURNAL_VERSION,
     SCHEMA_VERSION,
     ResultJournal,
-    fit_from_dict,
-    fit_to_dict,
     gene_result_from_dict,
     gene_result_to_dict,
-    read_json_result,
-    branch_site_test_from_dict,
-    branch_site_test_to_dict,
-    write_json_result,
 )
 from repro.optimize.lrt import likelihood_ratio_test
 from repro.optimize.ml import BranchSiteTest, FitResult
@@ -73,70 +68,6 @@ def bstest(fit):
     return BranchSiteTest(h0=h0, h1=fit, lrt=likelihood_ratio_test(-1240.0, fit.lnl))
 
 
-class TestFitRoundTrip:
-    def test_exact_roundtrip(self, fit):
-        back = fit_from_dict(fit_to_dict(fit))
-        assert back.lnl == fit.lnl
-        assert back.values == fit.values
-        assert np.array_equal(back.branch_lengths, fit.branch_lengths)
-        assert back.n_iterations == fit.n_iterations
-        assert back.converged is True
-
-    def test_json_serialisable(self, fit):
-        text = json.dumps(fit_to_dict(fit))
-        assert "branch-site" in text
-
-    def test_schema_checked(self, fit):
-        payload = fit_to_dict(fit)
-        payload["schema"] = 999
-        with pytest.raises(ValueError, match="schema"):
-            fit_from_dict(payload)
-
-    def test_kind_checked(self, fit):
-        payload = fit_to_dict(fit)
-        payload["kind"] = "something_else"
-        with pytest.raises(ValueError, match="expected a 'fit'"):
-            fit_from_dict(payload)
-
-
-class TestTestRoundTrip:
-    def test_roundtrip(self, bstest):
-        back = branch_site_test_from_dict(branch_site_test_to_dict(bstest))
-        assert back.h0.lnl == bstest.h0.lnl
-        assert back.h1.lnl == bstest.h1.lnl
-        assert back.lrt.statistic == pytest.approx(bstest.lrt.statistic)
-        assert back.lrt.pvalue_chi2 == pytest.approx(bstest.lrt.pvalue_chi2)
-        assert back.combined_iterations == bstest.combined_iterations
-
-
-class TestFiles:
-    def test_write_read_fit(self, fit, tmp_path):
-        path = tmp_path / "fit.json"
-        write_json_result(path, fit)
-        back = read_json_result(path)
-        assert isinstance(back, FitResult)
-        assert back.lnl == fit.lnl
-
-    def test_write_read_test(self, bstest, tmp_path):
-        path = tmp_path / "test.json"
-        write_json_result(path, bstest)
-        back = read_json_result(path)
-        assert isinstance(back, BranchSiteTest)
-        assert back.lrt.df == 1
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"schema": SCHEMA_VERSION, "kind": "mystery"}))
-        with pytest.raises(ValueError, match="unknown result kind"):
-            read_json_result(path)
-
-    def test_file_content_versioned(self, fit, tmp_path):
-        path = tmp_path / "fit.json"
-        write_json_result(path, fit)
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == SCHEMA_VERSION
-
-
 class TestGeneResultRoundTrip:
     def test_success_roundtrip(self):
         res = _ok_result()
@@ -159,6 +90,41 @@ class TestGeneResultRoundTrip:
         assert back.failure.kind == "timeout"
         assert back.failure.attempts == 2
         assert "boom" in back.error
+
+    def test_every_field_roundtrips(self, tmp_path):
+        # Every field set away from its default, so a field the journal
+        # drops or mangles fails here, and a new field must be added.
+        failure = TaskFailure(
+            task_id="g9", kind="timeout", error_type="TaskTimeout",
+            message="over budget", attempts=3,
+        )
+        full = GeneResult(
+            gene_id="g9", lnl0=-105.25, lnl1=-100.5, statistic=9.5,
+            pvalue=0.002, iterations=12, runtime_seconds=0.75,
+            error="TaskTimeout: over budget", n_evaluations=42, attempts=3,
+            failure=failure, worker="w-7",
+            diagnostics={"restarts": 1, "boundary_flags": ["h1:omega2_upper"], "events": []},
+            metrics={"clv_propagations": 398, "setup_s": 0.038, "cold_starts": 1},
+            model="bsrel:3",
+            mapping={"n_samples": 16, "branches": [{"branch": "A", "ratio": None}]},
+            h1_mles={"values": {"kappa": 2.1, "omega2": 4.6}, "branch_lengths": [0.31, 0.05]},
+            converged={"h0": True, "h1": False},
+        )
+        defaults = GeneResult("g", 0.0, 0.0, 0.0, 0.0, 0, 0.0)
+        assert [
+            f.name for f in fields(GeneResult)
+            if getattr(full, f.name) == getattr(defaults, f.name)
+        ] == []
+        assert [
+            f.name for f in fields(TaskFailure)
+            if getattr(failure, f.name) in ("", 0, None)
+        ] == []
+        path = tmp_path / "j.jsonl"
+        with ResultJournal(str(path)) as journal:
+            journal.append(full)
+        (loaded,) = ResultJournal(str(path)).load()
+        assert loaded == full
+        assert isinstance(loaded.failure, TaskFailure)
 
     def test_kind_checked(self):
         payload = gene_result_to_dict(_ok_result())

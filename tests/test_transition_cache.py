@@ -26,7 +26,7 @@ def _pade(omega, kappa=2.0):
 
 
 def _operator(engine, decomp, t):
-    return engine.build_operator_set(decomp, [t]).view(t)
+    return engine.build_operator_set(decomp, [t])[t]
 
 
 class TestStaleCacheRegression:

@@ -221,8 +221,8 @@ class TestRung4Wiring:
 
     def test_pade_operators_are_rebuilt_per_build(self, fallback):
         engine = make_engine("slim")
-        op1 = engine.build_operator_set(fallback, [0.2]).view(0.2)
-        op2 = engine.build_operator_set(fallback, [0.2]).view(0.2)
+        op1 = engine.build_operator_set(fallback, [0.2])[0.2]
+        op2 = engine.build_operator_set(fallback, [0.2])[0.2]
         assert op1 is not op2
         assert np.array_equal(op1, op2)
         assert engine.cache_stats()["rung_pade"] == 2
@@ -247,7 +247,7 @@ class TestRung4Wiring:
         assert len(kernels) == 1
         assert engine.counters["rung_uniformization"] == len(ts)
         for t in ts:
-            assert np.array_equal(opset.view(t), kernels[0].transition_matrix(t))
+            assert np.array_equal(opset[t], kernels[0].transition_matrix(t))
         # A second call makes its own.
         engine.build_operator_set(fallback, ts)
         assert len(kernels) == 2
@@ -292,7 +292,7 @@ class TestFaultInjectedScan:
         )
         scan = scan_branches(
             "faulted", tree, alignment,
-            seed=3, max_iterations=3, processes=1,
+            seed=3, max_iterations=3,
         )
         assert scan.ok, scan.failures
         assert scan.n_candidates == 7
@@ -335,7 +335,7 @@ class TestFaultInjectedScan:
         )
         scan = scan_branches(
             "exhausted", tree, alignment,
-            seed=3, max_iterations=3, processes=1,
+            seed=3, max_iterations=3,
         )
         # Every branch failed — but the batch finished with structured
         # per-branch failures instead of aborting on a raw exception.
