@@ -14,6 +14,10 @@ coordinate and probes no likelihood.  Per dataset this bench reports
 * milliseconds per gradient: the analytic pass (reading the evaluation
   it follows) against forward differences over every coordinate (one
   likelihood evaluation per branch and per model parameter);
+* the analytic pass's cost in evaluations (``grad/eval``): median ms
+  per gradient over median ms per evaluation, timed in alternation at
+  the same point (H1 at the dataset's true values), each gradient
+  reading the evaluation just before it;
 * likelihood evaluations per BFGS iteration of an H1 fit run to
   convergence (cap 1000; start point included) against the all-FD
   count ``1 + n_free_coords``.  A short budget would measure the first
@@ -23,7 +27,7 @@ Standalone so CI can gate it::
 
     PYTHONPATH=src python benchmarks/bench_gradient.py --quick \\
         --assert-agreement 1e-6 --assert-eval-reduction 4.0 \\
-        --assert-evals-per-iter 2.0
+        --assert-evals-per-iter 2.0 --assert-gradient-cost 2.0
 """
 
 from __future__ import annotations
@@ -108,6 +112,22 @@ def gradient_ms(bound, values, reps: int):
     return 1e3 * statistics.median(analytic), 1e3 * statistics.median(fd)
 
 
+def gradient_cost(bound, values, reps: int):
+    """``(ms per evaluation, ms per gradient)``, medians over ``reps``
+    alternations of one evaluation and the gradient that reads it."""
+    lengths = np.asarray(bound.branch_lengths, dtype=float)
+    evals, grads = [], []
+    for _ in range(reps + 1):
+        start = time.perf_counter()
+        bound.log_likelihood(values, lengths)
+        middle = time.perf_counter()
+        bound.gradient(values, lengths)
+        evals.append(middle - start)
+        grads.append(time.perf_counter() - middle)
+    # The first alternation warms the binding's buffers.
+    return 1e3 * statistics.median(evals[1:]), 1e3 * statistics.median(grads[1:])
+
+
 def evals_per_iteration(dataset, engine_name: str, budget: int):
     """``(evaluations per iteration, all-FD count)`` of an H1 fit."""
     model = BranchSiteModelA(fix_omega2=False)
@@ -151,17 +171,24 @@ def main(argv=None) -> int:
         help="exit non-zero if the dataset-iii H1 fit takes more than MAX "
              "likelihood evaluations per iteration",
     )
+    parser.add_argument(
+        "--assert-gradient-cost", type=float, default=None, metavar="MAX",
+        help="exit non-zero if one dataset-iii gradient costs more than MAX "
+             "evaluations (the grad/eval column)",
+    )
     args = parser.parse_args(argv)
 
     names = ["i", "iii"] if args.quick else ["i", "ii", "iii", "iv"]
     n_check = 4 if args.quick else 8
     reps = 3 if args.quick else 7
+    cost_reps = 21 if args.quick else 41
     budget = args.iterations if args.iterations is not None else 1000
 
     rows = []
     worst = 0.0
     reduction_iii = None
     per_iter_iii = None
+    cost_iii = None
     for name in names:
         dataset = get_dataset(name)
         values1 = dataset.spec.true_values()
@@ -175,10 +202,12 @@ def main(argv=None) -> int:
             errors.append(agreement(bound, values, sampled_branches(bound, n_check)))
         worst = max(worst, *errors)
         ms_analytic, ms_fd = gradient_ms(bound, values1, reps)
+        ms_eval, ms_grad = gradient_cost(bound, values1, cost_reps)
         per_iter, all_fd = evals_per_iteration(dataset, args.engine, budget)
         if name == "iii":
             reduction_iii = all_fd / per_iter
             per_iter_iii = per_iter
+            cost_iii = ms_grad / ms_eval
         rows.append([
             name,
             str(bound.n_branches),
@@ -187,6 +216,9 @@ def main(argv=None) -> int:
             f"{ms_fd:.1f}",
             f"{ms_analytic:.1f}",
             f"{ms_fd / ms_analytic:.1f}x",
+            f"{ms_eval:.1f}",
+            f"{ms_grad:.1f}",
+            f"{ms_grad / ms_eval:.2f}",
             str(all_fd),
             f"{per_iter:.1f}",
         ])
@@ -196,6 +228,7 @@ def main(argv=None) -> int:
         [
             "dataset", "branches", "agree H0", "agree H1",
             "FD ms/grad", "analytic ms/grad", "speedup",
+            "ms/eval", "ms/grad", "grad/eval",
             "all-FD evals/iter", "evals/iter",
         ],
         rows,
@@ -203,7 +236,9 @@ def main(argv=None) -> int:
             f"E-GRAD analytic gradients — engine {args.engine}, "
             f"agreement vs Richardson central FD (h={H:g} in log t, "
             f"{H_MODEL:g} in the packed model coordinates), "
-            f"FD = one evaluation per coordinate, H1 fit cap {budget}, seed {SEED}"
+            f"FD = one evaluation per coordinate, grad/eval = median ms per "
+            f"gradient over median ms per evaluation ({cost_reps} alternations), "
+            f"H1 fit cap {budget}, seed {SEED}"
         ),
     )
     if args.quick:
@@ -231,6 +266,14 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: the dataset-iii H1 fit takes {per_iter_iii} evaluations "
                 f"per iteration, allowed {args.assert_evals_per_iter}",
+                file=sys.stderr,
+            )
+            status = 1
+    if args.assert_gradient_cost is not None:
+        if cost_iii is None or cost_iii > args.assert_gradient_cost:
+            print(
+                f"FAIL: one dataset-iii gradient costs {cost_iii} evaluations, "
+                f"allowed {args.assert_gradient_cost}",
                 file=sys.stderr,
             )
             status = 1

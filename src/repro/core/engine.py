@@ -219,6 +219,25 @@ class LikelihoodEngine:
         """
         return [self._propagate(op, clv) for op, clv in items]
 
+    def _propagate_transposed_level(
+        self,
+        items: Sequence[Tuple[object, np.ndarray]],
+        pi: np.ndarray,
+        out: Sequence[np.ndarray],
+    ) -> None:
+        """``P(t)ᵀu`` for every (operator, u) pair of one tree level,
+        into the matching F-ordered ``(n, P)`` array of ``out``.
+
+        The gradient's outside pass applies the branch operators
+        transposed.  Reversibility (``ΠP = PᵀΠ``) gives
+        ``Pᵀu = Π·P·(Π⁻¹u)``, so by default the forward level kernel
+        serves.
+        """
+        pi_col = pi[:, None]
+        forward = self._propagate_level([(op, u / pi_col) for op, u in items])
+        for res, o in zip(forward, out):
+            np.multiply(pi_col, res, out=o)
+
     def build_operator_set(
         self, decomp, ts: Sequence[float]
     ) -> Dict[float, object]:
@@ -525,6 +544,23 @@ class SlimV2Engine(LikelihoodEngine):
         m, pi = operator
         return m * pi[None, :]
 
+    def _propagate_transposed_level(
+        self,
+        items: Sequence[Tuple[object, np.ndarray]],
+        pi: np.ndarray,
+        out: Sequence[np.ndarray],
+    ) -> None:
+        # P = M·Π, so Pᵀu = Π·(M·u): one dsymm on u as it stands.
+        for ((m, _), u), o in zip(items, out):
+            res = dsymm(1.0, m, u, c=o, side=0, lower=0, overwrite_c=1)
+            if res is not o and not np.shares_memory(res, o):  # pragma: no cover
+                o[...] = res
+            o *= pi[:, None]
+        if self.counter is not None and items:
+            n, n_patterns = items[0][1].shape
+            self.counter.add("clv:dsymm", len(items) * symm_flops(n, n_patterns),
+                             reads=len(items) * (n * (n + 1) // 2))
+
     def _propagate_level(
         self, items: Sequence[Tuple[object, np.ndarray]]
     ) -> List[np.ndarray]:
@@ -568,7 +604,8 @@ class ClassEvaluation:
     """One evaluation's per-class pass, kept as the binding's last-point memo.
 
     Everything the gradient pass and the post-fit analyses read at
-    the point just evaluated: the class graph and decompositions, the
+    the point just evaluated: the class graph, the rate matrices (with
+    their unscaled mean rates by ω, ``rates``) and decompositions, the
     forward operator sets, the per-class plans, results and pruning
     states.  States and operator stacks are immutable once written.
     ``class_lnl`` is filled (and finite-checked) on first use.
@@ -579,6 +616,8 @@ class ClassEvaluation:
     skip_zero: bool
     graph: SiteClassGraph
     scale: float
+    rates: Dict[float, float]
+    matrices: Dict[float, CodonRateMatrix]
     decomps: Dict[float, object]
     opsets: Dict[float, Dict[float, object]]
     plans: List[ClassPlan]
@@ -692,6 +731,31 @@ class BoundLikelihood:
         self._fg_children = [child for child, _, _, fg in self._rows if fg]
         #: Last-point memo: the most recent evaluation's per-class pass.
         self._last: Optional[ClassEvaluation] = None
+        self._leaf_index: Optional[Dict[int, _LeafColumns]] = None
+        # The gradient pass's buffers, reused from pass to pass: free
+        # (rows, P, n) blocks of U vectors, and one block of the outside
+        # vectors of the internal non-root nodes (slot per node).
+        self._u_blocks: List[np.ndarray] = []
+        self._o_block: Optional[np.ndarray] = None
+        self._o_slot = {
+            child: k
+            for k, child in enumerate(c for c, _, _, _ in self._rows if self._schedule.heights[c])
+        }
+        #: Per row, the other children of its parent.
+        self._siblings = [
+            [s for s in self._schedule.children[parent] if s != child]
+            for child, parent, _, _ in self._rows
+        ]
+
+    @property
+    def _leaf_columns(self) -> Dict[int, "_LeafColumns"]:
+        """Leaf node index → its CLV's columns as state indices (the
+        gradient pass's gather and scatter), made on first use."""
+        if self._leaf_index is None:
+            self._leaf_index = {
+                leaf: _LeafColumns.of(clv) for leaf, clv in enumerate(self._leaf_clvs)
+            }
+        return self._leaf_index
 
     # ------------------------------------------------------------------
     @property
@@ -753,9 +817,11 @@ class BoundLikelihood:
         is bit-identical to what recomputation would produce.
 
         ``base`` is an earlier evaluation of this binding.  When it was
-        made at the same κ, rate scale and branch lengths, its
-        decompositions and operator sets serve every ω it shares with
-        this point, and each class it evaluated with the same
+        made at the same κ, rate scale and branch lengths, its rate
+        matrices, decompositions and operator sets serve every ω it
+        shares with this point (no matrix is built for them:
+        :func:`build_class_matrices` reads their mean rates from
+        ``base.rates``), and each class it evaluated with the same
         (background, foreground) ω pair is taken from it whole — result
         and state — instead of pruned again.  The same arithmetic on the
         same inputs, so the reuse is bit-identical too.
@@ -769,18 +835,26 @@ class BoundLikelihood:
         self._last = None
         engine = self.engine
         graph = self.model.site_class_graph(values)
-        matrices = build_class_matrices(values["kappa"], graph.nodes, self.pi, engine.code)
-        scale = next(iter(matrices.values())).scale
         if not (
             base is not None
             and base.values["kappa"] == values["kappa"]
-            and base.scale == scale
             and np.array_equal(base.lengths, lengths)
         ):
             base = None
-        lent = {} if base is None else base.decomps
+        rates = {} if base is None else dict(base.rates)
+        matrices = build_class_matrices(
+            values["kappa"], graph.nodes, self.pi, engine.code,
+            rates=rates, lent=None if base is None else base.matrices,
+        )
+        scale = next(iter(matrices.values())).scale
+        if base is not None and base.scale != scale:
+            base = None
+        # A lent matrix comes back as the lent object; its decomposition
+        # comes with it.
         decomps = {
-            omega: lent[omega] if omega in lent else engine._decompose(m)
+            omega: base.decomps[omega]
+            if base is not None and m is base.matrices.get(omega)
+            else engine._decompose(m)
             for omega, m in matrices.items()
         }
         rows = [
@@ -889,6 +963,8 @@ class BoundLikelihood:
             skip_zero=skip_zero,
             graph=graph,
             scale=scale,
+            rates=rates,
+            matrices=matrices,
             decomps=decomps,
             opsets=opsets,
             plans=plans,
@@ -1028,19 +1104,23 @@ class BoundLikelihood:
         shared = {plan.base for plan in live if plan.full_share}
         last_of = {graph.nodes[plan.index].omega_background: plan.index for plan in live}
         passes: Dict[int, _OutsidePass] = {}
+        spare = self._u_blocks
         contraction = _RateContraction(self, ev)
         for plan in live:
             if plan.full_share:
                 outside = passes[plan.base]
             else:
-                outside = self._outside_data(ev, plan.index)
+                outside = self._outside_data(ev, plan.index, spare.pop() if spare else None)
                 if plan.index in shared:
                     passes[plan.index] = outside
             contraction.add(plan.index, outside, weighted_post[plan.index])
+            if not plan.full_share and plan.index not in shared:
+                spare.append(outside.block)
             del outside
             omega = graph.nodes[plan.index].omega_background
             if last_of[omega] == plan.index:
                 contraction.release(omega)
+        spare.extend(outside.block for outside in passes.values())
         grad = np.empty(len(ev.rows))
         for ri, (_, _, pos, _) in enumerate(self._rows):
             grad[pos] = contraction.branches[ri]
@@ -1068,50 +1148,68 @@ class BoundLikelihood:
         ev: ClassEvaluation,
         index: int,
         outside: List[Optional[np.ndarray]],
+        u_block: Optional[np.ndarray] = None,
+        o_block: Optional[np.ndarray] = None,
     ) -> Iterator[Tuple[List[int], List[np.ndarray]]]:
         """Pre-order pass over the level schedule for one class of ``ev``.
 
         Top level first, the branch above child ``c`` (parent ``p``) gets
         ``U_c = O_p ∘ ∏_{siblings s} contribution_s`` with
-        ``O_root = π``, rescaled per pattern column; an internal child
-        then gets ``O_c = P(t_c)ᵀ U_c = Π·P·(Π⁻¹U_c)`` (reversibility), so
-        the forward operators serve the outside pass unchanged, one
-        fused propagation call per level.  π sits at the root only:
+        ``O_root = π``; an internal child then gets ``O_c = P(t_c)ᵀ U_c``
+        (:meth:`LikelihoodEngine._propagate_transposed_level`, one call
+        per level) divided per pattern column by the column sum of
+        ``U_c``, which is the column sum of ``P(t_c)ᵀU_c`` (the rows of
+        ``P`` sum to 1): every ``O_c`` column sums to 1, and no level
+        takes a reduction over ``O_c``.  π sits at the root only:
         ``O_v(x)`` is ``P(state_v = x, data outside v's subtree)`` up to
         a per-column scale (DESIGN.md §9).
 
         Fills ``outside`` (indexed by node; leaves stay ``None``) and
-        yields, per level, its rows and their ``U`` vectors.
+        yields, per level, its rows and their ``U`` vectors.  ``u_block``
+        (``(rows, P, n)``, by row) and ``o_block`` (by :attr:`_o_slot`)
+        hold the vectors when given; otherwise each is a new array.
         """
         cls = ev.graph.nodes[index]
         state = ev.states[index]
         rows = ev.rows
-        pi_col = self.pi[:, None]
         schedule = self._schedule
-        outside[schedule.root_index] = np.broadcast_to(pi_col, (pi_col.shape[0], self.n_patterns))
+        engine = self.engine
+        n, n_patterns = self.pi.shape[0], self.n_patterns
+        ones = np.ones(n)
+        outside[schedule.root_index] = np.broadcast_to(self.pi[:, None], (n, n_patterns))
+
+        def new(block: Optional[np.ndarray], k: int) -> np.ndarray:
+            return np.empty((n, n_patterns), order="F") if block is None else block[k].T
+
         for h in range(len(schedule.levels) - 1, -1, -1):
             level = schedule.levels[h]
-            items, children, us = [], [], []
+            us = []
             for ri in level:
-                child, parent, t, fg = rows[ri]
-                u = np.array(outside[parent])
-                for sibling in state.children[parent]:
-                    if sibling != child:
+                parent = rows[ri][1]
+                u = new(u_block, ri)
+                siblings = self._siblings[ri]
+                if siblings:
+                    np.multiply(outside[parent], state.contributions[siblings[0]], out=u)
+                    for sibling in siblings[1:]:
                         u *= state.contributions[sibling]
-                col_max = u.max(axis=0)
-                col_max[col_max == 0.0] = 1.0
-                u /= col_max
+                else:
+                    u[...] = outside[parent]
                 us.append(u)
-                if h > 0:
-                    omega = cls.omega_foreground if fg else cls.omega_background
-                    items.append((ev.opsets[omega][t], u / pi_col))
-                    children.append(child)
-            if items:
+            if h > 0:
+                items, out = [], []
+                for ri, u in zip(level, us):
+                    child, _, t, fg = rows[ri]
+                    items.append((ev.opsets[cls.omega_foreground if fg else cls.omega_background][t], u))
+                    outside[child] = new(o_block, self._o_slot[child])
+                    out.append(outside[child])
                 # Counted as propagations; not timed under clv_s, so the
                 # eigh/expm/clv phase seconds stay the evaluation's.
-                self.engine.counters["clv_propagations"] += len(items)
-                for child, out in zip(children, self.engine._propagate_level(items)):
-                    outside[child] = pi_col * out
+                engine.counters["clv_propagations"] += len(items)
+                engine._propagate_transposed_level(items, self.pi, out)
+                for (_, u), o in zip(items, out):
+                    total = ones @ u
+                    total[total == 0.0] = 1.0
+                    o /= total
             yield level, us
 
     def outside_vectors(self, ev: ClassEvaluation, index: int) -> List[Optional[np.ndarray]]:
@@ -1127,29 +1225,45 @@ class BoundLikelihood:
             pass
         return outside
 
-    def _outside_data(self, ev: ClassEvaluation, index: int) -> "_OutsidePass":
+    def _outside_data(
+        self, ev: ClassEvaluation, index: int, block: Optional[np.ndarray] = None
+    ) -> "_OutsidePass":
         """One class's ``U`` per row and ``Σ_x U·contribution``, the class
         likelihood up to the column scalings of ``U`` and of the stored
-        CLVs, which the contraction's ratios cancel."""
+        CLVs, which the contraction's ratios cancel.
+
+        ``U_c ∘ contribution_c = O_p ∘ ∏_{children s} contribution_s`` is
+        the same for every child of ``p``, so the sum is taken once per
+        parent.  The ``U`` vectors live in ``block`` (a free
+        ``(rows, P, n)`` buffer, new if ``None``), the outside vectors in
+        the binding's reused block."""
         state = ev.states[index]
         rows = ev.rows
-        result = _OutsidePass(
-            us=[None] * len(rows),
-            dens=np.empty((len(rows), self.n_patterns)),
-        )
+        n = self.pi.shape[0]
+        if block is None:
+            block = np.empty((len(rows), self.n_patterns, n))
+        if self._o_block is None:
+            self._o_block = np.empty((len(self._o_slot), self.n_patterns, n))
+        result = _OutsidePass(block=block, dens=np.empty((len(rows), self.n_patterns)))
         outside: List[Optional[np.ndarray]] = [None] * self._n_nodes
-        for level, us in self._outside_pass(ev, index, outside):
+        first_row: Dict[int, int] = {}
+        for level, us in self._outside_pass(ev, index, outside, block, self._o_block):
             for ri, u in zip(level, us):
-                result.us[ri] = u
-                np.einsum("ij,ij->j", u, state.contributions[rows[ri][0]], out=result.dens[ri])
+                child, parent = rows[ri][0], rows[ri][1]
+                if parent in first_row:
+                    result.dens[ri] = result.dens[first_row[parent]]
+                else:
+                    first_row[parent] = ri
+                    np.einsum("ij,ij->j", u, state.contributions[child], out=result.dens[ri])
         return result
 
 
 @dataclass
 class _OutsidePass:
-    """One class pass of the gradient: per row ``U`` and ``Σ_x U·contribution``."""
+    """One class pass of the gradient: ``block[ri]`` is row ri's ``Uᵀ``
+    (``(rows, P, n)``), ``dens[ri]`` its ``Σ_x U·contribution``."""
 
-    us: List[Optional[np.ndarray]]
+    block: np.ndarray
     dens: np.ndarray
 
 
@@ -1157,9 +1271,51 @@ class _OutsidePass:
 #: temporaries: a block of rows that stays in cache.
 _BLOCK_BYTES = 1 << 18
 
+#: Below this ``|λ_i − λ_j|·t_max`` an eigenvalue pair takes the
+#: Daleckii–Krein series instead of the divided difference.
+_NEAR_GAP = 1e-4
+
 #: Relative step of the operator differences that stand in for the
 #: Daleckii–Krein contraction on a decomposition with no eigensystem.
 _RATE_STEP = 1e-4
+
+
+@dataclass
+class _LeafColumns:
+    """A leaf CLV's columns as state indices, for the gradient pass.
+
+    ``states[p]`` is the one state of a unit column p; ``other`` lists
+    the columns that are not unit vectors (missing or ambiguous codons),
+    whose ``states`` entry is 0.  ``flat`` indexes a ``(P, n)`` array's
+    elements into a flattened ``(n, n)`` one by the row's state (other
+    columns' elements into ``n`` spill bins past the end), so one
+    weighted ``bincount`` is the scatter-add ``L·Y`` over unit columns.
+    """
+
+    states: np.ndarray
+    other: np.ndarray
+    flat: np.ndarray
+
+    @classmethod
+    def of(cls, clv: np.ndarray) -> "_LeafColumns":
+        n = clv.shape[0]
+        unit = (np.count_nonzero(clv, axis=0) == 1) & (clv.max(axis=0) == 1.0)
+        states = np.where(unit, clv.argmax(axis=0), 0)
+        rows = np.where(unit, states * n, n * n)
+        return cls(
+            states=states,
+            other=np.flatnonzero(~unit),
+            flat=(rows[:, None] + np.arange(n)).ravel(),
+        )
+
+    def scatter(self, clv: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``clv @ y`` for a ``(P, n)`` array ``y``, ``(n, n)``."""
+        n = clv.shape[0]
+        out = np.bincount(self.flat, weights=y.ravel(), minlength=n * n + n)[: n * n]
+        out = out.reshape(n, n)
+        if self.other.size:
+            out += clv[:, self.other] @ y[self.other]
+        return out
 
 
 class _RateContraction:
@@ -1175,12 +1331,19 @@ class _RateContraction:
 
     * ``∂lnL/∂t_b`` sums ``λ_i e^{λ_i t_b}·(W_b)_ii`` over the classes
       (``∂P/∂t = Q·P`` is diagonal in the eigenbasis);
-    * each (class, branch partition) accumulates
-      ``M = Σ_b F_b ∘ W_b``, and a parameter costs one inner product
-      ``⟨XᵀA′X, M⟩``.
+    * each (class, branch partition) accumulates ``M = Σ_b F_b ∘ W_b``
+      as ``(Σ_b e_{b,i}W_{b,ij} − Σ_b W_{b,ij}e_{b,j})/(λ_i − λ_j)``,
+      with ``e_b = e^{λ t_b}``; a pair with ``|λ_i − λ_j|·t_max`` below
+      :data:`_NEAR_GAP` (the diagonal and ties included) sums the
+      per-row series of ``F`` against its gathered ``W_{b,ij}``.  A
+      parameter then costs one inner product ``⟨XᵀA′X, M⟩``.
 
-    ``∂P`` is never formed.  Rate derivatives hold the common scale
-    fixed (DESIGN.md §9).
+    ``W_b`` is formed in the order that costs fewer flops, by the
+    pattern count P against the n states: with ``P ≤ n`` as above, with
+    a leaf's ``L̃`` gathered from rows of ``Π^{½}X``; with ``P > n`` as
+    ``XᵀΠ^{-½}·(U diag(r) Lᵀ)·Π^{½}X``, where a leaf's ``U diag(r) Lᵀ``
+    is a scatter-add of columns.  ``∂P`` and ``F`` are never formed.
+    Rate derivatives hold the common scale fixed (DESIGN.md §9).
 
     A Padé or uniformization decomposition has no eigensystem: a row
     takes ``∂lnL/∂t`` from ``Uᵀ(Q·contribution)`` and contracts
@@ -1199,8 +1362,22 @@ class _RateContraction:
         self.slots: Dict[Tuple[int, int], Tuple[float, np.ndarray]] = {}
         #: (class, partition) → [∂κ, ∂ω] from difference rows.
         self.differenced: Dict[Tuple[int, int], np.ndarray] = {}
+        n, p = bound.engine.code.n_states, bound.n_patterns
+        #: Whether rows contract in the codon basis (P > n).
+        self.codon_order = p > n
+        #: Rows per block: one block's (rows, P, n) temporaries stay
+        #: within _BLOCK_BYTES.  The block workspace is allocated once.
+        self.step = max(1, _BLOCK_BYTES // (8 * p * n))
+        self._scaled = np.empty((self.step, p, n))
+        self._w = np.empty((self.step, n, n))
+        if self.codon_order:
+            self._gt = np.empty((self.step, n, n))
+            self._tmp = np.empty((self.step, n, n))
+        else:
+            self._ut = np.empty((self.step, p, n))
+            self._lt = np.empty((self.step, p, n))
         self._l: Dict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]] = {}
-        self._f: Dict[float, Tuple[np.ndarray, ...]] = {}
+        self._e: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
         self._basis: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
         self._dp: Dict[Tuple[float, float], Tuple[np.ndarray, np.ndarray]] = {}
         self._differenced_omegas: set = set()
@@ -1221,26 +1398,76 @@ class _RateContraction:
             if isinstance(decomp, PadeFallback):
                 self._add_differenced(index, part, omega, decomp, outside, rows, r)
                 continue
-            basis_u = self._bases(omega)[0]
-            m = np.zeros_like(basis_u)
-            # Stacked transposed, (rows, P, n): the stored vectors are
-            # F-ordered, so each row's block copies contiguously.
-            step = max(1, _BLOCK_BYTES // dens[0].nbytes // basis_u.shape[0])
-            for lo in range(0, len(rows), step):
-                block = rows[lo : lo + step]
-                us = np.stack([outside.us[ri].T for ri in block])
-                us *= r[lo : lo + step, :, None]
-                ut = np.matmul(us, basis_u)
-                w = np.matmul(ut.transpose(0, 2, 1), self._projected_l(index, omega, block))
-                f, rate = self._f_stack(omega, block)
-                self.branches[block] += np.einsum("bii,bi->b", w, rate)
-                m += np.einsum("bij,bij->ij", w, f)
-            self.slots[(index, part)] = (omega, m)
+            self.slots[(index, part)] = (omega, self._accumulate(index, omega, outside, rows, r))
 
     def release(self, omega: float) -> None:
         """Drop the inside-CLV projections of decomposition ``omega``."""
         for key in [key for key in self._l if key[1] == omega]:
             del self._l[key]
+
+    def _accumulate(self, index: int, omega: float, outside, rows: List[int], r) -> np.ndarray:
+        """``M = Σ_b F_b ∘ W_b`` over ``rows``, adding each row's ``∂lnL/∂t``."""
+        ev = self.ev
+        lam = ev.decomps[omega].eigenvalues
+        e_all, rate_all = self._exponentials(omega)
+        t = np.array([ev.rows[ri][2] for ri in rows])
+        gap = np.subtract.outer(lam, lam)
+        near = np.abs(gap) < _NEAR_GAP / max(t.max(), 1e-300)
+        ni, nj = np.nonzero(near)
+        e_rows = e_all[rows]
+        x = np.abs(gap[ni, nj]) * t[:, None]
+        series = np.maximum(e_rows[:, ni], e_rows[:, nj]) * t[:, None] * (1.0 - x * (0.5 - x / 6.0))
+        left = np.zeros_like(gap)
+        right = np.zeros_like(gap)
+        near_sum = np.zeros(ni.size)
+        # A block is a run of consecutive rows, so its U vectors are one
+        # slice of the pass's block; at most ``step`` rows long.
+        cuts = [0] + [k for k in range(1, len(rows)) if rows[k] != rows[k - 1] + 1] + [len(rows)]
+        spans = [
+            (lo, min(lo + self.step, end))
+            for start, end in zip(cuts, cuts[1:])
+            for lo in range(start, end, self.step)
+        ]
+        for lo, hi in spans:
+            block = slice(rows[lo], rows[hi - 1] + 1)
+            w = self._w_block(index, omega, outside, range(block.start, block.stop), r[lo:hi])
+            e = e_all[block]
+            self.branches[block] += np.einsum("bii,bi->b", w, rate_all[block])
+            left += np.einsum("bi,bij->ij", e, w)
+            right += np.einsum("bij,bj->ij", w, e)
+            near_sum += np.einsum("bk,bk->k", w[:, ni, nj], series[lo:hi])
+        m = left
+        m -= right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m /= gap
+        m[ni, nj] = near_sum
+        return m
+
+    def _w_block(self, index: int, omega: float, outside, block: range, r) -> np.ndarray:
+        """``W_b = Ũ_b diag(r_b) L̃_bᵀ`` for the rows of ``block``, ``(rows, n, n)``,
+        in the contraction's workspace (valid until the next block)."""
+        ev = self.ev
+        basis_u, basis_l = self._bases(omega)
+        k = len(block)
+        scaled, w = self._scaled[:k], self._w[:k]
+        np.multiply(outside.block[block.start : block.stop], r[:, :, None], out=scaled)
+        if not self.codon_order:
+            ut = np.matmul(scaled, basis_u, out=self._ut[:k])
+            lt = self._projected_l(index, omega, block, out=self._lt[:k])
+            return np.matmul(ut.transpose(0, 2, 1), lt, out=w)
+        # Codon basis: Gᵀ = L diag(r) Uᵀ, then W = (Gᵀ Π^{-½}X)ᵀ Π^{½}X.
+        clvs = ev.states[index].clvs
+        leaves = self.bound._leaf_columns
+        gt, tmp = self._gt[:k], self._tmp[:k]
+        for j, ri in enumerate(block):
+            child = ev.rows[ri][0]
+            cols = leaves.get(child)
+            if cols is None:
+                np.matmul(clvs[child], scaled[j], out=gt[j])
+            else:
+                gt[j] = cols.scatter(clvs[child], scaled[j])
+        np.matmul(gt, basis_u, out=tmp)
+        return np.matmul(tmp.transpose(0, 2, 1), basis_l, out=w)
 
     # -- eigenbasis pieces ---------------------------------------------
     def _bases(self, omega: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -1253,63 +1480,41 @@ class _RateContraction:
             )
         return found
 
-    def _projected_l(self, index: int, omega: float, rows) -> np.ndarray:
-        """``L̃ᵀ = LᵀΠ^{½}X`` per row, ``(rows, P, n)``; an inside CLV a
-        shared class aliases from its base is projected once.  Read-only:
-        the rows may be the cache's own."""
+    def _projected_l(self, index: int, omega: float, rows, out: np.ndarray) -> np.ndarray:
+        """``L̃ᵀ = LᵀΠ^{½}X`` per row into ``out``, ``(rows, P, n)``; a
+        leaf's by gathering rows of ``Π^{½}X``, and an inside CLV a
+        shared class aliases from its base projected once."""
         ev = self.ev
         clvs = ev.states[index].clvs
+        basis_l = self._bases(omega)[1]
+        leaves = self.bound._leaf_columns
         children = [ev.rows[ri][0] for ri in rows]
         todo = [
             child for child in children
             if (held := self._l.get((child, omega))) is None or held[0] is not clvs[child]
         ]
-        if todo:
-            projected = np.matmul(np.stack([clvs[c].T for c in todo]), self._bases(omega)[1])
-            for child, lt in zip(todo, projected):
+        inner = [child for child in todo if child not in leaves]
+        if inner:
+            projected = np.matmul(np.stack([clvs[c].T for c in inner]), basis_l)
+            for child, lt in zip(inner, projected):
                 self._l[(child, omega)] = (clvs[child], lt)
-            if len(todo) == len(children):
-                return projected
-        return np.stack([self._l[(child, omega)][1] for child in children])
+        for child in todo:
+            cols = leaves.get(child)
+            if cols is not None:
+                lt = basis_l[cols.states]
+                if cols.other.size:
+                    lt[cols.other] = clvs[child][:, cols.other].T @ basis_l
+                self._l[(child, omega)] = (clvs[child], lt)
+        return np.stack([self._l[(child, omega)][1] for child in children], out=out)
 
-    def _f_stack(self, omega: float, rows: List[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Daleckii–Krein ``F(t_b)``, ``(rows, n, n)``, and ``λ e^{λ t_b}``.
-
-        ``F_ij = (e^{λ_i t} − e^{λ_j t})/(λ_i − λ_j)`` is formed as
-        ``|e^{λ_i t} − e^{λ_j t}|/|λ_i − λ_j|``, whose relative error is
-        about ``ε/x`` with ``x = |λ_i − λ_j|·t``; below ``x = 1e-4`` (ties
-        included) it is ``e^{max(λ_i,λ_j)t}·t·(1 − x/2 + x²/6)``, the
-        series of ``e^{max(λ_i,λ_j)t}·(1 − e^{−x})/|λ_i − λ_j|``.  Each
-        (ω, row) is built once and shared by every class that reads it.
-        """
-        ev = self.ev
-        lam = ev.decomps[omega].eigenvalues
-        found = self._f.get(omega)
+    def _exponentials(self, omega: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``e^{λ t_b}`` and ``λ e^{λ t_b}`` per row of ``ev.rows``, ``(rows, n)``."""
+        found = self._e.get(omega)
         if found is None:
-            gap = np.abs(lam[:, None] - lam[None, :])
-            with np.errstate(divide="ignore"):
-                inv_gap = np.where(gap > 0.0, 1.0 / gap, 0.0)
-            n, b = lam.shape[0], len(ev.rows)
-            found = self._f[omega] = (
-                np.empty((b, n, n)), np.empty((b, n)), np.zeros(b, dtype=bool), gap, inv_gap,
-            )
-        stack, rates, built, gap, inv_gap = found
-        missing = [ri for ri in rows if not built[ri]]
-        if missing:
-            t = np.array([ev.rows[ri][2] for ri in missing])
-            e = np.exp(np.multiply.outer(t, lam))
-            f = np.subtract(e[:, :, None], e[:, None, :])
-            np.abs(f, out=f)
-            f *= inv_gap
-            i, j = np.nonzero(gap < 1e-4 / max(t.max(), 1e-300))
-            if i.size:
-                x = gap[i, j] * t[:, None]
-                series = np.maximum(e[:, i], e[:, j]) * t[:, None] * (1.0 - x * (0.5 - x / 6.0))
-                f[:, i, j] = np.where(x < 1e-4, series, f[:, i, j])
-            stack[missing] = f
-            rates[missing] = e * lam
-            built[missing] = True
-        return stack[rows], rates[rows]
+            lam = self.ev.decomps[omega].eigenvalues
+            e = np.exp(np.multiply.outer([row[2] for row in self.ev.rows], lam))
+            found = self._e[omega] = (e, e * lam)
+        return found
 
     def _rate_derivatives(self, omega: float) -> Tuple[np.ndarray, np.ndarray]:
         """``∂A/∂κ`` and ``∂A/∂ω`` of the symmetric generator at fixed scale."""
@@ -1343,7 +1548,7 @@ class _RateContraction:
         for j, ri in enumerate(rows):
             child, _, t, _ = ev.rows[ri]
             # P′ = Q·P(t) on the rung's repaired forward operator.
-            u = outside.us[ri]
+            u = outside.block[ri].T
             self.branches[ri] += r[j] @ np.einsum("ij,ij->j", u, decomp.q @ contributions[child])
             w = (u * r[j]) @ clvs[child].T
             d_kappa, d_omega = self._operator_difference(omega, decomp, t)

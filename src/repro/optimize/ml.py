@@ -24,7 +24,7 @@ from repro.core.engine import BoundLikelihood
 from repro.core.recovery import MAX_RESTARTS, FitDiagnostics, NumericalEvent, perturb_start
 from repro.models.base import CodonSiteModel
 from repro.models.parameters import _X_CLIP
-from repro.models.scaling import mixture_scale
+from repro.models.scaling import RawRateForm, mixture_scale
 from repro.optimize.bfgs import BARRIER_SLOPE, ITERATION_CAP, OptimizeResult, minimize_bfgs
 from repro.optimize.lrt import LRTResult, likelihood_ratio_test
 from repro.utils.rng import RngLike, make_rng
@@ -110,17 +110,17 @@ _MAP_STEP = 1e-5
 
 
 def _mixture_coordinates(
-    model: CodonSiteModel, values: Dict[str, float], pi: np.ndarray, code, rates=None
+    model: CodonSiteModel, values: Dict[str, float], pi: np.ndarray, code, raw_rate=None
 ) -> np.ndarray:
     """``(κ, log c, ω per class and partition, proportions)`` at ``values``.
 
     The coordinates :meth:`BoundLikelihood.gradient` differentiates in,
-    laid out like its result: ``c`` is :func:`mixture_scale` (``rates``
-    its optional raw-rate cache), the ω's run (background, foreground)
-    per class.
+    laid out like its result: ``c`` is :func:`mixture_scale` (with its
+    optional ``raw_rate``), the ω's run (background, foreground) per
+    class.
     """
     nodes = model.site_class_graph(values).nodes
-    scale = mixture_scale(values["kappa"], nodes, pi, code, rates)
+    scale = mixture_scale(values["kappa"], nodes, pi, code, raw_rate)
     return np.array(
         [values["kappa"], math.log(scale)]
         + [w for c in nodes for w in (c.omega_background, c.omega_foreground)]
@@ -135,18 +135,22 @@ def _mixture_jacobian(
     pi: np.ndarray,
     code,
     width: int,
+    raw_rate: Optional[Callable[[float, float], float]] = None,
 ) -> np.ndarray:
     """``∂(mixture coordinates)/∂x_i`` for packed coordinates ``coords``.
 
     Central differences on :func:`_mixture_coordinates` (``width``
     entries), a map that evaluates no likelihood, so every model stays
-    generic.  Probes stay inside the transforms' clip
-    ``[−_X_CLIP, _X_CLIP]``; a coordinate on the upper clip or beyond
-    either one does not move the map, so its row is 0 (the
-    forward-difference convention of the branch walls).
+    generic.  Its probes read the unscaled mean rates from ``raw_rate``
+    (a :class:`RawRateForm` of ``pi`` and ``code``, made here when not
+    given), so they build no rate matrix.  Probes stay inside the
+    transforms' clip ``[−_X_CLIP, _X_CLIP]``; a coordinate on the upper
+    clip or beyond either one does not move the map, so its row is 0
+    (the forward-difference convention of the branch walls).
     """
+    if raw_rate is None:
+        raw_rate = RawRateForm(pi, code)
     jacobian = np.zeros((len(coords), width))
-    rates: Dict = {}
     for row, i in enumerate(coords):
         x = float(x_model[i])
         if not -_X_CLIP <= x < _X_CLIP:
@@ -155,9 +159,9 @@ def _mixture_jacobian(
         lo, hi = max(x - h, -_X_CLIP), min(x + h, _X_CLIP)
         probe = np.array(x_model, dtype=float)
         probe[i] = hi
-        up = _mixture_coordinates(model, model.unpack(probe), pi, code, rates)
+        up = _mixture_coordinates(model, model.unpack(probe), pi, code, raw_rate)
         probe[i] = lo
-        down = _mixture_coordinates(model, model.unpack(probe), pi, code, rates)
+        down = _mixture_coordinates(model, model.unpack(probe), pi, code, raw_rate)
         jacobian[row] = (up - down) / (hi - lo)
     return jacobian
 
@@ -276,6 +280,7 @@ def fit_model(
     branch_coords = np.flatnonzero(free_pos >= k)
     model_coords = np.flatnonzero(free_pos < k)
     log_min = math.log(_MIN_BRANCH)
+    raw_rate = RawRateForm(bound.pi, bound.engine.code)
 
     def gradient(f, x_free: np.ndarray, fx: float) -> np.ndarray:
         # Right after f(x_free): the binding's last-point memo holds that
@@ -296,7 +301,7 @@ def fit_model(
             dlnl = np.concatenate([[g.kappa, g.log_scale], g.omega.ravel(), g.proportions])
             jacobian = _mixture_jacobian(
                 model, x_full[:k], free_pos[model_coords], bound.pi, bound.engine.code,
-                dlnl.size,
+                dlnl.size, raw_rate,
             )
             grad[model_coords] = -(jacobian @ dlnl)
         grad[~np.isfinite(grad)] = BARRIER_SLOPE

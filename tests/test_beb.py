@@ -105,6 +105,22 @@ class TestGridReuse:
         # ω0 and ω1 once, then one decomposition per ω2 grid value.
         assert len(calls) == 2 + 3 and len(set(calls)) == 5
 
+    def test_builds_each_rate_matrix_once_per_call(self, strong_selection_problem, monkeypatch):
+        import repro.models.scaling as scaling
+
+        bound, values, _ = strong_selection_problem
+        built = []
+        real = scaling.build_rate_matrix
+
+        def counting(kappa, omega, *args, **kwargs):
+            built.append(omega)
+            return real(kappa, omega, *args, **kwargs)
+
+        monkeypatch.setattr(scaling, "build_rate_matrix", counting)
+        beb_site_probabilities(bound, values, n_proportion_grid=2, n_omega2_grid=3)
+        # The lent ω0 and ω1 matrices are not built again.
+        assert len(built) == 2 + 3 and len(set(built)) == 5
+
     @pytest.mark.parametrize("rung", ["spectral", "pade_decompositions"])
     def test_reused_evaluation_is_bit_identical(self, strong_selection_problem, rung, request):
         if rung != "spectral":

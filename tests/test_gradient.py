@@ -19,9 +19,11 @@ import scipy.linalg
 
 import repro.core.engine as engine_mod
 import repro.optimize.ml as ml_mod
+from repro.alignment.msa import CodonAlignment
 from repro.core.engine import make_engine
 from repro.datasets import make_dataset
 from repro.models.branch_site import BranchSiteModelA
+from repro.models.m0 import M0Model
 from repro.models.registry import resolve_model_spec
 from repro.utils.rng import make_rng
 
@@ -296,6 +298,90 @@ def test_proportions_near_their_walls(p0, p1, small_tree, small_sim, h1_model, b
 
 
 # ----------------------------------------------------------------------
+# The contraction: tied spectra, leaf columns, and both product orders
+# ----------------------------------------------------------------------
+def _alignment_of(sim, n_codons, edits=()):
+    """The first ``n_codons`` of ``sim``'s alignment, with ``(row, codon,
+    triplet)`` cells rewritten."""
+    seqs = [list(seq[: 3 * n_codons]) for seq in sim.alignment.to_sequences()]
+    for row, col, triplet in edits:
+        seqs[row][3 * col : 3 * col + 3] = triplet
+    return CodonAlignment.from_sequences(sim.alignment.names, ["".join(s) for s in seqs])
+
+
+def _assert_finite(bound, values):
+    # A NaN would slip through ``max`` in the agreement helpers.
+    g = bound.gradient(values)
+    assert np.isfinite(g.kappa) and np.all(np.isfinite(g.omega)) and np.isfinite(g.log_scale)
+
+
+def _codon_order(bound):
+    ev = bound.class_evaluation(bound.model.default_start(make_rng(1)))
+    return engine_mod._RateContraction(bound, ev).codon_order
+
+
+@pytest.mark.parametrize("n_codons", [40, 120], ids=["P<n", "P>n"])
+def test_eigenvalue_ties(n_codons, small_tree, small_sim, uniform_pi):
+    # κ = ω = 1 under uniform π: the generator is the single-nucleotide
+    # adjacency of the sense codons, whose spectrum has large tied
+    # blocks; every tied or near pair takes the Daleckii–Krein series.
+    values = {"kappa": 1.0, "omega": 1.0}
+    bound = make_engine("slim-v2").bind(
+        small_tree, _alignment_of(small_sim, n_codons), M0Model(), pi=uniform_pi
+    )
+    assert _codon_order(bound) == (bound.n_patterns > 61)
+    lam = next(iter(bound.class_evaluation(values).decomps.values())).eigenvalues
+    gaps = np.abs(np.subtract.outer(lam, lam))[~np.eye(lam.size, dtype=bool)]
+    assert np.sum(gaps < 1e-10) > lam.size
+    _assert_finite(bound, values)
+    assert_gradient_agrees(bound, values, branches=range(bound.n_branches))
+    assert_model_derivatives_agree(bound, values)
+
+
+#: Gaps, fully ambiguous, two-, three- and four-fold ambiguous cells.
+_UNSURE = [
+    (0, 0, "---"), (0, 3, "NNN"), (1, 1, "ACN"), (1, 2, "RTG"),
+    (2, 5, "CAY"), (3, 4, "---"), (4, 7, "GGN"), (2, 9, "TTY"), (4, 1, "NNN"),
+]
+
+
+@pytest.mark.parametrize("n_codons", [40, 120], ids=["P<n", "P>n"])
+def test_missing_and_ambiguous_leaf_cells(n_codons, small_tree, small_sim, h1_model, bsm_values):
+    # A leaf's columns are gathered (P ≤ n) or scattered (P > n) by
+    # state; missing and ambiguous columns take the dense fix-up.
+    alignment = _alignment_of(small_sim, n_codons, _UNSURE)
+    assert (alignment.states == -1).sum() and alignment.ambiguity_sets
+    bound = make_engine("slim-v2").bind(small_tree, alignment, h1_model)
+    assert _codon_order(bound) == (bound.n_patterns > 61)
+    assert all(cols.other.size for cols in bound._leaf_columns.values())
+    _assert_finite(bound, bsm_values)
+    assert_gradient_agrees(bound, bsm_values, branches=range(bound.n_branches))
+    assert_model_derivatives_agree(bound, bsm_values)
+
+
+def test_codon_basis_order(small_tree, small_sim, h1_model, bsm_values, monkeypatch):
+    # P > n: every row's W is formed in the codon basis, and it agrees
+    # with the eigenbasis order as well as with the likelihood.
+    bound = make_engine("slim-v2").bind(small_tree, small_sim.alignment, h1_model)
+    assert bound.n_patterns > 61 and _codon_order(bound)
+    _assert_finite(bound, bsm_values)
+    assert_gradient_agrees(bound, bsm_values, branches=range(bound.n_branches))
+    assert_model_derivatives_agree(bound, bsm_values)
+    codon = bound.gradient(bsm_values)
+    init = engine_mod._RateContraction.__init__
+
+    def eigenbasis(self, *args):
+        init(self, *args)
+        self.codon_order = False
+        self._ut, self._lt = np.empty_like(self._scaled), np.empty_like(self._scaled)
+
+    monkeypatch.setattr(engine_mod._RateContraction, "__init__", eigenbasis)
+    eigen = bound.gradient(bsm_values)
+    for name in ("branches", "kappa", "omega", "log_scale"):
+        np.testing.assert_allclose(getattr(codon, name), getattr(eigen, name), rtol=1e-10)
+
+
+# ----------------------------------------------------------------------
 # Recovery rungs: Padé fallback and uniformization operators
 # ----------------------------------------------------------------------
 def _dead_eigh(*args, **kwargs):
@@ -336,13 +422,13 @@ def test_nonfinite_derivative_is_a_recorded_barrier(
 ):
     engine = make_engine("slim-v2")
     bound = engine.bind(small_tree, small_sim.alignment, h1_model)
-    spectral = engine_mod._RateContraction._f_stack
+    spectral = engine_mod._RateContraction._exponentials
 
-    def poisoned(self, omega, rows):
-        f, rate = spectral(self, omega, rows)
-        return f, np.full_like(rate, np.nan)
+    def poisoned(self, omega):
+        e, rate = spectral(self, omega)
+        return e, np.full_like(rate, np.nan)
 
-    monkeypatch.setattr(engine_mod._RateContraction, "_f_stack", poisoned)
+    monkeypatch.setattr(engine_mod._RateContraction, "_exponentials", poisoned)
     grad = bound.gradient(bsm_values).branches
     assert not np.any(np.isfinite(grad))
     assert engine.events.counts().get("gradient_nonfinite") == 1

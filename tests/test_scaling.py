@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import repro.models.scaling as scaling
+from repro.codon.genetic_code import UNIVERSAL
 from repro.codon.matrix import build_rate_matrix, mean_rate
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.m0 import M0Model
-from repro.models.scaling import build_class_matrices, mixture_scale
+from repro.models.scaling import RawRateForm, build_class_matrices, mixture_scale
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +88,64 @@ class TestMixtureScale:
         monkeypatch.setattr(scaling, "build_rate_matrix", counting)
         build_class_matrices(2.0, classes, pi)
         assert sorted(built) == [0.2, 1.0, 3.0]
+
+
+class TestLentMatrices:
+    def test_lent_omegas_come_back_as_the_lent_objects(self, pi, classes, monkeypatch):
+        rates = {}
+        first = build_class_matrices(2.0, classes, pi, rates=rates)
+        moved = BranchSiteModelA().site_classes(
+            {"kappa": 2.0, "omega0": 0.2, "omega2": 5.0, "p0": 0.5, "p1": 0.3}
+        )
+        built = []
+
+        def counting(kappa, omega, *args, **kwargs):
+            built.append(omega)
+            return build_rate_matrix(kappa, omega, *args, **kwargs)
+
+        monkeypatch.setattr(scaling, "build_rate_matrix", counting)
+        lent = build_class_matrices(2.0, moved, pi, rates=dict(rates), lent=first)
+        assert built == [5.0]
+        assert lent[0.2] is first[0.2] and lent[1.0] is first[1.0]
+        fresh = build_class_matrices(2.0, moved, pi)
+        assert list(lent) == list(fresh)
+        for omega, m in fresh.items():
+            assert lent[omega].q.tobytes() == m.q.tobytes() and lent[omega].scale == m.scale
+
+    def test_a_new_scale_builds_everything(self, pi, classes):
+        rates = {}
+        first = build_class_matrices(2.0, classes, pi, rates=rates)
+        moved = BranchSiteModelA().site_classes(
+            {"kappa": 2.0, "omega0": 0.2, "omega2": 3.0, "p0": 0.7, "p1": 0.2}
+        )
+        lent = build_class_matrices(2.0, moved, pi, rates=dict(rates), lent=first)
+        fresh = build_class_matrices(2.0, moved, pi)
+        for omega, m in fresh.items():
+            assert lent[omega] is not first[omega]
+            assert lent[omega].q.tobytes() == m.q.tobytes() and lent[omega].scale == m.scale
+
+
+class TestRawRateForm:
+    @pytest.mark.parametrize("kappa, omega", [(2.0, 0.3), (1.0, 1.0), (7.5, 0.0), (0.4, 12.0)])
+    def test_matches_the_built_matrix(self, pi, kappa, omega):
+        raw = build_rate_matrix(kappa, omega, pi, scale="none")
+        assert RawRateForm(pi)(kappa, omega) == pytest.approx(mean_rate(raw.q, pi), rel=1e-14)
+
+    def test_mixture_jacobian_builds_no_matrix(self, pi, monkeypatch):
+        import repro.optimize.ml as ml
+
+        model = BranchSiteModelA(fix_omega2=False)
+        x = model.pack({"kappa": 2.0, "omega0": 0.2, "omega2": 3.0, "p0": 0.5, "p1": 0.3})
+        width = 2 + 2 * 4 + 4
+
+        def built(kappa, omega):
+            return scaling._raw_rate(kappa, omega, pi, UNIVERSAL)
+
+        reference = ml._mixture_jacobian(model, x, np.arange(x.size), pi, UNIVERSAL, width, built)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rate matrix built")
+
+        monkeypatch.setattr(scaling, "build_rate_matrix", refuse)
+        jacobian = ml._mixture_jacobian(model, x, np.arange(x.size), pi, UNIVERSAL, width)
+        np.testing.assert_allclose(jacobian, reference, rtol=1e-8, atol=1e-10)
