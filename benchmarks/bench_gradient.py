@@ -64,14 +64,15 @@ def agreement(bound, values, branches) -> float:
     lengths = np.asarray(bound.branch_lengths, dtype=float)
     bound.log_likelihood(values, lengths)
     g = bound.gradient(values, lengths)
-    worst = 0.0
+    # np.max, not max(): a NaN derivative makes the result NaN.
+    errors = []
 
     def lnl_of_log_t(log_t):
         return bound.log_likelihood(values, np.exp(log_t))
 
     for j in branches:
         ref = _richardson(lnl_of_log_t, np.log(lengths), j, H)
-        worst = max(worst, abs(lengths[j] * g.branches[j] - ref) / max(abs(ref), 1.0))
+        errors.append(abs(lengths[j] * g.branches[j] - ref) / max(abs(ref), 1.0))
 
     def lnl_of_x(x):
         return bound.log_likelihood(model.unpack(x), lengths)
@@ -83,8 +84,8 @@ def agreement(bound, values, branches) -> float:
     ) @ dlnl
     for i in range(x.size):
         ref = _richardson(lnl_of_x, x, i, H_MODEL)
-        worst = max(worst, abs(analytic[i] - ref) / max(abs(ref), 1.0))
-    return worst
+        errors.append(abs(analytic[i] - ref) / max(abs(ref), 1.0))
+    return float(np.max(errors))
 
 
 def gradient_ms(bound, values, reps: int):
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
         ):
             bound = make_engine(args.engine).bind(dataset.tree, dataset.alignment, model)
             errors.append(agreement(bound, values, sampled_branches(bound, n_check)))
-        worst = max(worst, *errors)
+        worst = float(np.max([worst, *errors]))
         ms_analytic, ms_fd = gradient_ms(bound, values1, reps)
         ms_eval, ms_grad = gradient_cost(bound, values1, cost_reps)
         per_iter, all_fd = evals_per_iteration(dataset, args.engine, budget)
@@ -247,7 +248,8 @@ def main(argv=None) -> int:
         write_result("E-GRAD_gradients.txt", table)
 
     status = 0
-    if args.assert_agreement is not None and worst > args.assert_agreement:
+    # "not <=" so that a NaN agreement fails too.
+    if args.assert_agreement is not None and not worst <= args.assert_agreement:
         print(
             f"FAIL: gradient agreement {worst:.3e} exceeds {args.assert_agreement:.1e}",
             file=sys.stderr,

@@ -57,12 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--beb", action="store_true", help="compute BEB site probabilities")
     run.add_argument(
         "--map", action="store_true",
-        help="sample posterior substitution histories at the H1 MLEs "
-             "(uniformization-based stochastic mapping) and report the "
-             "per-branch syn/nonsyn event table next to the BEB sites",
+        help="report the posterior expected syn/nonsyn substitution "
+             "counts at the H1 MLEs (exact, per branch and per foreground "
+             "site) next to the BEB sites",
     )
-    run.add_argument("--map-samples", type=int, default=16,
-                     help="posterior histories per site for --map")
     run.add_argument("--cleandata", action="store_true", help="drop columns with gaps")
 
     scan = sub.add_parser(
@@ -89,12 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="family-wise significance level for --survey")
     scan.add_argument(
         "--map", action="store_true",
-        help="per tested branch, sample posterior substitution histories "
-             "at the H1 MLEs (uniformization-based stochastic mapping) "
-             "and report per-branch syn/nonsyn event tables",
+        help="per tested branch, report the posterior expected syn/nonsyn "
+             "substitution counts at its H1 MLEs (exact, per branch)",
     )
-    scan.add_argument("--map-samples", type=int, default=16,
-                      help="posterior histories per site for --map")
     scan.add_argument("--processes", type=int, default=1,
                       help="worker processes (1 = in-process)")
     scan.add_argument("--seed", type=int, default=1, help="start-value seed")
@@ -200,11 +195,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.beb:
         sites = beb_site_probabilities(bound, test.h1.values, test.h1.branch_lengths)
     if args.map:
-        from repro.likelihood.mapping import sample_substitution_mapping
+        from repro.likelihood.mapping import substitution_mapping
 
-        mapping = sample_substitution_mapping(
-            bound, test.h1.values, branch_lengths=test.h1.branch_lengths,
-            n_samples=args.map_samples, seed=seed,
+        mapping = substitution_mapping(
+            bound, test.h1.values, branch_lengths=test.h1.branch_lengths
         ).to_payload()
 
     _write_report(
@@ -389,12 +383,13 @@ def _map_scan(args, gene_id, tree, alignment, scan, model_spec):
     """Map the scan's selected branches in the coordinator (``--map``).
 
     Workers only fit.  Every tested branch — with ``--survey``, every
-    Holm-significant one — is sampled in one pass over one shared
+    Holm-significant one — is mapped in one pass over one shared
     engine, at the H1 MLEs its task kept.  Mapped results are
     re-journalled: ``completed()`` keeps the latest successful record
-    per id, so the upsert wins on resume, and a resumed branch already
-    mapped with ``--map-samples`` draws is not sampled again.  Returns
-    the selected labels that could not be mapped (no stored MLEs).
+    per id, so the upsert wins on resume, and a resumed branch whose
+    mapping is already exact is not mapped again (a sampled mapping
+    from a journal before v11 is).  Returns the selected labels that
+    could not be mapped (no stored MLEs).
     """
     from repro.io.results_io import ResultJournal
     from repro.parallel.batch import map_survey_candidates
@@ -403,8 +398,7 @@ def _map_scan(args, gene_id, tree, alignment, scan, model_spec):
     result_of = {res.gene_id: res for res in scan.gene_results}
     todo = [
         label for label in selected
-        if (result_of[f"{gene_id}:{label}"].mapping or {}).get("n_samples")
-        != args.map_samples
+        if (result_of[f"{gene_id}:{label}"].mapping or {}).get("method") != "exact"
     ]
     if not todo:
         return []
@@ -415,10 +409,7 @@ def _map_scan(args, gene_id, tree, alignment, scan, model_spec):
             f"(one pass)...",
             file=sys.stderr,
         )
-    payloads = map_survey_candidates(
-        gene_id, tree, alignment, scan, todo,
-        map_samples=args.map_samples, seed=args.seed, model=model_spec,
-    )
+    payloads = map_survey_candidates(gene_id, tree, alignment, scan, todo, model=model_spec)
     by_id = {f"{gene_id}:{label}": payload for label, payload in payloads.items()}
     updated = [res for res in scan.gene_results if res.gene_id in by_id]
     for res in updated:

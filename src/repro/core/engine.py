@@ -30,10 +30,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.linalg import expm_frechet
 from scipy.linalg.blas import dgemv, dsymm
 
 from repro.alignment.msa import CodonAlignment
 from repro.alignment.patterns import PatternAlignment, compress_patterns
+from repro.codon.classify import classification_table
 from repro.codon.frequencies import estimate_codon_frequencies
 from repro.codon.genetic_code import GeneticCode, UNIVERSAL
 from repro.codon.matrix import CodonRateMatrix, exchangeability_derivatives
@@ -199,15 +201,6 @@ class LikelihoodEngine:
         """Package one column-block view of a stack as an operator."""
         return view
 
-    def _operator_probability_matrix(self, operator: object) -> np.ndarray:
-        """Dense ``P(t)`` from this engine's operator representation.
-
-        The mapping sampler needs plain transition probabilities; it
-        reads them off the evaluation's operator sets through this
-        hook.  P-propagating engines hold ``P`` directly.
-        """
-        return operator
-
     def _propagate_level(
         self, items: Sequence[Tuple[object, np.ndarray]]
     ) -> List[np.ndarray]:
@@ -328,14 +321,13 @@ class LikelihoodEngine:
             key = f"rung_{rung}"
             self.counters[key] = self.counters.get(key, 0) + count
 
-    def _uniformize(self, decomp) -> UniformizedOperator:
-        """A new uniformized kernel of ``decomp``'s generator.
+    def _uniformize(self, decomp: PadeFallback) -> UniformizedOperator:
+        """A new uniformized kernel of a Padé decomposition's generator.
 
         The caller owns it: its cached powers of ``R`` live as long as
-        the one build or sampling call that asked for it.
+        the one build call that asked for it.
         """
-        q = decomp.q if isinstance(decomp, PadeFallback) else decomp.reconstruct_q()
-        return UniformizedOperator(q, decomp.pi, tol=UNIFORMIZATION_TOL, counter=self.counter)
+        return UniformizedOperator(decomp.q, decomp.pi, tol=UNIFORMIZATION_TOL, counter=self.counter)
 
     def _recover_operator(
         self, decomp, t: float, exc: BaseException, kernel: List[UniformizedOperator]
@@ -539,11 +531,6 @@ class SlimV2Engine(LikelihoodEngine):
     def _operator_from_view(self, view: np.ndarray, decomp) -> tuple:
         return (view, decomp.pi)
 
-    def _operator_probability_matrix(self, operator: tuple) -> np.ndarray:
-        # P(t)·w = M·(Πw), column-wise: P = M·Π.
-        m, pi = operator
-        return m * pi[None, :]
-
     def _propagate_transposed_level(
         self,
         items: Sequence[Tuple[object, np.ndarray]],
@@ -666,8 +653,9 @@ class BoundLikelihood:
     tree.  Exposes exactly what the optimizer and the post-fit analyses
     need: lnL, lnL with its exact gradient in every coordinate
     (:meth:`gradient`), and the all-class evaluation
-    (:meth:`class_evaluation`) that NEB/BEB, ancestral reconstruction
-    and the mapping sampler read.
+    (:meth:`class_evaluation`) that NEB/BEB and ancestral
+    reconstruction read, and the expected substitution counts
+    (:meth:`substitution_counts`) on the gradient's outside pass.
 
     Every evaluation runs the level-order driver (stacked operators,
     one fused propagation call per tree level, DESIGN.md §10) over
@@ -1021,10 +1009,9 @@ class BoundLikelihood:
         NEB/BEB read its finite-checked ``class_lnl`` (the
         ``(n_classes, n_patterns)`` :func:`site_class_log_likelihoods`
         matrix) and ``proportions``; ancestral reconstruction its inside
-        states and :meth:`outside_vectors`; the mapping sampler its
-        inside states, decompositions and forward operator sets.  Every
-        class is evaluated (``skip_zero`` off), so zero-weight classes
-        keep their rows and states.  The last-point memo serves a repeat
+        states and :meth:`outside_vectors`.  Every class is evaluated
+        (``skip_zero`` off), so zero-weight classes keep their rows and
+        states.  The last-point memo serves a repeat
         at the same point — post-fit analyses typically read one MLE
         several times — and the decompositions and operator sets are the
         exact objects the pass evaluated with; they live as long as the
@@ -1097,33 +1084,9 @@ class BoundLikelihood:
         with np.errstate(invalid="ignore", over="ignore"):
             d_proportions = np.exp(class_lnl - site_lnl[None, :]) @ weights
 
-        # A full share reads its base's pass with its own weights; no
-        # other pass outlives its class, and the projected inside CLVs of
-        # a background ω go once its last class is folded in.
-        live = [plan for plan in ev.plans if plan.mode != "skip"]
-        shared = {plan.base for plan in live if plan.full_share}
-        last_of = {graph.nodes[plan.index].omega_background: plan.index for plan in live}
-        passes: Dict[int, _OutsidePass] = {}
-        spare = self._u_blocks
         contraction = _RateContraction(self, ev)
-        for plan in live:
-            if plan.full_share:
-                outside = passes[plan.base]
-            else:
-                outside = self._outside_data(ev, plan.index, spare.pop() if spare else None)
-                if plan.index in shared:
-                    passes[plan.index] = outside
-            contraction.add(plan.index, outside, weighted_post[plan.index])
-            if not plan.full_share and plan.index not in shared:
-                spare.append(outside.block)
-            del outside
-            omega = graph.nodes[plan.index].omega_background
-            if last_of[omega] == plan.index:
-                contraction.release(omega)
-        spare.extend(outside.block for outside in passes.values())
-        grad = np.empty(len(ev.rows))
-        for ri, (_, _, pos, _) in enumerate(self._rows):
-            grad[pos] = contraction.branches[ri]
+        self._fold_classes(ev, contraction, weighted_post)
+        grad = self._by_branch(contraction.branches)
         bad = np.flatnonzero(~np.isfinite(grad))
         if bad.size:
             engine.events.record(
@@ -1142,6 +1105,67 @@ class BoundLikelihood:
             proportions=d_proportions,
             log_scale=-float(ev.lengths @ grad),
         )
+
+    def substitution_counts(
+        self,
+        values: Dict[str, float],
+        branch_lengths: Optional[Sequence[float]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior expected synonymous and non-synonymous substitution
+        counts at ``values``, by the gradient's outside pass.
+
+        Returns ``(totals, foreground)``: ``totals`` is ``(n_branches, 2)``
+        (syn, nonsyn), ordered like :attr:`branch_lengths` and summed
+        over sites; ``foreground`` is ``(2, n_patterns)``, the counts at
+        one site of each pattern, summed over the foreground branches.
+        Each class is weighted by its posterior at the pattern, as the
+        gradient weights it (:class:`_CountContraction`, DESIGN.md §14).
+        """
+        ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=True)
+        weights = self.patterns.weights
+        weighted_post = class_posteriors(self._checked_class_lnl(ev), ev.graph.proportions) * weights
+        counts = _CountContraction(self, ev)
+        self._fold_classes(ev, counts, weighted_post)
+        return self._by_branch(counts.totals), counts.foreground / weights
+
+    def _fold_classes(
+        self, ev: ClassEvaluation, contraction: "_RateContraction", weighted_post: np.ndarray
+    ) -> None:
+        """Fold every live class of ``ev`` into ``contraction``, one
+        outside pass per class.
+
+        A full share reads its base's pass with its own weights; no
+        other pass outlives its class, and the projected inside CLVs of
+        a background ω go once its last class is folded in.
+        """
+        graph = ev.graph
+        live = [plan for plan in ev.plans if plan.mode != "skip"]
+        shared = {plan.base for plan in live if plan.full_share}
+        last_of = {graph.nodes[plan.index].omega_background: plan.index for plan in live}
+        passes: Dict[int, _OutsidePass] = {}
+        spare = self._u_blocks
+        for plan in live:
+            if plan.full_share:
+                outside = passes[plan.base]
+            else:
+                outside = self._outside_data(ev, plan.index, spare.pop() if spare else None)
+                if plan.index in shared:
+                    passes[plan.index] = outside
+            contraction.add(plan.index, outside, weighted_post[plan.index])
+            if not plan.full_share and plan.index not in shared:
+                spare.append(outside.block)
+            del outside
+            omega = graph.nodes[plan.index].omega_background
+            if last_of[omega] == plan.index:
+                contraction.release(omega)
+        spare.extend(outside.block for outside in passes.values())
+
+    def _by_branch(self, per_row: np.ndarray) -> np.ndarray:
+        """A per-row array of ``ev.rows`` reordered like :attr:`branch_lengths`."""
+        out = np.empty_like(per_row)
+        for ri, (_, _, pos, _) in enumerate(self._rows):
+            out[pos] = per_row[ri]
+        return out
 
     def _outside_pass(
         self,
@@ -1397,13 +1421,27 @@ class _RateContraction:
             decomp = ev.decomps[omega]
             if isinstance(decomp, PadeFallback):
                 self._add_differenced(index, part, omega, decomp, outside, rows, r)
-                continue
-            self.slots[(index, part)] = (omega, self._accumulate(index, omega, outside, rows, r))
+            else:
+                self._add_spectral(index, part, omega, outside, rows, r)
 
     def release(self, omega: float) -> None:
         """Drop the inside-CLV projections of decomposition ``omega``."""
         for key in [key for key in self._l if key[1] == omega]:
             del self._l[key]
+
+    def _add_spectral(self, index: int, part: int, omega: float, outside, rows: List[int], r) -> None:
+        self.slots[(index, part)] = (omega, self._accumulate(index, omega, outside, rows, r))
+
+    def _spans(self, rows: List[int]) -> List[Tuple[int, int]]:
+        """``rows`` cut into blocks: runs of consecutive rows, so a
+        block's U vectors are one slice of the pass's block, each at
+        most ``step`` rows long."""
+        cuts = [0] + [k for k in range(1, len(rows)) if rows[k] != rows[k - 1] + 1] + [len(rows)]
+        return [
+            (lo, min(lo + self.step, end))
+            for start, end in zip(cuts, cuts[1:])
+            for lo in range(start, end, self.step)
+        ]
 
     def _accumulate(self, index: int, omega: float, outside, rows: List[int], r) -> np.ndarray:
         """``M = Σ_b F_b ∘ W_b`` over ``rows``, adding each row's ``∂lnL/∂t``."""
@@ -1420,15 +1458,7 @@ class _RateContraction:
         left = np.zeros_like(gap)
         right = np.zeros_like(gap)
         near_sum = np.zeros(ni.size)
-        # A block is a run of consecutive rows, so its U vectors are one
-        # slice of the pass's block; at most ``step`` rows long.
-        cuts = [0] + [k for k in range(1, len(rows)) if rows[k] != rows[k - 1] + 1] + [len(rows)]
-        spans = [
-            (lo, min(lo + self.step, end))
-            for start, end in zip(cuts, cuts[1:])
-            for lo in range(start, end, self.step)
-        ]
-        for lo, hi in spans:
+        for lo, hi in self._spans(rows):
             block = slice(rows[lo], rows[hi - 1] + 1)
             w = self._w_block(index, omega, outside, range(block.start, block.stop), r[lo:hi])
             e = e_all[block]
@@ -1602,6 +1632,117 @@ class _RateContraction:
             d_kappa += float(dk)
             d_omega[index, part] += float(dw)
         return d_kappa, d_omega
+
+
+class _CountContraction(_RateContraction):
+    """Posterior expected synonymous and non-synonymous substitution
+    counts per row, on the gradient's outside pass.
+
+    For a set L of labelled transitions (the synonymous or the
+    non-synonymous codon pairs) on a branch,
+    ``E[N_L | data] = Uᵀ D(t)[Q_L] L / Uᵀ P(t) L`` per pattern (Minin &
+    Suchard 2008), where ``D(t)[Q_L]`` is the derivative of ``P(t)`` in
+    the direction of ``Q_L``, the labelled off-diagonal part of the
+    class's scaled Q.  That is a rate derivative with
+    ``A′ = A_L = Π^{½}Q_LΠ^{-½}``, contracted per row instead of summed
+    over rows: with the gradient's weights ``r``, row b's count is
+    ``⟨W_b, F_b ∘ B_L⟩``, ``B_L = XᵀA_L X``.  A foreground row also keeps
+    it per pattern, ``colsum(Ũ_b ∘ ((F_b ∘ B_L) L̃_b))·r_b``.
+
+    A count is read per row, so ``F_b`` is formed per row, in the form
+    ``F_{b,ij} = e^{max(λ_i, λ_j) t}·t·(1 − e^{−x})/x`` with
+    ``x = |λ_i − λ_j|·t`` (``expm1``), which loses no digits at any gap:
+    the gradient's shared near-gap threshold, set by the longest row,
+    would leave a short row's divided differences to cancel.
+
+    A Padé decomposition has no eigensystem: its rows take
+    ``D(t)[Q_L]`` from :func:`scipy.linalg.expm_frechet` on its Q, and
+    the pass records one ``count_frechet`` event per ω.
+    """
+
+    def __init__(self, bound: "BoundLikelihood", ev: ClassEvaluation) -> None:
+        super().__init__(bound, ev)
+        #: (syn, nonsyn) per row of ``ev.rows``, weighted by ``r``.
+        self.totals = np.zeros((len(ev.rows), 2))
+        #: (syn, nonsyn) per pattern, summed over the foreground rows.
+        self.foreground = np.zeros((2, bound.n_patterns))
+        table = classification_table(bound.engine.code)
+        self._masks = np.stack([table.synonymous, table.single & ~table.synonymous])
+        self._labelled_basis: Dict[float, np.ndarray] = {}
+        self._f: Dict[Tuple[float, float], np.ndarray] = {}
+        self._frechet: Dict[Tuple[float, float], np.ndarray] = {}
+
+    def release(self, omega: float) -> None:
+        super().release(omega)
+        for key in [key for key in self._f if key[0] == omega]:
+            del self._f[key]
+
+    def _labelled(self, omega: float) -> np.ndarray:
+        """``Q_L`` of decomposition ``omega`` for (syn, nonsyn), ``(2, n, n)``."""
+        return self.ev.matrices[omega].q * self._masks
+
+    def _eigen_labelled(self, omega: float) -> np.ndarray:
+        """``B_L = XᵀA_L X`` for (syn, nonsyn), ``(2, n, n)``."""
+        found = self._labelled_basis.get(omega)
+        if found is None:
+            x = self.ev.decomps[omega].eigenvectors
+            a = self.sqrt_pi[:, None] * self._labelled(omega) / self.sqrt_pi[None, :]
+            found = self._labelled_basis[omega] = x.T @ a @ x
+        return found
+
+    def _divided(self, omega: float, ri: int) -> np.ndarray:
+        """``F_b`` of row ``ri`` under decomposition ``omega``, ``(n, n)``."""
+        t = self.ev.rows[ri][2]
+        found = self._f.get((omega, t))
+        if found is None:
+            lam = self.ev.decomps[omega].eigenvalues
+            e = self._exponentials(omega)[0][ri]
+            x = np.abs(np.subtract.outer(lam, lam)) * t
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+            found = self._f[(omega, t)] = np.maximum.outer(e, e) * t * g
+        return found
+
+    def _add_spectral(self, index: int, part: int, omega: float, outside, rows: List[int], r) -> None:
+        b = self._eigen_labelled(omega)
+        flat = b.reshape(2, -1).T
+        for lo, hi in self._spans(rows):
+            block = range(rows[lo], rows[hi - 1] + 1)
+            w = self._w_block(index, omega, outside, block, r[lo:hi])
+            w *= np.stack([self._divided(omega, ri) for ri in block])
+            self.totals[block.start : block.stop] += w.reshape(hi - lo, -1) @ flat
+        basis_u = self._bases(omega)[0]
+        for j, ri in enumerate(rows):
+            if not self.ev.rows[ri][3]:
+                continue
+            fb = self._divided(omega, ri) * b
+            ut = (outside.block[ri] * r[j][:, None]) @ basis_u
+            lt = self._projected_l(index, omega, [ri], out=np.empty((1,) + ut.shape))[0]
+            self.foreground += np.einsum("lpi,pi->lp", lt @ fb.transpose(0, 2, 1), ut)
+
+    def _add_differenced(self, index: int, part: int, omega: float, decomp, outside, rows, r) -> None:
+        ev = self.ev
+        clvs = ev.states[index].clvs
+        if omega not in self._differenced_omegas:
+            self._differenced_omegas.add(omega)
+            self.bound.engine.events.record(
+                "count_frechet", "mapping",
+                f"no eigensystem for omega={omega:g} ({decomp.rung}): "
+                "expected counts by expm_frechet",
+                omega=float(omega), engine=self.bound.engine.name,
+            )
+        for j, ri in enumerate(rows):
+            child, _, t, fg = ev.rows[ri]
+            d = self._frechet.get((omega, t))
+            if d is None:
+                d = self._frechet[(omega, t)] = np.stack([
+                    expm_frechet(decomp.q * t, q_l * t, compute_expm=False)
+                    for q_l in self._labelled(omega)
+                ])
+            ur = outside.block[ri].T * r[j]
+            self.totals[ri] += np.einsum("lij,ij->l", d, ur @ clvs[child].T)
+            if fg:
+                self.foreground += np.einsum("ip,lip->lp", ur, d @ clvs[child])
 
 
 _ENGINES = {cls.name: cls for cls in (BaselineEngine, SlimEngine, SlimV2Engine)}

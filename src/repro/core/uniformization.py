@@ -34,15 +34,14 @@ sums to rounding, so the invariants survive.  The per-segment tolerance
 is tightened by ``2^s`` to absorb the error doubling of each squaring.
 
 :class:`UniformizedOperator` is the reusable per-decomposition object:
-it caches the powers ``R^k``, shared by every branch length of the one
-call that made it — a rung-4 operator build or a stochastic-mapping
-pass (:mod:`repro.likelihood.mapping`) — and dropped with it.
+it caches the powers ``R^k``, shared by every branch length of the
+rung-4 operator build that made it, and dropped with it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,8 +51,7 @@ __all__ = [
 ]
 
 #: Series length above which ``transition_matrix`` switches to
-#: scaling-and-squaring; also the cap passed to :func:`poisson_truncation`
-#: by the endpoint-conditioned sampler (which cannot square).
+#: scaling-and-squaring.
 DEFAULT_SQUARING_THRESHOLD = 48.0
 
 #: Hard cap on series terms per segment — far above anything the
@@ -94,8 +92,7 @@ class UniformizedOperator:
 
     Quacks like :class:`~repro.core.eigen.SpectralDecomposition` where
     the engines care — ``pi``, ``n_states`` — and adds the jump-chain
-    pieces (``mu``, ``r``, cached powers) the recovery rung and the
-    stochastic-mapping sampler read.
+    pieces (``mu``, ``r``, cached powers) the recovery rung reads.
 
     Parameters
     ----------
@@ -156,8 +153,6 @@ class UniformizedOperator:
         r /= np.where(row_sums > 0.0, row_sums, 1.0)[:, None]
         self.r = r
         self._powers: List[np.ndarray] = [np.eye(n), r]
-        self._stack: Optional[np.ndarray] = None
-        self._weights_memo: dict = {}
         #: Series evaluations performed (diagnostics/benchmarks).
         self.evaluations = 0
         self._counter = counter
@@ -181,36 +176,6 @@ class UniformizedOperator:
                 self._counter.add("uniformization:power-dgemm", 2 * n * n * n,
                                   reads=2 * n * n)
         return self._powers[k]
-
-    def power_stack(self, k_max: int) -> np.ndarray:
-        """Contiguous ``(k_max+1, n, n)`` array of ``R^0..R^{k_max}``.
-
-        The batched sampler gathers ``R^k[a, b]`` across many sites and
-        jump counts at once; a stacked copy turns those gathers into
-        single fancy-index reads.  The stack is cached and rebuilt only
-        when the underlying power list has grown past it, and
-        ``np.asarray`` copies preserve bits, so ``stack[k] ==
-        self.power(k)`` exactly.
-        """
-        self.power(k_max)
-        if self._stack is None or self._stack.shape[0] < k_max + 1:
-            self._stack = np.asarray(self._powers)
-        return self._stack[: k_max + 1]
-
-    def jump_weights(self, t: float, max_terms: int = MAX_TERMS) -> np.ndarray:
-        """Truncated Poisson(μt) weights for the jump-count distribution.
-
-        Used by the endpoint-conditioned sampler, which needs the raw
-        series (no squaring shortcut exists for path sampling).  Memoised
-        per ``(t, max_terms)`` — the sampler asks for the same branch
-        lengths on every draw batch.
-        """
-        key = (float(t), max_terms)
-        cached = self._weights_memo.get(key)
-        if cached is None:
-            cached = poisson_truncation(self.mu * float(t), self.tol, max_terms=max_terms)
-            self._weights_memo[key] = cached
-        return cached
 
     def _series(self, mu_t: float, tol: float) -> np.ndarray:
         """Direct truncated series at ``μt`` (caller keeps μt moderate)."""

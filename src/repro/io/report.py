@@ -130,63 +130,37 @@ def format_mapping_block(mapping: dict, indent: str = "") -> str:
     synonymous/non-synonymous events and their ratio (the event-count
     analogue of dN/dS) — followed by the ``MAPPED_SITES_SHOWN``
     foreground sites with the largest expected non-synonymous counts.
+    A sampled payload from a journal before v11 renders its means.
     """
     if "error" in mapping:
         return f"{indent}mapping failed: {mapping['error']}"
-    ci = mapping.get("mapping_ci") or {}
-    ci_rows = {row["branch"]: row for row in ci.get("branches", [])}
-    header = (
+    lines = [
         f"{indent}{'branch':<20s} {'fg':>2s} {'length':>8s} "
         f"{'E[syn]':>8s} {'E[nonsyn]':>9s} {'N/S':>8s}"
-    )
-    if ci_rows:
-        header += f" {'±syn':>7s} {'±nonsyn':>8s}"
-    lines = [header]
+    ]
     for row in mapping.get("branches", []):
         ratio = row.get("ratio")
         ratio_text = f"{ratio:>8.3f}" if ratio is not None else f"{'-':>8s}"
-        text = (
+        lines.append(
             f"{indent}{row['branch']:<20s} {'#1' if row.get('foreground') else '':>2s} "
             f"{row.get('length', 0.0):>8.4f} {row.get('syn', 0.0):>8.3f} "
             f"{row.get('nonsyn', 0.0):>9.3f} {ratio_text}"
         )
-        if ci_rows:
-            half = ci_rows.get(row["branch"], {})
-            text += (
-                f" {half.get('syn', 0.0):>7.3f} {half.get('nonsyn', 0.0):>8.3f}"
-            )
-        lines.append(text)
     sites = mapping.get("foreground_sites") or {}
     nonsyn = np.asarray(sites.get("nonsyn", []), dtype=float)
     syn = np.asarray(sites.get("syn", []), dtype=float)
-    ci_sites = ci.get("foreground_sites") or {}
-    nonsyn_half = np.asarray(ci_sites.get("nonsyn", []), dtype=float)
     hot = np.nonzero(nonsyn > 0)[0]
     if hot.size:
         top = hot[np.argsort(nonsyn[hot], kind="stable")[::-1][:MAPPED_SITES_SHOWN]]
         lines.append(
-            f"{indent}foreground sites with sampled non-synonymous events "
+            f"{indent}foreground sites with expected non-synonymous events "
             f"(top {min(MAPPED_SITES_SHOWN, hot.size)} of {hot.size}):"
         )
         for site in top:
-            text = (
+            lines.append(
                 f"{indent}  site {site + 1:>5d}   E[nonsyn]={nonsyn[site]:.3f}"
+                f"   E[syn]={syn[site] if site < syn.size else 0.0:.3f}"
             )
-            if site < nonsyn_half.size:
-                text += f" ±{nonsyn_half[site]:.3f}"
-            text += f"   E[syn]={syn[site] if site < syn.size else 0.0:.3f}"
-            lines.append(text)
-    samples = mapping.get("n_samples")
-    if samples:
-        trailer = f"{indent}({samples} posterior histories per site"
-        if ci_rows:
-            trailer += f"; ± = {ci.get('level', 0.95):.0%} normal CI half-width"
-        if mapping.get("seconds"):
-            trailer += (
-                f"; {mapping.get('method', 'batched')} sampler, "
-                f"{float(mapping['seconds']):.3f} s"
-            )
-        lines.append(trailer + ")")
     return "\n".join(lines)
 
 
@@ -229,7 +203,7 @@ def format_report(
     mapping: Optional[dict] = None,
 ) -> str:
     """Full analysis report: H0 block, H1 block, LRT, selected sites,
-    (when sampled) the stochastic substitution-mapping event table, and
+    (when mapped) the expected substitution-count table, and
     (when anything fired) what the numerical recovery layer did."""
     h0_model, h1_model = models if models is not None else (None, None)
     header = "SlimCodeML reproduction — branch-site test for positive selection"
@@ -266,7 +240,7 @@ def format_report(
                 stars = "**" if prob > 0.99 else "*"
                 lines.append(f"  {site:>6d}   {prob:.4f} {stars}")
     if mapping is not None:
-        lines += ["", "--- Substitution mapping (uniformization) " + "-" * 19, ""]
+        lines += ["", "--- Substitution mapping (expected counts) " + "-" * 18, ""]
         lines.append(format_mapping_block(mapping))
     recovery = format_recovery_block(
         [("H0", test.h0.diagnostics), ("H1", test.h1.diagnostics)], per="hypothesis"

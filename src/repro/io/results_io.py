@@ -54,8 +54,11 @@ SCHEMA_VERSION = 1
 #: open ``metrics`` map (the task's engine counters plus ``setup_s`` and
 #: ``cold_starts``).  The reader maps the three older fields into
 #: ``metrics`` (:func:`_legacy_metrics`), and keys it has never seen are
-#: kept as they are, so a new counter needs no version bump.
-JOURNAL_VERSION = 10
+#: kept as they are, so a new counter needs no version bump.  Version 11
+#: made the ``mapping`` payload exact expected counts: ``method`` is
+#: ``"exact"`` and ``n_samples`` and ``mapping_ci`` are gone; older
+#: sampled payloads load as they are.
+JOURNAL_VERSION = 11
 
 
 def _check(payload: Dict, kind: str) -> None:

@@ -174,10 +174,9 @@ class PruningState:
     def missing_nodes(self) -> List[int]:
         """Node indices whose CLV is still unfilled.
 
-        The stochastic-mapping sampler conditions on *every* node's
-        inside CLV; asserting this is empty after a populating pass
-        turns a silent ``None`` dereference into a named precondition
-        failure.
+        A populating pass fills every node; the post-fit analyses read
+        any of them, so a non-empty list after one names the nodes a
+        pass left unfilled.
         """
         return [i for i, clv in enumerate(self.clvs) if clv is None]
 

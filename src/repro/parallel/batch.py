@@ -147,11 +147,11 @@ class GeneResult:
     #: results from journals written before the field existed — readers
     #: treat that as the model-A default.
     model: Optional[str] = None
-    #: Stochastic substitution-mapping payload
+    #: Substitution-mapping payload
     #: (:meth:`repro.likelihood.mapping.SubstitutionMapping.to_payload`),
     #: attached by the coordinator after the scan
-    #: (:func:`map_survey_candidates`) — workers never sample.
-    #: ``{"error": ...}`` when sampling failed without sinking the task,
+    #: (:func:`map_survey_candidates`) — workers never map.
+    #: ``{"error": ...}`` when mapping failed without sinking the task,
     #: ``None`` when mapping was not requested.
     mapping: Optional[Dict] = None
     #: H1 maximum-likelihood point (``{"values": {...}, "branch_lengths":
@@ -424,7 +424,7 @@ def analyze_genes(
     the ladder rungs that built the task's operators — on
     ``GeneResult.metrics``.  Workers only fit: each successful task
     returns its H1 MLE point on ``GeneResult.h1_mles``, from which
-    :func:`map_survey_candidates` samples histories afterwards.
+    :func:`map_survey_candidates` maps afterwards.
 
     Returns
     -------
@@ -651,16 +651,14 @@ def map_survey_candidates(
     alignment: CodonAlignment,
     scan: BranchScanResult,
     labels: Sequence[str],
-    map_samples: int = 16,
-    seed: int = 1,
     model: Optional[str] = None,
 ) -> Dict[str, Dict]:
     """Map the selected scan branches in one coordinator pass.
 
-    Workers only fit; ``scan --map`` draws histories afterwards, here in
-    the coordinator, over **one** engine instance — for every tested
-    branch, or with ``--survey`` for the Holm-significant ones.  What
-    that sharing buys:
+    Workers only fit; ``scan --map`` computes the expected substitution
+    counts afterwards, here in the coordinator, over **one** engine
+    instance — for every tested branch, or with ``--survey`` for the
+    Holm-significant ones.  What that sharing buys:
 
     * one pattern compression and one F3x4 estimate for the gene;
     * one set of leaf CLVs, threaded into every candidate binding via
@@ -668,20 +666,18 @@ def map_survey_candidates(
       data.
 
     Numerical state is not shared: each candidate's decompositions,
-    operators and uniformized kernels live only while it is sampled,
-    so the coordinator's memory does not grow with the candidate count.
+    operators and outside pass live only while it is mapped, so the
+    coordinator's memory does not grow with the candidate count.
 
-    Each candidate is sampled at *its own* H1 MLEs
-    (``GeneResult.h1_mles``) with its task seed ``seed + k``, where
-    ``k`` is its ordinal in ``scan.gene_results`` (candidate order), on
-    a marked copy of the shared base tree.  Labels without stored MLEs
-    (failed tasks, records from older journals) are left out of the
-    result; a sampling failure degrades to an ``{"error": ...}``
-    payload.
+    Each candidate is mapped at *its own* H1 MLEs
+    (``GeneResult.h1_mles``) on a marked copy of the shared base tree.
+    Labels without stored MLEs (failed tasks, records from older
+    journals) are left out of the result; a mapping failure degrades to
+    an ``{"error": ...}`` payload.
 
     Returns ``{branch_label: mapping payload}``.
     """
-    from repro.likelihood.mapping import sample_substitution_mapping
+    from repro.likelihood.mapping import substitution_mapping
 
     spec = resolve_model_spec(model)
     eng = make_engine(PIPELINE_ENGINE)
@@ -691,15 +687,15 @@ def map_survey_candidates(
     patterns = compress_patterns(alignment)
     prefix = f"{gene_id}:"
     task_of = {
-        res.gene_id[len(prefix):]: (k, res)
-        for k, res in enumerate(scan.gene_results)
+        res.gene_id[len(prefix):]: res
+        for res in scan.gene_results
         if res.gene_id.startswith(prefix)
     }
     node_of = {branch_label(tree, n.index): n.index for n in tree.nodes if not n.is_root}
     shared_leaf_clvs = None
     out: Dict[str, Dict] = {}
     for label in labels:
-        k, res = task_of.get(label, (None, None))
+        res = task_of.get(label)
         if res is None or not res.h1_mles or label not in node_of:
             continue
         marked = tree.copy()
@@ -711,12 +707,10 @@ def map_survey_candidates(
             )
             if shared_leaf_clvs is None:
                 shared_leaf_clvs = bound._leaf_clvs
-            out[label] = sample_substitution_mapping(
+            out[label] = substitution_mapping(
                 bound,
                 res.h1_mles["values"],
                 branch_lengths=res.h1_mles["branch_lengths"],
-                n_samples=int(map_samples),
-                seed=seed + k,
             ).to_payload()
         except Exception as exc:  # noqa: BLE001 — mapping is strictly additive
             out[label] = {"error": f"{type(exc).__name__}: {exc}"}

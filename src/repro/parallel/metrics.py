@@ -63,12 +63,12 @@ class BatchSummary:
     metrics: Dict[str, float] = field(default_factory=dict)
     #: Tasks that produced a substitution-mapping payload (``--map``).
     n_mapped: int = 0
-    #: Tasks whose mapping sampler failed (payload carried an error).
+    #: Tasks whose mapping failed (payload carried an error).
     n_mapping_failed: int = 0
     #: Expected substitution events summed over mapped tasks' branches.
     total_mapped_syn: float = 0.0
     total_mapped_nonsyn: float = 0.0
-    #: Sampler wall clock summed over mapped tasks (payload ``seconds``;
+    #: Mapping wall clock summed over mapped tasks (payload ``seconds``;
     #: 0.0 on pre-v8 payloads that did not record it).
     total_mapping_seconds: float = 0.0
     #: Successful tasks whose per-hypothesis convergence is known (pre-v9
@@ -190,14 +190,14 @@ class BatchSummary:
         if self.n_mapped or self.n_mapping_failed:
             line = (
                 f"mapping    : {self.n_mapped} "
-                f"task{'s' if self.n_mapped != 1 else ''} sampled, "
+                f"task{'s' if self.n_mapped != 1 else ''} mapped, "
                 f"E[syn]={self.total_mapped_syn:.2f}, "
                 f"E[nonsyn]={self.total_mapped_nonsyn:.2f}"
             )
             if self.total_mapping_seconds > 0.0:
-                line += f", {self.total_mapping_seconds:.2f} s sampling"
+                line += f", {self.total_mapping_seconds:.2f} s mapping"
             if self.n_mapping_failed:
-                line += f", {self.n_mapping_failed} sampler failure" + (
+                line += f", {self.n_mapping_failed} mapping failure" + (
                     "s" if self.n_mapping_failed != 1 else ""
                 )
             lines.append(line)

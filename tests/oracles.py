@@ -1,9 +1,9 @@
 """Reference implementations the production paths are pinned against.
 
 The library evaluates every binding with the level-order driver
-(:func:`repro.likelihood.pruning.prune_site_class_batched`) and draws
-mapping histories with the vectorised sampler.  Both promise *exact*
-float equality with simpler code kept here:
+(:func:`repro.likelihood.pruning.prune_site_class_batched`), which
+promises *exact* float equality with the pruning references kept here;
+the expected substitution counts are pinned to theirs to a tolerance:
 
 * :func:`prune_reference` — the per-branch post-order recursion, one
   operator application per branch in branch-table row order;
@@ -11,8 +11,9 @@ float equality with simpler code kept here:
   whole binding evaluated through that recursion with the engine's
   per-branch kernels (``_make_operator`` + ``_propagate``), no stacks,
   no level fusion, no cross-class aliasing, no persistent state;
-* :func:`sample_histories_serial` — the per-sample / per-node /
-  per-column mapping sampler over the canonical uniform stream;
+* :func:`substitution_counts_reference` — expected substitution
+  counts by plain pruning and ``expm_frechet`` per branch, class and
+  label;
 * :func:`prune_levels` — a thin wrapper running the production driver
   on a raw branch table, so kernel-level tests need no engine;
 * :func:`finite_difference_gradient` — forward differences, the
@@ -24,14 +25,12 @@ float equality with simpler code kept here:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-import repro.likelihood.mapping as mapping_mod
+from repro.codon.classify import classification_table
 from repro.core.recovery import PruningGuard
-from repro.likelihood.mapping import _draw_uniforms, _inter_offsets, _pick_cols, _pick_jumps
 from repro.likelihood.mixture import mixture_log_likelihood, site_class_log_likelihoods
 from repro.likelihood.pruning import (
     SCALE_THRESHOLD,
@@ -169,118 +168,91 @@ def reference_log_likelihood(bound, values, branch_lengths=None) -> float:
 
 
 # ----------------------------------------------------------------------
-# Stochastic mapping
+# Substitution counts
 # ----------------------------------------------------------------------
-def sample_histories_serial(plan, rng: np.random.Generator):
-    """Per-sample / per-node / per-column loops over the canonical variates.
+def substitution_counts_reference(bound, values, branch_lengths=None):
+    """``bound.substitution_counts`` by brute force.
 
-    Same return contract as ``repro.likelihood.mapping._sample_histories``:
-    per-history count tensors ``(n_branches, m_total)`` whose flat column
-    ``j = sample · n_patterns + pattern``.
+    Plain per-class pruning with :func:`scipy.linalg.expm` per branch,
+    an outside pass, and :func:`scipy.linalg.expm_frechet` per (branch,
+    class, label): per pattern, ``E[N_L] = Uᵀ D(t)[Q_L] L / Uᵀ P(t) L``
+    weighted by the class posterior.  Returns ``(totals, foreground)``
+    shaped like the production pair.
     """
-    n_branches = len(plan.visits)
-    n_patterns = plan.n_patterns
-    m_total = plan.m_total
-    u_class, u_node, u_jump = _draw_uniforms(plan, rng)
+    from scipy.linalg import expm, expm_frechet
 
-    cls_idx = np.empty((plan.n_samples, n_patterns), dtype=np.intp)
-    for s in range(plan.n_samples):
-        # _pick_cols consumes its weights; keep the plan's posterior intact.
-        cls_idx[s] = _pick_cols(plan.class_post.copy(), u_class[s])
+    lengths = (
+        np.asarray(branch_lengths, dtype=float)
+        if branch_lengths is not None
+        else bound.branch_lengths
+    )
+    code = bound.engine.code
+    pi = bound.pi
+    graph = bound.model.site_class_graph(values)
+    matrices = build_class_matrices(values["kappa"], graph.nodes, pi, code)
+    table = classification_table(code)
+    masks = (table.synonymous, table.single & ~table.synonymous)
+    rows = [(c, p, float(lengths[pos]), fg, pos) for c, p, pos, fg in bound._rows]
+    n_nodes, n_patterns = bound._n_nodes, bound.n_patterns
+    root = bound.tree.root.index
+    kids: Dict[int, List[int]] = {}
+    for c, p, _, _, _ in rows:
+        kids.setdefault(p, []).append(c)
+    expms: Dict[Tuple[float, float], np.ndarray] = {}
+    frechets: Dict[Tuple[float, float], List[np.ndarray]] = {}
 
-    node_states: Dict[int, np.ndarray] = {}
-    jumps_all = np.zeros((n_branches, m_total), dtype=np.intp)
-    a_all = np.empty((n_branches, m_total), dtype=np.intp)
-    b_all = np.empty((n_branches, m_total), dtype=np.intp)
-    cls_of_col = np.empty(m_total, dtype=np.intp)
+    class_lnl, class_counts = [], []
+    for cls, proportion in zip(graph.nodes, graph.proportions):
+        if proportion == 0.0:
+            class_lnl.append(np.full(n_patterns, -np.inf))
+            class_counts.append(np.zeros((len(rows), 2, n_patterns)))
+            continue
+        inside: List[Optional[np.ndarray]] = [None] * n_nodes
+        for leaf, clv in enumerate(bound._leaf_clvs):
+            inside[leaf] = np.asarray(clv, dtype=float)
+        contribution: Dict[int, np.ndarray] = {}
+        probability: Dict[int, np.ndarray] = {}
+        log_scale = np.zeros(n_patterns)
+        for c, p, t, fg, _ in rows:  # post-order
+            omega = cls.omega_foreground if fg else cls.omega_background
+            if (omega, t) not in expms:
+                expms[(omega, t)] = expm(matrices[omega].q * t)
+            probability[c] = expms[(omega, t)]
+            contrib = probability[c] @ inside[c]
+            scale = contrib.max(axis=0)
+            log_scale += np.log(scale)
+            contribution[c] = contrib / scale
+            inside[p] = contribution[c] if inside[p] is None else inside[p] * contribution[c]
+        class_lnl.append(np.log(pi @ inside[root]) + log_scale)
 
-    # Stages 2–3, per sample then per class.
-    for s in range(plan.n_samples):
-        base = s * n_patterns
-        for ci, cls in enumerate(plan.classes):
-            cols = np.flatnonzero(cls_idx[s] == ci)
-            if cols.size == 0:
-                continue
-            j = base + cols
-            cls_of_col[j] = ci
-            inside = plan.inside[ci]
-            root_w = plan.pi[:, None] * inside[plan.root_index][:, cols]
-            node_states[plan.root_index] = _pick_cols(root_w, u_node[0, j])
-            for k, child, parent, t, fg in plan.visits:
-                parent_states = node_states[parent]
-                omega = plan.omega_of(cls, fg)
-                p = plan.p_matrix(omega, t)
-                w = p[parent_states, :].T * inside[child][:, cols]
-                child_states = _pick_cols(w, u_node[1 + k, j])
-                node_states[child] = child_states
-                a_all[k, j] = parent_states
-                b_all[k, j] = child_states
-                uni = plan.unis[omega]
-                if uni.mu * t == 0.0:
-                    continue
-                weights = plan.weights_for(omega, t)
-                k_max = weights.shape[0] - 1
-                uni.power(k_max)  # extend the shared power cache once
-                contrib = np.empty((k_max + 1, cols.size))
-                for n in range(k_max + 1):
-                    contrib[n] = weights[n] * uni.power(n)[parent_states, child_states]
-                jumps_all[k, j] = _pick_jumps(contrib, u_jump[k, j])
+        outside: Dict[int, np.ndarray] = {root: np.repeat(pi[:, None], n_patterns, axis=1)}
+        counts = np.zeros((len(rows), 2, n_patterns))
+        for c, p, t, fg, pos in reversed(rows):  # pre-order
+            u = outside[p].copy()
+            for s in kids[p]:
+                if s != c:
+                    u *= contribution[s]
+            o = probability[c].T @ u
+            outside[c] = o / o.sum(axis=0)
+            omega = cls.omega_foreground if fg else cls.omega_background
+            if (omega, t) not in frechets:
+                q = matrices[omega].q
+                frechets[(omega, t)] = [
+                    expm_frechet(q * t, q * mask * t, compute_expm=False) for mask in masks
+                ]
+            den = np.sum(u * (probability[c] @ inside[c]), axis=0)
+            for label, d in enumerate(frechets[(omega, t)]):
+                counts[pos, label] = np.sum(u * (d @ inside[c]), axis=0) / den
+        class_counts.append(counts)
 
-    offsets, total_inter = _inter_offsets(jumps_all)
-    u_inter = rng.random(total_inter)
-
-    syn_c = np.zeros((n_branches, m_total))
-    nonsyn_c = np.zeros((n_branches, m_total))
-    syn_mask = plan.syn_mask
-    # Stage 4, per column: the scalar jump-chain walk.
-    for k, child, parent, t, fg in plan.visits:
-        jumps_k = jumps_all[k]
-        for j in np.nonzero(jumps_k > 0)[0]:
-            n_j = int(jumps_k[j])
-            omega = plan.omega_of(plan.classes[cls_of_col[j]], fg)
-            uni = plan.unis[omega]
-            r = uni.r
-            state = int(a_all[k, j])
-            target = int(b_all[k, j])
-            off = int(offsets[k, j])
-            for step in range(1, n_j):
-                w = r[state, :] * uni.power(n_j - step)[:, target]
-                cw = np.cumsum(w)
-                tot = cw[-1]
-                safe = tot if tot > 0.0 else 1.0
-                nxt = int((cw < u_inter[off + step - 1] * safe).sum())
-                nxt = min(nxt, w.shape[0] - 1)
-                if nxt != state:
-                    if syn_mask[state, nxt]:
-                        syn_c[k, j] += 1.0
-                    else:
-                        nonsyn_c[k, j] += 1.0
-                state = nxt
-            # The final jump lands on the conditioned endpoint by
-            # construction; only a real change counts.
-            if state != target:
-                if syn_mask[state, target]:
-                    syn_c[k, j] += 1.0
-                else:
-                    nonsyn_c[k, j] += 1.0
-    return syn_c, nonsyn_c
-
-
-@contextmanager
-def serial_sampler():
-    """Route ``sample_substitution_mapping`` through the serial oracle."""
-    production = mapping_mod._sample_histories
-    mapping_mod._sample_histories = sample_histories_serial
-    try:
-        yield
-    finally:
-        mapping_mod._sample_histories = production
-
-
-def sample_mapping_serial(bound, values, **kwargs):
-    """``sample_substitution_mapping`` drawn by :func:`sample_histories_serial`."""
-    with serial_sampler():
-        return mapping_mod.sample_substitution_mapping(bound, values, **kwargs)
+    with np.errstate(divide="ignore"):
+        joint = np.log(graph.proportions)[:, None] + np.array(class_lnl)
+    post = np.exp(joint - joint.max(axis=0))
+    post /= post.sum(axis=0)
+    expected = np.einsum("kp,kblp->blp", post, np.array(class_counts))
+    totals = expected @ bound.patterns.weights
+    fg_rows = [pos for _, _, _, fg, pos in rows if fg]
+    return totals, expected[fg_rows].sum(axis=0)
 
 
 # ----------------------------------------------------------------------

@@ -360,7 +360,7 @@ def test_slim_v2_defaults_batched(
     inputs = ["--seqfile", str(seqfile), "--treefile", str(treefile), "--max-iterations", "1"]
     assert cli.main(["run", *inputs, "--out", str(tmp_path / "run.txt")]) == 0
     assert cli.main([
-        "scan", *inputs, "--internal-only", "--map", "--map-samples", "2", "--quiet",
+        "scan", *inputs, "--internal-only", "--map", "--quiet",
         "--out", str(tmp_path / "scan.txt"),
     ]) == 0
     assert {module for module, _, _ in calls} == {"repro.cli", "repro.parallel.batch"}

@@ -111,6 +111,8 @@ class TestGuardedByDefault:
         ["run", "--seqfile", "a", "--treefile", "b", "--engine", "slim"],
         ["scan", "--seqfile", "a", "--treefile", "b", "--engine", "slim"],
         ["bench"],
+        ["run", "--seqfile", "a", "--treefile", "b", "--map", "--map-samples", "4"],
+        ["scan", "--seqfile", "a", "--treefile", "b", "--map", "--map-samples", "4"],
     ])
     def test_engine_selector_is_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -236,15 +238,12 @@ class TestScan:
     ):
         from repro.core.engine import make_engine
         from repro.io.results_io import ResultJournal
-        from repro.likelihood.mapping import sample_substitution_mapping
+        from repro.likelihood.mapping import substitution_mapping
         from repro.models.branch_site import BranchSiteModelA
         from repro.parallel.batch import branch_label
 
         journal = tmp_path / "map.jsonl"
-        rc = main(self._argv(
-            tiny_dataset, "--map", "--map-samples", "3", "--seed", "5",
-            "--journal", str(journal),
-        ))
+        rc = main(self._argv(tiny_dataset, "--map", "--seed", "5", "--journal", str(journal)))
         assert rc == 0
         assert "substitution mapping" in capsys.readouterr().out
         tree = _read_tree(str(tiny_dataset) + ".nwk")
@@ -253,17 +252,14 @@ class TestScan:
         latest = ResultJournal(str(journal)).completed()
         assert len(latest) == len(candidates)
         engine = make_engine("slim-v2")
-        # Candidate k of the --internal-only scan draws with seed + k.
-        for k, node in enumerate(candidates):
+        for node in candidates:
             res = latest[f"tiny:{branch_label(tree, node.index)}"]
             marked = tree.copy()
             marked.mark_foreground(marked.nodes[node.index])
-            expected = sample_substitution_mapping(
+            expected = substitution_mapping(
                 engine.bind(marked, alignment, BranchSiteModelA(fix_omega2=False)),
                 res.h1_mles["values"],
                 branch_lengths=res.h1_mles["branch_lengths"],
-                n_samples=3,
-                seed=5 + k,
             ).to_payload()
             got = dict(res.mapping)
             got.pop("seconds")
@@ -280,10 +276,7 @@ class TestScan:
         self, tiny_dataset, tmp_path, capsys, mode
     ):
         journal = tmp_path / "map.jsonl"
-        argv = self._argv(
-            tiny_dataset, *mode, "--map", "--map-samples", "3",
-            "--journal", str(journal),
-        )
+        argv = self._argv(tiny_dataset, *mode, "--map", "--journal", str(journal))
         assert main(argv) == 0
         first = capsys.readouterr()
         assert "mapping 2 " in first.err
@@ -294,10 +287,28 @@ class TestScan:
         assert journal.read_bytes() == written
 
         def mapping_block(out):
-            block = out[out.index("substitution mapping"):out.index("tasks      :")]
-            return re.sub(r"sampler, [0-9.]+ s\)", "sampler, * s)", block)
+            return out[out.index("substitution mapping"):out.index("tasks      :")]
 
         assert mapping_block(again.out) == mapping_block(first.out)
+
+    def test_scan_map_resume_remaps_a_sampled_mapping(self, tiny_dataset, tmp_path, capsys):
+        import json
+
+        journal = tmp_path / "map.jsonl"
+        argv = self._argv(tiny_dataset, "--map", "--journal", str(journal))
+        assert main(argv) == 0
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        # The first mapped record turns into a journal-v10 sampler payload.
+        sampled = next(r for r in records if r.get("mapping"))
+        sampled["mapping"].update(method="batched", n_samples=16)
+        journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        assert "mapping 1 " in capsys.readouterr().err
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        latest = {r["gene_id"]: r for r in records if r.get("kind") == "gene_result"}
+        assert latest[sampled["gene_id"]]["mapping"]["method"] == "exact"
+        assert "n_samples" not in latest[sampled["gene_id"]]["mapping"]
 
     def test_scan_map_names_branches_without_stored_mles(
         self, tiny_dataset, tmp_path, capsys

@@ -55,6 +55,11 @@ def _error(g, ref):
     return abs(g - ref) / max(abs(ref), 1.0)
 
 
+def _worst(errors):
+    """The largest error, NaN if any is NaN (so ``worst <= TOL`` fails)."""
+    return float(np.max(list(errors)))
+
+
 def _sample_branches(bound, k=4):
     """The foreground branch plus ``k - 1`` spread over the branch vector."""
     n = bound.n_branches
@@ -78,10 +83,10 @@ def assert_gradient_agrees(bound, values, lengths=None, branches=None):
     grad = g.branches
     assert g.lnl == lnl0
     assert np.all(np.isfinite(grad))
-    worst = 0.0
-    for j in branches if branches is not None else _sample_branches(bound):
-        ref = _richardson(lnl, x, j)
-        worst = max(worst, _error(lengths[j] * grad[j], ref))
+    worst = _worst(
+        _error(lengths[j] * grad[j], _richardson(lnl, x, j))
+        for j in (branches if branches is not None else _sample_branches(bound))
+    )
     assert worst <= TOL, worst
     return worst
 
@@ -112,9 +117,7 @@ def assert_fit_gradient_agrees(bound, values, monkeypatch, **fit_kwargs):
     )
     grad = gradient(fun, x0, fun(x0))
     k = bound.model.n_params - len(fit_kwargs.get("fixed_params") or ())
-    worst = 0.0
-    for i in range(k):
-        worst = max(worst, _error(grad[i], _richardson(fun, x0, i, H_MODEL)))
+    worst = _worst(_error(grad[i], _richardson(fun, x0, i, H_MODEL)) for i in range(k))
     assert worst <= TOL, worst
     return worst
 
@@ -147,9 +150,9 @@ def assert_model_derivatives_agree(bound, values, lengths=None):
     def lnl(z):
         return bound.log_likelihood(dict(zip(names, z)), lengths)
 
-    worst = 0.0
-    for i, name in enumerate(names):
-        worst = max(worst, _error(analytic[name], _richardson(lnl, x, i)))
+    worst = _worst(
+        _error(analytic[name], _richardson(lnl, x, i)) for i, name in enumerate(names)
+    )
     assert worst <= TOL, worst
     return worst
 

@@ -5,7 +5,8 @@ v3 diagnostics, v4 clv_stats, v5 setup_seconds, v6 the model spec, v7
 rung_usage + the substitution-mapping payload, v8 the additive
 ``mapping_ci``/``seconds``/``method`` mapping keys and ``h1_mles``, v9
 per-hypothesis ``converged``, v10 the open ``metrics`` map that replaced
-the v4/v5/v7 counter fields); the tolerant reader must load every one
+the v4/v5/v7 counter fields, v11 the exact mapping payload with no
+``n_samples``/``mapping_ci``); the tolerant reader must load every one
 of them, with the old counter fields mapped into ``metrics`` — that is
 the contract that lets a scan journalled by an old release resume on a
 new one.
@@ -21,7 +22,7 @@ import pytest
 from repro.io.results_io import JOURNAL_VERSION, ResultJournal
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data", "journals")
-VERSIONS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
+VERSIONS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 
 
 def _fixture(version):
@@ -156,6 +157,28 @@ class TestFixtureVersions:
         assert records[1]["metrics"]["newer_counter"] == 7
         reloaded = {r.gene_id: r for r in ResultJournal(path).load()}
         assert reloaded["gene1:A"].metrics == originals[0].metrics
+
+    def test_v11_exact_mapping_survives(self):
+        by_id = {r.gene_id: r for r in ResultJournal(_fixture(11)).load()}
+        mapping = by_id["gene1:A"].mapping
+        assert mapping["method"] == "exact"
+        assert "n_samples" not in mapping and "mapping_ci" not in mapping
+        rows = {row["branch"]: row for row in mapping["branches"]}
+        assert rows["A"]["ratio"] == 1.25 and rows["B"]["ratio"] is None
+        assert mapping["foreground_sites"]["nonsyn"] == [2.0, 0.0, 1.25]
+        assert by_id["gene1:F"].mapping is None
+
+    @pytest.mark.parametrize("version", (7, 8, 10, 11))
+    def test_every_mapping_payload_renders_its_means(self, version):
+        from repro.io.report import format_mapping_block
+
+        by_id = {r.gene_id: r for r in ResultJournal(_fixture(version)).load()}
+        block = format_mapping_block(by_id["gene1:A"].mapping)
+        lines = block.splitlines()
+        assert lines[0].split() == ["branch", "fg", "length", "E[syn]", "E[nonsyn]", "N/S"]
+        assert lines[1].split() == ["A", "#1", "0.3100", "5.000", "6.250", "1.250"]
+        assert "±" not in block
+        assert "site     1   E[nonsyn]=2.000   E[syn]=1.000" in block
 
     @pytest.mark.parametrize("version", [v for v in VERSIONS if v < 9])
     def test_older_versions_read_convergence_as_unknown(self, version):

@@ -228,7 +228,7 @@ class TestResultJournal:
             journal.append(result)
         with open(path, encoding="utf-8") as handle:
             header = json.loads(handle.readline())
-        assert header["version"] == JOURNAL_VERSION == 10
+        assert header["version"] == JOURNAL_VERSION == 11
         (loaded,) = ResultJournal(str(path)).load()
         assert {key: loaded.metrics[key] for key in expected} == expected
         assert loaded.metrics == result.metrics
