@@ -27,7 +27,7 @@ Standalone so CI can gate it::
 
     PYTHONPATH=src python benchmarks/bench_gradient.py --quick \\
         --assert-agreement 1e-6 --assert-eval-reduction 4.0 \\
-        --assert-evals-per-iter 2.0 --assert-gradient-cost 2.0
+        --assert-evals-per-iter 2.0 --assert-gradient-cost 1.1
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import expm_frechet
@@ -633,7 +633,11 @@ class LikelihoodGradient:
     ``log_scale = ∂lnL/∂log c = −Σ_b t_b·∂lnL/∂t_b`` alone.  ``omega`` is
     ``(n_classes, 2)``: per site class, the derivative through its
     background and through its foreground ω (0 for a partition with no
-    branch).  ``proportions`` treats each class weight as a free
+    branch).  Coordinates whose ω has the same derivative in every model
+    parameter form a tie group (:meth:`BoundLikelihood._omega_ties`): the
+    group's derivative sits on its first member in row-major order and
+    the rest read 0, so a chain rule through the model parameters reads
+    the same sum.  ``proportions`` treats each class weight as a free
     coordinate; the model's simplex is the caller's chain rule.
     """
 
@@ -720,12 +724,13 @@ class BoundLikelihood:
         #: Last-point memo: the most recent evaluation's per-class pass.
         self._last: Optional[ClassEvaluation] = None
         self._leaf_index: Optional[Dict[int, _LeafColumns]] = None
-        # The gradient pass's buffers, reused from pass to pass: free
-        # (rows, P, n) blocks of U vectors, and one block of the outside
-        # vectors of the internal non-root nodes (slot per node).
-        self._u_blocks: List[np.ndarray] = []
-        self._o_block: Optional[np.ndarray] = None
-        self._o_slot = {
+        # The outside recursion's buffers, reused from group to group and
+        # pass to pass: one (rows, P, n) block of the rows' vectors, and
+        # one block of the downward vectors of the internal non-root
+        # nodes (slot per node).
+        self._z_block: Optional[np.ndarray] = None
+        self._d_block: Optional[np.ndarray] = None
+        self._d_slot = {
             child: k
             for k, child in enumerate(c for c, _, _, _ in self._rows if self._schedule.heights[c])
         }
@@ -734,6 +739,11 @@ class BoundLikelihood:
             [s for s in self._schedule.children[parent] if s != child]
             for child, parent, _, _ in self._rows
         ]
+        #: Rows whose contribution can differ between classes that share
+        #: their background operators: the foreground rows and the rows
+        #: above them (DESIGN.md §9), and the nodes those rows hang from.
+        self._path = frozenset(compute_recompute_rows(self._rows, set(self._fg_children)))
+        self._path_parents = {self._rows[ri][1] for ri in self._path}
 
     @property
     def _leaf_columns(self) -> Dict[int, "_LeafColumns"]:
@@ -1060,14 +1070,15 @@ class BoundLikelihood:
         It reads the class states and operator sets of the last
         evaluation when that was made at exactly this point (the
         optimizer's line-search or start evaluation), so it runs no
-        forward pass of its own; otherwise it evaluates first.  Per
-        class, one pre-order pass over the level schedule forms the
-        outside vectors ``U``; with the stored inside CLVs they feed one
-        contraction (:class:`_RateContraction`) that yields ``∂lnL/∂t``,
-        ``∂lnL/∂κ`` and every class's ``∂lnL/∂ω``.  The proportion
-        derivatives come from the class likelihoods (DESIGN.md §9).  A
-        branch derivative that comes out non-finite is left in the
-        result and recorded as a ``gradient_nonfinite`` event.
+        forward pass of its own; otherwise it evaluates first.  One
+        pre-order recursion per background group (:meth:`_outside_recursion`)
+        hands the contraction (:class:`_RateContraction`) each row's
+        posterior-weighted outside vectors; with the stored inside CLVs
+        it yields ``∂lnL/∂t``, ``∂lnL/∂κ`` and ``∂lnL/∂ω`` per tie group
+        (:meth:`_omega_ties`).  The proportion derivatives come from the
+        class likelihoods (DESIGN.md §9).  A branch derivative that comes
+        out non-finite is left in the result and recorded as a
+        ``gradient_nonfinite`` event.
         """
         engine = self.engine
         counters = engine.counters
@@ -1085,7 +1096,7 @@ class BoundLikelihood:
             d_proportions = np.exp(class_lnl - site_lnl[None, :]) @ weights
 
         contraction = _RateContraction(self, ev)
-        self._fold_classes(ev, contraction, weighted_post)
+        self._outside_recursion(ev, contraction, weighted_post, self._omega_ties(values))
         grad = self._by_branch(contraction.branches)
         bad = np.flatnonzero(~np.isfinite(grad))
         if bad.size:
@@ -1112,53 +1123,55 @@ class BoundLikelihood:
         branch_lengths: Optional[Sequence[float]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior expected synonymous and non-synonymous substitution
-        counts at ``values``, by the gradient's outside pass.
+        counts at ``values``, by the gradient's outside recursion.
 
         Returns ``(totals, foreground)``: ``totals`` is ``(n_branches, 2)``
         (syn, nonsyn), ordered like :attr:`branch_lengths` and summed
         over sites; ``foreground`` is ``(2, n_patterns)``, the counts at
         one site of each pattern, summed over the foreground branches.
         Each class is weighted by its posterior at the pattern, as the
-        gradient weights it (:class:`_CountContraction`, DESIGN.md §14).
+        gradient weights it; counts sum over classes, so the recursion
+        groups classes by operator alone (:class:`_CountContraction`,
+        DESIGN.md §14).
         """
         ev = self._memoised(values, self._lengths(branch_lengths), skip_zero=True)
         weights = self.patterns.weights
         weighted_post = class_posteriors(self._checked_class_lnl(ev), ev.graph.proportions) * weights
         counts = _CountContraction(self, ev)
-        self._fold_classes(ev, counts, weighted_post)
+        self._outside_recursion(ev, counts, weighted_post, None)
         return self._by_branch(counts.totals), counts.foreground / weights
 
-    def _fold_classes(
-        self, ev: ClassEvaluation, contraction: "_RateContraction", weighted_post: np.ndarray
-    ) -> None:
-        """Fold every live class of ``ev`` into ``contraction``, one
-        outside pass per class.
+    def _omega_ties(self, values: Dict[str, float]) -> np.ndarray:
+        """Per (class, partition) ω coordinate, ``(n_classes, 2)``: the
+        flat index of the first coordinate with the same derivative in
+        every model parameter.
 
-        A full share reads its base's pass with its own weights; no
-        other pass outlives its class, and the projected inside CLVs of
-        a background ω go once its last class is folded in.
+        :meth:`CodonSiteModel.site_classes` is probed one parameter at a
+        time in value space (the packed space cannot hold H1's ω2 = 1):
+        two coordinates tie when they start equal and move identically
+        under every probe.  Equal values alone tie nothing, and a
+        parameter the model rejects both probes of leaves every
+        coordinate untied.
         """
-        graph = ev.graph
-        live = [plan for plan in ev.plans if plan.mode != "skip"]
-        shared = {plan.base for plan in live if plan.full_share}
-        last_of = {graph.nodes[plan.index].omega_background: plan.index for plan in live}
-        passes: Dict[int, _OutsidePass] = {}
-        spare = self._u_blocks
-        for plan in live:
-            if plan.full_share:
-                outside = passes[plan.base]
+        model = self.model
+
+        def coordinates(vals: Dict[str, float]) -> List[float]:
+            return [w for c in model.site_classes(vals) for w in (c.omega_background, c.omega_foreground)]
+
+        columns = [coordinates(values)]
+        for name, value in values.items():
+            step = _TIE_STEP * max(abs(value), 1.0)
+            for probe in (value + step, value - step):
+                try:
+                    columns.append(coordinates(dict(values, **{name: probe})))
+                    break
+                except ValueError:
+                    continue
             else:
-                outside = self._outside_data(ev, plan.index, spare.pop() if spare else None)
-                if plan.index in shared:
-                    passes[plan.index] = outside
-            contraction.add(plan.index, outside, weighted_post[plan.index])
-            if not plan.full_share and plan.index not in shared:
-                spare.append(outside.block)
-            del outside
-            omega = graph.nodes[plan.index].omega_background
-            if last_of[omega] == plan.index:
-                contraction.release(omega)
-        spare.extend(outside.block for outside in passes.values())
+                columns.append(list(range(len(columns[0]))))
+        first: Dict[tuple, int] = {}
+        keys = zip(*columns)
+        return np.array([first.setdefault(key, i) for i, key in enumerate(keys)]).reshape(-1, 2)
 
     def _by_branch(self, per_row: np.ndarray) -> np.ndarray:
         """A per-row array of ``ev.rows`` reordered like :attr:`branch_lengths`."""
@@ -1167,74 +1180,222 @@ class BoundLikelihood:
             out[pos] = per_row[ri]
         return out
 
-    def _outside_pass(
+    def _outside_recursion(
         self,
         ev: ClassEvaluation,
-        index: int,
-        outside: List[Optional[np.ndarray]],
-        u_block: Optional[np.ndarray] = None,
-        o_block: Optional[np.ndarray] = None,
-    ) -> Iterator[Tuple[List[int], List[np.ndarray]]]:
-        """Pre-order pass over the level schedule for one class of ``ev``.
+        contraction: "_RateContraction",
+        weighted_post: np.ndarray,
+        ties: Optional[np.ndarray],
+    ) -> None:
+        """Fold every live class of ``ev`` into ``contraction``, one
+        pre-order recursion per background group.
 
-        Top level first, the branch above child ``c`` (parent ``p``) gets
-        ``U_c = O_p ∘ ∏_{siblings s} contribution_s`` with
-        ``O_root = π``; an internal child then gets ``O_c = P(t_c)ᵀ U_c``
-        (:meth:`LikelihoodEngine._propagate_transposed_level`, one call
-        per level) divided per pattern column by the column sum of
-        ``U_c``, which is the column sum of ``P(t_c)ᵀU_c`` (the rows of
-        ``P`` sum to 1): every ``O_c`` column sums to 1, and no level
-        takes a reduction over ``O_c``.  π sits at the root only:
-        ``O_v(x)`` is ``P(state_v = x, data outside v's subtree)`` up to
-        a per-column scale (DESIGN.md §9).
-
-        Fills ``outside`` (indexed by node; leaves stay ``None``) and
-        yields, per level, its rows and their ``U`` vectors.  ``u_block``
-        (``(rows, P, n)``, by row) and ``o_block`` (by :attr:`_o_slot`)
-        hold the vectors when given; otherwise each is a new array.
+        A group is the set of live classes that share every background
+        operator, and, when ``ties`` is given (the gradient), the tie of
+        their background ω (:meth:`_omega_ties`): their inside CLVs
+        agree off the foreground path, so one recursion serves them all
+        (:meth:`_group_pass`).  Unless the tree has exactly one
+        foreground row, the foreground ω joins the key, so no path row
+        meets two operators inside a group.
+        A row's vectors reach the contraction by slot: its operator's ω,
+        plus the coordinate's tie for the gradient.
         """
-        cls = ev.graph.nodes[index]
-        state = ev.states[index]
+        graph = ev.graph
+
+        def slot_of(k: int, fg: bool) -> tuple:
+            cls = graph.nodes[k]
+            omega = cls.omega_foreground if fg else cls.omega_background
+            return (omega,) if ties is None else (omega, int(ties[k, int(fg)]))
+
+        single = len(self._fg_children) == 1
+        groups: Dict[tuple, List[int]] = {}
+        for plan in ev.plans:
+            if plan.mode != "skip":
+                k = plan.index
+                key = slot_of(k, False) + (() if single else (graph.nodes[k].omega_foreground,))
+                groups.setdefault(key, []).append(k)
+        for classes in groups.values():
+            for slot, (rows, terms) in self._group_pass(ev, classes, weighted_post, slot_of).items():
+                contraction.add(slot, self._z_block, sorted(rows), terms)
+
+    def _group_pass(
+        self,
+        ev: ClassEvaluation,
+        classes: List[int],
+        weighted_post: np.ndarray,
+        slot_of,
+    ) -> Dict[tuple, Tuple[List[int], Dict[int, List["_Term"]]]]:
+        """One background group's pre-order recursion (DESIGN.md §9).
+
+        Fills the binding's row block with one vector per row and
+        returns, per contraction slot, its rows and each row's terms
+        (:data:`_Term`).  Weighting pattern p of class k by
+        ``r_k = w_p·posterior_k / (Uᵀ contribution)_p``, a row's vector
+        is either
+
+        * the outside vector ``U_c = O_p ∘ ∏_siblings C_s`` that every
+          class of the group shares: on the foreground→root path and on
+          the foreground row, where the classes' inside CLVs or operators
+          differ, so each class (or each set of classes with one inside
+          CLV) is a term ``(r_k, L_k)``.  ``O_root = π``, and down the
+          path ``O_c = P_cᵀ U_c`` divided by the column sums of ``U_c``
+          (0 in a column the group carries no weight in);
+        * or, everywhere else, the weighted sum ``Z_c = Σ_k r_k·U_{k,c}``
+          with the shared inside CLV as its one term.  Below a path node
+          it is ``O_p ∘ Σ_k r_k ∏_siblings C_{k,s}``; below the
+          foreground child it is seeded through each foreground
+          operator, ``Σ_ω P_ωᵀ(Σ_{k: ω} r_k·U_fg) / s_p ∘ ∏ C_s``; and
+          below that ``Z_c = (P_pᵀ Z_p / s_p) ∘ ∏_siblings C_s`` exactly,
+          with ``s_p`` the inside pass's rescale at p (1 where none
+          fired).
+        """
         rows = ev.rows
         schedule = self._schedule
         engine = self.engine
         n, n_patterns = self.pi.shape[0], self.n_patterns
+        if self._z_block is None:
+            self._z_block = np.empty((len(rows), n_patterns, n))
+            self._d_block = np.empty((len(self._d_slot), n_patterns, n))
+        block, d_block = self._z_block, self._d_block
+        states = [ev.states[k] for k in classes]
+        base = states[0]
+        nodes = ev.graph.nodes
+        post = weighted_post[classes]
+        dead = post.sum(axis=0) == 0.0
         ones = np.ones(n)
-        outside[schedule.root_index] = np.broadcast_to(self.pi[:, None], (n, n_patterns))
+        root = schedule.root_index
+        #: Internal node → the vector its children read: the shared
+        #: outside vector O_p for the root and the path nodes, else the
+        #: weighted P_pᵀ Z_p / s_p.
+        down: Dict[int, np.ndarray] = {root: np.broadcast_to(self.pi[:, None], (n, n_patterns))}
+        shared = {root}
+        ratios: Dict[int, np.ndarray] = {}
+        slots: Dict[tuple, Tuple[List[int], Dict[int, List[_Term]]]] = {}
 
-        def new(block: Optional[np.ndarray], k: int) -> np.ndarray:
-            return np.empty((n, n_patterns), order="F") if block is None else block[k].T
+        def ratios_at(p: int) -> np.ndarray:
+            """``r_k`` per class of the group below shared node ``p``."""
+            found = ratios.get(p)
+            if found is None:
+                kids = schedule.children[p]
+                dens = np.empty((len(classes), n_patterns))
+                seen: Dict[tuple, np.ndarray] = {}
+                for j, state in enumerate(states):
+                    key = tuple(id(state.contributions[c]) for c in kids)
+                    if key not in seen:
+                        joint = np.multiply(down[p], state.contributions[kids[0]])
+                        for c in kids[1:]:
+                            joint *= state.contributions[c]
+                        seen[key] = ones @ joint
+                    dens[j] = seen[key]
+                found = ratios[p] = np.divide(post, dens, out=np.zeros_like(dens), where=dens != 0.0)
+            return found
 
+        def add_term(slot: tuple, ri: int, r: Optional[np.ndarray], state: PruningState) -> None:
+            slot_rows, terms = slots.setdefault(slot, ([], {}))
+            row_terms = terms.get(ri)
+            if row_terms is None:
+                slot_rows.append(ri)
+                row_terms = terms[ri] = []
+            child = rows[ri][0]
+            clv = state.clvs[child]
+            for i, (r0, c0, clv0, contribution0) in enumerate(row_terms):
+                if clv0 is clv:
+                    row_terms[i] = (r0 + r, c0, clv0, contribution0)
+                    return
+            row_terms.append((r, child, clv, state.contributions[child]))
+
+        def siblings_product(ri: int, vector: np.ndarray, out: np.ndarray) -> None:
+            sibs = self._siblings[ri]
+            if not sibs:
+                out[...] = vector
+                return
+            np.multiply(vector, base.contributions[sibs[0]], out=out)
+            for s in sibs[1:]:
+                out *= base.contributions[s]
+
+        background = slot_of(classes[0], False)
         for h in range(len(schedule.levels) - 1, -1, -1):
             level = schedule.levels[h]
-            us = []
             for ri in level:
-                parent = rows[ri][1]
-                u = new(u_block, ri)
-                siblings = self._siblings[ri]
-                if siblings:
-                    np.multiply(outside[parent], state.contributions[siblings[0]], out=u)
-                    for sibling in siblings[1:]:
-                        u *= state.contributions[sibling]
-                else:
-                    u[...] = outside[parent]
-                us.append(u)
-            if h > 0:
-                items, out = [], []
-                for ri, u in zip(level, us):
-                    child, _, t, fg = rows[ri]
-                    items.append((ev.opsets[cls.omega_foreground if fg else cls.omega_background][t], u))
-                    outside[child] = new(o_block, self._o_slot[child])
-                    out.append(outside[child])
-                # Counted as propagations; not timed under clv_s, so the
-                # eigh/expm/clv phase seconds stay the evaluation's.
-                engine.counters["clv_propagations"] += len(items)
-                engine._propagate_transposed_level(items, self.pi, out)
-                for (_, u), o in zip(items, out):
+                child, parent, _, fg = rows[ri]
+                v = block[ri].T
+                if parent not in shared:
+                    siblings_product(ri, down[parent], v)
+                    add_term(background, ri, None, base)
+                    continue
+                r = ratios_at(parent)
+                if ri in self._path:
+                    siblings_product(ri, down[parent], v)
+                    for j, k in enumerate(classes):
+                        add_term(slot_of(k, fg), ri, r[j], states[j])
+                    continue
+                # Σ_k r_k ∏ C_{k,s}, one product per distinct sibling set.
+                sibs = self._siblings[ri]
+                weight: Dict[tuple, list] = {}
+                for j, state in enumerate(states):
+                    key = tuple(id(state.contributions[s]) for s in sibs)
+                    if key in weight:
+                        weight[key][0] = weight[key][0] + r[j]
+                    else:
+                        weight[key] = [r[j], state]
+                total = None
+                for rk, state in weight.values():
+                    term = np.broadcast_to(rk, (n, n_patterns)).copy(order="F")
+                    for s in sibs:
+                        term *= state.contributions[s]
+                    total = term if total is None else np.add(total, term, out=total)
+                np.multiply(down[parent], total, out=v)
+                add_term(background, ri, None, base)
+            if h == 0:
+                continue
+            items, outs, finish = [], [], []
+            for ri in level:
+                child, parent, t, fg = rows[ri]
+                v = block[ri].T
+                d = d_block[self._d_slot[child]].T
+                down[child] = d
+                if ri not in self._path:
+                    items.append((ev.opsets[background[0]][t], v))
+                    outs.append(d)
+                    finish.append((child, None, ()))
+                    continue
+                if child in self._path_parents:
+                    # A path node: the group keys make its row's operator
+                    # one for every class, so its outside vector is shared.
+                    items.append((ev.opsets[slot_of(classes[0], fg)[0]][t], v))
+                    outs.append(d)
+                    finish.append((child, v, ()))
+                    shared.add(child)
+                    continue
+                # The foreground child: one seed per foreground operator.
+                omegas: Dict[float, np.ndarray] = {}
+                r = ratios_at(parent)
+                for j, k in enumerate(classes):
+                    omega = nodes[k].omega_foreground
+                    omegas[omega] = omegas[omega] + r[j] if omega in omegas else r[j]
+                seeds = []
+                for omega, r_sum in omegas.items():
+                    weighted = np.multiply(v, r_sum, out=np.empty((n, n_patterns), order="F"))
+                    items.append((ev.opsets[omega][t], weighted))
+                    outs.append(d if not seeds else np.empty((n, n_patterns), order="F"))
+                    seeds.append(outs[-1])
+                finish.append((child, None, seeds[1:]))
+            engine.counters["clv_propagations"] += len(items)
+            engine._propagate_transposed_level(items, self.pi, outs)
+            for child, u, more_seeds in finish:
+                d = down[child]
+                if u is not None:
                     total = ones @ u
                     total[total == 0.0] = 1.0
-                    o /= total
-            yield level, us
+                    d /= total
+                    d[:, dead] = 0.0
+                    continue
+                for seed in more_seeds:
+                    d += seed
+                log_scale = base.scalers[child]
+                if log_scale is not None:
+                    d /= np.exp(log_scale)
+        return slots
 
     def outside_vectors(self, ev: ClassEvaluation, index: int) -> List[Optional[np.ndarray]]:
         """Every internal node's outside vector ``O_v`` for class ``index``.
@@ -1243,53 +1404,51 @@ class BoundLikelihood:
         proportional, per pattern column, to ``P(state_v = x, data |
         class)`` — the marginal reconstruction's per-class posterior.
         Leaves get ``None``.
+
+        One pre-order pass over the level schedule for the class alone:
+        ``O_root = π`` and ``O_c = P(t_c)ᵀ U_c`` with
+        ``U_c = O_p ∘ ∏_{siblings s} contribution_s``
+        (:meth:`LikelihoodEngine._propagate_transposed_level`, one call
+        per level), divided per pattern column by the column sum of
+        ``U_c``, which is the column sum of ``P(t_c)ᵀU_c`` (the rows of
+        ``P`` sum to 1): every ``O_c`` column sums to 1.
         """
+        cls = ev.graph.nodes[index]
+        state = ev.states[index]
+        schedule = self._schedule
+        n, n_patterns = self.pi.shape[0], self.n_patterns
+        ones = np.ones(n)
         outside: List[Optional[np.ndarray]] = [None] * self._n_nodes
-        for _ in self._outside_pass(ev, index, outside):
-            pass
+        outside[schedule.root_index] = np.broadcast_to(self.pi[:, None], (n, n_patterns))
+        for level in reversed(schedule.levels[1:]):
+            items, out = [], []
+            for ri in level:
+                child, parent, t, fg = ev.rows[ri]
+                u = np.empty((n, n_patterns), order="F")
+                u[...] = outside[parent]
+                for sibling in self._siblings[ri]:
+                    u *= state.contributions[sibling]
+                items.append((ev.opsets[cls.omega_foreground if fg else cls.omega_background][t], u))
+                outside[child] = np.empty((n, n_patterns), order="F")
+                out.append(outside[child])
+            self.engine.counters["clv_propagations"] += len(items)
+            self.engine._propagate_transposed_level(items, self.pi, out)
+            for (_, u), o in zip(items, out):
+                total = ones @ u
+                total[total == 0.0] = 1.0
+                o /= total
         return outside
 
-    def _outside_data(
-        self, ev: ClassEvaluation, index: int, block: Optional[np.ndarray] = None
-    ) -> "_OutsidePass":
-        """One class's ``U`` per row and ``Σ_x U·contribution``, the class
-        likelihood up to the column scalings of ``U`` and of the stored
-        CLVs, which the contraction's ratios cancel.
 
-        ``U_c ∘ contribution_c = O_p ∘ ∏_{children s} contribution_s`` is
-        the same for every child of ``p``, so the sum is taken once per
-        parent.  The ``U`` vectors live in ``block`` (a free
-        ``(rows, P, n)`` buffer, new if ``None``), the outside vectors in
-        the binding's reused block."""
-        state = ev.states[index]
-        rows = ev.rows
-        n = self.pi.shape[0]
-        if block is None:
-            block = np.empty((len(rows), self.n_patterns, n))
-        if self._o_block is None:
-            self._o_block = np.empty((len(self._o_slot), self.n_patterns, n))
-        result = _OutsidePass(block=block, dens=np.empty((len(rows), self.n_patterns)))
-        outside: List[Optional[np.ndarray]] = [None] * self._n_nodes
-        first_row: Dict[int, int] = {}
-        for level, us in self._outside_pass(ev, index, outside, block, self._o_block):
-            for ri, u in zip(level, us):
-                child, parent = rows[ri][0], rows[ri][1]
-                if parent in first_row:
-                    result.dens[ri] = result.dens[first_row[parent]]
-                else:
-                    first_row[parent] = ri
-                    np.einsum("ij,ij->j", u, state.contributions[child], out=result.dens[ri])
-        return result
+#: One row's term in a contraction slot: ``(r, child, L, contribution)``.
+#: The row's vector ``V`` (the group's row block) weighted by ``r`` per
+#: pattern (``None`` when ``V`` is already weighted) meets the child's
+#: inside CLV ``L``; ``contribution`` is ``P(t)·L`` under the slot's
+#: operator.
+_Term = Tuple[Optional[np.ndarray], int, np.ndarray, np.ndarray]
 
-
-@dataclass
-class _OutsidePass:
-    """One class pass of the gradient: ``block[ri]`` is row ri's ``Uᵀ``
-    (``(rows, P, n)``), ``dens[ri]`` its ``Σ_x U·contribution``."""
-
-    block: np.ndarray
-    dens: np.ndarray
-
+#: Relative step of the value-space probes that find the ω ties.
+_TIE_STEP = 2.0 ** -20
 
 #: Bytes per block of the contraction's ``(rows, patterns, n)``
 #: temporaries: a block of rows that stays in cache.
@@ -1350,12 +1509,13 @@ class _RateContraction:
     ``Uᵀ ∂P L = Ũᵀ (F(t) ∘ XᵀA′X) L̃`` (Daleckii–Krein) with
     ``Ũ = XᵀΠ^{-½}U``, ``L̃ = XᵀΠ^{½}L`` and
     ``F_ij = (e^{λ_i t} − e^{λ_j t})/(λ_i − λ_j)``.  Weighting pattern p
-    by ``r_p = w_p·posterior_p / (Uᵀ P L)_p``, each row forms
-    ``W_b = Ũ_b diag(r_b) L̃_bᵀ``; then
+    by ``r_p = w_p·posterior_p / (Uᵀ P L)_p``, each row of a slot forms
+    ``W_b = Σ_terms Ṽ_b diag(r) L̃ᵀ`` from the outside recursion's
+    vector ``V_b`` and its terms (:data:`_Term`); then
 
-    * ``∂lnL/∂t_b`` sums ``λ_i e^{λ_i t_b}·(W_b)_ii`` over the classes
+    * ``∂lnL/∂t_b`` sums ``λ_i e^{λ_i t_b}·(W_b)_ii`` over the slots
       (``∂P/∂t = Q·P`` is diagonal in the eigenbasis);
-    * each (class, branch partition) accumulates ``M = Σ_b F_b ∘ W_b``
+    * each slot (ω, tie) accumulates ``M = Σ_b F_b ∘ W_b``
       as ``(Σ_b e_{b,i}W_{b,ij} − Σ_b W_{b,ij}e_{b,j})/(λ_i − λ_j)``,
       with ``e_b = e^{λ t_b}``; a pair with ``|λ_i − λ_j|·t_max`` below
       :data:`_NEAR_GAP` (the diagonal and ties included) sums the
@@ -1365,13 +1525,14 @@ class _RateContraction:
     ``W_b`` is formed in the order that costs fewer flops, by the
     pattern count P against the n states: with ``P ≤ n`` as above, with
     a leaf's ``L̃`` gathered from rows of ``Π^{½}X``; with ``P > n`` as
-    ``XᵀΠ^{-½}·(U diag(r) Lᵀ)·Π^{½}X``, where a leaf's ``U diag(r) Lᵀ``
-    is a scatter-add of columns.  ``∂P`` and ``F`` are never formed.
-    Rate derivatives hold the common scale fixed (DESIGN.md §9).
+    ``XᵀΠ^{-½}·G·Π^{½}X`` with ``G = Σ_terms L diag(r) Vᵀ``, where a
+    leaf's product is a scatter-add of columns: one eigenbasis change per
+    row and slot.  ``∂P`` and ``F`` are never formed.  Rate derivatives
+    hold the common scale fixed (DESIGN.md §9).
 
     A Padé or uniformization decomposition has no eigensystem: a row
-    takes ``∂lnL/∂t`` from ``Uᵀ(Q·contribution)`` and contracts
-    ``W_b = U_b diag(r_b) L_bᵀ`` with a central difference of the
+    takes ``∂lnL/∂t`` from ``Vᵀ(Q·contribution)`` and contracts
+    ``W_b = Σ_terms V_b diag(r) Lᵀ`` with a central difference of the
     operator, ``⟨∂P_b, W_b⟩``, re-pruning nothing, and the pass records
     a ``rate_derivative_difference`` event.
     """
@@ -1382,60 +1543,49 @@ class _RateContraction:
         self.sqrt_pi = np.sqrt(bound.pi)
         #: ``∂lnL/∂t`` per row of ``ev.rows``.
         self.branches = np.zeros(len(ev.rows))
-        #: (class, partition) → ω and its accumulated M (spectral only).
-        self.slots: Dict[Tuple[int, int], Tuple[float, np.ndarray]] = {}
-        #: (class, partition) → [∂κ, ∂ω] from difference rows.
-        self.differenced: Dict[Tuple[int, int], np.ndarray] = {}
+        #: slot (ω, tie) → ω and its accumulated M (spectral only).
+        self.slots: Dict[tuple, Tuple[float, np.ndarray]] = {}
+        #: slot (ω, tie) → [∂κ, ∂ω] from difference rows.
+        self.differenced: Dict[tuple, np.ndarray] = {}
         n, p = bound.engine.code.n_states, bound.n_patterns
         #: Whether rows contract in the codon basis (P > n).
         self.codon_order = p > n
         #: Rows per block: one block's (rows, P, n) temporaries stay
         #: within _BLOCK_BYTES.  The block workspace is allocated once.
         self.step = max(1, _BLOCK_BYTES // (8 * p * n))
-        self._scaled = np.empty((self.step, p, n))
         self._w = np.empty((self.step, n, n))
         if self.codon_order:
+            self._scaled = np.empty((self.step, p, n))
             self._gt = np.empty((self.step, n, n))
             self._tmp = np.empty((self.step, n, n))
         else:
             self._ut = np.empty((self.step, p, n))
             self._lt = np.empty((self.step, p, n))
-        self._l: Dict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]] = {}
         self._e: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
         self._basis: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
         self._dp: Dict[Tuple[float, float], Tuple[np.ndarray, np.ndarray]] = {}
         self._differenced_omegas: set = set()
         self._generators: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def add(self, index: int, outside: _OutsidePass, weighted_post: np.ndarray) -> None:
-        """Fold class ``index``'s rows in, read through ``outside``."""
-        ev = self.ev
-        cls = ev.graph.nodes[index]
-        groups: Dict[Tuple[float, int], List[int]] = {}
-        for ri, (_, _, _, fg) in enumerate(ev.rows):
-            omega = cls.omega_foreground if fg else cls.omega_background
-            groups.setdefault((omega, int(fg)), []).append(ri)
-        for (omega, part), rows in groups.items():
-            dens = outside.dens[rows]
-            r = np.divide(weighted_post, dens, out=np.zeros_like(dens), where=dens != 0.0)
-            decomp = ev.decomps[omega]
-            if isinstance(decomp, PadeFallback):
-                self._add_differenced(index, part, omega, decomp, outside, rows, r)
-            else:
-                self._add_spectral(index, part, omega, outside, rows, r)
+    def add(self, slot: tuple, block: np.ndarray, rows: List[int], terms: Dict[int, List[_Term]]) -> None:
+        """Fold one slot's ``rows`` in: row ri's vector is ``block[ri]``
+        (``(P, n)``), its terms ``terms[ri]``; ``slot[0]`` is its ω."""
+        omega = slot[0]
+        decomp = self.ev.decomps[omega]
+        if isinstance(decomp, PadeFallback):
+            self._add_differenced(slot, omega, decomp, block, rows, terms)
+        else:
+            self._add_spectral(slot, omega, block, rows, terms)
 
-    def release(self, omega: float) -> None:
-        """Drop the inside-CLV projections of decomposition ``omega``."""
-        for key in [key for key in self._l if key[1] == omega]:
-            del self._l[key]
-
-    def _add_spectral(self, index: int, part: int, omega: float, outside, rows: List[int], r) -> None:
-        self.slots[(index, part)] = (omega, self._accumulate(index, omega, outside, rows, r))
+    def _add_spectral(self, slot: tuple, omega: float, block, rows: List[int], terms) -> None:
+        m = self._accumulate(omega, block, rows, terms)
+        found = self.slots.get(slot)
+        self.slots[slot] = (omega, m if found is None else found[1] + m)
 
     def _spans(self, rows: List[int]) -> List[Tuple[int, int]]:
         """``rows`` cut into blocks: runs of consecutive rows, so a
-        block's U vectors are one slice of the pass's block, each at
-        most ``step`` rows long."""
+        block's vectors are one slice of the row block, each at most
+        ``step`` rows long."""
         cuts = [0] + [k for k in range(1, len(rows)) if rows[k] != rows[k - 1] + 1] + [len(rows)]
         return [
             (lo, min(lo + self.step, end))
@@ -1443,7 +1593,7 @@ class _RateContraction:
             for lo in range(start, end, self.step)
         ]
 
-    def _accumulate(self, index: int, omega: float, outside, rows: List[int], r) -> np.ndarray:
+    def _accumulate(self, omega: float, block, rows: List[int], terms) -> np.ndarray:
         """``M = Σ_b F_b ∘ W_b`` over ``rows``, adding each row's ``∂lnL/∂t``."""
         ev = self.ev
         lam = ev.decomps[omega].eigenvalues
@@ -1459,10 +1609,10 @@ class _RateContraction:
         right = np.zeros_like(gap)
         near_sum = np.zeros(ni.size)
         for lo, hi in self._spans(rows):
-            block = slice(rows[lo], rows[hi - 1] + 1)
-            w = self._w_block(index, omega, outside, range(block.start, block.stop), r[lo:hi])
-            e = e_all[block]
-            self.branches[block] += np.einsum("bii,bi->b", w, rate_all[block])
+            span = range(rows[lo], rows[hi - 1] + 1)
+            w = self._w_block(omega, block, span, terms)
+            e = e_all[span.start : span.stop]
+            self.branches[span.start : span.stop] += np.einsum("bii,bi->b", w, rate_all[span.start : span.stop])
             left += np.einsum("bi,bij->ij", e, w)
             right += np.einsum("bij,bj->ij", w, e)
             near_sum += np.einsum("bk,bk->k", w[:, ni, nj], series[lo:hi])
@@ -1473,29 +1623,38 @@ class _RateContraction:
         m[ni, nj] = near_sum
         return m
 
-    def _w_block(self, index: int, omega: float, outside, block: range, r) -> np.ndarray:
-        """``W_b = Ũ_b diag(r_b) L̃_bᵀ`` for the rows of ``block``, ``(rows, n, n)``,
+    def _w_block(self, omega: float, block: np.ndarray, span: range, terms) -> np.ndarray:
+        """``W_b`` for the consecutive rows of ``span``, ``(rows, n, n)``,
         in the contraction's workspace (valid until the next block)."""
-        ev = self.ev
         basis_u, basis_l = self._bases(omega)
-        k = len(block)
-        scaled, w = self._scaled[:k], self._w[:k]
-        np.multiply(outside.block[block.start : block.stop], r[:, :, None], out=scaled)
+        k = len(span)
+        w = self._w[:k]
+        vectors = block[span.start : span.stop]
         if not self.codon_order:
-            ut = np.matmul(scaled, basis_u, out=self._ut[:k])
-            lt = self._projected_l(index, omega, block, out=self._lt[:k])
+            ut = np.matmul(vectors, basis_u, out=self._ut[:k])
+            lt = self._lt[:k]
+            for j, ri in enumerate(span):
+                self._projected(omega, terms[ri], out=lt[j])
             return np.matmul(ut.transpose(0, 2, 1), lt, out=w)
-        # Codon basis: Gᵀ = L diag(r) Uᵀ, then W = (Gᵀ Π^{-½}X)ᵀ Π^{½}X.
-        clvs = ev.states[index].clvs
+        # Codon basis: Gᵀ = Σ_terms L diag(r) V, then
+        # W = (Gᵀ Π^{-½}X)ᵀ Π^{½}X.
         leaves = self.bound._leaf_columns
         gt, tmp = self._gt[:k], self._tmp[:k]
-        for j, ri in enumerate(block):
-            child = ev.rows[ri][0]
-            cols = leaves.get(child)
-            if cols is None:
-                np.matmul(clvs[child], scaled[j], out=gt[j])
-            else:
-                gt[j] = cols.scatter(clvs[child], scaled[j])
+        for j, ri in enumerate(span):
+            for i, (r, child, clv, _) in enumerate(terms[ri]):
+                v = vectors[j] if r is None else np.multiply(vectors[j], r[:, None], out=self._scaled[j])
+                cols = leaves.get(child)
+                if cols is not None:
+                    g = cols.scatter(clv, v)
+                elif i == 0:
+                    np.matmul(clv, v, out=gt[j])
+                    continue
+                else:
+                    g = clv @ v
+                if i == 0:
+                    gt[j] = g
+                else:
+                    gt[j] += g
         np.matmul(gt, basis_u, out=tmp)
         return np.matmul(tmp.transpose(0, 2, 1), basis_l, out=w)
 
@@ -1510,32 +1669,26 @@ class _RateContraction:
             )
         return found
 
-    def _projected_l(self, index: int, omega: float, rows, out: np.ndarray) -> np.ndarray:
-        """``L̃ᵀ = LᵀΠ^{½}X`` per row into ``out``, ``(rows, P, n)``; a
-        leaf's by gathering rows of ``Π^{½}X``, and an inside CLV a
-        shared class aliases from its base projected once."""
-        ev = self.ev
-        clvs = ev.states[index].clvs
+    def _projected(self, omega: float, row_terms: List[_Term], out: np.ndarray) -> np.ndarray:
+        """``Σ_terms diag(r)·LᵀΠ^{½}X`` into ``out``, ``(P, n)``; a
+        leaf's ``LᵀΠ^{½}X`` by gathering rows of ``Π^{½}X``."""
         basis_l = self._bases(omega)[1]
         leaves = self.bound._leaf_columns
-        children = [ev.rows[ri][0] for ri in rows]
-        todo = [
-            child for child in children
-            if (held := self._l.get((child, omega))) is None or held[0] is not clvs[child]
-        ]
-        inner = [child for child in todo if child not in leaves]
-        if inner:
-            projected = np.matmul(np.stack([clvs[c].T for c in inner]), basis_l)
-            for child, lt in zip(inner, projected):
-                self._l[(child, omega)] = (clvs[child], lt)
-        for child in todo:
+        for i, (r, child, clv, _) in enumerate(row_terms):
             cols = leaves.get(child)
-            if cols is not None:
+            if cols is None:
+                lt = clv.T @ basis_l
+            else:
                 lt = basis_l[cols.states]
                 if cols.other.size:
-                    lt[cols.other] = clvs[child][:, cols.other].T @ basis_l
-                self._l[(child, omega)] = (clvs[child], lt)
-        return np.stack([self._l[(child, omega)][1] for child in children], out=out)
+                    lt[cols.other] = clv[:, cols.other].T @ basis_l
+            if r is not None:
+                lt *= r[:, None]
+            if i == 0:
+                out[...] = lt
+            else:
+                out += lt
+        return out
 
     def _exponentials(self, omega: float) -> Tuple[np.ndarray, np.ndarray]:
         """``e^{λ t_b}`` and ``λ e^{λ t_b}`` per row of ``ev.rows``, ``(rows, n)``."""
@@ -1570,17 +1723,17 @@ class _RateContraction:
         return found
 
     # -- no eigensystem ------------------------------------------------
-    def _add_differenced(self, index: int, part: int, omega: float, decomp, outside, rows, r) -> None:
-        ev = self.ev
-        clvs = ev.states[index].clvs
-        contributions = ev.states[index].contributions
-        acc = self.differenced.setdefault((index, part), np.zeros(2))
-        for j, ri in enumerate(rows):
-            child, _, t, _ = ev.rows[ri]
-            # P′ = Q·P(t) on the rung's repaired forward operator.
-            u = outside.block[ri].T
-            self.branches[ri] += r[j] @ np.einsum("ij,ij->j", u, decomp.q @ contributions[child])
-            w = (u * r[j]) @ clvs[child].T
+    def _add_differenced(self, slot: tuple, omega: float, decomp, block, rows, terms) -> None:
+        acc = self.differenced.setdefault(slot, np.zeros(2))
+        for ri in rows:
+            t = self.ev.rows[ri][2]
+            v = block[ri].T
+            w = np.zeros((v.shape[0], v.shape[0]))
+            for r, _, clv, contribution in terms[ri]:
+                vr = v if r is None else v * r
+                # P′ = Q·P(t) on the rung's repaired forward operator.
+                self.branches[ri] += np.vdot(vr, decomp.q @ contribution)
+                w += vr @ clv.T
             d_kappa, d_omega = self._operator_difference(omega, decomp, t)
             acc += (np.vdot(d_kappa, w), np.vdot(d_omega, w))
 
@@ -1621,22 +1774,24 @@ class _RateContraction:
     # ------------------------------------------------------------------
     def derivatives(self) -> Tuple[float, np.ndarray]:
         """``(∂lnL/∂κ, ∂lnL/∂ω)``, the latter ``(n_classes, 2)`` as
-        (background, foreground) per class."""
+        (background, foreground) per class: each tie group's derivative
+        on its first member, 0 on the rest."""
         d_omega = np.zeros((self.ev.graph.n_classes, 2))
+        flat = d_omega.reshape(-1)
         d_kappa = 0.0
-        for (index, part), (omega, m) in self.slots.items():
+        for (_, tie), (omega, m) in self.slots.items():
             g_kappa, g_omega = self._generators_for(omega)
             d_kappa += float(np.vdot(g_kappa, m))
-            d_omega[index, part] += float(np.vdot(g_omega, m))
-        for (index, part), (dk, dw) in self.differenced.items():
+            flat[tie] += float(np.vdot(g_omega, m))
+        for (_, tie), (dk, dw) in self.differenced.items():
             d_kappa += float(dk)
-            d_omega[index, part] += float(dw)
+            flat[tie] += float(dw)
         return d_kappa, d_omega
 
 
 class _CountContraction(_RateContraction):
     """Posterior expected synonymous and non-synonymous substitution
-    counts per row, on the gradient's outside pass.
+    counts per row, on the gradient's outside recursion.
 
     For a set L of labelled transitions (the synonymous or the
     non-synonymous codon pairs) on a branch,
@@ -1645,9 +1800,11 @@ class _CountContraction(_RateContraction):
     the direction of ``Q_L``, the labelled off-diagonal part of the
     class's scaled Q.  That is a rate derivative with
     ``A′ = A_L = Π^{½}Q_LΠ^{-½}``, contracted per row instead of summed
-    over rows: with the gradient's weights ``r``, row b's count is
-    ``⟨W_b, F_b ∘ B_L⟩``, ``B_L = XᵀA_L X``.  A foreground row also keeps
-    it per pattern, ``colsum(Ũ_b ∘ ((F_b ∘ B_L) L̃_b))·r_b``.
+    over rows: with the gradient's weights, row b's count is
+    ``⟨W_b, F_b ∘ B_L⟩``, ``B_L = XᵀA_L X``, so a slot is an operator
+    alone (ω), every class of it summed in one ``W_b``.  A foreground
+    row also keeps it per pattern,
+    ``colsum(Ṽ_b ∘ ((F_b ∘ B_L)·Σ_terms diag(r) L̃))``.
 
     A count is read per row, so ``F_b`` is formed per row, in the form
     ``F_{b,ij} = e^{max(λ_i, λ_j) t}·t·(1 − e^{−x})/x`` with
@@ -1669,13 +1826,7 @@ class _CountContraction(_RateContraction):
         table = classification_table(bound.engine.code)
         self._masks = np.stack([table.synonymous, table.single & ~table.synonymous])
         self._labelled_basis: Dict[float, np.ndarray] = {}
-        self._f: Dict[Tuple[float, float], np.ndarray] = {}
         self._frechet: Dict[Tuple[float, float], np.ndarray] = {}
-
-    def release(self, omega: float) -> None:
-        super().release(omega)
-        for key in [key for key in self._f if key[0] == omega]:
-            del self._f[key]
 
     def _labelled(self, omega: float) -> np.ndarray:
         """``Q_L`` of decomposition ``omega`` for (syn, nonsyn), ``(2, n, n)``."""
@@ -1693,36 +1844,32 @@ class _CountContraction(_RateContraction):
     def _divided(self, omega: float, ri: int) -> np.ndarray:
         """``F_b`` of row ``ri`` under decomposition ``omega``, ``(n, n)``."""
         t = self.ev.rows[ri][2]
-        found = self._f.get((omega, t))
-        if found is None:
-            lam = self.ev.decomps[omega].eigenvalues
-            e = self._exponentials(omega)[0][ri]
-            x = np.abs(np.subtract.outer(lam, lam)) * t
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
-            found = self._f[(omega, t)] = np.maximum.outer(e, e) * t * g
-        return found
+        lam = self.ev.decomps[omega].eigenvalues
+        e = self._exponentials(omega)[0][ri]
+        x = np.abs(np.subtract.outer(lam, lam)) * t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+        return np.maximum.outer(e, e) * t * g
 
-    def _add_spectral(self, index: int, part: int, omega: float, outside, rows: List[int], r) -> None:
+    def _add_spectral(self, slot: tuple, omega: float, block, rows: List[int], terms) -> None:
         b = self._eigen_labelled(omega)
         flat = b.reshape(2, -1).T
+        divided = {ri: self._divided(omega, ri) for ri in rows}
         for lo, hi in self._spans(rows):
-            block = range(rows[lo], rows[hi - 1] + 1)
-            w = self._w_block(index, omega, outside, block, r[lo:hi])
-            w *= np.stack([self._divided(omega, ri) for ri in block])
-            self.totals[block.start : block.stop] += w.reshape(hi - lo, -1) @ flat
+            span = range(rows[lo], rows[hi - 1] + 1)
+            w = self._w_block(omega, block, span, terms)
+            w *= np.stack([divided[ri] for ri in span])
+            self.totals[span.start : span.stop] += w.reshape(hi - lo, -1) @ flat
         basis_u = self._bases(omega)[0]
-        for j, ri in enumerate(rows):
+        for ri in rows:
             if not self.ev.rows[ri][3]:
                 continue
-            fb = self._divided(omega, ri) * b
-            ut = (outside.block[ri] * r[j][:, None]) @ basis_u
-            lt = self._projected_l(index, omega, [ri], out=np.empty((1,) + ut.shape))[0]
+            fb = divided[ri] * b
+            ut = block[ri] @ basis_u
+            lt = self._projected(omega, terms[ri], out=np.empty_like(ut))
             self.foreground += np.einsum("lpi,pi->lp", lt @ fb.transpose(0, 2, 1), ut)
 
-    def _add_differenced(self, index: int, part: int, omega: float, decomp, outside, rows, r) -> None:
-        ev = self.ev
-        clvs = ev.states[index].clvs
+    def _add_differenced(self, slot: tuple, omega: float, decomp, block, rows, terms) -> None:
         if omega not in self._differenced_omegas:
             self._differenced_omegas.add(omega)
             self.bound.engine.events.record(
@@ -1731,18 +1878,20 @@ class _CountContraction(_RateContraction):
                 "expected counts by expm_frechet",
                 omega=float(omega), engine=self.bound.engine.name,
             )
-        for j, ri in enumerate(rows):
-            child, _, t, fg = ev.rows[ri]
+        for ri in rows:
+            _, _, t, fg = self.ev.rows[ri]
             d = self._frechet.get((omega, t))
             if d is None:
                 d = self._frechet[(omega, t)] = np.stack([
                     expm_frechet(decomp.q * t, q_l * t, compute_expm=False)
                     for q_l in self._labelled(omega)
                 ])
-            ur = outside.block[ri].T * r[j]
-            self.totals[ri] += np.einsum("lij,ij->l", d, ur @ clvs[child].T)
-            if fg:
-                self.foreground += np.einsum("ip,lip->lp", ur, d @ clvs[child])
+            v = block[ri].T
+            for r, _, clv, _ in terms[ri]:
+                vr = v if r is None else v * r
+                self.totals[ri] += np.einsum("lij,ij->l", d, vr @ clv.T)
+                if fg:
+                    self.foreground += np.einsum("ip,lip->lp", vr, d @ clv)
 
 
 _ENGINES = {cls.name: cls for cls in (BaselineEngine, SlimEngine, SlimV2Engine)}

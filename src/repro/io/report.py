@@ -129,7 +129,9 @@ def format_mapping_block(mapping: dict, indent: str = "") -> str:
     its ``{"error": ...}`` degradation).  One row per branch — expected
     synonymous/non-synonymous events and their ratio (the event-count
     analogue of dN/dS) — followed by the ``MAPPED_SITES_SHOWN``
-    foreground sites with the largest expected non-synonymous counts.
+    foreground sites with the largest expected non-synonymous counts,
+    out of every site of the alignment (exact means are positive at
+    every site, so no threshold would select).
     A sampled payload from a journal before v11 renders its means.
     """
     if "error" in mapping:
@@ -149,12 +151,11 @@ def format_mapping_block(mapping: dict, indent: str = "") -> str:
     sites = mapping.get("foreground_sites") or {}
     nonsyn = np.asarray(sites.get("nonsyn", []), dtype=float)
     syn = np.asarray(sites.get("syn", []), dtype=float)
-    hot = np.nonzero(nonsyn > 0)[0]
-    if hot.size:
-        top = hot[np.argsort(nonsyn[hot], kind="stable")[::-1][:MAPPED_SITES_SHOWN]]
+    if nonsyn.size:
+        top = np.argsort(nonsyn, kind="stable")[::-1][:MAPPED_SITES_SHOWN]
         lines.append(
-            f"{indent}foreground sites with expected non-synonymous events "
-            f"(top {min(MAPPED_SITES_SHOWN, hot.size)} of {hot.size}):"
+            f"{indent}foreground sites by expected non-synonymous events "
+            f"(top {top.size} of {nonsyn.size} sites):"
         )
         for site in top:
             lines.append(

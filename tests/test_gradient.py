@@ -157,17 +157,23 @@ def assert_model_derivatives_agree(bound, values, lengths=None):
     return worst
 
 
-def _gradient_applications(bound, plans):
-    """Outside applications one gradient pass makes.
+def _gradient_applications(bound, graph, plans):
+    """Outside applications one gradient (or counts) pass makes.
 
-    Per class pass: one outside application per internal child.  A full
-    share reads its base's pass and a skipped class makes none.
+    One recursion per background group, the live classes that share a
+    background ω: one application per internal row, except that an
+    internal foreground child is seeded once per distinct foreground ω
+    of the group.  A skipped class joins no group.
     """
-    rows = [(c, p, 0.0, fg) for c, p, _, fg in bound._rows]
-    internal = sum(1 for child, _, _, _ in rows if bound._schedule.heights[child])
-    return internal * sum(
-        1 for plan in plans if plan.mode == "populate" or (plan.mode == "derive" and not plan.full_share)
-    )
+    groups = {}
+    for plan in plans:
+        if plan.mode != "skip":
+            cls = graph.nodes[plan.index]
+            groups.setdefault(cls.omega_background, set()).add(cls.omega_foreground)
+    heights = bound._schedule.heights
+    internal = sum(1 for child, _, _, fg in bound._rows if heights[child] and not fg)
+    seeded = sum(1 for child, _, _, fg in bound._rows if heights[child] and fg)
+    return sum(internal + seeded * len(foreground) for foreground in groups.values())
 
 
 def _h0_values(values):
@@ -243,11 +249,12 @@ def test_full_share_reuses_base_ratios(small_tree, small_sim, h0_model, bsm_valu
     bound.log_likelihood(values)
     before = engine.counters["clv_propagations"]
     bound.gradient(values)
-    plans = h0_model.site_class_graph(values).plan(skip_zero=True)
+    graph = h0_model.site_class_graph(values)
+    plans = graph.plan(skip_zero=True)
     assert [(p.mode, p.full_share) for p in plans][3] == ("derive", True)
     grown = engine.counters["clv_propagations"] - before
-    assert grown == _gradient_applications(bound, plans[:3])
-    assert grown == _gradient_applications(bound, plans)
+    assert grown == _gradient_applications(bound, graph, plans[:3])
+    assert grown == _gradient_applications(bound, graph, plans)
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +293,22 @@ def test_h1_at_omega2_equal_omega0(engine_name, small_tree, small_sim, h1_model,
     bound = make_engine(engine_name).bind(small_tree, small_sim.alignment, h1_model)
     derivatives = model_derivatives(bound, values)
     assert abs(derivatives["omega0"] - derivatives["omega2"]) > 1e-3
+    assert_model_derivatives_agree(bound, values)
+
+
+@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
+def test_bsrel3_equal_omegas_keep_their_own_derivatives(engine_name, small_tree, small_sim):
+    # ω1 = ω2: the forward plan derives b2 from b1 (one background
+    # decomposition serves both), yet ∂/∂ω1 and ∂/∂ω2 are different
+    # parameters and must not share a contraction.
+    model = resolve_model_spec("bsrel:3").pair()[1]
+    values = model.default_start(make_rng(5))
+    values["omega2"] = values["omega1"]
+    plans = model.site_class_graph(values).plan(skip_zero=True)
+    assert [(p.mode, p.base) for p in plans][1] == ("derive", 0)
+    bound = make_engine(engine_name).bind(small_tree, small_sim.alignment, model)
+    derivatives = model_derivatives(bound, values)
+    assert abs(derivatives["omega1"] - derivatives["omega2"]) > 1e-3
     assert_model_derivatives_agree(bound, values)
 
 
@@ -509,11 +532,25 @@ def test_gradient_after_evaluation_runs_no_forward_pass(
     for key in ("operator_builds", "operator_builds_naive", "operator_build_saves",
                 "clv_reuses", "eigh_s"):
         assert engine.counters.get(key) == before.get(key), key
-    plans = h1_model.site_class_graph(bsm_values).plan(skip_zero=True)
+    graph = h1_model.site_class_graph(bsm_values)
     grown = engine.counters["clv_propagations"] - before["clv_propagations"]
-    assert grown == _gradient_applications(bound, plans)
+    assert grown == _gradient_applications(bound, graph, graph.plan(skip_zero=True))
     assert engine.counters["gradient_passes"] == before["gradient_passes"] + 1
     assert engine.counters["gradient_s"] > before["gradient_s"]
+
+
+def test_substitution_counts_take_the_grouped_recursion(small_tree, small_sim, h1_model, bsm_values):
+    # The counts ride the gradient's recursion: the same applications,
+    # and again no forward pass.
+    engine = make_engine("slim-v2")
+    bound = engine.bind(small_tree, small_sim.alignment, h1_model)
+    bound.log_likelihood(bsm_values)
+    before = dict(engine.counters)
+    bound.substitution_counts(bsm_values)
+    assert engine.counters["operator_builds"] == before["operator_builds"]
+    graph = h1_model.site_class_graph(bsm_values)
+    grown = engine.counters["clv_propagations"] - before["clv_propagations"]
+    assert grown == _gradient_applications(bound, graph, graph.plan(skip_zero=True))
 
 
 def test_gradient_without_a_matching_evaluation_evaluates_first(

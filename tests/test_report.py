@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.io.report import format_fit_block, format_report
+from repro.io.report import format_fit_block, format_mapping_block, format_report
 from repro.optimize.lrt import likelihood_ratio_test
 from repro.optimize.ml import BranchSiteTest, FitResult
 
@@ -106,3 +106,14 @@ class TestFullReport:
             probabilities=np.array([0.1]), class_probabilities=np.full((4, 1), 0.025), method="NEB"
         )
         assert "no sites with posterior" in format_report(test_obj, sites=sites)
+
+
+def test_mapping_block_ranks_every_foreground_site():
+    # Exact means are positive at every site: the top 10 are ranked out
+    # of the alignment's sites, and the header says so.
+    nonsyn = [0.5, 0.1, 2.0, 0.3] + [0.01] * 10
+    mapping = {"branches": [], "foreground_sites": {"nonsyn": nonsyn, "syn": [0.2] * 14}}
+    lines = format_mapping_block(mapping).splitlines()
+    assert lines[1] == "foreground sites by expected non-synonymous events (top 10 of 14 sites):"
+    assert [line.split()[1] for line in lines[2:5]] == ["3", "1", "4"]
+    assert len(lines) == 2 + 10
