@@ -175,13 +175,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tree.require_single_foreground()
 
     engine = make_engine(PIPELINE_ENGINE)
-    # Compress the patterns and estimate pi once: H0, H1 and the post-fit
-    # H1 binding that --beb and --map share all bind from them.
+    # Compress the patterns and estimate pi once: H0 and H1 bind from them.
     pi = estimate_codon_frequencies(
         alignment.to_sequences(), method=ctl.freq_method, code=engine.code
     )
     patterns = compress_patterns(alignment)
-    bind = lambda model: engine.bind(tree, patterns, model, pi=pi)
+    bindings = []
+
+    def bind(model):
+        bindings.append(engine.bind(tree, patterns, model, pi=pi))
+        return bindings[-1]
+
     test = fit_branch_site_test(
         bind,
         seed=seed,
@@ -189,17 +193,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         start_overrides={"kappa": ctl.kappa},
         fixed_params={"kappa"} if ctl.fix_kappa else None,
     )
+    # --map and --beb read the fit's own H1 binding (its last one).  The
+    # count pass goes first: the binding's memo still holds the fit's
+    # final evaluation, at the MLEs, so it runs no forward pass.
+    h1_bound = bindings[-1]
     sites = mapping = None
-    if args.beb or args.map:
-        bound = bind(_h1_model())
-    if args.beb:
-        sites = beb_site_probabilities(bound, test.h1.values, test.h1.branch_lengths)
     if args.map:
         from repro.likelihood.mapping import substitution_mapping
 
         mapping = substitution_mapping(
-            bound, test.h1.values, branch_lengths=test.h1.branch_lengths
+            h1_bound, test.h1.values, branch_lengths=test.h1.branch_lengths
         ).to_payload()
+    if args.beb:
+        sites = beb_site_probabilities(h1_bound, test.h1.values, test.h1.branch_lengths)
 
     _write_report(
         format_report(test, tree=tree, sites=sites, dataset_name=seqfile, mapping=mapping),
@@ -219,6 +225,7 @@ def _write_report(report: str, out: str) -> None:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    import math
     import os
     import time
 
@@ -297,6 +304,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"  [{k + 1}/{n_candidates}] {res.gene_id}: {state} ({detail})",
               file=sys.stderr)
 
+    # The tasks' mapping rule: with --survey, every task that can turn
+    # out Holm-significant (its raw p is below alpha), else every task.
+    map_below = None
+    if args.map:
+        map_below = args.alpha if args.survey else math.inf
     start = time.perf_counter()
     try:
         with executor:
@@ -313,6 +325,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 on_result=progress,
                 executor=executor,
                 model=model_spec,
+                map_below=map_below,
             )
     except RuntimeError as exc:
         # e.g. the socket executor never saw its --min-workers register.
@@ -321,7 +334,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     unmapped = []
     if args.map:
-        unmapped = _map_scan(args, gene_id, tree, alignment, scan, model_spec)
+        unmapped = _map_scan(args, gene_id, tree, alignment, scan, model_spec, computed_ids)
     wall = time.perf_counter() - start
 
     resumed = [r.gene_id for r in scan.gene_results if r.gene_id not in computed_ids]
@@ -379,41 +392,59 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0 if scan.ok else 1
 
 
-def _map_scan(args, gene_id, tree, alignment, scan, model_spec):
-    """Map the scan's selected branches in the coordinator (``--map``).
+def _map_scan(args, gene_id, tree, alignment, scan, model_spec, computed_ids):
+    """Keep, complete and journal the selected branches' mappings (``--map``).
 
-    Workers only fit.  Every tested branch — with ``--survey``, every
-    Holm-significant one — is mapped in one pass over one shared
-    engine, at the H1 MLEs its task kept.  Mapped results are
-    re-journalled: ``completed()`` keeps the latest successful record
-    per id, so the upsert wins on resume, and a resumed branch whose
-    mapping is already exact is not mapped again (a sampled mapping
-    from a journal before v11 is).  Returns the selected labels that
-    could not be mapped (no stored MLEs).
+    Every tested branch is selected, or with ``--survey`` every
+    Holm-significant one.  A task this invocation ran (``computed_ids``)
+    mapped itself on its own H1 binding when the run's rule picked it: a
+    selected task's mapping is kept, an unselected one's dropped.  A
+    selected row loaded from the journal without an exact mapping (a run
+    interrupted before this upsert, a pre-v11 sampled payload, a journal
+    written without ``--map``) is mapped here by
+    :func:`~repro.parallel.batch.map_survey_candidates`.  Each row mapped
+    by this invocation is re-journalled: ``completed()`` keeps the latest
+    successful record per id, so the upsert wins on resume; a row loaded
+    with its mapping is not journalled again.  Returns the selected
+    labels that could not be mapped (no stored MLEs).
     """
     from repro.io.results_io import ResultJournal
     from repro.parallel.batch import map_survey_candidates
 
     selected = scan.holm_significant(args.alpha) if args.survey else list(scan.by_branch)
+    keep = set(selected)
+    prefix = f"{gene_id}:"
     result_of = {res.gene_id: res for res in scan.gene_results}
+    fresh = set()
+    for task_id in computed_ids:
+        res = result_of[task_id]
+        if res.mapping is None:
+            continue
+        if task_id[len(prefix):] in keep:
+            fresh.add(task_id)
+        else:
+            res.mapping = None
     todo = [
         label for label in selected
-        if (result_of[f"{gene_id}:{label}"].mapping or {}).get("method") != "exact"
+        if prefix + label not in fresh
+        and (result_of[prefix + label].mapping or {}).get("method") != "exact"
     ]
-    if not todo:
-        return []
-    if not args.quiet:
+    n = len(fresh) + len(todo)
+    if n and not args.quiet:
         kind = "Holm-significant" if args.survey else "tested"
-        print(
-            f"  mapping {len(todo)} {kind} branch{'es' if len(todo) != 1 else ''} "
-            f"(one pass)...",
-            file=sys.stderr,
-        )
-    payloads = map_survey_candidates(gene_id, tree, alignment, scan, todo, model=model_spec)
-    by_id = {f"{gene_id}:{label}": payload for label, payload in payloads.items()}
-    updated = [res for res in scan.gene_results if res.gene_id in by_id]
-    for res in updated:
-        res.mapping = by_id[res.gene_id]
+        from_journal = f" ({len(todo)} from the journal, in one pass)" if todo else ""
+        print(f"  mapping {n} {kind} branch{'es' if n != 1 else ''}{from_journal}",
+              file=sys.stderr)
+    payloads = (
+        map_survey_candidates(gene_id, tree, alignment, scan, todo, model=model_spec)
+        if todo else {}
+    )
+    for label, payload in payloads.items():
+        result_of[prefix + label].mapping = payload
+    updated = [
+        res for res in scan.gene_results
+        if res.gene_id in fresh or res.gene_id[len(prefix):] in payloads
+    ]
     if args.journal and updated:
         with ResultJournal(args.journal) as sink:
             for res in updated:
@@ -442,12 +473,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     print(f"worker done: {done} task{'s' if done != 1 else ''} served",
           file=sys.stderr)
     return 0
-
-
-def _h1_model():
-    from repro.models.branch_site import BranchSiteModelA
-
-    return BranchSiteModelA(fix_omega2=False)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

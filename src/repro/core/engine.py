@@ -96,6 +96,7 @@ __all__ = [
 COUNTER_KEYS = (
     "clv_propagations",
     "clv_reuses",
+    "outside_propagations",
     "operator_builds",
     "operator_build_saves",
     "operator_builds_naive",
@@ -1380,7 +1381,7 @@ class BoundLikelihood:
                     outs.append(d if not seeds else np.empty((n, n_patterns), order="F"))
                     seeds.append(outs[-1])
                 finish.append((child, None, seeds[1:]))
-            engine.counters["clv_propagations"] += len(items)
+            engine.counters["outside_propagations"] += len(items)
             engine._propagate_transposed_level(items, self.pi, outs)
             for child, u, more_seeds in finish:
                 d = down[child]
@@ -1431,7 +1432,7 @@ class BoundLikelihood:
                 items.append((ev.opsets[cls.omega_foreground if fg else cls.omega_background][t], u))
                 outside[child] = np.empty((n, n_patterns), order="F")
                 out.append(outside[child])
-            self.engine.counters["clv_propagations"] += len(items)
+            self.engine.counters["outside_propagations"] += len(items)
             self.engine._propagate_transposed_level(items, self.pi, out)
             for (_, u), o in zip(items, out):
                 total = ones @ u
@@ -1826,6 +1827,7 @@ class _CountContraction(_RateContraction):
         table = classification_table(bound.engine.code)
         self._masks = np.stack([table.synonymous, table.single & ~table.synonymous])
         self._labelled_basis: Dict[float, np.ndarray] = {}
+        self._gaps: Dict[float, np.ndarray] = {}
         self._frechet: Dict[Tuple[float, float], np.ndarray] = {}
 
     def _labelled(self, omega: float) -> np.ndarray:
@@ -1844,12 +1846,21 @@ class _CountContraction(_RateContraction):
     def _divided(self, omega: float, ri: int) -> np.ndarray:
         """``F_b`` of row ``ri`` under decomposition ``omega``, ``(n, n)``."""
         t = self.ev.rows[ri][2]
-        lam = self.ev.decomps[omega].eigenvalues
+        gap = self._gaps.get(omega)
+        if gap is None:
+            lam = self.ev.decomps[omega].eigenvalues
+            gap = self._gaps[omega] = np.abs(np.subtract.outer(lam, lam))
         e = self._exponentials(omega)[0][ri]
-        x = np.abs(np.subtract.outer(lam, lam)) * t
+        x = gap * t
+        g = np.expm1(-x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
-        return np.maximum.outer(e, e) * t * g
+            g /= x
+        np.negative(g, out=g)
+        g[x == 0.0] = 1.0
+        out = np.maximum.outer(e, e)
+        out *= t
+        out *= g
+        return out
 
     def _add_spectral(self, slot: tuple, omega: float, block, rows: List[int], terms) -> None:
         b = self._eigen_labelled(omega)
@@ -1858,7 +1869,8 @@ class _CountContraction(_RateContraction):
         for lo, hi in self._spans(rows):
             span = range(rows[lo], rows[hi - 1] + 1)
             w = self._w_block(omega, block, span, terms)
-            w *= np.stack([divided[ri] for ri in span])
+            for j, ri in enumerate(span):
+                w[j] *= divided[ri]
             self.totals[span.start : span.stop] += w.reshape(hi - lo, -1) @ flat
         basis_u = self._bases(omega)[0]
         for ri in rows:

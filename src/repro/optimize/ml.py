@@ -485,7 +485,11 @@ def fit_branch_site_test(
     make_bound:
         Factory mapping a model instance to a bound likelihood (so each
         hypothesis gets its own binding against the same engine/data),
-        e.g. ``lambda m: engine.bind(tree, alignment, m)``.
+        e.g. ``lambda m: engine.bind(tree, alignment, m)``.  It is called
+        once for H0, then once for H1: the binding of its last call is
+        H1's, and post-fit analyses at the H1 MLEs (``--map``, BEB) can
+        read it, its last-point memo usually still holding the fit's
+        final evaluation.
     seed:
         Start-value seed — the same integer must be given to each engine
         under comparison (paper §IV fixed-seed rule).

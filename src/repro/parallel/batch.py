@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,17 +148,19 @@ class GeneResult:
     #: treat that as the model-A default.
     model: Optional[str] = None
     #: Substitution-mapping payload
-    #: (:meth:`repro.likelihood.mapping.SubstitutionMapping.to_payload`),
-    #: attached by the coordinator after the scan
-    #: (:func:`map_survey_candidates`) — workers never map.
+    #: (:meth:`repro.likelihood.mapping.SubstitutionMapping.to_payload`):
+    #: counted by the task itself, on its own H1 binding right after the
+    #: fit, when the run's mapping rule selects it (``map_below`` of
+    #: :func:`analyze_genes`); for a row loaded from a journal without
+    #: an exact mapping, by :func:`map_survey_candidates`.
     #: ``{"error": ...}`` when mapping failed without sinking the task,
-    #: ``None`` when mapping was not requested.
+    #: ``None`` when the task was not mapped.
     mapping: Optional[Dict] = None
     #: H1 maximum-likelihood point (``{"values": {...}, "branch_lengths":
-    #: [...]}``), set on every successful task: the coordinator's mapper
-    #: re-binds each candidate at *its own* MLEs without re-fitting.
-    #: ``None`` on failed tasks and on journal records written before
-    #: every task kept it.
+    #: [...]}``), set on every successful task: the resume fallback
+    #: (:func:`map_survey_candidates`) re-binds a journalled candidate
+    #: at *its own* MLEs without re-fitting.  ``None`` on failed tasks
+    #: and on journal records written before every task kept it.
     h1_mles: Optional[Dict] = None
     #: Whether each hypothesis' fit converged (``{"h0": bool, "h1":
     #: bool}``); ``None`` on failed tasks and on pre-v9 journal records
@@ -253,6 +255,7 @@ def _build_shared_context(
     pending: Sequence["GeneJob"],
     max_iterations: int,
     model: Optional[str] = None,
+    map_below: Optional[float] = None,
 ) -> Tuple[Dict, List[Tuple[int, int]]]:
     """Deduplicate batch state and precompute per-alignment derivations.
 
@@ -301,6 +304,7 @@ def _build_shared_context(
     context = {
         "max_iterations": max_iterations,
         "model": model,
+        "map_below": map_below,
         "newicks": newicks,
         "alignments": alignments,
     }
@@ -333,12 +337,15 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
     """Worker entry point (module-level so it pickles).
 
     ``payload`` is ``(gene_id, newick_idx, fg_node, aln_idx, seed)``;
-    everything batch-constant — iteration budget, model spec, trees,
-    compressed alignments, codon frequencies — comes from the one-shot
-    ``context``.  Materialised patterns are cached in the
+    everything batch-constant — iteration budget, model spec, mapping
+    rule, trees, compressed alignments, codon frequencies — comes from
+    the one-shot ``context``.  Materialised patterns are cached in the
     context per worker process, so only the first task touching an
     alignment pays the (already cheap) rebuild; that cost is reported
-    as the ``setup_s`` metric.
+    as the ``setup_s`` metric.  A task whose χ²₁ p-value is below the
+    rule's ``map_below`` maps itself on its own H1 binding right after
+    the fit: that binding's memo still holds the fit's final
+    evaluation, at the MLEs, so the count pass runs no forward pass.
 
     Raises on failure: the fault layer (:mod:`repro.parallel.faults`)
     owns error capture, classification and retries.
@@ -358,13 +365,37 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
         tree.mark_foreground(tree.nodes[fg_node])
     spec = resolve_model_spec(context["model"])
     engine = make_engine(PIPELINE_ENGINE)
+    bindings = []
+
+    def bind(model):
+        bindings.append(engine.bind(tree, patterns, model, pi=pi))
+        return bindings[-1]
+
     test = fit_branch_site_test(
-        lambda model: engine.bind(tree, patterns, model, pi=pi),
+        bind,
         seed=seed,
         max_iterations=int(context["max_iterations"]),
         models=spec.pair(),
     )
-    return _assemble_result(gene_id, test, engine, setup_s=setup, model=spec.spec)
+    map_below = context["map_below"]
+    mapping = None
+    if map_below is not None and test.lrt.pvalue_chi2 < map_below:
+        # The fit's last binding is H1's.
+        mapping = _mapping_payload(bindings[-1], test.h1.values, test.h1.branch_lengths)
+    result = _assemble_result(gene_id, test, engine, setup_s=setup, model=spec.spec)
+    result.mapping = mapping
+    return result
+
+
+def _mapping_payload(bound, values: Dict[str, float], branch_lengths) -> Dict:
+    """The ``mapping`` payload of ``bound`` at one point; a failure
+    degrades to ``{"error": ...}`` (mapping is strictly additive)."""
+    from repro.likelihood.mapping import substitution_mapping
+
+    try:
+        return substitution_mapping(bound, values, branch_lengths=branch_lengths).to_payload()
+    except Exception as exc:  # noqa: BLE001 — mapping never sinks a task
+        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def analyze_genes(
@@ -378,6 +409,7 @@ def analyze_genes(
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
     model: Optional[str] = None,
+    map_below: Optional[float] = None,
 ) -> List[GeneResult]:
     """Run the branch-site test for every gene over an executor.
 
@@ -417,14 +449,24 @@ def analyze_genes(
         :func:`repro.models.registry.resolve_model_spec` — e.g.
         ``"bsrel:3"`` for the 6-class BS-REL test.  ``None`` keeps the
         historical model-A default (bit-identical to it).
+    map_below:
+        The run's mapping rule: a task whose χ²₁ p-value is below it
+        counts its expected substitutions on its own H1 binding right
+        after the fit (``GeneResult.mapping``).  ``math.inf`` maps every
+        task (``scan --map``), the family-wise alpha the tasks that can
+        be Holm-significant (``scan --survey --map``: a Holm-adjusted p
+        is never below the raw one), ``None`` none.
 
     Every worker runs the numerical self-healing layer (guarded
     engines, seeded optimizer restarts); whatever fired rides back on
     ``GeneResult.diagnostics``, and every engine counter — CLV reuse,
-    the ladder rungs that built the task's operators — on
-    ``GeneResult.metrics``.  Workers only fit: each successful task
-    returns its H1 MLE point on ``GeneResult.h1_mles``, from which
-    :func:`map_survey_candidates` maps afterwards.
+    the ladder rungs that built the task's operators, its count pass —
+    on ``GeneResult.metrics``.  Each successful task returns its H1 MLE
+    point on ``GeneResult.h1_mles``.  The journal's completion record
+    never carries the mapping: the caller upserts the mapped rows it
+    keeps (``scan --map`` upserts its selected rows), so a journal holds
+    one mapping-free record per task and one mapped record per kept
+    row.
 
     Returns
     -------
@@ -452,7 +494,9 @@ def analyze_genes(
 
     # One broadcast context per batch, integer indices per task (see
     # module docstring).
-    context, keys = _build_shared_context(pending_jobs, max_iterations, model=model)
+    context, keys = _build_shared_context(
+        pending_jobs, max_iterations, model=model, map_below=map_below
+    )
     payloads = [
         (job.gene_id, ni, job.fg_node, ai, s)
         for job, (ni, ai), s in zip(pending_jobs, keys, payload_seeds)
@@ -473,7 +517,7 @@ def analyze_genes(
                 result = GeneResult.from_failure(outcome.failure, worker=outcome.worker)
             results[k] = result
             if sink is not None:
-                sink.append(result)
+                sink.append(replace(result, mapping=None))
             if on_result is not None:
                 on_result(k, result)
 
@@ -531,8 +575,8 @@ class BranchScanResult:
 
         Same correction (and the same sorted-label ordering) as the
         survey report, so the labels here are exactly the rows the
-        report marks POSITIVE SELECTION — the set ``scan --survey
-        --map`` feeds the one-pass mapper.
+        report marks POSITIVE SELECTION — the rows whose mappings
+        ``scan --survey --map`` keeps.
         """
         branches = sorted(self.by_branch)
         if not branches:
@@ -590,6 +634,7 @@ def scan_branches(
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
     model: Optional[str] = None,
+    map_below: Optional[float] = None,
 ) -> BranchScanResult:
     """Test every candidate branch of one gene as foreground in turn.
 
@@ -597,6 +642,7 @@ def scan_branches(
     written by one scan resumes cleanly at branch granularity.  Failures
     are captured per branch (see :class:`BranchScanResult`); callers
     wanting the old fail-fast behaviour chain ``.raise_on_failure()``.
+    ``map_below`` is :func:`analyze_genes`' mapping rule.
     """
     candidates = [
         n for n in tree.nodes if not n.is_root and (not internal_only or not n.is_leaf)
@@ -625,6 +671,7 @@ def scan_branches(
         on_result=on_result,
         executor=executor,
         model=model,
+        map_below=map_below,
     )
     by_branch: Dict[str, LRTResult] = {}
     failures: Dict[str, TaskFailure] = {}
@@ -653,12 +700,14 @@ def map_survey_candidates(
     labels: Sequence[str],
     model: Optional[str] = None,
 ) -> Dict[str, Dict]:
-    """Map the selected scan branches in one coordinator pass.
+    """Map scan branches in the coordinator, in one pass.
 
-    Workers only fit; ``scan --map`` computes the expected substitution
-    counts afterwards, here in the coordinator, over **one** engine
-    instance — for every tested branch, or with ``--survey`` for the
-    Holm-significant ones.  What that sharing buys:
+    A fresh ``scan --map`` never calls this: each task maps itself on
+    its own H1 binding (``map_below`` of :func:`analyze_genes`).  This
+    is the resume fallback, for selected rows loaded from a journal
+    without an exact mapping — a run interrupted before its upsert, a
+    pre-v11 sampled payload, a journal written without ``--map``.  It
+    maps over **one** engine instance; what that sharing buys:
 
     * one pattern compression and one F3x4 estimate for the gene;
     * one set of leaf CLVs, threaded into every candidate binding via
@@ -677,8 +726,6 @@ def map_survey_candidates(
 
     Returns ``{branch_label: mapping payload}``.
     """
-    from repro.likelihood.mapping import substitution_mapping
-
     spec = resolve_model_spec(model)
     eng = make_engine(PIPELINE_ENGINE)
     pi = estimate_codon_frequencies(
@@ -705,13 +752,12 @@ def map_survey_candidates(
                 marked, patterns, spec.pair()[1], pi=pi,
                 leaf_clvs=shared_leaf_clvs,
             )
-            if shared_leaf_clvs is None:
-                shared_leaf_clvs = bound._leaf_clvs
-            out[label] = substitution_mapping(
-                bound,
-                res.h1_mles["values"],
-                branch_lengths=res.h1_mles["branch_lengths"],
-            ).to_payload()
         except Exception as exc:  # noqa: BLE001 — mapping is strictly additive
             out[label] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        if shared_leaf_clvs is None:
+            shared_leaf_clvs = bound._leaf_clvs
+        out[label] = _mapping_payload(
+            bound, res.h1_mles["values"], res.h1_mles["branch_lengths"]
+        )
     return out

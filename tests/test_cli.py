@@ -83,6 +83,39 @@ class TestRun:
         assert all(re.search(r", \|gradient\| = \S+", ln) for ln in optimizer_lines)
         assert not re.search(r"^  \|?grad", out, flags=re.M)
 
+    def test_run_map_and_beb_read_the_fits_h1_binding(self, tiny_dataset, capsys, monkeypatch):
+        import repro.core.engine as engine_mod
+
+        bindings, memo_hits = [], []
+        real_init = engine_mod.BoundLikelihood.__init__
+        real_counts = engine_mod.BoundLikelihood.substitution_counts
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            bindings.append(self)
+
+        def recording_counts(self, values, branch_lengths=None):
+            memo_hits.append(self._last is not None and self._last.at(values, branch_lengths))
+            return real_counts(self, values, branch_lengths)
+
+        monkeypatch.setattr(engine_mod.BoundLikelihood, "__init__", recording_init)
+        monkeypatch.setattr(engine_mod.BoundLikelihood, "substitution_counts", recording_counts)
+        rc = main(
+            [
+                "run",
+                "--seqfile", str(tiny_dataset) + ".phy",
+                "--treefile", str(tiny_dataset) + ".nwk",
+                "--max-iterations", "2", "--beb", "--map",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "Substitution mapping" in out and "positively selected sites" in out
+        # H0 and H1 only: no post-fit binding, and the count pass found
+        # the fit's final evaluation in the memo.
+        assert len(bindings) == 2
+        assert memo_hits == [True]
+
     def test_run_with_ctl(self, tiny_dataset, tmp_path, capsys):
         from repro.io.ctl import parse_ctl
 
@@ -362,6 +395,156 @@ class TestScan:
         captured = capsys.readouterr()
         assert "listening on 127.0.0.1:" in captured.err
         assert "cannot set up" in captured.err or "worker" in captured.err
+
+
+@pytest.fixture(scope="module")
+def selection_dataset(tmp_path_factory):
+    """A gene whose 2-iteration survey at alpha 0.05 has one Holm row,
+    unselected rows with raw p below alpha and rows with p above it."""
+    prefix = tmp_path_factory.mktemp("select") / "sel"
+    argv = ["simulate", "--species", "6", "--codons", "80", "--omega2", "12",
+            "--seed", "3", "--prefix", str(prefix)]
+    assert main(argv) == 0
+    return prefix
+
+
+def _survey_argv(prefix, journal, *extra):
+    return [
+        "scan", "--seqfile", f"{prefix}.phy", "--treefile", f"{prefix}.nwk",
+        "--survey", "--max-iterations", "2", "--quiet", "--journal", str(journal),
+        *extra,
+    ]
+
+
+def _journal_records(journal):
+    import json
+
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    return [r for r in records if r.get("kind") == "gene_result"]
+
+
+def _payloads(records):
+    """Label → mapping payload without its wall clock, per mapped record."""
+    out = {}
+    for record in records:
+        if record.get("mapping") is not None:
+            payload = dict(record["mapping"])
+            payload.pop("seconds", None)
+            out[record["gene_id"].split(":", 1)[1]] = payload
+    return out
+
+
+@pytest.fixture(scope="module", params=["inline", "pool"])
+def fresh_survey(request, selection_dataset, tmp_path_factory):
+    """One fresh ``scan --survey --map --journal`` run per backend, with
+    every call of the resume fallback recorded."""
+    import repro.parallel.batch as batch_mod
+
+    journal = tmp_path_factory.mktemp("fresh") / "survey.jsonl"
+    calls = []
+    real = batch_mod.map_survey_candidates
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    extra = ["--processes", "2"] if request.param == "pool" else []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch_mod, "map_survey_candidates", spy)
+        assert main(_survey_argv(selection_dataset, journal, "--map", *extra)) == 0
+    return journal, calls
+
+
+class TestScanMapsInItsTasks:
+    """``scan --map``: each task counts its substitutions on its own H1
+    binding; the coordinator re-binds nothing on a fresh run."""
+
+    def _holm_rows(self, records):
+        from repro.optimize.lrt import likelihood_ratio_test
+        from repro.parallel.batch import BranchScanResult
+
+        tests = [r for r in records if r.get("mapping") is None]
+        scan = BranchScanResult("sel", by_branch={
+            r["gene_id"].split(":", 1)[1]: likelihood_ratio_test(r["lnl0"], r["lnl1"])
+            for r in tests
+        })
+        return set(scan.holm_significant(0.05)), tests
+
+    def test_fresh_survey_never_calls_the_fallback(self, fresh_survey):
+        _, calls = fresh_survey
+        assert calls == []
+
+    def test_task_mappings_equal_the_fallbacks(self, fresh_survey, selection_dataset):
+        from repro.io.results_io import ResultJournal
+        from repro.parallel.batch import BranchScanResult, map_survey_candidates
+
+        journal, _ = fresh_survey
+        records = _journal_records(journal)
+        holm, _ = self._holm_rows(records)
+        assert holm
+        scan = BranchScanResult(
+            "sel", by_branch={},
+            gene_results=list(ResultJournal(str(journal)).completed().values()),
+        )
+        expected = map_survey_candidates(
+            "sel", _read_tree(f"{selection_dataset}.nwk"),
+            read_alignment(f"{selection_dataset}.phy"), scan, sorted(holm),
+        )
+        for payload in expected.values():
+            assert payload["method"] == "exact"
+            payload.pop("seconds")
+        assert _payloads(records) == expected
+
+    def test_journal_holds_one_test_per_task_and_one_mapping_per_holm_row(
+        self, fresh_survey, selection_dataset
+    ):
+        journal, _ = fresh_survey
+        records = _journal_records(journal)
+        holm, tests = self._holm_rows(records)
+        tree = _read_tree(f"{selection_dataset}.nwk")
+        assert sorted(r["gene_id"] for r in tests) == sorted(
+            f"sel:{n.name or f'node#{n.index}'}" for n in tree.nodes if not n.is_root
+        )
+        mapped = [r for r in records if r.get("mapping") is not None]
+        assert sorted(r["gene_id"].split(":", 1)[1] for r in mapped) == sorted(holm)
+        assert all(r["mapping"]["method"] == "exact" for r in mapped)
+        # The mapped record repeats the task's test record, mapping aside.
+        test_of = {r["gene_id"]: r for r in tests}
+        for record in mapped:
+            assert dict(record, mapping=None) == test_of[record["gene_id"]]
+
+    def test_survey_maps_only_tasks_below_alpha(self, selection_dataset, tmp_path):
+        from repro.io.results_io import ResultJournal
+        from repro.parallel.batch import scan_branches
+
+        journal = tmp_path / "lib.jsonl"
+        scan = scan_branches(
+            "sel", _read_tree(f"{selection_dataset}.nwk"),
+            read_alignment(f"{selection_dataset}.phy"),
+            max_iterations=2, journal=str(journal), map_below=0.05,
+        )
+        assert scan.ok
+        below = [r for r in scan.gene_results if r.pvalue < 0.05]
+        above = [r for r in scan.gene_results if r.pvalue >= 0.05]
+        # More rows pass the raw rule than Holm selects.
+        assert len(below) > len(scan.holm_significant(0.05)) > 0 and above
+        assert all(r.mapping["method"] == "exact" for r in below)
+        assert all(r.mapping is None for r in above)
+        # The completion records never carry the mapping.
+        assert all(r.mapping is None for r in ResultJournal(str(journal)).load())
+
+    def test_resume_maps_an_unmapped_journal_like_a_fresh_run(
+        self, fresh_survey, selection_dataset, tmp_path, capsys
+    ):
+        fresh_journal, _ = fresh_survey
+        journal = tmp_path / "plain.jsonl"
+        assert main(_survey_argv(selection_dataset, journal)) == 0
+        assert not _payloads(_journal_records(journal))
+        capsys.readouterr()
+        assert main(_survey_argv(selection_dataset, journal, "--map", "--resume")) == 0
+        holm = _payloads(_journal_records(fresh_journal))
+        assert _payloads(_journal_records(journal)) == holm
+        assert "substitution mapping" in capsys.readouterr().out
 
 
 class TestWorkerCommand:

@@ -581,11 +581,12 @@ class TestDistributedAcceptance:
         assert any(r.worker and r.worker.startswith("w") for r in via_socket)
 
     def test_map_payloads_bit_identical_across_backends(self, gene):
-        """Workers only fit and keep their H1 MLEs; ``--map`` then maps
-        in the coordinator.  The kept MLEs cannot depend on which process
-        ran the task — inline, pool and socket backends must return
-        bit-identical ``h1_mles`` — and so neither can the mappings
-        computed from each backend's results (timing aside)."""
+        """Every task keeps its H1 MLEs, from which the resume fallback
+        (:func:`map_survey_candidates`) maps in the coordinator.  The
+        kept MLEs cannot depend on which process ran the task — inline,
+        pool and socket backends must return bit-identical ``h1_mles`` —
+        and so neither can the mappings computed from each backend's
+        results (timing aside)."""
         from repro.parallel.batch import map_survey_candidates, scan_branches
 
         tree, alignment = gene

@@ -247,12 +247,12 @@ def test_full_share_reuses_base_ratios(small_tree, small_sim, h0_model, bsm_valu
     values = _h0_values(bsm_values)
     assert_gradient_agrees(bound, values, branches=range(bound.n_branches))
     bound.log_likelihood(values)
-    before = engine.counters["clv_propagations"]
+    before = engine.counters["outside_propagations"]
     bound.gradient(values)
     graph = h0_model.site_class_graph(values)
     plans = graph.plan(skip_zero=True)
     assert [(p.mode, p.full_share) for p in plans][3] == ("derive", True)
-    grown = engine.counters["clv_propagations"] - before
+    grown = engine.counters["outside_propagations"] - before
     assert grown == _gradient_applications(bound, graph, plans[:3])
     assert grown == _gradient_applications(bound, graph, plans)
 
@@ -530,13 +530,40 @@ def test_gradient_after_evaluation_runs_no_forward_pass(
     # No forward operator was built and no inside CLV re-propagated:
     # every application is an outside or a derivative one.
     for key in ("operator_builds", "operator_builds_naive", "operator_build_saves",
-                "clv_reuses", "eigh_s"):
+                "clv_propagations", "clv_reuses", "eigh_s"):
         assert engine.counters.get(key) == before.get(key), key
     graph = h1_model.site_class_graph(bsm_values)
-    grown = engine.counters["clv_propagations"] - before["clv_propagations"]
+    grown = engine.counters["outside_propagations"] - before["outside_propagations"]
     assert grown == _gradient_applications(bound, graph, graph.plan(skip_zero=True))
     assert engine.counters["gradient_passes"] == before["gradient_passes"] + 1
     assert engine.counters["gradient_s"] > before["gradient_s"]
+
+
+def test_outside_applications_have_their_own_counter(small_tree, small_sim, h1_model, bsm_values):
+    # ``clv_propagations`` is the forward pass's figure (the survey's
+    # ``clv reuse`` line reads it): a gradient pass leaves it alone and
+    # counts its applications as ``outside_propagations``.
+    engine = make_engine("slim-v2")
+    bound = engine.bind(small_tree, small_sim.alignment, h1_model)
+    bound.log_likelihood(bsm_values)
+    forward = engine.counters["clv_propagations"]
+    assert forward > 0 and engine.counters["outside_propagations"] == 0
+    bound.gradient(bsm_values)
+    graph = h1_model.site_class_graph(bsm_values)
+    assert engine.counters["clv_propagations"] == forward
+    assert engine.counters["outside_propagations"] == _gradient_applications(
+        bound, graph, graph.plan(skip_zero=True)
+    )
+    # Ancestral reconstruction's per-class pass counts there too: one
+    # application per non-root internal node.
+    ev = bound.class_evaluation(bsm_values)
+    forward = engine.counters["clv_propagations"]
+    before = engine.counters["outside_propagations"]
+    bound.outside_vectors(ev, 0)
+    assert engine.counters["clv_propagations"] == forward
+    assert engine.counters["outside_propagations"] - before == sum(
+        len(level) for level in bound._schedule.levels[1:]
+    )
 
 
 def test_substitution_counts_take_the_grouped_recursion(small_tree, small_sim, h1_model, bsm_values):
@@ -548,8 +575,9 @@ def test_substitution_counts_take_the_grouped_recursion(small_tree, small_sim, h
     before = dict(engine.counters)
     bound.substitution_counts(bsm_values)
     assert engine.counters["operator_builds"] == before["operator_builds"]
+    assert engine.counters["clv_propagations"] == before["clv_propagations"]
     graph = h1_model.site_class_graph(bsm_values)
-    grown = engine.counters["clv_propagations"] - before["clv_propagations"]
+    grown = engine.counters["outside_propagations"] - before["outside_propagations"]
     assert grown == _gradient_applications(bound, graph, graph.plan(skip_zero=True))
 
 

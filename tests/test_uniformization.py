@@ -309,7 +309,7 @@ class TestFaultInjectedScan:
             assert all(
                 ev["context"]["path"] == "pade" for ev in fallback_events
             )
-        # --map in the coordinator, at every task's kept H1 MLEs, maps
+        # The coordinator's fallback mapper, at every task's kept H1 MLEs, maps
         # with no eigensystem (expm_frechet per row): no error payload,
         # real per-branch event rows.
         payloads = map_survey_candidates("faulted", tree, alignment, scan, list(scan.by_branch))
