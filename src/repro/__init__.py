@@ -27,7 +27,7 @@ paper-versus-measured record.
 """
 
 from repro.alignment.msa import CodonAlignment
-from repro.alignment.parsers import read_alignment, read_fasta, read_phylip
+from repro.alignment.parsers import read_alignment
 from repro.alignment.patterns import compress_patterns
 from repro.alignment.simulate import simulate_alignment
 from repro.codon.frequencies import estimate_codon_frequencies
@@ -48,13 +48,11 @@ from repro.core.expm import (
 )
 from repro.datasets import make_dataset, species_sweep_dataset
 from repro.likelihood.ancestral import marginal_reconstruction
-from repro.models.branch import TwoRatioModel
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.m0 import M0Model
-from repro.models.sites import M1aModel, M2aModel
 from repro.optimize.beb import beb_site_probabilities, neb_site_probabilities
 from repro.optimize.lrt import likelihood_ratio_test
-from repro.optimize.ml import fit_branch_site_test, fit_model, fit_sites_test
+from repro.optimize.ml import fit_branch_site_test, fit_model
 from repro.trees.newick import parse_newick, write_newick
 from repro.trees.prune import prune_to_taxa
 from repro.trees.simulate import simulate_yule_tree
@@ -70,13 +68,10 @@ __all__ = [
     "CodonAlignment",
     "LikelihoodEngine",
     "M0Model",
-    "M1aModel",
-    "M2aModel",
     "Node",
     "SlimEngine",
     "SlimV2Engine",
     "Tree",
-    "TwoRatioModel",
     "UNIVERSAL",
     "__version__",
     "beb_site_probabilities",
@@ -85,7 +80,6 @@ __all__ = [
     "estimate_codon_frequencies",
     "fit_branch_site_test",
     "fit_model",
-    "fit_sites_test",
     "get_genetic_code",
     "likelihood_ratio_test",
     "make_dataset",
@@ -95,8 +89,6 @@ __all__ = [
     "parse_newick",
     "prune_to_taxa",
     "read_alignment",
-    "read_fasta",
-    "read_phylip",
     "relative_difference",
     "simulate_alignment",
     "simulate_yule_tree",

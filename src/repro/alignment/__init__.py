@@ -9,13 +9,7 @@ datasets (see DESIGN.md §5).
 """
 
 from repro.alignment.msa import CodonAlignment, MISSING, AMBIGUOUS
-from repro.alignment.parsers import (
-    read_alignment,
-    read_fasta,
-    read_phylip,
-    write_fasta,
-    write_phylip,
-)
+from repro.alignment.parsers import read_alignment, write_fasta, write_phylip
 from repro.alignment.patterns import PatternAlignment, compress_patterns
 from repro.alignment.simulate import simulate_alignment
 
@@ -26,8 +20,6 @@ __all__ = [
     "PatternAlignment",
     "compress_patterns",
     "read_alignment",
-    "read_fasta",
-    "read_phylip",
     "simulate_alignment",
     "write_fasta",
     "write_phylip",

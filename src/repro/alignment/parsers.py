@@ -8,25 +8,18 @@ pipelines use.  ``read_alignment`` sniffs the format from the content.
 from __future__ import annotations
 
 import os
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.alignment.msa import CodonAlignment
 from repro.codon.genetic_code import GeneticCode, UNIVERSAL
 
 __all__ = [
     "read_alignment",
-    "read_fasta",
-    "read_phylip",
     "write_fasta",
     "write_phylip",
 ]
 
 PathLike = Union[str, os.PathLike]
-
-
-def _read_text(source: PathLike) -> str:
-    with open(source, "r", encoding="utf-8") as handle:
-        return handle.read()
 
 
 # ----------------------------------------------------------------------
@@ -55,12 +48,6 @@ def parse_fasta_text(text: str) -> Tuple[List[str], List[str]]:
     if not names:
         raise ValueError("no FASTA records found")
     return names, ["".join(c) for c in chunks]
-
-
-def read_fasta(source: PathLike, code: GeneticCode = UNIVERSAL, **kwargs) -> CodonAlignment:
-    """Read a FASTA file into a :class:`CodonAlignment`."""
-    names, seqs = parse_fasta_text(_read_text(source))
-    return CodonAlignment.from_sequences(names, seqs, code=code, **kwargs)
 
 
 def write_fasta(alignment: CodonAlignment, destination: PathLike, width: int = 60) -> None:
@@ -160,12 +147,6 @@ def _looks_like_named_line(line: str, n_chars: int) -> bool:
     return not all(ch in residue_chars for ch in token)
 
 
-def read_phylip(source: PathLike, code: GeneticCode = UNIVERSAL, **kwargs) -> CodonAlignment:
-    """Read a PHYLIP file into a :class:`CodonAlignment`."""
-    names, seqs = parse_phylip_text(_read_text(source))
-    return CodonAlignment.from_sequences(names, seqs, code=code, **kwargs)
-
-
 def write_phylip(alignment: CodonAlignment, destination: PathLike) -> None:
     """Write sequential PHYLIP the way PAML expects (two-space separator)."""
     seqs = alignment.to_sequences()
@@ -178,7 +159,8 @@ def write_phylip(alignment: CodonAlignment, destination: PathLike) -> None:
 
 def read_alignment(source: PathLike, code: GeneticCode = UNIVERSAL, **kwargs) -> CodonAlignment:
     """Read FASTA or PHYLIP, sniffing the format from the first character."""
-    text = _read_text(source)
+    with open(source, "r", encoding="utf-8") as handle:
+        text = handle.read()
     stripped = text.lstrip()
     if stripped.startswith(">"):
         names, seqs = parse_fasta_text(text)

@@ -742,8 +742,10 @@ class BoundLikelihood:
         ]
         #: Rows whose contribution can differ between classes that share
         #: their background operators: the foreground rows and the rows
-        #: above them (DESIGN.md §9), and the nodes those rows hang from.
-        self._path = frozenset(compute_recompute_rows(self._rows, set(self._fg_children)))
+        #: above them (DESIGN.md §9), which a derived class's pass
+        #: recomputes, and the nodes those rows hang from.
+        self._path_rows = compute_recompute_rows(self._rows, set(self._fg_children))
+        self._path = frozenset(self._path_rows)
         self._path_parents = {self._rows[ri][1] for ri in self._path}
 
     @property
@@ -781,9 +783,6 @@ class BoundLikelihood:
         return np.asarray(branch_lengths, dtype=float)
 
     # ------------------------------------------------------------------
-    def _note_reuse(self, contribution: np.ndarray) -> None:
-        self.engine.counters["clv_reuses"] += 1
-
     def _skipped_class_result(self) -> PruningResult:
         """Placeholder for a zero-weight class skipped without operators.
 
@@ -867,8 +866,8 @@ class BoundLikelihood:
                 context={"site_class": cls.label, "engine": engine.name},
             )
 
-        # Plan: per-class evaluation mode (skipped classes cannot anchor
-        # a sharing edge).
+        # Plan: per-class evaluation mode and base (the graph's plan is
+        # the only place class sharing is derived).
         plans = graph.plan(skip_zero=skip_zero)
 
         def pair(cls: SiteClass) -> Tuple[float, float]:
@@ -885,30 +884,33 @@ class BoundLikelihood:
             omega: opset for omega, opset in base.opsets.items() if omega in matrices
         }
 
-        def dirty_for(plan: ClassPlan) -> Optional[set]:
-            if plan.mode == "derive":
-                return set() if plan.full_share else set(self._fg_children)
-            return None
+        # Each pass's recomputed rows: all of them for a populating pass,
+        # the foreground path for a derived one, none for a full share.
+        every_row = compute_recompute_rows(rows, None)
+        recompute: Dict[int, List[int]] = {
+            plan.index: every_row if plan.mode == "populate"
+            else [] if plan.full_share else self._path_rows
+            for plan in plans
+            if plan.mode != "skip" and plan.index not in reused
+        }
 
         # Aggregate the distinct (ω, t) operators those passes will ask
-        # for; duplicate requests (graph-edge-tied classes, equal branch
+        # for; duplicate requests (classes the plan ties, equal branch
         # lengths) are built once and counted as build saves.  The
         # naive ledger records the per-class-independent baseline — each
         # class pruning every row with only its own operator memo, i.e.
-        # evaluation without the class graph's sharing edges — so
+        # evaluation without the plan's sharing — so
         # ``1 − builds/naive`` is the dedupe saving.
         requested: Dict[float, List[float]] = {}
         seen: set = set()
         counters = engine.counters
-        for plan in plans:
-            if plan.mode == "skip" or plan.index in reused:
-                continue
-            cls = graph.nodes[plan.index]
+        for idx, recomputed in recompute.items():
+            cls = graph.nodes[idx]
             counters["operator_builds_naive"] += len({
                 (cls.omega_foreground if fg else cls.omega_background, t)
                 for _, _, t, fg in rows
             })
-            for ri in compute_recompute_rows(rows, dirty_for(plan)):
+            for ri in recomputed:
                 child, parent, t, fg = rows[ri]
                 omega = cls.omega_foreground if fg else cls.omega_background
                 key = (omega, t)
@@ -953,8 +955,9 @@ class BoundLikelihood:
             results.append(prune_site_class_batched(
                 rows, self._schedule, self._leaf_clvs, factory_for(cls),
                 self._propagate_level, state, guard=guard_for(cls),
-                dirty=dirty_for(plan), on_reuse=self._note_reuse,
+                recompute=recompute[idx],
             ))
+            counters["clv_reuses"] += len(rows) - len(recompute[idx])
             states[idx] = state
         self._last = ClassEvaluation(
             values=dict(values),

@@ -19,9 +19,10 @@ A :class:`PruningState` keeps every node's CLV, every branch's
 propagated contribution, and every node's per-pattern rescale vector;
 each evaluation fills fresh states.
 
-Dirty-path mode updates a filled state: given the set of branches whose
-operator differs, only CLVs on the paths from those branches to the root
-are recomputed; everything else is served from the state buffers.  The
+Partial mode updates a filled state: given the branch-table rows to
+recompute (:func:`compute_recompute_rows` of the branches whose operator
+differs), only those rows re-propagate and only the nodes they feed are
+rebuilt; everything else is served from the state buffers.  The
 recomputation replays the *same* arithmetic in the *same* order as a
 full pass (child contributions multiplied in branch-table row order,
 rescale vectors summed in node completion order), so its results are
@@ -29,15 +30,17 @@ bit-identical to full re-pruning.
 
 This layer is class-structure agnostic: which passes run, which states
 alias another class's buffers (via :meth:`PruningState.derive`), and
-which branch set is ``dirty`` are all decided above, by the planner on
-the model's :class:`~repro.models.class_graph.SiteClassGraph` — a
-sharing edge maps to ``derive()`` plus a foreground-path (or empty)
-dirty set.  See DESIGN.md §11.
+which rows each pass recomputes are all decided above, by the
+evaluator on the plan of the model's
+:class:`~repro.models.class_graph.SiteClassGraph` — a derived class
+maps to ``derive()`` plus the foreground path's rows (or none).
+:func:`compute_recompute_rows` is the one rule that turns changed
+branches into recomputed rows.  See DESIGN.md §11.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -118,82 +121,32 @@ def build_leaf_clvs(alignment: CodonAlignment) -> List[np.ndarray]:
 class PruningState:
     """Per-class pruning buffers: inside CLVs, contributions, rescale vectors.
 
-    Stored arrays are treated as **immutable** once written: a
-    dirty-path pass that recomputes a node always allocates fresh
-    arrays, so states derived via :meth:`derive` (cross-class aliasing)
-    can safely share buffers with their base state, and the branch
-    gradient can read a finished evaluation's states.
-
-    ``children`` (each node's child list in branch-table row order) and
-    ``completion_order`` (the order internal nodes complete in a
-    post-order pass) are static given the branch table; recording them
-    lets a dirty-path pass rebuild a node's CLV with the exact
-    multiplication order of a full pass and re-sum the per-node rescale
-    vectors in the exact float addition order — the two invariants that
-    make dirty-path results bit-identical to full re-pruning.
+    All three lists are indexed by node.  Stored arrays are treated as
+    **immutable** once written: a partial pass that recomputes a node
+    always allocates fresh arrays, so states derived via :meth:`derive`
+    (cross-class aliasing) can safely share buffers with their base
+    state, and the branch gradient can read a finished evaluation's
+    states.
     """
 
-    n_nodes: int
     #: Per-node CLV after rescaling (leaves alias their leaf CLVs).
-    clvs: List[Optional[np.ndarray]] = field(default_factory=list)
+    clvs: List[Optional[np.ndarray]]
     #: Per-child-node propagated contribution along the branch above it.
-    contributions: List[Optional[np.ndarray]] = field(default_factory=list)
+    contributions: List[Optional[np.ndarray]]
     #: Per-node log rescale vector; ``None`` = no rescaling fired there.
-    scalers: List[Optional[np.ndarray]] = field(default_factory=list)
-    #: Per-node children in branch-table row order (static).
-    children: List[List[int]] = field(default_factory=list)
-    #: Internal nodes in the order a post-order pass completes them.
-    completion_order: List[int] = field(default_factory=list)
-    root_index: int = -1
-    #: True once a populating pass has filled every buffer.
-    ready: bool = False
+    scalers: List[Optional[np.ndarray]]
 
     @classmethod
     def empty(cls, n_nodes: int) -> "PruningState":
-        return cls(
-            n_nodes=n_nodes,
-            clvs=[None] * n_nodes,
-            contributions=[None] * n_nodes,
-            scalers=[None] * n_nodes,
-            children=[[] for _ in range(n_nodes)],
-        )
+        return cls(clvs=[None] * n_nodes, contributions=[None] * n_nodes, scalers=[None] * n_nodes)
 
     def derive(self) -> "PruningState":
         """A shallow copy sharing all arrays — mutate lists, not buffers."""
         return PruningState(
-            n_nodes=self.n_nodes,
             clvs=list(self.clvs),
             contributions=list(self.contributions),
             scalers=list(self.scalers),
-            children=self.children,
-            completion_order=self.completion_order,
-            root_index=self.root_index,
-            ready=self.ready,
         )
-
-    def missing_nodes(self) -> List[int]:
-        """Node indices whose CLV is still unfilled.
-
-        A populating pass fills every node; the post-fit analyses read
-        any of them, so a non-empty list after one names the nodes a
-        pass left unfilled.
-        """
-        return [i for i, clv in enumerate(self.clvs) if clv is None]
-
-    def total_log_scalers(self, n_patterns: int) -> np.ndarray:
-        """Sum per-node rescale vectors in completion order.
-
-        A full pass adds each firing node's vector into a zero
-        accumulator as the node completes; iterating
-        ``completion_order`` replays those additions operand-for-operand,
-        so the float result is identical.
-        """
-        total = np.zeros(n_patterns)
-        for node in self.completion_order:
-            vec = self.scalers[node]
-            if vec is not None:
-                total += vec
-        return total
 
 
 def _complete_node(
@@ -339,13 +292,14 @@ def compute_recompute_rows(
     branch_table: Sequence[Tuple[int, int, object, object]],
     dirty: Optional[Set[int]],
 ) -> List[int]:
-    """Row indices the dirty-path recurrence recomputes for ``dirty``.
+    """Rows to recompute when the branches above the ``dirty`` nodes change.
 
-    Replays exactly the dirty recurrence of
-    :func:`prune_site_class_batched` (a branch is recomputed iff its
-    child is dirty or its child's CLV changed), so the evaluator can
-    plan the operator set an evaluation will need *before* pruning
-    starts.  ``dirty=None`` means every branch.
+    The one rule for which rows a pass recomputes: a branch is
+    recomputed iff its child is dirty or its child's CLV changed.  The
+    evaluator calls it while it plans the operator set an evaluation
+    will need, and hands the same list to
+    :func:`prune_site_class_batched`.  ``dirty=None`` means every
+    branch.
     """
     if dirty is None:
         return list(range(len(branch_table)))
@@ -373,6 +327,24 @@ def _complete_from_children(
     state.scalers[parent] = _complete_node(node_clv, parent, scale_threshold, guard)
 
 
+def _total_log_scalers(
+    state: PruningState, schedule: LevelSchedule, n_patterns: int
+) -> np.ndarray:
+    """Sum per-node rescale vectors in completion order.
+
+    A sequential pass adds each firing node's vector into a zero
+    accumulator as the node completes; iterating the schedule's
+    ``completion_order`` replays those additions operand-for-operand,
+    so the float result is identical.
+    """
+    total = np.zeros(n_patterns)
+    for node in schedule.completion_order:
+        vec = state.scalers[node]
+        if vec is not None:
+            total += vec
+    return total
+
+
 def prune_site_class_batched(
     branch_table: Sequence[Tuple[int, int, float, bool]],
     schedule: LevelSchedule,
@@ -382,8 +354,7 @@ def prune_site_class_batched(
     state: PruningState,
     guard: PruningGuard,
     scale_threshold: float = SCALE_THRESHOLD,
-    dirty: Optional[Set[int]] = None,
-    on_reuse: Optional[Callable[[np.ndarray], None]] = None,
+    recompute: Optional[Sequence[int]] = None,
 ) -> PruningResult:
     """Level-order pruning pass for a single site class.
 
@@ -399,55 +370,44 @@ def prune_site_class_batched(
     transition_factory, propagate_level:
         Engine kernels (see module type aliases).
     state:
-        An unready (:meth:`PruningState.empty`) state is populated by a
-        full pass; a ready one is updated in place along the paths from
-        ``dirty`` to the root.
+        Filled in place: an empty (:meth:`PruningState.empty`) state by
+        a full pass, a filled one along ``recompute``.
     guard:
         The :class:`~repro.core.recovery.PruningGuard` checking each
         completed node's CLV (see :func:`_complete_node`).
-    dirty:
-        With a ready ``state``: the child-node indices of branches whose
-        operator (length or rate parameters) changed since the state was
-        filled.  ``None`` means every branch is dirty.
-    on_reuse:
-        With a ready ``state``: called once per branch application served
-        from the buffers instead of recomputed (receives the cached
-        contribution, for saved-work accounting).
+    recompute:
+        The branch-table rows to recompute, as
+        :func:`compute_recompute_rows` derives them; ``None`` means every
+        row, which an empty state needs.
 
-    A branch's contribution is recomputed iff the branch itself is dirty
-    or its child's CLV changed; a node's CLV is rebuilt iff any incoming
-    contribution changed, from fresh arrays (shared buffers are never
-    mutated).  See the section comment above for the two order
-    invariants that make the result bit-identical to a sequential pass.
+    A node's CLV is rebuilt iff one of its incoming rows is recomputed,
+    from fresh arrays (shared buffers are never mutated).  See the
+    section comment above for the two order invariants that make the
+    result bit-identical to a sequential pass.
     """
     n_patterns = leaf_clvs[0].shape[1]
-    if not state.ready:
-        for i in range(len(leaf_clvs)):
-            state.clvs[i] = leaf_clvs[i]
-        # The schedule's static lists are shared (never mutated after build).
-        state.children = schedule.children
-        state.completion_order = schedule.completion_order
-        state.root_index = schedule.root_index
-        dirty = None
-    dirty_children = dirty if dirty is not None else {c for c, _, _, _ in branch_table}
-    changed = bytearray(state.n_nodes)
+    n_rows = len(branch_table)
+    if recompute is None:
+        recompute = range(n_rows)
+    elif len(recompute) < n_rows and state.clvs[schedule.root_index] is None:
+        raise ValueError("an empty pruning state needs every row recomputed")
+    state.clvs[: len(leaf_clvs)] = leaf_clvs
+    redo = bytearray(n_rows)
+    rebuild = bytearray(schedule.n_nodes)
+    for ri in recompute:
+        redo[ri] = 1
+        rebuild[branch_table[ri][1]] = 1
 
     n_phases = max(len(schedule.levels), len(schedule.complete_at))
     for h in range(n_phases):
         if h < len(schedule.complete_at):
             for parent in schedule.complete_at[h]:
-                if changed[parent]:
+                if rebuild[parent]:
                     _complete_from_children(
-                        state, parent, state.children[parent], scale_threshold, guard
+                        state, parent, schedule.children[parent], scale_threshold, guard
                     )
         if h < len(schedule.levels):
-            todo: List[int] = []
-            for ri in schedule.levels[h]:
-                child = branch_table[ri][0]
-                if child in dirty_children or changed[child]:
-                    todo.append(ri)
-                elif on_reuse is not None:
-                    on_reuse(state.contributions[child])
+            todo = [ri for ri in schedule.levels[h] if redo[ri]]
             if todo:
                 items = [
                     (transition_factory(branch_table[ri][2], branch_table[ri][3]),
@@ -457,11 +417,9 @@ def prune_site_class_batched(
                 contributions = propagate_level(items)
                 for ri, contribution in zip(todo, contributions):
                     state.contributions[branch_table[ri][0]] = contribution
-                    changed[branch_table[ri][1]] = 1
 
-    state.ready = True
-    root_clv = state.clvs[state.root_index]
+    root_clv = state.clvs[schedule.root_index]
     assert root_clv is not None
     return PruningResult(
-        root_clv=root_clv, log_scalers=state.total_log_scalers(n_patterns)
+        root_clv=root_clv, log_scalers=_total_log_scalers(state, schedule, n_patterns)
     )

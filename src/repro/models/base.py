@@ -96,8 +96,9 @@ class CodonSiteModel:
         """The validated class graph for the given parameter values.
 
         Default: build the graph straight from :meth:`site_classes`.
-        Sharing edges are *derived* from operator identity (equal ω per
-        branch partition), so models never declare alias pairs by hand.
+        Class sharing is *derived* from operator identity (equal ω per
+        branch partition) by :meth:`SiteClassGraph.plan`, so models
+        never declare alias pairs by hand.
         """
         from repro.models.class_graph import SiteClassGraph
 
@@ -134,19 +135,6 @@ class CodonSiteModel:
         if not np.isclose(props.sum(), 1.0):
             raise AssertionError(f"{self.name}: class proportions sum to {props.sum()}")
         return props
-
-    def distinct_omegas(self, values: Dict[str, float]) -> List[float]:
-        """Sorted distinct ω values across classes and branch categories.
-
-        The engines build one spectral decomposition per entry — for the
-        branch-site model that is at most three (ω0, 1, ω2) no matter how
-        large the tree (paper §II-C1).
-        """
-        seen = set()
-        for cls in self.site_classes(values):
-            seen.add(round(cls.omega_background, 15))
-            seen.add(round(cls.omega_foreground, 15))
-        return sorted(seen)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(params={list(self.param_names)})"

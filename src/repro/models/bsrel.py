@@ -23,7 +23,7 @@ is the bit-identity hook ``tests/test_bsrel.py`` pins.
 
 The H0/H1 pair mirrors model A: H1 estimates ω_fg ≥ 1, H0 fixes
 ω_fg = 1 (one degree of freedom).  Affordability at larger K comes from
-the site-class graph: every selected class rides a sharing edge to its
+the site-class graph: its plan derives every selected class from its
 base class (same background decomposition), so of 2K pruning passes K
 alias existing CLVs and the batched operator ledger dedupes their
 background builds.

@@ -1,4 +1,4 @@
-"""The site-class graph: N mixture classes plus derived sharing edges.
+"""The site-class graph: N mixture classes and their per-evaluation plan.
 
 Every layer of the mixture stack used to special-case the branch-site
 model A's four classes — literal ``"0"/"1"/"2a"/"2b"`` names and the
@@ -7,23 +7,24 @@ that shape with a model-agnostic graph:
 
 * **Nodes** are :class:`repro.models.base.SiteClass` values — a weight
   plus one ω per branch partition (background / foreground).
-* **Sharing edges** are *derived* from operator identity, never
-  declared: class *i* can alias class *j*'s conditional vectors exactly
-  when every transition operator the two pruning passes apply to a
-  branch is the same object.  Operators are keyed by (decomposition, t),
-  and :func:`repro.models.scaling.build_class_matrices` pools the rate
+* **Sharing** is *derived* from operator identity, never declared, and
+  only by :meth:`SiteClassGraph.plan`: class *i* can alias class *j*'s
+  conditional vectors exactly when every transition operator the two
+  pruning passes apply to a branch is the same object.  Operators are
+  keyed by (decomposition, t), and
+  :func:`repro.models.scaling.build_class_matrices` pools the rate
   matrices of both branch categories per distinct ω — so "same operator
   on every background branch" reduces to ``omega_background`` equality,
-  and the alias is *total* when ``omega_foreground`` matches too.  An
-  edge therefore means "bit-identical CLVs on every subtree not
-  containing the foreground branch" (partial share: re-prune only the
-  foreground-to-root path) or "bit-identical everywhere" (full share).
+  and the alias is *total* when ``omega_foreground`` matches too.  A
+  derived class therefore has bit-identical CLVs on every subtree not
+  containing the foreground branch (partial share: re-prune only the
+  foreground-to-root path) or everywhere (full share).
 
 For model A this derivation reproduces the historical pairs — 0↔2a and
 1↔2b share backgrounds always, and 1↔2b becomes a full share under H0
 where ω2 is fixed to 1 — but it holds for any N-class mixture, which is
 what makes the BS-REL family (``models/bsrel.py``) affordable: of 2K
-classes, K ride sharing edges.
+classes, K derive from a base.
 
 The graph also owns weight validation (finite, in [0, 1], summing to 1)
 so malformed proportions raise here, at the model boundary, instead of
@@ -40,25 +41,7 @@ import numpy as np
 
 from repro.models.base import SiteClass
 
-__all__ = ["SharingEdge", "ClassPlan", "SiteClassGraph"]
-
-#: Evaluation modes a planned class pass can take (see :meth:`SiteClassGraph.plan`).
-_MODES = ("skip", "derive", "populate")
-
-
-@dataclass(frozen=True)
-class SharingEdge:
-    """A derived alias edge: ``target`` can reuse ``base``'s CLV state.
-
-    ``full`` is True when the foreground operators match too, i.e. the
-    target's entire pruning pass is bit-identical to the base's and no
-    branch needs re-pruning at all.
-    """
-
-    target: int
-    base: int
-    full: bool
-
+__all__ = ["ClassPlan", "SiteClassGraph"]
 
 @dataclass(frozen=True)
 class ClassPlan:
@@ -77,14 +60,12 @@ class ClassPlan:
 
 
 class SiteClassGraph:
-    """Validated site-class nodes plus operator-identity sharing edges."""
+    """Validated site-class nodes and their operator-identity plan."""
 
-    __slots__ = ("nodes", "edges", "_index_of")
+    __slots__ = ("nodes",)
 
-    def __init__(self, nodes: Tuple[SiteClass, ...], edges: Tuple[Optional[SharingEdge], ...]):
+    def __init__(self, nodes: Tuple[SiteClass, ...]):
         self.nodes = nodes
-        self.edges = edges
-        self._index_of: Dict[str, int] = {cls.label: i for i, cls in enumerate(nodes)}
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -118,20 +99,7 @@ class SiteClassGraph:
                 f"site-class proportions sum to {total!r}, not 1 "
                 f"(classes {[n.label for n in nodes]})"
             )
-
-        # Derive sharing edges: the base of class i is the *first* class
-        # with the same background ω (hence the same pooled decomposition
-        # and the same operator on every background branch).
-        edges: List[Optional[SharingEdge]] = []
-        first_with_bg: Dict[float, int] = {}
-        for i, node in enumerate(nodes):
-            base = first_with_bg.setdefault(node.omega_background, i)
-            if base == i:
-                edges.append(None)
-            else:
-                full = node.omega_foreground == nodes[base].omega_foreground
-                edges.append(SharingEdge(target=i, base=base, full=full))
-        return cls(nodes, tuple(edges))
+        return cls(nodes)
 
     # -- node views -----------------------------------------------------
     @property
@@ -147,15 +115,6 @@ class SiteClassGraph:
         """Class weights as a float array (validated to sum to 1)."""
         return np.array([node.proportion for node in self.nodes], dtype=float)
 
-    def index_of(self, label: str) -> int:
-        """Index of the class named ``label`` (raises ``KeyError``)."""
-        try:
-            return self._index_of[label]
-        except KeyError:
-            raise KeyError(
-                f"no site class labelled {label!r}; have {list(self._index_of)}"
-            ) from None
-
     @property
     def positive_indices(self) -> Tuple[int, ...]:
         """Indices of classes flagged as potentially under positive selection."""
@@ -165,31 +124,19 @@ class SiteClassGraph:
     def positive_labels(self) -> Tuple[str, ...]:
         return tuple(self.nodes[i].label for i in self.positive_indices)
 
-    def distinct_omegas(self) -> List[float]:
-        """Sorted distinct ω values across classes and branch partitions."""
-        seen = set()
-        for node in self.nodes:
-            seen.add(round(node.omega_background, 15))
-            seen.add(round(node.omega_foreground, 15))
-        return sorted(seen)
-
-    @property
-    def shared_classes(self) -> Tuple[int, ...]:
-        """Classes that ride a sharing edge (their background pass is free)."""
-        return tuple(i for i, e in enumerate(self.edges) if e is not None)
-
     # -- evaluation planning -------------------------------------------
     def plan(self, *, skip_zero: bool = False) -> List[ClassPlan]:
         """Per-class pruning plan for one likelihood evaluation.
 
-        ``skip_zero`` elides zero-weight classes entirely (their mixture
-        row is masked out).
+        The one place class sharing is derived.  A class derives from
+        the first earlier class with the same background ω that runs a
+        populating pass (so every background operator is the same
+        object); the share is full when the foreground ω matches too.
 
-        The static :attr:`edges` cannot be used verbatim here because a
-        skipped class breaks the chain at runtime: sharing requires the
-        base's state to be materialised *this* evaluation, so the base
-        of record is the first class with a matching background ω that
-        actually runs a populating pass.
+        ``skip_zero`` elides zero-weight classes entirely (their mixture
+        row is masked out).  A skipped class runs no pass, so it cannot
+        be a base: sharing needs the base's state materialised *this*
+        evaluation.
         """
         plans: List[ClassPlan] = []
         first_live_bg: Dict[float, int] = {}
@@ -213,14 +160,4 @@ class SiteClassGraph:
         return iter(self.nodes)
 
     def __repr__(self) -> str:
-        shared = ", ".join(
-            f"{self.nodes[e.target].label}→{self.nodes[e.base].label}"
-            f"{'(full)' if e.full else ''}"
-            for e in self.edges
-            if e is not None
-        )
-        return (
-            f"SiteClassGraph({len(self.nodes)} classes: {list(self.labels)}"
-            + (f"; shares {shared}" if shared else "")
-            + ")"
-        )
+        return f"SiteClassGraph({len(self.nodes)} classes: {list(self.labels)})"

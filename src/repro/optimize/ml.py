@@ -32,10 +32,8 @@ from repro.utils.rng import RngLike, make_rng
 __all__ = [
     "FitResult",
     "BranchSiteTest",
-    "SitesTest",
     "fit_model",
     "fit_branch_site_test",
-    "fit_sites_test",
 ]
 
 #: Branch lengths are optimised as log(t); shorter than this is "zero".
@@ -572,65 +570,3 @@ def fit_branch_site_test(
             h1 = retry
     lrt = likelihood_ratio_test(h0.lnl, h1.lnl, df=1)
     return BranchSiteTest(h0=h0, h1=h1, lrt=lrt)
-
-
-@dataclass
-class SitesTest:
-    """An M1a+M2a sites analysis — the classic test for positive selection.
-
-    The paper's §V-B extension point: the optimized likelihood
-    computation applies unchanged to further ML-based models.  M1a vs
-    M2a is the standard *site* test (no foreground branch; selection
-    anywhere in the tree), compared with 2 degrees of freedom.
-    """
-
-    m1a: FitResult
-    m2a: FitResult
-    lrt: LRTResult
-
-    def summary(self) -> str:
-        return (
-            f"{self.m1a.summary()}\n{self.m2a.summary()}\n"
-            f"LRT (df=2): 2Δ = {self.lrt.statistic:.4f}, "
-            f"p = {self.lrt.pvalue_chi2:.4g}"
-        )
-
-
-def fit_sites_test(
-    make_bound: Callable[[CodonSiteModel], BoundLikelihood],
-    seed: RngLike = 1,
-    max_iterations: int = 200,
-    **fit_kwargs,
-) -> SitesTest:
-    """Fit M1a (null) and M2a (alternative) and run the 2-df LRT.
-
-    Mirrors :func:`fit_branch_site_test`: M2a warm-starts from the M1a
-    solution (shared parameters and branch lengths), so both engines
-    compare fairly under the same seed.
-    """
-    from repro.models.sites import M1aModel, M2aModel
-
-    m1a_model = M1aModel()
-    m2a_model = M2aModel()
-
-    bound1 = make_bound(m1a_model)
-    m1a = fit_model(bound1, seed=seed, max_iterations=max_iterations, **fit_kwargs)
-
-    bound2 = make_bound(m2a_model)
-    m2a_start = m2a_model.default_start(make_rng(seed))
-    m2a_start["kappa"] = m1a.values["kappa"]
-    m2a_start["omega0"] = m1a.values["omega0"]
-    # Split M1a's neutral mass, reserving some for the selected class.
-    p0 = min(m1a.values["p0"], 0.9)
-    p1 = max(min(0.95 - p0, (1.0 - p0) * 0.8), 0.01)
-    m2a_start["p0"], m2a_start["p1"] = p0, p1
-    m2a = fit_model(
-        bound2,
-        start_values=m2a_start,
-        start_lengths=m1a.branch_lengths,
-        seed=seed,
-        max_iterations=max_iterations,
-        **fit_kwargs,
-    )
-    lrt = likelihood_ratio_test(m1a.lnl, m2a.lnl, df=2)
-    return SitesTest(m1a=m1a, m2a=m2a, lrt=lrt)

@@ -100,8 +100,7 @@ def prune_levels(
     scale_threshold: float = SCALE_THRESHOLD,
     guard: Optional[PruningGuard] = None,
     state: Optional[PruningState] = None,
-    dirty=None,
-    on_reuse=None,
+    recompute=None,
 ) -> PruningResult:
     """The production level-order driver with a per-branch ``propagate``."""
     schedule = build_level_schedule(list(branch_table), n_nodes)
@@ -110,7 +109,7 @@ def prune_levels(
         lambda items: [propagate(op, clv) for op, clv in items],
         state if state is not None else PruningState.empty(n_nodes),
         guard if guard is not None else PruningGuard(),
-        scale_threshold=scale_threshold, dirty=dirty, on_reuse=on_reuse,
+        scale_threshold=scale_threshold, recompute=recompute,
     )
 
 

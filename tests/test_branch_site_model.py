@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.alignment.msa import CodonAlignment
+from repro.core.engine import make_engine
 from repro.models.branch_site import BranchSiteModelA
+from repro.trees.newick import parse_newick
 
 
 @pytest.fixture
@@ -81,9 +84,15 @@ class TestSiteClasses:
         assert classes[3].omega_foreground == 1.0
 
     def test_distinct_omegas_bounded_by_three(self, h1, h0, values):
-        assert h1.distinct_omegas(values) == sorted([0.3, 1.0, 4.0])
-        h0_values = {k: values[k] for k in h0.param_names}
-        assert h0.distinct_omegas(h0_values) == sorted([0.3, 1.0])
+        def distinct(model, v):
+            return sorted({
+                omega
+                for c in model.site_classes(v)
+                for omega in (c.omega_background, c.omega_foreground)
+            })
+
+        assert distinct(h1, values) == [0.3, 1.0, 4.0]
+        assert distinct(h0, {k: values[k] for k in h0.param_names}) == [0.3, 1.0]
 
     def test_degenerate_total_rejected(self, h1, values):
         bad = dict(values, p0=0.7, p1=0.3)
@@ -115,3 +124,13 @@ class TestStartValuesAndNull:
         projected = h1.to_null_values(values)
         assert set(projected) == set(null.param_names)
         assert "omega2" not in projected
+
+
+class TestBinding:
+    def test_requires_foreground_mark(self, h1):
+        # Model A distinguishes branch categories, so binding it to a
+        # tree without a foreground mark is rejected up front.
+        tree = parse_newick("(A:0.1,B:0.1,C:0.1);")
+        aln = CodonAlignment.from_sequences(["A", "B", "C"], ["ATG"] * 3)
+        with pytest.raises(ValueError, match="foreground"):
+            make_engine("slim-v2").bind(tree, aln, h1)

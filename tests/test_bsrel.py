@@ -14,6 +14,7 @@ import pytest
 from repro.core.engine import make_engine
 from repro.models.branch_site import BranchSiteModelA
 from repro.models.bsrel import BSRELModel
+from repro.models.class_graph import ClassPlan
 from repro.models.parameters import (
     simplex_pack,
     stick_break_pack,
@@ -67,9 +68,9 @@ class TestConstruction:
         graph = model.site_class_graph(values)
         assert graph.n_classes == 6
         # Every selected class aliases its base class's background pass.
+        plans = graph.plan(skip_zero=False)
         for i in range(3):
-            edge = graph.edges[3 + i]
-            assert edge is not None and edge.base == i and not edge.full
+            assert plans[3 + i] == ClassPlan(3 + i, "derive", base=i, full_share=False)
         assert graph.positive_labels == ("s1", "s2", "s3")
 
     def test_h0_last_selected_class_full_share(self):
@@ -77,8 +78,9 @@ class TestConstruction:
         values = model.default_start(None)
         graph = model.site_class_graph(values)
         # sK keeps ω_fg = 1 = its neutral base's ω: a full share under H0.
-        assert graph.edges[5].full
-        assert not graph.edges[3].full and not graph.edges[4].full
+        plans = graph.plan(skip_zero=False)
+        assert plans[5] == ClassPlan(5, "derive", base=2, full_share=True)
+        assert not plans[3].full_share and not plans[4].full_share
 
     def test_weights_must_leave_selected_mass(self):
         model = BSRELModel(2)

@@ -1,4 +1,4 @@
-"""The site-class graph: validation, derived sharing edges, planning."""
+"""The site-class graph: validation, views, and the plan that derives sharing."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 
 from repro.models.base import SiteClass
 from repro.models.branch_site import BranchSiteModelA
-from repro.models.class_graph import ClassPlan, SharingEdge, SiteClassGraph
-from repro.models.sites import M1aModel, M2aModel
+from repro.models.class_graph import ClassPlan, SiteClassGraph
 
 
 def _classes(*specs):
@@ -61,31 +60,37 @@ class TestConstruction:
 
 
 class TestDerivedEdges:
+    """The sharing :meth:`SiteClassGraph.plan` derives when no class is skipped."""
+
     def test_model_a_reproduces_historical_pairs(self, h1_model, bsm_values):
         graph = h1_model.site_class_graph(bsm_values)
         assert graph.labels == ("0", "1", "2a", "2b")
         # 0↔2a and 1↔2b share backgrounds; under H1 (ω2 ≠ 1) neither is full.
-        assert graph.edges[0] is None and graph.edges[1] is None
-        assert graph.edges[2] == SharingEdge(target=2, base=0, full=False)
-        assert graph.edges[3] == SharingEdge(target=3, base=1, full=False)
-        assert graph.shared_classes == (2, 3)
+        assert graph.plan(skip_zero=False) == [
+            ClassPlan(0, "populate"),
+            ClassPlan(1, "populate"),
+            ClassPlan(2, "derive", base=0, full_share=False),
+            ClassPlan(3, "derive", base=1, full_share=False),
+        ]
 
     def test_model_a_h0_full_share_for_2b(self, h0_model, bsm_values):
         values = {k: v for k, v in bsm_values.items() if k != "omega2"}
-        graph = h0_model.site_class_graph(values)
+        plans = h0_model.site_class_graph(values).plan(skip_zero=False)
         # ω2 = 1 makes class 2b's foreground match class 1's: a full share.
-        assert graph.edges[3].full
-        assert not graph.edges[2].full
+        assert plans[3] == ClassPlan(3, "derive", base=1, full_share=True)
+        assert plans[2] == ClassPlan(2, "derive", base=0, full_share=False)
 
     def test_site_models_fully_share_nothing_foreground(self):
-        # M1a/M2a set bg == fg per class with distinct ω's: no edges at all.
-        m2a = M2aModel()
-        values = m2a.default_start(None)
-        graph = m2a.site_class_graph(values)
-        assert all(e is None for e in graph.edges)
-        m1a = M1aModel()
-        graph1 = m1a.site_class_graph(m1a.default_start(None))
-        assert all(e is None for e in graph1.edges)
+        # Equal background and foreground ω per class, distinct across
+        # classes (the M1a/M2a shape): no class derives from another.
+        classes = _classes(
+            ("0", 0.6, 0.2, 0.2, False),
+            ("1", 0.3, 1.0, 1.0, False),
+            ("2", 0.1, 3.0, 3.0, True),
+        )
+        plans = SiteClassGraph.from_classes(classes).plan(skip_zero=False)
+        assert [p.mode for p in plans] == ["populate"] * 3
+        assert all(p.base is None for p in plans)
 
     def test_edge_targets_first_matching_class(self):
         classes = _classes(
@@ -94,20 +99,20 @@ class TestDerivedEdges:
             ("c", 0.25, 0.3, 2.0, True),
             ("d", 0.25, 0.7, 0.7, False),
         )
-        graph = SiteClassGraph.from_classes(classes)
-        assert graph.edges[1] == SharingEdge(target=1, base=0, full=False)
-        # c shares with the *first* class carrying ω_bg = 0.3, not with b.
-        assert graph.edges[2] == SharingEdge(target=2, base=0, full=False)
-        assert graph.edges[3] is None
+        plans = SiteClassGraph.from_classes(classes).plan(skip_zero=False)
+        assert plans[1] == ClassPlan(1, "derive", base=0, full_share=False)
+        # c derives from the *first* class carrying ω_bg = 0.3, not from b.
+        assert plans[2] == ClassPlan(2, "derive", base=0, full_share=False)
+        assert plans[3] == ClassPlan(3, "populate")
 
 
 class TestViews:
     def test_labels_proportions_index(self, h1_model, bsm_values):
         graph = h1_model.site_class_graph(bsm_values)
         assert math.isclose(float(graph.proportions.sum()), 1.0)
-        assert graph.index_of("2a") == 2
-        with pytest.raises(KeyError, match="2c"):
-            graph.index_of("2c")
+        classes = h1_model.site_classes(bsm_values)
+        assert graph.labels == tuple(c.label for c in classes)
+        np.testing.assert_array_equal(graph.proportions, [c.proportion for c in classes])
 
     def test_positive_classes(self, h1_model, bsm_values):
         graph = h1_model.site_class_graph(bsm_values)
@@ -115,18 +120,21 @@ class TestViews:
         assert graph.positive_labels == ("2a", "2b")
 
     def test_distinct_omegas(self, h1_model, bsm_values):
-        graph = h1_model.site_class_graph(bsm_values)
-        assert graph.distinct_omegas() == [0.3, 1.0, 4.0]
+        omegas = {
+            omega
+            for c in h1_model.site_classes(bsm_values)
+            for omega in (c.omega_background, c.omega_foreground)
+        }
+        assert sorted(omegas) == [0.3, 1.0, 4.0]
 
     def test_iteration_and_len(self, h1_model, bsm_values):
         graph = h1_model.site_class_graph(bsm_values)
         assert len(graph) == 4
         assert [n.label for n in graph] == ["0", "1", "2a", "2b"]
 
-    def test_repr_names_shares(self, h1_model, bsm_values):
-        graph = h1_model.site_class_graph(bsm_values)
-        text = repr(graph)
-        assert "2a→0" in text and "2b→1" in text
+    def test_repr_names_classes(self, h1_model, bsm_values):
+        text = repr(h1_model.site_class_graph(bsm_values))
+        assert text == "SiteClassGraph(4 classes: ['0', '1', '2a', '2b'])"
 
 
 class TestPlanning:
@@ -159,14 +167,14 @@ class TestPlanning:
         assert plans[1].mode == "populate"
         assert plans[2] == ClassPlan(2, "derive", base=1, full_share=True)
 
-    def test_static_edges_unused_without_runtime_anchor(self):
+    def test_skipped_class_is_no_base(self):
         classes = _classes(
             ("a", 0.0, 0.3, 0.3, False),
             ("b", 1.0, 0.3, 2.0, True),
         )
         graph = SiteClassGraph.from_classes(classes)
-        # Statically b shares with a...
-        assert graph.edges[1] is not None
+        # With every class run, b derives from a...
+        assert graph.plan()[1] == ClassPlan(1, "derive", base=0, full_share=False)
         # ...but with a skipped, b must populate.
         plans = graph.plan(skip_zero=True)
         assert plans[1].mode == "populate"

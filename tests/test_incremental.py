@@ -1,4 +1,4 @@
-"""Reuse without drift: cross-class aliasing, dirty-path pruning states
+"""Reuse without drift: cross-class aliasing, partial-pass pruning states
 and the binding's last-point memo, plus their reuse accounting.
 
 Background-tied site classes alias each other's pruning states and
@@ -19,7 +19,7 @@ from repro.codon.matrix import build_rate_matrix
 from repro.core.eigen import decompose
 from repro.core.engine import make_engine
 from repro.core.expm import transition_matrix_syrk
-from repro.likelihood.pruning import PruningState, build_leaf_clvs
+from repro.likelihood.pruning import PruningState, build_leaf_clvs, compute_recompute_rows
 from repro.trees.newick import parse_newick
 from tests.oracles import (
     nudge_operators,
@@ -94,7 +94,7 @@ class TestPruningState:
         )
         np.testing.assert_array_equal(full.root_clv, pop.root_clv)
         np.testing.assert_array_equal(full.log_scalers, pop.log_scalers)
-        assert state.ready and state.root_index >= 0
+        assert all(clv is not None for clv in state.clvs)
 
     def test_single_branch_update_recomputes_only_root_path(self, prune_setup):
         pi, decomp, tree, leaf_clvs = prune_setup
@@ -117,7 +117,7 @@ class TestPruningState:
         table2 = [(c, p, t * 1.1 if c == child else bl, f) for c, p, bl, f in table]
         inc = prune_levels(
             table2, n_nodes, leaf_clvs, factory, propagate,
-            state=state, dirty={child},
+            state=state, recompute=compute_recompute_rows(table2, {child}),
         )
         path = {child}
         grew = True
@@ -151,7 +151,8 @@ class TestPruningState:
         table2 = [(c, p, bl * (1.2 if c == child else 1.0), f) for c, p, bl, f in table]
         inc = prune_levels(
             table2, n_nodes, leaf_clvs, factory, np.matmul,
-            scale_threshold=1.0, state=state, dirty={child},
+            scale_threshold=1.0, state=state,
+            recompute=compute_recompute_rows(table2, {child}),
         )
         fresh = prune_reference(
             table2, n_nodes, leaf_clvs, factory, np.matmul, scale_threshold=1.0
@@ -159,6 +160,15 @@ class TestPruningState:
         assert np.any(fresh.log_scalers != 0.0)
         np.testing.assert_array_equal(fresh.root_clv, inc.root_clv)
         np.testing.assert_array_equal(fresh.log_scalers, inc.log_scalers)
+
+    def test_partial_pass_needs_a_filled_state(self, prune_setup):
+        pi, decomp, tree, leaf_clvs = prune_setup
+        table = list(tree.branch_table())
+        with pytest.raises(ValueError, match="every row"):
+            prune_levels(
+                table, len(tree.nodes), leaf_clvs, _factory(decomp, None), np.matmul,
+                recompute=compute_recompute_rows(table, {table[0][0]}),
+            )
 
     def test_derive_leaves_base_state_untouched(self, prune_setup):
         pi, decomp, tree, leaf_clvs = prune_setup
@@ -174,7 +184,7 @@ class TestPruningState:
         table2 = [(c, p, bl * 1.3 if c == child else bl, f) for c, p, bl, f in table]
         prune_levels(
             table2, n_nodes, leaf_clvs, factory, np.matmul,
-            state=derived, dirty={child},
+            state=derived, recompute=compute_recompute_rows(table2, {child}),
         )
         for old, cur in zip(before, state.clvs):
             if old is not None:
@@ -239,7 +249,9 @@ class TestEngineBitIdentity:
             assert b_memo.gradient(values, L).lnl == a
             ev = b_memo.class_evaluation(values, L)
             class_lnl = ev.class_lnl
-            assert all(not state.missing_nodes() for state in ev.states.values())
+            assert all(
+                clv is not None for state in ev.states.values() for clv in state.clvs
+            )
             if not recover:
                 assert a == reference_log_likelihood(b_plain, values, L)
                 np.testing.assert_array_equal(
@@ -290,6 +302,24 @@ class TestEngineSemantics:
         stats = engine.cache_stats()
         assert stats["clv_propagations"] > 0
         assert stats["clv_reuses"] > 0
+
+    @pytest.mark.parametrize("fix_omega2", [False, True], ids=["H1", "H0"])
+    def test_reuses_are_the_rows_a_pass_did_not_recompute(
+        self, fix_omega2, small_tree, small_sim, bsm_values
+    ):
+        from repro.models.branch_site import BranchSiteModelA
+
+        model = BranchSiteModelA(fix_omega2=fix_omega2)
+        engine = make_engine("slim-v2")
+        bound = engine.bind(small_tree, small_sim.alignment, model)
+        bound.log_likelihood({k: bsm_values[k] for k in model.param_names})
+        # Seven rows; the foreground branch hangs from the root, so its
+        # path is that one row.  Classes 0 and 1 populate, 2a re-prunes
+        # the path, and 2b does too under H1 but is a full share under H0.
+        assert bound.n_branches == 7
+        recomputed = 7 + 7 + 1 + (0 if fix_omega2 else 1)
+        assert engine.counters["clv_propagations"] == recomputed
+        assert engine.counters["clv_reuses"] == 4 * 7 - recomputed
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,19 @@
-"""M0 and the site models M1a/M2a (the §V-B extension models)."""
+"""M0, and the parameter contract every model shares."""
 
 import numpy as np
 import pytest
 
+from repro.models.branch_site import BranchSiteModelA
+from repro.models.bsrel import BSRELModel
 from repro.models.m0 import M0Model
-from repro.models.sites import M1aModel, M2aModel
 
-ALL_MODELS = [M0Model(), M1aModel(), M2aModel()]
+#: One class, model A's four classes under each hypothesis, and BS-REL's six.
+ALL_MODELS = [
+    pytest.param(M0Model(), id="M0 (one-ratio)"),
+    pytest.param(BranchSiteModelA(fix_omega2=True), id="model A H0"),
+    pytest.param(BranchSiteModelA(fix_omega2=False), id="model A H1"),
+    pytest.param(BSRELModel(3), id="BS-REL 6-class"),
+]
 
 
 class TestM0:
@@ -25,44 +32,7 @@ class TestM0:
         assert v["omega"] > 1.0
 
 
-class TestM1a:
-    def test_two_classes(self):
-        m = M1aModel()
-        classes = m.site_classes({"kappa": 2.0, "omega0": 0.2, "p0": 0.7})
-        assert [c.label for c in classes] == ["0", "1"]
-        assert classes[0].proportion == pytest.approx(0.7)
-        assert classes[1].omega_background == 1.0
-
-    def test_roundtrip(self):
-        M1aModel().check_roundtrip({"kappa": 2.0, "omega0": 0.45, "p0": 0.61})
-
-    def test_no_branch_heterogeneity(self):
-        classes = M1aModel().site_classes({"kappa": 2.0, "omega0": 0.2, "p0": 0.7})
-        assert all(c.omega_background == c.omega_foreground for c in classes)
-
-
-class TestM2a:
-    def test_three_classes(self):
-        m = M2aModel()
-        v = {"kappa": 2.0, "omega0": 0.2, "omega2": 3.0, "p0": 0.6, "p1": 0.3}
-        classes = m.site_classes(v)
-        assert [c.label for c in classes] == ["0", "1", "2"]
-        assert classes[2].proportion == pytest.approx(0.1)
-        assert classes[2].omega_background == 3.0
-
-    def test_roundtrip(self):
-        M2aModel().check_roundtrip(
-            {"kappa": 2.0, "omega0": 0.2, "omega2": 3.0, "p0": 0.6, "p1": 0.3}
-        )
-
-    def test_omega2_above_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            v = M2aModel().unpack(rng.normal(scale=4, size=5))
-            assert v["omega2"] > 1.0
-
-
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("model", ALL_MODELS)
 class TestCommonContract:
     def test_default_start_roundtrips(self, model):
         model.check_roundtrip(model.default_start())

@@ -1,13 +1,9 @@
 """Second property-test wave: new substrates and cross-module invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.models.branch import TwoRatioModel
-from repro.models.m0 import M0Model
-from repro.models.sites import M1aModel, M2aModel
 from repro.trees.prune import prune_to_taxa
 from repro.trees.simulate import simulate_yule_tree
 from tests.oracles import patristic_distance_matrix
@@ -46,31 +42,3 @@ class TestPruneProperties:
         assert pruned.is_binary()
         assert pruned.n_branches == 2 * len(keep) - 3
         pruned.validate_branch_lengths()
-
-
-class TestModelTransformsExtended:
-    @settings(max_examples=40, deadline=None)
-    @given(x=st.lists(st.floats(min_value=-25, max_value=25), min_size=3, max_size=3))
-    def test_two_ratio_unpack_valid(self, x):
-        model = TwoRatioModel()
-        values = model.unpack(np.array(x))
-        assert values["kappa"] > 0
-        assert values["omega_background"] > 0
-        assert values["omega_foreground"] > 0
-        model.check_roundtrip(values, atol=1e-6)
-
-    @settings(max_examples=40, deadline=None)
-    @given(x=st.lists(st.floats(min_value=-25, max_value=25), min_size=5, max_size=5))
-    def test_m2a_proportions_simplex(self, x):
-        model = M2aModel()
-        values = model.unpack(np.array(x))
-        props = model.proportions(values)
-        assert np.all(props >= 0) and props.sum() == pytest.approx(1.0)
-        assert values["omega2"] >= 1.0
-
-    @settings(max_examples=40, deadline=None)
-    @given(x=st.lists(st.floats(min_value=-25, max_value=25), min_size=3, max_size=3))
-    def test_m1a_roundtrip(self, x):
-        model = M1aModel()
-        values = model.unpack(np.array(x))
-        model.check_roundtrip(values, atol=1e-6)

@@ -90,3 +90,47 @@ def test_batch_runners_take_only_an_executor(removed):
         analyze_genes([], **option)
     with pytest.raises(TypeError, match=removed):
         scan_branches("g", parse_newick("(A:0.1,B:0.1);"), None, **option)
+
+
+REMOVED_MODEL_NAMES = [
+    "M1aModel",
+    "M2aModel",
+    "TwoRatioModel",
+    "SitesTest",
+    "fit_sites_test",
+    "SharingEdge",
+    "read_fasta",
+    "read_phylip",
+]
+
+
+@pytest.mark.parametrize(
+    "module_name", ["repro", "repro.models", "repro.optimize", "repro.alignment"]
+)
+def test_branch_site_is_the_only_model_layer(module_name):
+    """The models and readers no user path reached are gone."""
+    module = importlib.import_module(module_name)
+    assert [name for name in REMOVED_MODEL_NAMES if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("removed", ["dirty", "on_reuse"])
+def test_prune_takes_its_rows_from_the_plan(removed):
+    """The level driver recomputes exactly the rows it is handed.
+
+    Which rows a pass recomputes is derived once, by
+    ``compute_recompute_rows``; the driver keeps no dirty-path
+    recurrence or reuse callback of its own.
+    """
+    import numpy as np
+
+    from repro.core.engine import prune_site_class_batched
+    from repro.core.recovery import PruningGuard
+    from repro.likelihood.pruning import PruningState, build_level_schedule
+
+    rows = [(0, 2, 0.1, False), (1, 2, 0.1, False)]
+    with pytest.raises(TypeError, match=removed):
+        prune_site_class_batched(
+            rows, build_level_schedule(rows, 3), [np.ones((61, 1))] * 2,
+            lambda t, fg: None, lambda items: [], PruningState.empty(3),
+            PruningGuard(), **{removed: None},
+        )
